@@ -85,7 +85,7 @@ func TestFabricServesLocalMissFromPeerTier(t *testing.T) {
 }
 
 // TestFabricTCPSmoke boots the 3-node fabric over real loopback TCP —
-// the transport cmd/hfetchd deploys, with true gob serialization and
+// the transport cmd/hfetchd deploys, with real framing, head codecs and
 // socket teardown — runs reads through it, kills one node mid-run, and
 // asserts the survivors converge and every read keeps succeeding. The
 // CI cluster-smoke job drives this test.

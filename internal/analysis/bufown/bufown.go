@@ -27,8 +27,9 @@
 // exit chain runs it on every path), without marking the object
 // released for use-after-release purposes until the chain executes.
 // Escapes — returns, field stores, channel sends, closure captures,
-// calls that take the object — conservatively end tracking: ownership
-// moved somewhere this intra-procedural pass cannot see.
+// calls that take the object, the release method taken as a value
+// (`Done: b.Release`) — conservatively end tracking: ownership moved
+// somewhere this intra-procedural pass cannot see.
 package bufown
 
 import (
@@ -107,6 +108,20 @@ func DefaultConfig() Config {
 			{Callee: "hfetch/internal/core/server.Server.OpenRangeView", Result: 0,
 				Cond: -1, Release: []string{"Close"},
 				Name: "range view (Server.OpenRangeView)"},
+			// A comm.Reply borrows its Body (a tier pin on the serving
+			// side, a slab buffer on the receiving side) until Release.
+			{Callee: "hfetch/internal/comm.Call", Result: 0,
+				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
+				Name: "reply (comm.Call)"},
+			{Callee: "hfetch/internal/comm.Caller.Call", Result: 0,
+				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
+				Name: "reply (Caller.Call)"},
+			{Callee: "hfetch/internal/comm.Mux.Serve", Result: 0,
+				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
+				Name: "reply (Mux.Serve)"},
+			{Callee: "hfetch/internal/core/server.Server.ViewRemote", Result: 0,
+				Cond: 1, CondKind: CondBool, Release: []string{"Release"},
+				Name: "received body (Server.ViewRemote)"},
 		},
 		Transfers: []Transfer{
 			{Callee: "hfetch/internal/tiers.Store.PutBuf", Arg: 1, HasErr: true},
@@ -699,12 +714,20 @@ func (c *checker) releaseTarget(call *ast.CallExpr, f *bufFact) (types.Object, o
 		return nil, objState{}
 	}
 	st := f.objs[obj]
-	for _, m := range c.cfg.Acquires[st.acq].Release {
-		if sel.Sel.Name == m {
-			return obj, st
-		}
+	if c.isRelease(st, sel.Sel.Name) {
+		return obj, st
 	}
 	return nil, objState{}
+}
+
+// isRelease reports whether method discharges st's obligation.
+func (c *checker) isRelease(st objState, method string) bool {
+	for _, m := range c.cfg.Acquires[st.acq].Release {
+		if method == m {
+			return true
+		}
+	}
+	return false
 }
 
 // applyRelease marks a release; double releases are reported. A release
@@ -807,6 +830,13 @@ func (c *checker) evalExpr(e ast.Expr, f *bufFact) {
 		c.evalExpr(e.X, f)
 		c.evalExpr(e.Y, f)
 	case *ast.SelectorExpr:
+		// A release method taken as a value (`Done: b.Release`) hands
+		// the obligation to whoever ends up holding the func.
+		if obj := c.trackedIdent(e.X, f); obj != nil && c.isRelease(f.objs[obj], e.Sel.Name) {
+			c.useCheck(obj, e.X.Pos(), f)
+			delete(f.objs, obj)
+			return
+		}
 		c.evalExpr(e.X, f)
 	case *ast.IndexExpr:
 		c.evalExpr(e.X, f)

@@ -105,3 +105,19 @@ func sweep(s *Store, ids []int) int {
 	}
 	return total
 }
+
+// reply is a response that borrows a pinned payload until done runs.
+type reply struct {
+	body []byte
+	done func()
+}
+
+// serve hands the pin to the reply: taking the release method as a
+// value transfers the obligation to whoever runs done.
+func serve(s *Store, id int) reply {
+	b, resident := s.View(id)
+	if !resident {
+		return reply{}
+	}
+	return reply{body: b.Bytes(), done: b.Release}
+}

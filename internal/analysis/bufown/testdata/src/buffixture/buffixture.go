@@ -158,6 +158,24 @@ func loopViews(s *Store, ids []int) int {
 	return total
 }
 
+// --- a release method value hands off only on the path that takes it --
+
+type reply struct {
+	body []byte
+	done func()
+}
+
+func serveSomePaths(s *Store, id int) reply {
+	b, resident := s.View(id) // want `pinned view \(Store\.View\) is not released on every path out of serveSomePaths`
+	if !resident {
+		return reply{}
+	}
+	if b.Len() == 0 {
+		return reply{} // the pin leaks here
+	}
+	return reply{body: b.Bytes(), done: b.Release}
+}
+
 // --- deliberate handoff, waived --------------------------------------
 
 // pinForever holds the pin until process exit by design.

@@ -1,11 +1,12 @@
 // Package hotpath enforces the per-event allocation and clock rules on
 // functions annotated with a `//hfetch:hotpath` directive in their doc
-// comment (monitor drain, auditor scoring, server read, telemetry
-// record). Inside an annotated function the analyzer flags:
+// comment (monitor drain, auditor scoring, server read, wire codecs,
+// telemetry record). Inside an annotated function the analyzer flags:
 //
 //   - any call into fmt (Sprintf on the audit loop was the original
 //     sin; strconv.Append* is the sanctioned replacement);
-//   - any call into reflect;
+//   - any call into reflect or encoding/gob (reflection-driven
+//     encoders; wire heads on hot paths are hand-written codecs);
 //   - time.Now / time.Since / time.Until not dominated by the
 //     telemetry sampling gate — an if whose condition contains a
 //     TimeSample() call or a bool assigned from one;
@@ -33,7 +34,7 @@ import (
 // Analyzer is the hotpath rule set.
 var Analyzer = &framework.Analyzer{
 	Name: "hotpath",
-	Doc:  "forbid fmt/reflect/unsampled clocks/map+closure allocation in //hfetch:hotpath functions",
+	Doc:  "forbid fmt/reflect/gob/unsampled clocks/map+closure allocation in //hfetch:hotpath functions",
 	Run:  run,
 }
 
@@ -139,6 +140,8 @@ func checkCall(pass *framework.Pass, call *ast.CallExpr, stack []ast.Node, timed
 		pass.Reportf(call.Pos(), "fmt.%s in hot path; use strconv.Append* or precomputed strings", fn.Name())
 	case "reflect":
 		pass.Reportf(call.Pos(), "reflect.%s in hot path", fn.Name())
+	case "encoding/gob":
+		pass.Reportf(call.Pos(), "gob.%s in hot path; wire heads on hot paths are hand-written append/parse codecs", fn.Name())
 	case "time":
 		switch fn.Name() {
 		case "Now", "Since", "Until":

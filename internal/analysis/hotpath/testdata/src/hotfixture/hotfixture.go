@@ -4,6 +4,8 @@
 package hotfixture
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"strconv"
@@ -20,6 +22,13 @@ func (r *Reg) TimeSample() bool {
 //hfetch:hotpath
 func sprintfInHotPath(file string, seg int64) string {
 	return fmt.Sprintf("%s#%d", file, seg) // want `fmt.Sprintf in hot path`
+}
+
+//hfetch:hotpath
+func gobInHotPath(v any) []byte {
+	var buf bytes.Buffer
+	gob.NewEncoder(&buf).Encode(v) // want `gob.NewEncoder in hot path`
+	return buf.Bytes()
 }
 
 //hfetch:hotpath

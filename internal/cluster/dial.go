@@ -43,15 +43,26 @@ type reconnPeer struct {
 }
 
 func (r *reconnPeer) Request(msgType string, payload []byte) ([]byte, error) {
-	p, err := r.resolve()
+	rep, err := r.Call(msgType, payload)
 	if err != nil {
 		return nil, err
 	}
-	resp, err := p.Request(msgType, payload)
+	rep.Release()
+	return rep.Head, nil
+}
+
+// Call implements comm.Caller: the body-carrying call over the same
+// resolve-and-heal path as Request.
+func (r *reconnPeer) Call(msgType string, head []byte) (comm.Reply, error) {
+	p, err := r.resolve()
+	if err != nil {
+		return comm.Reply{}, err
+	}
+	rep, err := comm.Call(p, msgType, head)
 	if err != nil && !comm.IsRemote(err) {
 		r.mem.DropPeer(r.name)
 	}
-	return resp, err
+	return rep, err
 }
 
 func (r *reconnPeer) Notify(msgType string, payload []byte) error {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,10 +11,31 @@ import (
 	"hfetch/internal/tiers"
 )
 
-// remoteCaller issues one direct peer read; implemented by
-// *server.Server (ReadRemoteDirect).
+// remoteCaller issues one direct peer read into a caller's buffer.
 type remoteCaller interface {
 	ReadRemoteDirect(node, tier string, id seg.ID, off int64, p []byte) (int, bool, error)
+}
+
+// remoteViewer issues one direct peer read and hands back the received
+// payload by reference; implemented by *server.Server. The Fetcher
+// shares that buffer among its waiters instead of filling one of its
+// own.
+type remoteViewer interface {
+	ViewRemote(node, tier string, id seg.ID, off int64, length int) (comm.Reply, bool, error)
+}
+
+// filledView adapts a caller that can only fill buffers (test fakes) to
+// remoteViewer: the view is a slab buffer the read was copied into.
+type filledView struct{ call remoteCaller }
+
+func (v filledView) ViewRemote(node, tier string, id seg.ID, off int64, length int) (comm.Reply, bool, error) {
+	buf := tiers.SlabGet(int64(length))
+	n, ok, err := v.call.ReadRemoteDirect(node, tier, id, off, buf)
+	if err != nil || !ok {
+		tiers.SlabPut(buf)
+		return comm.Reply{}, false, err
+	}
+	return comm.Reply{Body: buf[:n], Done: func() { tiers.SlabPut(buf) }}, true, nil
 }
 
 // FetcherConfig tunes the cross-node fetch path.
@@ -54,10 +74,10 @@ type FetcherConfig struct {
 type Fetcher struct {
 	cfg  FetcherConfig
 	mem  *Membership
-	call remoteCaller
+	call remoteViewer
 
 	mu       sync.Mutex
-	inflight map[string]*fetchCall
+	inflight map[fetchKey]*fetchCall
 	cooldown map[string]*peerCooldown
 
 	fetches   *telemetry.CounterVec // outcome: hit|stale|error|gated|shared
@@ -66,24 +86,39 @@ type Fetcher struct {
 	histByWho map[string]*telemetry.Histogram // always kept, even without a registry
 }
 
+// fetchKey identifies one in-flight remote range.
+type fetchKey struct {
+	node, tier string
+	id         seg.ID
+	off        int64
+	length     int
+}
+
 // fetchCall is one single-flight remote read. refs counts the leader
 // plus every waiter that joined while the call sat in the inflight map
 // (joins happen under Fetcher.mu, before the leader deletes the entry,
 // so the count can only grow while the buffer is still shared); the
-// last release returns the slab-drawn payload buffer to its pool.
+// last release gives the received payload back to its owner (the slab
+// over TCP, the serving tier's pin in process).
 type fetchCall struct {
 	done chan struct{}
-	n    int
 	ok   bool
-	data []byte
+	rep  comm.Reply // the received response; rep.Body is what waiters copy
 	refs atomic.Int32
 }
 
-func (c *fetchCall) release() {
-	if c.refs.Add(-1) == 0 {
-		tiers.SlabPut(c.data)
-		c.data = nil
+// fill copies the shared payload into one reader's buffer and drops
+// that reader's reference.
+func (c *fetchCall) fill(p []byte) (int, bool) {
+	n, served := 0, c.ok
+	if served {
+		n = copy(p, c.rep.Body)
+		tiers.CountCopied(int64(n))
 	}
+	if c.refs.Add(-1) == 0 {
+		c.rep.Release()
+	}
+	return n, served
 }
 
 type peerCooldown struct {
@@ -95,6 +130,10 @@ type peerCooldown struct {
 // NewFetcher builds the fetch path over a membership view and a direct
 // caller (the local server).
 func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteCaller) *Fetcher {
+	view, ok := call.(remoteViewer)
+	if !ok {
+		view = filledView{call}
+	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 100 * time.Millisecond
 	}
@@ -107,8 +146,8 @@ func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteCaller) *Fetcher 
 	f := &Fetcher{
 		cfg:       cfg,
 		mem:       mem,
-		call:      call,
-		inflight:  make(map[string]*fetchCall),
+		call:      view,
+		inflight:  make(map[fetchKey]*fetchCall),
 		cooldown:  make(map[string]*peerCooldown),
 		histByWho: make(map[string]*telemetry.Histogram),
 	}
@@ -132,34 +171,27 @@ func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) 
 		return 0, false
 	}
 
-	key := fetchKey(node, tier, id, off, len(p))
+	key := fetchKey{node: node, tier: tier, id: id, off: off, length: len(p)}
 	f.mu.Lock()
 	if c, ok := f.inflight[key]; ok {
 		c.refs.Add(1)
 		f.mu.Unlock()
 		<-c.done
-		n, served := 0, c.ok
+		n, served := c.fill(p)
 		if served {
-			n = copy(p, c.data[:c.n])
-			tiers.CountCopied(int64(n))
+			f.outcome("shared")
 		}
-		c.release()
-		if !served {
-			return 0, false
-		}
-		f.outcome("shared")
-		return n, true
+		return n, served
 	}
 	c := &fetchCall{done: make(chan struct{})}
 	c.refs.Store(1)
 	f.inflight[key] = c
 	f.mu.Unlock()
 
-	// Leader: perform the request with no fetcher lock held, into a
-	// slab-drawn buffer shared with every waiter by refcount.
+	// Leader: perform the request with no fetcher lock held. The
+	// received payload is shared with every waiter by refcount.
 	start := time.Now()
-	buf := tiers.SlabGet(int64(len(p)))
-	n, ok, err := f.call.ReadRemoteDirect(node, tier, id, off, buf)
+	rep, ok, err := f.call.ViewRemote(node, tier, id, off, len(p))
 	d := time.Since(start)
 	f.cfg.Health.Observe(node, d, err)
 	f.settle(node, err)
@@ -173,22 +205,12 @@ func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) 
 		f.observeLatency(node, d)
 	}
 
-	c.n, c.ok, c.data = n, ok && err == nil, buf
+	c.ok, c.rep = ok && err == nil, rep
 	f.mu.Lock()
 	delete(f.inflight, key)
 	f.mu.Unlock()
 	close(c.done)
-
-	served := c.ok
-	if served {
-		n = copy(p, buf[:n])
-		tiers.CountCopied(int64(n))
-	}
-	c.release()
-	if !served {
-		return 0, false
-	}
-	return n, true
+	return c.fill(p)
 }
 
 // admit checks the per-peer cooldown window.
@@ -270,10 +292,4 @@ func (f *Fetcher) FetchSnapshot() telemetry.HistSnapshot {
 		out.Merge(h.Snapshot())
 	}
 	return out
-}
-
-func fetchKey(node, tier string, id seg.ID, off int64, length int) string {
-	return node + "|" + tier + "|" + id.File + "|" +
-		strconv.FormatInt(id.Index, 10) + "|" +
-		strconv.FormatInt(off, 10) + "|" + strconv.Itoa(length)
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"sync/atomic"
 	"time"
 
@@ -13,8 +11,8 @@ import (
 
 // Update and invalidation routing message types.
 const (
-	MsgUpdate = "cluster.update" // gob []auditor.Update → deliver to engine
-	MsgInval  = "cluster.inval"  // gob string (file) → invalidate locally
+	MsgUpdate = "cluster.update" // []auditor.Update → deliver to engine
+	MsgInval  = "cluster.inval"  // file name → invalidate locally
 )
 
 // Router is the node-aware placement hop. It sits between the auditor
@@ -120,9 +118,8 @@ func (r *Router) FileInvalidated(file string) {
 	if r.mem == nil {
 		return
 	}
-	var buf bytes.Buffer
-	gob.NewEncoder(&buf).Encode(file) //nolint:errcheck // in-memory encode of a string
-	wrapped := comm.WrapTrace(comm.TraceCtx{Origin: r.self, SentUnixNano: time.Now().UnixNano()}, buf.Bytes())
+	wrapped := comm.WrapTrace(comm.TraceCtx{Origin: r.self, SentUnixNano: time.Now().UnixNano()},
+		appendInval(nil, file))
 	for _, name := range r.mem.View() {
 		if name == r.self || !r.mem.Usable(name) {
 			continue
@@ -155,20 +152,17 @@ func (r *Router) ship(node string, ups []auditor.Update) {
 	}
 	p, err := r.mem.Peer(node)
 	if err == nil {
-		var buf bytes.Buffer
-		if gob.NewEncoder(&buf).Encode(ups) == nil {
-			now := time.Now()
-			err = p.Notify(MsgUpdate, comm.WrapTrace(
-				comm.TraceCtx{Origin: r.self, SentUnixNano: now.UnixNano()}, buf.Bytes()))
-			if err == nil {
-				// Updates with a sampled trace get a route span on this
-				// node's in-flight entry: the hop is now part of the
-				// segment's lifecycle.
-				if lc := r.reg.Lifecycle(); lc != nil {
-					for _, u := range ups {
-						if u.Trace != 0 {
-							lc.Record(telemetry.StageRoute, u.ID.File, u.ID.Index, node, now, 0)
-						}
+		now := time.Now()
+		err = p.Notify(MsgUpdate, comm.WrapTrace(
+			comm.TraceCtx{Origin: r.self, SentUnixNano: now.UnixNano()}, appendUpdates(nil, ups)))
+		if err == nil {
+			// Updates with a sampled trace get a route span on this
+			// node's in-flight entry: the hop is now part of the
+			// segment's lifecycle.
+			if lc := r.reg.Lifecycle(); lc != nil {
+				for _, u := range ups {
+					if u.Trace != 0 {
+						lc.Record(telemetry.StageRoute, u.ID.File, u.ID.Index, node, now, 0)
 					}
 				}
 			}
@@ -200,8 +194,8 @@ func (r *Router) deliverLocal(ups []auditor.Update) {
 
 func (r *Router) handleUpdates(raw []byte) ([]byte, error) {
 	tc, raw := comm.UnwrapTrace(raw)
-	var ups []auditor.Update
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&ups); err != nil {
+	ups, err := parseUpdates(raw)
+	if err != nil {
 		return nil, err
 	}
 	r.routedIn.Add(int64(len(ups)))
@@ -230,8 +224,8 @@ func (r *Router) handleInval(raw []byte) ([]byte, error) {
 	if !tc.Zero() {
 		r.hopNanos.Observe(int64(tc.HopLatency(time.Now())))
 	}
-	var file string
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&file); err != nil {
+	file, err := parseInval(raw)
+	if err != nil {
 		return nil, err
 	}
 	// Invalidate only the local engine: the sender already broadcast to

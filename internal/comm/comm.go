@@ -4,14 +4,58 @@
 // tiers). This implementation provides the same request/response and
 // one-way messaging over two interchangeable transports:
 //
-//   - TCP with length-framed gob envelopes and request multiplexing over
-//     a persistent connection (the cross-process deployment), and
+//   - TCP with one fixed binary frame and request multiplexing over a
+//     persistent connection (the cross-process deployment), and
 //   - an in-process loopback (the emulated-cluster deployment used by
 //     the experiment harness, where "nodes" share an address space).
 //
-// Handlers are registered on a Mux by message type; requests carry opaque
-// payloads so higher layers (the distributed hashmap, the I/O clients)
-// define their own encodings.
+// # The frame
+//
+// Every message — request, response, one-way — is one frame
+// (big-endian; frame.go is the only code that knows the layout):
+//
+//	off  size  field
+//	  0     2  magic "HF"
+//	  2     1  version (WireVersion; any other value is refused)
+//	  3     1  kind: 0 request, 1 response, 2 one-way
+//	  4     8  request id
+//	 12     2  message-type length (≤ 255)
+//	 14     2  error length (≤ 4096, senders truncate)
+//	 16     4  head length (≤ MaxHead, 4 MiB)
+//	 20     4  body length (≤ MaxBody, 8 MiB: the slab's largest class)
+//	 24     …  message type | error | head | body
+//
+// The reader checks magic, version and every length before it
+// allocates; a bad header closes the connection, and so does a failed
+// write, so pending requests fail at once instead of waiting out their
+// timeout. Frame bytes are counted at the framer
+// (hfetch_comm_bytes_{in,out}_total).
+//
+// # Head and body
+//
+// The head is the message's encoding, owned by the package that owns
+// the message: srv.read (internal/core/server), the dhm RPC and its
+// tagged values (internal/dhm, *auditor.Rec registering its own pair),
+// cluster.update / cluster.inval (internal/cluster) are hand-written
+// binary codecs; heartbeat, ctl.* and the agent protocol still put a
+// gob encoding there. comm never looks inside a head; field.go only
+// offers the length-prefixed field helpers the codecs share.
+//
+// The body is bulk bytes passed by reference. A serving handler
+// registered with Mux.RegisterReply returns a Reply whose Body points
+// at pinned tier bytes; the transport writes header, head and body with
+// one vectored write and calls the Reply's Done (dropping the pin) once
+// the frame is on the wire. The receiving side reads the body from the
+// socket into a slab buffer once and hands it to the caller of Call by
+// reference; the caller's Release returns it to the slab. The
+// in-process transport keeps the same contract — the body is the
+// handler's own slice and Release drops the handler's pin — so the
+// emulated cluster exercises the same ownership rules as TCP.
+//
+// Handler, Mux.Register and Peer.Request are the body-less case of the
+// same call: a plain handler is a reply handler with no body, and a
+// plain Request is a Call whose reply is released on the spot and whose
+// head — always a GC-managed, caller-owned slice — is returned.
 package comm
 
 import (
@@ -30,36 +74,101 @@ var ErrClosed = errors.New("comm: transport closed")
 var ErrTimeout = errors.New("comm: request timed out")
 
 // Handler processes one message and returns a response payload.
-// One-way notifications ignore the returned payload.
+// One-way notifications ignore the returned payload. The payload is the
+// transport's buffer: it is valid until the response has been sent (so
+// a handler may return it, as the ping handler does) and must be copied
+// if kept longer.
 type Handler func(payload []byte) ([]byte, error)
+
+// Reply is a response in the general call shape: a head plus bulk bytes
+// by reference. Head is an ordinary GC-managed slice, never pooled: it
+// stays valid after Release. Body is borrowed: whoever holds the Reply
+// calls Release exactly once when done with it, and must not touch Body
+// afterwards.
+type Reply struct {
+	Head []byte
+	Body []byte
+	// Done, when non-nil, gives Body back to its owner: a tier pin on
+	// the serving side, the slab on the receiving side.
+	Done func()
+}
+
+// Release ends the holder's use of Body. Safe on the zero Reply.
+func (r Reply) Release() {
+	if r.Done != nil {
+		r.Done()
+	}
+}
+
+// ReplyHandler is a Handler that may answer with a body by reference.
+// The transport releases the Reply once the response is on the wire
+// (or, in process, the caller does).
+type ReplyHandler func(head []byte) (Reply, error)
 
 // Mux routes incoming messages to handlers by type.
 type Mux struct {
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]ReplyHandler
 }
 
 // NewMux returns an empty handler table.
 func NewMux() *Mux {
-	return &Mux{handlers: make(map[string]Handler)}
+	return &Mux{handlers: make(map[string]ReplyHandler)}
 }
 
 // Register installs h for message type t, replacing any previous handler.
 func (m *Mux) Register(t string, h Handler) {
+	m.RegisterReply(t, func(head []byte) (Reply, error) {
+		out, err := h(head)
+		return Reply{Head: out}, err
+	})
+}
+
+// RegisterReply installs a body-carrying handler for message type t,
+// replacing any previous handler.
+func (m *Mux) RegisterReply(t string, h ReplyHandler) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.handlers[t] = h
 }
 
-// Dispatch invokes the handler for type t.
-func (m *Mux) Dispatch(t string, payload []byte) ([]byte, error) {
+// lookup finds the handler for a message type as it sits in a frame.
+func (m *Mux) lookup(t []byte) ReplyHandler {
+	m.mu.RLock()
+	h := m.handlers[string(t)]
+	m.mu.RUnlock()
+	return h
+}
+
+// Serve invokes the handler for type t in the general call shape; the
+// caller owns the Reply and must Release it.
+func (m *Mux) Serve(t string, head []byte) (Reply, error) {
 	m.mu.RLock()
 	h := m.handlers[t]
 	m.mu.RUnlock()
 	if h == nil {
-		return nil, fmt.Errorf("comm: no handler for message type %q", t)
+		return Reply{}, errNoHandler(t)
 	}
-	return h(payload)
+	return h(head)
+}
+
+// Dispatch invokes the handler for type t and returns its head; a body,
+// if the handler sent one, is released unseen.
+func (m *Mux) Dispatch(t string, payload []byte) ([]byte, error) {
+	return headOnly(m.Serve(t, payload))
+}
+
+func errNoHandler(t string) error {
+	return fmt.Errorf("comm: no handler for message type %q", t)
+}
+
+// headOnly folds a general reply into the plain call shape.
+func headOnly(r Reply, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	r.Release()
+	return r.Head, nil
 }
 
 // Peer is a connection to one remote node.
@@ -70,6 +179,23 @@ type Peer interface {
 	Notify(msgType string, payload []byte) error
 	// Close releases the connection.
 	Close() error
+}
+
+// Caller is the body-carrying call shape. Every transport and wrapper
+// in the tree implements it next to Peer; the returned Reply must be
+// released.
+type Caller interface {
+	Call(msgType string, head []byte) (Reply, error)
+}
+
+// Call issues the general call on p. A Peer that is not a Caller (a
+// test fake) is served through Request, which can carry no body.
+func Call(p Peer, msgType string, head []byte) (Reply, error) {
+	if c, ok := p.(Caller); ok {
+		return c.Call(msgType, head)
+	}
+	out, err := p.Request(msgType, head)
+	return Reply{Head: out}, err
 }
 
 // remoteError wraps an error string returned by a remote handler.

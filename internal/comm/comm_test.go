@@ -173,7 +173,9 @@ func TestTCPConcurrentRequests(t *testing.T) {
 func TestTCPNotify(t *testing.T) {
 	got := make(chan []byte, 1)
 	m := NewMux()
-	m.Register("note", func(p []byte) ([]byte, error) { got <- p; return nil, nil })
+	// A handler that keeps its payload past its return copies it: the
+	// transport recycles the request buffer afterwards.
+	m.Register("note", func(p []byte) ([]byte, error) { got <- append([]byte(nil), p...); return nil, nil })
 	srv, _ := ListenTCP("127.0.0.1:0", m)
 	defer srv.Close()
 	p, _ := DialTCP(srv.Addr())

@@ -77,21 +77,29 @@ func (p *inprocPeer) mux() (*Mux, error) {
 }
 
 func (p *inprocPeer) Request(msgType string, payload []byte) ([]byte, error) {
+	return headOnly(p.Call(msgType, payload))
+}
+
+// Call invokes the remote handler directly. The Reply is the handler's
+// own: its Body is passed by reference and the caller's Release drops
+// the handler's pin, the same ownership rules the TCP transport keeps.
+func (p *inprocPeer) Call(msgType string, head []byte) (Reply, error) {
 	mux, err := p.mux()
 	if err != nil {
-		return nil, err
+		return Reply{}, err
 	}
 	if p.net.dev != nil {
-		p.net.dev.Access(int64(len(payload)))
+		p.net.dev.Access(int64(len(head)))
 	}
-	resp, err := mux.Dispatch(msgType, payload)
+	rep, err := mux.Serve(msgType, head)
 	if err != nil {
-		return nil, remoteError{msg: err.Error()}
+		rep.Release()
+		return Reply{}, remoteError{msg: err.Error()}
 	}
-	if p.net.dev != nil && len(resp) > 0 {
-		p.net.dev.Access(int64(len(resp)))
+	if n := len(rep.Head) + len(rep.Body); p.net.dev != nil && n > 0 {
+		p.net.dev.Access(int64(n))
 	}
-	return resp, nil
+	return rep, nil
 }
 
 func (p *inprocPeer) Notify(msgType string, payload []byte) error {

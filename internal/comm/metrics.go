@@ -2,7 +2,6 @@ package comm
 
 import (
 	"errors"
-	"net"
 	"time"
 
 	"hfetch/internal/telemetry"
@@ -98,29 +97,9 @@ func (s *Stats) AddBytesOut(n int64) {
 	s.bytesOut.Add(n)
 }
 
-// countingConn wraps a net.Conn so every frame byte in or out lands in
-// the Stats counters (two atomic adds per syscall — negligible next to
-// the syscall itself).
-type countingConn struct {
-	net.Conn
-	st *Stats
-}
-
-func (c countingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	c.st.AddBytesIn(int64(n))
-	return n, err
-}
-
-func (c countingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	c.st.AddBytesOut(int64(n))
-	return n, err
-}
-
-// InstrumentPeer wraps p so every Request is timed into st under the
-// given peer label (Notify passes through — one-way sends have no
-// round trip to time). A nil st returns p unchanged, so the wrapper
+// InstrumentPeer wraps p so every Request and Call is timed into st
+// under the given peer label (Notify passes through — one-way sends
+// have no round trip to time). A nil st returns p unchanged, so the wrapper
 // costs nothing when telemetry is off.
 func InstrumentPeer(p Peer, peer string, st *Stats) Peer {
 	if st == nil || p == nil {
@@ -136,8 +115,12 @@ type statsPeer struct {
 }
 
 func (p *statsPeer) Request(msgType string, payload []byte) ([]byte, error) {
+	return headOnly(p.Call(msgType, payload))
+}
+
+func (p *statsPeer) Call(msgType string, head []byte) (Reply, error) {
 	start := time.Now()
-	resp, err := p.Peer.Request(msgType, payload)
+	rep, err := Call(p.Peer, msgType, head)
 	p.st.ObserveRequest(p.name, time.Since(start), err)
-	return resp, err
+	return rep, err
 }

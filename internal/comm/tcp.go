@@ -1,7 +1,7 @@
 package comm
 
 import (
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -9,26 +9,13 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-)
 
-// envelope is the wire format: a gob stream of envelopes per connection.
-type envelope struct {
-	ID      uint64
-	Kind    uint8 // 0 request, 1 response, 2 one-way
-	Type    string
-	Payload []byte
-	Err     string
-}
-
-const (
-	kindRequest = iota
-	kindResponse
-	kindOneway
+	"hfetch/internal/tiers"
 )
 
 // TCPServer serves a Mux over TCP. Each accepted connection carries a
-// multiplexed gob stream of envelopes; responses are written back on the
-// same connection tagged with the request ID.
+// multiplexed stream of frames; responses are written back on the same
+// connection tagged with the request ID.
 type TCPServer struct {
 	mux   *Mux
 	ln    net.Listener
@@ -68,9 +55,6 @@ func (s *TCPServer) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		if st := s.stats.Load(); st != nil {
-			conn = countingConn{Conn: conn, st: st}
-		}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -92,32 +76,71 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		conn.Close()
 	}()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
-	var wmu sync.Mutex
+	st := s.stats.Load()
+	r := &frameReader{r: conn, st: st, slabHead: true}
+	w := &frameWriter{w: conn, st: st}
 	var hwg sync.WaitGroup
 	defer hwg.Wait()
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
-			return // io.EOF or broken conn
+		f, err := r.read()
+		if err != nil {
+			// A peer on another wire version gets the refusal as a
+			// response in this version, which its own reader refuses in
+			// turn: both ends report the mismatch, not a bare EOF.
+			var ve *versionError
+			if errors.As(err, &ve) {
+				w.write(kindResponse, ve.id, "", err.Error(), nil, nil) //nolint:errcheck // best effort, the conn closes next
+			}
+			return // io.EOF, broken conn, or a frame this node refuses
+		}
+		if f.kind == kindResponse {
+			f.recycle()
+			return // a client never sends responses: not our protocol
+		}
+		h := s.mux.lookup(f.typ)
+		var herr error
+		if h == nil {
+			herr = errNoHandler(string(f.typ))
 		}
 		hwg.Add(1)
 		go func() {
 			defer hwg.Done()
-			resp, err := s.mux.Dispatch(env.Type, env.Payload)
-			if env.Kind == kindOneway {
-				return
-			}
-			out := envelope{ID: env.ID, Kind: kindResponse, Payload: resp}
-			if err != nil {
-				out.Err = err.Error()
-				out.Payload = nil
-			}
-			wmu.Lock()
-			enc.Encode(out) //nolint:errcheck // conn teardown handles failures
-			wmu.Unlock()
+			serveFrame(conn, w, f, h, herr)
 		}()
+	}
+}
+
+// serveFrame runs one request's handler and writes its response. The
+// request's buffers are recycled only after the response is written: a
+// handler may answer with (a slice of) its request.
+func serveFrame(conn net.Conn, w *frameWriter, f frame, h ReplyHandler, err error) {
+	defer f.recycle()
+	var rep Reply
+	if err == nil {
+		rep, err = h(f.head)
+	}
+	if f.kind == kindOneway {
+		rep.Release()
+		return
+	}
+	if err == nil {
+		err = checkFrame("", rep.Head, rep.Body)
+	}
+	var werr error
+	if err != nil {
+		msg := err.Error()
+		if msg == "" {
+			msg = "error"
+		}
+		werr = w.write(kindResponse, f.id, "", msg, nil, nil)
+	} else {
+		werr = w.write(kindResponse, f.id, "", "", rep.Head, rep.Body)
+	}
+	rep.Release()
+	if werr != nil {
+		// Mid-frame failure: the stream is unusable. Closing makes the
+		// client fail its pending requests now rather than at timeout.
+		conn.Close()
 	}
 }
 
@@ -141,18 +164,23 @@ func (s *TCPServer) Close() error {
 // tcpPeer is a client connection with request multiplexing.
 type tcpPeer struct {
 	conn       net.Conn
-	enc        *gob.Encoder
+	w          *frameWriter
 	reqTimeout time.Duration
 	stats      *Stats // nil when uninstrumented
 	peerName   string // stats label (PeerOptions.PeerName or the addr)
 
-	wmu    sync.Mutex
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan envelope
+	pending map[uint64]chan result
 	closed  bool
-	readErr error
+}
+
+// result is what the read loop hands a waiting request: the response
+// frame, or the error that ended the connection.
+type result struct {
+	f   frame
+	err error
 }
 
 // PeerOptions tunes the failure behavior of a dialed TCP peer. The zero
@@ -174,7 +202,7 @@ type PeerOptions struct {
 	DialBackoff time.Duration
 	// Stats, when non-nil, instruments the peer: dial latency and
 	// retries, per-request round-trip latency and timeouts, and frame
-	// bytes in/out via a counting connection wrapper.
+	// bytes in/out counted at the framer.
 	Stats *Stats
 	// PeerName labels Stats series for this peer (default: the dialed
 	// address).
@@ -226,121 +254,147 @@ func DialTCPOpts(addr string, opts PeerOptions) (Peer, error) {
 		return nil, fmt.Errorf("comm: dial %s: %w", addr, err)
 	}
 	opts.Stats.ObserveDial(opts.PeerName, time.Since(dialStart))
-	if opts.Stats != nil {
-		conn = countingConn{Conn: conn, st: opts.Stats}
-	}
 	p := &tcpPeer{
 		conn:       conn,
-		enc:        gob.NewEncoder(conn),
+		w:          &frameWriter{w: conn, st: opts.Stats},
 		reqTimeout: opts.RequestTimeout,
 		stats:      opts.Stats,
 		peerName:   opts.PeerName,
-		pending:    make(map[uint64]chan envelope),
+		pending:    make(map[uint64]chan result),
 	}
 	go p.readLoop()
 	return p, nil
 }
 
 func (p *tcpPeer) readLoop() {
-	dec := gob.NewDecoder(p.conn)
+	r := &frameReader{r: p.conn, st: p.stats}
 	for {
-		var env envelope
-		if err := dec.Decode(&env); err != nil {
+		f, err := r.read()
+		if err == nil && f.kind != kindResponse {
+			f.recycle()
+			err = errBadFrame // a server only ever sends responses
+		}
+		if err != nil {
+			p.conn.Close()
 			p.mu.Lock()
-			p.readErr = err
 			for id, ch := range p.pending {
-				close(ch)
+				ch <- result{err: err}
 				delete(p.pending, id)
 			}
+			p.closed = true
 			p.mu.Unlock()
 			return
 		}
 		p.mu.Lock()
-		ch := p.pending[env.ID]
-		delete(p.pending, env.ID)
+		ch := p.pending[f.id]
+		delete(p.pending, f.id)
 		p.mu.Unlock()
-		if ch != nil {
-			ch <- env
+		if ch == nil {
+			// The request timed out (or never existed): the late
+			// response's body goes back to the slab unread.
+			f.recycle()
+			continue
 		}
+		ch <- result{f: f}
 	}
 }
 
 func (p *tcpPeer) Request(msgType string, payload []byte) ([]byte, error) {
-	if p.stats == nil {
-		return p.request(msgType, payload)
-	}
-	start := time.Now()
-	resp, err := p.request(msgType, payload)
-	p.stats.ObserveRequest(p.peerName, time.Since(start), err)
-	return resp, err
+	return headOnly(p.Call(msgType, payload))
 }
 
-func (p *tcpPeer) request(msgType string, payload []byte) ([]byte, error) {
+func (p *tcpPeer) Call(msgType string, head []byte) (Reply, error) {
+	if p.stats == nil {
+		return p.call(msgType, head)
+	}
+	start := time.Now()
+	rep, err := p.call(msgType, head)
+	p.stats.ObserveRequest(p.peerName, time.Since(start), err)
+	return rep, err
+}
+
+func (p *tcpPeer) call(msgType string, head []byte) (Reply, error) {
+	if err := checkFrame(msgType, head, nil); err != nil {
+		return Reply{}, err
+	}
 	id := p.nextID.Add(1)
-	ch := make(chan envelope, 1)
+	// Buffered: the read loop's one send per request never blocks.
+	ch := make(chan result, 1)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
-		return nil, ErrClosed
+		return Reply{}, ErrClosed
 	}
 	p.pending[id] = ch
 	p.mu.Unlock()
 
-	env := envelope{ID: id, Kind: kindRequest, Type: msgType, Payload: payload}
-	p.wmu.Lock()
-	err := p.enc.Encode(env)
-	p.wmu.Unlock()
-	if err != nil {
-		p.mu.Lock()
-		delete(p.pending, id)
-		p.mu.Unlock()
-		return nil, fmt.Errorf("comm: send: %w", err)
+	if err := p.w.write(kindRequest, id, msgType, "", head, nil); err != nil {
+		p.abandon(id)
+		p.conn.Close() // mid-frame: fail the other pending requests now
+		return Reply{}, fmt.Errorf("comm: send: %w", err)
 	}
 
-	var resp envelope
-	var ok bool
+	var res result
 	if p.reqTimeout > 0 {
 		timer := time.NewTimer(p.reqTimeout)
 		defer timer.Stop()
 		select {
-		case resp, ok = <-ch:
+		case res = <-ch:
 		case <-timer.C:
-			// Abandon the request: a late response finds no pending entry
-			// and is dropped by the read loop.
-			p.mu.Lock()
-			delete(p.pending, id)
-			p.mu.Unlock()
-			return nil, fmt.Errorf("comm: %s after %v: %w", msgType, p.reqTimeout, ErrTimeout)
+			if p.abandon(id) {
+				// A late response finds no pending entry and is
+				// recycled by the read loop.
+				return Reply{}, fmt.Errorf("comm: %s after %v: %w", msgType, p.reqTimeout, ErrTimeout)
+			}
+			// The read loop claimed the entry first: its send is
+			// already on the way, and the response (and its slab body)
+			// must be taken, not leaked.
+			res = <-ch
 		}
 	} else {
-		resp, ok = <-ch
+		res = <-ch
 	}
-	if !ok {
-		p.mu.Lock()
-		rerr := p.readErr
-		p.mu.Unlock()
-		if rerr == nil || rerr == io.EOF {
-			return nil, ErrClosed
+	if res.err != nil {
+		if res.err == io.EOF || errors.Is(res.err, net.ErrClosed) {
+			return Reply{}, ErrClosed
 		}
-		return nil, fmt.Errorf("comm: connection lost: %w", rerr)
+		return Reply{}, fmt.Errorf("comm: connection lost: %w", res.err)
 	}
-	if resp.Err != "" {
-		return nil, remoteError{msg: resp.Err}
+	f := res.f
+	if f.errLen > 0 {
+		f.recycle()
+		return Reply{}, remoteError{msg: f.errMsg}
 	}
-	return resp.Payload, nil
+	rep := Reply{Head: f.head, Body: f.body}
+	if f.body != nil {
+		body := f.body
+		rep.Done = func() { tiers.SlabPut(body) }
+	}
+	return rep, nil
+}
+
+// abandon withdraws a pending request; false means the read loop has
+// already claimed it and will deliver.
+func (p *tcpPeer) abandon(id uint64) bool {
+	p.mu.Lock()
+	_, waiting := p.pending[id]
+	delete(p.pending, id)
+	p.mu.Unlock()
+	return waiting
 }
 
 func (p *tcpPeer) Notify(msgType string, payload []byte) error {
+	if err := checkFrame(msgType, payload, nil); err != nil {
+		return err
+	}
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return ErrClosed
 	}
 	p.mu.Unlock()
-	env := envelope{Kind: kindOneway, Type: msgType, Payload: payload}
-	p.wmu.Lock()
-	defer p.wmu.Unlock()
-	if err := p.enc.Encode(env); err != nil {
+	if err := p.w.write(kindOneway, 0, msgType, "", payload, nil); err != nil {
+		p.conn.Close()
 		return fmt.Errorf("comm: notify: %w", err)
 	}
 	return nil

@@ -8,8 +8,6 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
 	"io"
 	"sync"
 	"sync/atomic"
@@ -565,70 +563,60 @@ func (s *Server) miss(nbytes int64) {
 
 const msgRemoteRead = "srv.read"
 
-type remoteReadReq struct {
-	Tier string
-	File string
-	Idx  int64
-	Off  int64
-	Len  int
-}
-
-type remoteReadResp struct {
-	OK   bool
-	Data []byte
-}
-
 // EnableRemote wires the server into the cluster fabric: mux receives
 // this node's remote-read handler, dialer reaches peers.
 func (s *Server) EnableRemote(mux *comm.Mux, dialer Dialer) {
 	s.peerMu.Lock()
 	s.dialer = dialer
 	s.peerMu.Unlock()
-	mux.Register(msgRemoteRead, func(raw []byte) ([]byte, error) {
-		tc, raw := comm.UnwrapTrace(raw)
-		var serveStart time.Time
-		if !tc.Zero() {
-			serveStart = time.Now()
-		}
-		var req remoteReadReq
-		if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&req); err != nil {
-			return nil, err
-		}
-		s.remoteServes.Add(1)
-		// Serve from a pinned view: the encoder reads the resident bytes
-		// in place (the wire encode is the single unavoidable copy), so
-		// no per-request segment buffer is allocated or filled.
-		var payload []byte
-		ok := false
-		if st, _ := s.hier.ByName(req.Tier); st != nil {
-			if b, resident := st.View(seg.ID{File: req.File, Index: req.Idx}); resident {
-				data := b.Bytes()
-				if req.Off >= 0 && req.Off < int64(len(data)) {
-					end := req.Off + int64(req.Len)
-					if end > int64(len(data)) {
-						end = int64(len(data))
-					}
-					payload = data[req.Off:end]
-					st.ChargeRead(int64(len(payload)))
-					ok = true
+	mux.RegisterReply(msgRemoteRead, s.serveRemoteRead)
+}
+
+// serveRemoteRead answers one srv.read: the reply's body is the pinned
+// resident payload itself, and the pin is the reply's Done — the
+// transport drops it once the frame is on the wire (or, in process, the
+// reading node does when it has consumed the bytes). No byte of the
+// payload is copied on this node.
+//
+//hfetch:hotpath
+func (s *Server) serveRemoteRead(head []byte) (comm.Reply, error) {
+	tc, head := comm.UnwrapTrace(head)
+	var serveStart time.Time
+	if !tc.Zero() {
+		//lint:allow hotpath traced requests only (the caller sampled this segment's lifecycle)
+		serveStart = time.Now()
+	}
+	req, err := parseReadReq(head)
+	if err != nil {
+		return comm.Reply{}, err
+	}
+	s.remoteServes.Add(1)
+	rep := comm.Reply{Head: readRespMiss}
+	if st, _ := s.hier.ByName(req.Tier); st != nil {
+		if b, resident := st.View(seg.ID{File: req.File, Index: req.Idx}); resident {
+			data := b.Bytes()
+			if req.Off >= 0 && req.Off < int64(len(data)) {
+				end := req.Off + int64(req.Len)
+				if end > int64(len(data)) {
+					end = int64(len(data))
 				}
-				defer b.Release()
+				st.ChargeRead(end - req.Off)
+				rep = comm.Reply{Head: readRespOK, Body: data[req.Off:end], Done: b.Release}
+			} else {
+				b.Release()
 			}
 		}
-		// A traced request gets a serve span on this node's lane: the
-		// segment's lifecycle now shows which peer served the bytes.
-		if !tc.Zero() {
-			if lc := s.tele.Lifecycle(); lc != nil {
-				lc.RecordPeer(tc.ID, telemetry.StagePeerFetchServe,
-					req.File, req.Idx, req.Tier, serveStart, time.Since(serveStart))
-			}
+	}
+	// A traced request gets a serve span on this node's lane: the
+	// segment's lifecycle now shows which peer served the bytes.
+	if !tc.Zero() {
+		if lc := s.tele.Lifecycle(); lc != nil {
+			//lint:allow hotpath completes the traced request's serve span
+			d := time.Since(serveStart)
+			lc.RecordPeer(tc.ID, telemetry.StagePeerFetchServe, req.File, req.Idx, req.Tier, serveStart, d)
 		}
-		var out bytes.Buffer
-		if err := gob.NewEncoder(&out).Encode(remoteReadResp{OK: ok, Data: payload}); err != nil {
-			return nil, err
-		}
-		return out.Bytes(), nil
-	})
+	}
+	return rep, nil
 }
 
 func (s *Server) peer(node string) comm.Peer {
@@ -650,48 +638,64 @@ func (s *Server) readRemote(node, tier string, id seg.ID, off int64, p []byte) (
 	return n, ok
 }
 
-// ReadRemoteDirect issues one peer read request with no retry or
-// single-flight policy. The three results distinguish the two failure
-// modes a policy layer treats differently: err != nil is a transport
-// failure (no peer, dial/request error — the peer should be penalized),
-// while (ok=false, err=nil) is a clean "not resident" answer from a
-// healthy peer (stale mapping — fall back to the PFS, peer is fine).
-// cluster.Fetcher builds its backoff and suspect logic on this split.
-func (s *Server) ReadRemoteDirect(node, tier string, id seg.ID, off int64, p []byte) (int, bool, error) {
+// ViewRemote issues one peer read request with no retry or
+// single-flight policy and returns the payload by reference: rep.Body
+// is the buffer the response frame's body was received into (over TCP a
+// slab buffer, in process the peer's pinned tier bytes), and the caller
+// must Release rep exactly once. The three results distinguish the two
+// failure modes a policy layer treats differently: err != nil is a
+// transport failure (no peer, dial/request error — the peer should be
+// penalized), while (ok=false, err=nil) is a clean "not resident"
+// answer from a healthy peer (stale mapping — fall back to the PFS,
+// peer is fine). cluster.Fetcher builds its backoff and suspect logic
+// on this split.
+func (s *Server) ViewRemote(node, tier string, id seg.ID, off int64, length int) (rep comm.Reply, ok bool, err error) {
 	peer := s.peer(node)
 	if peer == nil {
-		return 0, false, fmt.Errorf("server: no peer for node %q", node)
+		return comm.Reply{}, false, fmt.Errorf("server: no peer for node %q", node)
 	}
 	s.remoteReads.Add(1)
-	var buf bytes.Buffer
-	gob.NewEncoder(&buf).Encode(remoteReadReq{ //nolint:errcheck // in-memory encode of a plain struct
-		Tier: tier, File: id.File, Idx: id.Index, Off: off, Len: len(p),
+	head := appendReadReq(make([]byte, 0, 64), remoteReadReq{
+		Tier: tier, File: id.File, Idx: id.Index, Off: off, Len: length,
 	})
-	payload := buf.Bytes()
 	// Propagate the segment's lifecycle trace (when sampled) so the
 	// serving peer's span lands under the same trace ID.
 	if lc := s.tele.Lifecycle(); lc != nil {
 		if tid := lc.Current(id.File, id.Index); tid != 0 {
-			payload = comm.WrapTrace(comm.TraceCtx{
+			head = comm.WrapTrace(comm.TraceCtx{
 				ID: tid, Origin: s.cfg.Node, SentUnixNano: time.Now().UnixNano(),
-			}, payload)
+			}, head)
 		}
 	}
-	raw, err := peer.Request(msgRemoteRead, payload)
+	rep, err = comm.Call(peer, msgRemoteRead, head)
 	if err != nil {
 		// Drop the cached peer so the next attempt redials through the
 		// dialer (which may resolve a restarted node's new transport).
 		s.dropPeer(node, peer)
+		return comm.Reply{}, false, err
+	}
+	ok, err = parseReadResp(rep.Head)
+	if err == nil && len(rep.Body) > length {
+		err = fmt.Errorf("server: peer %q answered a %d-byte read with %d bytes", node, length, len(rep.Body))
+	}
+	if err != nil || !ok {
+		rep.Release()
+		return comm.Reply{}, false, err
+	}
+	return rep, true, nil
+}
+
+// ReadRemoteDirect is ViewRemote filling the caller's buffer: one peer
+// read, the received payload copied into p at the API boundary.
+func (s *Server) ReadRemoteDirect(node, tier string, id seg.ID, off int64, p []byte) (int, bool, error) {
+	rep, ok, err := s.ViewRemote(node, tier, id, off, len(p))
+	if !ok {
 		return 0, false, err
 	}
-	var resp remoteReadResp
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&resp); err != nil {
-		return 0, false, err
-	}
-	if !resp.OK {
-		return 0, false, nil
-	}
-	return copy(p, resp.Data), true, nil
+	n := copy(p, rep.Body)
+	tiers.CountCopied(int64(n))
+	rep.Release()
+	return n, true, nil
 }
 
 func (s *Server) dropPeer(node string, p comm.Peer) {

@@ -13,14 +13,14 @@
 //   - optional write-ahead logging for fault tolerance across
 //     power-downs (see wal.go).
 //
-// Values are arbitrary Go values on the owner; crossing the wire they
-// are gob-encoded, so remote-capable maps must register their concrete
-// value types with encoding/gob.
+// Values are arbitrary Go values on the owner. Crossing the wire they
+// take the tagged binary encoding of wire.go: strings and integers are
+// built in, any other type needs a ValueCodec registered by its owner
+// (RegisterValue) or the remote call fails — local maps never touch a
+// codec.
 package dhm
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"sync"
@@ -67,7 +67,18 @@ type Map struct {
 
 	peerMu sync.Mutex
 	peers  map[string]comm.Peer
+
+	// msgTypes are the four RPC message types, built once: the name
+	// concatenation is off the per-call path.
+	msgTypes [4]string
 }
+
+const (
+	rpcGet = iota
+	rpcPut
+	rpcDel
+	rpcApply
+)
 
 type shard struct {
 	mu sync.RWMutex
@@ -84,6 +95,9 @@ func New(cfg Config, mux *comm.Mux) *Map {
 		cfg:   cfg,
 		ops:   make(map[string]OpFunc),
 		peers: make(map[string]comm.Peer),
+	}
+	for i, op := range [...]string{rpcGet: "get", rpcPut: "put", rpcDel: "del", rpcApply: "apply"} {
+		m.msgTypes[i] = "dhm." + cfg.Name + "." + op
 	}
 	m.shards = make([]shard, cfg.Shards)
 	for i := range m.shards {
@@ -262,20 +276,6 @@ func (m *Map) Range(fn func(key string, val any) bool) {
 
 // ---- remote plumbing ----
 
-type rpcReq struct {
-	Key string
-	Op  string
-	Arg []byte
-	Val []byte // gob-encoded value for puts
-}
-
-type rpcResp struct {
-	Found bool
-	Val   []byte
-}
-
-func (m *Map) msgType(op string) string { return "dhm." + m.cfg.Name + "." + op }
-
 func (m *Map) peer(node string) (comm.Peer, error) {
 	if m.cfg.Dialer == nil {
 		return nil, fmt.Errorf("dhm: no dialer configured for remote owner %q", node)
@@ -290,169 +290,107 @@ func (m *Map) peer(node string) (comm.Peer, error) {
 	return p, nil
 }
 
-func encodeVal(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	// Wrap in an interface holder so gob records the concrete type.
-	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
-		return nil, fmt.Errorf("dhm: encode value: %w", err)
+// remote sends one RPC's request head to key's owner and returns the
+// response head.
+func (m *Map) remote(rpc int, key string, req []byte) ([]byte, error) {
+	p, err := m.peer(m.Owner(key))
+	if err != nil {
+		return nil, err
 	}
-	return buf.Bytes(), nil
+	return p.Request(m.msgTypes[rpc], req)
 }
 
-func decodeVal(b []byte) (any, error) {
-	var v any
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
-		return nil, fmt.Errorf("dhm: decode value: %w", err)
-	}
-	return v, nil
+// newReq starts a request head sized for a typical key.
+func newReq(key, op string, arg []byte) []byte {
+	return appendReq(make([]byte, 0, 128), key, op, arg)
 }
 
 func (m *Map) remoteGet(key string) (any, bool, error) {
-	p, err := m.peer(m.Owner(key))
+	raw, err := m.remote(rpcGet, key, newReq(key, "", nil))
 	if err != nil {
 		return nil, false, err
 	}
-	req, _ := encodeReq(rpcReq{Key: key})
-	raw, err := p.Request(m.msgType("get"), req)
-	if err != nil {
-		return nil, false, err
-	}
-	resp, err := decodeResp(raw)
-	if err != nil {
-		return nil, false, err
-	}
-	if !resp.Found {
-		return nil, false, nil
-	}
-	v, err := decodeVal(resp.Val)
-	return v, err == nil, err
+	return parseResp(raw)
 }
 
 func (m *Map) remotePut(key string, val any) error {
-	p, err := m.peer(m.Owner(key))
+	req, err := appendValue(newReq(key, "", nil), val)
 	if err != nil {
 		return err
 	}
-	vb, err := encodeVal(val)
-	if err != nil {
-		return err
-	}
-	req, _ := encodeReq(rpcReq{Key: key, Val: vb})
-	_, err = p.Request(m.msgType("put"), req)
+	_, err = m.remote(rpcPut, key, req)
 	return err
 }
 
 func (m *Map) remoteDelete(key string) error {
-	p, err := m.peer(m.Owner(key))
-	if err != nil {
-		return err
-	}
-	req, _ := encodeReq(rpcReq{Key: key})
-	_, err = p.Request(m.msgType("del"), req)
+	_, err := m.remote(rpcDel, key, newReq(key, "", nil))
 	return err
 }
 
 func (m *Map) remoteApply(key, op string, arg []byte) (any, error) {
-	p, err := m.peer(m.Owner(key))
+	raw, err := m.remote(rpcApply, key, newReq(key, op, arg))
 	if err != nil {
 		return nil, err
 	}
-	req, _ := encodeReq(rpcReq{Key: key, Op: op, Arg: arg})
-	raw, err := p.Request(m.msgType("apply"), req)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := decodeResp(raw)
-	if err != nil {
-		return nil, err
-	}
-	if !resp.Found {
-		return nil, nil
-	}
-	return decodeVal(resp.Val)
-}
-
-func encodeReq(r rpcReq) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(r)
-	return buf.Bytes(), err
-}
-
-func decodeReq(b []byte) (rpcReq, error) {
-	var r rpcReq
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r)
-	return r, err
-}
-
-func encodeResp(r rpcResp) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(r)
-	return buf.Bytes(), err
-}
-
-func decodeResp(b []byte) (rpcResp, error) {
-	var r rpcResp
-	err := gob.NewDecoder(bytes.NewReader(b)).Decode(&r)
-	return r, err
+	v, _, err := parseResp(raw)
+	return v, err
 }
 
 func (m *Map) registerHandlers(mux *comm.Mux) {
-	mux.Register(m.msgType("get"), func(raw []byte) ([]byte, error) {
-		req, err := decodeReq(raw)
-		if err != nil {
-			return nil, err
-		}
-		s := m.shardOf(req.Key)
-		s.mu.RLock()
-		v, ok := s.m[req.Key]
-		s.mu.RUnlock()
-		if !ok {
-			return encodeResp(rpcResp{})
-		}
-		vb, err := encodeVal(v)
-		if err != nil {
-			return nil, err
-		}
-		return encodeResp(rpcResp{Found: true, Val: vb})
-	})
-	mux.Register(m.msgType("put"), func(raw []byte) ([]byte, error) {
-		req, err := decodeReq(raw)
-		if err != nil {
-			return nil, err
-		}
-		v, err := decodeVal(req.Val)
-		if err != nil {
-			return nil, err
-		}
-		m.localPut(req.Key, v, true)
-		return encodeResp(rpcResp{Found: true})
-	})
-	mux.Register(m.msgType("del"), func(raw []byte) ([]byte, error) {
-		req, err := decodeReq(raw)
-		if err != nil {
-			return nil, err
-		}
-		m.localDelete(req.Key, true)
-		return encodeResp(rpcResp{})
-	})
-	mux.Register(m.msgType("apply"), func(raw []byte) ([]byte, error) {
-		req, err := decodeReq(raw)
-		if err != nil {
-			return nil, err
-		}
-		next, err := m.localApply(req.Key, req.Op, req.Arg)
-		if err != nil {
-			return nil, err
-		}
-		if next == nil {
-			return encodeResp(rpcResp{})
-		}
-		vb, err := encodeVal(next)
-		if err != nil {
-			return nil, err
-		}
-		return encodeResp(rpcResp{Found: true, Val: vb})
-	})
+	mux.Register(m.msgTypes[rpcGet], m.serveGet)
+	mux.Register(m.msgTypes[rpcPut], m.servePut)
+	mux.Register(m.msgTypes[rpcDel], m.serveDel)
+	mux.Register(m.msgTypes[rpcApply], m.serveApply)
+}
+
+//hfetch:hotpath
+func (m *Map) serveGet(raw []byte) ([]byte, error) {
+	req, err := parseReq(raw)
+	if err != nil {
+		return nil, err
+	}
+	s := m.shardOf(req.key)
+	s.mu.RLock()
+	v, ok := s.m[req.key]
+	s.mu.RUnlock()
+	return appendResp(make([]byte, 0, 64), ok, v)
+}
+
+//hfetch:hotpath
+func (m *Map) servePut(raw []byte) ([]byte, error) {
+	req, err := parseReq(raw)
+	if err != nil {
+		return nil, err
+	}
+	v, err := parseValue(req.val)
+	if err != nil {
+		return nil, err
+	}
+	m.localPut(req.key, v, true)
+	return nil, nil
+}
+
+//hfetch:hotpath
+func (m *Map) serveDel(raw []byte) ([]byte, error) {
+	req, err := parseReq(raw)
+	if err != nil {
+		return nil, err
+	}
+	m.localDelete(req.key, true)
+	return nil, nil
+}
+
+//hfetch:hotpath
+func (m *Map) serveApply(raw []byte) ([]byte, error) {
+	req, err := parseReq(raw)
+	if err != nil {
+		return nil, err
+	}
+	next, err := m.localApply(req.key, req.op, req.arg)
+	if err != nil {
+		return nil, err
+	}
+	return appendResp(make([]byte, 0, 64), next != nil, next)
 }
 
 // ---- hashing ----

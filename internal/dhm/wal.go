@@ -69,6 +69,25 @@ func (w *WAL) append(rec walRecord) {
 	w.f.Write(body.Bytes()) //nolint:errcheck
 }
 
+// The log stores values at rest as self-describing gob: a replay has no
+// live codec registry to trust, and gob keeps old logs readable.
+func encodeVal(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	// Wrap in an interface holder so gob records the concrete type.
+	if err := gob.NewEncoder(&buf).Encode(&v); err != nil {
+		return nil, fmt.Errorf("dhm: encode value: %w", err)
+	}
+	return buf.Bytes(), nil
+}
+
+func decodeVal(b []byte) (any, error) {
+	var v any
+	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&v); err != nil {
+		return nil, fmt.Errorf("dhm: decode value: %w", err)
+	}
+	return v, nil
+}
+
 func (w *WAL) logPut(mapName, key string, val any) {
 	vb, err := encodeVal(val)
 	if err != nil {

@@ -90,12 +90,22 @@ func (fs *FS) List() []string {
 	return out
 }
 
+// snapshot copies a file's metadata under the lock: Write mutates size
+// and version in place, so readers must not follow the pointer unlocked.
+func (fs *FS) snapshot(name string) (file, bool) {
+	fs.mu.RLock()
+	defer fs.mu.RUnlock()
+	f, ok := fs.files[name]
+	if !ok {
+		return file{}, false
+	}
+	return *f, true
+}
+
 // ReadAt reads len(p) bytes from name at offset off, charging the device
 // model, and returns the number of bytes read (short at EOF).
 func (fs *FS) ReadAt(name string, off int64, p []byte) (int, time.Duration, error) {
-	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
+	f, ok := fs.snapshot(name)
 	if !ok {
 		return 0, 0, fmt.Errorf("pfs: no such file %q", name)
 	}
@@ -144,9 +154,7 @@ func (fs *FS) Write(name string, off, ln int64) (time.Duration, error) {
 // ExpectedAt returns the byte a correct read of file name at offset off
 // must produce given the file's current version.
 func (fs *FS) ExpectedAt(name string, off int64) (byte, error) {
-	fs.mu.RLock()
-	f, ok := fs.files[name]
-	fs.mu.RUnlock()
+	f, ok := fs.snapshot(name)
 	if !ok {
 		return 0, fmt.Errorf("pfs: no such file %q", name)
 	}

@@ -62,6 +62,6 @@ func (b *Buf) Release() {
 	}
 }
 
-// refCount returns the current reference count (tests and invariant
-// checks only — the value is stale the moment it is read).
-func (b *Buf) refCount() int32 { return b.refs.Load() }
+// Refs returns the current reference count (tests and invariant checks
+// only — the value is stale the moment it is read).
+func (b *Buf) Refs() int32 { return b.refs.Load() }

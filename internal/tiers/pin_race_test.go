@@ -58,7 +58,7 @@ func TestSlabClassesAndStats(t *testing.T) {
 
 func TestBufRefcountLifecycle(t *testing.T) {
 	b := NewBuf(filled(64, 7))
-	if got := b.refCount(); got != 1 {
+	if got := b.Refs(); got != 1 {
 		t.Fatalf("fresh refcount = %d, want 1", got)
 	}
 	b.Retain()

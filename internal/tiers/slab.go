@@ -30,6 +30,10 @@ const (
 	slabClasses  = slabMaxShift - slabMinShift + 1
 )
 
+// SlabMaxBuf is the largest pooled buffer size; anything bigger is a
+// plain allocation the slab never sees again.
+const SlabMaxBuf = 1 << slabMaxShift
+
 // slabPoison is the byte pattern written over freed buffers when
 // invariants are compiled in ("dead buffer").
 const slabPoison = 0xDB
