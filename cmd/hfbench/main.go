@@ -79,5 +79,12 @@ func main() {
 				fmt.Println(r)
 			}
 		}
+		// What the figure's modeled device time cost on this host: a
+		// clock coarser than the model shows as overshoot.
+		if times := harness.DrainDeviceTimes(); !*csv {
+			for _, d := range times {
+				fmt.Println(d)
+			}
+		}
 	}
 }

@@ -42,6 +42,7 @@ import (
 	"time"
 
 	"hfetch/internal/core/seg"
+	"hfetch/internal/devsim"
 	"hfetch/internal/invariant"
 	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
@@ -318,6 +319,14 @@ func (m *Mover) checkLocked() {
 func (m *Mover) supersedeLocked(old *op, mv Move) {
 	m.ctr.superseded.Add(1)
 	if old.state == opQueued {
+		if old.next != nil {
+			// Requeued by a destination-full retry with the move that was
+			// chained behind it while it ran: the newer pass replaces
+			// that intent as well.
+			m.finishLocked(old.next)
+			old.next = nil
+			m.ctr.cancel.Add(1)
+		}
 		m.spliceLocked(old)
 		wasFetch := old.mv.From < 0
 		trace := old.mv.Trace
@@ -578,7 +587,9 @@ func (m *Mover) execute(group []*op) {
 		if backoff > 2*time.Millisecond {
 			backoff = 2 * time.Millisecond
 		}
-		time.Sleep(backoff)
+		// time.Sleep would round every one of these up to a millisecond
+		// in an idle process.
+		devsim.Sleep(backoff)
 	}
 	switch {
 	case head.mv.To < 0: // eviction

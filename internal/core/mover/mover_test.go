@@ -423,3 +423,56 @@ func TestMoverDrainStopIdempotent(t *testing.T) {
 		t.Fatalf("submitted = %d, want 1 (post-Stop submit ignored)", st.Submitted)
 	}
 }
+
+// gatedFetch holds each segment's first fetch until its gate is closed.
+type gatedFetch struct {
+	*fakeExec
+	gates map[seg.ID]chan struct{}
+}
+
+func (g *gatedFetch) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
+	g.enter()
+	<-g.gates[id]
+	return dst.PutOwned(id, make([]byte, size))
+}
+
+// A fetch that fails destination-full is requeued still carrying the move
+// chained behind it while it ran. A newer pass that then supersedes the
+// queued fetch must not orphan the chained move, which is counted in
+// outstanding: Drain, Flush and Stop would wait for it forever.
+func TestMoverSupersedeRequeuedKeepsNoOrphan(t *testing.T) {
+	hier := twoTiers(100, 1000)
+	if err := hier.Tier(0).Put(sid(7), make([]byte, 100)); err != nil { // tier 0 is full
+		t.Fatal(err)
+	}
+	a, b := sid(0), sid(1)
+	ex := &gatedFetch{fakeExec: newFakeExec(false), gates: map[seg.ID]chan struct{}{
+		a: make(chan struct{}), b: make(chan struct{}),
+	}}
+	m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1}, hier, ex, newOutcome().cb)
+	m.Start()
+	defer m.Stop()
+
+	m.Submit([]Move{{ID: a, Size: 100, From: -1, To: 0}})
+	<-ex.entered                                         // A's fetch is running
+	m.Submit([]Move{{ID: a, Size: 100, From: 0, To: 1}}) // chains behind it
+	m.Submit([]Move{{ID: b, Size: 100, From: -1, To: 0}})
+	close(ex.gates[a]) // A fails destination-full and requeues behind B
+	<-ex.entered       // B's fetch is running, so A is queued
+	m.Submit([]Move{{ID: a, Size: 100, From: 1, To: -1}})
+	close(ex.gates[b]) // B runs out of retries and fails
+
+	drained := make(chan struct{})
+	go func() {
+		m.Drain()
+		close(drained)
+	}()
+	select {
+	case <-drained:
+	case <-time.After(2 * time.Second):
+		t.Fatalf("Drain still waiting after 2s: %+v", m.Stats())
+	}
+	if st := m.Stats(); st.Outstanding != 0 {
+		t.Fatalf("outstanding = %d after Drain, want 0", st.Outstanding)
+	}
+}

@@ -23,6 +23,7 @@ import (
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
+	"hfetch/internal/devsim"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
 	"hfetch/internal/metrics"
@@ -378,7 +379,7 @@ func (s *Server) EndEpoch(file string) {
 	if last {
 		deadline := time.Now().Add(2 * time.Second)
 		for !s.mon.Quiescent() && time.Now().Before(deadline) {
-			time.Sleep(200 * time.Microsecond)
+			devsim.Sleep(200 * time.Microsecond) // time.Sleep would take a millisecond when idle
 		}
 	}
 	s.aud.EndEpoch(file)

@@ -46,8 +46,8 @@ func TestAccessBlocksForCost(t *testing.T) {
 	d := New(Profile{Name: "x", Latency: 20 * time.Millisecond}, 1)
 	start := time.Now()
 	d.Access(0)
-	if el := time.Since(start); el < 18*time.Millisecond {
-		t.Fatalf("Access returned after %v, want >= ~20ms", el)
+	if el := time.Since(start); el < 18*time.Millisecond || el > 25*time.Millisecond {
+		t.Fatalf("Access returned after %v, want ~20ms", el)
 	}
 }
 
@@ -63,8 +63,8 @@ func TestAccessSerializesOnOneChannel(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if el := time.Since(start); el < 35*time.Millisecond {
-		t.Fatalf("4 serialized ops finished in %v, want >= ~40ms", el)
+	if el := time.Since(start); el < 35*time.Millisecond || el > 50*time.Millisecond {
+		t.Fatalf("4 serialized ops finished in %v, want ~40ms", el)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestAccessParallelChannels(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if el := time.Since(start); el > 60*time.Millisecond {
-		t.Fatalf("4 parallel ops took %v, want well under 80ms serial time", el)
+	if el := time.Since(start); el < 18*time.Millisecond || el > 30*time.Millisecond {
+		t.Fatalf("4 parallel ops took %v, want ~20ms, not the 80ms of serial time", el)
 	}
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"hfetch/internal/baselines"
@@ -42,7 +43,7 @@ func NewEnv(origin OriginKind, scale float64) *Env {
 		prof.Name = "bb-origin"
 		prof.Channels = 8
 	}
-	return &Env{FS: pfs.New(devsim.New(prof, scale)), Scale: scale}
+	return &Env{FS: pfs.New(track(devsim.New(prof, scale))), Scale: scale}
 }
 
 // CreateFiles registers the workload's files.
@@ -86,7 +87,7 @@ func (e *Env) NewHFetch(opts HFetchOpts) (*baselines.HFetch, error) {
 		if !ok {
 			return nil, fmt.Errorf("harness: unknown tier %q", td.Name)
 		}
-		stores = append(stores, tiers.NewStore(td.Name, td.Capacity, devsim.New(prof, e.Scale)))
+		stores = append(stores, tiers.NewStore(td.Name, td.Capacity, track(devsim.New(prof, e.Scale))))
 	}
 	hier := tiers.NewHierarchy(stores...)
 	stats, maps := server.NewLocalMaps("node0")
@@ -123,7 +124,70 @@ var tierProfiles = map[string]devsim.Profile{
 
 // RAMDevice returns a RAM-cache device model for the comparators.
 func (e *Env) RAMDevice() *devsim.Device {
-	return devsim.New(devsim.RAMProfile, e.Scale)
+	return track(devsim.New(devsim.RAMProfile, e.Scale))
+}
+
+// tracked holds every modeled device the experiments have built since the
+// last DrainDeviceTimes, so that a figure's table can be followed by what
+// its device time cost on the host it ran on.
+var tracked struct {
+	mu   sync.Mutex
+	devs []*devsim.Device
+}
+
+func track(d *devsim.Device) *devsim.Device {
+	tracked.mu.Lock()
+	tracked.devs = append(tracked.devs, d)
+	tracked.mu.Unlock()
+	return d
+}
+
+// DeviceTime is the time of every device of one name: Busy as modeled,
+// Blocked as callers measured it (queueing included), Overshoot the part
+// of Blocked past the modeled completions, which is the host's error.
+type DeviceTime struct {
+	Name                     string
+	Ops                      int64
+	Busy, Blocked, Overshoot time.Duration
+}
+
+func (d DeviceTime) String() string {
+	return fmt.Sprintf("device   %-10s %8d ops  busy %9.3fs  blocked %9.3fs  overshoot %8.3fs",
+		d.Name, d.Ops, d.Busy.Seconds(), d.Blocked.Seconds(), d.Overshoot.Seconds())
+}
+
+// DrainDeviceTimes totals, by device name, the devices built since the
+// last call, and forgets them.
+func DrainDeviceTimes() []DeviceTime {
+	tracked.mu.Lock()
+	devs := tracked.devs
+	tracked.devs = nil
+	tracked.mu.Unlock()
+	index := map[string]int{} // device name -> position in out, in order of first use
+	seen := map[*devsim.Device]bool{}
+	var out []DeviceTime
+	for _, d := range devs {
+		if d == nil || seen[d] { // an unmodeled store; a tier shared between nodes
+			continue
+		}
+		seen[d] = true
+		ops, _, busy := d.Stats()
+		if ops == 0 {
+			continue
+		}
+		i, ok := index[d.Name()]
+		if !ok {
+			i = len(out)
+			index[d.Name()] = i
+			out = append(out, DeviceTime{Name: d.Name()})
+		}
+		blocked, overshoot := d.Waited()
+		out[i].Ops += ops
+		out[i].Busy += busy
+		out[i].Blocked += blocked
+		out[i].Overshoot += overshoot
+	}
+	return out
 }
 
 // Row is one output line of an experiment table, mirroring a bar or

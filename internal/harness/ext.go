@@ -46,6 +46,12 @@ func ExtMultiNode(opts Opts) ([]Row, error) {
 			if err != nil {
 				return nil, err
 			}
+			track(cluster.FS().Device())
+			for n := 0; n < nodes; n++ {
+				for _, st := range cluster.Node(n).Server().Hierarchy().Stores() {
+					track(st.Device())
+				}
+			}
 			const file = "ext/shared"
 			if err := cluster.CreateFile(file, fileSize); err != nil {
 				cluster.Stop()

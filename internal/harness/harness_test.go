@@ -223,3 +223,22 @@ func TestAblationCachePolicyShape(t *testing.T) {
 		t.Fatalf("LRFU hot residency = %.1f%%, want most of the hot set", lrfu)
 	}
 }
+
+func TestDrainDeviceTimesTotalsByNameAndForgets(t *testing.T) {
+	DrainDeviceTimes() // whatever earlier tests built
+	env := NewEnv(OriginPFS, 0.1)
+	env.FS.Device().Access(64 << 10)
+	env.RAMDevice().Access(1)
+	env.RAMDevice().Access(1)
+	env.RAMDevice() // never used: not reported
+	got := DrainDeviceTimes()
+	if len(got) != 2 || got[0].Name != "pfs" || got[0].Ops != 1 || got[1].Name != "ram" || got[1].Ops != 2 {
+		t.Fatalf("DrainDeviceTimes = %+v, want pfs with 1 op then ram with 2", got)
+	}
+	if pfs := got[0]; pfs.Busy <= 0 || pfs.Blocked <= 0 || pfs.Overshoot > pfs.Blocked {
+		t.Fatalf("pfs times = %+v, want busy and blocked above zero and overshoot within blocked", pfs)
+	}
+	if again := DrainDeviceTimes(); len(again) != 0 {
+		t.Fatalf("second drain = %+v, want nothing", again)
+	}
+}

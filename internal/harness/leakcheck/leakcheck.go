@@ -19,9 +19,11 @@ type TB interface {
 }
 
 // leakAllowlist matches goroutine stacks that are expected to outlive
-// any single test: runtime helpers, the testing framework itself, and
+// any single test: runtime helpers, the testing framework itself,
 // net/http's shared transport machinery (idle keep-alive readers park
-// there between requests and are reaped on their own schedule).
+// there between requests and are reaped on their own schedule), and
+// devsim's clock, whose kernel-timer goroutine the first modeled wait of
+// the process starts and nothing stops.
 var leakAllowlist = []string{
 	"testing.Main(",
 	"testing.tRunner(",
@@ -38,6 +40,7 @@ var leakAllowlist = []string{
 	"net/http.(*persistConn)",
 	"net/http.(*Transport)",
 	"os/signal.loop",
+	"devsim.(*kernelTimer).run",
 	"go.opencensus.io", // defensive: matches nothing in this repo
 }
 
