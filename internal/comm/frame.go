@@ -19,9 +19,11 @@ const (
 	frameMagic0 = 'H'
 	frameMagic1 = 'F'
 
-	// WireVersion is the frame layout this build speaks. A peer that
-	// sends any other version is refused at its first frame.
-	WireVersion = 1
+	// WireVersion is the wire this build speaks: the frame layout and
+	// what the heads on it mean. A peer that sends any other version is
+	// refused at its first frame. 2 keys the dhm by (file, index): a
+	// version 1 peer would hash the same segment to another owner.
+	WireVersion = 2
 
 	frameHeaderLen = 24
 

@@ -10,13 +10,15 @@
 // score change is pushed to a Sink (the hierarchical data placement
 // engine), which is what makes HFetch server-push: prefetching is
 // triggered by score changes, not by application requests.
+//
+// Both hashmaps are keyed by the segment identity itself (dhm.Key(id)):
+// no textual key is built on the event path or the read path.
 package auditor
 
 import (
 	"encoding/binary"
 	"encoding/gob"
 	"math"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -137,8 +139,8 @@ type epochStripe struct {
 type Auditor struct {
 	cfg   Config
 	model *score.Model
-	stats *dhm.Map // "s|file|idx" -> *Rec
-	maps  *dhm.Map // "m|file|idx" -> tier name (string)
+	stats *dhm.Map // segment -> *Rec
+	maps  *dhm.Map // segment -> "node|tier" (string)
 
 	sink atomic.Pointer[sinkBox]
 
@@ -151,9 +153,9 @@ type Auditor struct {
 
 type sinkBox struct{ s Sink }
 
-// New creates an auditor over the given stats and mapping hashmaps (they
-// may be the same dhm.Map; keys are prefixed). The maps must be backed
-// by the same cluster on every node.
+// New creates an auditor over the given stats and mapping hashmaps: two
+// distinct maps, both keyed by the segment identity (dhm.Key(id)). The
+// maps must be backed by the same cluster on every node.
 func New(cfg Config, stats, maps *dhm.Map) *Auditor {
 	if cfg.Segmenter == nil {
 		cfg.Segmenter = seg.NewSegmenter(0)
@@ -224,24 +226,11 @@ func (a *Auditor) Segmenter() *seg.Segmenter { return a.cfg.Segmenter }
 // Model returns the scoring model.
 func (a *Auditor) Model() *score.Model { return a.model }
 
-// statKey and mapKey build dhm keys without fmt: they run once per
-// segment per event on the drain hot path.
-func statKey(id seg.ID) string { return segKey('s', id) }
-func mapKey(id seg.ID) string  { return segKey('m', id) }
-
-func segKey(prefix byte, id seg.ID) string {
-	b := make([]byte, 0, len(id.File)+22)
-	b = append(b, prefix, '|')
-	b = append(b, id.File...)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, id.Index, 10)
-	return string(b)
-}
-
 // ---- distributed mutators ----
 
 // Op names registered on the stats map. Every node must construct its
-// Auditor before remote applies arrive (New registers them).
+// Auditor before remote applies arrive (New registers them). No op keeps
+// its arg: the event path passes every op the same scratch (see cycle).
 const (
 	opAccess = "aud.access" // arg: ts(8) | size(8)
 	opRef    = "aud.ref"    // arg: ts(8) | weightBits(8)
@@ -276,7 +265,7 @@ func (a *Auditor) registerOps() {
 	})
 	a.stats.RegisterOp(opAddRef, func(cur any, arg []byte) any {
 		nr := a.copyRec(cur)
-		a.model.AddRef(&nr.Stats, time.Now())
+		a.model.AddRef(&nr.Stats)
 		return nr
 	})
 	a.stats.RegisterOp(opSeed, func(cur any, arg []byte) any {
@@ -364,11 +353,10 @@ func (a *Auditor) finishEpoch(file string, size int64) {
 		now := time.Now()
 		n := a.cfg.Segmenter.Count(size)
 		for i := int64(0); i < n; i++ {
-			v, ok, err := a.stats.Get(statKey(seg.ID{File: file, Index: i}))
-			if err != nil || !ok {
+			rec, ok := a.SegmentRec(seg.ID{File: file, Index: i})
+			if !ok {
 				continue
 			}
-			rec := v.(*Rec)
 			if rec.Stats.K == 1 {
 				a.cfg.Learner.Observe(1, rec.Stats.Last, rec.Stats.Refs, now, false)
 			}
@@ -394,21 +382,19 @@ func (a *Auditor) loadHeatmap(file string, size int64) {
 		return
 	}
 	now := time.Now()
-	var ts [8]byte
-	binary.BigEndian.PutUint64(ts[:], uint64(now.UnixNano()))
+	arg := make([]byte, 40)
+	binary.BigEndian.PutUint64(arg[32:40], uint64(now.UnixNano()))
 	for _, e := range h.Entries {
 		id := seg.ID{File: file, Index: e.Index}
 		segSize := a.cfg.Segmenter.RangeOf(id, size).Len
 		if segSize <= 0 {
 			continue
 		}
-		arg := make([]byte, 40)
 		binary.BigEndian.PutUint64(arg[0:8], math.Float64bits(e.Score*a.cfg.HeatDecay))
 		binary.BigEndian.PutUint64(arg[8:16], uint64(e.Refs))
 		binary.BigEndian.PutUint64(arg[16:24], uint64(e.Succ))
 		binary.BigEndian.PutUint64(arg[24:32], uint64(segSize))
-		copy(arg[32:40], ts[:])
-		v, err := a.stats.Apply(statKey(id), opSeed, arg)
+		v, err := a.stats.ApplyKey(dhm.Key(id), opSeed, arg)
 		if err != nil || v == nil {
 			continue
 		}
@@ -428,12 +414,10 @@ func (a *Auditor) saveHeatmap(file string, size int64) {
 	now := time.Now()
 	n := a.cfg.Segmenter.Count(size)
 	for i := int64(0); i < n; i++ {
-		id := seg.ID{File: file, Index: i}
-		v, ok, err := a.stats.Get(statKey(id))
-		if err != nil || !ok {
+		rec, ok := a.SegmentRec(seg.ID{File: file, Index: i})
+		if !ok {
 			continue
 		}
-		rec := v.(*Rec)
 		s := a.model.Score(&rec.Stats, now)
 		if s <= 0 && rec.Stats.K == 0 {
 			continue
@@ -451,10 +435,29 @@ func (a *Auditor) saveHeatmap(file string, size int64) {
 
 // ---- event handling ----
 
+// cycle is what one drain cycle owns: where its score updates go and
+// the scratch every op argument of the cycle is written into.
+type cycle struct {
+	a *Auditor
+	// batched collects the updates in ups for one ScoreBatch delivery;
+	// otherwise each goes straight to the sink.
+	batched bool
+	ups     []Update
+	arg     [16]byte
+}
+
+func (c *cycle) out(u Update) {
+	if c.batched {
+		c.ups = append(c.ups, u)
+		return
+	}
+	c.a.emit(u)
+}
+
 // HandleEvent processes one monitored event; called by the monitor's
 // daemon pool.
 func (a *Auditor) HandleEvent(ev events.Event) {
-	a.handleEvent(ev, a.emit)
+	a.handleEvent(ev, &cycle{a: a})
 }
 
 // HandleBatch processes one drained batch (monitor.BatchHandler). When
@@ -463,31 +466,27 @@ func (a *Auditor) HandleEvent(ev events.Event) {
 // shard worker takes the engine's pending lock once per drain cycle
 // instead of once per score change.
 func (a *Auditor) HandleBatch(evs []events.Event) {
-	box := a.sink.Load()
+	c := &cycle{a: a}
 	var bs BatchSink
-	if box != nil {
+	if box := a.sink.Load(); box != nil {
 		bs, _ = box.s.(BatchSink)
 	}
-	if bs == nil {
-		for _, ev := range evs {
-			a.HandleEvent(ev)
-		}
-		return
+	if bs != nil {
+		c.batched = true
+		c.ups = make([]Update, 0, len(evs))
 	}
-	ups := make([]Update, 0, len(evs))
 	for _, ev := range evs {
-		a.handleEvent(ev, func(u Update) { ups = append(ups, u) })
+		a.handleEvent(ev, c)
 	}
-	if len(ups) > 0 {
-		bs.ScoreBatch(ups)
+	if len(c.ups) > 0 {
+		bs.ScoreBatch(c.ups)
 	}
 }
 
-// handleEvent audits one event, sending every score change to out (the
-// sink directly, or a batch accumulator).
+// handleEvent audits one event, sending every score change to c.
 //
 //hfetch:hotpath
-func (a *Auditor) handleEvent(ev events.Event, out func(Update)) {
+func (a *Auditor) handleEvent(ev events.Event, c *cycle) {
 	a.ctr.events.Add(1)
 	var start time.Time
 	timed := a.cfg.Telemetry.TimeSample()
@@ -497,7 +496,7 @@ func (a *Auditor) handleEvent(ev events.Event, out func(Update)) {
 	switch ev.Op {
 	case events.OpRead:
 		a.ctr.reads.Add(1)
-		a.handleRead(ev, out)
+		a.handleRead(ev, c)
 	case events.OpWrite:
 		a.ctr.writes.Add(1)
 		a.handleWrite(ev)
@@ -515,11 +514,13 @@ func (a *Auditor) handleEvent(ev events.Event, out func(Update)) {
 }
 
 //hfetch:hotpath
-func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
-	ids := a.cfg.Segmenter.Cover(ev.File, ev.Offset, ev.Length)
-	if len(ids) == 0 {
+func (a *Auditor) handleRead(ev events.Event, c *cycle) {
+	if ev.Length <= 0 || ev.Offset < 0 {
 		return
 	}
+	// The segments the read covers, as Segmenter.Cover would list them.
+	first := a.cfg.Segmenter.IndexOf(ev.Offset)
+	last := a.cfg.Segmenter.IndexOf(ev.Offset + ev.Length - 1)
 	st := a.epochStripeOf(ev.File)
 	st.mu.Lock()
 	es := st.m[ev.File]
@@ -527,7 +528,7 @@ func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 	var fileSize int64
 	if es != nil {
 		prev = es.lastIdx
-		es.lastIdx = ids[len(ids)-1].Index
+		es.lastIdx = last
 		fileSize = es.size
 	}
 	st.mu.Unlock()
@@ -537,18 +538,16 @@ func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 		//lint:allow hotpath fallback for events posted without a capture-time stamp; fires once per read event, not per segment
 		ts = time.Now()
 	}
-	var tsb [8]byte
-	binary.BigEndian.PutUint64(tsb[:], uint64(ts.UnixNano()))
 
-	for _, id := range ids {
+	for idx := first; idx <= last; idx++ {
+		id := seg.ID{File: ev.File, Index: idx}
 		segSize := a.cfg.Segmenter.RangeOf(id, fileSize).Len
 		if segSize <= 0 {
 			segSize = a.cfg.Segmenter.Size()
 		}
-		arg := make([]byte, 16)
-		copy(arg[0:8], tsb[:])
-		binary.BigEndian.PutUint64(arg[8:16], uint64(segSize))
-		v, err := a.stats.Apply(statKey(id), opAccess, arg)
+		binary.BigEndian.PutUint64(c.arg[0:8], uint64(ts.UnixNano()))
+		binary.BigEndian.PutUint64(c.arg[8:16], uint64(segSize))
+		v, err := a.stats.ApplyKey(dhm.Key(id), opAccess, c.arg[:])
 		if err != nil {
 			continue
 		}
@@ -558,24 +557,24 @@ func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 			sc = a.learnAndBlend(rec, ts, sc)
 		}
 		up := Update{ID: id, Score: sc, Size: rec.Size, Origin: ev.Origin}
-		if id.Index == ids[0].Index {
+		if idx == first {
 			// The event's trace is rooted at its first segment; updates
 			// for the rest of a multi-segment read stay untraced.
 			up.Trace = ev.Trace
 		}
-		out(up)
+		c.out(up)
 
 		// Sequencing readahead: boost the known successor of every
 		// accessed segment so it climbs the hierarchy ahead of its read.
-		if rec.Succ >= 0 && rec.Succ != id.Index && a.cfg.SeqBoost > 0 {
-			a.boost(seg.ID{File: id.File, Index: rec.Succ}, ts, fileSize, ev.Origin, out)
+		if rec.Succ >= 0 && rec.Succ != idx && a.cfg.SeqBoost > 0 {
+			a.boost(seg.ID{File: ev.File, Index: rec.Succ}, ts, fileSize, ev.Origin, c)
 		}
 	}
 
 	// Learn the predecessor link from the last segment of the previous
 	// read to the first segment of this one.
 	if a.cfg.SeqBoost > 0 {
-		a.learnLink(ev.File, prev, ids[0].Index)
+		a.learnLink(ev.File, prev, first, c)
 	}
 }
 
@@ -583,22 +582,21 @@ func (a *Auditor) handleRead(ev events.Event, out func(Update)) {
 // cur's reference count when the link is new.
 //
 //hfetch:hotpath
-func (a *Auditor) learnLink(file string, prev, cur int64) {
+func (a *Auditor) learnLink(file string, prev, cur int64, c *cycle) {
 	if prev < 0 || prev == cur {
 		return
 	}
-	prevID := seg.ID{File: file, Index: prev}
-	v, ok, err := a.stats.Get(statKey(prevID))
+	prevKey := dhm.Key{File: file, Index: prev}
+	v, ok, err := a.stats.GetKey(prevKey)
 	if err != nil || !ok {
 		return
 	}
 	if v.(*Rec).Succ == cur {
 		return // link already known
 	}
-	var arg [8]byte
-	binary.BigEndian.PutUint64(arg[:], uint64(cur))
-	a.stats.Apply(statKey(prevID), opLink, arg[:])                        //nolint:errcheck
-	a.stats.Apply(statKey(seg.ID{File: file, Index: cur}), opAddRef, nil) //nolint:errcheck
+	binary.BigEndian.PutUint64(c.arg[0:8], uint64(cur))
+	a.stats.ApplyKey(prevKey, opLink, c.arg[:8])                     //nolint:errcheck
+	a.stats.ApplyKey(dhm.Key{File: file, Index: cur}, opAddRef, nil) //nolint:errcheck
 }
 
 // boost applies the anticipatory sequencing weight to id. The update
@@ -606,11 +604,10 @@ func (a *Auditor) learnLink(file string, prev, cur int64) {
 // prefetched where the reader is.
 //
 //hfetch:hotpath
-func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, out func(Update)) {
-	arg := make([]byte, 16)
-	binary.BigEndian.PutUint64(arg[0:8], uint64(ts.UnixNano()))
-	binary.BigEndian.PutUint64(arg[8:16], math.Float64bits(a.cfg.SeqBoost))
-	v, err := a.stats.Apply(statKey(id), opRef, arg)
+func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, c *cycle) {
+	binary.BigEndian.PutUint64(c.arg[0:8], uint64(ts.UnixNano()))
+	binary.BigEndian.PutUint64(c.arg[8:16], math.Float64bits(a.cfg.SeqBoost))
+	v, err := a.stats.ApplyKey(dhm.Key(id), opRef, c.arg[:])
 	if err != nil {
 		return
 	}
@@ -622,7 +619,7 @@ func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, 
 			size = a.cfg.Segmenter.Size()
 		}
 	}
-	out(Update{ID: id, Score: a.model.Score(&rec.Stats, ts), Size: size, Origin: origin})
+	c.out(Update{ID: id, Score: a.model.Score(&rec.Stats, ts), Size: size, Origin: origin})
 }
 
 // learnAndBlend feeds the learner a positive example for the segment's
@@ -650,7 +647,7 @@ func (a *Auditor) handleWrite(ev events.Event) {
 
 // SegmentRec returns a snapshot of the stats record for id.
 func (a *Auditor) SegmentRec(id seg.ID) (*Rec, bool) {
-	v, ok, err := a.stats.Get(statKey(id))
+	v, ok, err := a.stats.GetKey(dhm.Key(id))
 	if err != nil || !ok {
 		return nil, false
 	}
@@ -669,7 +666,7 @@ func (a *Auditor) ScoreOf(id seg.ID, at time.Time) float64 {
 // Mapping returns which node and tier currently hold id. ok is false
 // when the segment is not prefetched anywhere.
 func (a *Auditor) Mapping(id seg.ID) (node, tier string, ok bool) {
-	v, ok, err := a.maps.Get(mapKey(id))
+	v, ok, err := a.maps.GetKey(dhm.Key(id))
 	if err != nil || !ok {
 		return "", "", false
 	}
@@ -685,12 +682,12 @@ func (a *Auditor) Mapping(id seg.ID) (node, tier string, ok bool) {
 
 // SetMapping records id as resident in this node's tier; engine-only.
 func (a *Auditor) SetMapping(id seg.ID, tier string) {
-	a.maps.Put(mapKey(id), a.cfg.Node+"|"+tier) //nolint:errcheck // mapping is advisory; reads fall back to PFS
+	a.maps.PutKey(dhm.Key(id), a.cfg.Node+"|"+tier) //nolint:errcheck // mapping is advisory; reads fall back to PFS
 }
 
 // DeleteMapping clears id's residency; engine-only.
 func (a *Auditor) DeleteMapping(id seg.ID) {
-	a.maps.Delete(mapKey(id)) //nolint:errcheck
+	a.maps.DeleteKey(dhm.Key(id)) //nolint:errcheck
 }
 
 // Sweep garbage-collects segment statistics: records belonging to files
@@ -701,55 +698,25 @@ func (a *Auditor) DeleteMapping(id seg.ID) {
 // every file ever touched ("heatmaps get deleted once the workflow
 // ends").
 func (a *Auditor) Sweep(now time.Time, floor float64) int {
-	type victim struct{ key, file string }
-	var victims []victim
-	a.stats.Range(func(key string, val any) bool {
-		rec, ok := val.(*Rec)
-		if !ok {
-			return true
+	var victims []seg.ID
+	a.stats.Range(func(k dhm.Key, val any) bool {
+		if rec, ok := val.(*Rec); ok && a.model.Score(&rec.Stats, now) < floor {
+			victims = append(victims, seg.ID(k))
 		}
-		if a.model.Score(&rec.Stats, now) >= floor {
-			return true
-		}
-		file, idx, ok := parseStatKey(key)
-		if !ok {
-			return true
-		}
-		victims = append(victims, victim{key: key, file: file})
-		_ = idx
 		return true
 	})
 	removed := 0
-	for _, v := range victims {
-		if a.EpochOpen(v.file) {
+	for _, id := range victims {
+		if a.EpochOpen(id.File) {
 			continue
 		}
-		file, idx, _ := parseStatKey(v.key)
-		if _, _, mapped := a.Mapping(seg.ID{File: file, Index: idx}); mapped {
+		if _, _, mapped := a.Mapping(id); mapped {
 			continue // still resident in a tier; the engine owns it
 		}
-		a.stats.Delete(v.key) //nolint:errcheck
+		a.stats.DeleteKey(dhm.Key(id)) //nolint:errcheck
 		removed++
 	}
 	return removed
-}
-
-// parseStatKey inverts statKey: "s|file|idx".
-func parseStatKey(key string) (file string, idx int64, ok bool) {
-	if !strings.HasPrefix(key, "s|") {
-		return "", 0, false
-	}
-	rest := key[2:]
-	cut := strings.LastIndexByte(rest, '|')
-	if cut < 0 {
-		return "", 0, false
-	}
-	file = rest[:cut]
-	n, err := strconv.ParseInt(rest[cut+1:], 10, 64)
-	if err != nil {
-		return "", 0, false
-	}
-	return file, n, true
 }
 
 // Counters returns a snapshot of the auditor counters.

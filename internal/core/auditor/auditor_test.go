@@ -382,19 +382,3 @@ func TestSweepSparesMappedSegments(t *testing.T) {
 		t.Fatal("mapped segment stats must survive")
 	}
 }
-
-func TestParseStatKey(t *testing.T) {
-	f, idx, ok := parseStatKey("s|a/b|c|42")
-	if !ok || f != "a/b|c" || idx != 42 {
-		t.Fatalf("parse = %q %d %v", f, idx, ok)
-	}
-	if _, _, ok := parseStatKey("m|x|1"); ok {
-		t.Fatal("mapping key must not parse")
-	}
-	if _, _, ok := parseStatKey("s|nopipe"); ok {
-		t.Fatal("malformed key must not parse")
-	}
-	if _, _, ok := parseStatKey("s|f|notanum"); ok {
-		t.Fatal("bad index must not parse")
-	}
-}

@@ -136,7 +136,7 @@ func (m *Model) OnAccess(st *Stats, t time.Time) {
 // AddRef records an additional reference to the segment (sequencing link)
 // without counting an access. Because the exponent of every term depends
 // on n, the incremental sum is rebuilt from the history window.
-func (m *Model) AddRef(st *Stats, t time.Time) {
+func (m *Model) AddRef(st *Stats) {
 	st.Refs++
 	if st.K > 0 {
 		st.Sum = m.Windowed(st, st.Last)

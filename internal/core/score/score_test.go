@@ -41,7 +41,7 @@ func TestRefsSlowDecay(t *testing.T) {
 	var a, b Stats
 	m.OnAccess(&a, t0)
 	m.OnAccess(&b, t0)
-	m.AddRef(&b, t0) // b now has n=2
+	m.AddRef(&b) // b now has n=2
 	ta := m.Score(&a, t0.Add(2*time.Second))
 	tb := m.Score(&b, t0.Add(2*time.Second))
 	if tb <= ta {

@@ -271,7 +271,7 @@ func NewPersistentMaps(node, walPath string) (stats, maps *dhm.Map, wal *dhm.WAL
 // they point at volatile tier payloads that did not survive the
 // restart).
 func NewClusterMaps(node, walPath string, dialer dhm.Dialer, mux *comm.Mux) (stats, maps *dhm.Map, wal *dhm.WAL, err error) {
-	var state map[string]map[string]any
+	var state map[string]map[dhm.Key]any
 	if walPath != "" {
 		var rerr error
 		state, rerr = dhm.Replay(walPath)

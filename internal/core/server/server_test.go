@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"io"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
+	"hfetch/internal/invariant"
 	"hfetch/internal/pfs"
 	"hfetch/internal/tiers"
 )
@@ -205,12 +207,74 @@ func TestPersistentMapsSurviveRestart(t *testing.T) {
 	if stats2.LocalLen() == 0 {
 		t.Fatal("replayed stats map is empty")
 	}
-	v, ok, _ := stats2.Get("s|f|0")
+	v, ok, _ := stats2.GetKey(dhm.Key{File: "f", Index: 0})
 	if !ok {
 		t.Fatalf("segment record missing after replay; keys=%v", stats2.LocalKeys())
 	}
 	if rec := v.(*auditor.Rec); rec.Stats.K != 1 {
 		t.Fatalf("restored K = %d, want 1", rec.Stats.K)
+	}
+}
+
+// TestPersistentMapsReplayVersion1Log: a log written before keys were
+// typed (internal/dhm/testdata/wal_v1.log: three reads of data/f at 1 KiB
+// segments 0, 1, 0, keys at rest as "s|data/f|N") restores its statistics
+// where the auditor now looks for them.
+func TestPersistentMapsReplayVersion1Log(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "dhm", "testdata", "wal_v1.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wal := filepath.Join(t.TempDir(), "meta.wal")
+	if err := os.WriteFile(wal, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	stats, maps, w, err := NewPersistentMaps("n0", wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	srv, err := New(Config{SegmentSize: 1024}, pfs.New(nil), tiers.NewHierarchy(tiers.NewStore("ram", 1<<20, nil)), stats, maps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for idx, wantK := range []int64{2, 1} {
+		rec, ok := srv.Auditor().SegmentRec(seg.ID{File: "data/f", Index: int64(idx)})
+		if !ok {
+			t.Fatalf("segment %d of data/f missing after replaying a version 1 log; keys=%v", idx, stats.LocalKeys())
+		}
+		if rec.Stats.K != wantK {
+			t.Fatalf("segment %d restored with K = %d, want %d", idx, rec.Stats.K, wantK)
+		}
+	}
+	if rec, _ := srv.Auditor().SegmentRec(seg.ID{File: "data/f", Index: 0}); rec.Succ != 1 {
+		t.Fatalf("segment 0 restored with successor %d, want 1", rec.Succ)
+	}
+	if v, ok, _ := stats.Get("plain-key"); !ok || v.(int64) != 7 {
+		t.Fatalf("plain string key restored as %v, %v", v, ok)
+	}
+}
+
+// TestReadPrefetchedDoesNotAllocate: a hit on a resident segment builds
+// no key and no buffer between the mapping lookup and the tier.
+func TestReadPrefetchedDoesNotAllocate(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("allocation counts are for the production build")
+	}
+	srv, fs := newServer(t, Config{SegmentSize: 1024, Engine: placement.Config{UpdateThreshold: 1}})
+	fs.Create("f", 8192)
+	srv.Start()
+	defer srv.Stop()
+	srv.StartEpoch("f", 8192)
+	srv.PostEvent(events.Event{Op: events.OpRead, File: "f", Offset: 0, Length: 1024, Time: time.Now()})
+	srv.Flush()
+	id := seg.ID{File: "f", Index: 0}
+	p := make([]byte, 1024)
+	if _, _, ok := srv.ReadPrefetched(id, 0, p); !ok {
+		t.Fatal("segment 0 not resident after its read was audited and placed")
+	}
+	if n := testing.AllocsPerRun(1000, func() { srv.ReadPrefetched(id, 0, p) }); n != 0 {
+		t.Fatalf("ReadPrefetched of a resident segment allocates %.1f times", n)
 	}
 }
 

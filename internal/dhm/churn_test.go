@@ -89,7 +89,7 @@ func TestConcurrentWritesDuringRebalance(t *testing.T) {
 	}
 	for i := 0; i < keys; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		owner := maps[0].Owner(k)
+		owner := maps[0].Owner(StringKey(k))
 		if owner == "n3" {
 			t.Fatalf("key %q still owned by departed node", k)
 		}
@@ -109,7 +109,7 @@ func TestConcurrentWritesDuringRebalance(t *testing.T) {
 	probe := ""
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("probe-%d", i)
-		if oldRing.Owner(k) == "n3" {
+		if oldRing.Owner(StringKey(k)) == "n3" {
 			probe = k
 			break
 		}
@@ -117,7 +117,7 @@ func TestConcurrentWritesDuringRebalance(t *testing.T) {
 	if err := maps[0].Put(probe, int64(42)); err != nil {
 		t.Fatal(err)
 	}
-	newOwner := maps[0].Owner(probe)
+	newOwner := maps[0].Owner(StringKey(probe))
 	for i, name := range survivors {
 		if name != newOwner {
 			continue
@@ -144,7 +144,7 @@ func TestWALCrashRecoveryRejoin(t *testing.T) {
 		}
 		m := New(Config{Name: "t", Self: "n0", WAL: wal}, nil)
 		for i := 0; i < 100; i++ {
-			if err := m.Put(fmt.Sprintf("s|f|%d", i), int64(i*i)); err != nil {
+			if err := m.PutKey(Key{File: "f", Index: int64(i)}, int64(i*i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -191,13 +191,13 @@ func TestWALCrashRecoveryRejoin(t *testing.T) {
 
 	// The whole recovered keyspace is readable from either node.
 	for i := 0; i < 99; i++ {
-		k := fmt.Sprintf("s|f|%d", i)
-		v, ok, err := m1.Get(k)
+		k := Key{File: "f", Index: int64(i)}
+		v, ok, err := m1.GetKey(k)
 		if err != nil || !ok {
-			t.Fatalf("key %q lost across crash+rejoin: ok=%v err=%v", k, ok, err)
+			t.Fatalf("key %v lost across crash+rejoin: ok=%v err=%v", k, ok, err)
 		}
 		if v.(int64) != int64(i*i) {
-			t.Fatalf("key %q = %v, want %d", k, v, i*i)
+			t.Fatalf("key %v = %v, want %d", k, v, i*i)
 		}
 	}
 	_ = m1

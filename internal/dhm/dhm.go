@@ -6,6 +6,11 @@
 //   - node-level partitioning: every key has a single owner node chosen
 //     by highest-random-weight (rendezvous) hashing, so updates are
 //     visible cluster-wide without a global synchronization barrier;
+//   - one comparable key type, Key{File, Index}: the segment identity
+//     the rest of the tree already uses. A key is hashed once per
+//     operation and that hash picks both the owner and the lock stripe;
+//     it crosses the wire as file | varint index and becomes text only
+//     at rest (the WAL) and in diagnostics;
 //   - atomic read-modify-write through named, pre-registered operations
 //     (closures cannot cross the wire, so mutators are registered on
 //     every node and invoked by name at the owner — the same server-side
@@ -24,13 +29,27 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"hfetch/internal/comm"
 )
 
+// Key addresses one entry: a file and a segment index. It has seg.ID's
+// shape, so a segment identity converts with Key(id) and no text is
+// built between an access event and the shard holding its record.
+type Key struct {
+	File  string
+	Index int64
+}
+
+// StringKey is the Key of a plain string: what Get, Put, Delete and
+// Apply address.
+func StringKey(s string) Key { return Key{File: s, Index: -1} }
+
 // OpFunc is a named mutator: it receives the current value (nil if the
 // key is absent) and an opaque argument, and returns the new value.
-// Returning nil deletes the key.
+// Returning nil deletes the key. arg is only valid during the call: the
+// caller may reuse its bytes for the next operation.
 type OpFunc func(cur any, arg []byte) any
 
 // Dialer abstracts how the map reaches other nodes.
@@ -57,10 +76,11 @@ type Config struct {
 // Map is one distributed hashmap instance.
 type Map struct {
 	cfg Config
-	// memberMu guards cfg.Nodes: Rebalance rewrites the membership while
-	// Owner lookups run concurrently.
-	memberMu sync.RWMutex
-	shards   []shard
+	// members is the current membership, replaced whole by Rebalance
+	// while owner lookups read it: every operation looks its owner up,
+	// and a lock here was a quarter of a local Get.
+	members atomic.Pointer[membership]
+	shards  []shard
 
 	opMu sync.RWMutex
 	ops  map[string]OpFunc
@@ -73,6 +93,13 @@ type Map struct {
 	msgTypes [4]string
 }
 
+// membership is an immutable member list with each name's rendezvous
+// hash, computed when the list is set instead of on every lookup.
+type membership struct {
+	names  []string
+	hashes []uint64
+}
+
 const (
 	rpcGet = iota
 	rpcPut
@@ -82,7 +109,7 @@ const (
 
 type shard struct {
 	mu sync.RWMutex
-	m  map[string]any
+	m  map[Key]any
 }
 
 // New creates a Map and, when mux is non-nil, registers its remote
@@ -96,17 +123,27 @@ func New(cfg Config, mux *comm.Mux) *Map {
 		ops:   make(map[string]OpFunc),
 		peers: make(map[string]comm.Peer),
 	}
+	m.setMembers(cfg.Nodes)
 	for i, op := range [...]string{rpcGet: "get", rpcPut: "put", rpcDel: "del", rpcApply: "apply"} {
 		m.msgTypes[i] = "dhm." + cfg.Name + "." + op
 	}
 	m.shards = make([]shard, cfg.Shards)
 	for i := range m.shards {
-		m.shards[i].m = make(map[string]any)
+		m.shards[i].m = make(map[Key]any)
 	}
 	if mux != nil {
 		m.registerHandlers(mux)
 	}
 	return m
+}
+
+// setMembers installs a copy of nodes as the membership.
+func (m *Map) setMembers(nodes []string) {
+	ms := &membership{names: append([]string(nil), nodes...), hashes: make([]uint64, len(nodes))}
+	for i, n := range ms.names {
+		ms.hashes[i] = hashString(n) * 0x9e3779b97f4a7c15
+	}
+	m.members.Store(ms)
 }
 
 // RegisterOp installs a named mutator. Every node of the map must
@@ -117,132 +154,159 @@ func (m *Map) RegisterOp(name string, fn OpFunc) {
 	m.ops[name] = fn
 }
 
-// Owner returns the owner node for key; the empty string means "self"
+// Owner returns the owner node for k; the empty string means "self"
 // (single-node map).
-func (m *Map) Owner(key string) string {
-	m.memberMu.RLock()
-	defer m.memberMu.RUnlock()
-	if len(m.cfg.Nodes) == 0 {
-		return m.cfg.Self
-	}
-	best := ""
+func (m *Map) Owner(k Key) string {
+	return m.ownerOf(k.hash())
+}
+
+// ownerOf picks the rendezvous owner of a key hash: the member whose
+// weight mix(h ^ nodeHash) is highest, the smaller name on a tie.
+//
+//hfetch:hotpath
+func (m *Map) ownerOf(h uint64) string {
+	ms := m.members.Load()
+	best := m.cfg.Self
 	var bestW uint64
-	for _, n := range m.cfg.Nodes {
-		w := hrw(key, n)
-		if best == "" || w > bestW || (w == bestW && n < best) {
+	for i, n := range ms.names {
+		w := mix(h ^ ms.hashes[i])
+		if i == 0 || w > bestW || (w == bestW && n < best) {
 			best, bestW = n, w
 		}
 	}
 	return best
 }
 
-func (m *Map) local(key string) bool {
-	o := m.Owner(key)
-	return o == "" || o == m.cfg.Self
-}
-
-func (m *Map) shardOf(key string) *shard {
-	return &m.shards[int(fnv(key)%uint64(len(m.shards)))]
-}
-
-// Get returns the value for key and whether it exists.
-func (m *Map) Get(key string) (any, bool, error) {
-	if m.local(key) {
-		s := m.shardOf(key)
-		s.mu.RLock()
-		v, ok := s.m[key]
-		s.mu.RUnlock()
-		return v, ok, nil
+// locate hashes k once and returns the shard that holds it when this
+// node owns it, or the owner to forward to.
+//
+//hfetch:hotpath
+func (m *Map) locate(k Key) (s *shard, owner string) {
+	h := k.hash()
+	if o := m.ownerOf(h); o != "" && o != m.cfg.Self {
+		return nil, o
 	}
-	return m.remoteGet(key)
+	return m.shardAt(h), ""
 }
 
-// Put stores val under key.
-func (m *Map) Put(key string, val any) error {
-	if m.local(key) {
-		m.localPut(key, val, true)
-		return nil
-	}
-	return m.remotePut(key, val)
+func (m *Map) shardAt(h uint64) *shard {
+	return &m.shards[int(h%uint64(len(m.shards)))]
 }
 
-func (m *Map) localPut(key string, val any, logIt bool) {
-	s := m.shardOf(key)
-	s.mu.Lock()
-	s.m[key] = val
-	s.mu.Unlock()
-	if logIt && m.cfg.WAL != nil {
-		m.cfg.WAL.logPut(m.cfg.Name, key, val)
-	}
-}
-
-// Delete removes key.
-func (m *Map) Delete(key string) error {
-	if m.local(key) {
-		m.localDelete(key, true)
-		return nil
-	}
-	return m.remoteDelete(key)
-}
-
-func (m *Map) localDelete(key string, logIt bool) {
-	s := m.shardOf(key)
-	s.mu.Lock()
-	delete(s.m, key)
-	s.mu.Unlock()
-	if logIt && m.cfg.WAL != nil {
-		m.cfg.WAL.logDelete(m.cfg.Name, key)
-	}
-}
-
-// Apply atomically applies the named op to key at its owner and returns
-// the new value.
+// Get, Put, Delete and Apply address a plain string key: the entry
+// StringKey(key) names.
+func (m *Map) Get(key string) (any, bool, error) { return m.GetKey(StringKey(key)) }
+func (m *Map) Put(key string, val any) error     { return m.PutKey(StringKey(key), val) }
+func (m *Map) Delete(key string) error           { return m.DeleteKey(StringKey(key)) }
 func (m *Map) Apply(key, op string, arg []byte) (any, error) {
-	if m.local(key) {
-		return m.localApply(key, op, arg)
-	}
-	return m.remoteApply(key, op, arg)
+	return m.ApplyKey(StringKey(key), op, arg)
 }
 
-func (m *Map) localApply(key, op string, arg []byte) (any, error) {
+// GetKey returns the value for k and whether it exists.
+//
+//hfetch:hotpath
+func (m *Map) GetKey(k Key) (any, bool, error) {
+	s, owner := m.locate(k)
+	if s == nil {
+		return m.remoteGet(owner, k)
+	}
+	s.mu.RLock()
+	v, ok := s.m[k]
+	s.mu.RUnlock()
+	return v, ok, nil
+}
+
+// PutKey stores val under k.
+func (m *Map) PutKey(k Key, val any) error {
+	s, owner := m.locate(k)
+	if s == nil {
+		return m.remotePut(owner, k, val)
+	}
+	m.localPut(s, k, val, true)
+	return nil
+}
+
+func (m *Map) localPut(s *shard, k Key, val any, logIt bool) {
+	s.mu.Lock()
+	s.m[k] = val
+	s.mu.Unlock()
+	if logIt && m.cfg.WAL != nil {
+		m.cfg.WAL.logPut(m.cfg.Name, k, val)
+	}
+}
+
+// DeleteKey removes k.
+func (m *Map) DeleteKey(k Key) error {
+	s, owner := m.locate(k)
+	if s == nil {
+		return m.remoteDelete(owner, k)
+	}
+	m.localDelete(s, k)
+	return nil
+}
+
+func (m *Map) localDelete(s *shard, k Key) {
+	s.mu.Lock()
+	delete(s.m, k)
+	s.mu.Unlock()
+	if m.cfg.WAL != nil {
+		m.cfg.WAL.logDelete(m.cfg.Name, k)
+	}
+}
+
+// ApplyKey atomically applies the named op to k at its owner and
+// returns the new value.
+//
+//hfetch:hotpath
+func (m *Map) ApplyKey(k Key, op string, arg []byte) (any, error) {
+	s, owner := m.locate(k)
+	if s == nil {
+		return m.remoteApply(owner, k, op, arg)
+	}
+	return m.localApply(s, k, op, arg)
+}
+
+//hfetch:hotpath
+func (m *Map) localApply(s *shard, k Key, op string, arg []byte) (any, error) {
 	m.opMu.RLock()
 	fn := m.ops[op]
 	m.opMu.RUnlock()
 	if fn == nil {
-		return nil, fmt.Errorf("dhm: unknown op %q", op)
+		return nil, unknownOp(op)
 	}
-	s := m.shardOf(key)
 	s.mu.Lock()
-	cur := s.m[key]
+	cur := s.m[k]
 	next := fn(cur, arg)
 	if next == nil {
-		delete(s.m, key)
+		delete(s.m, k)
 	} else {
-		s.m[key] = next
+		s.m[k] = next
 	}
 	s.mu.Unlock()
 	if m.cfg.WAL != nil {
 		if next == nil {
-			m.cfg.WAL.logDelete(m.cfg.Name, key)
+			m.cfg.WAL.logDelete(m.cfg.Name, k)
 		} else {
-			m.cfg.WAL.logPut(m.cfg.Name, key, next)
+			m.cfg.WAL.logPut(m.cfg.Name, k, next)
 		}
 	}
 	return next, nil
 }
 
-// LocalKeys returns the keys whose shards live on this node.
-func (m *Map) LocalKeys() []string {
-	var out []string
-	for i := range m.shards {
-		s := &m.shards[i]
-		s.mu.RLock()
-		for k := range s.m {
-			out = append(out, k)
-		}
-		s.mu.RUnlock()
-	}
-	sort.Strings(out)
+func unknownOp(op string) error { return fmt.Errorf("dhm: unknown op %q", op) }
+
+// LocalKeys returns the keys whose shards live on this node, sorted by
+// file, then index.
+func (m *Map) LocalKeys() []Key {
+	var out []Key
+	m.Range(func(k Key, _ any) bool {
+		out = append(out, k)
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool {
+		a, b := out[i], out[j]
+		return a.File < b.File || (a.File == b.File && a.Index < b.Index)
+	})
 	return out
 }
 
@@ -260,7 +324,7 @@ func (m *Map) LocalLen() int {
 
 // Range calls fn for every local key/value until fn returns false. The
 // shard lock is held during fn; fn must not call back into the map.
-func (m *Map) Range(fn func(key string, val any) bool) {
+func (m *Map) Range(fn func(k Key, val any) bool) {
 	for i := range m.shards {
 		s := &m.shards[i]
 		s.mu.RLock()
@@ -290,10 +354,10 @@ func (m *Map) peer(node string) (comm.Peer, error) {
 	return p, nil
 }
 
-// remote sends one RPC's request head to key's owner and returns the
-// response head.
-func (m *Map) remote(rpc int, key string, req []byte) ([]byte, error) {
-	p, err := m.peer(m.Owner(key))
+// remote sends one RPC's request head to owner and returns the response
+// head.
+func (m *Map) remote(rpc int, owner string, req []byte) ([]byte, error) {
+	p, err := m.peer(owner)
 	if err != nil {
 		return nil, err
 	}
@@ -301,34 +365,34 @@ func (m *Map) remote(rpc int, key string, req []byte) ([]byte, error) {
 }
 
 // newReq starts a request head sized for a typical key.
-func newReq(key, op string, arg []byte) []byte {
-	return appendReq(make([]byte, 0, 128), key, op, arg)
+func newReq(k Key, op string, arg []byte) []byte {
+	return appendReq(make([]byte, 0, 128), k, op, arg)
 }
 
-func (m *Map) remoteGet(key string) (any, bool, error) {
-	raw, err := m.remote(rpcGet, key, newReq(key, "", nil))
+func (m *Map) remoteGet(owner string, k Key) (any, bool, error) {
+	raw, err := m.remote(rpcGet, owner, newReq(k, "", nil))
 	if err != nil {
 		return nil, false, err
 	}
 	return parseResp(raw)
 }
 
-func (m *Map) remotePut(key string, val any) error {
-	req, err := appendValue(newReq(key, "", nil), val)
+func (m *Map) remotePut(owner string, k Key, val any) error {
+	req, err := appendValue(newReq(k, "", nil), val)
 	if err != nil {
 		return err
 	}
-	_, err = m.remote(rpcPut, key, req)
+	_, err = m.remote(rpcPut, owner, req)
 	return err
 }
 
-func (m *Map) remoteDelete(key string) error {
-	_, err := m.remote(rpcDel, key, newReq(key, "", nil))
+func (m *Map) remoteDelete(owner string, k Key) error {
+	_, err := m.remote(rpcDel, owner, newReq(k, "", nil))
 	return err
 }
 
-func (m *Map) remoteApply(key, op string, arg []byte) (any, error) {
-	raw, err := m.remote(rpcApply, key, newReq(key, op, arg))
+func (m *Map) remoteApply(owner string, k Key, op string, arg []byte) (any, error) {
+	raw, err := m.remote(rpcApply, owner, newReq(k, op, arg))
 	if err != nil {
 		return nil, err
 	}
@@ -345,11 +409,11 @@ func (m *Map) registerHandlers(mux *comm.Mux) {
 
 //hfetch:hotpath
 func (m *Map) serveGet(raw []byte) ([]byte, error) {
-	req, err := parseReq(raw)
+	req, err := parseReq(raw, false)
 	if err != nil {
 		return nil, err
 	}
-	s := m.shardOf(req.key)
+	s := m.shardAt(req.key.hash())
 	s.mu.RLock()
 	v, ok := s.m[req.key]
 	s.mu.RUnlock()
@@ -358,7 +422,7 @@ func (m *Map) serveGet(raw []byte) ([]byte, error) {
 
 //hfetch:hotpath
 func (m *Map) servePut(raw []byte) ([]byte, error) {
-	req, err := parseReq(raw)
+	req, err := parseReq(raw, true)
 	if err != nil {
 		return nil, err
 	}
@@ -366,27 +430,27 @@ func (m *Map) servePut(raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.localPut(req.key, v, true)
+	m.localPut(m.shardAt(req.key.hash()), req.key, v, true)
 	return nil, nil
 }
 
 //hfetch:hotpath
 func (m *Map) serveDel(raw []byte) ([]byte, error) {
-	req, err := parseReq(raw)
+	req, err := parseReq(raw, false)
 	if err != nil {
 		return nil, err
 	}
-	m.localDelete(req.key, true)
+	m.localDelete(m.shardAt(req.key.hash()), req.key)
 	return nil, nil
 }
 
 //hfetch:hotpath
 func (m *Map) serveApply(raw []byte) ([]byte, error) {
-	req, err := parseReq(raw)
+	req, err := parseReq(raw, false)
 	if err != nil {
 		return nil, err
 	}
-	next, err := m.localApply(req.key, req.op, req.arg)
+	next, err := m.localApply(m.shardAt(req.key.hash()), req.key, req.op, req.arg)
 	if err != nil {
 		return nil, err
 	}
@@ -395,24 +459,37 @@ func (m *Map) serveApply(raw []byte) ([]byte, error) {
 
 // ---- hashing ----
 
-func fnv(s string) uint64 {
+// hash is the one hash of a key: FNV-1a over the file, eight bytes a
+// step, finalized together with the index. Owner selection and the lock
+// stripe both derive from it.
+//
+//hfetch:hotpath
+func (k Key) hash() uint64 {
+	return mix(hashString(k.File) ^ uint64(k.Index)*0x9e3779b97f4a7c15)
+}
+
+//hfetch:hotpath
+func hashString(s string) uint64 {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
+	i := 0
+	for ; i+8 <= len(s); i += 8 {
+		w := uint64(s[i]) | uint64(s[i+1])<<8 | uint64(s[i+2])<<16 | uint64(s[i+3])<<24 |
+			uint64(s[i+4])<<32 | uint64(s[i+5])<<40 | uint64(s[i+6])<<48 | uint64(s[i+7])<<56
+		h = (h ^ w) * prime64
+	}
+	for ; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * prime64
 	}
 	return h
 }
 
-// hrw computes the rendezvous weight of (key, node). The two hashes are
-// combined through a strong finalizer so short node names still produce
-// well-distributed weights.
-func hrw(key, node string) uint64 {
-	z := fnv(key) ^ (fnv(node) * 0x9e3779b97f4a7c15)
+// mix is a strong finalizer (splitmix64): short node names and
+// consecutive indices still produce well-distributed weights.
+func mix(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)

@@ -88,7 +88,7 @@ func TestLocalKeysAndLen(t *testing.T) {
 		t.Fatalf("LocalLen = %d, want 10", m.LocalLen())
 	}
 	keys := m.LocalKeys()
-	if len(keys) != 10 || keys[0] != "k00" || keys[9] != "k09" {
+	if len(keys) != 10 || keys[0] != StringKey("k00") || keys[9] != StringKey("k09") {
 		t.Fatalf("LocalKeys = %v", keys)
 	}
 }
@@ -99,12 +99,12 @@ func TestRange(t *testing.T) {
 		m.Put(fmt.Sprintf("k%d", i), i)
 	}
 	count := 0
-	m.Range(func(k string, v any) bool { count++; return true })
+	m.Range(func(k Key, v any) bool { count++; return true })
 	if count != 5 {
 		t.Fatalf("Range visited %d, want 5", count)
 	}
 	count = 0
-	m.Range(func(k string, v any) bool { count++; return count < 2 })
+	m.Range(func(k Key, v any) bool { count++; return count < 2 })
 	if count != 2 {
 		t.Fatalf("early-exit Range visited %d, want 2", count)
 	}
@@ -116,8 +116,8 @@ func TestOwnerStableAndBalanced(t *testing.T) {
 	counts := map[string]int{}
 	for i := 0; i < 4000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		o1 := m.Owner(k)
-		o2 := m.Owner(k)
+		o1 := m.Owner(StringKey(k))
+		o2 := m.Owner(StringKey(k))
 		if o1 != o2 {
 			t.Fatal("Owner must be deterministic")
 		}
@@ -137,9 +137,9 @@ func TestOwnerMinimalReshuffle(t *testing.T) {
 	m2 := New(Config{Name: "t", Self: "a", Nodes: []string{"a", "b", "c"}}, nil)
 	for i := 0; i < 1000; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		o1 := m1.Owner(k)
-		if o1 != "d" && m2.Owner(k) != o1 {
-			t.Fatalf("key %q moved from %q to %q although its owner survived", k, o1, m2.Owner(k))
+		o1 := m1.Owner(StringKey(k))
+		if o1 != "d" && m2.Owner(StringKey(k)) != o1 {
+			t.Fatalf("key %q moved from %q to %q although its owner survived", k, o1, m2.Owner(StringKey(k)))
 		}
 	}
 }
@@ -152,10 +152,7 @@ func (d inprocDialer) Dial(node string) comm.Peer { return d.net.Dial(node) }
 func cluster(t *testing.T, n int) []*Map {
 	t.Helper()
 	net := comm.NewInprocNetwork(nil)
-	names := make([]string, n)
-	for i := range names {
-		names[i] = fmt.Sprintf("n%d", i)
-	}
+	names := nodeNames(n)
 	maps := make([]*Map, n)
 	for i, name := range names {
 		mux := comm.NewMux()
@@ -241,7 +238,7 @@ func TestRemoteWithoutDialerFails(t *testing.T) {
 	// Find a key owned by zz.
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if m.Owner(k) == "zz" {
+		if m.Owner(StringKey(k)) == "zz" {
 			if err := m.Put(k, int64(1)); err == nil {
 				t.Fatal("remote put without dialer must fail")
 			}
@@ -297,7 +294,7 @@ func TestWALReplayToleratesTornWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := state["s"]["a"]; v.(int64) != 1 {
+	if v := state["s"][StringKey("a")]; v.(int64) != 1 {
 		t.Fatalf("state after torn write = %v, want a=1", state)
 	}
 }
@@ -311,7 +308,7 @@ func TestWALApplyLogged(t *testing.T) {
 	m.Apply("k", "set9", nil)
 	w.Close()
 	state, _ := Replay(path)
-	if v := state["s"]["k"]; v == nil || v.(int64) != 9 {
+	if v := state["s"][StringKey("k")]; v == nil || v.(int64) != 9 {
 		t.Fatalf("applied value not in WAL: %v", state)
 	}
 }

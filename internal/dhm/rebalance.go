@@ -16,31 +16,29 @@ import (
 // so a key written mid-migration lands at its new owner either way and
 // the stale local copy is discarded.
 func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
-	m.memberMu.Lock()
-	m.cfg.Nodes = append([]string(nil), newNodes...)
-	m.memberMu.Unlock()
+	m.setMembers(newNodes)
 
 	// Collect local keys that no longer belong here.
 	type kv struct {
-		key string
+		key Key
 		val any
 	}
 	var moving []kv
-	m.Range(func(key string, val any) bool {
-		if !m.local(key) {
-			moving = append(moving, kv{key, val})
+	m.Range(func(k Key, val any) bool {
+		if s, _ := m.locate(k); s == nil {
+			moving = append(moving, kv{k, val})
 		}
 		return true
 	})
 	var firstErr error
 	for _, e := range moving {
-		if err := m.Put(e.key, e.val); err != nil {
+		if err := m.PutKey(e.key, e.val); err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("dhm: rebalance %q: %w", e.key, err)
+				firstErr = fmt.Errorf("dhm: rebalance %v: %w", e.key, err)
 			}
 			continue // keep the local copy rather than lose the key
 		}
-		m.localDelete(e.key, true)
+		m.localDelete(m.shardAt(e.key.hash()), e.key)
 		migrated++
 	}
 	return migrated, firstErr
@@ -48,7 +46,5 @@ func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
 
 // Members returns the current membership list (empty = single node).
 func (m *Map) Members() []string {
-	m.memberMu.RLock()
-	defer m.memberMu.RUnlock()
-	return append([]string(nil), m.cfg.Nodes...)
+	return append([]string(nil), m.members.Load().names...)
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 	"sync"
 )
 
@@ -21,11 +23,33 @@ type WAL struct {
 	path string
 }
 
+// walRecord is the form a mutation takes at rest. A record with Typed
+// set carries Key{File: Key, Index: Index}. One without it was written
+// before keys were typed (wire version 1) and carries the key as text;
+// gob leaves the fields it does not know zero, so such logs still
+// decode and legacyKey recovers their keys.
 type walRecord struct {
 	Map    string
 	Key    string
 	Delete bool
 	Val    []byte
+	Typed  bool
+	Index  int64
+}
+
+// legacyKey inverts the text keys of a version 1 log: the auditor wrote
+// a segment's statistics under "s|file|idx" and its mapping under
+// "m|file|idx"; anything else was a plain string key.
+func legacyKey(s string) Key {
+	if strings.HasPrefix(s, "s|") || strings.HasPrefix(s, "m|") {
+		rest := s[2:]
+		if cut := strings.LastIndexByte(rest, '|'); cut >= 0 {
+			if idx, err := strconv.ParseInt(rest[cut+1:], 10, 64); err == nil && idx >= 0 {
+				return Key{File: rest[:cut], Index: idx}
+			}
+		}
+	}
+	return StringKey(s)
 }
 
 // OpenWAL opens (or creates) the log at path, appending to any existing
@@ -88,16 +112,16 @@ func decodeVal(b []byte) (any, error) {
 	return v, nil
 }
 
-func (w *WAL) logPut(mapName, key string, val any) {
+func (w *WAL) logPut(mapName string, k Key, val any) {
 	vb, err := encodeVal(val)
 	if err != nil {
 		return
 	}
-	w.append(walRecord{Map: mapName, Key: key, Val: vb})
+	w.append(walRecord{Map: mapName, Key: k.File, Typed: true, Index: k.Index, Val: vb})
 }
 
-func (w *WAL) logDelete(mapName, key string) {
-	w.append(walRecord{Map: mapName, Key: key, Delete: true})
+func (w *WAL) logDelete(mapName string, k Key) {
+	w.append(walRecord{Map: mapName, Key: k.File, Typed: true, Index: k.Index, Delete: true})
 }
 
 // Sync fsyncs the log.
@@ -113,13 +137,13 @@ func (w *WAL) Sync() error {
 // Replay reads the log at path and returns the surviving state per map
 // name: map[mapName]map[key]value. A truncated trailing record (torn
 // write at power-down) is tolerated and ignored.
-func Replay(path string) (map[string]map[string]any, error) {
+func Replay(path string) (map[string]map[Key]any, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("dhm: open wal for replay: %w", err)
 	}
 	defer f.Close()
-	out := make(map[string]map[string]any)
+	out := make(map[string]map[Key]any)
 	for {
 		var hdr [4]byte
 		if _, err := io.ReadFull(f, hdr[:]); err != nil {
@@ -143,26 +167,30 @@ func Replay(path string) (map[string]map[string]any, error) {
 		}
 		mp := out[rec.Map]
 		if mp == nil {
-			mp = make(map[string]any)
+			mp = make(map[Key]any)
 			out[rec.Map] = mp
 		}
+		k := Key{File: rec.Key, Index: rec.Index}
+		if !rec.Typed {
+			k = legacyKey(rec.Key)
+		}
 		if rec.Delete {
-			delete(mp, rec.Key)
+			delete(mp, k)
 			continue
 		}
 		v, err := decodeVal(rec.Val)
 		if err != nil {
 			continue
 		}
-		mp[rec.Key] = v
+		mp[k] = v
 	}
 	return out, nil
 }
 
 // Restore loads replayed state for this map's name into the local shards
 // (without re-logging).
-func (m *Map) Restore(state map[string]map[string]any) {
+func (m *Map) Restore(state map[string]map[Key]any) {
 	for k, v := range state[m.cfg.Name] {
-		m.localPut(k, v, false)
+		m.localPut(m.shardAt(k.hash()), k, v, false)
 	}
 }

@@ -11,7 +11,7 @@ import (
 // Head codecs of the dhm RPC. The operation (get/put/del/apply) is the
 // frame's message type; the heads are:
 //
-//	request:  uvarint len | key | uvarint len | op | uvarint len | arg | value
+//	request:  uvarint len | file | varint index | uvarint len | op | uvarint len | arg | value
 //	response: found u8 | value
 //	value:    tag u8 | payload      (absent value: zero bytes)
 //
@@ -125,9 +125,13 @@ func unknownValueTag(tag byte) error {
 	return fmt.Errorf("dhm: unknown value tag %d", tag)
 }
 
+// maxKeyFile bounds the file of a key taken off the wire: far above any
+// path, far below what a corrupt length could claim of a 4 MiB head.
+const maxKeyFile = 64 << 10
+
 // rpcReq is a decoded request head. arg and val alias the head.
 type rpcReq struct {
-	key string
+	key Key
 	op  string
 	arg []byte
 	val []byte // tagged value encoding; empty when the request has none
@@ -137,17 +141,23 @@ type rpcReq struct {
 // put appends the value with appendValue.
 //
 //hfetch:hotpath
-func appendReq(dst []byte, key, op string, arg []byte) []byte {
-	dst = comm.AppendString(dst, key)
+func appendReq(dst []byte, k Key, op string, arg []byte) []byte {
+	dst = comm.AppendString(dst, k.File)
+	dst = binary.AppendVarint(dst, k.Index)
 	dst = comm.AppendString(dst, op)
 	return comm.AppendBytes(dst, arg)
 }
 
-// parseReq decodes a request head.
+// parseReq decodes a request head. Only a put carries a value; on the
+// other operations bytes after arg are an error.
 //
 //hfetch:hotpath
-func parseReq(b []byte) (rpcReq, error) {
-	key, b, ok := comm.CutBytes(b)
+func parseReq(b []byte, withValue bool) (rpcReq, error) {
+	file, b, ok := comm.CutBytes(b)
+	if !ok || len(file) > maxKeyFile {
+		return rpcReq{}, errShortHead
+	}
+	idx, b, ok := comm.CutVarint(b)
 	if !ok {
 		return rpcReq{}, errShortHead
 	}
@@ -156,10 +166,10 @@ func parseReq(b []byte) (rpcReq, error) {
 		return rpcReq{}, errShortHead
 	}
 	arg, b, ok := comm.CutBytes(b)
-	if !ok {
+	if !ok || (!withValue && len(b) != 0) {
 		return rpcReq{}, errShortHead
 	}
-	return rpcReq{key: string(key), op: string(op), arg: arg, val: b}, nil
+	return rpcReq{key: Key{File: string(file), Index: idx}, op: string(op), arg: arg, val: b}, nil
 }
 
 // appendResp appends a response head: found, then the value if found.

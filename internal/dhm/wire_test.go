@@ -89,16 +89,18 @@ func TestValueCodec(t *testing.T) {
 
 func TestReqCodec(t *testing.T) {
 	type reqCase struct {
-		key, op string
-		arg     []byte
-		val     any
-		hasVal  bool
+		key    Key
+		op     string
+		arg    []byte
+		val    any
+		hasVal bool
 	}
 	for _, c := range []reqCase{
-		{key: "m|/data/f|12"},
-		{key: "s|f|0", op: "aud.access", arg: bytes.Repeat([]byte{9}, 16)},
-		{key: "k", val: "node0|nvme", hasVal: true},
-		{key: strings.Repeat("k", 200), op: "o", arg: []byte{}, val: &point{1, 2}, hasVal: true},
+		{key: Key{File: "/data/f", Index: 12}},
+		{key: Key{File: "f", Index: 0}, op: "aud.access", arg: bytes.Repeat([]byte{9}, 16)},
+		{key: StringKey("k"), val: "node0|nvme", hasVal: true},
+		{key: Key{File: strings.Repeat("k", 200), Index: 1 << 40}, op: "o", arg: []byte{}, val: &point{1, 2}, hasVal: true},
+		{key: Key{File: strings.Repeat("k", maxKeyFile)}},
 		{},
 	} {
 		enc := appendReq(nil, c.key, c.op, c.arg)
@@ -108,7 +110,7 @@ func TestReqCodec(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := parseReq(enc)
+		got, err := parseReq(enc, c.hasVal)
 		if err != nil || got.key != c.key || got.op != c.op || !bytes.Equal(got.arg, c.arg) {
 			t.Fatalf("request %+v round-tripped to %+v, err %v", c, got, err)
 		}
@@ -120,13 +122,21 @@ func TestReqCodec(t *testing.T) {
 		} else if len(got.val) != 0 {
 			t.Fatalf("request without a value decoded %d value bytes", len(got.val))
 		}
-		// The three length-prefixed fields refuse every truncation.
+		// The file, the index, the op and the arg refuse every truncation.
 		fields := len(enc) - len(got.val)
 		for n := 0; n < fields; n++ {
-			if _, err := parseReq(enc[:n]); err == nil {
+			if _, err := parseReq(enc[:n], true); err == nil {
 				t.Fatalf("request %+v truncated to %d of %d bytes parsed", c, n, len(enc))
 			}
 		}
+		// Only a put may carry bytes after the arg.
+		if _, err := parseReq(append(enc[:fields:fields], 1), false); err == nil {
+			t.Fatalf("request %+v with a trailing byte parsed as a value-less request", c)
+		}
+	}
+	long := appendReq(nil, Key{File: strings.Repeat("k", maxKeyFile+1)}, "", nil)
+	if _, err := parseReq(long, false); err == nil {
+		t.Fatal("a key file over maxKeyFile parsed")
 	}
 }
 
@@ -161,7 +171,7 @@ func TestRemotePutUnregisteredTypeFails(t *testing.T) {
 	var localKey, remoteKey string
 	for i := 0; localKey == "" || remoteKey == ""; i++ {
 		k := fmt.Sprintf("key-%d", i)
-		if maps[0].Owner(k) == "n0" {
+		if maps[0].Owner(StringKey(k)) == "n0" {
 			localKey = k
 		} else {
 			remoteKey = k
@@ -221,8 +231,8 @@ func remoteMapping(t testing.TB) (m0 *Map, key string) {
 	m0 = New(Config{Name: "hfetch-maps", Self: "n0", Nodes: names, Dialer: dial}, nil)
 	m1 := New(Config{Name: "hfetch-maps", Self: "n1", Nodes: names}, mux1)
 	for i := 0; ; i++ {
-		key = fmt.Sprintf("m|/data/file|%d", i)
-		if m0.Owner(key) == "n1" {
+		key = fmt.Sprintf("/data/file-%d", i)
+		if m0.Owner(StringKey(key)) == "n1" {
 			break
 		}
 	}
@@ -273,16 +283,25 @@ func BenchmarkRemoteGet(b *testing.B) {
 }
 
 func FuzzParseReq(f *testing.F) {
-	seed, _ := appendValue(appendReq(nil, "s|f|3", "aud.access", make([]byte, 16)), "n0|ram")
-	f.Add(seed)
-	f.Add([]byte{})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := parseReq(data)
+	plain := appendReq(nil, Key{File: "f", Index: 3}, "aud.access", make([]byte, 16))
+	put, _ := appendValue(appendReq(nil, Key{File: "f", Index: 3}, "", nil), "n0|ram")
+	f.Add(plain, false)
+	f.Add(put, true)
+	f.Add(put, false)                        // trailing bytes on a value-less request
+	f.Add(plain[:2], false)                  // the index is cut off
+	f.Add([]byte{1, 'f', 0x80, 0x80}, false) // the index's varint never ends
+	f.Add(appendReq(nil, Key{File: strings.Repeat("k", maxKeyFile+1)}, "", nil), false)
+	f.Add([]byte{}, true)
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, true)
+	f.Fuzz(func(t *testing.T, data []byte, withValue bool) {
+		r, err := parseReq(data, withValue)
 		if err != nil {
 			return
 		}
-		if len(r.key)+len(r.op)+len(r.arg)+len(r.val) > len(data) {
+		if len(r.key.File) > maxKeyFile || (!withValue && len(r.val) != 0) {
+			t.Fatalf("parsed a request it must refuse: %+v", r)
+		}
+		if len(r.key.File)+len(r.op)+len(r.arg)+len(r.val) >= len(data) {
 			t.Fatalf("decoded fields outgrow the %d-byte head", len(data))
 		}
 	})

@@ -130,7 +130,10 @@ type Gateway struct {
 	log    *slog.Logger
 	logLim logLimiter
 
-	reqVec     *telemetry.CounterVec
+	reqVec *telemetry.CounterVec
+	// codeCtr holds reqVec's counters for the statuses the gateway
+	// itself emits, resolved once: no status string per request.
+	codeCtr    map[int]*telemetry.Counter
 	tenantVec  *telemetry.CounterVec
 	bytesCtr   *telemetry.Counter
 	ttfbHist   *telemetry.Histogram
@@ -160,6 +163,14 @@ func New(srv *server.Server, cfg Config) *Gateway {
 	g.mux.HandleFunc("HEAD /files/{path...}", g.serve)
 	if reg := cfg.Telemetry; reg != nil {
 		g.reqVec = reg.CounterVec("hfetch_gateway_requests_total", "gateway requests by HTTP status code", "code")
+		g.codeCtr = make(map[int]*telemetry.Counter)
+		for _, code := range []int{
+			http.StatusOK, http.StatusPartialContent, http.StatusNotModified,
+			http.StatusNotFound, http.StatusRequestedRangeNotSatisfiable,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable,
+		} {
+			g.codeCtr[code] = g.reqVec.With(strconv.Itoa(code))
+		}
 		g.tenantVec = reg.CounterVec("hfetch_gateway_tenant_requests_total", "gateway requests admitted per tenant", "tenant")
 		g.bytesCtr = reg.Counter("hfetch_gateway_bytes_total", "response body bytes served by the gateway")
 		g.ttfbHist = reg.Histogram("hfetch_gateway_ttfb_nanos", "request start to first body byte in nanoseconds")
@@ -234,6 +245,10 @@ func tenantOf(r *http.Request) string {
 }
 
 func (g *Gateway) countCode(code int) {
+	if c := g.codeCtr[code]; c != nil {
+		c.Inc()
+		return
+	}
 	g.reqVec.With(strconv.Itoa(code)).Inc()
 }
 

@@ -165,4 +165,28 @@ func TestStreamTableWindowAndReset(t *testing.T) {
 	if tb.note("other", "f", 100, 100) {
 		t.Fatal("fresh client inherited another client's stream")
 	}
+	// The key is the (client, file) pair, not their concatenation.
+	if tb.note("c", "ff", 200, 100) || tb.note("cf", "f", 200, 100) {
+		t.Fatal("a stream leaked to a pair spelling the same bytes")
+	}
+}
+
+// TestPerRequestBookkeepingDoesNotAllocate: noting a request of a tracked
+// stream and counting a status the gateway emits build no string.
+func TestPerRequestBookkeepingDoesNotAllocate(t *testing.T) {
+	g, _, _ := newTestNode(t, Config{})
+	off := int64(0)
+	g.streams.note("10.0.0.1", "data/f", off, 100)
+	if n := testing.AllocsPerRun(100, func() {
+		off += 100
+		g.streams.note("10.0.0.1", "data/f", off, 100)
+		g.countCode(206)
+	}); n != 0 {
+		t.Fatalf("stream note + status count allocate %.1f times per request", n)
+	}
+	before := g.reqVec.With("418").Value()
+	g.countCode(418) // not a status the gateway emits: resolved on demand
+	if got := g.reqVec.With("418").Value(); got != before+1 {
+		t.Fatalf("an unlisted status was not counted: %d -> %d", before, got)
+	}
 }

@@ -22,9 +22,11 @@ type streamTable struct {
 	window int64
 	shards [streamShards]struct {
 		mu sync.Mutex
-		m  map[string]*streamState
+		m  map[streamKey]*streamState
 	}
 }
+
+type streamKey struct{ client, file string }
 
 type streamState struct {
 	next   int64 // offset the stream is expected to continue at
@@ -34,7 +36,7 @@ type streamState struct {
 func newStreamTable(window int64) *streamTable {
 	t := &streamTable{window: window}
 	for i := range t.shards {
-		t.shards[i].m = make(map[string]*streamState)
+		t.shards[i].m = make(map[streamKey]*streamState)
 	}
 	return t
 }
@@ -42,14 +44,14 @@ func newStreamTable(window int64) *streamTable {
 // note records one request and reports whether it continues a detected
 // sequential stream (two or more back-to-back in-window ranges).
 func (t *streamTable) note(client, file string, off, length int64) bool {
-	key := client + "\x00" + file
-	sh := &t.shards[fnv32(key)%streamShards]
+	key := streamKey{client, file}
+	sh := &t.shards[fnv32(fnv32(offset32, client), file)%streamShards]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	st := sh.m[key]
 	if st == nil {
 		if len(sh.m) >= maxStreamsPerShard {
-			sh.m = make(map[string]*streamState)
+			sh.m = make(map[streamKey]*streamState)
 		}
 		st = &streamState{}
 		sh.m[key] = st
@@ -64,13 +66,12 @@ func (t *streamTable) note(client, file string, off, length int64) bool {
 	return st.streak >= 2
 }
 
-// fnv32 hashes the tracker key (FNV-1a) for shard selection.
-func fnv32(s string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
+const offset32 = 2166136261
+
+// fnv32 continues the FNV-1a hash h over s; the tracker key's two halves
+// are chained through it for shard selection.
+func fnv32(h uint32, s string) uint32 {
+	const prime32 = 16777619
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
 		h *= prime32
