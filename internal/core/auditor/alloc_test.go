@@ -28,8 +28,21 @@ const (
 // warmBatches returns an auditor over local maps and 16 batches of 256
 // single-segment reads of one 4096-segment file, random or sequential
 // (wrapping), already played twice: every record exists and, for the
-// sequential stream, every link is learned.
+// sequential stream, every link is learned and every hint issued.
 func warmBatches(tb testing.TB, sequential bool) (*Auditor, [][]events.Event) {
+	tb.Helper()
+	a, batches := coldBatches(tb, sequential)
+	for pass := 0; pass < 2; pass++ {
+		for _, evs := range batches {
+			a.HandleBatch(evs)
+		}
+	}
+	return a, batches
+}
+
+// coldBatches is warmBatches before anything was played: a sequential
+// reader of it is detected, hinted ahead and teaches every link.
+func coldBatches(tb testing.TB, sequential bool) (*Auditor, [][]events.Event) {
 	tb.Helper()
 	const segSize = 64 << 10
 	stats := dhm.New(dhm.Config{Name: "stats", Self: "n0"}, nil)
@@ -49,11 +62,6 @@ func warmBatches(tb testing.TB, sequential bool) (*Auditor, [][]events.Event) {
 			}
 			batches[b][i] = events.Event{Op: events.OpRead, File: batchFile, Offset: idx * segSize, Length: segSize,
 				Time: base.Add(time.Duration(b*batchLen+i) * time.Millisecond)}
-		}
-	}
-	for pass := 0; pass < 2; pass++ {
-		for _, evs := range batches {
-			a.HandleBatch(evs)
 		}
 	}
 	return a, batches
@@ -84,6 +92,34 @@ func TestHandleBatchAllocBudget(t *testing.T) {
 		if perEvent > c.budget {
 			t.Errorf("%s reads: HandleBatch costs %.2f allocs/event, budget %.0f", c.name, perEvent, c.budget)
 		}
+		if h := a.Counters().Hints; c.sequential != (h > 0) {
+			t.Errorf("%s reads: %d hints", c.name, h)
+		}
+	}
+}
+
+// TestColdSequentialAllocBudget: a first access costs four objects with
+// or without the detector (the record's copy, its history, the new link,
+// the new reference); a segment hinted for the first time costs its
+// record and its share of the hash map's growth. The hints are counted,
+// so that a per-event cost cannot hide among them.
+func TestColdSequentialAllocBudget(t *testing.T) {
+	a, batches := coldBatches(t, true)
+	next, hints0 := 0, int64(0)
+	perBatch := testing.AllocsPerRun(len(batches)-1, func() {
+		if next == 1 { // the warm-up run is over
+			hints0 = a.Counters().Hints
+		}
+		a.HandleBatch(batches[next])
+		next++
+	})
+	hints := float64(a.Counters().Hints-hints0) / float64(len(batches)-1)
+	t.Logf("cold sequential reads: %.0f allocs and %.1f newly hinted segments per %d-event batch", perBatch, hints, batchLen)
+	if total := a.Counters().Hints; total != batchSegs-streamArm {
+		t.Errorf("%d hints over the file, want every segment after the first %d once: %d", total, streamArm, batchSegs-streamArm)
+	}
+	if budget := 4*batchLen + 1.5*hints; perBatch > budget {
+		t.Errorf("a cold batch costs %.0f allocs, budget 4 per event + 1.5 per hinted segment = %.0f", perBatch, budget)
 	}
 }
 
@@ -104,14 +140,28 @@ func BenchmarkHandleBatch(b *testing.B) {
 	for _, c := range []struct {
 		name       string
 		sequential bool
-	}{{"random", false}, {"sequential", true}} {
+		cold       bool
+	}{{"random", false, false}, {"sequential", true, false}, {"cold-sequential", true, true}} {
 		b.Run(c.name, func(b *testing.B) {
-			a, batches := warmBatches(b, c.sequential)
+			build := warmBatches
+			if c.cold {
+				build = coldBatches
+			}
+			a, batches := build(b, c.sequential)
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
+			hints := int64(0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				if c.cold && i > 0 && i%len(batches) == 0 {
+					// One pass over the file per auditor: every batch is a
+					// first sight of its segments.
+					b.StopTimer()
+					hints += a.Counters().Hints
+					a, batches = coldBatches(b, true)
+					b.StartTimer()
+				}
 				a.HandleBatch(batches[i%len(batches)])
 			}
 			b.StopTimer()
@@ -119,6 +169,9 @@ func BenchmarkHandleBatch(b *testing.B) {
 			evs := float64(b.N) * batchLen
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/evs, "ns/event")
 			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/evs, "allocs/event")
+			if c.cold {
+				b.ReportMetric(float64(hints+a.Counters().Hints)/evs, "hints/event")
+			}
 		})
 	}
 }

@@ -61,6 +61,12 @@ type Update struct {
 	// local). The cluster router uses it to deliver the update to the
 	// placement engine of the node that will read the data.
 	Origin string
+	// Ahead marks a stream readahead hint: the segment has not been read
+	// and its reader is a few requests away, so the engine decides on it
+	// now instead of at its next trigger. The mark does not cross the
+	// cluster router's wire: a hint routed to another node's engine waits
+	// there like any update.
+	Ahead bool
 }
 
 // Sink receives score updates and invalidations. Implemented by the
@@ -114,12 +120,14 @@ type Stats struct {
 	Writes        int64
 	Invalidations int64
 	SegmentsSeen  int64
+	// Hints counts the updates issued ahead of a detected stream.
+	Hints int64
 }
 
 type epochState struct {
 	opens   int
 	size    int64
-	lastIdx int64
+	streams streamTable
 }
 
 // epochStripes is the lock-stripe count for the per-file epoch table.
@@ -141,13 +149,20 @@ type Auditor struct {
 	model *score.Model
 	stats *dhm.Map // segment -> *Rec
 	maps  *dhm.Map // segment -> "node|tier" (string)
+	// maxAhead is the stream readahead cap in segments.
+	maxAhead int64
 
 	sink atomic.Pointer[sinkBox]
+
+	// locs interns the mapping value of each tier, so a landing stores a
+	// value that already exists instead of building and boxing a string.
+	locMu sync.Mutex
+	locs  map[string]any
 
 	epochs [epochStripes]epochStripe
 
 	ctr struct {
-		events, reads, writes, invalidations, segs atomic.Int64
+		events, reads, writes, invalidations, segs, hints atomic.Int64
 	}
 }
 
@@ -174,7 +189,9 @@ func New(cfg Config, stats, maps *dhm.Map) *Auditor {
 		model: score.NewModel(cfg.Score),
 		stats: stats,
 		maps:  maps,
+		locs:  make(map[string]any),
 	}
+	a.maxAhead = max(1, min(streamMaxSegs, streamMaxBytes/cfg.Segmenter.Size()))
 	for i := range a.epochs {
 		a.epochs[i].m = make(map[string]*epochState)
 	}
@@ -305,7 +322,7 @@ func (a *Auditor) StartEpoch(file string, size int64) bool {
 	st.mu.Lock()
 	es := st.m[file]
 	if es == nil {
-		es = &epochState{size: size, lastIdx: -1}
+		es = &epochState{size: size}
 		st.m[file] = es
 	}
 	es.opens++
@@ -515,7 +532,7 @@ func (a *Auditor) handleEvent(ev events.Event, c *cycle) {
 
 //hfetch:hotpath
 func (a *Auditor) handleRead(ev events.Event, c *cycle) {
-	if ev.Length <= 0 || ev.Offset < 0 {
+	if ev.Length <= 0 || ev.Offset < 0 || ev.Offset+ev.Length < 0 {
 		return
 	}
 	// The segments the read covers, as Segmenter.Cover would list them.
@@ -524,12 +541,20 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 	st := a.epochStripeOf(ev.File)
 	st.mu.Lock()
 	es := st.m[ev.File]
-	var prev int64 = -1
+	var prev, hintFrom, hintTo int64 = -1, 0, 0
 	var fileSize int64
 	if es != nil {
-		prev = es.lastIdx
-		es.lastIdx = last
 		fileSize = es.size
+		// A gateway hint is not an access: it neither moves a stream nor
+		// teaches a link. A gateway read does both, but is hinted by the
+		// gateway's own per-client detector, so its window here is empty.
+		if a.cfg.SeqBoost > 0 && ev.Via != events.ViaHint {
+			maxAhead := a.maxAhead
+			if ev.Via != events.ViaAgent {
+				maxAhead = 0
+			}
+			prev, hintFrom, hintTo = es.streams.note(first, last, a.cfg.Segmenter.Count(fileSize), maxAhead)
+		}
 	}
 	st.mu.Unlock()
 
@@ -567,14 +592,21 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 		// Sequencing readahead: boost the known successor of every
 		// accessed segment so it climbs the hierarchy ahead of its read.
 		if rec.Succ >= 0 && rec.Succ != idx && a.cfg.SeqBoost > 0 {
-			a.boost(seg.ID{File: ev.File, Index: rec.Succ}, ts, fileSize, ev.Origin, c)
+			a.boost(seg.ID{File: ev.File, Index: rec.Succ}, ts, fileSize, ev.Origin, false, c)
 		}
 	}
 
-	// Learn the predecessor link from the last segment of the previous
-	// read to the first segment of this one.
-	if a.cfg.SeqBoost > 0 {
-		a.learnLink(ev.File, prev, first, c)
+	// Learn the predecessor link from the last segment of the stream's
+	// previous read to the first segment of this one.
+	a.learnLink(ev.File, prev, first, c)
+
+	// Stream readahead: the segments beyond a detected stream get the same
+	// anticipatory weight before anything has been learned about them.
+	if hintFrom < hintTo {
+		a.ctr.hints.Add(hintTo - hintFrom)
+		for idx := hintFrom; idx < hintTo; idx++ {
+			a.boost(seg.ID{File: ev.File, Index: idx}, ts, fileSize, ev.Origin, true, c)
+		}
 	}
 }
 
@@ -604,7 +636,7 @@ func (a *Auditor) learnLink(file string, prev, cur int64, c *cycle) {
 // prefetched where the reader is.
 //
 //hfetch:hotpath
-func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, c *cycle) {
+func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, ahead bool, c *cycle) {
 	binary.BigEndian.PutUint64(c.arg[0:8], uint64(ts.UnixNano()))
 	binary.BigEndian.PutUint64(c.arg[8:16], math.Float64bits(a.cfg.SeqBoost))
 	v, err := a.stats.ApplyKey(dhm.Key(id), opRef, c.arg[:])
@@ -619,7 +651,7 @@ func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, 
 			size = a.cfg.Segmenter.Size()
 		}
 	}
-	c.out(Update{ID: id, Score: a.model.Score(&rec.Stats, ts), Size: size, Origin: origin})
+	c.out(Update{ID: id, Score: a.model.Score(&rec.Stats, ts), Size: size, Origin: origin, Ahead: ahead})
 }
 
 // learnAndBlend feeds the learner a positive example for the segment's
@@ -682,7 +714,14 @@ func (a *Auditor) Mapping(id seg.ID) (node, tier string, ok bool) {
 
 // SetMapping records id as resident in this node's tier; engine-only.
 func (a *Auditor) SetMapping(id seg.ID, tier string) {
-	a.maps.PutKey(dhm.Key(id), a.cfg.Node+"|"+tier) //nolint:errcheck // mapping is advisory; reads fall back to PFS
+	a.locMu.Lock()
+	loc, ok := a.locs[tier]
+	if !ok {
+		loc = a.cfg.Node + "|" + tier
+		a.locs[tier] = loc
+	}
+	a.locMu.Unlock()
+	a.maps.PutKey(dhm.Key(id), loc) //nolint:errcheck // mapping is advisory; reads fall back to PFS
 }
 
 // DeleteMapping clears id's residency; engine-only.
@@ -727,5 +766,6 @@ func (a *Auditor) Counters() Stats {
 		Writes:        a.ctr.writes.Load(),
 		Invalidations: a.ctr.invalidations.Load(),
 		SegmentsSeen:  a.ctr.segs.Load(),
+		Hints:         a.ctr.hints.Load(),
 	}
 }

@@ -259,7 +259,14 @@ func TestCountersAccumulate(t *testing.T) {
 	a.HandleEvent(readEv("f", 100, 100))
 	a.HandleEvent(events.Event{Op: events.OpCapacity, Tier: "ram", Free: 10})
 	c := a.Counters()
-	if c.Events != 3 || c.Reads != 2 || c.SegmentsSeen != 2 {
+	if c.Events != 3 || c.Reads != 2 || c.SegmentsSeen != 2 || c.Hints != 0 {
+		t.Fatalf("counters = %+v", c)
+	}
+	// The third in-order read is hinted six segments ahead: records the
+	// auditor has seen, reads the application has not made.
+	a.HandleEvent(readEv("f", 200, 100))
+	c = a.Counters()
+	if c.Events != 4 || c.Reads != 3 || c.SegmentsSeen != 3+6 || c.Hints != 6 {
 		t.Fatalf("counters = %+v", c)
 	}
 }
@@ -349,13 +356,17 @@ func TestSweepRemovesColdClosedStats(t *testing.T) {
 	a.HandleEvent(readEv("hot", 0, 100))
 	a.HandleEvent(readEv("cold", 0, 100))
 	a.HandleEvent(readEv("cold", 100, 100))
-	a.EndEpoch("cold") // cold's epoch closes; hot stays open
+	a.HandleEvent(readEv("cold", 200, 100)) // hints segments 3..8
+	a.EndEpoch("cold")                      // cold's epoch closes; hot stays open
 
 	// Wait for the scores to decay well below the floor.
 	time.Sleep(30 * time.Millisecond)
 	removed := a.Sweep(time.Now(), 0.01)
-	if removed != 2 {
-		t.Fatalf("removed = %d, want cold's 2 segments", removed)
+	if removed != 3+6 {
+		t.Fatalf("removed = %d, want cold's 3 read and 6 hinted segments", removed)
+	}
+	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 8}); ok {
+		t.Fatal("a hinted, never read record must be gone")
 	}
 	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 0}); ok {
 		t.Fatal("cold stats must be gone")

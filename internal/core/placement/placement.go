@@ -21,9 +21,10 @@
 package placement
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -146,9 +147,16 @@ type Engine struct {
 	// Engine's model of tier residency: per tier, segment -> (score, size).
 	resident []map[seg.ID]entry
 	used     []int64
+	// cands is demoteUntilFits' scratch, one per tier: demotion recurses
+	// only into deeper tiers.
+	cands [][]cand
 
-	// runMu serializes placement passes (the loop and explicit Flush).
-	runMu sync.Mutex
+	// runMu serializes placement passes (the loop and explicit Flush). It
+	// guards drained, the map the pass before this one emptied and the
+	// next swaps in for pending, and updates, the pass's work list.
+	runMu   sync.Mutex
+	drained map[seg.ID]auditor.Update
+	updates []auditor.Update
 
 	kick chan struct{}
 	stop chan struct{}
@@ -163,6 +171,12 @@ type Engine struct {
 type entry struct {
 	score float64
 	size  int64
+}
+
+// cand is a resident that may be demoted.
+type cand struct {
+	id  seg.ID
+	ent entry
 }
 
 // move is one planned data movement. from/to index tiers; -1 means the
@@ -200,12 +214,14 @@ func New(cfg Config, hier *tiers.Hierarchy, mover Mover, aud *auditor.Auditor) *
 		mover:       mover,
 		aud:         aud,
 		pending:     make(map[seg.ID]auditor.Update),
+		drained:     make(map[seg.ID]auditor.Update),
 		invalidated: make(map[string]struct{}),
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
 	e.resident = make([]map[seg.ID]entry, hier.Len())
 	e.used = make([]int64, hier.Len())
+	e.cands = make([][]cand, hier.Len())
 	for i := range e.resident {
 		e.resident[i] = make(map[seg.ID]entry)
 	}
@@ -258,7 +274,7 @@ func (e *Engine) Stop() {
 }
 
 // ScoreUpdated implements auditor.Sink. It is the hot path: a map insert
-// and, past the threshold, a non-blocking kick.
+// and, past the threshold or for a readahead hint, a non-blocking kick.
 //
 //hfetch:hotpath
 func (e *Engine) ScoreUpdated(u auditor.Update) {
@@ -266,13 +282,18 @@ func (e *Engine) ScoreUpdated(u auditor.Update) {
 	e.mu.Lock()
 	e.pending[u.ID] = u
 	e.updateCount++
-	fire := e.updateCount >= e.cfg.UpdateThreshold
+	fire := u.Ahead || e.updateCount >= e.cfg.UpdateThreshold
 	e.mu.Unlock()
 	if fire {
-		select {
-		case e.kick <- struct{}{}:
-		default:
-		}
+		e.kickPass()
+	}
+}
+
+// kickPass wakes the loop for a pass unless one is already due.
+func (e *Engine) kickPass() {
+	select {
+	case e.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -280,7 +301,10 @@ func (e *Engine) ScoreUpdated(u auditor.Update) {
 // absorbs a whole drain cycle's score updates, so the sharded monitor's
 // workers do not re-serialize on the engine. Later updates of the same
 // segment within the batch win, exactly as they would arriving one by
-// one.
+// one. A delivery that carries a readahead hint starts a pass at once —
+// a hint is worth nothing after its reader arrives — and that pass takes
+// everything pending with it; other updates wait for the threshold or
+// the interval.
 //
 //hfetch:hotpath
 func (e *Engine) ScoreBatch(ups []auditor.Update) {
@@ -288,18 +312,17 @@ func (e *Engine) ScoreBatch(ups []auditor.Update) {
 		return
 	}
 	e.ctr.updates.Add(int64(len(ups)))
+	ahead := false
 	e.mu.Lock()
 	for _, u := range ups {
 		e.pending[u.ID] = u
+		ahead = ahead || u.Ahead
 	}
 	e.updateCount += len(ups)
-	fire := e.updateCount >= e.cfg.UpdateThreshold
+	fire := ahead || e.updateCount >= e.cfg.UpdateThreshold
 	e.mu.Unlock()
 	if fire {
-		select {
-		case e.kick <- struct{}{}:
-		default:
-		}
+		e.kickPass()
 	}
 }
 
@@ -309,10 +332,7 @@ func (e *Engine) FileInvalidated(file string) {
 	e.mu.Lock()
 	e.invalidated[file] = struct{}{}
 	e.mu.Unlock()
-	select {
-	case e.kick <- struct{}{}:
-	default:
-	}
+	e.kickPass()
 }
 
 // Flush runs one placement pass and waits for its data movement to
@@ -356,15 +376,20 @@ func (e *Engine) run() {
 		e.mu.Unlock()
 		return
 	}
-	updates := make([]auditor.Update, 0, len(e.pending))
-	for _, u := range e.pending {
+	e.pending, e.drained = e.drained, e.pending
+	e.updateCount = 0
+	var inval map[string]struct{}
+	if len(e.invalidated) > 0 {
+		inval = e.invalidated
+		e.invalidated = make(map[string]struct{})
+	}
+	e.mu.Unlock()
+	updates := e.updates[:0]
+	for _, u := range e.drained {
 		updates = append(updates, u)
 	}
-	e.pending = make(map[seg.ID]auditor.Update)
-	e.updateCount = 0
-	inval := e.invalidated
-	e.invalidated = make(map[string]struct{})
-	e.mu.Unlock()
+	clear(e.drained)
+	e.updates = updates
 
 	e.ctr.runs.Add(1)
 	var decideStart time.Time
@@ -378,7 +403,7 @@ func (e *Engine) run() {
 
 	// Hottest first, so high-score segments claim fast tiers before
 	// lower ones are considered.
-	sort.Slice(updates, func(i, j int) bool { return updates[i].Score > updates[j].Score })
+	slices.SortFunc(updates, func(a, b auditor.Update) int { return cmp.Compare(b.Score, a.Score) })
 
 	var plan []move
 	e.mu.Lock()
@@ -746,17 +771,14 @@ func (e *Engine) minResident(ti int) float64 {
 // paper's random tie policy).
 func (e *Engine) demoteUntilFits(u auditor.Update, ti int, plan *[]move) {
 	tier := e.hier.Tier(ti)
-	type cand struct {
-		id  seg.ID
-		ent entry
-	}
-	var cands []cand
+	cands := e.cands[ti][:0]
 	for id, ent := range e.resident[ti] {
 		if ent.score < u.Score {
 			cands = append(cands, cand{id, ent})
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].ent.score < cands[j].ent.score })
+	e.cands[ti] = cands
+	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.ent.score, b.ent.score) })
 	for _, c := range cands {
 		if e.used[ti]+u.Size <= tier.Capacity() {
 			return

@@ -266,6 +266,52 @@ func TestIntervalTriggers(t *testing.T) {
 	t.Fatal("interval trigger did not run the engine")
 }
 
+// TestAheadUpdateKicksThePass: with both triggers out of reach, a
+// delivery that carries a readahead hint starts a pass at once and that
+// pass takes the ordinary updates pending beside it; one without a hint
+// waits, and Flush still runs whatever is pending.
+func TestAheadUpdateKicksThePass(t *testing.T) {
+	for _, batched := range []bool{true, false} {
+		r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: time.Hour}, 1000)
+		r.eng.Start()
+		deliver := func(ups ...auditor.Update) {
+			if batched {
+				r.eng.ScoreBatch(ups)
+				return
+			}
+			for _, u := range ups {
+				r.eng.ScoreUpdated(u)
+			}
+		}
+		deliver(up(0, 5), up(1, 4))
+		time.Sleep(50 * time.Millisecond)
+		if runs := r.eng.Counters().Runs; runs != 0 {
+			t.Fatalf("batched %v: %d passes for updates without a hint", batched, runs)
+		}
+		hint := up(2, 3)
+		hint.Ahead = true
+		deliver(up(3, 2), hint)
+		deadline := time.Now().Add(2 * time.Second)
+		for r.eng.Counters().Runs == 0 && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if runs := r.eng.Counters().Runs; runs != 1 {
+			t.Fatalf("batched %v: %d passes after a hint, want 1", batched, runs)
+		}
+		for i := int64(0); i < 4; i++ {
+			if r.eng.Resident(seg.ID{File: "f", Index: i}) != 0 {
+				t.Fatalf("batched %v: segment %d was not decided by the kicked pass", batched, i)
+			}
+		}
+		deliver(up(4, 1))
+		r.eng.Flush()
+		if runs := r.eng.Counters().Runs; runs != 2 || !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 4}) {
+			t.Fatalf("batched %v: Flush: %d passes, want 2 and segment 4 in the tier", batched, runs)
+		}
+		r.eng.Stop()
+	}
+}
+
 func TestStopDrainsPending(t *testing.T) {
 	r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: time.Hour}, 1000)
 	r.eng.Start()
