@@ -82,6 +82,9 @@ func Default() Manifest {
 			"hfetch/internal/core/mover.Executor.Fetch",
 			"hfetch/internal/core/mover.Executor.Transfer",
 			"hfetch/internal/core/mover.Executor.Evict",
+			// FetchMany runs its fetched/landed callbacks inside the call,
+			// on the caller's goroutine: lock-free across the call means
+			// lock-free in them (landed completes an op under the mover mu).
 			"hfetch/internal/core/mover.BatchFetcher.FetchMany",
 		},
 		BarrierExempt: []string{"engine-run"},

@@ -12,6 +12,7 @@
 package ioclient
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -29,6 +30,10 @@ type Stats struct {
 	Evictions  int64
 	BytesMoved int64
 }
+
+// errEmpty is a fetch the origin had no bytes for (the segment lies at or
+// beyond the end of its file).
+var errEmpty = errors.New("empty segment")
 
 // Client moves segment payloads between the PFS and tier stores.
 type Client struct {
@@ -71,127 +76,88 @@ func (c *Client) SetTelemetry(reg *telemetry.Registry) {
 // Fetch loads segment id from the PFS into dst. size > 0 overrides the
 // payload length (clipped segments); size <= 0 reads a full grain.
 func (c *Client) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
-	var start time.Time
-	if c.tele != nil {
-		start = time.Now()
-	}
-	r := c.seg.RangeOf(id, 0)
-	if size > 0 && size < r.Len {
-		r.Len = size
-	}
-	buf := tiers.SlabGet(r.Len)
-	n, _, err := c.fs.ReadAt(id.File, r.Off, buf)
-	if err != nil {
-		tiers.SlabPut(buf)
-		return fmt.Errorf("ioclient: fetch %v: %w", id, err)
-	}
-	if n == 0 {
-		tiers.SlabPut(buf)
-		return fmt.Errorf("ioclient: fetch %v: empty segment", id)
-	}
-	// buf came fresh from the slab and is not shared: hand ownership to
-	// the store instead of paying Put's defensive copy.
-	if err := dst.PutOwned(id, buf[:n]); err != nil {
-		tiers.SlabPut(buf)
-		return fmt.Errorf("ioclient: fetch %v into %s: %w", id, dst.Name(), err)
-	}
-	c.fetches.Add(1)
-	c.bytes.Add(int64(n))
-	if c.tele != nil {
-		d := time.Since(start)
-		c.bytesIn.With(dst.Name()).Add(int64(n))
-		c.moveHist.With(dst.Name()).Observe(int64(d))
-		c.tele.Span(telemetry.StageFetch, id.File, id.Index, dst.Name(), start, d)
-	}
-	return nil
+	var err error
+	c.FetchMany(id.File, id.Index, []int64{size}, dst, nil, func(_ int, e error) { err = e })
+	return err
 }
 
 // FetchMany loads len(sizes) consecutive segments of file, starting at
-// segment index first, into dst with as few origin reads as possible:
-// maximal runs of full-grain segments are read in one pfs.ReadAt —
-// paying the PFS latency once for the whole run instead of once per
-// segment — and split into per-segment payloads. A short segment (a
-// clipped file tail, or an adaptive grain) ends its run, since the
-// following segment is no longer contiguous with the buffered span.
+// segment index first, into dst with as few origin reads as possible: a
+// maximal run of full-grain segments is one pfs.ReadAtv — paying the PFS
+// latency once for the run instead of once per segment — straight into
+// one slab buffer per segment, each handed to the store as it is (no
+// span buffer, no copy). A short segment (a clipped file tail, or an
+// adaptive grain) ends its run, since the following segment is no longer
+// contiguous with it. A size <= 0 or beyond the grain means a full grain.
 //
-// The per-segment outcome is reported in the returned slice (aligned
-// with sizes): entries are nil on success. coalesced counts the
-// segments that shared an origin read with at least one other.
-func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store) (errs []error, coalesced int) {
-	errs = make([]error, len(sizes))
+// landed(i, err) reports segment first+i, in index order, as soon as its
+// own tier write has returned (err nil) or it is known to have failed, so
+// a reader of segment i does not wait for the segments behind it.
+// fetched, when non-nil, is called once, when the call has issued its
+// last origin read: what follows is tier writes only. Both run on the
+// caller's goroutine with no store lock held (they may call back into
+// dst). coalesced counts the segments stored out of an origin read they
+// shared with at least one other.
+func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, err error)) (coalesced int) {
 	grain := c.seg.Size()
-	for i := 0; i < len(sizes); {
-		// Extend the run while segments stay contiguous: every segment
-		// but the run's last must cover its full grain.
-		j := i + 1
-		for j < len(sizes) && sizes[j-1] == grain {
-			j++
+	length := func(k int) int64 {
+		if sizes[k] <= 0 || sizes[k] > grain {
+			return grain
 		}
-		if j-i == 1 {
-			errs[i] = c.Fetch(seg.ID{File: file, Index: first + int64(i)}, sizes[i], dst)
-			i = j
-			continue
-		}
+		return sizes[k]
+	}
+	bufs := make([][]byte, 0, len(sizes))
+	for i, j := 0, 0; i < len(sizes); i = j {
 		var start time.Time
 		if c.tele != nil {
 			start = time.Now()
 		}
-		var total int64
-		for k := i; k < j; k++ {
-			total += sizes[k]
+		// Extend the run while segments stay contiguous: every segment
+		// but the run's last must cover its full grain.
+		bufs = bufs[:0]
+		for j = i; j < len(sizes) && (j == i || length(j-1) == grain); j++ {
+			bufs = append(bufs, tiers.SlabGet(length(j)))
 		}
-		off := (first + int64(i)) * grain
-		buf := tiers.SlabGet(total)
-		n, _, err := c.fs.ReadAt(file, off, buf)
-		if err != nil || n == 0 {
+		n, _, rerr := c.fs.ReadAtv(file, (first+int64(i))*grain, bufs)
+		if j == len(sizes) && fetched != nil {
+			fetched()
+		}
+		left := int64(n)
+		for k, buf := range bufs {
+			id := seg.ID{File: file, Index: first + int64(i+k)}
+			if int64(len(buf)) > left {
+				buf = buf[:left]
+			}
+			left -= int64(len(buf))
+			err := rerr
+			if err == nil && len(buf) == 0 {
+				err = errEmpty
+			}
 			if err == nil {
-				err = fmt.Errorf("ioclient: coalesced fetch %s@%d: empty span", file, off)
+				// buf came fresh from the slab and is not shared: the
+				// store takes it as it is.
+				err = dst.PutOwned(id, buf)
 			}
-			tiers.SlabPut(buf)
-			for k := i; k < j; k++ {
-				errs[k] = err
-			}
-			i = j
-			continue
-		}
-		var put int64
-		var pos int64
-		for k := i; k < j; k++ {
-			id := seg.ID{File: file, Index: first + int64(k)}
-			end := pos + sizes[k]
-			if pos >= int64(n) {
-				errs[k] = fmt.Errorf("ioclient: coalesced fetch %v: short span", id)
-				pos = end
+			if err != nil {
+				tiers.SlabPut(buf)
+				landed(i+k, fmt.Errorf("ioclient: fetch %v into %s: %w", id, dst.Name(), err))
 				continue
 			}
-			if end > int64(n) {
-				end = int64(n)
-			}
-			// Per-segment copy (Put draws a slab buffer per segment):
-			// handing sub-slices of buf to the store would pin the whole
-			// span for as long as any one segment stays resident.
-			if perr := dst.Put(id, buf[pos:end]); perr != nil {
-				errs[k] = fmt.Errorf("ioclient: coalesced fetch %v into %s: %w", id, dst.Name(), perr)
-			} else {
-				put += end - pos
-				c.fetches.Add(1)
+			c.fetches.Add(1)
+			c.bytes.Add(int64(len(buf)))
+			if len(bufs) > 1 {
 				coalesced++
 			}
-			pos += sizes[k]
+			if c.tele != nil {
+				d := time.Since(start)
+				c.bytesIn.With(dst.Name()).Add(int64(len(buf)))
+				c.moveHist.With(dst.Name()).Observe(int64(d))
+				c.tele.Span(telemetry.StageFetch, file, id.Index, dst.Name(), start, d)
+			}
+			landed(i+k, nil)
 		}
-		// The span buffer was split into per-segment slab buffers above;
-		// return it to its pool for the next coalesced run.
-		tiers.SlabPut(buf)
-		c.bytes.Add(put)
-		if c.tele != nil {
-			d := time.Since(start)
-			c.bytesIn.With(dst.Name()).Add(put)
-			c.moveHist.With(dst.Name()).Observe(int64(d))
-			c.tele.Span(telemetry.StageFetch, file, first+int64(i), dst.Name(), start, d)
-		}
-		i = j
 	}
-	return errs, coalesced
+	return coalesced
 }
 
 // Transfer moves a resident segment from src to dst (promotion or

@@ -3,6 +3,8 @@ package ioclient
 import (
 	"bytes"
 	"errors"
+	"slices"
+	"strconv"
 	"testing"
 
 	"hfetch/internal/core/seg"
@@ -152,32 +154,54 @@ func fetchManySetup(t *testing.T, capacity int64) (*pfs.FS, *Client, *tiers.Stor
 	return fs, c, ram, dev
 }
 
+// fetchMany runs FetchMany and collects what it reported: errs[i] is
+// segment i's outcome, order the indices in the order they landed, and
+// fetched how many times the origin-read hook ran.
+func fetchMany(c *Client, file string, first int64, sizes []int64, dst *tiers.Store) (errs []error, order []int, fetched, coalesced int) {
+	errs = make([]error, len(sizes))
+	coalesced = c.FetchMany(file, first, sizes, dst, func() { fetched++ }, func(i int, err error) {
+		errs[i] = err
+		order = append(order, i)
+		// Called with no store lock held: this would deadlock otherwise.
+		dst.Has(seg.ID{File: file, Index: first + int64(i)})
+	})
+	return errs, order, fetched, coalesced
+}
+
 func TestFetchManyCoalescesRunIntoOneRead(t *testing.T) {
 	fs, c, ram, dev := fetchManySetup(t, 1000)
-	errs, coalesced := c.FetchMany("f", 2, []int64{100, 100, 100, 100}, ram)
+	copied := tiers.CopiedBytes()
+	errs, order, fetched, coalesced := fetchMany(c, "f", 2, []int64{100, 100, 100, 100}, ram)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
 	}
-	if coalesced != 4 {
-		t.Fatalf("coalesced = %d, want 4", coalesced)
+	if coalesced != 4 || fetched != 1 {
+		t.Fatalf("coalesced = %d, fetched called %d times; want 4 and 1", coalesced, fetched)
+	}
+	if want := []int{0, 1, 2, 3}; !slices.Equal(order, want) {
+		t.Fatalf("landing order = %v, want %v", order, want)
 	}
 	if ops, _, _ := dev.Stats(); ops != 1 {
 		t.Fatalf("origin reads = %d, want 1 for a contiguous full-grain run", ops)
 	}
+	if got := tiers.CopiedBytes(); got != copied {
+		t.Fatalf("a fetch copied %d payload bytes, want none", got-copied)
+	}
 	// Every segment's payload must match what a direct read produces.
 	for i := int64(2); i < 6; i++ {
-		got, err := ram.Get(seg.ID{File: "f", Index: i})
-		if err != nil || len(got) != 100 {
-			t.Fatalf("segment %d: %d bytes, %v", i, len(got), err)
+		b, ok := ram.View(seg.ID{File: "f", Index: i})
+		if !ok || b.Len() != 100 {
+			t.Fatalf("segment %d not resident whole", i)
 		}
-		for o, b := range got {
+		for o, got := range b.Bytes() {
 			want, _ := fs.ExpectedAt("f", i*100+int64(o))
-			if b != want {
-				t.Fatalf("segment %d byte %d = %#x, want %#x", i, o, b, want)
+			if got != want {
+				t.Fatalf("segment %d byte %d = %#x, want %#x", i, o, got, want)
 			}
 		}
+		b.Release()
 	}
 	if st := c.Stats(); st.Fetches != 4 || st.BytesMoved != 400 {
 		t.Fatalf("stats = %+v, want 4 fetches / 400 bytes", st)
@@ -189,7 +213,7 @@ func TestFetchManyShortSegmentBreaksRun(t *testing.T) {
 	// [full, short, full] must take one coalesced read for the first
 	// pair and one single fetch for the trailing segment.
 	_, c, ram, dev := fetchManySetup(t, 1000)
-	errs, coalesced := c.FetchMany("f", 0, []int64{100, 40, 100}, ram)
+	errs, order, fetched, coalesced := fetchMany(c, "f", 0, []int64{100, 40, 100}, ram)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
@@ -201,38 +225,112 @@ func TestFetchManyShortSegmentBreaksRun(t *testing.T) {
 	if ops, _, _ := dev.Stats(); ops != 2 {
 		t.Fatalf("origin reads = %d, want 2", ops)
 	}
+	if fetched != 1 || len(order) != 3 {
+		t.Fatalf("fetched called %d times, %d landings; want 1 and 3", fetched, len(order))
+	}
 	if got := ram.SizeOf(seg.ID{File: "f", Index: 1}); got != 40 {
 		t.Fatalf("short segment stored %d bytes, want 40", got)
 	}
 }
 
 func TestFetchManyReportsPerSegmentErrors(t *testing.T) {
-	// Destination holds one segment: the run's first put succeeds, the
-	// rest fail individually without poisoning the whole batch.
-	_, c, ram, _ := fetchManySetup(t, 150)
-	errs, coalesced := c.FetchMany("f", 0, []int64{100, 100, 100}, ram)
-	if errs[0] != nil {
-		t.Fatalf("first segment: %v", errs[0])
+	// Destination holds one segment more: the run's first put succeeds,
+	// the second fails alone — its buffer goes back to the slab — and the
+	// third, which fits again, is stored.
+	_, c, ram, _ := fetchManySetup(t, 1000)
+	if err := ram.Put(seg.ID{File: "other", Index: 0}, make([]byte, 850)); err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < 3; i++ {
-		if !errors.Is(errs[i], tiers.ErrNoSpace) {
-			t.Fatalf("segment %d error = %v, want ErrNoSpace", i, errs[i])
-		}
+	frees := tiers.ReadSlabStats()
+	errs, _, _, coalesced := fetchMany(c, "f", 0, []int64{100, 100, 50}, ram)
+	if errs[0] != nil || errs[2] != nil {
+		t.Fatalf("segments that fit: %v, %v", errs[0], errs[2])
 	}
-	if coalesced != 1 {
-		t.Fatalf("coalesced = %d, want 1 (only the stored segment counts)", coalesced)
+	if !errors.Is(errs[1], tiers.ErrNoSpace) {
+		t.Fatalf("segment 1 error = %v, want ErrNoSpace", errs[1])
 	}
-	if !ram.Has(seg.ID{File: "f", Index: 0}) {
-		t.Fatal("first segment must be resident")
+	if coalesced != 2 {
+		t.Fatalf("coalesced = %d, want 2 (only the stored segments count)", coalesced)
+	}
+	if !ram.Has(seg.ID{File: "f", Index: 0}) || ram.Has(seg.ID{File: "f", Index: 1}) || !ram.Has(seg.ID{File: "f", Index: 2}) {
+		t.Fatal("segments 0 and 2 must be resident, segment 1 not")
+	}
+	if now := tiers.ReadSlabStats(); now.Puts+now.Dropped != frees.Puts+frees.Dropped+1 {
+		t.Fatalf("the refused segment's buffer was freed %d times, want once",
+			now.Puts+now.Dropped-frees.Puts-frees.Dropped)
 	}
 }
 
 func TestFetchManyMissingFile(t *testing.T) {
 	_, c, ram, _ := fetchManySetup(t, 1000)
-	errs, _ := c.FetchMany("ghost", 0, []int64{100, 100}, ram)
+	errs, _, fetched, _ := fetchMany(c, "ghost", 0, []int64{100, 100}, ram)
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("segment %d: expected an error for a missing file", i)
 		}
+	}
+	if fetched != 1 {
+		t.Fatalf("fetched called %d times, want 1 even when the read fails", fetched)
+	}
+}
+
+func TestFetchManyShortAtEOF(t *testing.T) {
+	// The planner's sizes are a file's as it was: one that shrank since
+	// gives the segments still inside it, clipped, and fails the rest.
+	fs, c, ram, _ := fetchManySetup(t, 1000)
+	fs.Create("f", 250)
+	errs, _, _, _ := fetchMany(c, "f", 0, []int64{100, 100, 100, 100}, ram)
+	if errs[0] != nil || errs[1] != nil || errs[2] != nil || errs[3] == nil {
+		t.Fatalf("errs = %v, want only the segment past EOF to fail", errs)
+	}
+	if got := ram.SizeOf(seg.ID{File: "f", Index: 2}); got != 50 {
+		t.Fatalf("clipped segment stored %d bytes, want 50", got)
+	}
+}
+
+// A run's allocations do not grow with what the origin read carries: one
+// vector of buffers per call and one tiers.Buf (and at most a map cell)
+// per segment, none of them payload-sized once the slab is warm.
+func TestFetchManyAllocationBudget(t *testing.T) {
+	const segs, grain = 16, 64 << 10
+	fs := pfs.New(nil)
+	fs.Create("f", segs*grain)
+	c := New(fs, seg.NewSegmenter(grain))
+	ram := tiers.NewStore("ram", 2*segs*grain, nil)
+	sizes := make([]int64, segs)
+	for i := range sizes {
+		sizes[i] = grain
+	}
+	landed := func(int, error) {}
+	run := func() { c.FetchMany("f", 0, sizes, ram, nil, landed) }
+	run() // warm the slab and the store's map
+	if got := testing.AllocsPerRun(20, run); got > 3*segs {
+		t.Fatalf("a %d-segment run allocates %.0f times, budget %d", segs, got, 3*segs)
+	}
+}
+
+func BenchmarkFetchMany(b *testing.B) {
+	const grain = 64 << 10
+	for _, segs := range []int{16, 64} {
+		b.Run(strconv.Itoa(segs), func(b *testing.B) {
+			fs := pfs.New(nil)
+			fs.Create("f", int64(segs)*grain)
+			c := New(fs, seg.NewSegmenter(grain))
+			ram := tiers.NewStore("ram", 2*int64(segs)*grain, nil)
+			sizes := make([]int64, segs)
+			for i := range sizes {
+				sizes[i] = grain
+			}
+			landed := func(int, error) {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.FetchMany("f", 0, sizes, ram, nil, landed)
+			}
+			b.StopTimer()
+			perSeg := float64(b.N * segs)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/perSeg, "ns/seg")
+			b.ReportMetric(float64(testing.AllocsPerRun(5, func() { c.FetchMany("f", 0, sizes, ram, nil, landed) }))/float64(segs), "allocs/seg")
+		})
 	}
 }

@@ -24,9 +24,11 @@
 //     the newer move chained behind it.
 //
 //   - Fetch coalescing: adjacent queued PFS fetches for the same file are
-//     merged into one large origin read and split into per-segment
-//     payloads, paying the PFS latency once per span instead of once per
-//     segment.
+//     merged into one origin read vectored into per-segment payloads,
+//     paying the PFS latency once per span instead of once per segment. A
+//     run is striped over the PFS streams that are idle, each segment
+//     completes as its own tier write returns (lowest index first), and a
+//     stream is held for the origin read only, not for the tier writes.
 //
 // Failure handling stays with the caller: every terminal move outcome is
 // reported through the done callback, and a destination-full error is
@@ -35,8 +37,9 @@
 package mover
 
 import (
+	"cmp"
 	"errors"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -75,10 +78,15 @@ type Executor interface {
 }
 
 // BatchFetcher is the optional coalescing extension of Executor: one
-// origin read for a run of consecutive segments. When the executor does
-// not implement it, fetches execute one by one.
+// origin read for a run of consecutive segments. fetched is called once,
+// when the last origin read of the call has returned; landed(i, err)
+// reports segment first+i, lowest index first, as soon as that segment is
+// written to dst or has failed. Both are called on the calling goroutine
+// with no mover or store lock held. coalesced counts the segments that
+// shared an origin read with another. When the executor does not
+// implement it, fetches execute one by one.
 type BatchFetcher interface {
-	FetchMany(file string, first int64, sizes []int64, dst *tiers.Store) (errs []error, coalesced int)
+	FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, err error)) (coalesced int)
 }
 
 // Config configures a Mover.
@@ -90,8 +98,9 @@ type Config struct {
 	// QueueDepth bounds each tier's queue; a full queue blocks Submit
 	// (backpressure on the placement pass). Default 256.
 	QueueDepth int
-	// PFSStreams caps concurrent origin fetches across all tiers,
-	// modeling the engine-thread count of the paper. Default 2.
+	// PFSStreams caps concurrent origin reads across all tiers, modeling
+	// the engine-thread count of the paper: the placement engine passes
+	// its worker count (engine_workers, 4 as shipped). 2 when unset.
 	PFSStreams int
 	// Coalesce merges adjacent queued PFS fetches of one file into a
 	// single origin read when the executor supports it.
@@ -154,6 +163,7 @@ type op struct {
 	cancelled bool
 	attempts  int
 	submitted time.Time     // queue entry time, for the mover_queue span
+	taken     time.Time     // when a worker took its group (fetches, while opRunning)
 	next      *op           // superseding move chained behind a running op
 	done      chan struct{} // closed at terminal state
 }
@@ -179,6 +189,12 @@ type Mover struct {
 	inflight    map[seg.ID]*op
 	outstanding int
 	closed      bool
+	// fetching counts the fetch groups a worker has taken whose origin
+	// read has not returned: the PFS streams spoken for.
+	fetching int
+	// landTime is the smoothed time from taking a fetch group to its last
+	// segment landing: what WaitFor expects of a running fetch.
+	landTime time.Duration
 
 	pfsSem chan struct{}
 	wg     sync.WaitGroup
@@ -301,6 +317,7 @@ func (m *Mover) checkLocked() {
 		return
 	}
 	invariant.Assert(m.outstanding >= 0, "mover outstanding %d < 0", m.outstanding)
+	invariant.Assert(m.fetching >= 0, "mover fetching %d < 0", m.fetching)
 	queued := 0
 	for _, q := range m.queues {
 		queued += len(q)
@@ -424,10 +441,17 @@ func (m *Mover) CancelFile(file string) {
 
 // WaitFor blocks until the in-flight move of id (if any, and if it is
 // bringing the segment *into* a tier) reaches a terminal state, or until
-// timeout. waited is how long the caller actually blocked (0 when
-// nothing was in flight); done is true when the move completed in time.
-// This is what lets the server read path ride an already-queued fetch
-// instead of issuing its own origin read.
+// timeout. A fetch a worker is already executing is worth more patience
+// than a queued one — giving up on it costs the reader an origin read of
+// its own on top of the one under way — so it is waited for until it
+// lands, but no longer than twice what the mover's fetch groups have
+// lately taken from being taken to their last landing, counted from when
+// this one was taken (and never less than timeout; a timeout <= 0 still
+// means no wait): an executor that hangs costs a reader a bounded stall,
+// then the PFS serves it. waited is how long the caller actually blocked
+// (0 when nothing was in flight); done is true when the move completed in
+// time. This is what lets the server read path ride an already-queued
+// fetch instead of issuing its own origin read.
 func (m *Mover) WaitFor(id seg.ID, timeout time.Duration) (waited time.Duration, done bool) {
 	m.mu.Lock()
 	o, ok := m.inflight[id]
@@ -436,8 +460,13 @@ func (m *Mover) WaitFor(id seg.ID, timeout time.Duration) (waited time.Duration,
 		return 0, false
 	}
 	ch := o.done
-	m.mu.Unlock()
 	start := time.Now()
+	if o.state == opRunning && o.mv.From < 0 && timeout > 0 {
+		if left := o.taken.Add(2 * m.landTime).Sub(start); left > timeout {
+			timeout = left
+		}
+	}
+	m.mu.Unlock()
 	t := time.NewTimer(timeout)
 	defer t.Stop()
 	select {
@@ -491,8 +520,33 @@ func (m *Mover) Stats() Stats {
 	}
 }
 
+// group is what one worker is executing: a single move, or a run of
+// coalesced fetches in index order. A worker owns one group and reuses
+// it, callbacks included, so taking and executing allocates nothing.
+type group struct {
+	m     *Mover
+	ops   []*op
+	sizes []int64
+	taken time.Time // when the ops were taken (fetches only)
+
+	fetched func()
+	landed  func(i int, err error)
+}
+
+// onFetched gives the group's PFS stream back: its origin read returned.
+func (g *group) onFetched() {
+	<-g.m.pfsSem
+	g.m.mu.Lock()
+	g.m.fetching--
+	g.m.mu.Unlock()
+}
+
+func (g *group) onLanded(i int, err error) { g.m.complete(g.ops[i], err) }
+
 func (m *Mover) worker(ti int) {
 	defer m.wg.Done()
+	g := &group{m: m}
+	g.fetched, g.landed = g.onFetched, g.onLanded
 	for {
 		m.mu.Lock()
 		for len(m.queues[ti]) == 0 && !m.closed {
@@ -502,78 +556,90 @@ func (m *Mover) worker(ti int) {
 			m.mu.Unlock()
 			return
 		}
-		group := m.takeLocked(ti)
+		m.takeLocked(ti, g)
 		m.space.Broadcast()
 		m.mu.Unlock()
-		m.execute(group)
+		m.execute(g)
 	}
 }
 
-// takeLocked pops the head of tier ti's queue and, for a PFS fetch with
-// coalescing available, gathers the queued fetches of the same file
-// whose indices are contiguous with it, bounded by MaxCoalesceBytes.
-// Every op in the returned group is marked running.
-func (m *Mover) takeLocked(ti int) []*op {
-	head := m.queues[ti][0]
-	m.queues[ti] = m.queues[ti][1:]
-	head.state = opRunning
-	if head.mv.From >= 0 || m.batch == nil || len(m.queues[ti]) == 0 {
-		return []*op{head}
-	}
-	cand := make(map[int64]*op)
-	for _, o := range m.queues[ti] {
-		if o.mv.From < 0 && o.mv.ID.File == head.mv.ID.File {
-			cand[o.mv.ID.Index] = o
+// takeLocked moves the head of tier ti's queue into g and marks it
+// running. For a PFS fetch with coalescing available the group is instead
+// a share of the queued run the head belongs to (see shareLocked), which
+// may leave the head itself for a later take.
+func (m *Mover) takeLocked(ti int, g *group) {
+	q := m.queues[ti]
+	g.ops = append(g.ops[:0], q[0])
+	fetch := q[0].mv.From < 0
+	if fetch {
+		g.taken = time.Now()
+		if m.batch != nil && len(q) > 1 {
+			g.ops = m.shareLocked(q, g.ops[:0])
 		}
+		m.fetching++
 	}
-	if len(cand) == 0 {
-		return []*op{head}
-	}
-	group := []*op{head}
-	budget := m.cfg.MaxCoalesceBytes - head.mv.Size
-	for idx := head.mv.ID.Index + 1; ; idx++ {
-		o, ok := cand[idx]
-		if !ok || budget < o.mv.Size {
-			break
-		}
-		group = append(group, o)
-		budget -= o.mv.Size
-	}
-	for idx := head.mv.ID.Index - 1; idx >= 0; idx-- {
-		o, ok := cand[idx]
-		if !ok || budget < o.mv.Size {
-			break
-		}
-		group = append(group, o)
-		budget -= o.mv.Size
-	}
-	if len(group) == 1 {
-		return group
-	}
-	sel := make(map[*op]bool, len(group))
-	for _, o := range group {
+	for _, o := range g.ops {
 		o.state = opRunning
-		sel[o] = true
+		if fetch {
+			o.taken = g.taken
+		}
 	}
-	kept := m.queues[ti][:0]
-	for _, o := range m.queues[ti] {
-		if !sel[o] {
+	if g.ops[0] == q[0] && len(g.ops) == 1 {
+		m.queues[ti] = q[1:]
+		return
+	}
+	kept := q[:0]
+	for _, o := range q {
+		if o.state == opQueued {
 			kept = append(kept, o)
 		}
 	}
 	m.queues[ti] = kept
-	sort.Slice(group, func(i, j int) bool { return group[i].mv.ID.Index < group[j].mv.ID.Index })
-	return group
 }
 
-// execute runs one op group on the calling worker and completes each op.
-func (m *Mover) execute(group []*op) {
-	head := group[0]
+// shareLocked picks, into ops, the fetches one worker takes out of queue
+// q, whose head is a fetch: of the queued fetches of the head's file whose
+// indices are contiguous with it, the lowest-indexed 1/idle, rounded up
+// and bounded by MaxCoalesceBytes, in index order — where idle is how many
+// PFS streams no taken group has spoken for (at least this worker's). The
+// rest of the run stays queued for the other workers, so a long run is
+// read over every idle stream at once and lands in reader order.
+func (m *Mover) shareLocked(q, ops []*op) []*op {
+	head := q[0]
+	for _, o := range q {
+		if o.mv.From < 0 && o.mv.ID.File == head.mv.ID.File {
+			ops = append(ops, o)
+		}
+	}
+	slices.SortFunc(ops, func(a, b *op) int { return cmp.Compare(a.mv.ID.Index, b.mv.ID.Index) })
+	lo := slices.Index(ops, head)
+	hi := lo + 1
+	for lo > 0 && ops[lo-1].mv.ID.Index+1 == ops[lo].mv.ID.Index {
+		lo--
+	}
+	for hi < len(ops) && ops[hi-1].mv.ID.Index+1 == ops[hi].mv.ID.Index {
+		hi++
+	}
+	idle := max(1, m.cfg.PFSStreams-m.fetching)
+	n := (hi - lo + idle - 1) / idle
+	budget := m.cfg.MaxCoalesceBytes - ops[lo].mv.Size
+	for k := 1; k < n; k++ {
+		if budget -= ops[lo+k].mv.Size; budget < 0 {
+			n = k
+		}
+	}
+	return ops[:copy(ops, ops[lo:lo+n])]
+}
+
+// execute runs one group on the calling worker; every op of it is
+// completed (or requeued) by the time it returns.
+func (m *Mover) execute(g *group) {
+	head := g.ops[0]
 	if reg := m.cfg.Telemetry; reg != nil && head.attempts == 0 {
 		// Queue wait per op, first execution only (retries would double-
 		// count the stage in the lifecycle trace).
 		now := time.Now()
-		for _, o := range group {
+		for _, o := range g.ops {
 			if o.attempts == 0 && !o.submitted.IsZero() {
 				reg.Span(telemetry.StageMoverQueue, o.mv.ID.File, o.mv.ID.Index,
 					m.hier.Tier(qFor(o.mv)).Name(), o.submitted, now.Sub(o.submitted))
@@ -595,23 +661,31 @@ func (m *Mover) execute(group []*op) {
 	case head.mv.To < 0: // eviction
 		m.complete(head, m.exec.Evict(head.mv.ID, m.hier.Tier(head.mv.From)))
 	case head.mv.From < 0: // PFS fetch (possibly a coalesced group)
+		// A batch executor hands the stream back (g.fetched) when its
+		// origin read returns: the tier writes that follow contend for
+		// the tier, not for the PFS.
 		m.pfsSem <- struct{}{}
-		if len(group) == 1 {
+		if m.batch == nil {
 			err := m.exec.Fetch(head.mv.ID, head.mv.Size, m.hier.Tier(head.mv.To))
-			<-m.pfsSem
+			g.onFetched()
 			m.complete(head, err)
-			return
+		} else {
+			g.sizes = g.sizes[:0]
+			for _, o := range g.ops {
+				g.sizes = append(g.sizes, o.mv.Size)
+			}
+			// Each op completes from g.landed as its segment is written.
+			co := m.batch.FetchMany(head.mv.ID.File, head.mv.ID.Index, g.sizes, m.hier.Tier(head.mv.To), g.fetched, g.landed)
+			m.ctr.coalesced.Add(int64(co))
 		}
-		sizes := make([]int64, len(group))
-		for i, o := range group {
-			sizes[i] = o.mv.Size
+		d := time.Since(g.taken)
+		m.mu.Lock()
+		if m.landTime == 0 {
+			m.landTime = d
+		} else {
+			m.landTime += (d - m.landTime) / 8
 		}
-		errs, co := m.batch.FetchMany(head.mv.ID.File, head.mv.ID.Index, sizes, m.hier.Tier(head.mv.To))
-		<-m.pfsSem
-		m.ctr.coalesced.Add(int64(co))
-		for i, o := range group {
-			m.complete(o, errs[i])
-		}
+		m.mu.Unlock()
 	default: // tier-to-tier transfer
 		m.complete(head, m.exec.Transfer(head.mv.ID, m.hier.Tier(head.mv.From), m.hier.Tier(head.mv.To)))
 	}

@@ -1,6 +1,7 @@
 package mover
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -19,8 +20,12 @@ type fakeExec struct {
 	mu         sync.Mutex
 	fetches    []seg.ID
 	batchCalls [][]int64 // sizes slice per FetchMany call
-	transfers  int
-	evicts     int
+	firsts     []int64   // first index per FetchMany call
+	// beforeWrite, when set, runs before each tier write of a FetchMany,
+	// after the origin read was reported.
+	beforeWrite func(id seg.ID)
+	transfers   int
+	evicts      int
 
 	gate     chan struct{} // nil = never block
 	gateOnce sync.Once
@@ -91,27 +96,30 @@ func (f *fakeExec) Evict(id seg.ID, src *tiers.Store) error {
 	return nil
 }
 
-func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store) ([]error, int) {
+func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, error)) int {
 	if !f.batch {
 		panic("FetchMany on a non-batch fakeExec")
 	}
 	f.enter()
 	f.wait()
 	f.mu.Lock()
-	cp := make([]int64, len(sizes))
-	copy(cp, sizes)
-	f.batchCalls = append(f.batchCalls, cp)
+	f.batchCalls = append(f.batchCalls, append([]int64(nil), sizes...))
+	f.firsts = append(f.firsts, first)
 	f.mu.Unlock()
-	errs := make([]error, len(sizes))
+	fetched()
 	co := 0
 	for i, sz := range sizes {
 		id := seg.ID{File: file, Index: first + int64(i)}
-		errs[i] = dst.Put(id, make([]byte, sz))
-		if errs[i] == nil && len(sizes) > 1 {
+		if f.beforeWrite != nil {
+			f.beforeWrite(id)
+		}
+		err := dst.Put(id, make([]byte, sz))
+		if err == nil && len(sizes) > 1 {
 			co++
 		}
+		landed(i, err)
 	}
-	return errs, co
+	return co
 }
 
 // outcome captures done-callback results.
@@ -311,15 +319,14 @@ func TestMoverCoalescesAdjacentFetches(t *testing.T) {
 			t.Fatalf("segment %d missing after coalesced fetch", i)
 		}
 	}
+	// The blocker is a FetchMany of one; the four behind it, with the one
+	// PFS stream idle again, are one more.
 	ex.mu.Lock()
 	calls := len(ex.batchCalls)
-	var width int
-	if calls > 0 {
-		width = len(ex.batchCalls[0])
-	}
+	width := len(ex.batchCalls[calls-1])
 	ex.mu.Unlock()
-	if calls != 1 || width != 4 {
-		t.Fatalf("batch calls = %d (width %d), want one 4-wide FetchMany", calls, width)
+	if calls != 2 || width != 4 {
+		t.Fatalf("batch calls = %d (last %d wide), want the blocker and one 4-wide FetchMany", calls, width)
 	}
 	if st := m.Stats(); st.Coalesced != 4 {
 		t.Fatalf("coalesced = %d, want 4", st.Coalesced)
@@ -474,5 +481,289 @@ func TestMoverSupersedeRequeuedKeepsNoOrphan(t *testing.T) {
 	}
 	if st := m.Stats(); st.Outstanding != 0 {
 		t.Fatalf("outstanding = %d after Drain, want 0", st.Outstanding)
+	}
+}
+
+// fetches returns n adjacent fetches of file "f" into tier 0, from index
+// first.
+func fetches(first, n int64) []Move {
+	mv := make([]Move, n)
+	for i := range mv {
+		mv[i] = Move{ID: sid(first + int64(i)), Size: 100, From: -1, To: 0}
+	}
+	return mv
+}
+
+// A reader of a group's first segment is released when that segment is
+// written, not when the group's last one is.
+func TestMoverCompletesEachSegmentAsItLands(t *testing.T) {
+	hier := twoTiers(10_000)
+	ex := newFakeExec(true)
+	lastGate, atLast := make(chan struct{}), make(chan struct{})
+	ex.beforeWrite = func(id seg.ID) {
+		if id.Index == 15 {
+			close(atLast)
+			<-lastGate
+		}
+	}
+	out := newOutcome()
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
+	m.Start()
+	defer m.Stop()
+
+	m.Submit(fetches(0, 16))
+	m.WaitFor(sid(0), 5*time.Second) // returns at once if segment 0 is already done
+	if err, ok := out.errOf(sid(0)); !ok || err != nil {
+		t.Fatalf("WaitFor on the group's first segment returned with it not done (reported %v, err %v)", ok, err)
+	}
+	<-atLast // segments 0..14 are written, the executor is held before 15
+	for i := int64(0); i < 15; i++ {
+		if err, ok := out.errOf(sid(i)); !ok || err != nil {
+			t.Fatalf("segment %d: reported %v, err %v; want done while 15 is still held", i, ok, err)
+		}
+	}
+	if _, ok := out.errOf(sid(15)); ok {
+		t.Fatal("segment 15 reported before its tier write")
+	}
+	if st := m.Stats(); st.Executed != 15 || st.Outstanding != 1 {
+		t.Fatalf("stats = %+v, want 15 executed and 1 outstanding", st)
+	}
+	close(lastGate)
+	m.Drain()
+	if st := m.Stats(); st.Executed != 16 || st.Coalesced != 16 {
+		t.Fatalf("stats = %+v, want 16 executed and coalesced", st)
+	}
+}
+
+// A long run is striped over the PFS streams nobody has spoken for: each
+// worker takes the lowest-indexed 1/idle of what is left.
+func TestMoverStripesRunOverIdleStreams(t *testing.T) {
+	for _, c := range []struct {
+		streams int
+		firsts  []int64
+		widths  []int
+	}{
+		{streams: 4, firsts: []int64{0, 16, 31, 46}, widths: []int{16, 15, 15, 15}},
+		{streams: 1, firsts: []int64{0}, widths: []int{61}},
+	} {
+		hier := twoTiers(10_000)
+		ex := newFakeExec(true).withGate() // no group's origin read returns before all are taken
+		m := New(Config{Concurrency: []int{4}, PFSStreams: c.streams, Coalesce: true}, hier, ex, newOutcome().cb)
+		m.Start()
+		m.Submit(fetches(0, 61))
+		for range c.firsts {
+			<-ex.entered
+		}
+		ex.release()
+		m.Drain()
+		m.Stop()
+		ex.mu.Lock()
+		got := make(map[int64]int)
+		for i, first := range ex.firsts {
+			got[first] = len(ex.batchCalls[i])
+		}
+		ex.mu.Unlock()
+		if len(got) != len(c.firsts) {
+			t.Fatalf("%d streams: groups %v, want %d of them", c.streams, got, len(c.firsts))
+		}
+		for i, first := range c.firsts {
+			if got[first] != c.widths[i] {
+				t.Fatalf("%d streams: groups (first index: width) %v, want %d from %d", c.streams, got, c.widths[i], first)
+			}
+		}
+		if st := m.Stats(); st.Executed != 61 {
+			t.Fatalf("%d streams: executed %d, want 61", c.streams, st.Executed)
+		}
+	}
+}
+
+// The one PFS stream is back as soon as a group's origin read returned:
+// another file's fetch gets through while that group's tier writes are
+// held.
+func TestMoverFreesStreamBeforeTierWrites(t *testing.T) {
+	hier := twoTiers(10_000)
+	ex := newFakeExec(true)
+	gate, held := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	ex.beforeWrite = func(id seg.ID) {
+		if id.File == "f" {
+			once.Do(func() { close(held) })
+			<-gate
+		}
+	}
+	other := seg.ID{File: "g", Index: 0}
+	landed := make(chan struct{})
+	m := New(Config{Concurrency: []int{2}, PFSStreams: 1, Coalesce: true}, hier, ex, func(mv Move, err error) {
+		if mv.ID == other {
+			close(landed)
+		}
+	})
+	m.Start()
+	defer m.Stop()
+	defer close(gate)
+
+	m.Submit(fetches(0, 4))
+	<-held
+	m.Submit([]Move{{ID: other, Size: 100, From: -1, To: 0}})
+	select {
+	case <-landed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the PFS stream is still held while the first group only writes to its tier")
+	}
+	m.mu.Lock()
+	fetching := m.fetching
+	m.mu.Unlock()
+	if fetching != 0 || len(m.pfsSem) != 0 {
+		t.Fatalf("fetching = %d, streams held = %d with no origin read under way", fetching, len(m.pfsSem))
+	}
+}
+
+// A destination-full segment in the middle of a group is retried alone;
+// its neighbours are done.
+func TestMoverRetriesOnlyTheSegmentThatDidNotFit(t *testing.T) {
+	hier := twoTiers(250)
+	ex := newFakeExec(true)
+	out := newOutcome()
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
+	m.Start()
+	defer m.Stop()
+
+	mv := fetches(0, 3)
+	mv[1].Size = 200 // 100 + 200 > 250: refused, and again after segment 2 took its place
+	m.Submit(mv)
+	m.Drain()
+
+	if err, _ := out.errOf(sid(0)); err != nil || !hier.Tier(0).Has(sid(0)) {
+		t.Fatalf("segment 0: %v", err)
+	}
+	if err, _ := out.errOf(sid(2)); err != nil || !hier.Tier(0).Has(sid(2)) {
+		t.Fatalf("segment 2: %v", err)
+	}
+	if err, ok := out.errOf(sid(1)); !ok || !errors.Is(err, tiers.ErrNoSpace) {
+		t.Fatalf("segment 1: reported %v, err %v; want ErrNoSpace once the retries ran out", ok, err)
+	}
+	ex.mu.Lock()
+	defer ex.mu.Unlock()
+	if len(ex.batchCalls) != 1+maxRetries || len(ex.batchCalls[0]) != 3 {
+		t.Fatalf("%d FetchMany calls, the first %d wide; want the group and %d retries", len(ex.batchCalls), len(ex.batchCalls[0]), maxRetries)
+	}
+	for i := 1; i < len(ex.batchCalls); i++ {
+		if ex.firsts[i] != 1 || len(ex.batchCalls[i]) != 1 {
+			t.Fatalf("retry %d fetched %d segments from %d, want segment 1 alone", i, len(ex.batchCalls[i]), ex.firsts[i])
+		}
+	}
+	if st := m.Stats(); st.Retried != maxRetries || st.Failed != 1 || st.Executed != 2 {
+		t.Fatalf("stats = %+v, want %d retried, 1 failed, 2 executed", st, maxRetries)
+	}
+}
+
+// Superseding one op of a running group, or cancelling the file once part
+// of the group has landed, touches only the ops it names: the others land
+// where they were going.
+func TestMoverSupersedeAndCancelInsideRunningGroup(t *testing.T) {
+	start := func() (*Mover, *tiers.Hierarchy, *outcome, chan struct{}) {
+		hier := twoTiers(10_000, 10_000)
+		ex := newFakeExec(true)
+		gate, held := make(chan struct{}), make(chan struct{})
+		ex.beforeWrite = func(id seg.ID) {
+			if id.Index == 2 {
+				close(held)
+				<-gate
+			}
+		}
+		out := newOutcome()
+		m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
+		m.Start()
+		m.Submit(fetches(0, 4))
+		<-held // 0 and 1 have landed; 2 and 3 are running
+		return m, hier, out, gate
+	}
+
+	m, hier, out, gate := start()
+	m.Submit([]Move{{ID: sid(3), Size: 100, From: 0, To: 1}}) // chained behind 3 alone
+	close(gate)
+	m.Drain()
+	m.Stop()
+	for i := int64(0); i < 3; i++ {
+		if err, _ := out.errOf(sid(i)); err != nil || !hier.Tier(0).Has(sid(i)) {
+			t.Fatalf("supersede: segment %d must land in tier 0 untouched (err %v)", i, err)
+		}
+	}
+	if hier.Tier(0).Has(sid(3)) || !hier.Tier(1).Has(sid(3)) {
+		t.Fatal("supersede: segment 3 must follow its chained move to tier 1")
+	}
+
+	m, hier, out, gate = start()
+	m.CancelFile("f")
+	close(gate)
+	m.Drain()
+	m.Stop()
+	for i := int64(0); i < 4; i++ {
+		err, _ := out.errOf(sid(i))
+		if landed := i < 2; landed && (err != nil || !hier.Tier(0).Has(sid(i))) {
+			t.Fatalf("cancel: segment %d had landed and is none of the mover's any more (err %v)", i, err)
+		} else if !landed && (err != ErrCancelled || hier.Locate(sid(i)) >= 0) {
+			t.Fatalf("cancel: segment %d: err %v, tier %d; want ErrCancelled and its payload dropped", i, err, hier.Locate(sid(i)))
+		}
+	}
+}
+
+// WaitFor tells a queued move from a running fetch: the first is given
+// the caller's timeout, the second is waited out — but only for twice what
+// fetch groups have lately taken, so an executor that hangs costs a bounded
+// stall.
+func TestMoverWaitForRunningFetch(t *testing.T) {
+	hier := twoTiers(10_000)
+	ex := newFakeExec(true).withGate()
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, newOutcome().cb)
+	m.Start()
+	defer m.Stop()
+	defer ex.release()
+	setLandTime := func(d time.Duration) {
+		m.mu.Lock()
+		m.landTime = d
+		m.mu.Unlock()
+	}
+
+	m.Submit(fetches(0, 2)) // running, held by the gate
+	<-ex.entered
+	m.Submit(fetches(7, 1)) // queued behind it
+
+	setLandTime(time.Hour)
+	if _, done := m.WaitFor(sid(7), time.Millisecond); done {
+		t.Fatal("a queued fetch is waited for the timeout only")
+	}
+	if w, done := m.WaitFor(sid(0), 0); done || w > time.Second {
+		t.Fatalf("timeout 0 means no wait, waited %v", w)
+	}
+	setLandTime(time.Millisecond)
+	if _, done := m.WaitFor(sid(0), time.Millisecond); done {
+		t.Fatal("a fetch whose executor hangs must be given up on")
+	}
+	setLandTime(time.Hour)
+	res := make(chan bool, 1)
+	go func() {
+		_, done := m.WaitFor(sid(0), time.Nanosecond)
+		res <- done
+	}()
+	time.Sleep(5 * time.Millisecond) // the nanosecond is long over
+	ex.release()
+	if !<-res {
+		t.Fatal("a running fetch within its bound must be waited out")
+	}
+}
+
+// The mover learns what a fetch group takes from its own groups.
+func TestMoverLearnsLandTime(t *testing.T) {
+	hier := twoTiers(10_000)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, newFakeExec(true), newOutcome().cb)
+	m.Start()
+	m.Submit(fetches(0, 4))
+	m.Drain()
+	m.Stop() // the worker records the time after its last op is terminal
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.landTime <= 0 {
+		t.Fatalf("landTime = %v after a fetch group landed", m.landTime)
 	}
 }

@@ -12,6 +12,7 @@
 package pfs
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"time"
@@ -105,6 +106,16 @@ func (fs *FS) snapshot(name string) (file, bool) {
 // ReadAt reads len(p) bytes from name at offset off, charging the device
 // model, and returns the number of bytes read (short at EOF).
 func (fs *FS) ReadAt(name string, off int64, p []byte) (int, time.Duration, error) {
+	bufs := [1][]byte{p}
+	return fs.ReadAtv(name, off, bufs[:])
+}
+
+// ReadAtv is the vectored ReadAt: it reads the span starting at off into
+// bufs, one after the other, and charges the device one access of the
+// span's size — one request's latency for a whole run of segments, each
+// landing in its own buffer. It returns the bytes read in total (short at
+// EOF: the buffers past that count are untouched).
+func (fs *FS) ReadAtv(name string, off int64, bufs [][]byte) (int, time.Duration, error) {
 	f, ok := fs.snapshot(name)
 	if !ok {
 		return 0, 0, fmt.Errorf("pfs: no such file %q", name)
@@ -112,18 +123,29 @@ func (fs *FS) ReadAt(name string, off int64, p []byte) (int, time.Duration, erro
 	if off < 0 {
 		return 0, 0, fmt.Errorf("pfs: negative offset %d", off)
 	}
-	n := len(p)
+	var n int64
+	for _, b := range bufs {
+		n += int64(len(b))
+	}
 	if off >= f.size {
 		n = 0
-	} else if off+int64(n) > f.size {
-		n = int(f.size - off)
+	} else if off+n > f.size {
+		n = f.size - off
 	}
 	var cost time.Duration
 	if fs.dev != nil {
-		cost = fs.dev.Access(int64(n))
+		cost = fs.dev.Access(n)
 	}
-	fill(p[:n], f.seed, f.version, off)
-	return n, cost, nil
+	left := n
+	for _, b := range bufs {
+		if int64(len(b)) > left {
+			b = b[:left]
+		}
+		fill(b, f.seed, f.version, off)
+		off += int64(len(b))
+		left -= int64(len(b))
+	}
+	return int(n), cost, nil
 }
 
 // Write emulates an update to [off, off+ln): it bumps the file's version
@@ -178,16 +200,25 @@ func seedOf(name string) uint64 {
 }
 
 // fill writes the deterministic content of [off, off+len(p)) into p.
-// Content is a function of (seed, version, absolute offset) computed per
-// 8-byte word with a splitmix64-style mix, so reads at arbitrary offsets
-// are O(len) with no per-file state.
+// Content is a function of (seed, version, absolute offset): the byte at
+// abs is byte abs&7 (little-endian) of a splitmix64-style mix of word
+// abs>>3, so reads at arbitrary offsets are O(len) with no per-file
+// state. One mix yields eight bytes; only an unaligned head and a tail
+// shorter than a word are written byte by byte.
 func fill(p []byte, seed uint64, version int64, off int64) {
 	base := seed ^ (uint64(version) * 0x9e3779b97f4a7c15)
-	for i := range p {
-		abs := uint64(off + int64(i))
-		word := mix(base + (abs>>3)*0xbf58476d1ce4e5b9)
-		p[i] = byte(word >> ((abs & 7) * 8))
+	word := func(abs uint64) uint64 { return mix(base + (abs>>3)*0xbf58476d1ce4e5b9) }
+	abs := uint64(off)
+	bytewise := func(n int) {
+		for ; n > 0; n, p, abs = n-1, p[1:], abs+1 {
+			p[0] = byte(word(abs) >> ((abs & 7) * 8))
+		}
 	}
+	bytewise(min(len(p), int(-abs&7)))
+	for ; len(p) >= 8; p, abs = p[8:], abs+8 {
+		binary.LittleEndian.PutUint64(p, word(abs))
+	}
+	bytewise(len(p))
 }
 
 func mix(z uint64) uint64 {

@@ -203,3 +203,134 @@ func TestReadMatchesOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// fillBytewise is the generator's definition, kept here as the reference:
+// one mix per byte, the byte picked out of its word by the low three bits
+// of the absolute offset.
+func fillBytewise(p []byte, seed uint64, version int64, off int64) {
+	base := seed ^ (uint64(version) * 0x9e3779b97f4a7c15)
+	for i := range p {
+		abs := uint64(off + int64(i))
+		word := mix(base + (abs>>3)*0xbf58476d1ce4e5b9)
+		p[i] = byte(word >> ((abs & 7) * 8))
+	}
+}
+
+// checkFill holds fill to the per-byte definition over [off, off+ln) and
+// checks that it writes nothing outside p.
+func checkFill(t *testing.T, seed uint64, version, off int64, ln int) {
+	t.Helper()
+	const guard = 0xA5
+	got := bytes.Repeat([]byte{guard}, ln+2)
+	fill(got[1:1+ln], seed, version, off)
+	want := make([]byte, ln)
+	fillBytewise(want, seed, version, off)
+	if !bytes.Equal(got[1:1+ln], want) {
+		t.Fatalf("fill(seed %#x, version %d, off %d, len %d) differs from the per-byte definition", seed, version, off, ln)
+	}
+	if got[0] != guard || got[ln+1] != guard {
+		t.Fatalf("fill(off %d, len %d) wrote outside its buffer", off, ln)
+	}
+}
+
+func TestFillEqualsPerByteDefinition(t *testing.T) {
+	seed := seedOf("golden")
+	for _, version := range []int64{0, 1, 7} {
+		for _, off := range []int64{0, 1, 3, 7, 8, 13, 65536 - 3, 65536, 65536 + 3} {
+			for _, ln := range []int{0, 1, 5, 8, 9, 17, 64, 1000, 4099} {
+				checkFill(t, seed, version, off, ln)
+			}
+		}
+	}
+}
+
+func FuzzFill(f *testing.F) {
+	f.Add(int64(0), uint16(64), uint64(1), int64(0))
+	f.Add(int64(13), uint16(4099), seedOf("a"), int64(3))
+	f.Add(int64(65533), uint16(9), seedOf("b"), int64(1))
+	f.Fuzz(func(t *testing.T, off int64, ln uint16, seed uint64, version int64) {
+		if off < 0 {
+			off = -(off + 1)
+		}
+		off %= 1 << 40
+		checkFill(t, seed, version, off, int(ln))
+		if ln == 0 {
+			return
+		}
+		// ExpectedAt is fill of one byte: it must agree at both ends.
+		p := make([]byte, ln)
+		fill(p, seed, version, off)
+		for _, i := range []int{0, int(ln) - 1} {
+			var b [1]byte
+			fill(b[:], seed, version, off+int64(i))
+			if b[0] != p[i] {
+				t.Fatalf("byte %d of fill(off %d, len %d) = %#x, one-byte fill there = %#x", i, off, ln, p[i], b[0])
+			}
+		}
+	})
+}
+
+func TestReadAtvEqualsReadAtsAndChargesOneAccess(t *testing.T) {
+	const size = 1000
+	for _, c := range []struct {
+		name string
+		off  int64
+		lens []int
+		want int // bytes read in total
+	}{
+		{"aligned run", 128, []int{64, 64, 64, 64}, 256},
+		{"unaligned, uneven, an empty buffer", 13, []int{5, 0, 17, 100}, 122},
+		{"short inside the third buffer", 900, []int{40, 40, 40, 40}, 100},
+		{"short at a buffer boundary", 920, []int{40, 40, 40}, 80},
+		{"past EOF", 1000, []int{8, 8}, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dev := devsim.New(devsim.Profile{Name: "pfs", BytesPerSec: 1 << 40, Channels: 1}, 1)
+			fs := New(dev)
+			fs.Create("a", size)
+			const guard = 0xA5
+			bufs := make([][]byte, len(c.lens))
+			for i, ln := range c.lens {
+				bufs[i] = bytes.Repeat([]byte{guard}, ln)
+			}
+			n, _, err := fs.ReadAtv("a", c.off, bufs)
+			if err != nil || n != c.want {
+				t.Fatalf("ReadAtv = %d, %v; want %d", n, err, c.want)
+			}
+			if ops, b, _ := dev.Stats(); ops != 1 || b != int64(c.want) {
+				t.Fatalf("device charged %d accesses of %d bytes, want 1 of %d", ops, b, c.want)
+			}
+			ref := New(nil)
+			ref.Create("a", size)
+			off := c.off
+			for i, ln := range c.lens {
+				want := bytes.Repeat([]byte{guard}, ln)
+				if _, _, err := ref.ReadAt("a", off, want); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(bufs[i], want) {
+					t.Fatalf("buffer %d (offset %d, %d bytes) differs from a ReadAt there", i, off, ln)
+				}
+				off += int64(ln)
+			}
+		})
+	}
+	fs := New(nil)
+	if _, _, err := fs.ReadAtv("nope", 0, [][]byte{make([]byte, 1)}); err == nil {
+		t.Fatal("vectored read of a missing file must error")
+	}
+	fs.Create("a", 10)
+	if _, _, err := fs.ReadAtv("a", -1, [][]byte{make([]byte, 1)}); err == nil {
+		t.Fatal("negative offset must error")
+	}
+}
+
+// BenchmarkFill1M is the generator's cost: what every origin read pays on
+// top of its modeled device time. It reports MB/s.
+func BenchmarkFill1M(b *testing.B) {
+	p := make([]byte, 1<<20)
+	b.SetBytes(int64(len(p)))
+	for i := 0; i < b.N; i++ {
+		fill(p, 0x9e3779b97f4a7c15, 1, int64(i)<<20)
+	}
+}

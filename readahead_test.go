@@ -66,8 +66,12 @@ func TestServerPushGetsAheadOfAColdReader(t *testing.T) {
 		minHits, maxHits, maxOrigin int64
 		noHints                     bool
 	}{
-		{name: "one sequential reader", seqBoost: 0.5, readers: 1, minHits: segs * 3 / 4, maxHits: -1, maxOrigin: segs / 2},
-		{name: "two readers interleaved in one file", seqBoost: 0.5, readers: 2, minHits: 2 * segs * 3 / 4, maxHits: -1, maxOrigin: segs / 2},
+		// Measured: 57..60 hits over 19..23 origin reads — the three
+		// requests before the stream arms, a catch of the frontier or
+		// two, and the hinted windows striped over the idle PFS streams —
+		// and 118..122 hits over 18..27 for the pair.
+		{name: "one sequential reader", seqBoost: 0.5, readers: 1, minHits: 54, maxHits: -1, maxOrigin: 28},
+		{name: "two readers interleaved in one file", seqBoost: 0.5, readers: 2, minHits: 112, maxHits: -1, maxOrigin: 32},
 		{name: "a random reader is not hinted", seqBoost: 0.5, readers: 1, random: true, maxHits: -1, maxOrigin: -1, noHints: true},
 		{name: "negative control: sequencing off", seqBoost: -1, readers: 1, maxHits: segs / 4, maxOrigin: -1, noHints: true},
 	} {
