@@ -22,8 +22,9 @@ const (
 	// WireVersion is the wire this build speaks: the frame layout and
 	// what the heads on it mean. A peer that sends any other version is
 	// refused at its first frame. 2 keys the dhm by (file, index): a
-	// version 1 peer would hash the same segment to another owner.
-	WireVersion = 2
+	// version 1 peer would hash the same segment to another owner. 3
+	// answers a dhm apply with the bytes its op appended, not the value.
+	WireVersion = 3
 
 	frameHeaderLen = 24
 

@@ -99,10 +99,15 @@ func TestFrameReaderRejects(t *testing.T) {
 		}
 	}
 
-	var ve *versionError
-	r := &frameReader{r: bytes.NewReader(rawFrame(WireVersion+1, kindRequest, 42, "x", "", 0, 0, nil))}
-	if _, err := r.read(); !errors.As(err, &ve) || ve.got != WireVersion+1 || ve.id != 42 {
-		t.Fatalf("other version: err = %v, want a versionError for id 42", err)
+	// Version 2 is the wire before a dhm apply answered in its op's bytes:
+	// such a peer would parse an answer as a value, so it is refused like
+	// any other.
+	for _, v := range []byte{WireVersion + 1, 2, 1} {
+		var ve *versionError
+		r := &frameReader{r: bytes.NewReader(rawFrame(v, kindRequest, 42, "x", "", 0, 0, nil))}
+		if _, err := r.read(); !errors.As(err, &ve) || ve.got != v || ve.id != 42 {
+			t.Fatalf("version %d: err = %v, want a versionError for id 42", v, err)
+		}
 	}
 }
 
@@ -146,6 +151,32 @@ func TestTCPServerRefusesForeignStreams(t *testing.T) {
 	}
 	if n, err := c.Read(make([]byte, 1)); err == nil {
 		t.Fatalf("after the refusal: read %d more bytes, want the connection closed", n)
+	}
+}
+
+// TestTCPServerRefusesVersion2Peer: version 2 answered a dhm apply with
+// the value; this node answers with its op's bytes, which such a peer
+// would parse as one. Its first frame gets the refusal every other
+// version gets, naming both.
+func TestTCPServerRefusesVersion2Peer(t *testing.T) {
+	srv, err := ListenTCP("127.0.0.1:0", echoMux())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.SetDeadline(time.Now().Add(5 * time.Second))
+	c.Write(rawFrame(2, kindRequest, 9, "dhm.stats.apply", "", 2, 0, []byte("hi")))
+	f, err := (&frameReader{r: c}).read()
+	if err != nil {
+		t.Fatalf("version refusal: %v", err)
+	}
+	if want := "comm: peer speaks wire version 2, this node speaks 3"; f.kind != kindResponse || f.id != 9 || f.errMsg != want {
+		t.Fatalf("got kind %d id %d err %q, want the refusal %q", f.kind, f.id, f.errMsg, want)
 	}
 }
 

@@ -36,9 +36,11 @@ func init() {
 	gob.Register(&Rec{})
 }
 
-// Rec is the per-segment record stored in the distributed hashmap.
-// Stored records are copy-on-write: mutators return fresh copies, so a
-// snapshot read never races with later updates.
+// Rec is the per-segment record stored in the distributed hashmap. A
+// segment has one *Rec for its lifetime: the ops below mutate it under
+// its shard lock and answer in bytes, and whoever needs the record itself
+// gets what was made of it under that lock — a deep copy (SegmentRec),
+// its wire encoding (a remote get, a rebalance) or its gob (the WAL).
 type Rec struct {
 	Stats score.Stats
 	// Size is the segment payload size in bytes (clipped at EOF).
@@ -82,6 +84,9 @@ type Sink interface {
 // lock once per drain cycle rather than once per update, which is what
 // keeps shard workers from re-serializing on the engine after the event
 // queue has been sharded.
+//
+// The slice belongs to the drain cycle: it is cleared and reused once
+// ScoreBatch returns, so a sink copies out what it keeps.
 type BatchSink interface {
 	ScoreBatch([]Update)
 }
@@ -246,70 +251,93 @@ func (a *Auditor) Model() *score.Model { return a.model }
 // ---- distributed mutators ----
 
 // Op names registered on the stats map. Every node must construct its
-// Auditor before remote applies arrive (New registers them). No op keeps
-// its arg: the event path passes every op the same scratch (see cycle).
+// Auditor before remote applies arrive (New registers them). Each op
+// mutates the segment's one record in place and answers, under the shard
+// lock, with what the event path goes on to use. No op keeps its arg or
+// its result buffer: the event path passes every op the same scratch (see
+// cycle).
 const (
-	opAccess = "aud.access" // arg: ts(8) | size(8)
-	opRef    = "aud.ref"    // arg: ts(8) | weightBits(8)
-	opLink   = "aud.link"   // arg: succ(8)
-	opAddRef = "aud.addref" // arg: none
-	opSeed   = "aud.seed"   // arg: scoreBits(8) | refs(8) | succ(8) | size(8) | ts(8)
+	opAccess = "aud.access" // arg: ts(8) | size(8); answer: scoreBits(8) | size(8) | succ(8)
+	opRef    = "aud.ref"    // arg: ts(8) | weightBits(8); answer: scoreBits(8) | size(8)
+	opLink   = "aud.link"   // arg: succ(8); answer: 1 when an existing record's link changed, else nothing
+	opAddRef = "aud.addref" // arg: none; answer: nothing
+	opSeed   = "aud.seed"   // arg: scoreBits(8) | refs(8) | succ(8) | size(8) | ts(8); answer: scoreBits(8) | size(8)
 )
 
 func (a *Auditor) registerOps() {
-	a.stats.RegisterOp(opAccess, func(cur any, arg []byte) any {
+	a.stats.RegisterResultOp(opAccess, func(cur any, arg, res []byte) (any, []byte) {
 		ts := time.Unix(0, int64(binary.BigEndian.Uint64(arg[0:8])))
 		size := int64(binary.BigEndian.Uint64(arg[8:16]))
-		nr := a.copyRec(cur)
-		a.model.OnAccess(&nr.Stats, ts)
+		r := a.rec(cur)
+		a.model.OnAccess(&r.Stats, ts)
 		if size > 0 {
-			nr.Size = size
+			r.Size = size
 		}
-		return nr
+		sc := a.model.Score(&r.Stats, ts)
+		if a.cfg.Learner != nil {
+			sc = a.learnAndBlend(r, ts, sc)
+		}
+		return r, binary.BigEndian.AppendUint64(appendScoreSize(res, sc, r.Size), uint64(r.Succ))
 	})
-	a.stats.RegisterOp(opRef, func(cur any, arg []byte) any {
+	a.stats.RegisterResultOp(opRef, func(cur any, arg, res []byte) (any, []byte) {
 		ts := time.Unix(0, int64(binary.BigEndian.Uint64(arg[0:8])))
 		w := math.Float64frombits(binary.BigEndian.Uint64(arg[8:16]))
-		nr := a.copyRec(cur)
-		a.model.OnRef(&nr.Stats, ts, w)
-		return nr
+		r := a.rec(cur)
+		a.model.OnRef(&r.Stats, ts, w)
+		return r, appendScoreSize(res, a.model.Score(&r.Stats, ts), r.Size)
 	})
-	a.stats.RegisterOp(opLink, func(cur any, arg []byte) any {
-		succ := int64(binary.BigEndian.Uint64(arg[0:8]))
-		nr := a.copyRec(cur)
-		nr.Succ = succ
-		return nr
-	})
-	a.stats.RegisterOp(opAddRef, func(cur any, arg []byte) any {
-		nr := a.copyRec(cur)
-		a.model.AddRef(&nr.Stats)
-		return nr
-	})
-	a.stats.RegisterOp(opSeed, func(cur any, arg []byte) any {
-		if cur != nil {
-			return cur // never clobber live statistics with history
+	a.stats.RegisterResultOp(opLink, func(cur any, arg, res []byte) (any, []byte) {
+		r, _ := cur.(*Rec)
+		if r == nil {
+			return nil, res // a link is only learned from a segment that was read
 		}
-		nr := &Rec{Succ: -1}
-		nr.Stats.Sum = math.Float64frombits(binary.BigEndian.Uint64(arg[0:8]))
-		nr.Stats.Refs = int64(binary.BigEndian.Uint64(arg[8:16]))
-		nr.Succ = int64(binary.BigEndian.Uint64(arg[16:24]))
-		nr.Size = int64(binary.BigEndian.Uint64(arg[24:32]))
-		nr.Stats.Last = time.Unix(0, int64(binary.BigEndian.Uint64(arg[32:40])))
-		if nr.Stats.Refs < 1 {
-			nr.Stats.Refs = 1
+		if succ := int64(binary.BigEndian.Uint64(arg[0:8])); r.Succ != succ {
+			r.Succ = succ
+			res = append(res, 1)
 		}
-		return nr
+		return r, res
+	})
+	a.stats.RegisterResultOp(opAddRef, func(cur any, arg, res []byte) (any, []byte) {
+		r := a.rec(cur)
+		a.model.AddRef(&r.Stats)
+		return r, res
+	})
+	a.stats.RegisterResultOp(opSeed, func(cur any, arg, res []byte) (any, []byte) {
+		now := time.Unix(0, int64(binary.BigEndian.Uint64(arg[32:40])))
+		r, _ := cur.(*Rec)
+		if r == nil { // never clobber live statistics with history
+			r = &Rec{}
+			r.Stats.Sum = math.Float64frombits(binary.BigEndian.Uint64(arg[0:8]))
+			r.Stats.Refs = max(1, int64(binary.BigEndian.Uint64(arg[8:16])))
+			r.Succ = int64(binary.BigEndian.Uint64(arg[16:24]))
+			r.Size = int64(binary.BigEndian.Uint64(arg[24:32]))
+			r.Stats.Last = now
+		}
+		return r, appendScoreSize(res, a.model.Score(&r.Stats, now), r.Size)
 	})
 }
 
-func (a *Auditor) copyRec(cur any) *Rec {
+// rec returns the record an op mutates: the stored one, or a segment's
+// first.
+func (a *Auditor) rec(cur any) *Rec {
 	if cur == nil {
 		a.ctr.segs.Add(1)
 		return &Rec{Succ: -1}
 	}
-	old := cur.(*Rec)
-	nr := *old
-	return &nr
+	return cur.(*Rec)
+}
+
+func appendScoreSize(res []byte, sc float64, size int64) []byte {
+	return binary.BigEndian.AppendUint64(binary.BigEndian.AppendUint64(res, math.Float64bits(sc)), uint64(size))
+}
+
+// scoreSize decodes the head of an op's answer; ok is false when the
+// answer is not n bytes long (an owner that speaks another op table).
+func scoreSize(out []byte, n int) (sc float64, size int64, ok bool) {
+	if len(out) != n {
+		return 0, 0, false
+	}
+	return math.Float64frombits(binary.BigEndian.Uint64(out)), int64(binary.BigEndian.Uint64(out[8:])), true
 }
 
 // ---- epoch management ----
@@ -399,7 +427,7 @@ func (a *Auditor) loadHeatmap(file string, size int64) {
 		return
 	}
 	now := time.Now()
-	arg := make([]byte, 40)
+	arg, res := make([]byte, 40), make([]byte, 0, 16)
 	binary.BigEndian.PutUint64(arg[32:40], uint64(now.UnixNano()))
 	for _, e := range h.Entries {
 		id := seg.ID{File: file, Index: e.Index}
@@ -411,14 +439,9 @@ func (a *Auditor) loadHeatmap(file string, size int64) {
 		binary.BigEndian.PutUint64(arg[8:16], uint64(e.Refs))
 		binary.BigEndian.PutUint64(arg[16:24], uint64(e.Succ))
 		binary.BigEndian.PutUint64(arg[24:32], uint64(segSize))
-		v, err := a.stats.ApplyKey(dhm.Key(id), opSeed, arg)
-		if err != nil || v == nil {
-			continue
-		}
-		rec := v.(*Rec)
-		s := a.model.Score(&rec.Stats, now)
-		if s > 0 {
-			a.emit(Update{ID: id, Score: s, Size: rec.Size})
+		out, err := a.stats.ApplyResult(dhm.Key(id), opSeed, arg, res)
+		if s, recSize, ok := scoreSize(out, 16); err == nil && ok && s > 0 {
+			a.emit(Update{ID: id, Score: s, Size: recSize})
 		}
 	}
 }
@@ -453,28 +476,47 @@ func (a *Auditor) saveHeatmap(file string, size int64) {
 // ---- event handling ----
 
 // cycle is what one drain cycle owns: where its score updates go and
-// the scratch every op argument of the cycle is written into.
+// the scratch every op argument and answer of the cycle is written into.
+// Cycles are pooled: a drain allocates nothing once its ups has grown to
+// the batches it sees.
 type cycle struct {
 	a *Auditor
-	// batched collects the updates in ups for one ScoreBatch delivery;
-	// otherwise each goes straight to the sink.
-	batched bool
-	ups     []Update
-	arg     [16]byte
+	// batch, when non-nil, gets the updates collected in ups in one
+	// ScoreBatch delivery; otherwise each goes straight to the sink.
+	batch BatchSink
+	ups   []Update
+	arg   [16]byte
+	res   [24]byte
 }
 
+var cyclePool = sync.Pool{New: func() any { return new(cycle) }}
+
 func (c *cycle) out(u Update) {
-	if c.batched {
+	if c.batch != nil {
 		c.ups = append(c.ups, u)
 		return
 	}
 	c.a.emit(u)
 }
 
+// finish delivers what the cycle collected and returns it to the pool,
+// cleared: the updates hold file names the pool must not keep alive.
+func (c *cycle) finish() {
+	if len(c.ups) > 0 {
+		c.batch.ScoreBatch(c.ups)
+	}
+	clear(c.ups)
+	*c = cycle{ups: c.ups[:0]}
+	cyclePool.Put(c)
+}
+
 // HandleEvent processes one monitored event; called by the monitor's
 // daemon pool.
 func (a *Auditor) HandleEvent(ev events.Event) {
-	a.handleEvent(ev, &cycle{a: a})
+	c := cyclePool.Get().(*cycle)
+	c.a = a
+	a.handleEvent(ev, c)
+	c.finish()
 }
 
 // HandleBatch processes one drained batch (monitor.BatchHandler). When
@@ -483,21 +525,15 @@ func (a *Auditor) HandleEvent(ev events.Event) {
 // shard worker takes the engine's pending lock once per drain cycle
 // instead of once per score change.
 func (a *Auditor) HandleBatch(evs []events.Event) {
-	c := &cycle{a: a}
-	var bs BatchSink
+	c := cyclePool.Get().(*cycle)
+	c.a = a
 	if box := a.sink.Load(); box != nil {
-		bs, _ = box.s.(BatchSink)
-	}
-	if bs != nil {
-		c.batched = true
-		c.ups = make([]Update, 0, len(evs))
+		c.batch, _ = box.s.(BatchSink)
 	}
 	for _, ev := range evs {
 		a.handleEvent(ev, c)
 	}
-	if len(c.ups) > 0 {
-		bs.ScoreBatch(c.ups)
-	}
+	c.finish()
 }
 
 // handleEvent audits one event, sending every score change to c.
@@ -572,16 +608,13 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 		}
 		binary.BigEndian.PutUint64(c.arg[0:8], uint64(ts.UnixNano()))
 		binary.BigEndian.PutUint64(c.arg[8:16], uint64(segSize))
-		v, err := a.stats.ApplyKey(dhm.Key(id), opAccess, c.arg[:])
-		if err != nil {
+		out, err := a.stats.ApplyResult(dhm.Key(id), opAccess, c.arg[:], c.res[:0])
+		sc, size, ok := scoreSize(out, 24)
+		if err != nil || !ok {
 			continue
 		}
-		rec := v.(*Rec)
-		sc := a.model.Score(&rec.Stats, ts)
-		if a.cfg.Learner != nil {
-			sc = a.learnAndBlend(rec, ts, sc)
-		}
-		up := Update{ID: id, Score: sc, Size: rec.Size, Origin: ev.Origin}
+		succ := int64(binary.BigEndian.Uint64(out[16:]))
+		up := Update{ID: id, Score: sc, Size: size, Origin: ev.Origin}
 		if idx == first {
 			// The event's trace is rooted at its first segment; updates
 			// for the rest of a multi-segment read stay untraced.
@@ -591,8 +624,8 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 
 		// Sequencing readahead: boost the known successor of every
 		// accessed segment so it climbs the hierarchy ahead of its read.
-		if rec.Succ >= 0 && rec.Succ != idx && a.cfg.SeqBoost > 0 {
-			a.boost(seg.ID{File: ev.File, Index: rec.Succ}, ts, fileSize, ev.Origin, false, c)
+		if succ >= 0 && succ != idx && a.cfg.SeqBoost > 0 {
+			a.boost(seg.ID{File: ev.File, Index: succ}, ts, fileSize, ev.Origin, false, c)
 		}
 	}
 
@@ -618,17 +651,12 @@ func (a *Auditor) learnLink(file string, prev, cur int64, c *cycle) {
 	if prev < 0 || prev == cur {
 		return
 	}
-	prevKey := dhm.Key{File: file, Index: prev}
-	v, ok, err := a.stats.GetKey(prevKey)
-	if err != nil || !ok {
-		return
-	}
-	if v.(*Rec).Succ == cur {
-		return // link already known
-	}
 	binary.BigEndian.PutUint64(c.arg[0:8], uint64(cur))
-	a.stats.ApplyKey(prevKey, opLink, c.arg[:8])                     //nolint:errcheck
-	a.stats.ApplyKey(dhm.Key{File: file, Index: cur}, opAddRef, nil) //nolint:errcheck
+	out, err := a.stats.ApplyResult(dhm.Key{File: file, Index: prev}, opLink, c.arg[:8], c.res[:0])
+	if err != nil || len(out) == 0 {
+		return // prev has no record, or the link is already known
+	}
+	a.stats.ApplyResult(dhm.Key{File: file, Index: cur}, opAddRef, nil, c.res[:0]) //nolint:errcheck
 }
 
 // boost applies the anticipatory sequencing weight to id. The update
@@ -639,24 +667,24 @@ func (a *Auditor) learnLink(file string, prev, cur int64, c *cycle) {
 func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, ahead bool, c *cycle) {
 	binary.BigEndian.PutUint64(c.arg[0:8], uint64(ts.UnixNano()))
 	binary.BigEndian.PutUint64(c.arg[8:16], math.Float64bits(a.cfg.SeqBoost))
-	v, err := a.stats.ApplyKey(dhm.Key(id), opRef, c.arg[:])
-	if err != nil {
+	out, err := a.stats.ApplyResult(dhm.Key(id), opRef, c.arg[:], c.res[:0])
+	sc, size, ok := scoreSize(out, 16)
+	if err != nil || !ok {
 		return
 	}
-	rec := v.(*Rec)
-	size := rec.Size
 	if size == 0 {
 		size = a.cfg.Segmenter.RangeOf(id, fileSize).Len
 		if size <= 0 {
 			size = a.cfg.Segmenter.Size()
 		}
 	}
-	c.out(Update{ID: id, Score: a.model.Score(&rec.Stats, ts), Size: size, Origin: origin, Ahead: ahead})
+	c.out(Update{ID: id, Score: sc, Size: size, Origin: origin, Ahead: ahead})
 }
 
 // learnAndBlend feeds the learner a positive example for the segment's
 // pre-access state (this access proves it was re-accessed) and blends
-// the analytic score with the predicted re-access probability.
+// the analytic score with the predicted re-access probability. It runs
+// inside opAccess: the learner's mutex nests under the shard lock.
 func (a *Auditor) learnAndBlend(rec *Rec, ts time.Time, analytic float64) float64 {
 	st := &rec.Stats
 	if st.K >= 2 && len(st.History) >= 2 {
@@ -677,13 +705,16 @@ func (a *Auditor) handleWrite(ev events.Event) {
 
 // ---- queries ----
 
-// SegmentRec returns a snapshot of the stats record for id.
+// SegmentRec returns a snapshot of the stats record for id: a deep copy
+// taken under the record's shard lock.
 func (a *Auditor) SegmentRec(id seg.ID) (*Rec, bool) {
-	v, ok, err := a.stats.GetKey(dhm.Key(id))
-	if err != nil || !ok {
-		return nil, false
-	}
-	return v.(*Rec), true
+	var snap *Rec
+	ok, err := a.stats.ViewKey(dhm.Key(id), func(v any) {
+		r := *v.(*Rec)
+		r.Stats.History = append([]time.Time(nil), r.Stats.History...)
+		snap = &r
+	})
+	return snap, ok && err == nil
 }
 
 // ScoreOf evaluates id's current score.

@@ -79,6 +79,7 @@ type Stats struct {
 // stateless and safe for concurrent use.
 type Model struct {
 	p      float64
+	lnInvP float64 // ln(1/p), taken once: decay is one Exp per term
 	unit   float64 // seconds per decay step
 	window int
 }
@@ -86,7 +87,7 @@ type Model struct {
 // NewModel builds a Model from params (normalized to valid values).
 func NewModel(params Params) *Model {
 	params = params.normalized()
-	return &Model{p: params.P, unit: params.Unit.Seconds(), window: params.Window}
+	return &Model{p: params.P, lnInvP: -math.Log(params.P), unit: params.Unit.Seconds(), window: params.Window}
 }
 
 // P returns the decay base in use.
@@ -104,7 +105,7 @@ func (m *Model) decay(dt time.Duration, n int64) float64 {
 	if steps <= 0 {
 		return 1
 	}
-	return math.Pow(1/m.p, steps)
+	return math.Exp(steps * m.lnInvP)
 }
 
 // OnAccess records an access at time t into st, updating frequency,
@@ -127,10 +128,12 @@ func (m *Model) OnAccess(st *Stats, t time.Time) {
 		st.Refs = 1
 	}
 	st.Last = t
-	st.History = append(st.History, t)
-	if len(st.History) > m.window {
-		st.History = st.History[len(st.History)-m.window:]
+	if n := len(st.History); n >= m.window {
+		// Full: shift down in place, so a history never reallocates once
+		// it has reached the window.
+		st.History = st.History[:copy(st.History, st.History[n-m.window+1:])]
 	}
+	st.History = append(st.History, t)
 }
 
 // AddRef records an additional reference to the segment (sequencing link)

@@ -229,3 +229,85 @@ func TestOnRefNonPositiveWeightIgnored(t *testing.T) {
 		t.Fatalf("score = %v, want 0", got)
 	}
 }
+
+// TestDecayIsPowWithinRounding pins decay — one Exp over a logarithm
+// taken once — to the math.Pow(1/p, steps) it replaced: within a
+// relative 2e-13 wherever the result is at least 1e-300, over steps from
+// 1e-9 to 1000. What is left is the rounding of ln p and of steps·ln p,
+// each half an ulp of an exponent of at most 690: 1.5e-13 together, and
+// that is the worst measured (p = 3, 622 steps). Sums nothing has touched
+// must still tie, so no elapsed time is exactly 1.
+func TestDecayIsPowWithinRounding(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for _, p := range []float64{2, 3, 10} {
+		m := NewModel(Params{P: p, Unit: time.Second})
+		worst, worstAt := 0.0, 0.0
+		check := func(dt time.Duration, n int64) {
+			steps := dt.Seconds() / float64(n)
+			want := math.Pow(1/p, steps)
+			got := m.decay(dt, n)
+			if want < 1e-300 {
+				return
+			}
+			if rel := math.Abs(got-want) / want; rel > worst {
+				worst, worstAt = rel, steps
+			}
+		}
+		for dt := time.Nanosecond; dt <= 1000*time.Second; dt = dt*5/4 + 1 {
+			check(dt, 1)
+		}
+		for i := 0; i < 20000; i++ {
+			// Log-uniform over the twelve decades, n as links make it.
+			dt := time.Duration(math.Exp(rng.Float64() * math.Log(1000e9)))
+			check(dt, 1+rng.Int63n(12))
+		}
+		if worst > 2e-13 {
+			t.Errorf("p = %v: decay is %.3g (relative) off math.Pow at %.6g steps, bound 2e-13", p, worst, worstAt)
+		}
+		t.Logf("p = %v: worst relative difference %.3g at %.6g steps", p, worst, worstAt)
+		if got := m.decay(0, 1); got != 1 {
+			t.Errorf("p = %v: decay(0) = %v, want exactly 1", p, got)
+		}
+		if got := m.decay(-time.Second, 3); got != 1 {
+			t.Errorf("p = %v: decay of a negative interval = %v, want exactly 1", p, got)
+		}
+	}
+}
+
+// TestHistoryShiftsInPlace: a full history drops its oldest stamp by
+// moving the rest down, so a record's history keeps one backing array
+// for life; the contents are the last Window accesses, oldest first.
+func TestHistoryShiftsInPlace(t *testing.T) {
+	m := NewModel(Params{P: 2, Unit: time.Second, Window: 8})
+	var st Stats
+	var all []time.Time
+	var base *time.Time
+	for i := 0; i < 50; i++ {
+		at := t0.Add(time.Duration(i) * time.Millisecond)
+		m.OnAccess(&st, at)
+		all = append(all, at)
+		want := all[max(0, len(all)-8):]
+		if len(st.History) != len(want) {
+			t.Fatalf("access %d: history holds %d stamps, want %d", i, len(st.History), len(want))
+		}
+		for j := range want {
+			if !st.History[j].Equal(want[j]) {
+				t.Fatalf("access %d: history[%d] = %v, want %v", i, j, st.History[j], want[j])
+			}
+		}
+		if len(st.History) == 8 {
+			if base == nil {
+				base = &st.History[0]
+			} else if base != &st.History[0] {
+				t.Fatalf("access %d: a full history moved to a new array", i)
+			}
+		}
+	}
+	// A history longer than the window (a record stored under a larger
+	// one) is cut to it the same way.
+	long := Stats{History: append([]time.Time(nil), all[:20]...), K: 20, Refs: 1, Sum: 1, Last: all[19]}
+	m.OnAccess(&long, all[20])
+	if len(long.History) != 8 || !long.History[0].Equal(all[13]) || !long.History[7].Equal(all[20]) {
+		t.Fatalf("an over-long history became %v", long.History)
+	}
+}

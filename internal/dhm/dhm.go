@@ -14,7 +14,9 @@
 //   - atomic read-modify-write through named, pre-registered operations
 //     (closures cannot cross the wire, so mutators are registered on
 //     every node and invoked by name at the owner — the same server-side
-//     operation model HCL uses);
+//     operation model HCL uses). An operation may mutate the stored value
+//     in place and answers in bytes it appends while the shard lock is
+//     held, so the value itself never has to leave its lock;
 //   - optional write-ahead logging for fault tolerance across
 //     power-downs (see wal.go).
 //
@@ -27,6 +29,7 @@ package dhm
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -46,11 +49,25 @@ type Key struct {
 // Apply address.
 func StringKey(s string) Key { return Key{File: s, Index: -1} }
 
-// OpFunc is a named mutator: it receives the current value (nil if the
-// key is absent) and an opaque argument, and returns the new value.
-// Returning nil deletes the key. arg is only valid during the call: the
-// caller may reuse its bytes for the next operation.
+// Op is a named mutator. It runs under the key's shard lock with the
+// current value (nil if the key is absent), an opaque argument and the
+// caller's result buffer. It returns the new value — cur itself, mutated
+// in place, is allowed; nil deletes the key — and res with whatever the
+// caller needs to know appended: that answer is all of the value that
+// leaves the lock. arg and res are only valid during the call.
+type Op func(cur any, arg, res []byte) (next any, out []byte)
+
+// OpFunc is the copy-on-write form of a mutator: it answers with the new
+// value itself, so it must never mutate cur — a value it has returned
+// may be in a reader's hands.
 type OpFunc func(cur any, arg []byte) any
+
+// opEntry is one row of the op table. plain marks an OpFunc, whose new
+// value may be handed to the caller as it is.
+type opEntry struct {
+	fn    Op
+	plain bool
+}
 
 // Dialer abstracts how the map reaches other nodes.
 type Dialer interface {
@@ -82,8 +99,10 @@ type Map struct {
 	members atomic.Pointer[membership]
 	shards  []shard
 
-	opMu sync.RWMutex
-	ops  map[string]OpFunc
+	// ops is the op table, replaced whole by a registration (opMu orders
+	// the writers) and read with one load per apply, like members.
+	opMu sync.Mutex
+	ops  atomic.Pointer[map[string]opEntry]
 
 	peerMu sync.Mutex
 	peers  map[string]comm.Peer
@@ -120,9 +139,9 @@ func New(cfg Config, mux *comm.Mux) *Map {
 	}
 	m := &Map{
 		cfg:   cfg,
-		ops:   make(map[string]OpFunc),
 		peers: make(map[string]comm.Peer),
 	}
+	m.ops.Store(&map[string]opEntry{})
 	m.setMembers(cfg.Nodes)
 	for i, op := range [...]string{rpcGet: "get", rpcPut: "put", rpcDel: "del", rpcApply: "apply"} {
 		m.msgTypes[i] = "dhm." + cfg.Name + "." + op
@@ -146,13 +165,30 @@ func (m *Map) setMembers(nodes []string) {
 	m.members.Store(ms)
 }
 
-// RegisterOp installs a named mutator. Every node of the map must
+// RegisterResultOp installs a named mutator. Every node of the map must
 // register the same ops before use.
+func (m *Map) RegisterResultOp(name string, fn Op) { m.register(name, opEntry{fn: fn}) }
+
+// RegisterOp installs a copy-on-write mutator: the Op whose answer is
+// the new value itself — returned by ApplyKey at the owner, encoded for a
+// remote caller and for ApplyResult, outside the lock because nothing
+// changes it again.
 func (m *Map) RegisterOp(name string, fn OpFunc) {
+	m.register(name, opEntry{plain: true, fn: func(cur any, arg, res []byte) (any, []byte) {
+		return fn(cur, arg), res
+	}})
+}
+
+func (m *Map) register(name string, e opEntry) {
 	m.opMu.Lock()
 	defer m.opMu.Unlock()
-	m.ops[name] = fn
+	ops := maps.Clone(*m.ops.Load())
+	ops[name] = e
+	m.ops.Store(&ops)
 }
+
+// op looks name up in the current op table; an unknown name has no fn.
+func (m *Map) op(name string) opEntry { return (*m.ops.Load())[name] }
 
 // Owner returns the owner node for k; the empty string means "self"
 // (single-node map).
@@ -202,7 +238,9 @@ func (m *Map) Apply(key, op string, arg []byte) (any, error) {
 	return m.ApplyKey(StringKey(key), op, arg)
 }
 
-// GetKey returns the value for k and whether it exists.
+// GetKey returns the value for k and whether it exists. At the owner
+// that is the stored value itself: read a value some Op mutates in place
+// through ViewKey instead.
 //
 //hfetch:hotpath
 func (m *Map) GetKey(k Key) (any, bool, error) {
@@ -216,6 +254,27 @@ func (m *Map) GetKey(k Key) (any, bool, error) {
 	return v, ok, nil
 }
 
+// ViewKey calls fn with k's value, if it exists, while the shard's read
+// lock is held (on the decoded copy when the owner is remote). fn copies
+// out what it needs: it must not keep val or call back into the map.
+func (m *Map) ViewKey(k Key, fn func(val any)) (bool, error) {
+	s, owner := m.locate(k)
+	if s == nil {
+		v, ok, err := m.remoteGet(owner, k)
+		if ok {
+			fn(v)
+		}
+		return ok, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	v, ok := s.m[k]
+	if ok {
+		fn(v)
+	}
+	return ok, nil
+}
+
 // PutKey stores val under k.
 func (m *Map) PutKey(k Key, val any) error {
 	s, owner := m.locate(k)
@@ -227,11 +286,16 @@ func (m *Map) PutKey(k Key, val any) error {
 }
 
 func (m *Map) localPut(s *shard, k Key, val any, logIt bool) {
+	logIt = logIt && m.cfg.WAL != nil
+	var rec []byte
 	s.mu.Lock()
 	s.m[k] = val
+	if logIt {
+		rec = encodePut(m.cfg.Name, k, val)
+	}
 	s.mu.Unlock()
-	if logIt && m.cfg.WAL != nil {
-		m.cfg.WAL.logPut(m.cfg.Name, k, val)
+	if logIt {
+		m.cfg.WAL.write(rec)
 	}
 }
 
@@ -255,42 +319,77 @@ func (m *Map) localDelete(s *shard, k Key) {
 }
 
 // ApplyKey atomically applies the named op to k at its owner and
-// returns the new value.
+// returns the new value. It is the call for OpFunc ops; for an Op that
+// answers in bytes it returns nil (the value stays under its lock) — use
+// ApplyResult.
 //
 //hfetch:hotpath
 func (m *Map) ApplyKey(k Key, op string, arg []byte) (any, error) {
 	s, owner := m.locate(k)
 	if s == nil {
-		return m.remoteApply(owner, k, op, arg)
+		found, out, err := m.remoteApply(owner, k, op, arg)
+		if err != nil || !found || !m.op(op).plain {
+			return nil, err
+		}
+		return parseValue(out)
 	}
-	return m.localApply(s, k, op, arg)
+	next, plain, _, err := m.localApply(s, k, op, arg, nil)
+	if !plain {
+		next = nil
+	}
+	return next, err
 }
 
+// ApplyResult atomically applies the named op to k at its owner and
+// returns res with the op's answer appended: the same bytes whether the
+// owner is this node or a remote one.
+//
 //hfetch:hotpath
-func (m *Map) localApply(s *shard, k Key, op string, arg []byte) (any, error) {
-	m.opMu.RLock()
-	fn := m.ops[op]
-	m.opMu.RUnlock()
-	if fn == nil {
-		return nil, unknownOp(op)
+func (m *Map) ApplyResult(k Key, op string, arg, res []byte) ([]byte, error) {
+	s, owner := m.locate(k)
+	if s == nil {
+		_, out, err := m.remoteApply(owner, k, op, arg)
+		return append(res, out...), err
 	}
+	next, plain, out, err := m.localApply(s, k, op, arg, res)
+	if plain && next != nil {
+		return appendValue(out, next)
+	}
+	return out, err
+}
+
+// localApply runs op on k under its shard lock. Everything that leaves
+// the lock is built inside it: the op's answer and the WAL record. next
+// is for the caller to test against nil; only the value of a plain op
+// (an OpFunc, which never changes it again) may be handed on.
+//
+//hfetch:hotpath
+func (m *Map) localApply(s *shard, k Key, op string, arg, res []byte) (next any, plain bool, out []byte, err error) {
+	e := m.op(op)
+	if e.fn == nil {
+		return nil, false, res, unknownOp(op)
+	}
+	var rec []byte
 	s.mu.Lock()
 	cur := s.m[k]
-	next := fn(cur, arg)
-	if next == nil {
-		delete(s.m, k)
-	} else {
+	next, out = e.fn(cur, arg, res)
+	if next != nil {
 		s.m[k] = next
+		if m.cfg.WAL != nil {
+			rec = encodePut(m.cfg.Name, k, next)
+		}
+	} else if cur != nil {
+		delete(s.m, k)
 	}
 	s.mu.Unlock()
 	if m.cfg.WAL != nil {
-		if next == nil {
+		if next != nil {
+			m.cfg.WAL.write(rec)
+		} else if cur != nil {
 			m.cfg.WAL.logDelete(m.cfg.Name, k)
-		} else {
-			m.cfg.WAL.logPut(m.cfg.Name, k, next)
 		}
 	}
-	return next, nil
+	return next, e.plain, out, nil
 }
 
 func unknownOp(op string) error { return fmt.Errorf("dhm: unknown op %q", op) }
@@ -391,13 +490,12 @@ func (m *Map) remoteDelete(owner string, k Key) error {
 	return err
 }
 
-func (m *Map) remoteApply(owner string, k Key, op string, arg []byte) (any, error) {
+func (m *Map) remoteApply(owner string, k Key, op string, arg []byte) (found bool, out []byte, err error) {
 	raw, err := m.remote(rpcApply, owner, newReq(k, op, arg))
 	if err != nil {
-		return nil, err
+		return false, nil, err
 	}
-	v, _, err := parseResp(raw)
-	return v, err
+	return parseApplyResp(raw)
 }
 
 func (m *Map) registerHandlers(mux *comm.Mux) {
@@ -414,10 +512,12 @@ func (m *Map) serveGet(raw []byte) ([]byte, error) {
 		return nil, err
 	}
 	s := m.shardAt(req.key.hash())
+	// Encoded under the lock: an in-place op may change v once it is gone.
 	s.mu.RLock()
 	v, ok := s.m[req.key]
+	resp, err := appendResp(make([]byte, 0, 64), ok, v)
 	s.mu.RUnlock()
-	return appendResp(make([]byte, 0, 64), ok, v)
+	return resp, err
 }
 
 //hfetch:hotpath
@@ -450,11 +550,18 @@ func (m *Map) serveApply(raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	next, err := m.localApply(m.shardAt(req.key.hash()), req.key, req.op, req.arg)
+	// The response head is found u8 | answer: the op appends its answer
+	// behind the byte, which is set once the op has returned a value.
+	next, plain, resp, err := m.localApply(m.shardAt(req.key.hash()), req.key, req.op, req.arg, make([]byte, 1, 64))
 	if err != nil {
 		return nil, err
 	}
-	return appendResp(make([]byte, 0, 64), next != nil, next)
+	if next != nil {
+		if resp[0] = 1; plain {
+			return appendValue(resp, next)
+		}
+	}
+	return resp, nil
 }
 
 // ---- hashing ----

@@ -165,6 +165,13 @@ func TestLocalOpsDoNotAllocate(t *testing.T) {
 		if n := testing.AllocsPerRun(1000, func() { benchVal, _ = m.ApplyKey(k, "keep", arg) }); n != 0 {
 			t.Errorf("%d nodes: a local ApplyKey of an op returning cur allocates %.1f times", len(nodes), n)
 		}
+		m.RegisterResultOp("len", func(cur any, arg, res []byte) (any, []byte) {
+			return cur, append(res, byte(len(cur.(string))))
+		})
+		var res [8]byte
+		if n := testing.AllocsPerRun(1000, func() { benchOut, _ = m.ApplyResult(k, "len", arg, res[:0]) }); n != 0 || len(benchOut) != 1 || benchOut[0] != 6 {
+			t.Errorf("%d nodes: a local ApplyResult into the caller's buffer allocates %.1f times and answers %x", len(nodes), n, benchOut)
+		}
 	}
 }
 

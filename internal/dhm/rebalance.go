@@ -19,20 +19,37 @@ func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
 	m.setMembers(newNodes)
 
 	// Collect local keys that no longer belong here.
-	type kv struct {
-		key Key
-		val any
+	type move struct {
+		key   Key
+		owner string
 	}
-	var moving []kv
-	m.Range(func(k Key, val any) bool {
-		if s, _ := m.locate(k); s == nil {
-			moving = append(moving, kv{k, val})
+	var moving []move
+	m.Range(func(k Key, _ any) bool {
+		if s, owner := m.locate(k); s == nil {
+			moving = append(moving, move{k, owner})
 		}
 		return true
 	})
 	var firstErr error
 	for _, e := range moving {
-		if err := m.PutKey(e.key, e.val); err != nil {
+		// The put that ships a value is encoded under its shard lock: an
+		// in-place op may change the value as soon as the lock is released.
+		s := m.shardAt(e.key.hash())
+		s.mu.RLock()
+		val, ok := s.m[e.key]
+		var put []byte
+		var err error
+		if ok {
+			put, err = appendValue(newReq(e.key, "", nil), val)
+		}
+		s.mu.RUnlock()
+		if !ok {
+			continue // deleted since the scan
+		}
+		if err == nil {
+			_, err = m.remote(rpcPut, e.owner, put)
+		}
+		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("dhm: rebalance %v: %w", e.key, err)
 			}

@@ -77,20 +77,28 @@ func (w *WAL) Close() error {
 	return err
 }
 
-func (w *WAL) append(rec walRecord) {
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
-		return // values that cannot gob-encode are simply not durable
+// frame returns rec as it rests in the log: length u32 | gob body.
+func frame(rec walRecord) []byte {
+	body := bytes.NewBuffer(make([]byte, 4, 256))
+	if err := gob.NewEncoder(body).Encode(rec); err != nil {
+		return nil // values that cannot gob-encode are simply not durable
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(body.Len()))
+	binary.BigEndian.PutUint32(body.Bytes(), uint32(body.Len()-4))
+	return body.Bytes()
+}
+
+// write appends one framed record; nil (nothing to make durable) is a
+// no-op.
+func (w *WAL) write(framed []byte) {
+	if framed == nil {
+		return
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.f == nil {
 		return
 	}
-	w.f.Write(hdr[:])       //nolint:errcheck // best-effort durability
-	w.f.Write(body.Bytes()) //nolint:errcheck
+	w.f.Write(framed) //nolint:errcheck // best-effort durability
 }
 
 // The log stores values at rest as self-describing gob: a replay has no
@@ -112,16 +120,19 @@ func decodeVal(b []byte) (any, error) {
 	return v, nil
 }
 
-func (w *WAL) logPut(mapName string, k Key, val any) {
+// encodePut frames the record of a put. It takes no lock of the log's:
+// a map calls it under the shard lock, where val cannot change, and
+// writes the bytes once the lock is released.
+func encodePut(mapName string, k Key, val any) []byte {
 	vb, err := encodeVal(val)
 	if err != nil {
-		return
+		return nil
 	}
-	w.append(walRecord{Map: mapName, Key: k.File, Typed: true, Index: k.Index, Val: vb})
+	return frame(walRecord{Map: mapName, Key: k.File, Typed: true, Index: k.Index, Val: vb})
 }
 
 func (w *WAL) logDelete(mapName string, k Key) {
-	w.append(walRecord{Map: mapName, Key: k.File, Typed: true, Index: k.Index, Delete: true})
+	w.write(frame(walRecord{Map: mapName, Key: k.File, Typed: true, Index: k.Index, Delete: true}))
 }
 
 // Sync fsyncs the log.

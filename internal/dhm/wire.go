@@ -12,7 +12,9 @@ import (
 // frame's message type; the heads are:
 //
 //	request:  uvarint len | file | varint index | uvarint len | op | uvarint len | arg | value
-//	response: found u8 | value
+//	response: found u8 | value      (get)
+//	          found u8 | answer     (apply: the bytes the op appended under
+//	                                 its lock; an OpFunc's are its new value)
 //	value:    tag u8 | payload      (absent value: zero bytes)
 //
 // Built-in value tags cover the kinds the maps hold natively; any other
@@ -197,4 +199,15 @@ func parseResp(b []byte) (val any, found bool, err error) {
 	}
 	val, err = parseValue(b[1:])
 	return val, err == nil, err
+}
+
+// parseApplyResp decodes an apply response head: whether the key holds a
+// value now, and the op's answer (which aliases b).
+//
+//hfetch:hotpath
+func parseApplyResp(b []byte) (found bool, answer []byte, err error) {
+	if len(b) == 0 || b[0] > 1 {
+		return false, nil, errShortHead
+	}
+	return b[0] == 1, b[1:], nil
 }
