@@ -249,6 +249,16 @@ func TestFabricTracePropagation(t *testing.T) {
 	cfg := fabricConfig(2)
 	cfg.EnableLifecycle = true
 	cfg.LifecycleSampleEvery = 1 // trace every access: the test needs determinism
+	// A trace crosses the fabric only while its segment is still served
+	// by the peer, and the reading node's engine re-homes what it reads
+	// ("prefetch where the data will be read"): left to its triggers it
+	// races the second pass below, and once it has landed a segment
+	// locally that read has nothing to propagate. So no trigger fires
+	// here — a pass runs only where the test calls Flush — and the reads
+	// go back to front, which no stream detector takes for a stream (a
+	// readahead hint would kick a pass of its own).
+	cfg.EngineInterval = time.Hour
+	cfg.EngineUpdateThreshold = 1 << 30
 	cluster, err := NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -281,16 +291,15 @@ func TestFabricTracePropagation(t *testing.T) {
 	c1 := cluster.Node(1).NewClient()
 	f1, _ := c1.Open("f")
 	for pass := 0; pass < 2; pass++ {
-		for off := int64(0); off < fsize; off += 4096 {
+		for off := int64(fsize - 4096); off >= 0; off -= 4096 {
 			if _, err := f1.ReadAt(buf, off); err != nil {
 				t.Fatalf("cross-node read: %v", err)
 			}
 		}
 	}
 	f1.Close()
-	reads, _ := cluster.Node(1).Server().RemoteStats()
-	if reads == 0 {
-		t.Fatal("no cross-node fetches: the trace had nothing to propagate")
+	if reads, _ := cluster.Node(1).Server().RemoteStats(); reads != 2*fsize/4096 {
+		t.Fatalf("%d cross-node fetches, want every read of both passes (%d): a segment was re-homed under the test", reads, 2*fsize/4096)
 	}
 
 	var out bytes.Buffer
@@ -339,7 +348,7 @@ func TestFabricTracePropagation(t *testing.T) {
 			crossNode++
 		}
 	}
-	if crossNode == 0 {
-		t.Fatalf("no trace ID spans two node lanes with event + peer_fetch_serve stages (traces: %d)", len(pidsByTID))
+	if crossNode != fsize/4096 {
+		t.Fatalf("%d trace IDs span two node lanes with event + peer_fetch_serve stages, want one per segment read twice (%d; traces: %d)", crossNode, fsize/4096, len(pidsByTID))
 	}
 }

@@ -239,6 +239,9 @@ type Cluster struct {
 	net     *comm.InprocNetwork
 	nodes   []*Node
 	learner *score.Learned
+	// shared are the tiers every node's hierarchy holds one instance of:
+	// no server owns them, so Stop clears them.
+	shared map[string]*tiers.Store
 }
 
 // Node is one compute node: an HFetch server plus its tier hierarchy.
@@ -329,7 +332,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		}
 	}
 
-	c := &Cluster{cfg: cfg, fs: fs, net: net}
+	c := &Cluster{cfg: cfg, fs: fs, net: net, shared: shared}
 	if cfg.EnableML {
 		c.learner = score.NewLearned(0, cfg.DecayUnit)
 	}
@@ -460,7 +463,9 @@ type inprocDialer struct{ net *comm.InprocNetwork }
 
 func (d inprocDialer) Dial(node string) comm.Peer { return d.net.Dial(node) }
 
-// Stop shuts down every node.
+// Stop shuts down every node. Each server clears its own tiers as it
+// stops; the shared tiers are the cluster's and go last, once, when no
+// node's mover can land in them any more.
 func (c *Cluster) Stop() {
 	for _, n := range c.nodes {
 		if n.gw != nil {
@@ -474,6 +479,9 @@ func (c *Cluster) Stop() {
 		}
 		n.srv.Stop()
 	}
+	for _, st := range c.shared {
+		st.Clear()
+	}
 }
 
 // Nodes returns the cluster size.
@@ -484,9 +492,10 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // KillNode simulates node i crashing: it is torn off the in-process
 // network (peers' requests to it start failing), its fabric agent and
-// server stop. With ClusterFabric on, the survivors age it to suspect,
-// then dead, and rebalance the hashmaps around it; reads that mapped to
-// its tiers degrade to PFS passthrough.
+// server stop, and its own tiers are cleared (the shared ones live on
+// with the survivors). With ClusterFabric on, the survivors age it to
+// suspect, then dead, and rebalance the hashmaps around it; reads that
+// mapped to its tiers degrade to PFS passthrough.
 func (c *Cluster) KillNode(i int) {
 	n := c.nodes[i]
 	c.net.Leave(n.name)

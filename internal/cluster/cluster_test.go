@@ -10,6 +10,7 @@ import (
 	"hfetch/internal/comm"
 	"hfetch/internal/core/auditor"
 	"hfetch/internal/core/seg"
+	"hfetch/internal/harness/leakcheck"
 )
 
 func fastTimings() (hb, suspect, dead time.Duration) {
@@ -193,6 +194,7 @@ func (f *fakeCaller) count() int {
 // TestFetcherSingleFlight checks concurrent reads of one remote range
 // share a single peer request.
 func TestFetcherSingleFlight(t *testing.T) {
+	defer leakcheck.Slab(t)() // the shared view is a slab buffer: hit, error and stale answer all return it
 	net := comm.NewInprocNetwork(nil)
 	mem := staticMembership(net, "n0", "n1")
 	fc := &fakeCaller{delay: 30 * time.Millisecond, ok: true, fill: 7}
@@ -228,6 +230,7 @@ func TestFetcherSingleFlight(t *testing.T) {
 // window and eventually report the peer suspect, degrading to PFS
 // passthrough (ok=false) without further peer calls.
 func TestFetcherBackoffAndSuspect(t *testing.T) {
+	defer leakcheck.Slab(t)() // the shared view is a slab buffer: hit, error and stale answer all return it
 	net := comm.NewInprocNetwork(nil)
 	mem := staticMembership(net, "n0", "n1")
 	fc := &fakeCaller{err: errors.New("conn refused")}
@@ -257,6 +260,7 @@ func TestFetcherBackoffAndSuspect(t *testing.T) {
 // TestFetcherStaleMappingIsNotFailure checks a clean "not resident"
 // answer does not penalize the peer.
 func TestFetcherStaleMappingIsNotFailure(t *testing.T) {
+	defer leakcheck.Slab(t)() // the shared view is a slab buffer: hit, error and stale answer all return it
 	net := comm.NewInprocNetwork(nil)
 	mem := staticMembership(net, "n0", "n1")
 	fc := &fakeCaller{ok: false}

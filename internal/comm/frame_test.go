@@ -88,14 +88,18 @@ func TestFrameReaderRejects(t *testing.T) {
 		{"truncated body", good[:len(good)-1], io.ErrUnexpectedEOF},
 	}
 	for _, c := range cases {
-		gets := tiers.ReadSlabStats().Gets
+		before := tiers.ReadSlabStats()
 		r := &frameReader{r: bytes.NewReader(c.wire), slabHead: true}
 		_, err := r.read()
 		if !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
-		if c.want != io.ErrUnexpectedEOF && tiers.ReadSlabStats().Gets != gets {
+		after := tiers.ReadSlabStats()
+		if c.want != io.ErrUnexpectedEOF && after.Gets != before.Gets {
 			t.Errorf("%s: a buffer was drawn before the header was refused", c.name)
+		}
+		if after.InUseBytes != before.InUseBytes {
+			t.Errorf("%s: the refused frame kept %d slab bytes", c.name, after.InUseBytes-before.InUseBytes)
 		}
 	}
 
@@ -445,11 +449,16 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte("HF"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
+		inUse := tiers.ReadSlabStats().InUseBytes
 		r := &frameReader{r: bytes.NewReader(data), slabHead: true}
 		consumed := int64(0)
 		for {
 			fr, err := r.read()
 			if err != nil {
+				// However the stream ended, the reader kept nothing.
+				if got := tiers.ReadSlabStats().InUseBytes; got != inUse {
+					t.Fatalf("reader kept %d slab bytes after %v", got-inUse, err)
+				}
 				return
 			}
 			consumed += fr.size()

@@ -24,15 +24,26 @@ func setup(t *testing.T) (*pfs.FS, *Client, *tiers.Store, *tiers.Store) {
 	return fs, c, ram, nvme
 }
 
+// resident copies a resident payload out through a pinned view.
+func resident(t *testing.T, st *tiers.Store, id seg.ID) []byte {
+	t.Helper()
+	v, ok := st.View(id)
+	if !ok {
+		t.Fatalf("%v not resident in %s", id, st.Name())
+	}
+	defer v.Release()
+	return append([]byte(nil), v.Bytes()...)
+}
+
 func TestFetchLoadsCorrectBytes(t *testing.T) {
 	fs, c, ram, _ := setup(t)
 	id := seg.ID{File: "f", Index: 2}
 	if err := c.Fetch(id, 0, ram); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ram.Get(id)
-	if err != nil || len(got) != 100 {
-		t.Fatalf("Get = %d bytes %v", len(got), err)
+	got := resident(t, ram, id)
+	if len(got) != 100 {
+		t.Fatalf("View = %d bytes", len(got))
 	}
 	want := make([]byte, 100)
 	fs.ReadAt("f", 200, want)
@@ -78,15 +89,14 @@ func TestTransferMovesPayload(t *testing.T) {
 	_, c, ram, nvme := setup(t)
 	id := seg.ID{File: "f", Index: 0}
 	c.Fetch(id, 0, ram)
-	orig, _ := ram.Get(id)
+	orig := resident(t, ram, id)
 	if err := c.Transfer(id, ram, nvme); err != nil {
 		t.Fatal(err)
 	}
 	if ram.Has(id) {
 		t.Fatal("exclusive cache: source must not retain the segment")
 	}
-	got, err := nvme.Get(id)
-	if err != nil || !bytes.Equal(got, orig) {
+	if got := resident(t, nvme, id); !bytes.Equal(got, orig) {
 		t.Fatal("transferred payload corrupted")
 	}
 }

@@ -68,12 +68,13 @@ func (f *fakeExec) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
 func (f *fakeExec) Transfer(id seg.ID, src, dst *tiers.Store) error {
 	f.enter()
 	f.wait()
-	payload, err := src.Take(id)
+	b, err := src.TakeBuf(id)
 	if err != nil {
 		return err
 	}
-	if err := dst.PutOwned(id, payload); err != nil {
-		if rerr := src.PutOwned(id, payload); rerr != nil {
+	if err := dst.PutBuf(id, b); err != nil {
+		if rerr := src.PutBuf(id, b); rerr != nil {
+			b.Release()
 			return fmt.Errorf("lost: %v / %w", err, rerr)
 		}
 		return err

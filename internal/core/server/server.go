@@ -216,8 +216,10 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		reg.CounterFunc("hfetch_swept_records_total", "statistics records garbage-collected by the janitor", s.swept.Load)
 		reg.CounterFunc("hfetch_read_zero_copy_total", "payload bytes served by reference from pinned tier buffers", s.zeroCopy.Load)
 		reg.CounterFunc("hfetch_slab_hits_total", "segment buffers served from the slab free lists", tiers.SlabHits)
-		reg.CounterFunc("hfetch_slab_misses_total", "slab requests that fell back to a fresh allocation", tiers.SlabMisses)
+		reg.CounterFunc("hfetch_slab_misses_total", "slab requests that mapped a new chunk or fell back to a plain allocation", tiers.SlabMisses)
 		reg.CounterFunc("hfetch_slab_frees_total", "segment buffers returned to the slab free lists", tiers.SlabFrees)
+		reg.GaugeFunc("hfetch_slab_inuse_bytes", "slab bytes handed out and not yet returned: resident payload plus buffers in flight", tiers.SlabInUseBytes)
+		reg.GaugeFunc("hfetch_slab_mapped_bytes", "address space the slab has mapped outside the Go heap (never falls)", tiers.SlabMappedBytes)
 		reg.GaugeFunc("hfetch_watched_files", "files with an installed watch", func() int64 {
 			return int64(s.registry.Len())
 		})
@@ -329,7 +331,11 @@ func (s *Server) janitor() {
 // Swept returns the cumulative count of garbage-collected stat records.
 func (s *Server) Swept() int64 { return s.swept.Load() }
 
-// Stop flushes and terminates all components.
+// Stop flushes and terminates all components, then clears the tiers this
+// server owns: their residents are slab memory, which no collector gives
+// back, and with the mover drained nothing lands any more. A shared
+// tier is its builder's to clear; a pinned view outlives the clear until
+// its own Release.
 func (s *Server) Stop() {
 	if !s.started {
 		return
@@ -342,6 +348,11 @@ func (s *Server) Stop() {
 	}
 	s.mon.Stop()
 	s.eng.Stop()
+	for _, st := range s.hier.Stores() {
+		if !s.shared[st.Name()] {
+			st.Clear()
+		}
+	}
 }
 
 // Flush synchronously drains the event queue's current backlog effects

@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strings"
 	"time"
+
+	"hfetch/internal/tiers"
 )
 
 // TB is the subset of testing.TB the leak guard needs; taking the
@@ -168,4 +170,58 @@ func allowlisted(g string) bool {
 		}
 	}
 	return false
+}
+
+// Slab guards the other thing a test can leak now that segment payloads
+// live outside the Go heap: slab memory, which no collector gives back.
+// It reads the slab's ledger (tiers.SlabStats.InUseBytes) and returns a
+// function that, deferred, fails the test unless the ledger is back
+// where it was: every buffer drawn since has reached its SlabPut or its
+// last Buf.Release. Connections and handlers wind down asynchronously,
+// so the check polls like Guard does; it never runs the collector — a
+// store the test dropped uncleared is the test's to collect.
+//
+// Usage:
+//
+//	defer leakcheck.Slab(t)()
+//
+// before the system under test is built and after Guard, so the ledger
+// is read once everything has stopped.
+func Slab(t TB) func() {
+	settleFinalizers()
+	before := tiers.ReadSlabStats().InUseBytes
+	return func() {
+		t.Helper()
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			got := tiers.ReadSlabStats().InUseBytes
+			if got == before {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("slab ledger: %d bytes in use after the test, %d before it (%+d)", got, before, got-before)
+				return
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// settleFinalizers lets the stores earlier tests dropped give their
+// payloads back before the ledger is read: finalizers run in queue
+// order, so once a sentinel of a second collection has run, so has
+// everything the first collection found unreachable.
+func settleFinalizers() {
+	for i := 0; i < 2; i++ {
+		done := make(chan struct{})
+		runtime.SetFinalizer(&struct{ c chan struct{} }{done}, func(s *struct{ c chan struct{} }) { close(s.c) })
+		for ran := false; !ran; {
+			runtime.GC()
+			select {
+			case <-done:
+				ran = true
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}
 }

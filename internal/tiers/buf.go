@@ -1,6 +1,9 @@
 package tiers
 
 import (
+	"fmt"
+	"runtime"
+	"strings"
 	"sync/atomic"
 
 	"hfetch/internal/invariant"
@@ -13,7 +16,10 @@ import (
 // and drop the pin with Release. The last release frees the underlying
 // buffer back to the slab, so eviction and overwrite never recycle
 // bytes under a pinned reader — they just drop the store's reference
-// and defer the free to the refcount.
+// and defer the free to the refcount. Nothing else frees the payload:
+// it is slab memory, which the collector does not see, so a reference
+// that is dropped without Release strands its bytes for the life of the
+// process (under -tags hfetch_invariants the collector reports it).
 //
 // The payload bytes are immutable once the Buf is resident (WORM data:
 // a written file is invalidated, never patched in place), which is what
@@ -28,7 +34,36 @@ type Buf struct {
 func NewBuf(payload []byte) *Buf {
 	b := &Buf{data: payload}
 	b.refs.Store(1)
+	if invariant.Enabled {
+		// The creator's stack rides in the finalizer's closure (by value:
+		// one allocation), not in the Buf, whose layout the default build
+		// shares.
+		var stack [8]uintptr
+		depth := runtime.Callers(2, stack[:])
+		pcs := stack
+		runtime.SetFinalizer(b, func(b *Buf) {
+			if n := b.refs.Load(); n > 0 {
+				bufLeaked(fmt.Sprintf("buf of %d bytes collected holding %d references, created at%s", len(b.data), n, stackOf(pcs, depth)))
+			}
+		})
+	}
 	return b
+}
+
+// bufLeaked reports a Buf the collector found unreachable with
+// references outstanding: its payload is stranded in the slab
+// (invariant builds only; a test swaps it).
+var bufLeaked = func(msg string) { invariant.Assert(false, "%s", msg) }
+
+func stackOf(pcs [8]uintptr, depth int) string {
+	var sb strings.Builder
+	for frames := runtime.CallersFrames(pcs[:depth]); ; {
+		f, more := frames.Next()
+		fmt.Fprintf(&sb, "\n\t%s (%s:%d)", f.Function, f.File, f.Line)
+		if !more {
+			return sb.String()
+		}
+	}
 }
 
 // Bytes returns the payload. Valid only while the caller holds a

@@ -16,6 +16,7 @@ package tiers
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -46,8 +47,15 @@ type Store struct {
 
 // NewStore creates a store named name with the given byte capacity whose
 // accesses are charged to dev (nil dev = free accesses).
+//
+// The residents are slab memory, which no collector frees: whoever owns
+// the store calls Clear when it is done with it (Server.Stop and
+// Cluster.Stop do). A store that is simply dropped gives back what it
+// still holds when the collector finds it unreachable.
 func NewStore(name string, capacity int64, dev *devsim.Device) *Store {
-	return &Store{name: name, dev: dev, capacity: capacity, data: make(map[seg.ID]*Buf)}
+	s := &Store{name: name, dev: dev, capacity: capacity, data: make(map[seg.ID]*Buf)}
+	runtime.SetFinalizer(s, (*Store).Clear)
+	return s
 }
 
 // Name returns the tier name (e.g. "ram").
@@ -101,14 +109,22 @@ func (s *Store) Put(id seg.ID, payload []byte) error {
 	return nil
 }
 
-// PutOwned stores a segment payload without copying: the store takes
-// ownership of payload, so the caller must not retain, mutate or free
-// the slice afterwards. This is the data-movement hot path — ioclient's
+// PutOwned stores a segment payload without copying: on success the
+// store takes ownership of payload, so the caller must not retain,
+// mutate or free the slice afterwards; on error it is still the
+// caller's to free. This is the data-movement hot path — ioclient's
 // fetch chain hands freshly slab-drawn buffers straight in — where Put's
 // defensive copy would double the bytes touched. Accounting and device
 // charging match Put exactly.
 func (s *Store) PutOwned(id seg.ID, payload []byte) error {
-	return s.PutBuf(id, NewBuf(payload))
+	b := NewBuf(payload)
+	err := s.PutBuf(id, b)
+	if err != nil {
+		// The payload stays the caller's: the wrapper dies empty-handed.
+		b.data = nil
+		b.refs.Store(0)
+	}
+	return err
 }
 
 // PutBuf installs a reference-counted payload, adopting the caller's
@@ -140,29 +156,6 @@ func (s *Store) PutBuf(id seg.ID, b *Buf) error {
 		s.dev.Access(size)
 	}
 	return nil
-}
-
-// Get returns a copy of the segment payload, charging the device for the
-// full segment read.
-func (s *Store) Get(id seg.ID) ([]byte, error) {
-	s.mu.RLock()
-	b, ok := s.data[id]
-	if ok {
-		b.Retain()
-	}
-	s.mu.RUnlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	p := b.Bytes()
-	cp := make([]byte, len(p))
-	copy(cp, p)
-	CountCopied(int64(len(p)))
-	b.Release()
-	if s.dev != nil {
-		s.dev.Access(int64(len(cp)))
-	}
-	return cp, nil
 }
 
 // ReadAt copies min(len(p), len(seg)-off) bytes from offset off within
@@ -264,29 +257,6 @@ func (s *Store) TakeBuf(id seg.ID) (*Buf, error) {
 	return b, nil
 }
 
-// Take removes the segment and returns its payload as a raw slice. When
-// the store held the only reference the slice is handed over without
-// copying; a payload pinned by a concurrent reader is copied out so the
-// caller's exclusive ownership holds either way. Movement paths should
-// prefer TakeBuf, which never copies.
-func (s *Store) Take(id seg.ID) ([]byte, error) {
-	b, err := s.TakeBuf(id)
-	if err != nil {
-		return nil, err
-	}
-	if b.refs.CompareAndSwap(1, 0) {
-		// Sole owner: unwrap instead of going through Release, which
-		// would hand the bytes back to the slab.
-		data := b.data
-		b.data = nil
-		return data, nil
-	}
-	cp := make([]byte, len(b.Bytes()))
-	copy(cp, b.Bytes())
-	b.Release()
-	return cp, nil
-}
-
 // Delete drops a segment without charging the device (metadata-only
 // eviction, e.g. invalidation after a write event). Reports whether the
 // segment was resident. A pinned payload survives until its readers
@@ -355,7 +325,8 @@ func (s *Store) Keys() []seg.ID {
 	return out
 }
 
-// Clear removes everything without device charges.
+// Clear removes everything without device charges: the store's
+// references go now, a pinned payload when its last reader releases.
 func (s *Store) Clear() {
 	s.mu.Lock()
 	old := s.data

@@ -15,15 +15,25 @@ import (
 
 func id(f string, i int64) seg.ID { return seg.ID{File: f, Index: i} }
 
+// resident copies a resident payload out through a pinned view (nil when
+// the segment is not resident).
+func resident(s *Store, id seg.ID) []byte {
+	v, ok := s.View(id)
+	if !ok {
+		return nil
+	}
+	defer v.Release()
+	return append([]byte(nil), v.Bytes()...)
+}
+
 func TestPutGetRoundTrip(t *testing.T) {
 	s := NewStore("ram", 1024, nil)
 	payload := []byte("hello segment")
 	if err := s.Put(id("f", 0), payload); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.Get(id("f", 0))
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("Get = %q %v", got, err)
+	if got := resident(s, id("f", 0)); !bytes.Equal(got, payload) {
+		t.Fatalf("View = %q", got)
 	}
 }
 
@@ -32,20 +42,8 @@ func TestPutCopiesPayload(t *testing.T) {
 	payload := []byte{1, 2, 3}
 	s.Put(id("f", 0), payload)
 	payload[0] = 99
-	got, _ := s.Get(id("f", 0))
-	if got[0] != 1 {
+	if got := resident(s, id("f", 0)); got[0] != 1 {
 		t.Fatal("Put must copy the payload")
-	}
-}
-
-func TestGetCopiesPayload(t *testing.T) {
-	s := NewStore("ram", 1024, nil)
-	s.Put(id("f", 0), []byte{1, 2, 3})
-	got, _ := s.Get(id("f", 0))
-	got[0] = 99
-	again, _ := s.Get(id("f", 0))
-	if again[0] != 1 {
-		t.Fatal("Get must return a copy")
 	}
 }
 
@@ -98,15 +96,16 @@ func TestReadAt(t *testing.T) {
 func TestTakeFreesSpace(t *testing.T) {
 	s := NewStore("ram", 10, nil)
 	s.Put(id("f", 0), make([]byte, 10))
-	p, err := s.Take(id("f", 0))
-	if err != nil || len(p) != 10 {
-		t.Fatalf("Take = %d bytes %v", len(p), err)
+	b, err := s.TakeBuf(id("f", 0))
+	if err != nil || b.Len() != 10 {
+		t.Fatalf("TakeBuf = %v", err)
 	}
+	b.Release()
 	if s.Used() != 0 || s.Has(id("f", 0)) {
-		t.Fatal("Take must free space and remove the segment")
+		t.Fatal("TakeBuf must free space and remove the segment")
 	}
-	if _, err := s.Take(id("f", 0)); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second Take err = %v, want ErrNotFound", err)
+	if _, err := s.TakeBuf(id("f", 0)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("second TakeBuf err = %v, want ErrNotFound", err)
 	}
 }
 
@@ -150,7 +149,7 @@ func TestDeviceChargedOnPutAndRead(t *testing.T) {
 	dev := devsim.New(devsim.Profile{Name: "x", Latency: time.Millisecond}, 1)
 	s := NewStore("ram", 1024, dev)
 	s.Put(id("f", 0), make([]byte, 100))
-	s.Get(id("f", 0))
+	s.ReadAt(id("f", 0), 0, make([]byte, 100))
 	ops, bytesMoved, _ := dev.Stats()
 	if ops != 2 || bytesMoved != 200 {
 		t.Fatalf("device stats = %d ops %d bytes, want 2/200", ops, bytesMoved)
@@ -228,7 +227,7 @@ func TestConcurrentPutGetDelete(t *testing.T) {
 				case 0:
 					s.Put(sid, make([]byte, rng.Intn(64)+1))
 				case 1:
-					s.Get(sid)
+					resident(s, sid)
 				default:
 					s.Delete(sid)
 				}
@@ -271,8 +270,7 @@ func TestPutOwnedTakesOwnership(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload[0] = 99
-	got, _ := s.Get(id("f", 0))
-	if got[0] != 99 {
+	if got := resident(s, id("f", 0)); got[0] != 99 {
 		t.Fatal("PutOwned must take ownership of the slice, not copy it")
 	}
 }
