@@ -214,8 +214,8 @@ func main() {
 		})
 		wd.AddDump("mover", func() string {
 			ms := eng.MoverStats()
-			return fmt.Sprintf("submitted=%d executed=%d failed=%d coalesced=%d superseded=%d cancelled=%d retried=%d outstanding=%d queue_depths=%v",
-				ms.Submitted, ms.Executed, ms.Failed, ms.Coalesced, ms.Superseded, ms.Cancelled, ms.Retried, ms.Outstanding, ms.QueueDepths)
+			return fmt.Sprintf("submitted=%d executed=%d failed=%d coalesced=%d superseded=%d cancelled=%d outstanding=%d queue_depths=%v",
+				ms.Submitted, ms.Executed, ms.Failed, ms.Coalesced, ms.Superseded, ms.Cancelled, ms.Outstanding, ms.QueueDepths)
 		})
 		if d.cnode != nil {
 			mem := d.cnode.Membership()

@@ -105,6 +105,13 @@ func DefaultConfig() Config {
 				Cond: 1, CondKind: CondErrNil,
 				Release: []string{"Release"}, Alias: []string{"Bytes"},
 				Name: "taken buffer (Store.TakeBuf)"},
+			// A move's first half: the payload has left its tier and is in
+			// the caller's hand until it lands (Land), goes back or is
+			// released.
+			{Callee: "hfetch/internal/core/ioclient.Client.Take", Result: 0,
+				Cond: 1, CondKind: CondErrNil,
+				Release: []string{"Release"}, Alias: []string{"Bytes"},
+				Name: "payload in hand (Client.Take)"},
 			{Callee: "hfetch/internal/core/server.Server.OpenRangeView", Result: 0,
 				Cond: -1, Release: []string{"Close"},
 				Name: "range view (Server.OpenRangeView)"},
@@ -125,6 +132,9 @@ func DefaultConfig() Config {
 		},
 		Transfers: []Transfer{
 			{Callee: "hfetch/internal/tiers.Store.PutBuf", Arg: 1, HasErr: true},
+			{Callee: "hfetch/internal/tiers.Store.PutBufWait", Arg: 1, HasErr: true},
+			{Callee: "hfetch/internal/core/ioclient.Client.Land", Arg: 1, HasErr: true},
+			{Callee: "hfetch/internal/core/ioclient.Client.land", Arg: 1, HasErr: true},
 		},
 		SkipPkgs: []string{"hfetch/internal/tiers"},
 	}

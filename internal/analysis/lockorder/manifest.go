@@ -92,6 +92,12 @@ func Default() Manifest {
 			// on the caller's goroutine: lock-free across the call means
 			// lock-free in them (landed completes an op under the mover mu).
 			"hfetch/internal/core/mover.BatchFetcher.FetchMany",
+			// A move's two halves are device I/O like the whole.
+			"hfetch/internal/core/mover.Carrier.Take",
+			"hfetch/internal/core/mover.Carrier.Land",
+			// A store wakes the fills at its door after dropping its own
+			// mutex: the waiter (the mover) takes its mu inside the call.
+			"hfetch/internal/tiers.RoomWaiter.RoomMade",
 		},
 		BarrierExempt: []string{"engine-run"},
 	}

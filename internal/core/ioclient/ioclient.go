@@ -9,6 +9,13 @@
 // tier and writes to the destination tier, charging both device models,
 // which is how fetching PFS → burst buffer → NVMe → RAM overlaps with
 // application reads in the experiments.
+//
+// A move is two halves — the payload leaves its source (Take, or the origin
+// read of FetchMany), then lands (Land) — and the client never waits
+// between them: a destination without room refuses at once and the payload
+// stays in the caller's hand. Fetch and Transfer, the synchronous forms,
+// give up there; the asynchronous mover keeps the payload and lands it when
+// the destination's next release wakes it (tiers.RoomWaiter).
 package ioclient
 
 import (
@@ -74,10 +81,16 @@ func (c *Client) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // Fetch loads segment id from the PFS into dst. size > 0 overrides the
-// payload length (clipped segments); size <= 0 reads a full grain.
+// payload length (clipped segments); size <= 0 reads a full grain. A dst
+// without room refuses at once (tiers.ErrNoSpace) and the read is dropped.
 func (c *Client) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
 	var err error
-	c.FetchMany(id.File, id.Index, []int64{size}, dst, nil, func(_ int, e error) { err = e })
+	c.FetchMany(id.File, id.Index, []int64{size}, dst, nil, func(_ int, held *tiers.Buf, e error) {
+		if held != nil {
+			held.Release()
+		}
+		err = e
+	})
 	return err
 }
 
@@ -90,15 +103,17 @@ func (c *Client) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
 // adaptive grain) ends its run, since the following segment is no longer
 // contiguous with it. A size <= 0 or beyond the grain means a full grain.
 //
-// landed(i, err) reports segment first+i, in index order, as soon as its
-// own tier write has returned (err nil) or it is known to have failed, so
-// a reader of segment i does not wait for the segments behind it.
-// fetched, when non-nil, is called once, when the call has issued its
-// last origin read: what follows is tier writes only. Both run on the
-// caller's goroutine with no store lock held (they may call back into
-// dst). coalesced counts the segments stored out of an origin read they
-// shared with at least one other.
-func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, err error)) (coalesced int) {
+// landed(i, held, err) reports segment first+i, in index order, as soon as
+// its own tier write has returned (err nil) or it is known to have failed,
+// so a reader of segment i does not wait for the segments behind it. A
+// segment dst had no room for is reported with tiers.ErrNoSpace itself and
+// its payload, read and paid for, in held: it is landed's to Land later or
+// to Release. fetched, when non-nil, is called once, when the call has
+// issued its last origin read: what follows is tier writes only. Both run
+// on the caller's goroutine with no store lock held (they may call back
+// into dst). coalesced counts the segments stored out of an origin read
+// they shared with at least one other.
+func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, held *tiers.Buf, err error)) (coalesced int) {
 	grain := c.seg.Size()
 	length := func(k int) int64 {
 		if sizes[k] <= 0 || sizes[k] > grain {
@@ -133,62 +148,85 @@ func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.S
 			if err == nil && len(buf) == 0 {
 				err = errEmpty
 			}
-			if err == nil {
-				// buf came fresh from the slab and is not shared: the
-				// store takes it as it is.
-				err = dst.PutOwned(id, buf)
-			}
 			if err != nil {
 				tiers.SlabPut(buf)
-				landed(i+k, fmt.Errorf("ioclient: fetch %v into %s: %w", id, dst.Name(), err))
+				landed(i+k, nil, fmt.Errorf("ioclient: fetch %v into %s: %w", id, dst.Name(), err))
 				continue
 			}
-			c.fetches.Add(1)
-			c.bytes.Add(int64(len(buf)))
+			// buf came fresh from the slab and is not shared: the store
+			// takes it as it is.
+			b := tiers.NewBuf(buf)
+			if err := c.land(id, b, nil, dst, nil, start); err != nil {
+				landed(i+k, b, err)
+				continue
+			}
 			if len(bufs) > 1 {
 				coalesced++
 			}
-			if c.tele != nil {
-				d := time.Since(start)
-				c.bytesIn.With(dst.Name()).Add(int64(len(buf)))
-				c.moveHist.With(dst.Name()).Observe(int64(d))
-				c.tele.Span(telemetry.StageFetch, file, id.Index, dst.Name(), start, d)
-			}
-			landed(i+k, nil)
+			landed(i+k, nil, nil)
 		}
 	}
 	return coalesced
 }
 
 // Transfer moves a resident segment from src to dst (promotion or
-// demotion). On a destination failure the payload is restored to src so
-// no data is lost mid-move.
+// demotion): Take, then Land. A dst without room refuses at once; the
+// payload then goes back to src, or — src refilled meanwhile — is dropped,
+// which is an eviction the caller finds out by looking (the stores are the
+// truth a failed move is reconciled against).
 func (c *Client) Transfer(id seg.ID, src, dst *tiers.Store) error {
 	var start time.Time
 	if c.tele != nil {
 		start = time.Now()
 	}
-	b, err := src.TakeBuf(id)
+	b, err := c.Take(id, src)
 	if err != nil {
 		return fmt.Errorf("ioclient: transfer %v from %s: %w", id, src.Name(), err)
 	}
-	size := b.Len()
-	// TakeBuf handed over the store's reference: move the Buf itself —
-	// never the bytes — so a reader pinned through the move keeps one
-	// coherent refcount on one buffer.
-	if err := dst.PutBuf(id, b); err != nil {
-		if rerr := src.PutBuf(id, b); rerr != nil {
-			b.Release()
-			return fmt.Errorf("ioclient: transfer %v lost (dst %s: %v; restore %s: %w)",
-				id, dst.Name(), err, src.Name(), rerr)
-		}
-		return fmt.Errorf("ioclient: transfer %v to %s: %w", id, dst.Name(), err)
+	if err = c.land(id, b, src, dst, nil, start); err != nil && src.PutBuf(id, b) != nil {
+		b.Release()
 	}
-	c.transfers.Add(1)
+	return err
+}
+
+// Take is a transfer's first half: the segment leaves src — charged for the
+// read, its room free from here on — and its payload, with the store's
+// reference, is in the caller's hand: to Land, to put back, or to Release.
+// The Buf itself moves, never the bytes, so a reader pinned through the
+// move keeps one coherent refcount on one buffer.
+func (c *Client) Take(id seg.ID, src *tiers.Store) (*tiers.Buf, error) {
+	return src.TakeBuf(id)
+}
+
+// Land is the second half, of a transfer (from = the tier the payload
+// left) or of a fetch whose payload FetchMany handed back (from nil): b is
+// installed in dst. On tiers.ErrNoSpace — returned bare, nothing is
+// formatted on this path — b is still the caller's, and w, when non-nil,
+// has been left at dst's door (tiers.Store.PutBufWait).
+func (c *Client) Land(id seg.ID, b *tiers.Buf, from, dst *tiers.Store, w tiers.RoomWaiter) error {
+	var start time.Time
+	if c.tele != nil {
+		start = time.Now()
+	}
+	return c.land(id, b, from, dst, w, start)
+}
+
+func (c *Client) land(id seg.ID, b *tiers.Buf, from, dst *tiers.Store, w tiers.RoomWaiter, start time.Time) error {
+	size := b.Len()
+	if err := dst.PutBufWait(id, b, w); err != nil {
+		return err
+	}
+	if from == nil {
+		c.fetches.Add(1)
+	} else {
+		c.transfers.Add(1)
+	}
 	c.bytes.Add(size)
 	if c.tele != nil {
 		d := time.Since(start)
-		c.bytesOut.With(src.Name()).Add(size)
+		if from != nil {
+			c.bytesOut.With(from.Name()).Add(size)
+		}
 		c.bytesIn.With(dst.Name()).Add(size)
 		c.moveHist.With(dst.Name()).Observe(int64(d))
 		c.tele.Span(telemetry.StageFetch, id.File, id.Index, dst.Name(), start, d)

@@ -122,6 +122,88 @@ func TestTransferRestoresOnDestFailure(t *testing.T) {
 	}
 }
 
+// refiller is a tiers.RoomWaiter that fills the room it is woken for.
+type refiller struct {
+	id seg.ID
+	b  *tiers.Buf
+}
+
+func (r *refiller) RoomMade(s *tiers.Store) {
+	if err := s.PutBuf(r.id, r.b); err != nil {
+		panic(err)
+	}
+}
+
+// A refused transfer whose source refilled meanwhile can land nowhere: the
+// payload is dropped — an eviction the stores show — and not leaked.
+func TestTransferDropsPayloadWhenSourceRefilled(t *testing.T) {
+	_, c, _, _ := setup(t)
+	src := tiers.NewStore("src", 100, nil)
+	dst := tiers.NewStore("dst", 100, nil)
+	id, other, third := seg.ID{File: "f", Index: 0}, seg.ID{File: "f", Index: 1}, seg.ID{File: "f", Index: 2}
+	c.Fetch(id, 0, src)
+	c.Fetch(other, 0, dst)
+	before := tiers.ReadSlabStats().InUseBytes
+	// A fill waiting at the source's door takes the room the transfer's
+	// first half makes, before its second half is refused.
+	w := &refiller{id: third, b: tiers.NewBuf(tiers.SlabGet(100))}
+	if err := src.PutBufWait(w.id, w.b, w); err != tiers.ErrNoSpace {
+		t.Fatalf("PutBufWait into a full store = %v, want the bare ErrNoSpace", err)
+	}
+	if err := c.Transfer(id, src, dst); !errors.Is(err, tiers.ErrNoSpace) {
+		t.Fatalf("transfer into a full tier = %v, want ErrNoSpace", err)
+	}
+	if src.Has(id) || dst.Has(id) || !src.Has(third) || !dst.Has(other) {
+		t.Fatal("the payload must be nowhere, its neighbours where they were")
+	}
+	if got := tiers.ReadSlabStats().InUseBytes; got != before {
+		t.Fatalf("slab in use %d, want %d: one payload in, one dropped", got, before)
+	}
+}
+
+// roomLog is a tiers.RoomWaiter that counts its wake-ups.
+type roomLog struct{ made int }
+
+func (r *roomLog) RoomMade(*tiers.Store) { r.made++ }
+
+// Land leaves its waiter at a full destination's door; the next release
+// there — and only the next — calls it, and the payload then lands.
+func TestLandLeavesWaiterAtFullDoor(t *testing.T) {
+	_, c, ram, nvme := setup(t)
+	tiny := tiers.NewStore("tiny", 100, nil)
+	a, b := seg.ID{File: "f", Index: 0}, seg.ID{File: "f", Index: 1}
+	c.Fetch(a, 0, ram)
+	c.Fetch(b, 0, tiny)
+	held, err := c.Take(a, ram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var w roomLog
+	for i := 0; i < 2; i++ { // refused twice, registered once
+		if err := c.Land(a, held, ram, tiny, &w); err != tiers.ErrNoSpace {
+			t.Fatalf("Land = %v, want the bare ErrNoSpace", err)
+		}
+	}
+	nvme.Delete(b) // a release elsewhere wakes nobody
+	if w.made != 0 {
+		t.Fatalf("woken %d times before any room was made", w.made)
+	}
+	tiny.Delete(b)
+	tiny.Delete(b) // nothing released, nobody at the door
+	if w.made != 1 {
+		t.Fatalf("woken %d times by one release, want 1", w.made)
+	}
+	if err := c.Land(a, held, ram, tiny, &w); err != nil {
+		t.Fatal(err)
+	}
+	if !tiny.Has(a) || ram.Has(a) {
+		t.Fatal("the payload must land in the destination alone")
+	}
+	if st := c.Stats(); st.Transfers != 1 {
+		t.Fatalf("transfers = %d, want 1 (refusals count nothing)", st.Transfers)
+	}
+}
+
 func TestEvict(t *testing.T) {
 	_, c, ram, _ := setup(t)
 	id := seg.ID{File: "f", Index: 0}
@@ -169,7 +251,15 @@ func fetchManySetup(t *testing.T, capacity int64) (*pfs.FS, *Client, *tiers.Stor
 // fetched how many times the origin-read hook ran.
 func fetchMany(c *Client, file string, first int64, sizes []int64, dst *tiers.Store) (errs []error, order []int, fetched, coalesced int) {
 	errs = make([]error, len(sizes))
-	coalesced = c.FetchMany(file, first, sizes, dst, func() { fetched++ }, func(i int, err error) {
+	coalesced = c.FetchMany(file, first, sizes, dst, func() { fetched++ }, func(i int, held *tiers.Buf, err error) {
+		if held != nil {
+			// A refused segment's payload is the callback's: nobody here
+			// waits for room, so it goes back to the slab.
+			if err != tiers.ErrNoSpace {
+				panic("a payload is handed back only with the bare ErrNoSpace")
+			}
+			held.Release()
+		}
 		errs[i] = err
 		order = append(order, i)
 		// Called with no store lock held: this would deadlock otherwise.
@@ -245,8 +335,8 @@ func TestFetchManyShortSegmentBreaksRun(t *testing.T) {
 
 func TestFetchManyReportsPerSegmentErrors(t *testing.T) {
 	// Destination holds one segment more: the run's first put succeeds,
-	// the second fails alone — its buffer goes back to the slab — and the
-	// third, which fits again, is stored.
+	// the second fails alone — its payload is handed to landed, which gives
+	// it back to the slab — and the third, which fits again, is stored.
 	_, c, ram, _ := fetchManySetup(t, 1000)
 	if err := ram.Put(seg.ID{File: "other", Index: 0}, make([]byte, 850)); err != nil {
 		t.Fatal(err)
@@ -311,7 +401,7 @@ func TestFetchManyAllocationBudget(t *testing.T) {
 	for i := range sizes {
 		sizes[i] = grain
 	}
-	landed := func(int, error) {}
+	landed := func(int, *tiers.Buf, error) {}
 	run := func() { c.FetchMany("f", 0, sizes, ram, nil, landed) }
 	run() // warm the slab and the store's map
 	if got := testing.AllocsPerRun(20, run); got > 3*segs {
@@ -331,7 +421,7 @@ func BenchmarkFetchMany(b *testing.B) {
 			for i := range sizes {
 				sizes[i] = grain
 			}
-			landed := func(int, error) {}
+			landed := func(int, *tiers.Buf, error) {}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

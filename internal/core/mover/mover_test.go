@@ -2,21 +2,21 @@ package mover
 
 import (
 	"errors"
-	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hfetch/internal/core/seg"
+	"hfetch/internal/harness/leakcheck"
 	"hfetch/internal/tiers"
 )
 
-// fakeExec is a controllable Executor (optionally a BatchFetcher) over
-// real tier stores: fetches materialize synthetic payloads, transfers
-// and evictions move/drop them, and a gate can hold any operation open.
+// fakeExec is a controllable Executor, BatchFetcher and Carrier over real
+// tier stores: fetches materialize synthetic slab payloads, transfers and
+// evictions move/drop them, a gate can hold any operation open, and fail
+// can fail any of them. plain() hides everything but the Executor.
 type fakeExec struct {
-	batch bool
-
 	mu         sync.Mutex
 	fetches    []seg.ID
 	batchCalls [][]int64 // sizes slice per FetchMany call
@@ -24,17 +24,20 @@ type fakeExec struct {
 	// beforeWrite, when set, runs before each tier write of a FetchMany,
 	// after the origin read was reported.
 	beforeWrite func(id seg.ID)
-	transfers   int
-	evicts      int
+	// fail, when set, is asked before each physical step ("fetch", "take",
+	// "land", "evict"); a non-nil answer fails the step with it.
+	fail      func(step string, id seg.ID) error
+	transfers int
+	evicts    int
+	hops      atomic.Int64 // hops started: an evict, a take, a fetched segment
+	refused   atomic.Int64 // landings a full destination refused
 
 	gate     chan struct{} // nil = never block
 	gateOnce sync.Once
 	entered  chan struct{}
 }
 
-func newFakeExec(batch bool) *fakeExec {
-	return &fakeExec{batch: batch, entered: make(chan struct{}, 64)}
-}
+func newFakeExec() *fakeExec { return &fakeExec{entered: make(chan struct{}, 64)} }
 
 func (f *fakeExec) withGate() *fakeExec {
 	f.gate = make(chan struct{})
@@ -56,38 +59,67 @@ func (f *fakeExec) enter() {
 	}
 }
 
-func (f *fakeExec) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
-	f.enter()
-	f.wait()
-	f.mu.Lock()
-	f.fetches = append(f.fetches, id)
-	f.mu.Unlock()
-	return dst.PutOwned(id, make([]byte, size))
+func (f *fakeExec) failed(step string, id seg.ID) error {
+	if f.fail == nil {
+		return nil
+	}
+	return f.fail(step, id)
+}
+
+func (f *fakeExec) Fetch(id seg.ID, size int64, dst *tiers.Store) (err error) {
+	f.FetchMany(id.File, id.Index, []int64{size}, dst, func() {}, func(_ int, held *tiers.Buf, e error) {
+		if held != nil {
+			held.Release()
+		}
+		err = e
+	})
+	return err
 }
 
 func (f *fakeExec) Transfer(id seg.ID, src, dst *tiers.Store) error {
-	f.enter()
-	f.wait()
-	b, err := src.TakeBuf(id)
+	b, err := f.Take(id, src)
 	if err != nil {
 		return err
 	}
-	if err := dst.PutBuf(id, b); err != nil {
-		if rerr := src.PutBuf(id, b); rerr != nil {
-			b.Release()
-			return fmt.Errorf("lost: %v / %w", err, rerr)
-		}
+	if err = f.Land(id, b, src, dst, nil); err != nil && src.PutBuf(id, b) != nil {
+		b.Release()
+	}
+	return err
+}
+
+func (f *fakeExec) Take(id seg.ID, src *tiers.Store) (*tiers.Buf, error) {
+	f.enter()
+	f.wait()
+	f.hops.Add(1)
+	if err := f.failed("take", id); err != nil {
+		return nil, err
+	}
+	return src.TakeBuf(id)
+}
+
+func (f *fakeExec) Land(id seg.ID, b *tiers.Buf, from, dst *tiers.Store, w tiers.RoomWaiter) error {
+	if err := f.failed("land", id); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	f.transfers++
-	f.mu.Unlock()
+	if err := dst.PutBufWait(id, b, w); err != nil {
+		f.refused.Add(1)
+		return err
+	}
+	if from != nil {
+		f.mu.Lock()
+		f.transfers++
+		f.mu.Unlock()
+	}
 	return nil
 }
 
 func (f *fakeExec) Evict(id seg.ID, src *tiers.Store) error {
 	f.enter()
 	f.wait()
+	f.hops.Add(1)
+	if err := f.failed("evict", id); err != nil {
+		return err
+	}
 	if !src.Delete(id) {
 		return tiers.ErrNotFound
 	}
@@ -97,31 +129,54 @@ func (f *fakeExec) Evict(id seg.ID, src *tiers.Store) error {
 	return nil
 }
 
-func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, error)) int {
-	if !f.batch {
-		panic("FetchMany on a non-batch fakeExec")
-	}
+func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, *tiers.Buf, error)) int {
 	f.enter()
 	f.wait()
 	f.mu.Lock()
 	f.batchCalls = append(f.batchCalls, append([]int64(nil), sizes...))
 	f.firsts = append(f.firsts, first)
+	for i := range sizes {
+		f.fetches = append(f.fetches, seg.ID{File: file, Index: first + int64(i)})
+	}
 	f.mu.Unlock()
 	fetched()
 	co := 0
 	for i, sz := range sizes {
 		id := seg.ID{File: file, Index: first + int64(i)}
+		f.hops.Add(1)
 		if f.beforeWrite != nil {
 			f.beforeWrite(id)
 		}
-		err := dst.Put(id, make([]byte, sz))
-		if err == nil && len(sizes) > 1 {
+		if err := f.failed("fetch", id); err != nil {
+			landed(i, nil, err)
+			continue
+		}
+		b := tiers.NewBuf(tiers.SlabGet(sz))
+		if err := dst.PutBuf(id, b); err != nil {
+			landed(i, b, err)
+			continue
+		}
+		if len(sizes) > 1 {
 			co++
 		}
-		landed(i, err)
+		landed(i, nil, nil)
 	}
 	return co
 }
+
+// plainExec is fakeExec behind the Executor interface alone: what a mover
+// does with an executor that can neither batch nor carry.
+type plainExec struct{ f *fakeExec }
+
+func (f *fakeExec) plain() Executor { return plainExec{f} }
+
+func (p plainExec) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
+	return p.f.Fetch(id, size, dst)
+}
+func (p plainExec) Transfer(id seg.ID, src, dst *tiers.Store) error {
+	return p.f.Transfer(id, src, dst)
+}
+func (p plainExec) Evict(id seg.ID, src *tiers.Store) error { return p.f.Evict(id, src) }
 
 // outcome captures done-callback results.
 type outcome struct {
@@ -157,44 +212,69 @@ func twoTiers(caps ...int64) *tiers.Hierarchy {
 	return tiers.NewHierarchy(stores...)
 }
 
-func TestMoverExecutesMixedPlan(t *testing.T) {
-	hier := twoTiers(1000, 1000)
-	ex := newFakeExec(false)
-	out := newOutcome()
-	// Pre-seed a segment to transfer and one to evict.
-	hier.Tier(1).Put(sid(1), make([]byte, 100))
-	hier.Tier(0).Put(sid(2), make([]byte, 100))
-	m := New(Config{}, hier, ex, out.cb)
-	m.Start()
-	defer m.Stop()
-
-	m.Submit([]Move{
-		{ID: sid(2), Size: 100, From: 0, To: -1}, // evict
-		{ID: sid(1), Size: 100, From: 1, To: 0},  // promote
-		{ID: sid(0), Size: 100, From: -1, To: 0}, // fetch
-	})
-	m.Drain()
-
-	if !hier.Tier(0).Has(sid(0)) || !hier.Tier(0).Has(sid(1)) {
-		t.Fatal("fetch and promotion must land in ram")
-	}
-	if hier.Tier(0).Has(sid(2)) {
-		t.Fatal("eviction must drop the segment")
-	}
-	for i := int64(0); i < 3; i++ {
-		if err, ok := out.errOf(sid(i)); !ok || err != nil {
-			t.Fatalf("segment %d outcome = %v (reported %v), want nil", i, err, ok)
+// waitStats polls until ok(stats) or fails the test.
+func waitStats(t *testing.T, m *Mover, what string, ok func(waiting int, st Stats) bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+		m.mu.Lock()
+		waiting := 0
+		for _, w := range m.waiting {
+			waiting += len(w)
+		}
+		m.mu.Unlock()
+		st := m.Stats()
+		if ok(waiting, st) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("never saw %s: %d waiting, %+v", what, waiting, st)
 		}
 	}
-	st := m.Stats()
-	if st.Executed != 3 || st.Failed != 0 || st.Outstanding != 0 {
-		t.Fatalf("stats = %+v, want 3 executed, none failed/outstanding", st)
+}
+
+func TestMoverExecutesMixedPlan(t *testing.T) {
+	for name, pick := range map[string]func(*fakeExec) Executor{
+		"carrier": func(f *fakeExec) Executor { return f },
+		"plain":   (*fakeExec).plain,
+	} {
+		hier := twoTiers(1000, 1000)
+		ex := newFakeExec()
+		out := newOutcome()
+		// Pre-seed a segment to transfer and one to evict.
+		hier.Tier(1).Put(sid(1), make([]byte, 100))
+		hier.Tier(0).Put(sid(2), make([]byte, 100))
+		m := New(Config{}, hier, pick(ex), out.cb)
+		m.Start()
+
+		m.Submit([]Move{
+			{ID: sid(2), Size: 100, From: 0, To: -1}, // evict
+			{ID: sid(1), Size: 100, From: 1, To: 0},  // promote
+			{ID: sid(0), Size: 100, From: -1, To: 0}, // fetch
+		})
+		m.Drain()
+		m.Stop()
+
+		if !hier.Tier(0).Has(sid(0)) || !hier.Tier(0).Has(sid(1)) {
+			t.Fatalf("%s: fetch and promotion must land in ram", name)
+		}
+		if hier.Tier(0).Has(sid(2)) || hier.Tier(1).Has(sid(1)) {
+			t.Fatalf("%s: eviction must drop the segment, promotion leave its source", name)
+		}
+		for i := int64(0); i < 3; i++ {
+			if err, ok := out.errOf(sid(i)); !ok || err != nil {
+				t.Fatalf("%s: segment %d outcome = %v (reported %v), want nil", name, i, err, ok)
+			}
+		}
+		st := m.Stats()
+		if st.Executed != 3 || st.Failed != 0 || st.Outstanding != 0 {
+			t.Fatalf("%s: stats = %+v, want 3 executed, none failed/outstanding", name, st)
+		}
 	}
 }
 
 func TestMoverSupersedeQueuedRetargets(t *testing.T) {
 	hier := twoTiers(1000, 1000)
-	ex := newFakeExec(false).withGate()
+	ex := newFakeExec().withGate()
 	out := newOutcome()
 	m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
@@ -204,8 +284,8 @@ func TestMoverSupersedeQueuedRetargets(t *testing.T) {
 	m.Submit([]Move{{ID: sid(9), Size: 100, From: -1, To: 0}}) // occupies the worker
 	<-ex.entered
 	m.Submit([]Move{{ID: sid(0), Size: 100, From: -1, To: 0}}) // queued
-	// Newer pass wants the queued segment in nvme instead: the queued
-	// fetch is retargeted, not executed twice.
+	// Newer pass wants the queued segment in nvme instead: the record's
+	// wanted tier is rewritten, the fetch not executed twice.
 	m.Submit([]Move{{ID: sid(0), Size: 100, From: 0, To: 1}})
 	ex.release()
 	m.Drain()
@@ -225,11 +305,30 @@ func TestMoverSupersedeQueuedRetargets(t *testing.T) {
 	if st := m.Stats(); st.Superseded != 1 {
 		t.Fatalf("superseded = %d, want 1", st.Superseded)
 	}
+	// Wanted back at the origin before anything ran: dropped unmoved.
+	ex2 := newFakeExec().withGate()
+	m2 := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1}, hier, ex2, out.cb)
+	m2.Start()
+	defer m2.Stop()
+	defer ex2.release()
+	m2.Submit([]Move{{ID: sid(8), Size: 100, From: -1, To: 0}})
+	<-ex2.entered
+	m2.Submit([]Move{{ID: sid(5), Size: 100, From: -1, To: 0}, {ID: sid(5), Size: 100, From: 0, To: -1}})
+	ex2.release()
+	m2.Drain()
+	if _, ok := out.errOf(sid(5)); ok || hier.Locate(sid(5)) >= 0 {
+		t.Fatal("a fetch wanted nowhere before it ran must neither execute nor report")
+	}
+	if st := m2.Stats(); st.Cancelled != 1 || st.Executed != 1 {
+		t.Fatalf("stats = %+v, want the blocker executed and one move cancelled", st)
+	}
 }
 
+// A segment re-placed while a worker has it goes again from where its hop
+// landed: the second hop chains behind the first.
 func TestMoverSupersedeRunningChains(t *testing.T) {
 	hier := twoTiers(1000, 1000)
-	ex := newFakeExec(false).withGate()
+	ex := newFakeExec().withGate()
 	out := newOutcome()
 	m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
@@ -239,25 +338,29 @@ func TestMoverSupersedeRunningChains(t *testing.T) {
 	m.Submit([]Move{{ID: sid(0), Size: 100, From: -1, To: 0}})
 	<-ex.entered // the fetch is executing
 	// A newer pass demotes the segment; its planner From is the running
-	// move's To, so the chained transfer runs after the fetch lands.
+	// hop's To, and the transfer runs after the fetch lands.
+	m.Submit([]Move{{ID: sid(0), Size: 100, From: 0, To: 1}})
+	// A third changes its mind again before the first hop is over: only
+	// the last wanted tier counts.
+	m.Submit([]Move{{ID: sid(0), Size: 100, From: 1, To: 0}})
 	m.Submit([]Move{{ID: sid(0), Size: 100, From: 0, To: 1}})
 	ex.release()
 	m.Drain()
 
 	if !hier.Tier(1).Has(sid(0)) {
-		t.Fatal("chained transfer must land in nvme")
+		t.Fatal("the second hop must land in nvme")
 	}
 	if hier.Tier(0).Has(sid(0)) {
-		t.Fatal("no ram copy may remain after the chained transfer")
+		t.Fatal("no ram copy may remain after the second hop")
 	}
-	if st := m.Stats(); st.Superseded != 1 || st.Executed != 2 {
-		t.Fatalf("stats = %+v, want 1 superseded and 2 executed", st)
+	if st := m.Stats(); st.Superseded != 3 || st.Executed != 2 || out.n != 2 {
+		t.Fatalf("stats = %+v, %d reports; want 3 superseded, 2 hops executed and reported", st, out.n)
 	}
 }
 
 func TestMoverCancelFile(t *testing.T) {
 	hier := twoTiers(1000, 1000)
-	ex := newFakeExec(false).withGate()
+	ex := newFakeExec().withGate()
 	out := newOutcome()
 	m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
@@ -295,7 +398,7 @@ func TestMoverCancelFile(t *testing.T) {
 
 func TestMoverCoalescesAdjacentFetches(t *testing.T) {
 	hier := twoTiers(10_000)
-	ex := newFakeExec(true).withGate()
+	ex := newFakeExec().withGate()
 	out := newOutcome()
 	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
 	m.Start()
@@ -345,12 +448,15 @@ func (e *evictGated) Evict(id seg.ID, src *tiers.Store) error {
 	return e.fakeExec.Evict(id, src)
 }
 
-func TestMoverRetriesNoSpaceUntilEvictionLands(t *testing.T) {
+// A fetch that reaches its tier before the eviction that makes room for it
+// waits there with its payload in hand — read once, never re-read — and
+// lands when the eviction does. Nothing is retried and nothing sleeps.
+func TestMoverWaitsForRoomUntilEvictionLands(t *testing.T) {
 	// Capacity for exactly one segment; the eviction that frees space is
-	// gated so the incoming fetch transiently overflows and must retry.
+	// gated so the incoming fetch finds the tier full.
 	hier := twoTiers(100)
 	hier.Tier(0).Put(sid(0), make([]byte, 100))
-	ex := &evictGated{fakeExec: newFakeExec(false), evictGate: make(chan struct{})}
+	ex := &evictGated{fakeExec: newFakeExec(), evictGate: make(chan struct{})}
 	out := newOutcome()
 	m := New(Config{Concurrency: []int{2}, PFSStreams: 2}, hier, ex, out.cb)
 	m.Start()
@@ -360,28 +466,33 @@ func TestMoverRetriesNoSpaceUntilEvictionLands(t *testing.T) {
 		{ID: sid(0), Size: 100, From: 0, To: -1},
 		{ID: sid(1), Size: 100, From: -1, To: 0},
 	})
-	time.Sleep(2 * time.Millisecond) // let the fetch fail at least once
+	waitStats(t, m, "the fetch parked", func(waiting int, st Stats) bool { return waiting == 1 })
+	if st := m.Stats(); st.Outstanding != 2 || st.Failed != 0 {
+		t.Fatalf("stats with the fetch parked = %+v, want both moves outstanding", st)
+	}
+	if w, done := m.WaitFor(sid(1), time.Millisecond); done || w == 0 {
+		t.Fatal("a parked fetch is in flight: WaitFor waits its timeout out")
+	}
 	close(ex.evictGate)
 	m.Drain()
 
 	if !hier.Tier(0).Has(sid(1)) || hier.Tier(0).Has(sid(0)) {
-		t.Fatal("after eviction lands, the retried fetch must be resident alone")
+		t.Fatal("after eviction lands, the waiting fetch must be resident alone")
 	}
 	if err, ok := out.errOf(sid(1)); !ok || err != nil {
 		t.Fatalf("fetch outcome = %v (reported %v), want success", err, ok)
 	}
-	st := m.Stats()
-	if st.Retried == 0 {
-		t.Fatalf("retried = %d, want > 0", st.Retried)
-	}
-	if st.Failed != 0 {
-		t.Fatalf("failed = %d, want 0", st.Failed)
+	ex.mu.Lock()
+	reads := len(ex.batchCalls)
+	ex.mu.Unlock()
+	if st := m.Stats(); st.Retried != 0 || st.Failed != 0 || st.Executed != 2 || reads != 1 {
+		t.Fatalf("stats = %+v, %d origin reads; want 2 executed, nothing failed or retried, one read", st, reads)
 	}
 }
 
 func TestMoverWaitFor(t *testing.T) {
 	hier := twoTiers(1000)
-	ex := newFakeExec(false).withGate()
+	ex := newFakeExec().withGate()
 	out := newOutcome()
 	m := New(Config{Concurrency: []int{1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
@@ -418,7 +529,7 @@ func TestMoverWaitFor(t *testing.T) {
 
 func TestMoverDrainStopIdempotent(t *testing.T) {
 	hier := twoTiers(1000)
-	ex := newFakeExec(false)
+	ex := newFakeExec()
 	m := New(Config{}, hier, ex, func(Move, error) {})
 	m.Start()
 	m.Submit([]Move{{ID: sid(0), Size: 100, From: -1, To: 0}})
@@ -432,56 +543,85 @@ func TestMoverDrainStopIdempotent(t *testing.T) {
 	}
 }
 
-// gatedFetch holds each segment's first fetch until its gate is closed.
-type gatedFetch struct {
-	*fakeExec
-	gates map[seg.ID]chan struct{}
-}
-
-func (g *gatedFetch) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
-	g.enter()
-	<-g.gates[id]
-	return dst.PutOwned(id, make([]byte, size))
-}
-
-// A fetch that fails destination-full is requeued still carrying the move
-// chained behind it while it ran. A newer pass that then supersedes the
-// queued fetch must not orphan the chained move, which is counted in
-// outstanding: Drain, Flush and Stop would wait for it forever.
-func TestMoverSupersedeRequeuedKeepsNoOrphan(t *testing.T) {
-	hier := twoTiers(100, 1000)
-	if err := hier.Tier(0).Put(sid(7), make([]byte, 100)); err != nil { // tier 0 is full
-		t.Fatal(err)
+// parkOne parks a promotion of sid(0) out of nvme at a full ram (held
+// there by a gated demotion that has yet to leave ram) and returns with it
+// waiting; open lets the demotion go.
+func parkOne(t *testing.T) (m *Mover, hier *tiers.Hierarchy, out *outcome, open func()) {
+	t.Helper()
+	hier = twoTiers(100, 1000, 1000)
+	hier.Tier(0).Put(sid(7), make([]byte, 100)) // ram is full
+	hier.Tier(1).Put(sid(0), make([]byte, 100))
+	ex := newFakeExec()
+	gate := make(chan struct{})
+	ex.fail = func(step string, id seg.ID) error {
+		if step == "take" && id == sid(7) {
+			<-gate
+		}
+		return nil
 	}
-	a, b := sid(0), sid(1)
-	ex := &gatedFetch{fakeExec: newFakeExec(false), gates: map[seg.ID]chan struct{}{
-		a: make(chan struct{}), b: make(chan struct{}),
-	}}
-	m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1}, hier, ex, newOutcome().cb)
+	var once sync.Once
+	open = func() { once.Do(func() { close(gate) }) }
+	out = newOutcome()
+	m = New(Config{Concurrency: []int{1, 2, 1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
-	defer m.Stop()
-
-	m.Submit([]Move{{ID: a, Size: 100, From: -1, To: 0}})
-	<-ex.entered                                         // A's fetch is running
-	m.Submit([]Move{{ID: a, Size: 100, From: 0, To: 1}}) // chains behind it
-	m.Submit([]Move{{ID: b, Size: 100, From: -1, To: 0}})
-	close(ex.gates[a]) // A fails destination-full and requeues behind B
-	<-ex.entered       // B's fetch is running, so A is queued
-	m.Submit([]Move{{ID: a, Size: 100, From: 1, To: -1}})
-	close(ex.gates[b]) // B runs out of retries and fails
-
-	drained := make(chan struct{})
-	go func() {
-		m.Drain()
-		close(drained)
-	}()
-	select {
-	case <-drained:
-	case <-time.After(2 * time.Second):
-		t.Fatalf("Drain still waiting after 2s: %+v", m.Stats())
+	t.Cleanup(func() {
+		open() // Stop waits for the held worker
+		m.Stop()
+	})
+	m.Submit([]Move{
+		{ID: sid(7), Size: 100, From: 0, To: 1}, // held before it leaves ram
+		{ID: sid(0), Size: 100, From: 1, To: 0},
+	})
+	waitStats(t, m, "the promotion parked", func(waiting int, st Stats) bool { return waiting == 1 })
+	if hier.Locate(sid(0)) >= 0 {
+		t.Fatal("a parked transfer has left its source and landed nowhere")
 	}
-	if st := m.Stats(); st.Outstanding != 0 {
-		t.Fatalf("outstanding = %d after Drain, want 0", st.Outstanding)
+	return m, hier, out, open
+}
+
+// A parked fill that a newer pass re-places is not orphaned: wherever it
+// is wanted next — another tier, back at its source, nowhere — it goes
+// there with its payload, reports once, and Drain returns.
+func TestMoverSupersedeWaitingKeepsNoOrphan(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		to   int
+	}{{"another tier", 2}, {"back at its source", 1}, {"nowhere", -1}} {
+		m, hier, out, _ := parkOne(t)
+		m.Submit([]Move{{ID: sid(0), Size: 100, From: 0, To: c.to}})
+		waitStats(t, m, "the re-placed fill done", func(waiting int, st Stats) bool { return st.Outstanding == 1 })
+		if got := hier.Locate(sid(0)); got != c.to {
+			t.Fatalf("%s: segment in tier %d, want %d", c.name, got, c.to)
+		}
+		if err, ok := out.errOf(sid(0)); !ok || err != nil || out.n != 1 {
+			t.Fatalf("%s: outcome %v (reported %v), %d reports; want one success", c.name, err, ok, out.n)
+		}
+		m.mu.Lock()
+		m.checkLocked()
+		waiting := len(m.waiting[0])
+		m.mu.Unlock()
+		if waiting != 0 {
+			t.Fatalf("%s: %d records still parked at ram", c.name, waiting)
+		}
+	}
+}
+
+// A file cancelled while one of its fills is parked: the payload in hand
+// is released, the move reported cancelled — it had left its source — and
+// nothing of it is resident.
+func TestMoverCancelFileDropsParkedPayload(t *testing.T) {
+	defer leakcheck.Slab(t)()
+	m, hier, out, _ := parkOne(t)
+	m.CancelFile("f")
+	if err, ok := out.errOf(sid(0)); !ok || err != ErrCancelled {
+		t.Fatalf("parked cancel outcome = %v (reported %v), want ErrCancelled", err, ok)
+	}
+	if hier.Locate(sid(0)) >= 0 {
+		t.Fatal("a cancelled parked payload must land nowhere")
+	}
+	waitStats(t, m, "the held demotion flagged", func(waiting int, st Stats) bool { return waiting == 0 && st.Outstanding == 1 })
+	for _, st := range hier.Stores() {
+		st.Clear()
 	}
 }
 
@@ -499,7 +639,7 @@ func fetches(first, n int64) []Move {
 // written, not when the group's last one is.
 func TestMoverCompletesEachSegmentAsItLands(t *testing.T) {
 	hier := twoTiers(10_000)
-	ex := newFakeExec(true)
+	ex := newFakeExec()
 	lastGate, atLast := make(chan struct{}), make(chan struct{})
 	ex.beforeWrite = func(id seg.ID) {
 		if id.Index == 15 {
@@ -548,7 +688,7 @@ func TestMoverStripesRunOverIdleStreams(t *testing.T) {
 		{streams: 1, firsts: []int64{0}, widths: []int{61}},
 	} {
 		hier := twoTiers(10_000)
-		ex := newFakeExec(true).withGate() // no group's origin read returns before all are taken
+		ex := newFakeExec().withGate() // no group's origin read returns before all are taken
 		m := New(Config{Concurrency: []int{4}, PFSStreams: c.streams, Coalesce: true}, hier, ex, newOutcome().cb)
 		m.Start()
 		m.Submit(fetches(0, 61))
@@ -583,7 +723,7 @@ func TestMoverStripesRunOverIdleStreams(t *testing.T) {
 // held.
 func TestMoverFreesStreamBeforeTierWrites(t *testing.T) {
 	hier := twoTiers(10_000)
-	ex := newFakeExec(true)
+	ex := newFakeExec()
 	gate, held := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	ex.beforeWrite = func(id seg.ID) {
@@ -619,18 +759,21 @@ func TestMoverFreesStreamBeforeTierWrites(t *testing.T) {
 	}
 }
 
-// A destination-full segment in the middle of a group is retried alone;
-// its neighbours are done.
-func TestMoverRetriesOnlyTheSegmentThatDidNotFit(t *testing.T) {
+// A segment in the middle of a group that its tier has no room for is
+// parked, or given up on, alone: its neighbours are done, the origin is
+// read once, and with nothing of this mover's left to leave the tier the
+// wait is over at once — a terminal failure, its payload given back.
+func TestMoverParksOnlyTheSegmentThatDidNotFit(t *testing.T) {
+	defer leakcheck.Slab(t)()
 	hier := twoTiers(250)
-	ex := newFakeExec(true)
+	ex := newFakeExec()
 	out := newOutcome()
 	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
 	m.Start()
 	defer m.Stop()
 
 	mv := fetches(0, 3)
-	mv[1].Size = 200 // 100 + 200 > 250: refused, and again after segment 2 took its place
+	mv[1].Size = 200 // 100 + 200 > 250: refused, and segment 2 takes its place
 	m.Submit(mv)
 	m.Drain()
 
@@ -641,21 +784,15 @@ func TestMoverRetriesOnlyTheSegmentThatDidNotFit(t *testing.T) {
 		t.Fatalf("segment 2: %v", err)
 	}
 	if err, ok := out.errOf(sid(1)); !ok || !errors.Is(err, tiers.ErrNoSpace) {
-		t.Fatalf("segment 1: reported %v, err %v; want ErrNoSpace once the retries ran out", ok, err)
+		t.Fatalf("segment 1: reported %v, err %v; want ErrNoSpace: no departure was outstanding", ok, err)
 	}
 	ex.mu.Lock()
-	defer ex.mu.Unlock()
-	if len(ex.batchCalls) != 1+maxRetries || len(ex.batchCalls[0]) != 3 {
-		t.Fatalf("%d FetchMany calls, the first %d wide; want the group and %d retries", len(ex.batchCalls), len(ex.batchCalls[0]), maxRetries)
+	calls := len(ex.batchCalls)
+	ex.mu.Unlock()
+	if st := m.Stats(); calls != 1 || st.Retried != 0 || st.Failed != 1 || st.Executed != 2 || out.n != 3 {
+		t.Fatalf("stats = %+v, %d FetchMany calls, %d reports; want one call, 1 failed, 2 executed, 3 reports", st, calls, out.n)
 	}
-	for i := 1; i < len(ex.batchCalls); i++ {
-		if ex.firsts[i] != 1 || len(ex.batchCalls[i]) != 1 {
-			t.Fatalf("retry %d fetched %d segments from %d, want segment 1 alone", i, len(ex.batchCalls[i]), ex.firsts[i])
-		}
-	}
-	if st := m.Stats(); st.Retried != maxRetries || st.Failed != 1 || st.Executed != 2 {
-		t.Fatalf("stats = %+v, want %d retried, 1 failed, 2 executed", st, maxRetries)
-	}
+	hier.Tier(0).Clear()
 }
 
 // Superseding one op of a running group, or cancelling the file once part
@@ -664,7 +801,7 @@ func TestMoverRetriesOnlyTheSegmentThatDidNotFit(t *testing.T) {
 func TestMoverSupersedeAndCancelInsideRunningGroup(t *testing.T) {
 	start := func() (*Mover, *tiers.Hierarchy, *outcome, chan struct{}) {
 		hier := twoTiers(10_000, 10_000)
-		ex := newFakeExec(true)
+		ex := newFakeExec()
 		gate, held := make(chan struct{}), make(chan struct{})
 		ex.beforeWrite = func(id seg.ID) {
 			if id.Index == 2 {
@@ -681,7 +818,7 @@ func TestMoverSupersedeAndCancelInsideRunningGroup(t *testing.T) {
 	}
 
 	m, hier, out, gate := start()
-	m.Submit([]Move{{ID: sid(3), Size: 100, From: 0, To: 1}}) // chained behind 3 alone
+	m.Submit([]Move{{ID: sid(3), Size: 100, From: 0, To: 1}}) // 3 alone goes again
 	close(gate)
 	m.Drain()
 	m.Stop()
@@ -691,7 +828,7 @@ func TestMoverSupersedeAndCancelInsideRunningGroup(t *testing.T) {
 		}
 	}
 	if hier.Tier(0).Has(sid(3)) || !hier.Tier(1).Has(sid(3)) {
-		t.Fatal("supersede: segment 3 must follow its chained move to tier 1")
+		t.Fatal("supersede: segment 3 must follow its newer move to tier 1")
 	}
 
 	m, hier, out, gate = start()
@@ -715,7 +852,7 @@ func TestMoverSupersedeAndCancelInsideRunningGroup(t *testing.T) {
 // stall.
 func TestMoverWaitForRunningFetch(t *testing.T) {
 	hier := twoTiers(10_000)
-	ex := newFakeExec(true).withGate()
+	ex := newFakeExec().withGate()
 	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, newOutcome().cb)
 	m.Start()
 	defer m.Stop()
@@ -757,7 +894,7 @@ func TestMoverWaitForRunningFetch(t *testing.T) {
 // The mover learns what a fetch group takes from its own groups.
 func TestMoverLearnsLandTime(t *testing.T) {
 	hier := twoTiers(10_000)
-	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, newFakeExec(true), newOutcome().cb)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, newFakeExec(), newOutcome().cb)
 	m.Start()
 	m.Submit(fetches(0, 4))
 	m.Drain()

@@ -1,12 +1,15 @@
 package placement
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"hfetch/internal/core/auditor"
+	"hfetch/internal/core/ioclient"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/tiers"
 )
@@ -308,4 +311,163 @@ func TestAsyncFailurePathsMirrorSync(t *testing.T) {
 	if _, ok := r.hier.ExclusiveOK(); !ok {
 		t.Fatal("exclusivity violated")
 	}
+}
+
+// faultyClient is the real I/O client — two halves, vectored fetches, so
+// fills wait for room — whose every physical step may be made to fail.
+type faultyClient struct {
+	*ioclient.Client
+	mu  sync.Mutex
+	rng *rand.Rand // nil: nothing fails
+}
+
+var errInjected = errors.New("injected failure")
+
+func (f *faultyClient) trip() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.rng != nil && f.rng.Intn(20) == 0 {
+		return errInjected
+	}
+	return nil
+}
+
+func (f *faultyClient) Take(id seg.ID, src *tiers.Store) (*tiers.Buf, error) {
+	if err := f.trip(); err != nil {
+		return nil, err
+	}
+	return f.Client.Take(id, src)
+}
+
+func (f *faultyClient) Land(id seg.ID, b *tiers.Buf, from, dst *tiers.Store, w tiers.RoomWaiter) error {
+	if err := f.trip(); err != nil {
+		return err
+	}
+	return f.Client.Land(id, b, from, dst, w)
+}
+
+func (f *faultyClient) Evict(id seg.ID, src *tiers.Store) error {
+	if err := f.trip(); err != nil {
+		return err
+	}
+	return f.Client.Evict(id, src)
+}
+
+func (f *faultyClient) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, *tiers.Buf, error)) int {
+	if err := f.trip(); err != nil {
+		fetched()
+		for i := range sizes {
+			landed(i, nil, err)
+		}
+		return 0
+	}
+	return f.Client.FetchMany(file, first, sizes, dst, fetched, landed)
+}
+
+// TestAsyncEngineStateMachine is the engine-level twin of the mover's
+// state-machine test: seeded passes of score churn over tiers a third the
+// size of what contends for them — full destinations, swaps between full
+// tiers, cascades — with files invalidated under way, passes that overlap
+// the moves of the one before, and (every other seed) executor failures.
+// At quiescence the model, the stores and the mapping agree, segment by
+// segment and byte by byte, and nothing was retried.
+func TestAsyncEngineStateMachine(t *testing.T) {
+	seeds := int64(500)
+	if testing.Short() {
+		seeds = 60
+	}
+	var failed, superseded int64
+	for seed := int64(0); seed < seeds; seed++ {
+		f, s := runEngineStateMachine(t, seed)
+		failed, superseded = failed+f, superseded+s
+	}
+	t.Logf("%d seeds: %d failed moves reconciled, %d in-flight segments re-placed", seeds, failed, superseded)
+	if failed == 0 || superseded == 0 {
+		t.Fatal("the driver no longer reaches failures and re-placements")
+	}
+}
+
+func runEngineStateMachine(t *testing.T, seed int64) (failed, superseded int64) {
+	rng := rand.New(rand.NewSource(seed))
+	faults := seed%2 == 1
+	var fc *faultyClient
+	cfg := Config{Async: true, FetchCoalesce: seed%3 != 0, MoverConcurrency: []int{2, 1, 1}, UpdateThreshold: 1 << 30}
+	r := newRigWrapped(t, cfg, func(m Mover) Mover {
+		fc = &faultyClient{Client: m.(*ioclient.Client)}
+		if faults {
+			fc.rng = rand.New(rand.NewSource(seed))
+		}
+		return fc
+	}, 300, 400, 500)
+	r.fs.Create("g", 1<<20)
+	files := []string{"f", "g"}
+	invalidated := map[string]bool{}
+	const perFile = 18 // 36 segments contend for 12 slots
+	for pass, passes := 0, 10+rng.Intn(20); pass < passes; pass++ {
+		for n := 1 + rng.Intn(10); n > 0; n-- {
+			id := seg.ID{File: files[rng.Intn(2)], Index: int64(rng.Intn(perFile))}
+			r.eng.ScoreUpdated(auditor.Update{ID: id, Score: float64(rng.Intn(12)) / 2, Size: 100})
+		}
+		if rng.Intn(12) == 0 {
+			file := files[rng.Intn(2)]
+			invalidated[file] = true
+			r.eng.FileInvalidated(file)
+		}
+		// A pass planned while a failed move of the one before is still to
+		// be reconciled plans from a model that is about to be corrected;
+		// the passes overlap only where nothing fails.
+		if faults || rng.Intn(3) == 0 {
+			r.eng.Flush()
+		} else {
+			r.eng.run()
+		}
+	}
+	r.eng.Flush()
+
+	st := r.eng.MoverStats()
+	if st.Outstanding != 0 || st.Retried != 0 || (!faults && st.Failed != 0) {
+		t.Fatalf("seed %d: mover stats at quiescence %+v (faults %v)", seed, st, faults)
+	}
+	if id, ok := r.hier.ExclusiveOK(); !ok {
+		t.Fatalf("seed %d: %v is resident in two tiers", seed, id)
+	}
+	loads := r.eng.TierLoad()
+	for ti, s := range r.hier.Stores() {
+		if loads[ti] != s.Used() {
+			t.Fatalf("seed %d: tier %d accounting drift: model=%d store=%d", seed, ti, loads[ti], s.Used())
+		}
+	}
+	for _, file := range files {
+		for i := int64(0); i < perFile; i++ {
+			id := seg.ID{File: file, Index: i}
+			actual := r.hier.Locate(id)
+			if model := r.eng.Resident(id); model != actual {
+				t.Fatalf("seed %d: %v: model says tier %d, stores say %d", seed, id, model, actual)
+			}
+			_, tier, ok := r.aud.Mapping(id)
+			switch {
+			case actual >= 0 && (!ok || tier != r.hier.Tier(actual).Name()):
+				t.Fatalf("seed %d: %v is in %s, its mapping says %q (%v)", seed, id, r.hier.Tier(actual).Name(), tier, ok)
+			case actual < 0 && ok && !invalidated[file]:
+				// A hop that landed as its file was invalidated may map it
+				// after the sweep (a read falls through a stale mapping);
+				// nothing else may map what is not there.
+				t.Fatalf("seed %d: %v is mapped to %q and resident nowhere", seed, id, tier)
+			}
+			if actual >= 0 {
+				want := make([]byte, 100)
+				r.fs.ReadAt(file, i*100, want)
+				if got, ok := r.hier.Tier(actual).View(id); !ok || !bytes.Equal(got.Bytes(), want) {
+					t.Fatalf("seed %d: %v holds the wrong bytes", seed, id)
+				} else {
+					got.Release()
+				}
+			}
+		}
+	}
+	r.eng.Stop()
+	for _, s := range r.hier.Stores() {
+		s.Clear()
+	}
+	return st.Failed, st.Superseded
 }

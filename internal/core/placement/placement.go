@@ -18,6 +18,15 @@
 // min_score is -inf (anything may enter); once full, the minimum
 // resident score gates entry, which is the watermark behaviour the
 // paper's RAM example describes.
+//
+// Each tier of the residency model is ranked: a min-heap over (score,
+// file, index) with lazy deletion, so tier.min_score is a peek and
+// DemoteSegments pops exactly the victims it needs, coldest first; among
+// equal scores the lowest (file, index) goes first. A segment that only
+// ties the coldest resident does not displace it — it goes deeper. A
+// pass's plan, its merge table, its phase order and the batch handed to
+// the asynchronous mover are scratch the engine keeps between passes: a
+// steady-state pass allocates nothing per move.
 package placement
 
 import (
@@ -144,19 +153,27 @@ type Engine struct {
 	updateCount int
 	rrNext      uint64
 
-	// Engine's model of tier residency: per tier, segment -> (score, size).
+	// Engine's model of tier residency: per tier, segment -> (score, size),
+	// and rank, the tier's score index: a min-heap in colder's order with
+	// lazy deletion — an item stands for a resident only while the resident
+	// still has the item's score — compacted on the push side (setResident).
 	resident []map[seg.ID]entry
 	used     []int64
-	// cands is demoteUntilFits' scratch, one per tier: demotion recurses
-	// only into deeper tiers.
-	cands [][]cand
+	rank     [][]ranked
 
 	// runMu serializes placement passes (the loop and explicit Flush). It
 	// guards drained, the map the pass before this one emptied and the
-	// next swaps in for pending, and updates, the pass's work list.
+	// next swaps in for pending, and the pass's scratch: its work list, its
+	// plan, mergePlan's table, the phase-ordered plan with its phase ends,
+	// and the batch submitted to the async mover.
 	runMu   sync.Mutex
 	drained map[seg.ID]auditor.Update
 	updates []auditor.Update
+	planned []move
+	mergeAt map[seg.ID]int32
+	ordered []move
+	ends    []int
+	batch   []amover.Move
 
 	kick chan struct{}
 	stop chan struct{}
@@ -173,10 +190,22 @@ type entry struct {
 	size  int64
 }
 
-// cand is a resident that may be demoted.
-type cand struct {
-	id  seg.ID
-	ent entry
+// ranked is one item of a tier's score index.
+type ranked struct {
+	score float64
+	id    seg.ID
+}
+
+// colder is the index order, and with it the one tie rule of demotion:
+// lowest score first, equal scores by file name, then by segment index.
+func colder(a, b ranked) bool {
+	if a.score != b.score {
+		return a.score < b.score
+	}
+	if a.id.File != b.id.File {
+		return a.id.File < b.id.File
+	}
+	return a.id.Index < b.id.Index
 }
 
 // move is one planned data movement. from/to index tiers; -1 means the
@@ -215,13 +244,15 @@ func New(cfg Config, hier *tiers.Hierarchy, mover Mover, aud *auditor.Auditor) *
 		aud:         aud,
 		pending:     make(map[seg.ID]auditor.Update),
 		drained:     make(map[seg.ID]auditor.Update),
+		mergeAt:     make(map[seg.ID]int32),
+		ends:        make([]int, hier.Len()+2),
 		invalidated: make(map[string]struct{}),
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
 	e.resident = make([]map[seg.ID]entry, hier.Len())
 	e.used = make([]int64, hier.Len())
-	e.cands = make([][]cand, hier.Len())
+	e.rank = make([][]ranked, hier.Len())
 	for i := range e.resident {
 		e.resident[i] = make(map[seg.ID]entry)
 	}
@@ -405,7 +436,7 @@ func (e *Engine) run() {
 	// lower ones are considered.
 	slices.SortFunc(updates, func(a, b auditor.Update) int { return cmp.Compare(b.Score, a.Score) })
 
-	var plan []move
+	plan := e.planned[:0]
 	e.mu.Lock()
 	for _, u := range updates {
 		if _, stale := inval[u.ID.File]; stale {
@@ -415,15 +446,16 @@ func (e *Engine) run() {
 	}
 	e.checkModelLocked()
 	e.mu.Unlock()
+	e.planned = plan
 	if e.cfg.Telemetry != nil {
 		// Decision latency: planning only, data movement is the fetch stage.
 		e.cfg.Telemetry.Span(telemetry.StagePlace, "", -1, "", decideStart, time.Since(decideStart))
 	}
-	merged := mergePlan(plan)
+	ordered := e.order(e.mergePlan(plan))
 	if e.async != nil {
-		e.submitAsync(merged, decideStart)
+		e.submitAsync(ordered, decideStart)
 	} else {
-		e.execute(merged, decideStart)
+		e.execute(ordered, decideStart)
 	}
 	if e.cfg.Telemetry != nil {
 		// The decide stage is the whole pass, entry to ready-for-next:
@@ -434,31 +466,28 @@ func (e *Engine) run() {
 	}
 }
 
-// submitAsync hands a merged plan to the mover, preserving the phase
-// order (evictions, transfers deepest-destination first, fetches) so
-// space-freeing moves enter the queues before the moves that claim the
-// space. The mover still overlaps phases — transient destination-full
-// errors there are retried, since the model guarantees the final state
-// fits.
+// submitAsync hands a merged, phase-ordered plan to the mover as one
+// batch. The mover overlaps the phases; the order only makes every move
+// that leaves a tier known to it before the fills of that tier, which wait
+// for room exactly while such a departure is outstanding.
 func (e *Engine) submitAsync(plan []move, passStart time.Time) {
 	if len(plan) == 0 {
 		return
 	}
 	lc := e.cfg.Telemetry.Lifecycle()
-	for _, phase := range phases(plan, e.hier.Len()) {
-		batch := make([]amover.Move, len(phase))
-		for i, mv := range phase {
-			tr := mv.trace
-			if lc != nil && mv.from < 0 && mv.to >= 0 {
-				// The ledger opens here: every queued prefetch gets a
-				// trace ID (minted if the root event was unsampled).
-				tr = lc.OnFetchQueued(mv.id.File, mv.id.Index, mv.trace,
-					e.hier.Tier(mv.to).Name(), passStart)
-			}
-			batch[i] = amover.Move{ID: mv.id, Size: mv.size, From: mv.from, To: mv.to, Trace: tr}
+	batch := e.batch[:0]
+	for _, mv := range plan {
+		tr := mv.trace
+		if lc != nil && mv.from < 0 && mv.to >= 0 {
+			// The ledger opens here: every queued prefetch gets a
+			// trace ID (minted if the root event was unsampled).
+			tr = lc.OnFetchQueued(mv.id.File, mv.id.Index, mv.trace,
+				e.hier.Tier(mv.to).Name(), passStart)
 		}
-		e.async.Submit(batch)
+		batch = append(batch, amover.Move{ID: mv.id, Size: mv.size, From: mv.from, To: mv.to, Trace: tr})
 	}
+	e.batch = batch
+	e.async.Submit(batch)
 }
 
 // moveDone is the async mover's terminal-outcome callback: the
@@ -477,13 +506,17 @@ func (e *Engine) moveDone(mv amover.Move, err error) {
 		return
 	}
 	switch {
-	case m.to < 0: // eviction (mapping drops even on failure, as in sync)
-		if err == nil {
-			e.ctr.evictions.Add(1)
-		}
+	case m.to < 0: // eviction
 		if lc != nil {
 			lc.OnEvicted(m.id.File, m.id.Index)
 		}
+		if err != nil {
+			// Not where the plan had it (a move given up on put it back
+			// elsewhere, or dropped it): the stores say where it is now.
+			e.reconcile(m)
+			return
+		}
+		e.ctr.evictions.Add(1)
 		e.aud.DeleteMapping(m.id)
 	case err != nil:
 		e.ctr.failed.Add(1)
@@ -508,73 +541,67 @@ func (e *Engine) moveDone(mv amover.Move, err error) {
 	}
 }
 
-// mergePlan coalesces per-segment move chains (a segment can be demoted
-// by one update and re-placed by its own later in the same run) into a
-// single origin→final move, and orders the result so space-freeing moves
-// (evictions, then tier-to-tier transfers) run before fetches. Without
-// merging, two moves of the same segment could execute out of order on
-// the worker pool and leave a duplicate resident copy.
-func mergePlan(plan []move) []move {
+// mergePlan coalesces, in place, per-segment move chains (a segment can be
+// demoted by one update and re-placed by its own later in the same run)
+// into a single origin→final move. Without merging, two moves of the same
+// segment could execute out of order on the worker pool and leave a
+// duplicate resident copy.
+func (e *Engine) mergePlan(plan []move) []move {
 	if len(plan) <= 1 {
 		return plan
 	}
-	first := make(map[seg.ID]int)
-	order := make([]seg.ID, 0, len(plan))
-	merged := make(map[seg.ID]move)
+	clear(e.mergeAt)
+	merged := plan[:0]
 	for _, mv := range plan {
-		if prev, ok := merged[mv.id]; ok {
-			prev.to = mv.to
-			merged[mv.id] = prev
+		if at, ok := e.mergeAt[mv.id]; ok {
+			merged[at].to = mv.to
 			continue
 		}
-		first[mv.id] = len(order)
-		order = append(order, mv.id)
-		merged[mv.id] = mv
+		e.mergeAt[mv.id] = int32(len(merged))
+		merged = append(merged, mv)
 	}
-	out := make([]move, 0, len(order))
-	for _, id := range order {
-		mv := merged[id]
-		if mv.from == mv.to {
-			continue // chain returned to its origin
+	out := merged[:0]
+	for _, mv := range merged {
+		if mv.from != mv.to { // else the chain returned to its origin
+			out = append(out, mv)
 		}
-		out = append(out, mv)
 	}
 	return out
 }
 
-// phases splits a merged plan into barrier-separated groups whose
-// parallel execution cannot transiently overflow a tier: evictions
-// first, then tier-to-tier transfers grouped by destination (deepest
-// tier first, so space is drained downward before it is claimed), and
-// finally fetches from the PFS. The model's capacity accounting
-// guarantees the final state fits; the phasing guarantees every
-// intermediate state does too.
-func phases(plan []move, tierCount int) [][]move {
-	var evicts, fetches []move
-	transfers := make([][]move, tierCount)
-	for _, mv := range plan {
+// order sorts a merged plan, stably, into its phases — evictions first,
+// then tier-to-tier transfers by destination (deepest tier first, so space
+// is drained downward before it is claimed), finally fetches from the PFS
+// — and leaves each phase's end offset in e.ends. Executed with a barrier
+// between phases (execute), no intermediate state overflows a tier: the
+// model's capacity accounting guarantees the final state fits, the phasing
+// the states on the way. The async mover keeps no barriers (submitAsync).
+func (e *Engine) order(plan []move) []move {
+	n := e.hier.Len()
+	phaseOf := func(mv move) int {
 		switch {
 		case mv.to < 0:
-			evicts = append(evicts, mv)
+			return 0
 		case mv.from >= 0:
-			transfers[mv.to] = append(transfers[mv.to], mv)
-		default:
-			fetches = append(fetches, mv)
+			return n - mv.to
 		}
+		return n + 1
 	}
-	out := make([][]move, 0, tierCount+2)
-	if len(evicts) > 0 {
-		out = append(out, evicts)
+	clear(e.ends)
+	for _, mv := range plan {
+		e.ends[phaseOf(mv)]++
 	}
-	for to := tierCount - 1; to >= 0; to-- {
-		if len(transfers[to]) > 0 {
-			out = append(out, transfers[to])
-		}
+	at := 0
+	for p, count := range e.ends {
+		e.ends[p], at = at, at+count
 	}
-	if len(fetches) > 0 {
-		out = append(out, fetches)
+	e.ordered = slices.Grow(e.ordered[:0], len(plan))[:len(plan)]
+	for _, mv := range plan {
+		p := phaseOf(mv)
+		e.ordered[e.ends[p]] = mv
+		e.ends[p]++
 	}
-	return out
+	return e.ordered
 }
 
 // dropFile removes every resident segment of file (consistency after a
@@ -597,10 +624,9 @@ func (e *Engine) dropFile(file string) {
 	var dropped []seg.ID
 	e.mu.Lock()
 	for ti := range e.resident {
-		for id, ent := range e.resident[ti] {
+		for id := range e.resident[ti] {
 			if id.File == file {
-				delete(e.resident[ti], id)
-				e.used[ti] -= ent.size
+				e.dropResident(ti, id)
 				dropped = append(dropped, id)
 			}
 		}
@@ -635,7 +661,97 @@ func (e *Engine) checkModelLocked() {
 		}
 		invariant.Assert(sum == e.used[ti],
 			"tier %d modeled usage %d != sum of resident sizes %d", ti, e.used[ti], sum)
+		h := e.rank[ti]
+		for i := 1; i < len(h); i++ {
+			invariant.Assert(!colder(h[i], h[(i-1)/2]), "tier %d index out of heap order at %d", ti, i)
+		}
 	}
+}
+
+// setResident puts id in tier ti's model with ent, or updates it in place,
+// and ranks it. The index is compacted on this side, not when it is
+// popped: in-place score updates of a tier that is never full only push.
+func (e *Engine) setResident(ti int, id seg.ID, ent entry) {
+	old, had := e.resident[ti][id]
+	e.resident[ti][id] = ent
+	e.used[ti] += ent.size - old.size
+	if had && old.score == ent.score {
+		return // the item it was ranked by still stands
+	}
+	h := append(e.rank[ti], ranked{ent.score, id})
+	for i := len(h) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !colder(h[i], h[up]) {
+			break
+		}
+		h[i], h[up] = h[up], h[i]
+		i = up
+	}
+	e.rank[ti] = h
+	e.trimIndex(ti)
+}
+
+// dropResident takes id out of tier ti's model; its index items go stale.
+func (e *Engine) dropResident(ti int, id seg.ID) {
+	e.used[ti] -= e.resident[ti][id].size
+	delete(e.resident[ti], id)
+	e.trimIndex(ti)
+}
+
+// trimIndex rebuilds tier ti's index from its residents once stale items
+// outnumber them — at least half a tier's worth of pushes and drops apart —
+// so the index stays within twice the residents.
+func (e *Engine) trimIndex(ti int) {
+	if len(e.rank[ti]) <= 2*len(e.resident[ti]) {
+		return
+	}
+	h := e.rank[ti][:0]
+	for id, ent := range e.resident[ti] {
+		h = append(h, ranked{ent.score, id})
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftDown(h, i)
+	}
+	e.rank[ti] = h
+}
+
+func siftDown(h []ranked, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && colder(h[c+1], h[c]) {
+			c++
+		}
+		if !colder(h[c], h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// coldest returns the lowest-ranked resident of tier ti, popping the stale
+// items above it; ok is false for an empty tier.
+func (e *Engine) coldest(ti int) (c ranked, ok bool) {
+	for h := e.rank[ti]; len(h) > 0; h = e.popRank(ti) {
+		if ent, live := e.resident[ti][h[0].id]; live && ent.score == h[0].score {
+			return h[0], true
+		}
+	}
+	return ranked{}, false
+}
+
+// popRank removes the top of tier ti's index and returns what is left.
+func (e *Engine) popRank(ti int) []ranked {
+	h := e.rank[ti]
+	last := len(h) - 1
+	h[0], h[last] = h[last], ranked{}
+	h = h[:last]
+	siftDown(h, 0)
+	e.rank[ti] = h
+	return h
 }
 
 // locate returns the tier index holding id in the engine model, or -1.
@@ -665,16 +781,15 @@ func (e *Engine) plan(u auditor.Update, plan *[]move) {
 				base = u.Score
 			}
 			if base > 0 && abs(u.Score-ent.score)/base < h && u.Size == ent.size {
-				e.resident[cur][u.ID] = entry{score: u.Score, size: ent.size}
+				e.setResident(cur, u.ID, entry{score: u.Score, size: ent.size})
 				return
 			}
 		}
 		// Remove from the model so watermarks exclude the segment itself;
 		// re-placement decides whether it stays, moves, or is evicted.
-		delete(e.resident[cur], u.ID)
-		e.used[cur] -= ent.size
+		e.dropResident(cur, u.ID)
 	}
-	if u.Score <= e.cfg.MinScore {
+	if !(u.Score > e.cfg.MinScore) { // at or below the floor, or not a number
 		if cur >= 0 {
 			*plan = append(*plan, move{id: u.ID, size: u.Size, from: cur, to: -1, trace: u.Trace})
 		}
@@ -709,8 +824,7 @@ func (e *Engine) placeFlat(u auditor.Update, cur int, plan *[]move) {
 	for i := 0; i < n; i++ {
 		ti := (start + i) % n
 		if e.used[ti]+u.Size <= e.hier.Tier(ti).Capacity() {
-			e.resident[ti][u.ID] = entry{score: u.Score, size: u.Size}
-			e.used[ti] += u.Size
+			e.setResident(ti, u.ID, entry{score: u.Score, size: u.Size})
 			if cur != ti {
 				*plan = append(*plan, move{id: u.ID, size: u.Size, from: cur, to: ti, trace: u.Trace})
 			}
@@ -743,8 +857,7 @@ func (e *Engine) place(u auditor.Update, cur, ti int, plan *[]move) {
 			return
 		}
 	}
-	e.resident[ti][u.ID] = entry{score: u.Score, size: u.Size}
-	e.used[ti] += u.Size
+	e.setResident(ti, u.ID, entry{score: u.Score, size: u.Size})
 	if cur != ti {
 		*plan = append(*plan, move{id: u.ID, size: u.Size, from: cur, to: ti, trace: u.Trace})
 	}
@@ -753,50 +866,41 @@ func (e *Engine) place(u auditor.Update, cur, ti int, plan *[]move) {
 // minResident returns the lowest resident score in tier ti, or +inf when
 // empty (an empty-but-too-small tier admits nothing bigger than itself).
 func (e *Engine) minResident(ti int) float64 {
-	if len(e.resident[ti]) == 0 {
-		return math.Inf(1)
+	if c, ok := e.coldest(ti); ok {
+		return c.score
 	}
-	min := math.Inf(1)
-	for _, ent := range e.resident[ti] {
-		if ent.score < min {
-			min = ent.score
-		}
-	}
-	return min
+	return math.Inf(1)
 }
 
 // demoteUntilFits demotes the coldest residents of ti (strictly colder
-// than u) one tier down until u fits. Ties are left in place — the
-// incoming segment goes deeper instead (deterministic variant of the
-// paper's random tie policy).
+// than u), coldest first, one tier down until u fits. Ties are left in
+// place — the incoming segment goes deeper instead (deterministic variant
+// of the paper's random tie policy). Demotion recurses only into deeper
+// tiers, so ti's index is this call's alone.
 func (e *Engine) demoteUntilFits(u auditor.Update, ti int, plan *[]move) {
 	tier := e.hier.Tier(ti)
-	cands := e.cands[ti][:0]
-	for id, ent := range e.resident[ti] {
-		if ent.score < u.Score {
-			cands = append(cands, cand{id, ent})
-		}
-	}
-	e.cands[ti] = cands
-	slices.SortFunc(cands, func(a, b cand) int { return cmp.Compare(a.ent.score, b.ent.score) })
-	for _, c := range cands {
-		if e.used[ti]+u.Size <= tier.Capacity() {
+	for e.used[ti]+u.Size > tier.Capacity() {
+		c, ok := e.coldest(ti)
+		if !ok || !(c.score < u.Score) {
 			return
 		}
-		delete(e.resident[ti], c.id)
-		e.used[ti] -= c.ent.size
-		du := auditor.Update{ID: c.id, Score: c.ent.score, Size: c.ent.size}
-		e.place(du, ti, ti+1, plan)
+		size := e.resident[ti][c.id].size
+		e.popRank(ti)
+		e.dropResident(ti, c.id)
+		e.place(auditor.Update{ID: c.id, Score: c.score, Size: size}, ti, ti+1, plan)
 	}
 }
 
-// execute performs the planned moves with the worker pool, phase by
-// phase, and records mapping changes.
+// execute performs the planned moves (in order's phases) with the worker
+// pool, phase by phase, and records mapping changes.
 func (e *Engine) execute(plan []move, passStart time.Time) {
-	if len(plan) == 0 {
-		return
-	}
-	for _, phase := range phases(plan, e.hier.Len()) {
+	start := 0
+	for _, end := range e.ends {
+		phase := plan[start:end]
+		start = end
+		if len(phase) == 0 {
+			continue
+		}
 		ch := make(chan move)
 		var wg sync.WaitGroup
 		workers := e.cfg.Workers
@@ -877,16 +981,13 @@ func (e *Engine) reconcile(mv move) {
 		if ti == actual {
 			continue
 		}
-		if ent, ok := e.resident[ti][mv.id]; ok {
-			delete(e.resident[ti], mv.id)
-			e.used[ti] -= ent.size
+		if _, ok := e.resident[ti][mv.id]; ok {
+			e.dropResident(ti, mv.id)
 		}
 	}
 	if actual >= 0 {
 		if _, ok := e.resident[actual][mv.id]; !ok {
-			size := e.hier.Tier(actual).SizeOf(mv.id)
-			e.resident[actual][mv.id] = entry{score: 0, size: size}
-			e.used[actual] += size
+			e.setResident(actual, mv.id, entry{score: 0, size: e.hier.Tier(actual).SizeOf(mv.id)})
 		}
 	}
 	if invariant.Enabled {

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -31,6 +32,16 @@ var ErrNoSpace = errors.New("tiers: insufficient capacity")
 // ErrNotFound is returned when a requested segment is not resident.
 var ErrNotFound = errors.New("tiers: segment not resident")
 
+// RoomWaiter is what a fill that found a store full leaves at its door
+// (PutBufWait): the next release that makes room in s — TakeBuf, Delete,
+// DeleteFile, Clear — calls RoomMade once, on the releasing goroutine with
+// no store lock held, and forgets the waiter. Whether the room is enough is
+// the waiter's to find out by trying again. A waiter is known by its
+// identity: implement it on a pointer.
+type RoomWaiter interface {
+	RoomMade(s *Store)
+}
+
 // Store is one tier's prefetching cache. Safe for concurrent use.
 type Store struct {
 	name     string
@@ -40,6 +51,9 @@ type Store struct {
 	mu   sync.RWMutex
 	data map[seg.ID]*Buf
 	used int64
+	// waiters are the fills refused for want of room since the last
+	// release; empty (and never looked at twice) when nobody waits.
+	waiters []RoomWaiter
 
 	hits   int64
 	misses int64
@@ -131,7 +145,14 @@ func (s *Store) PutOwned(id seg.ID, payload []byte) error {
 // reference (on success the store owns it; on error the caller still
 // does). Transfers between tiers move the Buf itself so a reader pinned
 // through the move keeps one coherent refcount.
-func (s *Store) PutBuf(id seg.ID, b *Buf) error {
+func (s *Store) PutBuf(id seg.ID, b *Buf) error { return s.PutBufWait(id, b, nil) }
+
+// PutBufWait is PutBuf for a caller that can wait for room with the payload
+// in hand: when b is refused with ErrNoSpace, w (if non-nil) is left at the
+// door in the same critical section as the refusal, so no release between
+// the two is missed. A waiter is registered once however often it is
+// refused.
+func (s *Store) PutBufWait(id seg.ID, b *Buf, w RoomWaiter) error {
 	size := b.Len()
 	s.mu.Lock()
 	old, had := s.data[id]
@@ -140,9 +161,11 @@ func (s *Store) PutBuf(id seg.ID, b *Buf) error {
 		delta -= old.Len()
 	}
 	if s.used+delta > s.capacity {
-		free := s.capacity - s.used
+		if w != nil && !slices.Contains(s.waiters, w) {
+			s.waiters = append(s.waiters, w)
+		}
 		s.mu.Unlock()
-		return fmt.Errorf("%w: %s needs %d, free %d", ErrNoSpace, s.name, size, free)
+		return ErrNoSpace
 	}
 	s.data[id] = b
 	s.used += delta
@@ -241,16 +264,20 @@ func (s *Store) ChargeRead(n int64) time.Duration {
 // the move keeps the same refcount). The caller must either install the
 // Buf elsewhere (PutBuf) or Release it.
 func (s *Store) TakeBuf(id seg.ID) (*Buf, error) {
+	var door [4]RoomWaiter
+	var woken []RoomWaiter
 	s.mu.Lock()
 	b, ok := s.data[id]
 	if ok {
 		delete(s.data, id)
 		s.used -= b.Len()
+		woken = s.wakeLocked(&door)
 	}
 	s.mu.Unlock()
 	if !ok {
 		return nil, ErrNotFound
 	}
+	s.signal(woken)
 	if s.dev != nil {
 		s.dev.Access(b.Len())
 	}
@@ -263,23 +290,46 @@ func (s *Store) TakeBuf(id seg.ID) (*Buf, error) {
 // release; only the store's reference — and the capacity charge — go
 // now.
 func (s *Store) Delete(id seg.ID) bool {
+	var door [4]RoomWaiter
+	var woken []RoomWaiter
 	s.mu.Lock()
 	b, ok := s.data[id]
 	if ok {
 		delete(s.data, id)
 		s.used -= b.Len()
+		woken = s.wakeLocked(&door)
 	}
 	s.mu.Unlock()
 	if !ok {
 		return false
 	}
 	b.Release()
+	s.signal(woken)
 	return true
+}
+
+// wakeLocked empties the door into buf's backing array (s.mu held): the
+// waiters the caller signals once it has dropped the lock.
+func (s *Store) wakeLocked(buf *[4]RoomWaiter) []RoomWaiter {
+	if len(s.waiters) == 0 {
+		return nil
+	}
+	woken := append(buf[:0], s.waiters...)
+	clear(s.waiters)
+	s.waiters = s.waiters[:0]
+	return woken
+}
+
+func (s *Store) signal(woken []RoomWaiter) {
+	for _, w := range woken {
+		w.RoomMade(s)
+	}
 }
 
 // DeleteFile drops every resident segment of the named file and returns
 // how many were dropped.
 func (s *Store) DeleteFile(file string) int {
+	var door [4]RoomWaiter
 	s.mu.Lock()
 	var dropped []*Buf
 	for id, b := range s.data {
@@ -289,10 +339,15 @@ func (s *Store) DeleteFile(file string) int {
 			dropped = append(dropped, b)
 		}
 	}
+	var woken []RoomWaiter
+	if len(dropped) > 0 {
+		woken = s.wakeLocked(&door)
+	}
 	s.mu.Unlock()
 	for _, b := range dropped {
 		b.Release()
 	}
+	s.signal(woken)
 	return len(dropped)
 }
 
@@ -328,14 +383,17 @@ func (s *Store) Keys() []seg.ID {
 // Clear removes everything without device charges: the store's
 // references go now, a pinned payload when its last reader releases.
 func (s *Store) Clear() {
+	var door [4]RoomWaiter
 	s.mu.Lock()
 	old := s.data
 	s.data = make(map[seg.ID]*Buf)
 	s.used = 0
+	woken := s.wakeLocked(&door)
 	s.mu.Unlock()
 	for _, b := range old {
 		b.Release()
 	}
+	s.signal(woken)
 }
 
 // Hierarchy is an ordered list of tier stores, fastest first. The PFS is
