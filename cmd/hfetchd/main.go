@@ -28,12 +28,11 @@ import (
 	"syscall"
 	"time"
 
+	"hfetch"
 	"hfetch/internal/cluster"
 	"hfetch/internal/comm"
 	"hfetch/internal/config"
-	"hfetch/internal/core/placement"
 	"hfetch/internal/core/remote"
-	"hfetch/internal/core/score"
 	"hfetch/internal/core/server"
 	"hfetch/internal/devsim"
 	"hfetch/internal/dhm"
@@ -51,7 +50,6 @@ func main() {
 	peerListen := flag.String("peer-listen", "", "peer-facing listen address; non-empty joins/forms a cluster")
 	seeds := flag.String("seeds", "", "comma-separated peer_listen addresses of existing cluster members")
 	writeDefault := flag.String("write-default", "", "write the default configuration to this path and exit")
-	asyncMover := flag.Bool("async-mover", true, "decouple placement decisions from move execution (async mover pipeline)")
 	moverQueueDepth := flag.Int("mover-queue-depth", 0, "override the per-tier mover queue bound (0 = config/default 256)")
 	fetchCoalesce := flag.Bool("fetch-coalesce", true, "merge adjacent queued PFS fetches into one origin read")
 	fetchWaitMS := flag.Float64("fetch-wait-ms", -1, "bounded read wait for an in-flight fetch in ms (-1 = config/default 2)")
@@ -105,12 +103,10 @@ func main() {
 		}
 	}
 	// Flags override the file only when set on the command line, so a
-	// config file's async_mover / fetch_coalesce choices survive bare
+	// config file's fetch_coalesce / stream_detect choices survive bare
 	// invocations.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "async-mover":
-			cfg.AsyncMover = *asyncMover
 		case "mover-queue-depth":
 			cfg.MoverQueueDepth = *moverQueueDepth
 		case "fetch-coalesce":
@@ -178,7 +174,7 @@ func main() {
 		"addr", ts.Addr(),
 		"tiers", len(cfg.Tiers),
 		"segment_bytes", cfg.SegmentSize,
-		"async_mover", cfg.AsyncMover,
+		"event_rings", d.srv.Monitor().Shards(),
 		"clustered", d.cnode != nil)
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
@@ -231,7 +227,7 @@ func main() {
 	var gw *gateway.Gateway
 	httpErr := make(chan error, 1)
 	if cfg.HTTPListen != "" {
-		gcfg := gatewayConfig(cfg, d.srv)
+		gcfg := hfetch.FromConfig(cfg).Gateway.Config(d.srv.Telemetry())
 		if cfg.SlogLevel() <= slog.LevelDebug {
 			gcfg.Logger = logger
 		}
@@ -283,21 +279,6 @@ func main() {
 	}
 	if gw != nil {
 		gw.Close()
-	}
-}
-
-// gatewayConfig maps the daemon configuration onto the gateway's knobs.
-func gatewayConfig(cfg config.Config, srv *server.Server) gateway.Config {
-	return gateway.Config{
-		MaxInflight:     cfg.GatewayMaxInflight,
-		ClientInflight:  cfg.GatewayClientInflight,
-		TenantRPS:       cfg.TenantRPS,
-		TenantBurst:     cfg.TenantBurst,
-		AdmitWait:       cfg.GatewayWait(),
-		StreamDetect:    cfg.StreamDetect,
-		StreamWindow:    cfg.StreamDetectWindow,
-		StreamLookahead: cfg.StreamLookahead,
-		Telemetry:       srv.Telemetry(),
 	}
 }
 
@@ -449,30 +430,12 @@ func build(cfg config.Config) (*daemon, error) {
 		stats, maps = server.NewLocalMaps(cfg.Node)
 	}
 
-	scfg := server.Config{
-		Node:        cfg.Node,
-		SegmentSize: cfg.SegmentSize,
-		Score:       score.Params{P: cfg.DecayBase, Unit: cfg.DecayUnit()},
-		SeqBoost:    cfg.SeqBoost,
-		HeatDir:     cfg.HeatDir,
-		SharedTiers: shared,
-		Telemetry:   reg,
-	}
-	scfg.Monitor.Daemons = cfg.Daemons
-	scfg.Monitor.Shards = cfg.EventShards
-	scfg.Monitor.WorkersPerShard = cfg.WorkersPerShard
+	// The library's translation of the file, so that the daemon, the
+	// library and the paper's figures build one pipeline.
+	scfg := hfetch.FromConfig(cfg).ServerConfig(cfg.Node)
+	scfg.SharedTiers = shared
+	scfg.Telemetry = reg
 	scfg.Monitor.QueueCap = cfg.EventQueueCap
-	scfg.Monitor.Drop = cfg.DropEvents()
-	scfg.Engine = placement.Config{
-		Interval:         cfg.EngineInterval(),
-		UpdateThreshold:  cfg.EngineUpdateThreshold,
-		Workers:          cfg.EngineWorkers,
-		Async:            cfg.AsyncMover,
-		MoverConcurrency: cfg.MoverConcurrency,
-		MoverQueueDepth:  cfg.MoverQueueDepth,
-		FetchCoalesce:    cfg.FetchCoalesce,
-	}
-	scfg.FetchWait = cfg.FetchWait()
 	srv, err := server.New(scfg, fs, tiers.NewHierarchy(stores...), stats, maps)
 	if err != nil {
 		return nil, err

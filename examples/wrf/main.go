@@ -50,9 +50,6 @@ func main() {
 				},
 				UpdateThreshold: 10,
 				Interval:        50 * time.Millisecond,
-				EngineWorkers:   8,
-				SeqBoost:        0.5,
-				DecayUnit:       time.Second,
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -9,6 +9,7 @@ import (
 
 	"hfetch/internal/cluster"
 	"hfetch/internal/comm"
+	"hfetch/internal/config"
 	"hfetch/internal/core/agent"
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/score"
@@ -62,46 +63,41 @@ type Config struct {
 	SeqBoost float64
 	// HeatDir enables heatmap persistence when non-empty.
 	HeatDir string
-	// DaemonThreads is the hardware monitor pool size per server for the
-	// legacy single-queue pipeline; ignored when EventShards > 1.
+	// Deprecated: DaemonThreads is read by nothing; EventShards sizes the
+	// daemon pool.
 	DaemonThreads int
-	// EventShards selects the monitor's event pipeline: > 1 hashes
-	// events by file onto that many independent rings (one worker each,
-	// preserving per-file event order); <= 1 keeps the single
-	// mutex-guarded queue drained by DaemonThreads workers. Default 1
-	// (legacy), so existing callers are unchanged; cmd/hfetchd defaults
-	// to 8.
+	// EventShards sizes the hardware monitor per server: events hash by
+	// file onto that many independent rings, each drained by its own
+	// daemon, which preserves per-file event order. 1 is the paper's
+	// single event queue. Default 8.
 	EventShards int
-	// WorkersPerShard is the worker count per event shard (default 1;
-	// values > 1 trade per-file ordering for intra-shard parallelism).
+	// Deprecated: WorkersPerShard is read by nothing; a ring has one daemon.
 	WorkersPerShard int
 	// DropEvents selects the queue overflow policy: false (default)
 	// blocks producers, true drops events when the target ring is full.
 	DropEvents bool
-	// EngineThreads is the placement engine worker count per server.
+	// EngineThreads is the placement engine's thread count per server:
+	// the cap on its mover's concurrent PFS fetch streams (default 2).
 	EngineThreads int
 	// EngineInterval is placement trigger (a) (default 1s).
 	EngineInterval time.Duration
 	// EngineUpdateThreshold is placement trigger (b); use
 	// ReactivenessHigh/Medium/Low (default Medium = 100).
 	EngineUpdateThreshold int
-	// AsyncMover decouples placement decisions from move execution: the
-	// engine commits its residency model and returns, while a persistent
-	// per-tier mover pipeline executes the device transfers. Off by
-	// default in the library (existing callers keep the synchronous
-	// engine); cmd/hfetchd defaults to on.
+	// Deprecated: AsyncMover is read by nothing; placement always hands
+	// its moves to the mover pipeline.
 	AsyncMover bool
-	// MoverConcurrency is the async mover's per-tier worker count,
-	// fastest tier first (missing entries use max(2, 8>>tier)).
+	// MoverConcurrency is the mover's per-tier worker count, fastest tier
+	// first (missing entries use max(2, 8>>tier)).
 	MoverConcurrency []int
 	// MoverQueueDepth bounds each per-tier mover queue (default 256).
 	MoverQueueDepth int
 	// FetchCoalesce merges adjacent queued PFS fetches of one file into
-	// a single origin read (async mover only).
+	// a single origin read.
 	FetchCoalesce bool
 	// FetchWait bounds how long a missing read waits for an in-flight
 	// mover fetch of the same segment before falling back to the PFS
-	// (async mover only; zero disables).
+	// (zero disables).
 	FetchWait time.Duration
 	// EnableML turns on the learned-scoring extension: an online
 	// logistic model (trained from the cluster's own re-access history)
@@ -141,8 +137,9 @@ type Config struct {
 	TimeSampleEvery int
 	// Gateway tunes the per-node HTTP range-read gateway obtained from
 	// Node.GatewayHandler. The zero value uses the gateway's defaults
-	// (no tenant rate limit, stream detection off — set StreamDetect to
-	// let external sequential readers drive prefetching for themselves).
+	// (no tenant rate limit, stream detection off); DefaultConfig turns
+	// StreamDetect on, so that external sequential readers drive
+	// prefetching for themselves.
 	Gateway GatewaySpec
 	// Tiers lists the hierarchy fastest-first. Defaults to
 	// DefaultTiers() when empty.
@@ -152,10 +149,10 @@ type Config struct {
 	// ClusterFabric runs the real multi-node fabric (internal/cluster)
 	// over the emulated in-process network: heartbeat membership,
 	// view-change hashmap rebalancing, node-aware update routing, and
-	// the guarded cross-node fetch path. Off by default — the legacy
-	// static wiring is kept for existing callers — and effective only
-	// when Nodes > 1. Killed nodes (Cluster.KillNode) are then detected
-	// by the survivors, which rebalance around them.
+	// the guarded cross-node fetch path. Off by default — the nodes
+	// are then wired statically — and effective only when Nodes > 1.
+	// Killed nodes (Cluster.KillNode) are then detected by the
+	// survivors, which rebalance around them.
 	ClusterFabric bool
 	// ClusterHeartbeat is the fabric's heartbeat interval (default 50ms;
 	// suspect and dead thresholds scale from it).
@@ -216,18 +213,105 @@ func DefaultTiers(ram, nvme, bb int64) []TierSpec {
 	}
 }
 
-// DefaultConfig returns a single-node configuration with 64 MiB of total
-// prefetching cache split 8/24/32 across RAM/NVMe/burst buffers.
+// DefaultConfig returns the configuration cmd/hfetchd ships
+// (config.Default() through FromConfig) on a single node with 64 MiB of
+// total prefetching cache split 8/24/32 across RAM/NVMe/burst buffers.
 func DefaultConfig() Config {
-	return Config{
-		Nodes:       1,
-		SegmentSize: 1 << 20,
-		Tiers:       DefaultTiers(8<<20, 24<<20, 32<<20),
-		PFS: PFSSpec{
-			Latency:   devsim.PFSProfile.Latency,
-			Bandwidth: devsim.PFSProfile.BytesPerSec,
-			Servers:   devsim.PFSProfile.Channels,
+	cfg := FromConfig(config.Default())
+	cfg.Tiers = DefaultTiers(8<<20, 24<<20, 32<<20)
+	return cfg
+}
+
+// FromConfig translates the daemon's JSON configuration into a one-node
+// Config: the file's tiers and PFS, its scoring parameters and its
+// pipeline (event rings, engine triggers and threads, mover, gateway).
+// It is the only translation there is, so what the library, the paper's
+// figures and the daemon run can differ only where a caller says so.
+func FromConfig(d config.Config) Config {
+	cfg := Config{
+		Nodes:                 1,
+		SegmentSize:           d.SegmentSize,
+		DecayBase:             d.DecayBase,
+		DecayUnit:             d.DecayUnit(),
+		SeqBoost:              d.SeqBoost,
+		HeatDir:               d.HeatDir,
+		EventShards:           d.EventShards,
+		DropEvents:            d.DropEvents(),
+		EngineThreads:         d.EngineWorkers,
+		EngineInterval:        d.EngineInterval(),
+		EngineUpdateThreshold: d.EngineUpdateThreshold,
+		MoverConcurrency:      d.MoverConcurrency,
+		MoverQueueDepth:       d.MoverQueueDepth,
+		FetchCoalesce:         d.FetchCoalesce,
+		FetchWait:             d.FetchWait(),
+		TimeScale:             d.TimeScale,
+		Gateway: GatewaySpec{
+			MaxInflight:     d.GatewayMaxInflight,
+			ClientInflight:  d.GatewayClientInflight,
+			TenantRPS:       d.TenantRPS,
+			TenantBurst:     d.TenantBurst,
+			AdmitWait:       d.GatewayWait(),
+			StreamDetect:    d.StreamDetect,
+			StreamWindow:    d.StreamDetectWindow,
+			StreamLookahead: d.StreamLookahead,
 		},
+		PFS: PFSSpec{
+			Latency:   microseconds(d.PFS.LatencyUS),
+			Bandwidth: d.PFS.BandwidthMBps * 1e6,
+			Servers:   d.PFS.Servers,
+		},
+	}
+	for _, t := range d.Tiers {
+		cfg.Tiers = append(cfg.Tiers, TierSpec{
+			Name: t.Name, Capacity: t.CapacityBytes, Latency: microseconds(t.LatencyUS),
+			Bandwidth: t.BandwidthMBps * 1e6, Channels: t.Channels, Shared: t.Shared,
+		})
+	}
+	return cfg
+}
+
+func microseconds(us float64) time.Duration {
+	return time.Duration(us * float64(time.Microsecond))
+}
+
+// ServerConfig is the part of cfg one node's server is built from: its
+// scoring parameters and its event → placement → mover pipeline. The
+// caller adds what belongs to the deployment (shared tiers, telemetry).
+func (cfg Config) ServerConfig(node string) server.Config {
+	sc := server.Config{
+		Node:        node,
+		SegmentSize: cfg.SegmentSize,
+		Score:       score.Params{P: cfg.DecayBase, Unit: cfg.DecayUnit},
+		SeqBoost:    cfg.SeqBoost,
+		HeatDir:     cfg.HeatDir,
+		FetchWait:   cfg.FetchWait,
+		Engine: placement.Config{
+			Interval:         cfg.EngineInterval,
+			UpdateThreshold:  cfg.EngineUpdateThreshold,
+			Workers:          cfg.EngineThreads,
+			MoverConcurrency: cfg.MoverConcurrency,
+			MoverQueueDepth:  cfg.MoverQueueDepth,
+			FetchCoalesce:    cfg.FetchCoalesce,
+		},
+	}
+	sc.Monitor.Shards = cfg.EventShards
+	sc.Monitor.Drop = cfg.DropEvents
+	return sc
+}
+
+// Config is the spec as the gateway package takes it, instrumented
+// through reg (nil: not at all).
+func (g GatewaySpec) Config(reg *telemetry.Registry) gateway.Config {
+	return gateway.Config{
+		MaxInflight:     g.MaxInflight,
+		ClientInflight:  g.ClientInflight,
+		TenantRPS:       g.TenantRPS,
+		TenantBurst:     g.TenantBurst,
+		AdmitWait:       g.AdmitWait,
+		StreamDetect:    g.StreamDetect,
+		StreamWindow:    g.StreamWindow,
+		StreamLookahead: g.StreamLookahead,
+		Telemetry:       reg,
 	}
 }
 
@@ -406,30 +490,10 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				sharedNames = append(sharedNames, ts.Name)
 			}
 		}
-		srvCfg := server.Config{
-			Node:        names[i],
-			SegmentSize: cfg.SegmentSize,
-			Score:       score.Params{P: cfg.DecayBase, Unit: cfg.DecayUnit},
-			SeqBoost:    cfg.SeqBoost,
-			HeatDir:     cfg.HeatDir,
-			SharedTiers: sharedNames,
-			Learner:     c.learner,
-		}
+		srvCfg := cfg.ServerConfig(names[i])
+		srvCfg.SharedTiers = sharedNames
+		srvCfg.Learner = c.learner
 		srvCfg.Telemetry = reg
-		srvCfg.Monitor.Daemons = cfg.DaemonThreads
-		srvCfg.Monitor.Shards = cfg.EventShards
-		srvCfg.Monitor.WorkersPerShard = cfg.WorkersPerShard
-		srvCfg.Monitor.Drop = cfg.DropEvents
-		srvCfg.Engine = placement.Config{
-			Interval:         cfg.EngineInterval,
-			UpdateThreshold:  cfg.EngineUpdateThreshold,
-			Workers:          cfg.EngineThreads,
-			Async:            cfg.AsyncMover,
-			MoverConcurrency: cfg.MoverConcurrency,
-			MoverQueueDepth:  cfg.MoverQueueDepth,
-			FetchCoalesce:    cfg.FetchCoalesce,
-		}
-		srvCfg.FetchWait = cfg.FetchWait
 		srv, err := server.New(srvCfg, fs, hier, stats, maps)
 		if err != nil {
 			return nil, err
@@ -581,17 +645,7 @@ func (n *Node) Flush() { n.srv.Flush() }
 // gateway is closed with the cluster.
 func (n *Node) GatewayHandler() http.Handler {
 	n.gwOnce.Do(func() {
-		n.gw = gateway.New(n.srv, gateway.Config{
-			MaxInflight:     n.gwSpec.MaxInflight,
-			ClientInflight:  n.gwSpec.ClientInflight,
-			TenantRPS:       n.gwSpec.TenantRPS,
-			TenantBurst:     n.gwSpec.TenantBurst,
-			AdmitWait:       n.gwSpec.AdmitWait,
-			StreamDetect:    n.gwSpec.StreamDetect,
-			StreamWindow:    n.gwSpec.StreamWindow,
-			StreamLookahead: n.gwSpec.StreamLookahead,
-			Telemetry:       n.srv.Telemetry(),
-		})
+		n.gw = gateway.New(n.srv, n.gwSpec.Config(n.srv.Telemetry()))
 	})
 	return n.gw
 }

@@ -2,9 +2,13 @@ package hfetch
 
 import (
 	"bytes"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"hfetch/internal/config"
+	"hfetch/internal/devsim"
 )
 
 // fastConfig returns a free-device config so API tests run instantly.
@@ -56,6 +60,94 @@ func TestDefaultConfigSane(t *testing.T) {
 	}
 	if cfg.Tiers[0].Name != "ram" || !cfg.Tiers[2].Shared {
 		t.Fatal("tier defaults wrong")
+	}
+}
+
+// TestOneConfiguration: the library's defaults are the daemon's. Every
+// pipeline field of DefaultConfig() is config.Default()'s value, field for
+// field, so the two cannot drift; every field of Config is either one of
+// them or named here as not the pipeline's, so a new one cannot be
+// forgotten; and the zero Config still builds the one pipeline there is —
+// 8 event rings, moves through the mover.
+func TestOneConfiguration(t *testing.T) {
+	d := config.Default()
+	got := DefaultConfig()
+	pipeline := map[string][2]any{
+		"SegmentSize":           {got.SegmentSize, d.SegmentSize},
+		"DecayBase":             {got.DecayBase, d.DecayBase},
+		"DecayUnit":             {got.DecayUnit, d.DecayUnit()},
+		"SeqBoost":              {got.SeqBoost, d.SeqBoost},
+		"HeatDir":               {got.HeatDir, d.HeatDir},
+		"EventShards":           {got.EventShards, d.EventShards},
+		"DropEvents":            {got.DropEvents, d.DropEvents()},
+		"EngineThreads":         {got.EngineThreads, d.EngineWorkers},
+		"EngineInterval":        {got.EngineInterval, d.EngineInterval()},
+		"EngineUpdateThreshold": {got.EngineUpdateThreshold, d.EngineUpdateThreshold},
+		"MoverConcurrency":      {got.MoverConcurrency, d.MoverConcurrency},
+		"MoverQueueDepth":       {got.MoverQueueDepth, d.MoverQueueDepth},
+		"FetchCoalesce":         {got.FetchCoalesce, d.FetchCoalesce},
+		"FetchWait":             {got.FetchWait, d.FetchWait()},
+		"TimeScale":             {got.TimeScale, d.TimeScale},
+		"Gateway": {got.Gateway, GatewaySpec{
+			MaxInflight: d.GatewayMaxInflight, ClientInflight: d.GatewayClientInflight,
+			TenantRPS: d.TenantRPS, TenantBurst: d.TenantBurst, AdmitWait: d.GatewayWait(),
+			StreamDetect: d.StreamDetect, StreamWindow: d.StreamDetectWindow, StreamLookahead: d.StreamLookahead,
+		}},
+		"PFS": {got.PFS, PFSSpec{Latency: devsim.PFSProfile.Latency, Bandwidth: devsim.PFSProfile.BytesPerSec, Servers: devsim.PFSProfile.Channels}},
+	}
+	for name, v := range pipeline {
+		if !reflect.DeepEqual(v[0], v[1]) {
+			t.Errorf("DefaultConfig().%s = %v, config.Default() has %v", name, v[0], v[1])
+		}
+	}
+	if got.EventShards != 8 || !got.FetchCoalesce || got.FetchWait <= 0 || !got.Gateway.StreamDetect {
+		t.Errorf("DefaultConfig() = %+v: not the shipped pipeline", got)
+	}
+	if !reflect.DeepEqual(got.Tiers, DefaultTiers(8<<20, 24<<20, 32<<20)) {
+		t.Errorf("DefaultConfig().Tiers = %+v", got.Tiers)
+	}
+	notPipeline := map[string]bool{
+		// the deployment's and the caller's
+		"Nodes": true, "Tiers": true, "ClusterFabric": true, "ClusterHeartbeat": true, "ClusterTransport": true,
+		"EnableML": true, "EnableTelemetry": true, "SpanLogSize": true, "SpanSampleEvery": true, "EnableLifecycle": true,
+		"LifecycleRing": true, "LifecycleSampleEvery": true, "LifecycleMaxActive": true, "TimeSampleEvery": true,
+		// deprecated, read by nothing
+		"DaemonThreads": true, "WorkersPerShard": true, "AsyncMover": true,
+	}
+	for i, typ := 0, reflect.TypeOf(got); i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		if _, ok := pipeline[name]; ok == notPipeline[name] {
+			t.Errorf("Config.%s must be checked against config.Default() or named as not the pipeline's (exactly one)", name)
+		}
+	}
+
+	cluster, err := NewCluster(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	const segs, segSize = 8, 1 << 20
+	if err := cluster.CreateFile("data/cold", segs*segSize); err != nil {
+		t.Fatal(err)
+	}
+	f, err := cluster.Node(0).NewClient().Open("data/cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, segSize)
+	for i := int64(0); i < segs; i++ {
+		if n, err := f.ReadAt(buf, i*segSize); err != nil || n != segSize {
+			t.Fatalf("segment %d: n=%d err=%v", i, n, err)
+		}
+	}
+	f.Close()
+	cluster.Node(0).Flush()
+	srv := cluster.Node(0).Server()
+	if rings := srv.Monitor().Shards(); rings != 8 {
+		t.Errorf("the zero Config built %d event rings, want 8", rings)
+	}
+	if ms := srv.Engine().MoverStats(); ms.Submitted == 0 {
+		t.Errorf("the zero Config moved nothing through the mover after a cold sequential read: %+v", ms)
 	}
 }
 

@@ -12,7 +12,7 @@
 //     held (out-of-order, or a second lock of the same class);
 //   - acquiring any lock while holding one from the released-between
 //     prefix of the chain (ring / epoch stripe / dhm shard);
-//   - holding a non-exempt lock across an I/O barrier — a call into
+//   - holding a lock of the chain across an I/O barrier — a call into
 //     ioclient, a movement-interface method, the mover completion
 //     callback, or any same-package function that transitively reaches
 //     one.
@@ -58,7 +58,6 @@ func run(pass *framework.Pass, m Manifest) error {
 	}
 	c := &checker{pass: pass, m: m,
 		rank:    make(map[FieldSel]int),
-		exempt:  make(map[string]bool),
 		barrier: make(map[string]bool),
 		bpkgs:   make(map[string]bool),
 	}
@@ -66,9 +65,6 @@ func run(pass *framework.Pass, m Manifest) error {
 		for _, f := range cl.Fields {
 			c.rank[f] = i
 		}
-	}
-	for _, n := range m.BarrierExempt {
-		c.exempt[n] = true
 	}
 	for _, f := range m.BarrierFuncs {
 		c.barrier[f] = true
@@ -102,7 +98,6 @@ type checker struct {
 	pass    *framework.Pass
 	m       Manifest
 	rank    map[FieldSel]int
-	exempt  map[string]bool
 	barrier map[string]bool
 	bpkgs   map[string]bool
 	// reach marks package-local functions that transitively perform a
@@ -371,9 +366,6 @@ func (c *checker) call(call *ast.CallExpr, h []held) []held {
 	if direct || indirect {
 		for _, hl := range h {
 			name := c.m.Classes[hl.rank].Name
-			if c.exempt[name] {
-				continue
-			}
 			if direct {
 				c.reportf(call.Pos(),
 					"%s lock held across I/O call (acquired at %s); tier store locks are innermost and callbacks run lock-free",

@@ -26,8 +26,7 @@ func fixtureManifest() Manifest {
 			{Name: "store",
 				Fields: []FieldSel{{fixturePkg + ".Store", "mu"}}},
 		},
-		BarrierFuncs:  []string{fixturePkg + ".IO.Write"},
-		BarrierExempt: []string{"engine-run"},
+		BarrierFuncs: []string{fixturePkg + ".IO.Write"},
 	}
 }
 

@@ -31,15 +31,11 @@ type Manifest struct {
 	// Classes in ascending rank (outermost first).
 	Classes []Class
 	// BarrierPkgs: any call into these packages is device I/O; no
-	// manifest lock (minus BarrierExempt) may be held across it.
+	// manifest lock may be held across it.
 	BarrierPkgs []string
 	// BarrierFuncs: individual callbacks/interface methods that are
 	// I/O or must run lock-free, as "pkgpath.Type.Name".
 	BarrierFuncs []string
-	// BarrierExempt: class names legitimately held across barriers.
-	// The sync engine's decision pass holds runMu across execute() by
-	// design (it is the pass serialization lock, not a data lock).
-	BarrierExempt []string
 }
 
 // Default returns the manifest for this repo's chain:
@@ -81,10 +77,7 @@ func Default() Manifest {
 		BarrierFuncs: []string{
 			// The mover's completion callback must run lock-free.
 			"hfetch/internal/core/mover.Mover.done",
-			// Movement interfaces are implemented by ioclient.
-			"hfetch/internal/core/placement.Mover.Fetch",
-			"hfetch/internal/core/placement.Mover.Transfer",
-			"hfetch/internal/core/placement.Mover.Evict",
+			// The movement interface is implemented by ioclient.
 			"hfetch/internal/core/mover.Executor.Fetch",
 			"hfetch/internal/core/mover.Executor.Transfer",
 			"hfetch/internal/core/mover.Executor.Evict",
@@ -99,7 +92,6 @@ func Default() Manifest {
 			// mutex: the waiter (the mover) takes its mu inside the call.
 			"hfetch/internal/tiers.RoomWaiter.RoomMade",
 		},
-		BarrierExempt: []string{"engine-run"},
 	}
 }
 

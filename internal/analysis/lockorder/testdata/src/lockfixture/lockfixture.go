@@ -1,7 +1,6 @@
 // Package lockfixture exercises the lockorder analyzer: the test
 // manifest ranks Ring < Shard < Engine.runMu < Engine.mu < Store, marks
-// Ring as released-between, treats IO.Write as an I/O barrier, and
-// exempts engine-run from the barrier rule.
+// Ring as released-between and treats IO.Write as an I/O barrier.
 package lockfixture
 
 import "sync"
@@ -62,12 +61,12 @@ func helper(io IO) {
 	io.Write()
 }
 
-// exemptAcrossIO holds the exempt pass-serialization lock across I/O;
-// the manifest allows it.
-func exemptAcrossIO(e *Engine, io IO) error {
+// passAcrossIO holds the pass-serialization lock across I/O: no lock of
+// the chain is exempt from the barrier rule.
+func passAcrossIO(e *Engine, io IO) error {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
-	return io.Write()
+	return io.Write() // want `engine-run lock held across I/O call`
 }
 
 // unlockThenReturn releases on the early-exit branch; the fall-through

@@ -5,11 +5,14 @@
 package config
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"log/slog"
 	"os"
 	"time"
+
+	"hfetch/internal/core/monitor"
 )
 
 // Tier describes one tier of the deep memory and storage hierarchy.
@@ -113,17 +116,11 @@ type Config struct {
 	HeatDir     string  `json:"heat_dir"`
 	WALPath     string  `json:"wal_path"`
 
-	// Daemons sizes the legacy single-queue daemon pool; it is ignored
-	// when EventShards > 1 (the sharded pipeline sizes itself from
-	// EventShards × WorkersPerShard).
-	Daemons int `json:"daemons"`
-	// EventShards selects the event pipeline: values > 1 hash events by
-	// file onto that many independent rings, each drained by its own
-	// worker(s); <= 1 keeps the single mutex-guarded queue. Default 8.
+	// EventShards sizes the hardware monitor: events hash by file onto
+	// that many independent rings, each drained by its own daemon, which
+	// preserves per-file event order (the paper's daemon pool size; 1 is
+	// its single event queue). Default 8; <= 0 takes the default.
 	EventShards int `json:"event_shards"`
-	// WorkersPerShard is the worker count per event shard (default 1).
-	// One worker per shard preserves per-file event ordering.
-	WorkersPerShard int `json:"workers_per_shard"`
 	// PostingPolicy is the queue overflow policy: "block" (default)
 	// applies backpressure to producers, "drop" discards events when the
 	// target ring is full (inotify IN_Q_OVERFLOW).
@@ -136,15 +133,9 @@ type Config struct {
 	EngineIntervalMS      int `json:"engine_interval_ms"`
 	EngineUpdateThreshold int `json:"engine_update_threshold"`
 
-	// AsyncMover decouples placement decisions from move execution: the
-	// engine commits its residency model and hands moves to a persistent
-	// per-tier mover pipeline instead of executing them inside the
-	// placement pass. Daemon default true; set false for the legacy
-	// synchronous engine.
-	AsyncMover bool `json:"async_mover"`
-	// MoverConcurrency is the async mover's worker count per tier,
-	// fastest first (entries <= 0 or missing use the built-in default
-	// max(2, 8>>tier)). Ignored when async_mover is false.
+	// MoverConcurrency is the mover's worker count per tier, fastest
+	// first (entries <= 0 or missing use the built-in default
+	// max(2, 8>>tier)).
 	MoverConcurrency []int `json:"mover_concurrency,omitempty"`
 	// MoverQueueDepth bounds each per-tier mover queue; a full queue
 	// applies backpressure to the placement pass. Default 256.
@@ -199,14 +190,11 @@ func Default() Config {
 		DecayBase:             2,
 		DecayUnitMS:           1000,
 		SeqBoost:              0.5,
-		Daemons:               4,
-		EventShards:           8,
-		WorkersPerShard:       1,
+		EventShards:           monitor.DefaultShards,
 		PostingPolicy:         "block",
 		EngineWorkers:         4,
 		EngineIntervalMS:      1000,
 		EngineUpdateThreshold: 100,
-		AsyncMover:            true,
 		MoverQueueDepth:       256,
 		FetchCoalesce:         true,
 		FetchWaitMS:           2,
@@ -232,7 +220,11 @@ func Load(path string) (Config, error) {
 		return Config{}, fmt.Errorf("config: %w", err)
 	}
 	cfg := Default()
-	if err := json.Unmarshal(raw, &cfg); err != nil {
+	// A retired knob or a misspelled one is an error that names the key,
+	// not a setting silently left at its default.
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("config: parse %s: %w", path, err)
 	}
 	if err := cfg.Validate(); err != nil {

@@ -3,6 +3,7 @@ package config
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -26,8 +27,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Node != "nX" || len(got.Files) != 1 || got.Files[0].Size != 100 {
-		t.Fatalf("round trip = %+v", got)
+	// Every key Save writes is one Load knows (hfetchd -write-default, then
+	// -config), and comes back as it went.
+	if !reflect.DeepEqual(got, cfg) {
+		t.Fatalf("round trip = %+v, want %+v", got, cfg)
 	}
 }
 
@@ -100,23 +103,32 @@ func TestDurations(t *testing.T) {
 
 func TestMoverDefaults(t *testing.T) {
 	cfg := Default()
-	if !cfg.AsyncMover || !cfg.FetchCoalesce {
-		t.Fatalf("daemon must default to the async mover with coalescing: %+v", cfg)
+	if !cfg.FetchCoalesce {
+		t.Fatalf("daemon must default to coalescing: %+v", cfg)
 	}
 	if cfg.MoverQueueDepth != 256 {
 		t.Fatalf("MoverQueueDepth = %d, want 256", cfg.MoverQueueDepth)
 	}
 	// An explicit opt-out in the file survives the defaulting overlay.
-	path := filepath.Join(t.TempDir(), "sync.json")
-	if err := writeFile(path, `{"node":"n1","async_mover":false,"fetch_coalesce":false,"fetch_wait_ms":0}`); err != nil {
+	path := filepath.Join(t.TempDir(), "plain.json")
+	if err := writeFile(path, `{"node":"n1","fetch_coalesce":false,"fetch_wait_ms":0}`); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.AsyncMover || got.FetchCoalesce {
+	if got.FetchCoalesce || got.FetchWaitMS != 0 {
 		t.Fatalf("opt-out lost in defaulting: %+v", got)
+	}
+	// A retired knob or a misspelled one is refused by name, not ignored.
+	for _, key := range []string{"async_mover", "daemons", "workers_per_shard", "fetch_coalese"} {
+		if err := writeFile(path, `{"node":"n1","`+key+`":false}`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil || !strings.Contains(err.Error(), key) {
+			t.Errorf("a file with %q loaded: err = %v, want one naming the key", key, err)
+		}
 	}
 }
 

@@ -5,25 +5,22 @@
 // also probes each tier's remaining capacity periodically and reports it
 // as OpCapacity events — the second event kind the paper describes.
 //
-// Two pipeline shapes are supported, selected by Config.Shards:
-//
-//   - Legacy (Shards <= 1): one MPMC queue drained by Daemons workers.
-//     Matches the paper's single "event queue + daemon pool" description
-//     but serializes every producer and consumer on one mutex, and two
-//     daemons may process events of the same file concurrently.
-//   - Sharded (Shards > 1): events hash by file onto Shards independent
-//     rings, each drained by WorkersPerShard dedicated workers. With the
-//     default one worker per shard, events of a file are handled in
-//     exactly the order they were posted — the property segment
-//     sequencing and score folding rely on — while distinct files
-//     proceed in parallel with no shared lock.
+// The queue is an events.ShardedQueue: events hash by file onto
+// Config.Shards independent rings, each drained by one daemon, so events
+// of a file are handled in exactly the order they were posted — the
+// property segment sequencing and score folding rely on — while distinct
+// files proceed in parallel with no shared lock. The paper's daemon pool
+// size is the ring count; Shards: 1 is its literal single event queue,
+// one ring and one daemon handling everything in posting order.
 package monitor
 
 import (
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"hfetch/internal/devsim"
 	"hfetch/internal/events"
 	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
@@ -42,20 +39,17 @@ type BatchHandler interface {
 	HandleBatch([]events.Event)
 }
 
+// DefaultShards is the ring (and daemon) count of a monitor whose
+// Config.Shards is not set, and the value the daemon ships.
+const DefaultShards = 8
+
 // Config configures a Monitor.
 type Config struct {
-	// Daemons is the number of consumer threads for the legacy
-	// single-queue pipeline (default 4). Ignored when Shards > 1.
-	Daemons int
-	// Shards selects the event pipeline: <= 1 keeps the legacy single
-	// queue; > 1 hashes events by file onto that many independent rings.
+	// Shards is the number of rings events hash onto by file, each with
+	// its own daemon (default DefaultShards).
 	Shards int
-	// WorkersPerShard is the worker count per shard (default 1). One
-	// worker per shard preserves per-file event order; more trade that
-	// order for intra-shard parallelism, like the legacy pool does.
-	WorkersPerShard int
 	// QueueCap bounds the event queue (default 64k events, split evenly
-	// across shards when sharded).
+	// across the rings).
 	QueueCap int
 	// Drop selects the overflow policy: true drops events when the queue
 	// is full (inotify IN_Q_OVERFLOW), false applies backpressure.
@@ -63,10 +57,10 @@ type Config struct {
 	// CapacityInterval is how often tier capacities are probed;
 	// 0 disables probing.
 	CapacityInterval time.Duration
-	// Batch is the daemon batch size when draining the queue. Default 64
-	// for the legacy pool; sharded workers default to their ring's full
-	// capacity (capped at 2048) since a shard has a single drainer and a
-	// whole-ring drain costs one lock acquisition however deep the ring is.
+	// Batch is the daemon batch size when draining a ring. It defaults to
+	// the ring's full capacity (capped at 2048): a ring has a single
+	// drainer and a whole-ring drain costs one lock acquisition however
+	// deep the ring is.
 	Batch int
 	// Telemetry, when non-nil, exports queue depth/wait and consumption
 	// counters; nil disables instrumentation at ~zero cost.
@@ -76,8 +70,7 @@ type Config struct {
 // Monitor is safe for concurrent use.
 type Monitor struct {
 	cfg     Config
-	queue   *events.Queue        // legacy pipeline; nil when sharded
-	sharded *events.ShardedQueue // sharded pipeline; nil when legacy
+	queue   *events.ShardedQueue
 	handler Handler
 	batch   BatchHandler // handler's batch fast path, when implemented
 	hier    *tiers.Hierarchy
@@ -92,30 +85,18 @@ type Monitor struct {
 // New creates a monitor feeding handler; hier may be nil (no capacity
 // probes).
 func New(cfg Config, handler Handler, hier *tiers.Hierarchy) *Monitor {
-	if cfg.Daemons <= 0 {
-		cfg.Daemons = 4
-	}
-	if cfg.WorkersPerShard <= 0 {
-		cfg.WorkersPerShard = 1
+	if cfg.Shards <= 0 {
+		cfg.Shards = DefaultShards
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1 << 16
 	}
 	if cfg.Batch <= 0 {
-		if cfg.Shards > 1 {
-			cfg.Batch = cfg.QueueCap / cfg.Shards
-			if cfg.Batch > 2048 {
-				cfg.Batch = 2048
-			}
-			if cfg.Batch < 64 {
-				cfg.Batch = 64
-			}
-		} else {
-			cfg.Batch = 64
-		}
+		cfg.Batch = min(max(cfg.QueueCap/cfg.Shards, 1), 2048)
 	}
 	m := &Monitor{
 		cfg:     cfg,
+		queue:   events.NewSharded(cfg.Shards, cfg.QueueCap, cfg.Drop),
 		handler: handler,
 		hier:    hier,
 		stop:    make(chan struct{}),
@@ -123,30 +104,16 @@ func New(cfg Config, handler Handler, hier *tiers.Hierarchy) *Monitor {
 	if bh, ok := handler.(BatchHandler); ok {
 		m.batch = bh
 	}
-	if cfg.Shards > 1 {
-		m.sharded = events.NewSharded(cfg.Shards, cfg.QueueCap, cfg.Drop)
-	} else {
-		m.queue = events.NewQueue(cfg.QueueCap, cfg.Drop)
-	}
 	if cfg.Telemetry != nil {
-		if m.sharded != nil {
-			m.sharded.SetTelemetry(cfg.Telemetry)
-		} else {
-			m.queue.SetTelemetry(cfg.Telemetry)
-		}
+		m.queue.SetTelemetry(cfg.Telemetry)
 		cfg.Telemetry.CounterFunc("hfetch_events_consumed_total",
 			"events handled by the daemon pool", m.consumed.Load)
 	}
 	return m
 }
 
-// Queue exposes the legacy event queue so tiers and the I/O layer can
-// push; nil when the sharded pipeline is active (use Post / Backlog).
-func (m *Monitor) Queue() *events.Queue { return m.queue }
-
-// Sharded exposes the sharded queue; nil when the legacy pipeline is
-// active.
-func (m *Monitor) Sharded() *events.ShardedQueue { return m.sharded }
+// Shards returns the number of event rings.
+func (m *Monitor) Shards() int { return m.queue.NumShards() }
 
 // Post pushes one event into the queue. Read events are stamped with a
 // lifecycle trace ID at this boundary — the monitor is the ingestion
@@ -160,20 +127,12 @@ func (m *Monitor) Post(ev events.Event) bool {
 			ev.Trace = lc.OnEvent(ev.File, ev.Offset, ev.Time)
 		}
 	}
-	if m.sharded != nil {
-		return m.sharded.Post(ev)
-	}
 	return m.queue.Post(ev)
 }
 
 // Backlog returns the number of queued, not-yet-drained events across
 // all shards.
-func (m *Monitor) Backlog() int {
-	if m.sharded != nil {
-		return m.sharded.Len()
-	}
-	return m.queue.Len()
-}
+func (m *Monitor) Backlog() int { return m.queue.Len() }
 
 // Quiescent reports whether every event accepted so far has been fully
 // handled: audited and its score update delivered to the engine, not
@@ -187,32 +146,38 @@ func (m *Monitor) Quiescent() bool {
 	return m.consumed.Load() >= posted
 }
 
-// QueueStats returns the cumulative posted and dropped counts.
-func (m *Monitor) QueueStats() (posted, dropped int64) {
-	if m.sharded != nil {
-		return m.sharded.Stats()
+// quiescePoll is WaitQuiescent's polling grain: devsim.Sleep's, because
+// time.Sleep would take a millisecond on an idle host and the wait sits
+// between the phases of every experiment and at every last close.
+const quiescePoll = 200 * time.Microsecond
+
+// WaitQuiescent waits until Quiescent holds or timeout has passed and
+// reports which. An expiry is logged, once, with the counts that did not
+// meet: the caller goes on without the events still in the pipeline.
+func (m *Monitor) WaitQuiescent(timeout time.Duration) bool {
+	deadline := time.Now().Add(timeout)
+	for !m.Quiescent() {
+		if !time.Now().Before(deadline) {
+			posted, _ := m.QueueStats()
+			slog.Warn("event pipeline did not quiesce", "component", "monitor",
+				"waited", timeout, "posted", posted, "consumed", m.consumed.Load())
+			return false
+		}
+		devsim.Sleep(quiescePoll)
 	}
-	return m.queue.Stats()
+	return true
 }
 
-// Start launches the daemon pool (and the capacity prober when
-// configured).
+// QueueStats returns the cumulative posted and dropped counts.
+func (m *Monitor) QueueStats() (posted, dropped int64) { return m.queue.Stats() }
+
+// Start launches the daemon pool, one daemon per ring (and the capacity
+// prober when configured).
 func (m *Monitor) Start() {
-	if m.sharded != nil {
-		for i := 0; i < m.sharded.NumShards(); i++ {
-			q := m.sharded.Shard(i)
-			for w := 0; w < m.cfg.WorkersPerShard; w++ {
-				m.wg.Add(1)
-				//lint:allow goleak daemon joins via the queue, not a signal field: Stop closes the shard and TakeBatch returns ok=false once drained
-				go m.daemon(q)
-			}
-		}
-	} else {
-		for i := 0; i < m.cfg.Daemons; i++ {
-			m.wg.Add(1)
-			//lint:allow goleak daemon joins via the queue, not a signal field: Stop closes the queue and TakeBatch returns ok=false once drained
-			go m.daemon(m.queue)
-		}
+	for i := 0; i < m.queue.NumShards(); i++ {
+		m.wg.Add(1)
+		//lint:allow goleak daemon joins via the queue, not a signal field: Stop closes the ring and TakeBatch returns ok=false once drained
+		go m.daemon(m.queue.Shard(i))
 	}
 	if m.cfg.CapacityInterval > 0 && m.hier != nil {
 		m.wg.Add(1)
@@ -223,19 +188,14 @@ func (m *Monitor) Start() {
 // Stop closes the queue, waits for the daemons to drain it, and returns.
 func (m *Monitor) Stop() {
 	m.once.Do(func() { close(m.stop) })
-	if m.sharded != nil {
-		m.sharded.Close()
-	} else {
-		m.queue.Close()
-	}
+	m.queue.Close()
 	m.wg.Wait()
 }
 
 // Consumed returns the number of events handled so far.
 func (m *Monitor) Consumed() int64 { return m.consumed.Load() }
 
-// daemon drains q until it is closed and empty. Each shard of the
-// sharded pipeline gets its own daemons; the legacy pipeline shares one.
+// daemon drains its ring until it is closed and empty.
 //
 //hfetch:hotpath
 func (m *Monitor) daemon(q *events.Queue) {

@@ -31,7 +31,7 @@ func (c *countingHandler) HandleEvent(ev events.Event) {
 
 func TestDaemonsConsumeAllEvents(t *testing.T) {
 	h := &countingHandler{}
-	m := New(Config{Daemons: 4, QueueCap: 128}, h, nil)
+	m := New(Config{Shards: 1, QueueCap: 128}, h, nil)
 	m.Start()
 	const n = 5000
 	var wg sync.WaitGroup
@@ -56,7 +56,7 @@ func TestDaemonsConsumeAllEvents(t *testing.T) {
 
 func TestStopDrainsQueue(t *testing.T) {
 	h := &countingHandler{}
-	m := New(Config{Daemons: 1, QueueCap: 1024}, h, nil)
+	m := New(Config{Shards: 1, QueueCap: 1024}, h, nil)
 	for i := 0; i < 100; i++ {
 		m.Post(events.Event{Op: events.OpRead})
 	}
@@ -71,7 +71,7 @@ func TestCapacityProber(t *testing.T) {
 	h := &countingHandler{}
 	ram := tiers.NewStore("ram", 100, nil)
 	hier := tiers.NewHierarchy(ram)
-	m := New(Config{Daemons: 1, CapacityInterval: 10 * time.Millisecond}, h, hier)
+	m := New(Config{Shards: 1, CapacityInterval: 10 * time.Millisecond}, h, hier)
 	m.Start()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && h.capacity.Load() < 2 {
@@ -95,12 +95,12 @@ func TestCapacityProber(t *testing.T) {
 
 func TestDropPolicyCountsOverflow(t *testing.T) {
 	h := &countingHandler{}
-	m := New(Config{Daemons: 1, QueueCap: 4, Drop: true}, h, nil)
+	m := New(Config{Shards: 1, QueueCap: 4, Drop: true}, h, nil)
 	// Not started: queue fills, then drops.
 	for i := 0; i < 10; i++ {
 		m.Post(events.Event{Op: events.OpRead})
 	}
-	_, dropped := m.Queue().Stats()
+	_, dropped := m.QueueStats()
 	if dropped != 6 {
 		t.Fatalf("dropped = %d, want 6", dropped)
 	}
@@ -113,7 +113,11 @@ func TestDropPolicyCountsOverflow(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	m := New(Config{}, &countingHandler{}, nil)
-	if m.cfg.Daemons != 4 || m.cfg.QueueCap != 1<<16 || m.cfg.Batch != 64 {
-		t.Fatalf("defaults = %+v", m.cfg)
+	if m.Shards() != DefaultShards || m.cfg.QueueCap != 1<<16 || m.cfg.Batch != 2048 {
+		t.Fatalf("defaults = %+v over %d rings", m.cfg, m.Shards())
+	}
+	// A daemon's batch is its ring, whole.
+	if m := New(Config{Shards: 4, QueueCap: 64}, &countingHandler{}, nil); m.Shards() != 4 || m.cfg.Batch != 16 {
+		t.Fatalf("4 rings over 64 slots = %+v over %d rings", m.cfg, m.Shards())
 	}
 }

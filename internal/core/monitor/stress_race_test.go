@@ -18,12 +18,12 @@ import (
 // The stress test posts interleaved events for the same files from 64
 // goroutines and checks the two properties the sharded pipeline claims:
 //
-//  1. Per-file ordering: with one worker per shard, a file's events are
+//  1. Per-file ordering: with one daemon per ring, a file's events are
 //     handled in exactly the order they entered the ring.
 //  2. Score equivalence: because scoring folds per-segment and the
-//     per-file event order is fixed, the sharded pipeline produces
-//     bitwise-identical final scores to the legacy single-queue,
-//     single-daemon pipeline.
+//     per-file event order is fixed, 8 rings produce bitwise-identical
+//     final scores to one ring, whose one daemon handles everything in
+//     posting order.
 //
 // Run it under -race: the posting goroutines, shard workers, striped
 // epoch table and dhm shards all interleave here.
@@ -230,7 +230,7 @@ func runStress(t *testing.T, mcfg monitor.Config, record bool) (map[seg.ID]float
 func TestShardedStressOrderingAndScoreEquivalence(t *testing.T) {
 	// Sharded pipeline: 8 rings, one worker each, 64 concurrent posters.
 	shardedScores, rec, sink := runStress(t, monitor.Config{
-		Shards: 8, WorkersPerShard: 1, QueueCap: 4096,
+		Shards: 8, QueueCap: 4096,
 	}, true)
 	if len(rec.violations) > 0 {
 		t.Fatalf("per-file ordering violated: %v", rec.violations)
@@ -245,23 +245,23 @@ func TestShardedStressOrderingAndScoreEquivalence(t *testing.T) {
 		t.Fatal("sharded run produced no scores")
 	}
 
-	// Reference: the legacy single queue with ONE daemon, which trivially
-	// preserves per-file order. Same scripts, same timestamps.
-	legacyScores, _, _ := runStress(t, monitor.Config{
-		Shards: 1, Daemons: 1, QueueCap: 4096,
+	// Reference: one ring with its one daemon, which handles everything in
+	// posting order. Same scripts, same timestamps.
+	singleScores, _, _ := runStress(t, monitor.Config{
+		Shards: 1, QueueCap: 4096,
 	}, false)
 
-	if len(shardedScores) != len(legacyScores) {
-		t.Fatalf("segment count differs: sharded %d, legacy %d",
-			len(shardedScores), len(legacyScores))
+	if len(shardedScores) != len(singleScores) {
+		t.Fatalf("segment count differs: 8 rings %d, 1 ring %d",
+			len(shardedScores), len(singleScores))
 	}
-	for id, want := range legacyScores {
+	for id, want := range singleScores {
 		got, ok := shardedScores[id]
 		if !ok {
-			t.Fatalf("segment %v scored in legacy run but not sharded", id)
+			t.Fatalf("segment %v scored on 1 ring but not on 8", id)
 		}
 		if got != want { // bitwise: identical per-file fold order
-			t.Fatalf("segment %v: sharded score %v != legacy %v", id, got, want)
+			t.Fatalf("segment %v: score %v on 8 rings != %v on 1", id, got, want)
 		}
 	}
 }
@@ -278,7 +278,7 @@ func TestShardedStressDropPolicy(t *testing.T) {
 		Score:     score.Params{P: 2, Unit: time.Second},
 	}, stats, maps)
 	mon := monitor.New(monitor.Config{
-		Shards: 4, WorkersPerShard: 1, QueueCap: 16, Drop: true,
+		Shards: 4, QueueCap: 16, Drop: true,
 	}, aud, nil)
 	mon.Start()
 

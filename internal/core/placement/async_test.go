@@ -82,8 +82,11 @@ func gatedRig(t *testing.T, cfg Config, capacities ...int64) (*rig, *gatedMover)
 	return r, gm
 }
 
+// TestAsyncPlacementMatchesSyncOutcome is TestOverflowCascadesToNextTier
+// with coalescing on: the three fetches may share an origin read and must
+// land where three single fetches would.
 func TestAsyncPlacementMatchesSyncOutcome(t *testing.T) {
-	r := newRig(t, Config{Async: true, FetchCoalesce: true}, 200, 1000)
+	r := newRig(t, Config{FetchCoalesce: true}, 200, 1000)
 	r.eng.ScoreUpdated(up(0, 5))
 	r.eng.ScoreUpdated(up(1, 4))
 	r.eng.ScoreUpdated(up(2, 3))
@@ -104,7 +107,7 @@ func TestAsyncPlacementMatchesSyncOutcome(t *testing.T) {
 }
 
 func TestAsyncRunReturnsBeforeMovesExecute(t *testing.T) {
-	r, gm := gatedRig(t, Config{Async: true}, 1000)
+	r, gm := gatedRig(t, Config{}, 1000)
 	r.eng.ScoreUpdated(up(0, 5))
 
 	done := make(chan struct{})
@@ -132,7 +135,7 @@ func TestAsyncRunReturnsBeforeMovesExecute(t *testing.T) {
 }
 
 func TestAsyncFailedFetchAfterRunReturnedReconciles(t *testing.T) {
-	r, gm := gatedRig(t, Config{Async: true}, 1000)
+	r, gm := gatedRig(t, Config{}, 1000)
 	gm.mu.Lock()
 	gm.failFetches = 1
 	gm.mu.Unlock()
@@ -169,7 +172,7 @@ func TestAsyncFailedFetchAfterRunReturnedReconciles(t *testing.T) {
 func TestAsyncSupersededQueuedFetchNeverExecutes(t *testing.T) {
 	// One mover worker per tier and one PFS stream: a gated blocker fetch
 	// occupies the worker so the victim's fetch stays queued.
-	cfg := Config{Async: true, Workers: 1, MoverConcurrency: []int{1, 1, 1}}
+	cfg := Config{Workers: 1, MoverConcurrency: []int{1, 1, 1}}
 	r, gm := gatedRig(t, cfg, 1000)
 
 	blocker := seg.ID{File: "f", Index: 9}
@@ -217,13 +220,12 @@ func TestAsyncSupersededQueuedFetchNeverExecutes(t *testing.T) {
 	}
 }
 
-// TestAsyncSupersessionStressNoDuplicates hammers the async engine with
+// TestAsyncSupersessionStressNoDuplicates hammers the engine with
 // concurrent score churn and flushes; run under -race. No interleaving
 // of supersession, retargeting, and retries may ever leave a segment
 // resident in two tiers or let the model drift from the stores.
 func TestAsyncSupersessionStressNoDuplicates(t *testing.T) {
 	cfg := Config{
-		Async:            true,
 		FetchCoalesce:    true,
 		MoverConcurrency: []int{2, 2},
 		UpdateThreshold:  1 << 30, // only explicit flushes trigger passes
@@ -286,10 +288,12 @@ func TestAsyncSupersessionStressNoDuplicates(t *testing.T) {
 	}
 }
 
-// TestAsyncFailurePathsMirrorSync re-runs the sync failure suite's
-// invariant checks under the async mover.
+// TestAsyncFailurePathsMirrorSync re-runs the failure suite's churn
+// (TestRepeatedFailuresNeverCorruptAccounting) with one mover worker per
+// tier and one fetch stream, where a failed hop is always reported before
+// the next one of its tier starts.
 func TestAsyncFailurePathsMirrorSync(t *testing.T) {
-	r, fm := flakyRig(t, Config{Async: true}, 300, 300)
+	r, fm := flakyRig(t, Config{Workers: 1, MoverConcurrency: []int{1, 1}}, 300, 300)
 	for round := 0; round < 20; round++ {
 		if round%3 == 0 {
 			fm.failFetches.Store(1)
@@ -391,7 +395,7 @@ func runEngineStateMachine(t *testing.T, seed int64) (failed, superseded int64) 
 	rng := rand.New(rand.NewSource(seed))
 	faults := seed%2 == 1
 	var fc *faultyClient
-	cfg := Config{Async: true, FetchCoalesce: seed%3 != 0, MoverConcurrency: []int{2, 1, 1}, UpdateThreshold: 1 << 30}
+	cfg := Config{FetchCoalesce: seed%3 != 0, MoverConcurrency: []int{2, 1, 1}, UpdateThreshold: 1 << 30}
 	r := newRigWrapped(t, cfg, func(m Mover) Mover {
 		fc = &faultyClient{Client: m.(*ioclient.Client)}
 		if faults {

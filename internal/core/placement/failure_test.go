@@ -34,8 +34,7 @@ func (f *flakyMover) Evict(id seg.ID, src *tiers.Store) error {
 	return f.inner.Evict(id, src)
 }
 
-// flakyRig builds a rig whose mover is wrapped for fault injection;
-// cfg selects sync or async execution.
+// flakyRig builds a rig whose mover is wrapped for fault injection.
 func flakyRig(t *testing.T, cfg Config, capacities ...int64) (*rig, *flakyMover) {
 	t.Helper()
 	var fm *flakyMover

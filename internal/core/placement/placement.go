@@ -25,8 +25,14 @@
 // equal scores the lowest (file, index) goes first. A segment that only
 // ties the coldest resident does not displace it — it goes deeper. A
 // pass's plan, its merge table, its phase order and the batch handed to
-// the asynchronous mover are scratch the engine keeps between passes: a
-// steady-state pass allocates nothing per move.
+// the mover are scratch the engine keeps between passes: a steady-state
+// pass allocates nothing per move.
+//
+// A pass decides and does not move: it commits the residency model, hands
+// the merged plan to the mover pipeline (internal/core/mover) and returns
+// without waiting on device time; moveDone records each move's outcome
+// when it lands. Flush — one pass, then the mover drained — is the
+// barrier after which the stores match the model.
 package placement
 
 import (
@@ -81,28 +87,18 @@ type Config struct {
 	// UpdateThreshold is trigger (b): run after this many score updates.
 	// Default Medium (100).
 	UpdateThreshold int
-	// Workers is the number of engine threads executing data movement
-	// within a run (synchronous mode), and the PFS fetch-stream cap of
-	// the async mover — both model the paper §IV engine threads.
-	// Default 2.
+	// Workers is the paper §IV's engine threads: the cap on the mover's
+	// concurrent PFS fetch streams. Default 2.
 	Workers int
-	// Async decouples deciding from executing: run() commits the
-	// residency model, hands the merged plan to a persistent mover
-	// pipeline, and returns without waiting on device time. The zero
-	// value keeps the legacy synchronous execution (run() blocks until
-	// the moves land), which existing placement tests exercise.
-	Async bool
-	// MoverConcurrency is the async mover's per-tier worker count,
-	// fastest tier first. Missing or non-positive entries use the mover
-	// default (max(2, 8>>tier)). Ignored when Async is false.
+	// MoverConcurrency is the mover's per-tier worker count, fastest tier
+	// first. Missing or non-positive entries use the mover default
+	// (max(2, 8>>tier)).
 	MoverConcurrency []int
 	// MoverQueueDepth bounds each per-tier mover queue; a full queue
-	// applies backpressure to the placement pass. Default 256. Ignored
-	// when Async is false.
+	// applies backpressure to the placement pass. Default 256.
 	MoverQueueDepth int
-	// FetchCoalesce lets the async mover merge adjacent queued PFS
-	// fetches of one file into a single origin read. Ignored when Async
-	// is false.
+	// FetchCoalesce lets the mover merge adjacent queued PFS fetches of
+	// one file into a single origin read.
 	FetchCoalesce bool
 	// MinScore is the global admission floor: segments scoring below it
 	// are never prefetched. Default 0 (admit anything with score > 0).
@@ -129,23 +125,17 @@ type Stats struct {
 }
 
 // Mover executes planned data movement (implemented by ioclient.Client).
-type Mover interface {
-	Fetch(id seg.ID, size int64, dst *tiers.Store) error
-	Transfer(id seg.ID, src, dst *tiers.Store) error
-	Evict(id seg.ID, src *tiers.Store) error
-}
+type Mover = amover.Executor
 
 // Engine is the hierarchical data placement engine. It implements
 // auditor.Sink.
 type Engine struct {
-	cfg   Config
-	hier  *tiers.Hierarchy
-	mover Mover
-	aud   *auditor.Auditor
+	cfg  Config
+	hier *tiers.Hierarchy
+	aud  *auditor.Auditor
 
-	// async is the persistent mover pipeline (nil in synchronous mode).
-	// run() submits merged plans to it instead of calling execute().
-	async *amover.Mover
+	// mover is the persistent pipeline run() submits merged plans to.
+	mover *amover.Mover
 
 	mu          sync.Mutex
 	pending     map[seg.ID]auditor.Update
@@ -165,7 +155,7 @@ type Engine struct {
 	// guards drained, the map the pass before this one emptied and the
 	// next swaps in for pending, and the pass's scratch: its work list, its
 	// plan, mergePlan's table, the phase-ordered plan with its phase ends,
-	// and the batch submitted to the async mover.
+	// and the batch submitted to the mover.
 	runMu   sync.Mutex
 	drained map[seg.ID]auditor.Update
 	updates []auditor.Update
@@ -219,9 +209,12 @@ type move struct {
 	trace uint64
 }
 
-// New creates an engine over the hierarchy, executing moves with mover
-// and recording segment mappings through aud.
-func New(cfg Config, hier *tiers.Hierarchy, mover Mover, aud *auditor.Auditor) *Engine {
+// New creates an engine over the hierarchy whose mover pipeline moves
+// bytes with exec, recording segment mappings through aud. The pipeline's
+// workers start here, so an engine that is only ever Flushed (tests, the
+// benchmark's drive) drains without Start; they idle on a condition
+// variable until moves arrive.
+func New(cfg Config, hier *tiers.Hierarchy, exec Mover, aud *auditor.Auditor) *Engine {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
@@ -240,7 +233,6 @@ func New(cfg Config, hier *tiers.Hierarchy, mover Mover, aud *auditor.Auditor) *
 	e := &Engine{
 		cfg:         cfg,
 		hier:        hier,
-		mover:       mover,
 		aud:         aud,
 		pending:     make(map[seg.ID]auditor.Update),
 		drained:     make(map[seg.ID]auditor.Update),
@@ -270,19 +262,14 @@ func New(cfg Config, hier *tiers.Hierarchy, mover Mover, aud *auditor.Auditor) *
 			return int64(len(e.pending))
 		})
 	}
-	if cfg.Async {
-		e.async = amover.New(amover.Config{
-			Concurrency: cfg.MoverConcurrency,
-			QueueDepth:  cfg.MoverQueueDepth,
-			PFSStreams:  cfg.Workers,
-			Coalesce:    cfg.FetchCoalesce,
-			Telemetry:   cfg.Telemetry,
-		}, hier, mover, e.moveDone)
-		// Workers start immediately so Flush-only engines (tests) drain
-		// without Start; they idle on a condition variable until moves
-		// arrive.
-		e.async.Start()
-	}
+	e.mover = amover.New(amover.Config{
+		Concurrency: cfg.MoverConcurrency,
+		QueueDepth:  cfg.MoverQueueDepth,
+		PFSStreams:  cfg.Workers,
+		Coalesce:    cfg.FetchCoalesce,
+		Telemetry:   cfg.Telemetry,
+	}, hier, exec, e.moveDone)
+	e.mover.Start()
 	return e
 }
 
@@ -292,16 +279,14 @@ func (e *Engine) Start() {
 	go e.loop()
 }
 
-// Stop terminates the engine after a final drain. In async mode the
-// mover pipeline is drained and shut down too, so every submitted move
-// is terminal when Stop returns.
+// Stop terminates the engine after a final pass, then drains and shuts
+// down the mover pipeline, so every submitted move is terminal when Stop
+// returns.
 func (e *Engine) Stop() {
 	e.once.Do(func() { close(e.stop) })
 	e.wg.Wait()
-	if e.async != nil {
-		e.async.Drain()
-		e.async.Stop()
-	}
+	e.mover.Drain()
+	e.mover.Stop()
 }
 
 // ScoreUpdated implements auditor.Sink. It is the hot path: a map insert
@@ -366,15 +351,12 @@ func (e *Engine) FileInvalidated(file string) {
 	e.kickPass()
 }
 
-// Flush runs one placement pass and waits for its data movement to
-// finish (used by tests and by epoch teardown). It is the barrier that
-// makes async mode deterministic: after Flush the stores match the
-// model.
+// Flush runs one placement pass and waits for the mover to drain (used by
+// tests and between the phases of an experiment). It is the barrier that
+// makes placement deterministic: after Flush the stores match the model.
 func (e *Engine) Flush() {
 	e.run()
-	if e.async != nil {
-		e.async.Drain()
-	}
+	e.mover.Drain()
 }
 
 func (e *Engine) loop() {
@@ -395,9 +377,9 @@ func (e *Engine) loop() {
 }
 
 // run drains pending updates and invalidations, plans placement for each
-// update (hottest first), and executes the planned moves with the worker
-// pool. Runs are serialized: the engine's residency model is consistent
-// at run boundaries.
+// update (hottest first), and submits the planned moves to the mover.
+// Runs are serialized: the engine's residency model is consistent at run
+// boundaries.
 func (e *Engine) run() {
 	e.runMu.Lock()
 	defer e.runMu.Unlock()
@@ -451,26 +433,20 @@ func (e *Engine) run() {
 		// Decision latency: planning only, data movement is the fetch stage.
 		e.cfg.Telemetry.Span(telemetry.StagePlace, "", -1, "", decideStart, time.Since(decideStart))
 	}
-	ordered := e.order(e.mergePlan(plan))
-	if e.async != nil {
-		e.submitAsync(ordered, decideStart)
-	} else {
-		e.execute(ordered, decideStart)
-	}
+	e.submit(e.order(e.mergePlan(plan)), decideStart)
 	if e.cfg.Telemetry != nil {
-		// The decide stage is the whole pass, entry to ready-for-next:
-		// synchronous execution keeps the engine occupied through device
-		// time, async ends at queue submission. Their gap is what
-		// decoupling buys.
+		// The decide stage is the whole pass, entry to ready-for-next: it
+		// ends at queue submission, so it holds no device time unless a
+		// full mover queue pushed back.
 		e.cfg.Telemetry.Span(telemetry.StageDecide, "", -1, "", decideStart, time.Since(decideStart))
 	}
 }
 
-// submitAsync hands a merged, phase-ordered plan to the mover as one
+// submit hands a merged, phase-ordered plan to the mover as one
 // batch. The mover overlaps the phases; the order only makes every move
 // that leaves a tier known to it before the fills of that tier, which wait
 // for room exactly while such a departure is outstanding.
-func (e *Engine) submitAsync(plan []move, passStart time.Time) {
+func (e *Engine) submit(plan []move, passStart time.Time) {
 	if len(plan) == 0 {
 		return
 	}
@@ -487,12 +463,12 @@ func (e *Engine) submitAsync(plan []move, passStart time.Time) {
 		batch = append(batch, amover.Move{ID: mv.id, Size: mv.size, From: mv.from, To: mv.to, Trace: tr})
 	}
 	e.batch = batch
-	e.async.Submit(batch)
+	e.mover.Submit(batch)
 }
 
-// moveDone is the async mover's terminal-outcome callback: the
-// bookkeeping half of executeOne, applied when the move actually lands.
-// Called from mover workers without mover locks held.
+// moveDone is the mover's terminal-outcome callback: a move's
+// bookkeeping (counters, lifecycle ledger, mapping), applied when it
+// actually lands. Called from mover workers without mover locks held.
 func (e *Engine) moveDone(mv amover.Move, err error) {
 	m := move{id: mv.ID, size: mv.Size, from: mv.From, to: mv.To, trace: mv.Trace}
 	lc := e.cfg.Telemetry.Lifecycle()
@@ -543,9 +519,8 @@ func (e *Engine) moveDone(mv amover.Move, err error) {
 
 // mergePlan coalesces, in place, per-segment move chains (a segment can be
 // demoted by one update and re-placed by its own later in the same run)
-// into a single origin→final move. Without merging, two moves of the same
-// segment could execute out of order on the worker pool and leave a
-// duplicate resident copy.
+// into a single origin→final move: the mover keeps one wanted tier per
+// segment, so only the chain's two ends mean anything to it.
 func (e *Engine) mergePlan(plan []move) []move {
 	if len(plan) <= 1 {
 		return plan
@@ -572,10 +547,8 @@ func (e *Engine) mergePlan(plan []move) []move {
 // order sorts a merged plan, stably, into its phases — evictions first,
 // then tier-to-tier transfers by destination (deepest tier first, so space
 // is drained downward before it is claimed), finally fetches from the PFS
-// — and leaves each phase's end offset in e.ends. Executed with a barrier
-// between phases (execute), no intermediate state overflows a tier: the
-// model's capacity accounting guarantees the final state fits, the phasing
-// the states on the way. The async mover keeps no barriers (submitAsync).
+// — a counting sort with e.ends as its table. The mover keeps no barrier
+// between phases (submit says what the order is for).
 func (e *Engine) order(plan []move) []move {
 	n := e.hier.Len()
 	phaseOf := func(mv move) int {
@@ -605,13 +578,11 @@ func (e *Engine) order(plan []move) []move {
 }
 
 // dropFile removes every resident segment of file (consistency after a
-// write event). In async mode the file's in-flight moves are cancelled
-// first, so a queued fetch cannot re-materialize stale bytes after the
-// stores are swept.
+// write event). The file's in-flight moves are cancelled first, so a
+// queued fetch cannot re-materialize stale bytes after the stores are
+// swept.
 func (e *Engine) dropFile(file string) {
-	if e.async != nil {
-		e.async.CancelFile(file)
-	}
+	e.mover.CancelFile(file)
 	if lc := e.cfg.Telemetry.Lifecycle(); lc != nil {
 		// Cancelled in-flight fetches were already classified wasted via
 		// their abort callback; this sweeps the remaining open traces.
@@ -891,86 +862,6 @@ func (e *Engine) demoteUntilFits(u auditor.Update, ti int, plan *[]move) {
 	}
 }
 
-// execute performs the planned moves (in order's phases) with the worker
-// pool, phase by phase, and records mapping changes.
-func (e *Engine) execute(plan []move, passStart time.Time) {
-	start := 0
-	for _, end := range e.ends {
-		phase := plan[start:end]
-		start = end
-		if len(phase) == 0 {
-			continue
-		}
-		ch := make(chan move)
-		var wg sync.WaitGroup
-		workers := e.cfg.Workers
-		if workers > len(phase) {
-			workers = len(phase)
-		}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for mv := range ch {
-					e.executeOne(mv, passStart)
-				}
-			}()
-		}
-		for _, mv := range phase {
-			ch <- mv
-		}
-		close(ch)
-		wg.Wait()
-	}
-}
-
-func (e *Engine) executeOne(mv move, passStart time.Time) {
-	lc := e.cfg.Telemetry.Lifecycle()
-	switch {
-	case mv.to < 0: // eviction
-		if mv.from >= 0 {
-			if err := e.mover.Evict(mv.id, e.hier.Tier(mv.from)); err == nil {
-				e.ctr.evictions.Add(1)
-			}
-		}
-		if lc != nil {
-			lc.OnEvicted(mv.id.File, mv.id.Index)
-		}
-		e.aud.DeleteMapping(mv.id)
-	case mv.from < 0: // fetch from the PFS
-		tierName := e.hier.Tier(mv.to).Name()
-		trace := mv.trace
-		if lc != nil {
-			trace = lc.OnFetchQueued(mv.id.File, mv.id.Index, mv.trace, tierName, passStart)
-		}
-		if err := e.mover.Fetch(mv.id, mv.size, e.hier.Tier(mv.to)); err != nil {
-			e.ctr.failed.Add(1)
-			if lc != nil {
-				lc.OnFetchAborted(mv.id.File, mv.id.Index, trace, "failed")
-			}
-			e.reconcile(mv)
-			return
-		}
-		e.ctr.placements.Add(1)
-		if lc != nil {
-			lc.OnFetchLanded(mv.id.File, mv.id.Index, trace, tierName)
-		}
-		e.aud.SetMapping(mv.id, tierName)
-	default: // tier-to-tier transfer
-		if err := e.mover.Transfer(mv.id, e.hier.Tier(mv.from), e.hier.Tier(mv.to)); err != nil {
-			e.ctr.failed.Add(1)
-			e.reconcile(mv)
-			return
-		}
-		if mv.to < mv.from {
-			e.ctr.promotions.Add(1)
-		} else {
-			e.ctr.demotions.Add(1)
-		}
-		e.aud.SetMapping(mv.id, e.hier.Tier(mv.to).Name())
-	}
-}
-
 // reconcile realigns the model and the mapping with the actual store
 // state after a failed move, so a divergence can never duplicate a
 // segment across tiers on a later run.
@@ -1035,26 +926,16 @@ func (e *Engine) Counters() Stats {
 	}
 }
 
-// MoverStats returns a snapshot of the async mover's counters and queue
-// depths; the zero Stats in synchronous mode.
-func (e *Engine) MoverStats() amover.Stats {
-	if e.async == nil {
-		return amover.Stats{}
-	}
-	return e.async.Stats()
-}
+// MoverStats returns a snapshot of the mover's counters and queue depths.
+func (e *Engine) MoverStats() amover.Stats { return e.mover.Stats() }
 
 // WaitInflight blocks until an in-flight incoming move of id (if any)
 // reaches a terminal state, or until timeout. It returns how long the
 // caller actually waited and whether the move completed; (0, false)
-// immediately when nothing is in flight or the engine is synchronous.
-// The server read path uses this to ride a queued fetch instead of
-// re-reading the bytes from the PFS.
+// immediately when nothing is in flight. The server read path uses this
+// to ride a queued fetch instead of re-reading the bytes from the PFS.
 func (e *Engine) WaitInflight(id seg.ID, timeout time.Duration) (time.Duration, bool) {
-	if e.async == nil {
-		return 0, false
-	}
-	return e.async.WaitFor(id, timeout)
+	return e.mover.WaitFor(id, timeout)
 }
 
 func abs(v float64) float64 {

@@ -28,9 +28,8 @@ func newRig(t *testing.T, cfg Config, capacities ...int64) *rig {
 }
 
 // newRigWrapped builds the rig with the I/O client optionally wrapped
-// (fault injection, gating) BEFORE the engine is constructed — the async
-// mover pipeline captures its executor at New, so swapping e.mover
-// afterwards would only affect the synchronous path.
+// (fault injection, gating) before the engine is constructed: the mover
+// pipeline captures its executor at New.
 func newRigWrapped(t *testing.T, cfg Config, wrap func(Mover) Mover, capacities ...int64) *rig {
 	t.Helper()
 	fs := pfs.New(nil)

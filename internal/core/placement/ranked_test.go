@@ -413,7 +413,7 @@ func TestRankedIndexStaysBoundedWithoutPops(t *testing.T) {
 }
 
 // A steady-state pass — 256 updates delivered, planned, merged, ordered,
-// submitted to the async mover and landed against an executor that moves
+// submitted to the mover and landed against an executor that moves
 // nothing — allocates next to nothing per move: the plan, the merge table,
 // the phase order and the batch are the engine's scratch, the mover's
 // records are pooled.
@@ -423,7 +423,7 @@ func TestSteadyStatePassAllocatesNothingPerMove(t *testing.T) {
 	}
 	const n = 256
 	hier := tiers.NewHierarchy(tiers.NewStore("ram", 32*100, nil), tiers.NewStore("nvme", 64*100, nil), tiers.NewStore("bb", 96*100, nil))
-	eng := New(Config{Async: true, UpdateThreshold: 1 << 30}, hier, noopMover{}, newTestAuditor())
+	eng := New(Config{UpdateThreshold: 1 << 30}, hier, noopMover{}, newTestAuditor())
 	defer eng.Stop()
 	// Two halves of 2n segments take turns being the hot half, each pass
 	// hotter than the last: a pass fetches most of its half and demotes or
@@ -463,8 +463,9 @@ func TestSteadyStatePassAllocatesNothingPerMove(t *testing.T) {
 }
 
 // BenchmarkPlacementPass4096 is benchmark/'s placement.pass drive: 4 096
-// fresh score updates delivered and planned into 64/128/256 MiB tiers in
-// one synchronous pass against an executor that moves nothing.
+// fresh score updates delivered and planned into 64/128/256 MiB tiers, the
+// plan submitted to the mover and drained against an executor that moves
+// nothing — the pass, the submit and the landing of ~4 000 no-op moves.
 func BenchmarkPlacementPass4096(b *testing.B) {
 	const n, size = 4096, 64 << 10
 	hier := tiers.NewHierarchy(tiers.NewStore("ram", 64<<20, nil), tiers.NewStore("nvme", 128<<20, nil), tiers.NewStore("bb", 256<<20, nil))
@@ -489,6 +490,7 @@ func BenchmarkPlacementPass4096(b *testing.B) {
 		mallocs += ms.Mallocs - before
 		c := eng.Counters()
 		moves += uint64(c.Placements + c.Promotions + c.Demotions + c.Evictions)
+		eng.Stop()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(mallocs)/float64(moves), "allocs/move")

@@ -128,10 +128,17 @@ func (m *Model) OnAccess(st *Stats, t time.Time) {
 		st.Refs = 1
 	}
 	st.Last = t
-	if n := len(st.History); n >= m.window {
+	switch n := len(st.History); {
+	case n >= m.window:
 		// Full: shift down in place, so a history never reallocates once
 		// it has reached the window.
 		st.History = st.History[:copy(st.History, st.History[n-m.window+1:])]
+	case n > 0 && n == cap(st.History):
+		// Read again: the history gets its whole window now, one
+		// allocation instead of append's log2(window) doublings spread
+		// over the segment's next accesses. A segment read once keeps
+		// its single timestamp.
+		st.History = append(make([]time.Time, 0, m.window), st.History...)
 	}
 	st.History = append(st.History, t)
 }

@@ -311,3 +311,32 @@ func TestHistoryShiftsInPlace(t *testing.T) {
 		t.Fatalf("an over-long history became %v", long.History)
 	}
 }
+
+// TestHistoryGrowsOnce: the first access costs one timestamp, the second
+// the whole window, and no later access allocates — a history restored at
+// its exact length (a decoded record) grows the same single time.
+func TestHistoryGrowsOnce(t *testing.T) {
+	m := NewModel(Params{P: 2, Unit: time.Second, Window: 32})
+	var st Stats
+	m.OnAccess(&st, t0)
+	if cap(st.History) != 1 {
+		t.Fatalf("a segment read once holds room for %d stamps, want 1", cap(st.History))
+	}
+	i := 1
+	next := func() {
+		m.OnAccess(&st, t0.Add(time.Duration(i)*time.Millisecond))
+		i++
+	}
+	next()
+	if len(st.History) != 2 || cap(st.History) != 32 || !st.History[0].Equal(t0) {
+		t.Fatalf("second access: len %d cap %d first %v, want 2, 32, %v", len(st.History), cap(st.History), st.History[0], t0)
+	}
+	if got := testing.AllocsPerRun(100, next); got != 0 {
+		t.Fatalf("an access after the second allocates %v times, want 0", got)
+	}
+	restored := Stats{History: append([]time.Time(nil), st.History[:5]...), K: 5, Refs: 1, Sum: 1, Last: st.History[4]}
+	m.OnAccess(&restored, st.History[5])
+	if len(restored.History) != 6 || cap(restored.History) != 32 {
+		t.Fatalf("a restored history of 5 became len %d cap %d, want 6, 32", len(restored.History), cap(restored.History))
+	}
+}

@@ -23,7 +23,6 @@ import (
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
-	"hfetch/internal/devsim"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
 	"hfetch/internal/metrics"
@@ -54,9 +53,8 @@ type Config struct {
 	SharedTiers []string
 	// FetchWait bounds how long a missing read waits for an in-flight
 	// mover fetch of the same segment before falling back to the PFS,
-	// avoiding the double-read where a client re-fetches bytes the async
-	// mover is already moving. Zero disables the wait; it only has an
-	// effect when Engine.Async is set.
+	// avoiding the double-read where a client re-fetches bytes the mover
+	// is already moving. Zero disables the wait.
 	FetchWait time.Duration
 	// SweepInterval enables the statistics janitor: every interval,
 	// segment records of closed epochs whose score decayed below
@@ -355,17 +353,15 @@ func (s *Server) Stop() {
 	}
 }
 
-// Flush synchronously drains the event queue's current backlog effects
-// and runs one placement pass. Intended for tests and benchmarks that
+// Flush waits until every event posted so far has been audited (5 s at
+// most; an expiry is logged by the monitor), runs one placement pass and
+// waits for its moves to land. Intended for tests and experiments that
 // need determinism between phases.
 func (s *Server) Flush() {
-	deadline := time.Now().Add(5 * time.Second)
-	// Quiescent, not Backlog: a daemon that popped a batch but has not
-	// finished auditing it would otherwise slip past the barrier and
-	// deliver its score updates after the placement pass below.
-	for !s.mon.Quiescent() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
+	// Quiescence, not an empty backlog: a daemon that popped a batch but
+	// has not finished auditing it would otherwise slip past the barrier
+	// and deliver its score updates after the placement pass below.
+	s.mon.WaitQuiescent(5 * time.Second)
 	s.eng.Flush()
 }
 
@@ -386,12 +382,8 @@ func (s *Server) StartEpoch(file string, size int64) {
 // Closing an epoch is a barrier: queued events are drained first, so the
 // persisted heatmap reflects every access of the epoch.
 func (s *Server) EndEpoch(file string) {
-	last := s.registry.RemoveWatch(file)
-	if last {
-		deadline := time.Now().Add(2 * time.Second)
-		for !s.mon.Quiescent() && time.Now().Before(deadline) {
-			devsim.Sleep(200 * time.Microsecond) // time.Sleep would take a millisecond when idle
-		}
+	if s.registry.RemoveWatch(file) {
+		s.mon.WaitQuiescent(2 * time.Second)
 	}
 	s.aud.EndEpoch(file)
 }
@@ -422,7 +414,7 @@ func (s *Server) ReadFromTier(tier string, id seg.ID, off int64, p []byte) (int,
 // a remote node's tier through the node-to-node communicator. ok is
 // false (and tier empty) when the caller must go to the PFS.
 //
-// When the async mover has a fetch of the segment in flight, a missing
+// When the mover has a fetch of the segment in flight, a missing
 // read stalls up to Config.FetchWait for it to land instead of falling
 // back to the PFS — one bounded wait instead of a duplicate origin read.
 //

@@ -7,13 +7,13 @@
 // registry: events are only delivered for files that currently have a
 // watch installed, mirroring inotify_add_watch/inotify_rm_watch.
 //
-// Delivered events land in the monitor's queue, which comes in two
-// shapes: Queue, a single bounded MPMC ring (the paper's literal
-// "event queue"), and ShardedQueue, which partitions the stream into
-// per-file-hashed rings so producers stop serializing on one mutex and
-// per-file FIFO order survives a multi-worker drain. Both share the
-// overflow policy (blocking backpressure or counted drops, mirroring
-// inotify's IN_Q_OVERFLOW) and the queue-wait telemetry span.
+// Delivered events land in the monitor's queue, a ShardedQueue: the
+// stream is partitioned into per-file-hashed rings, each a Queue (a
+// bounded MPMC ring) drained by one worker, so producers do not serialize
+// on one mutex and per-file FIFO order survives a multi-worker drain.
+// One shard is the paper's literal single "event queue". The overflow
+// policy (blocking backpressure or counted drops, mirroring inotify's
+// IN_Q_OVERFLOW) and the queue-wait telemetry span are the ring's.
 package events
 
 import (

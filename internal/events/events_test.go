@@ -2,6 +2,7 @@ package events
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -192,43 +193,68 @@ func TestQueueTakeBatchEmptyDst(t *testing.T) {
 	}
 }
 
+// TestQueueConcurrentProducersConsumers drains one ring with 4 consumers at
+// once, one event at a time and in batches. The batch case is the wake rule
+// under several drainers: each wakes only as many blocked producers as it
+// freed slots, so over 200 rounds of 16 producers on a 2-slot ring a
+// producer left asleep beside a free slot shows as a round that never ends.
 func TestQueueConcurrentProducersConsumers(t *testing.T) {
-	q := NewQueue(32, false)
-	const producers, perProducer = 8, 500
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				q.Post(Event{Op: OpRead})
-			}
-		}()
-	}
-	var consumed int64
-	var cwg sync.WaitGroup
-	var mu sync.Mutex
-	for c := 0; c < 4; c++ {
-		cwg.Add(1)
-		go func() {
-			defer cwg.Done()
-			local := int64(0)
-			for {
-				if _, ok := q.Take(); !ok {
-					break
+	for _, c := range []struct {
+		name                                     string
+		capacity, producers, perProducer, rounds int
+		batch                                    int // 0: Take
+	}{
+		{"take", 32, 8, 500, 1, 0},
+		{"take-batch", 2, 16, 8, 200, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for round := 0; round < c.rounds; round++ {
+				q := NewQueue(c.capacity, false)
+				var wg, cwg sync.WaitGroup
+				for p := 0; p < c.producers; p++ {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := 0; i < c.perProducer; i++ {
+							q.Post(Event{Op: OpRead})
+						}
+					}()
 				}
-				local++
+				var consumed atomic.Int64
+				for d := 0; d < 4; d++ {
+					cwg.Add(1)
+					go func() {
+						defer cwg.Done()
+						buf := make([]Event, c.batch)
+						for {
+							n, ok := 1, true
+							if c.batch > 0 {
+								n, ok = q.TakeBatch(buf)
+							} else {
+								_, ok = q.Take()
+							}
+							if !ok {
+								return
+							}
+							consumed.Add(int64(n))
+						}
+					}()
+				}
+				produced := make(chan struct{})
+				go func() { wg.Wait(); close(produced) }()
+				select {
+				case <-produced:
+				case <-time.After(10 * time.Second):
+					t.Fatalf("round %d: a producer is still blocked with %d of %d events consumed",
+						round, consumed.Load(), c.producers*c.perProducer)
+				}
+				q.Close()
+				cwg.Wait()
+				if got := consumed.Load(); got != int64(c.producers*c.perProducer) {
+					t.Fatalf("round %d: consumed %d, want %d", round, got, c.producers*c.perProducer)
+				}
 			}
-			mu.Lock()
-			consumed += local
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	q.Close()
-	cwg.Wait()
-	if consumed != producers*perProducer {
-		t.Fatalf("consumed %d, want %d", consumed, producers*perProducer)
+		})
 	}
 }
 

@@ -8,11 +8,8 @@ import (
 	"hfetch/internal/telemetry"
 )
 
-// Queue is the in-memory event queue hosted by the HFetch server's
-// hardware monitor. Each tier (and the client I/O layer) pushes events
-// into it; a pool of daemon threads consumes it.
-//
-// The queue is a bounded MPMC ring guarded by a mutex with condition
+// Queue is one ring of the hardware monitor's event queue (see
+// ShardedQueue): a bounded MPMC ring guarded by a mutex with condition
 // variables. When full, the posting policy decides between blocking the
 // producer (default, provides backpressure like a saturated kernel queue)
 // and dropping the event (counted, mirroring inotify's IN_Q_OVERFLOW).
@@ -26,14 +23,8 @@ type Queue struct {
 	closed  bool
 	drop    bool
 
-	// exactWake makes TakeBatch wake min(freed slots, blocked producers)
-	// instead of broadcasting to all of them. A shard of a ShardedQueue
-	// has one drainer and potentially thousands of blocked producers;
-	// broadcasting on every drained batch wakes the whole herd only for
-	// most of it to find the ring full again and go back to sleep.
-	exactWake bool
 	// prodWait counts producers blocked in Post (guarded by mu); it
-	// bounds the exact-wake signal count.
+	// bounds how many of them a drained batch wakes.
 	prodWait int
 
 	posted  atomic.Int64
@@ -58,31 +49,10 @@ func NewQueue(capacity int, drop bool) *Queue {
 	return q
 }
 
-// newShardQueue is NewQueue with exact-wake draining, used for the rings
-// of a ShardedQueue (single drainer per ring).
-func newShardQueue(capacity int, drop bool) *Queue {
-	q := NewQueue(capacity, drop)
-	q.exactWake = true
-	return q
-}
-
-// SetTelemetry attaches a registry: the queue exports its depth and
-// posted/dropped totals and times sampled events' wait between Post and
-// dequeue as the queue_wait pipeline stage (see Registry.TimeSample).
-// Call before Start/Post traffic; a nil registry is ignored.
-func (q *Queue) SetTelemetry(reg *telemetry.Registry) {
-	if reg == nil {
-		return
-	}
-	q.AttachTelemetry(reg)
-	reg.GaugeFunc("hfetch_event_queue_depth", "events currently queued", func() int64 { return int64(q.Len()) })
-	reg.CounterFunc("hfetch_events_posted_total", "events accepted into the queue", q.posted.Load)
-	reg.CounterFunc("hfetch_events_dropped_total", "events dropped on overflow (IN_Q_OVERFLOW)", q.dropped.Load)
-}
-
-// AttachTelemetry enables queue-wait span timing without registering any
-// metric families. ShardedQueue uses it for its per-shard rings, which
-// share the registry-level metric names and must not re-register them.
+// AttachTelemetry times sampled events' wait between Post and dequeue as
+// the queue_wait pipeline stage (see Registry.TimeSample). It registers no
+// metric family: ShardedQueue.SetTelemetry exports the totals once for all
+// its rings. Call before traffic; a nil registry is ignored.
 func (q *Queue) AttachTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return
@@ -213,21 +183,19 @@ func (q *Queue) TakeBatch(dst []Event) (n int, ok bool) {
 		q.n--
 		n++
 	}
-	if q.exactWake {
-		// Wake min(freed slots, blocked producers): each admitted producer
-		// frees nothing, so no wake chain is needed beyond n. When every
-		// waiter gets a slot, one Broadcast beats n runtime calls.
-		if wake := q.prodWait; wake > 0 {
-			if wake <= n {
-				q.notFull.Broadcast()
-			} else {
-				for i := 0; i < n; i++ {
-					q.notFull.Signal()
-				}
+	// Wake min(freed slots, blocked producers), not the whole herd: a
+	// ring can have thousands of blocked producers, and all but n of them
+	// would find it full again. Each admitted producer frees nothing, so no
+	// wake chain is needed beyond n, whichever drainer freed the slots.
+	// When every waiter gets a slot, one Broadcast beats n runtime calls.
+	if wake := q.prodWait; wake > 0 {
+		if wake <= n {
+			q.notFull.Broadcast()
+		} else {
+			for i := 0; i < n; i++ {
+				q.notFull.Signal()
 			}
 		}
-	} else {
-		q.notFull.Broadcast()
 	}
 	q.mu.Unlock()
 	for i, enq := range stamps {

@@ -36,7 +36,7 @@ func NewSharded(shards, capacity int, drop bool) *ShardedQueue {
 	}
 	s := &ShardedQueue{shards: make([]*Queue, shards)}
 	for i := range s.shards {
-		s.shards[i] = newShardQueue(per, drop)
+		s.shards[i] = NewQueue(per, drop)
 	}
 	return s
 }
@@ -123,9 +123,9 @@ func (s *ShardedQueue) Stats() (posted, dropped int64) {
 }
 
 // SetTelemetry attaches a registry: the queue exports the aggregate
-// depth and posted/dropped totals under the same names the single queue
-// uses, a per-shard depth gauge, and times sampled events' queue wait
-// (see Queue.SetTelemetry). Call before traffic; nil is ignored.
+// depth and posted/dropped totals, a per-shard depth gauge, and times
+// sampled events' queue wait (see Queue.AttachTelemetry). Call before
+// traffic; nil is ignored.
 func (s *ShardedQueue) SetTelemetry(reg *telemetry.Registry) {
 	if reg == nil {
 		return

@@ -2,12 +2,12 @@ package harness
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
+	"hfetch"
 	"hfetch/internal/baselines"
-	"hfetch/internal/core/placement"
-	"hfetch/internal/core/score"
 	"hfetch/internal/core/server"
 	"hfetch/internal/devsim"
 	"hfetch/internal/pfs"
@@ -62,17 +62,15 @@ type TierDef struct {
 	Capacity int64
 }
 
-// HFetchOpts tunes the HFetch instance an experiment builds.
+// HFetchOpts is what an experiment sets on the HFetch instance it
+// builds: its grain, its tiers and, where the figure is about them or the
+// emulation's event rate needs it, the two engine triggers. Everything
+// else is hfetch.DefaultConfig(), the pipeline cmd/hfetchd ships.
 type HFetchOpts struct {
 	SegmentSize     int64
 	Tiers           []TierDef
 	UpdateThreshold int
 	Interval        time.Duration
-	Daemons         int
-	EngineWorkers   int
-	SeqBoost        float64
-	HeatDir         string
-	DecayUnit       time.Duration
 }
 
 // NewHFetch builds and starts a single-node HFetch system over the
@@ -89,26 +87,21 @@ func (e *Env) NewHFetch(opts HFetchOpts) (*baselines.HFetch, error) {
 		}
 		stores = append(stores, tiers.NewStore(td.Name, td.Capacity, track(devsim.New(prof, e.Scale))))
 	}
-	hier := tiers.NewHierarchy(stores...)
-	stats, maps := server.NewLocalMaps("node0")
-	decay := opts.DecayUnit
-	if decay <= 0 {
-		decay = 250 * time.Millisecond
+	cfg := hfetch.DefaultConfig()
+	cfg.SegmentSize = opts.SegmentSize
+	if opts.UpdateThreshold > 0 {
+		cfg.EngineUpdateThreshold = opts.UpdateThreshold
 	}
-	cfg := server.Config{
-		Node:        "node0",
-		SegmentSize: opts.SegmentSize,
-		Score:       score.Params{P: 2, Unit: decay},
-		SeqBoost:    opts.SeqBoost,
-		HeatDir:     opts.HeatDir,
+	if opts.Interval > 0 {
+		cfg.EngineInterval = opts.Interval
 	}
-	cfg.Monitor.Daemons = opts.Daemons
-	cfg.Engine = placement.Config{
-		UpdateThreshold: opts.UpdateThreshold,
-		Interval:        opts.Interval,
-		Workers:         opts.EngineWorkers,
-	}
-	srv, err := server.New(cfg, e.FS, hier, stats, maps)
+	return startHFetch(cfg.ServerConfig("node0"), e.FS, tiers.NewHierarchy(stores...))
+}
+
+// startHFetch starts a standalone server built from the shared defaults.
+func startHFetch(cfg server.Config, fs *pfs.FS, hier *tiers.Hierarchy) (*baselines.HFetch, error) {
+	stats, maps := server.NewLocalMaps(cfg.Node)
+	srv, err := server.New(cfg, fs, hier, stats, maps)
 	if err != nil {
 		return nil, err
 	}
@@ -213,8 +206,13 @@ func (r Row) String() string {
 	if r.HitRatio > 0 {
 		s += fmt.Sprintf("  hit=%5.1f%%", r.HitRatio*100)
 	}
-	for k, v := range r.Extra {
-		s += fmt.Sprintf("  %s=%.1f", k, v)
+	keys := make([]string, 0, len(r.Extra))
+	for k := range r.Extra {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		s += fmt.Sprintf("  %s=%.1f", k, r.Extra[k])
 	}
 	return s
 }

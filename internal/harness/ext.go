@@ -38,8 +38,6 @@ func ExtMultiNode(opts Opts) ([]Row, error) {
 			cfg.SegmentSize = req
 			cfg.EngineUpdateThreshold = 10
 			cfg.EngineInterval = 50 * time.Millisecond
-			cfg.EngineThreads = 4
-			cfg.SeqBoost = 0.5
 			// Per-node RAM/NVMe plus a shared burst buffer.
 			cfg.Tiers = hfetch.DefaultTiers(fileSize, 2*fileSize, 4*fileSize)
 			cluster, err := hfetch.NewCluster(cfg)

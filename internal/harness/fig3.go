@@ -6,9 +6,8 @@ import (
 	"sync"
 	"time"
 
+	"hfetch"
 	"hfetch/internal/core/placement"
-	"hfetch/internal/core/score"
-	"hfetch/internal/core/server"
 	"hfetch/internal/events"
 	"hfetch/internal/tiers"
 	"hfetch/internal/workloads"
@@ -16,8 +15,10 @@ import (
 
 // Fig3a measures the HFetch server's event consumption rate (events per
 // second) while scaling the number of client cores, for three
-// daemon::engine thread splits of an 8-thread server (2::6, 4::4, 6::2).
-// Reproduces Figure 3(a).
+// daemon::engine thread splits of an 8-thread server (2::6, 4::4, 6::2):
+// a daemon is an event ring with its drainer, an engine thread one of the
+// mover's PFS fetch streams. Reproduces Figure 3(a). It is the one place
+// an experiment sets the size of the pipeline.
 func Fig3a(opts Opts) ([]Row, error) {
 	opts = opts.normalized()
 	// The consumption-rate measurement needs sustained pressure, not the
@@ -60,9 +61,8 @@ func Fig3a(opts Opts) ([]Row, error) {
 }
 
 // eventStorm posts clients*perClient enriched read events into a server
-// configured with the given thread split and returns the consumption
-// rate.
-func eventStorm(clients, perClient, daemons, engineWorkers int) (float64, error) {
+// with the given thread split and returns the consumption rate.
+func eventStorm(clients, perClient, daemons, engineThreads int) (float64, error) {
 	env := NewEnv(OriginPFS, 1)
 	const fileSize = 64 << 20
 	files := make([]string, 8)
@@ -70,23 +70,17 @@ func eventStorm(clients, perClient, daemons, engineWorkers int) (float64, error)
 		files[i] = fmt.Sprintf("storm/f%d", i)
 		env.FS.Create(files[i], fileSize)
 	}
-	ram := tiers.NewStore("ram", 4<<20, nil)
-	hier := tiers.NewHierarchy(ram)
-	stats, maps := server.NewLocalMaps("node0")
-	cfg := server.Config{
-		Node:        "node0",
-		SegmentSize: 1 << 20,
-		Score:       score.Params{P: 2, Unit: time.Second},
-	}
-	cfg.Monitor.Daemons = daemons
-	cfg.Monitor.QueueCap = 1 << 17
-	cfg.Engine = placement.Config{UpdateThreshold: placement.Medium, Workers: engineWorkers}
-	srv, err := server.New(cfg, env.FS, hier, stats, maps)
+	cfg := hfetch.DefaultConfig()
+	cfg.EventShards = daemons
+	cfg.EngineThreads = engineThreads
+	scfg := cfg.ServerConfig("node0")
+	scfg.Monitor.QueueCap = 1 << 17
+	sys, err := startHFetch(scfg, env.FS, tiers.NewHierarchy(tiers.NewStore("ram", 4<<20, nil)))
 	if err != nil {
 		return 0, err
 	}
-	srv.Start()
-	defer srv.Stop()
+	defer sys.Stop()
+	srv := sys.Server()
 	for _, f := range files {
 		srv.StartEpoch(f, fileSize)
 	}
@@ -167,9 +161,6 @@ func Fig3b(opts Opts) ([]Row, error) {
 					},
 					UpdateThreshold: sv.threshold,
 					Interval:        time.Second, // trigger (b) dominates
-					EngineWorkers:   6,
-					SeqBoost:        0.5,
-					DecayUnit:       time.Second,
 				})
 				if err != nil {
 					return RunResult{}, err

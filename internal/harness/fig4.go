@@ -65,9 +65,6 @@ func Fig4a(opts Opts) ([]Row, error) {
 				},
 				UpdateThreshold: 10, // medium, scaled to the emulation's event rate
 				Interval:        50 * time.Millisecond,
-				EngineWorkers:   8,
-				SeqBoost:        0.5,
-				DecayUnit:       time.Second,
 			})
 		}, dataBytes / 8},
 		{"serial", func(env *Env) (baselines.System, error) {
@@ -170,9 +167,6 @@ func Fig4b(opts Opts) ([]Row, error) {
 					},
 					UpdateThreshold: 10, // medium, scaled to the emulation's event rate
 					Interval:        50 * time.Millisecond,
-					EngineWorkers:   8,
-					SeqBoost:        0.5,
-					DecayUnit:       time.Second,
 				})
 			}},
 			{"none", func(env *Env) (baselines.System, error) {

@@ -75,9 +75,6 @@ func Fig5(opts Opts) ([]Row, error) {
 					},
 					UpdateThreshold: 10, // medium, scaled to the emulation's event rate
 					Interval:        50 * time.Millisecond,
-					EngineWorkers:   8,
-					SeqBoost:        0.5,
-					DecayUnit:       time.Second,
 				})
 			}},
 			{"none", func(env *Env) (baselines.System, error) {

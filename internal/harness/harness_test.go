@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hfetch/internal/baselines"
+	"hfetch/internal/config"
 	"hfetch/internal/workloads"
 )
 
@@ -129,7 +130,7 @@ func TestHFetchBeatsNoneOnSharedReuse(t *testing.T) {
 		return env.NewHFetch(HFetchOpts{
 			SegmentSize:     64 << 10,
 			Tiers:           []TierDef{{Name: "ram", Capacity: 2 << 20}},
-			UpdateThreshold: 1, SeqBoost: 0.5, DecayUnit: time.Second,
+			UpdateThreshold: 1,
 		})
 	})
 	none := run(func(env *Env) (baselines.System, error) { return baselines.NewNone(env.FS), nil })
@@ -138,6 +139,61 @@ func TestHFetchBeatsNoneOnSharedReuse(t *testing.T) {
 	}
 	if hf.Elapsed >= none.Elapsed {
 		t.Fatalf("hfetch (%v) must beat none (%v) on shared re-reads", hf.Elapsed, none.Elapsed)
+	}
+}
+
+// TestNewHFetchBuildsTheShippedPipeline: what the figures measure is what
+// cmd/hfetchd runs — config.Default()'s event rings, and moves that go
+// through the mover — with only the experiment's grain, tiers and
+// triggers set.
+func TestNewHFetchBuildsTheShippedPipeline(t *testing.T) {
+	env := NewEnv(OriginPFS, 0.01)
+	env.FS.Create("f", 1<<20)
+	sys, err := env.NewHFetch(HFetchOpts{
+		SegmentSize: 64 << 10,
+		Tiers:       []TierDef{{Name: "ram", Capacity: 2 << 20}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sys.Stop()
+	if got, want := sys.Server().Monitor().Shards(), config.Default().EventShards; got != want {
+		t.Fatalf("%d event rings, the daemon ships %d", got, want)
+	}
+	apps := []workloads.App{{Name: "a", Procs: []workloads.Script{
+		workloads.TimeStepped("f", 1<<20, 64<<10, 2, 0)}}}
+	if _, err := Run(sys, apps); err != nil {
+		t.Fatal(err)
+	}
+	sys.Server().Flush()
+	if ms := sys.Server().Engine().MoverStats(); ms.Submitted == 0 || ms.Executed == 0 {
+		t.Fatalf("mover stats = %+v: placements did not go through the mover", ms)
+	}
+}
+
+// TestFig6aShapeOnModeledTime holds Figure 6(a)'s claim at its smallest
+// scale on counts and modeled device time, which the host's clock cannot
+// move: HFetch costs the origin less device time than no prefetching
+// (each segment fetched once and re-read from a tier) and serves a larger
+// share of reads from its cache than Stacker, which serves some.
+func TestFig6aShapeOnModeledTime(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-second experiment")
+	}
+	rows, err := fig6aScale(Opts{Quick: true, Repeats: 1}, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	by := map[string]Row{}
+	for _, r := range rows {
+		by[r.System] = r
+	}
+	hf, none, stacker := by["hfetch"], by["none"], by["stacker"]
+	if hb, nb := hf.Extra["origin_busy_ms"], none.Extra["origin_busy_ms"]; !(hb > 0 && hb < nb) {
+		t.Fatalf("origin busy: hfetch %.1f ms, none %.1f ms; want 0 < hfetch < none", hb, nb)
+	}
+	if !(hf.HitRatio > stacker.HitRatio && stacker.HitRatio > 0) {
+		t.Fatalf("hit ratio: hfetch %.3f, stacker %.3f; want hfetch > stacker > 0", hf.HitRatio, stacker.HitRatio)
 	}
 }
 

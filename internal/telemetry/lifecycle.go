@@ -15,7 +15,7 @@ const (
 	// StageEvent marks trace creation: the access event entering the
 	// monitor.
 	StageEvent = "event"
-	// StageMoverQueue is the time a move spends in the async mover's
+	// StageMoverQueue is the time a move spends in the mover's
 	// per-tier queue between submission and execution.
 	StageMoverQueue = "mover_queue"
 	// StageLand marks a prefetched segment arriving in its tier.

@@ -21,10 +21,9 @@ const (
 	// data movement).
 	StagePlace = "place"
 	// StageDecide is one full engine pass from entry to the point the
-	// engine can accept the next pass: with the synchronous executor it
-	// includes data movement (the engine is occupied until the moves
-	// land), with the async mover it is planning plus queue submission
-	// only. The gap between the two is what decoupling buys.
+	// engine can accept the next pass: planning plus submission to the
+	// mover's queues, so it holds device time only while a full queue
+	// pushes back.
 	StageDecide = "decide"
 	// StageFetch is one ioclient data movement (PFS fetch or tier
 	// transfer) executed for a placement.

@@ -166,7 +166,6 @@ func TestLedgerInvalidationChurn(t *testing.T) {
 	defer leakcheck.Guard(t)()
 	defer leakcheck.Slab(t)()
 	cfg := fastConfig(1)
-	cfg.AsyncMover = true
 	cfg.EventShards = 4
 	cfg.EngineInterval = 5 * time.Millisecond
 	cluster, err := NewCluster(cfg)

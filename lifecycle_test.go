@@ -22,7 +22,6 @@ func TestLifecycleTraceEndToEnd(t *testing.T) {
 	cfg.LifecycleSampleEvery = 1
 	cfg.TimeSampleEvery = 1
 	cfg.SpanSampleEvery = 1
-	cfg.AsyncMover = true
 	cfg.FetchWait = 2 * time.Millisecond
 	cluster, err := NewCluster(cfg)
 	if err != nil {

@@ -4,45 +4,16 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 
 	"hfetch/internal/config"
 )
 
-// shippedDefaults is config.Default(), what cmd/hfetchd runs, as a Config
-// with 64 KiB segments: sharded events, async mover, coalescing, threshold
-// 100 and a 1 s interval, modeled tiers and PFS.
+// shippedDefaults is config.Default(), what cmd/hfetchd runs — its
+// pipeline and its modeled tiers and PFS — with 64 KiB segments.
 func shippedDefaults(timeScale float64) Config {
-	d := config.Default()
-	cfg := Config{
-		Nodes:                 1,
-		SegmentSize:           64 << 10,
-		DecayBase:             d.DecayBase,
-		DecayUnit:             d.DecayUnit(),
-		SeqBoost:              d.SeqBoost,
-		DaemonThreads:         d.Daemons,
-		EventShards:           d.EventShards,
-		WorkersPerShard:       d.WorkersPerShard,
-		EngineThreads:         d.EngineWorkers,
-		EngineInterval:        d.EngineInterval(),
-		EngineUpdateThreshold: d.EngineUpdateThreshold,
-		AsyncMover:            d.AsyncMover,
-		MoverQueueDepth:       d.MoverQueueDepth,
-		FetchCoalesce:         d.FetchCoalesce,
-		FetchWait:             d.FetchWait(),
-		TimeScale:             timeScale,
-		PFS: PFSSpec{
-			Latency:   time.Duration(d.PFS.LatencyUS * float64(time.Microsecond)),
-			Bandwidth: d.PFS.BandwidthMBps * 1e6,
-			Servers:   d.PFS.Servers,
-		},
-	}
-	for _, t := range d.Tiers {
-		cfg.Tiers = append(cfg.Tiers, TierSpec{
-			Name: t.Name, Capacity: t.CapacityBytes, Shared: t.Shared, Channels: t.Channels,
-			Latency: time.Duration(t.LatencyUS * float64(time.Microsecond)), Bandwidth: t.BandwidthMBps * 1e6,
-		})
-	}
+	cfg := FromConfig(config.Default())
+	cfg.SegmentSize = 64 << 10
+	cfg.TimeScale = timeScale
 	return cfg
 }
 
