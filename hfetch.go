@@ -158,7 +158,7 @@ type Config struct {
 	// suspect and dead thresholds scale from it).
 	ClusterHeartbeat time.Duration
 	// ClusterTransport selects how fabric peers talk: "" or "inproc"
-	// (emulated in-process network) or "tcp" (real framed-gob TCP on
+	// (emulated in-process network) or "tcp" (real framed TCP on
 	// loopback — the same transport cmd/hfetchd deploys, so benchmarks
 	// and smoke tests exercise true serialization and socket costs).
 	// Only meaningful with ClusterFabric.
@@ -501,7 +501,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if cn != nil {
 			cn.Attach(srv, stats, maps)
 		} else if cfg.Nodes > 1 {
+			// Statically wired: the one peer read path, no membership gate.
 			srv.EnableRemote(mux, dial)
+			srv.SetRemoteReader(cluster.NewFetcher(cluster.FetcherConfig{}, nil, srv))
 		}
 		srv.Start()
 		if cn != nil {

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"hfetch/internal/config"
+	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
 )
 
@@ -192,6 +194,107 @@ func TestMultiNodeSharedView(t *testing.T) {
 	}
 	f0.Close()
 	f1.Close()
+}
+
+// TestStaticClusterReadsPeersThroughFetcher: a cluster wired without the
+// fabric still has one peer read path, a cluster.Fetcher with no
+// membership. Readers on node 1 that want a segment resident on node 0
+// at the same moment share one peer request; once node 0 is gone, a
+// read its stale mapping sends there falls back to the PFS.
+func TestStaticClusterReadsPeersThroughFetcher(t *testing.T) {
+	cfg := fastConfig(2)
+	// Local tiers only, and a serve slow enough that the readers meet in
+	// flight.
+	cfg.Tiers = []TierSpec{{Name: "ram", Capacity: 1 << 20, Latency: 50 * time.Millisecond}}
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	const segs = 8
+	cluster.CreateFile("f", segs*4096)
+	warm(t, cluster.Node(0), "f", segs*4096)
+
+	srv1 := cluster.Node(1).Server()
+	id := seg.ID{File: "f", Index: 0}
+	if node, _, ok := srv1.Lookup(id); !ok || node != "node0" {
+		t.Fatalf("segment 0 maps to %q (ok %v), want node0", node, ok)
+	}
+	want := make([]byte, 4096)
+	cluster.FS().ReadAt("f", 0, want)
+	reads0, _ := srv1.RemoteStats()
+	const readers = 8
+	start := make(chan struct{})
+	var served atomic.Int64
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 4096)
+			<-start
+			if n, tier, ok := srv1.ReadPrefetched(id, 0, buf); ok && n == len(buf) && tier == "ram" && bytes.Equal(buf, want) {
+				served.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if reads, _ := srv1.RemoteStats(); served.Load() != readers || reads-reads0 != 1 {
+		t.Fatalf("%d of %d readers served from node 0's tier by %d peer requests, want all of them by 1",
+			served.Load(), readers, reads-reads0)
+	}
+
+	cluster.KillNode(0)
+	got := make([]byte, 4096)
+	// A failed request opens the Fetcher's cooldown on node 0 (BackoffBase,
+	// 100 ms): until it ends, reads of node 0's mappings go to the PFS
+	// without asking node 0; once it has, node 0 is asked again.
+	var staleID seg.ID
+	for i := int64(0); i < segs && staleID.File == ""; i++ {
+		if node, _, ok := srv1.Lookup(seg.ID{File: "f", Index: i}); ok && node == "node0" {
+			staleID = seg.ID{File: "f", Index: i}
+		}
+	}
+	reads0, _ = srv1.RemoteStats()
+	srv1.ReadPrefetched(staleID, 0, got)
+	failed := time.Now()
+	for i := 0; i < 3; i++ {
+		srv1.ReadPrefetched(staleID, 0, got)
+	}
+	reads1, _ := srv1.RemoteStats()
+	if reads1-reads0 != 1 && time.Since(failed) < 100*time.Millisecond {
+		t.Fatalf("4 reads of a dead peer's mapping inside its cooldown made %d requests, want 1", reads1-reads0)
+	}
+	time.Sleep(150 * time.Millisecond)
+	srv1.ReadPrefetched(staleID, 0, got)
+	if reads2, _ := srv1.RemoteStats(); reads2-reads1 != 1 {
+		t.Fatalf("a read after the cooldown made %d requests to node 0, want 1", reads2-reads1)
+	}
+
+	f1, err := cluster.Node(1).NewClient().Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f1.Close()
+	stale := 0
+	for i := int64(0); i < segs; i++ {
+		id := seg.ID{File: "f", Index: i}
+		if node, _, ok := srv1.Lookup(id); !ok || node != "node0" {
+			continue // the mapping itself lived on node 0
+		}
+		stale++
+		if _, _, ok := srv1.ReadPrefetched(id, 0, got); ok {
+			t.Fatalf("segment %d served from a dead peer", i)
+		}
+		cluster.FS().ReadAt("f", i*4096, want)
+		if n, err := f1.ReadAt(got, i*4096); err != nil || n != len(got) || !bytes.Equal(got, want) {
+			t.Fatalf("segment %d after node 0 died: n %d, err %v, intact %v", i, n, err, bytes.Equal(got, want))
+		}
+	}
+	if stale == 0 {
+		t.Fatal("no mapping to node 0 is left on node 1: the fallback was not exercised")
+	}
 }
 
 func TestConcurrentClientsSeparateFiles(t *testing.T) {

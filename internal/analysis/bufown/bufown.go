@@ -26,9 +26,9 @@
 // `defer b.Release()` discharges the obligation at registration (the
 // exit chain runs it on every path), without marking the object
 // released for use-after-release purposes until the chain executes.
-// Escapes — returns, field stores, channel sends, closure captures,
-// calls that take the object, the release method taken as a value
-// (`Done: b.Release`) — conservatively end tracking: ownership moved
+// Escapes — returns, field stores (a comm.Reply's `Owner: b`), channel
+// sends, closure captures, calls that take the object, the release
+// method taken as a value — conservatively end tracking: ownership moved
 // somewhere this intra-procedural pass cannot see.
 package bufown
 
@@ -115,7 +115,7 @@ func DefaultConfig() Config {
 			{Callee: "hfetch/internal/core/server.Server.OpenRangeView", Result: 0,
 				Cond: -1, Release: []string{"Close"},
 				Name: "range view (Server.OpenRangeView)"},
-			// A comm.Reply borrows its Body (a tier pin on the serving
+			// A comm.Reply borrows its Body (its Owner's pin on the serving
 			// side, a slab buffer on the receiving side) until Release.
 			{Callee: "hfetch/internal/comm.Call", Result: 0,
 				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
@@ -129,6 +129,9 @@ func DefaultConfig() Config {
 			{Callee: "hfetch/internal/core/server.Server.ViewRemote", Result: 0,
 				Cond: 1, CondKind: CondBool, Release: []string{"Release"},
 				Name: "received body (Server.ViewRemote)"},
+			{Callee: "hfetch/internal/comm.NewHeadBuf", Result: 0,
+				Cond: -1, Release: []string{"Release"},
+				Name: "pooled head (comm.NewHeadBuf)"},
 		},
 		Transfers: []Transfer{
 			{Callee: "hfetch/internal/tiers.Store.PutBuf", Arg: 1, HasErr: true},
@@ -840,7 +843,7 @@ func (c *checker) evalExpr(e ast.Expr, f *bufFact) {
 		c.evalExpr(e.X, f)
 		c.evalExpr(e.Y, f)
 	case *ast.SelectorExpr:
-		// A release method taken as a value (`Done: b.Release`) hands
+		// A release method taken as a value (`done: b.Release`) hands
 		// the obligation to whoever ends up holding the func.
 		if obj := c.trackedIdent(e.X, f); obj != nil && c.isRelease(f.objs[obj], e.Sel.Name) {
 			c.useCheck(obj, e.X.Pos(), f)

@@ -102,7 +102,7 @@ func New(cfg Config) *Node {
 }
 
 // Attach wires the fabric into a built server and its hashmaps: the
-// cross-node fetch path replaces the server's direct peer reads, the
+// cross-node fetch path becomes the server's peer read path, the
 // node-aware router wraps the placement engine, and view changes
 // rebalance both hashmaps. Call before Start.
 func (n *Node) Attach(srv *server.Server, stats, maps *dhm.Map) {

@@ -10,7 +10,11 @@ import (
 	"hfetch/internal/comm"
 	"hfetch/internal/core/auditor"
 	"hfetch/internal/core/seg"
+	"hfetch/internal/core/server"
 	"hfetch/internal/harness/leakcheck"
+	"hfetch/internal/invariant"
+	"hfetch/internal/pfs"
+	"hfetch/internal/tiers"
 )
 
 func fastTimings() (hb, suspect, dead time.Duration) {
@@ -165,7 +169,9 @@ type fakeCaller struct {
 	fill  byte
 }
 
-func (f *fakeCaller) ReadRemoteDirect(node, tier string, id seg.ID, off int64, p []byte) (int, bool, error) {
+// ViewRemote answers like the server: the payload in a slab buffer the
+// reply owns.
+func (f *fakeCaller) ViewRemote(node, tier string, id seg.ID, off int64, length int) (comm.Reply, bool, error) {
 	f.mu.Lock()
 	f.calls++
 	delay, err, ok, fill := f.delay, f.err, f.ok, f.fill
@@ -174,15 +180,17 @@ func (f *fakeCaller) ReadRemoteDirect(node, tier string, id seg.ID, off int64, p
 		time.Sleep(delay)
 	}
 	if err != nil {
-		return 0, false, err
+		return comm.Reply{}, false, err
 	}
 	if !ok {
-		return 0, false, nil
+		return comm.Reply{}, false, nil
 	}
+	b := tiers.NewBuf(tiers.SlabGet(int64(length)))
+	p := b.Bytes()
 	for i := range p {
 		p[i] = fill
 	}
-	return len(p), true, nil
+	return comm.Reply{Body: p, Owner: b}, true, nil
 }
 
 func (f *fakeCaller) count() int {
@@ -278,6 +286,73 @@ func TestFetcherStaleMappingIsNotFailure(t *testing.T) {
 	f.ReadRemote("n1", "ram", seg.ID{File: "/f"}, 0, buf)
 	if fc.count() != calls+1 {
 		t.Fatal("clean miss opened a cooldown window")
+	}
+}
+
+type tcpDialer map[string]string
+
+func (d tcpDialer) Dial(node string) comm.Peer {
+	p, err := comm.DialTCPOpts(d[node], comm.PeerOptions{RequestTimeout: 10 * time.Second})
+	if err != nil {
+		panic(err)
+	}
+	return p
+}
+
+// TestFetcherReadAllocs guards the peer read end to end: a Fetcher with
+// no membership over a reading server, a serving server behind TCP
+// loopback, both in this process. What is left is the response head the
+// reading side's transport hands its caller.
+func TestFetcherReadAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("allocation counts are for the production build")
+	}
+	defer leakcheck.Slab(t)()
+	fs := pfs.New(nil)
+	build := func(node string) (*server.Server, *tiers.Store) {
+		ram := tiers.NewStore("ram", 4<<20, nil)
+		stats, maps := server.NewLocalMaps(node)
+		srv, err := server.New(server.Config{Node: node, SegmentSize: 64 << 10}, fs, tiers.NewHierarchy(ram), stats, maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv, ram
+	}
+	n0, ram0 := build("n0")
+	n1, ram1 := build("n1")
+	defer ram0.Clear()
+	defer ram1.Clear()
+	mux0 := comm.NewMux()
+	n0.EnableRemote(mux0, nil)
+	ln, err := comm.ListenTCP("127.0.0.1:0", mux0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	dial := tcpDialer{"n0": ln.Addr()}
+	n1.EnableRemote(comm.NewMux(), dial)
+	f := NewFetcher(FetcherConfig{}, nil, n1)
+
+	const size = 64 << 10
+	id := seg.ID{File: "f", Index: 0}
+	payload := make([]byte, size)
+	for i := range payload {
+		payload[i] = byte(i * 7)
+	}
+	if err := ram0.Put(id, payload); err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, size)
+	read := func() {
+		if n, ok := f.ReadRemote("n0", "ram", id, 0, p); !ok || n != size || p[size-1] != payload[size-1] {
+			t.Fatalf("read: n %d, ok %v", n, ok)
+		}
+	}
+	read() // dial, first slab misses, the connection's first worker
+	got := testing.AllocsPerRun(200, read)
+	t.Logf("a 64 KiB Fetcher read over TCP: %.1f allocs", got)
+	if got > 2 {
+		t.Fatalf("a 64 KiB Fetcher read over TCP costs %.1f allocs, budget 2", got)
 	}
 }
 

@@ -43,12 +43,7 @@ type reconnPeer struct {
 }
 
 func (r *reconnPeer) Request(msgType string, payload []byte) ([]byte, error) {
-	rep, err := r.Call(msgType, payload)
-	if err != nil {
-		return nil, err
-	}
-	rep.Release()
-	return rep.Head, nil
+	return comm.HeadOnly(r.Call(msgType, payload))
 }
 
 // Call implements comm.Caller: the body-carrying call over the same

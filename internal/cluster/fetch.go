@@ -11,31 +11,12 @@ import (
 	"hfetch/internal/tiers"
 )
 
-// remoteCaller issues one direct peer read into a caller's buffer.
-type remoteCaller interface {
-	ReadRemoteDirect(node, tier string, id seg.ID, off int64, p []byte) (int, bool, error)
-}
-
 // remoteViewer issues one direct peer read and hands back the received
 // payload by reference; implemented by *server.Server. The Fetcher
 // shares that buffer among its waiters instead of filling one of its
 // own.
 type remoteViewer interface {
 	ViewRemote(node, tier string, id seg.ID, off int64, length int) (comm.Reply, bool, error)
-}
-
-// filledView adapts a caller that can only fill buffers (test fakes) to
-// remoteViewer: the view is a slab buffer the read was copied into.
-type filledView struct{ call remoteCaller }
-
-func (v filledView) ViewRemote(node, tier string, id seg.ID, off int64, length int) (comm.Reply, bool, error) {
-	buf := tiers.SlabGet(int64(length))
-	n, ok, err := v.call.ReadRemoteDirect(node, tier, id, off, buf)
-	if err != nil || !ok {
-		tiers.SlabPut(buf)
-		return comm.Reply{}, false, err
-	}
-	return comm.Reply{Body: buf[:n], Done: func() { tiers.SlabPut(buf) }}, true, nil
 }
 
 // FetcherConfig tunes the cross-node fetch path.
@@ -56,13 +37,14 @@ type FetcherConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-// Fetcher is the cluster-aware remote read path installed via
+// Fetcher is a server's one peer read path, installed via
 // server.SetRemoteReader. On a local miss whose mapping points at a
 // peer's tier it serves the read over comm — the peer's RAM/NVMe is
 // still far faster than the PFS — with three guards so a sick cluster
 // degrades to PFS passthrough instead of stalling reads:
 //
-//   - a membership gate: suspect or dead peers are never asked;
+//   - a membership gate: suspect or dead peers are never asked (open
+//     without a membership, as on a cluster wired without the fabric);
 //   - single-flight: concurrent reads of the same remote range share
 //     one request;
 //   - per-peer cooldown with doubling backoff after transport failures,
@@ -94,18 +76,20 @@ type fetchKey struct {
 	length     int
 }
 
-// fetchCall is one single-flight remote read. refs counts the leader
-// plus every waiter that joined while the call sat in the inflight map
-// (joins happen under Fetcher.mu, before the leader deletes the entry,
-// so the count can only grow while the buffer is still shared); the
-// last release gives the received payload back to its owner (the slab
-// over TCP, the serving tier's pin in process).
+// fetchCall is one single-flight remote read, pooled. refs counts the
+// leader plus every waiter that joined while the call sat in the
+// inflight map (joins happen under Fetcher.mu, before the leader deletes
+// the entry, so the count can only grow while the buffer is still
+// shared); the last release gives the payload back to its owner and the
+// record to the pool, after every waiter's Wait has returned.
 type fetchCall struct {
-	done chan struct{}
+	done sync.WaitGroup // the leader's one Done wakes every waiter
 	ok   bool
 	rep  comm.Reply // the received response; rep.Body is what waiters copy
 	refs atomic.Int32
 }
+
+var fetchCalls = sync.Pool{New: func() any { return new(fetchCall) }}
 
 // fill copies the shared payload into one reader's buffer and drops
 // that reader's reference.
@@ -117,6 +101,8 @@ func (c *fetchCall) fill(p []byte) (int, bool) {
 	}
 	if c.refs.Add(-1) == 0 {
 		c.rep.Release()
+		c.ok, c.rep = false, comm.Reply{}
+		fetchCalls.Put(c)
 	}
 	return n, served
 }
@@ -127,13 +113,9 @@ type peerCooldown struct {
 	backoff  time.Duration
 }
 
-// NewFetcher builds the fetch path over a membership view and a direct
-// caller (the local server).
-func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteCaller) *Fetcher {
-	view, ok := call.(remoteViewer)
-	if !ok {
-		view = filledView{call}
-	}
+// NewFetcher builds the fetch path over a membership view (nil: every
+// peer is usable) and a direct caller (the local server).
+func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteViewer) *Fetcher {
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = 100 * time.Millisecond
 	}
@@ -146,7 +128,7 @@ func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteCaller) *Fetcher 
 	f := &Fetcher{
 		cfg:       cfg,
 		mem:       mem,
-		call:      view,
+		call:      call,
 		inflight:  make(map[fetchKey]*fetchCall),
 		cooldown:  make(map[string]*peerCooldown),
 		histByWho: make(map[string]*telemetry.Histogram),
@@ -162,11 +144,7 @@ func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteCaller) *Fetcher 
 // PFS" — the caller cannot distinguish why, by design: every failure
 // mode of the remote path has the same safe fallback.
 func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) (int, bool) {
-	if f.mem != nil && !f.mem.Usable(node) {
-		f.outcome("gated")
-		return 0, false
-	}
-	if !f.admit(node) {
+	if (f.mem != nil && !f.mem.Usable(node)) || !f.admit(node) {
 		f.outcome("gated")
 		return 0, false
 	}
@@ -176,15 +154,16 @@ func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) 
 	if c, ok := f.inflight[key]; ok {
 		c.refs.Add(1)
 		f.mu.Unlock()
-		<-c.done
+		c.done.Wait()
 		n, served := c.fill(p)
 		if served {
 			f.outcome("shared")
 		}
 		return n, served
 	}
-	c := &fetchCall{done: make(chan struct{})}
+	c := fetchCalls.Get().(*fetchCall)
 	c.refs.Store(1)
+	c.done.Add(1)
 	f.inflight[key] = c
 	f.mu.Unlock()
 
@@ -209,7 +188,7 @@ func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) 
 	f.mu.Lock()
 	delete(f.inflight, key)
 	f.mu.Unlock()
-	close(c.done)
+	c.done.Done()
 	return c.fill(p)
 }
 

@@ -23,9 +23,8 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -170,16 +169,14 @@ type wireMember struct {
 	Keys        int64
 }
 
+// hbMsg is a heartbeat (wire.go has its codec); a response carries only
+// Members.
 type hbMsg struct {
 	From    wireMember
 	Members []wireMember
 	// Health is the sender's per-peer link health snapshot, piggybacked
 	// so the fleet's pairwise link view is observable from any member.
 	Health []comm.PeerHealth
-}
-
-type hbResp struct {
-	Members []wireMember
 }
 
 // NewMembership builds the agent and registers its heartbeat handler on
@@ -283,10 +280,7 @@ func (m *Membership) loop() {
 // merges what they answered, and fires OnChange if the view moved.
 func (m *Membership) tick() {
 	now := time.Now()
-	var keys int64
-	if m.cfg.Keys != nil {
-		keys = m.cfg.Keys()
-	}
+	keys := m.keysNow()
 	// Health snapshot before mu: comm.Health has its own lock and must
 	// not nest under membership mu.
 	var hs []comm.PeerHealth
@@ -311,7 +305,9 @@ func (m *Membership) tick() {
 		}
 		targets = append(targets, target{ms.name, ms.addr})
 	}
-	msg := m.hbPayloadLocked(hs)
+	msg := appendHeartbeat(nil, hbMsg{From: wireMember{
+		Name: m.cfg.Self, Addr: m.cfg.Addr, Ops: m.cfg.Ops, Incarnation: m.incarnation, Keys: keys,
+	}, Members: m.wireMembersLocked(), Health: hs})
 	m.mu.Unlock()
 
 	for _, s := range m.cfg.Seeds {
@@ -334,21 +330,15 @@ func (m *Membership) tick() {
 	m.fireIfChanged()
 }
 
-// hbPayloadLocked renders the heartbeat message; mu must be held.
-// health is the pre-snapshotted link health to piggyback.
-func (m *Membership) hbPayloadLocked(health []comm.PeerHealth) []byte {
-	msg := hbMsg{From: wireMember{
-		Name: m.cfg.Self, Addr: m.cfg.Addr, Ops: m.cfg.Ops,
-		Incarnation: m.incarnation, Keys: m.members[m.cfg.Self].keys,
-	}, Health: health}
+// wireMembersLocked lists the member table as gossiped; mu must be held.
+func (m *Membership) wireMembersLocked() []wireMember {
+	out := make([]wireMember, 0, len(m.members))
 	for _, ms := range m.members {
-		msg.Members = append(msg.Members, wireMember{
+		out = append(out, wireMember{
 			Name: ms.name, Addr: ms.addr, Ops: ms.ops, Incarnation: ms.incarnation, Keys: ms.keys,
 		})
 	}
-	var buf bytes.Buffer
-	gob.NewEncoder(&buf).Encode(msg) //nolint:errcheck // in-memory encode of a plain struct
-	return buf.Bytes()
+	return out
 }
 
 // probe sends one heartbeat to addr and merges the response. A probe
@@ -369,8 +359,8 @@ func (m *Membership) probe(name, addr string, payload []byte) {
 		m.dropPeer(addr)
 		return
 	}
-	var resp hbResp
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&resp); err != nil {
+	resp, err := parseHeartbeat(raw)
+	if err != nil {
 		return
 	}
 	now := time.Now()
@@ -388,8 +378,8 @@ func (m *Membership) probe(name, addr string, payload []byte) {
 // handleHeartbeat merges the sender's view and answers with ours. The
 // sender itself is a direct observation: it is provably alive now.
 func (m *Membership) handleHeartbeat(raw []byte) ([]byte, error) {
-	var msg hbMsg
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&msg); err != nil {
+	msg, err := parseHeartbeat(raw)
+	if err != nil {
 		return nil, err
 	}
 	now := time.Now()
@@ -399,23 +389,13 @@ func (m *Membership) handleHeartbeat(raw []byte) ([]byte, error) {
 	if msg.From.Name != "" {
 		m.remoteHealth[msg.From.Name] = msg.Health
 	}
-	out := hbResp{}
-	for _, ms := range m.members {
-		out.Members = append(out.Members, wireMember{
-			Name: ms.name, Addr: ms.addr, Ops: ms.ops, Incarnation: ms.incarnation, Keys: ms.keys,
-		})
-	}
+	resp := appendHeartbeat(nil, hbMsg{Members: m.wireMembersLocked()})
 	m.mu.Unlock()
 
 	// A heartbeat can move the view (a joiner's first contact); the
 	// handler runs on a transport goroutine, outside every lock.
 	m.fireIfChanged()
-
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(out); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return resp, nil
 }
 
 // mergeLocked folds gossiped member entries in; mu must be held.
@@ -465,7 +445,7 @@ func (m *Membership) fireIfChanged() {
 	now := time.Now()
 	m.mu.Lock()
 	view := m.aliveView(now)
-	if equalView(view, m.view) {
+	if slices.Equal(view, m.view) {
 		m.mu.Unlock()
 		return
 	}
@@ -489,18 +469,6 @@ func (m *Membership) aliveView(now time.Time) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-func equalView(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func (m *Membership) stateOfLocked(ms *memberState, now time.Time) State {
@@ -551,17 +519,6 @@ func (m *Membership) Suspect(name string) {
 		}
 	}
 	m.mu.Unlock()
-}
-
-// OpsOf resolves a member name to its gossiped operator-facing (ctl)
-// address, "" when unknown.
-func (m *Membership) OpsOf(name string) string {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	if ms := m.members[name]; ms != nil {
-		return ms.ops
-	}
-	return ""
 }
 
 // FleetHealth returns every member's piggybacked link-health snapshot,

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"time"
 
 	"hfetch/internal/comm"
 	"hfetch/internal/core/auditor"
@@ -11,14 +12,18 @@ import (
 )
 
 // Head codecs of the router's two messages (both ride under a
-// comm.WrapTrace prefix):
+// comm.WrapTrace prefix) and of the membership heartbeat:
 //
 //	cluster.update: uvarint n | n × update
 //	  update:       uvarint len | file | idx varint | score f64 |
 //	                size varint | trace u64 | uvarint len | origin
 //	cluster.inval:  uvarint len | file
+//	cluster.hb:     member (sender) | varint n | n × member | varint n | n × health
+//	  member:       name | addr | ops (each uvarint len | bytes) | incarnation, keys varint
+//	  health:       node | ok, failed, consecutive varint | last error | last change
+//	                varint (unix nanos, 0 = never) | ewma varint
 
-var errShortHead = errors.New("cluster: routed message head truncated or malformed")
+var errShortHead = errors.New("cluster: message head truncated or malformed")
 
 // minUpdateLen is the smallest encoded update (empty file and origin),
 // used to bound a batch's claimed count by the bytes actually present.
@@ -101,4 +106,65 @@ func parseInval(b []byte) (string, error) {
 		return "", errShortHead
 	}
 	return string(f), nil
+}
+
+// appendHeartbeat appends a heartbeat. A response is one too, carrying
+// only the receiver's members.
+func appendHeartbeat(dst []byte, m hbMsg) []byte {
+	dst = binary.AppendVarint(appendMember(dst, m.From), int64(len(m.Members)))
+	for _, w := range m.Members {
+		dst = appendMember(dst, w)
+	}
+	dst = binary.AppendVarint(dst, int64(len(m.Health)))
+	for _, h := range m.Health {
+		var changed int64
+		if !h.LastChange.IsZero() {
+			changed = h.LastChange.UnixNano()
+		}
+		dst = binary.AppendVarint(binary.AppendVarint(comm.AppendString(dst, h.Node), h.OK), h.Failed)
+		dst = comm.AppendString(binary.AppendVarint(dst, int64(h.Consecutive)), h.LastErr)
+		dst = binary.AppendVarint(binary.AppendVarint(dst, changed), h.EWMANanos)
+	}
+	return dst
+}
+
+func appendMember(dst []byte, w wireMember) []byte {
+	dst = comm.AppendString(comm.AppendString(comm.AppendString(dst, w.Name), w.Addr), w.Ops)
+	return binary.AppendVarint(binary.AppendVarint(dst, int64(w.Incarnation)), w.Keys)
+}
+
+// parseHeartbeat decodes a heartbeat occupying all of b. The first field
+// cut short clears ok for good and ends every list, so a claimed count
+// grows a list no further than the bytes present hold.
+func parseHeartbeat(b []byte) (hbMsg, error) {
+	ok := true
+	str := func() string {
+		f, rest, cut := comm.CutBytes(b)
+		b, ok = rest, ok && cut
+		return string(f)
+	}
+	num := func() int64 {
+		v, rest, cut := comm.CutVarint(b)
+		b, ok = rest, ok && cut
+		return v
+	}
+	member := func() wireMember {
+		return wireMember{Name: str(), Addr: str(), Ops: str(), Incarnation: uint64(num()), Keys: num()}
+	}
+	m := hbMsg{From: member()}
+	for n := num(); n != 0 && ok; n-- {
+		m.Members = append(m.Members, member())
+	}
+	for n := num(); n != 0 && ok; n-- {
+		h := comm.PeerHealth{Node: str(), OK: num(), Failed: num(), Consecutive: int(num()), LastErr: str()}
+		if changed := num(); changed != 0 {
+			h.LastChange = time.Unix(0, changed)
+		}
+		h.EWMANanos = num()
+		m.Health = append(m.Health, h)
+	}
+	if !ok || len(b) != 0 {
+		return hbMsg{}, errShortHead
+	}
+	return m, nil
 }

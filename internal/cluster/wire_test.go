@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
+	"hfetch/internal/comm"
 	"hfetch/internal/core/auditor"
 	"hfetch/internal/core/seg"
 )
@@ -58,6 +60,101 @@ func TestInvalCodec(t *testing.T) {
 			t.Fatalf("%q with a trailing byte parsed", want)
 		}
 	}
+}
+
+var heartbeatCases = []hbMsg{
+	{},
+	{From: wireMember{Name: "n0", Addr: "127.0.0.1:7480", Ops: "127.0.0.1:7470", Incarnation: 1 << 62, Keys: 12}},
+	{
+		From: wireMember{Name: "n1", Incarnation: 7, Keys: -1},
+		Members: []wireMember{
+			{Name: "n0", Addr: "n0", Incarnation: 1<<64 - 1},
+			{Name: strings.Repeat("m", 300), Ops: "o"},
+		},
+		Health: []comm.PeerHealth{
+			{Node: "n0", OK: 10, Failed: 2, Consecutive: 1, LastErr: "comm: request timed out",
+				LastChange: time.Unix(1700000000, 123456789), EWMANanos: 41000},
+			{Node: "n2", Failed: 1 << 40, Consecutive: -3},
+		},
+	},
+}
+
+// equalHeartbeat compares decoded heartbeats; times by instant.
+func equalHeartbeat(a, b hbMsg) bool {
+	if a.From != b.From || len(a.Members) != len(b.Members) || len(a.Health) != len(b.Health) {
+		return false
+	}
+	for i := range a.Members {
+		if a.Members[i] != b.Members[i] {
+			return false
+		}
+	}
+	for i := range a.Health {
+		x, y := a.Health[i], b.Health[i]
+		if !x.LastChange.Equal(y.LastChange) {
+			return false
+		}
+		x.LastChange, y.LastChange = time.Time{}, time.Time{}
+		if x != y {
+			return false
+		}
+	}
+	return true
+}
+
+// The smallest encoded member and health row (every string empty).
+const minMemberLen, minHealthLen = 5, 7
+
+func TestHeartbeatCodec(t *testing.T) {
+	for _, want := range heartbeatCases {
+		// A request, and the response shape: members only.
+		for _, m := range []hbMsg{want, {Members: want.Members}} {
+			enc := appendHeartbeat(nil, m)
+			got, err := parseHeartbeat(enc)
+			if err != nil || !equalHeartbeat(got, m) {
+				t.Fatalf("%+v round-tripped to %+v, err %v", m, got, err)
+			}
+			for n := 0; n < len(enc); n++ {
+				if _, err := parseHeartbeat(enc[:n]); err == nil {
+					t.Fatalf("%+v truncated to %d of %d bytes parsed", m, n, len(enc))
+				}
+			}
+			if _, err := parseHeartbeat(append(enc, 0)); err == nil {
+				t.Fatalf("%+v with a trailing byte parsed", m)
+			}
+		}
+	}
+	// Counts the bytes cannot hold, or negative ones, are refused.
+	sender := appendMember(nil, wireMember{})
+	for _, b := range [][]byte{
+		append(append([]byte(nil), sender...), 0xfe, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3),
+		append(append([]byte(nil), sender...), 0, 0xfe, 0xff, 0xff, 0xff, 0x0f),
+		append(append([]byte(nil), sender...), 1, 0),
+	} {
+		if _, err := parseHeartbeat(b); err == nil {
+			t.Fatalf("a heartbeat claiming more entries than its %d bytes hold parsed", len(b))
+		}
+	}
+}
+
+func FuzzParseHeartbeat(f *testing.F) {
+	for _, m := range heartbeatCases {
+		f.Add(appendHeartbeat(nil, m))
+		f.Add(appendHeartbeat(nil, hbMsg{Members: m.Members}))
+	}
+	f.Add([]byte{0, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := parseHeartbeat(data)
+		if err != nil {
+			return
+		}
+		if (len(m.Members)+1)*minMemberLen+len(m.Health)*minHealthLen > len(data) {
+			t.Fatalf("%d members and %d health rows decoded from %d bytes", len(m.Members)+1, len(m.Health), len(data))
+		}
+		if again, err := parseHeartbeat(appendHeartbeat(nil, m)); err != nil || !equalHeartbeat(again, m) {
+			t.Fatalf("accepted heartbeat does not re-encode: %v", err)
+		}
+	})
 }
 
 func FuzzParseUpdates(f *testing.F) {

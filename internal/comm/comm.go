@@ -36,32 +36,40 @@
 // The head is the message's encoding, owned by the package that owns
 // the message: srv.read (internal/core/server), the dhm RPC and its
 // tagged values (internal/dhm, *auditor.Rec registering its own pair),
-// cluster.update / cluster.inval (internal/cluster) are hand-written
-// binary codecs; heartbeat, ctl.* and the agent protocol still put a
+// cluster.update / cluster.inval / cluster.hb (internal/cluster) are
+// hand-written binary codecs; ctl.* and the agent protocol still put a
 // gob encoding there. comm never looks inside a head; field.go only
 // offers the length-prefixed field helpers the codecs share.
 //
 // The body is bulk bytes passed by reference. A serving handler
 // registered with Mux.RegisterReply returns a Reply whose Body points
-// at pinned tier bytes; the transport writes header, head and body with
-// one vectored write and calls the Reply's Done (dropping the pin) once
-// the frame is on the wire. The receiving side reads the body from the
-// socket into a slab buffer once and hands it to the caller of Call by
-// reference; the caller's Release returns it to the slab. The
-// in-process transport keeps the same contract — the body is the
-// handler's own slice and Release drops the handler's pin — so the
-// emulated cluster exercises the same ownership rules as TCP.
+// at pinned tier bytes and whose Owner is the pin (no closure); the
+// transport writes header, head and body with one vectored write and
+// releases the Owner once the frame is on the wire. The receiving side
+// reads the body from the socket into a slab buffer once and hands it to
+// the caller of Call by reference; the caller's Release returns it to
+// the slab. The in-process transport keeps the same contract — the body
+// is the handler's own slice and Release drops the handler's pin — so
+// the emulated cluster exercises the same ownership rules as TCP.
 //
 // Handler, Mux.Register and Peer.Request are the body-less case of the
 // same call: a plain handler is a reply handler with no body, and a
 // plain Request is a Call whose reply is released on the spot and whose
 // head — always a GC-managed, caller-owned slice — is returned.
+//
+// A TCP call allocates nothing but its caller's head: a client reuses a
+// call record (channel, timer) per outstanding request, pooled only
+// empty; a server hands each frame to an idle worker of its connection,
+// starting one only when all are busy, and retires a worker idle 1 s.
 package comm
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
+
+	"hfetch/internal/tiers"
 )
 
 // ErrClosed is returned by operations on a closed transport.
@@ -86,18 +94,36 @@ type Handler func(payload []byte) ([]byte, error)
 // calls Release exactly once when done with it, and must not touch Body
 // afterwards.
 type Reply struct {
-	Head []byte
-	Body []byte
-	// Done, when non-nil, gives Body back to its owner: a tier pin on
-	// the serving side, the slab on the receiving side.
-	Done func()
+	Head  []byte
+	Body  []byte
+	Owner Owner // what Body goes back to on Release: the serving side's pinned *tiers.Buf
+	slab  bool  // Body is the slab buffer the TCP transport received into
 }
 
-// Release ends the holder's use of Body. Safe on the zero Reply.
+// Owner holds a reply's borrowed bytes until the reply is released.
+type Owner interface{ Release() }
+
+// Release ends the holder's use of the reply. Safe on the zero Reply.
 func (r Reply) Release() {
-	if r.Done != nil {
-		r.Done()
+	if r.Owner != nil {
+		r.Owner.Release()
+	} else if r.slab {
+		tiers.SlabPut(r.Body)
 	}
+}
+
+// HeadBuf is a pooled buffer a request head is built in.
+type HeadBuf struct{ B []byte }
+
+var headBufs = sync.Pool{New: func() any { return &HeadBuf{B: make([]byte, 0, 256)} }}
+
+// NewHeadBuf takes an empty head buffer from the pool.
+func NewHeadBuf() *HeadBuf { return headBufs.Get().(*HeadBuf) }
+
+// Release puts h back once the response has been read; B is not touched after.
+func (h *HeadBuf) Release() {
+	h.B = h.B[:0]
+	headBufs.Put(h)
 }
 
 // ReplyHandler is a Handler that may answer with a body by reference.
@@ -155,15 +181,15 @@ func (m *Mux) Serve(t string, head []byte) (Reply, error) {
 // Dispatch invokes the handler for type t and returns its head; a body,
 // if the handler sent one, is released unseen.
 func (m *Mux) Dispatch(t string, payload []byte) ([]byte, error) {
-	return headOnly(m.Serve(t, payload))
+	return HeadOnly(m.Serve(t, payload))
 }
 
 func errNoHandler(t string) error {
 	return fmt.Errorf("comm: no handler for message type %q", t)
 }
 
-// headOnly folds a general reply into the plain call shape.
-func headOnly(r Reply, err error) ([]byte, error) {
+// HeadOnly folds a general reply into the plain call shape, releasing it.
+func HeadOnly(r Reply, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -223,16 +249,5 @@ func (m *Mux) RegisterPing() {
 // matched.
 func Ping(p Peer, payload []byte) bool {
 	resp, err := p.Request(MsgPing, payload)
-	if err != nil {
-		return false
-	}
-	if len(resp) != len(payload) {
-		return false
-	}
-	for i := range resp {
-		if resp[i] != payload[i] {
-			return false
-		}
-	}
-	return true
+	return err == nil && bytes.Equal(resp, payload)
 }

@@ -1,6 +1,9 @@
 package comm
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"unsafe"
+)
 
 // Building blocks for head codecs. comm never looks inside a head, but
 // every owner's codec needs the same length-prefixed fields, and the
@@ -33,6 +36,15 @@ func CutBytes(b []byte) (field, rest []byte, ok bool) {
 	}
 	end := w + int(n)
 	return b[w:end], b[end:], true
+}
+
+// CutView is CutBytes with the field as a string aliasing b, for lookups
+// and comparisons only: it is valid while b is and must never be kept.
+//
+//hfetch:hotpath
+func CutView(b []byte) (field string, rest []byte, ok bool) {
+	f, rest, ok := CutBytes(b)
+	return unsafe.String(unsafe.SliceData(f), len(f)), rest, ok
 }
 
 // CutVarint splits a zig-zag varint off the front of b.

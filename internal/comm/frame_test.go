@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -103,10 +104,10 @@ func TestFrameReaderRejects(t *testing.T) {
 		}
 	}
 
-	// Version 2 is the wire before a dhm apply answered in its op's bytes:
-	// such a peer would parse an answer as a value, so it is refused like
-	// any other.
-	for _, v := range []byte{WireVersion + 1, 2, 1} {
+	// Version 2 is the wire before a dhm apply answered in its op's bytes
+	// (such a peer would parse an answer as a value), version 3 the one
+	// before the heartbeat's binary head: both are refused like any other.
+	for _, v := range []byte{WireVersion + 1, 3, 2, 1} {
 		var ve *versionError
 		r := &frameReader{r: bytes.NewReader(rawFrame(v, kindRequest, 42, "x", "", 0, 0, nil))}
 		if _, err := r.read(); !errors.As(err, &ve) || ve.got != v || ve.id != 42 {
@@ -160,27 +161,34 @@ func TestTCPServerRefusesForeignStreams(t *testing.T) {
 
 // TestTCPServerRefusesVersion2Peer: version 2 answered a dhm apply with
 // the value; this node answers with its op's bytes, which such a peer
-// would parse as one. Its first frame gets the refusal every other
-// version gets, naming both.
+// would parse as one. Version 3 gob-encoded the heartbeat this node
+// reads as a binary head. Either peer's first frame gets the refusal
+// every other version gets, naming both.
 func TestTCPServerRefusesVersion2Peer(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", echoMux())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	c.SetDeadline(time.Now().Add(5 * time.Second))
-	c.Write(rawFrame(2, kindRequest, 9, "dhm.stats.apply", "", 2, 0, []byte("hi")))
-	f, err := (&frameReader{r: c}).read()
-	if err != nil {
-		t.Fatalf("version refusal: %v", err)
-	}
-	if want := "comm: peer speaks wire version 2, this node speaks 3"; f.kind != kindResponse || f.id != 9 || f.errMsg != want {
-		t.Fatalf("got kind %d id %d err %q, want the refusal %q", f.kind, f.id, f.errMsg, want)
+	for _, c := range []struct {
+		version byte
+		typ     string
+	}{{2, "dhm.stats.apply"}, {3, "cluster.hb"}} {
+		conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		conn.Write(rawFrame(c.version, kindRequest, 9, c.typ, "", 2, 0, []byte("hi")))
+		f, err := (&frameReader{r: conn}).read()
+		conn.Close()
+		if err != nil {
+			t.Fatalf("version %d refusal: %v", c.version, err)
+		}
+		want := fmt.Sprintf("comm: peer speaks wire version %d, this node speaks 4", c.version)
+		if f.kind != kindResponse || f.id != 9 || f.errMsg != want {
+			t.Fatalf("got kind %d id %d err %q, want the refusal %q", f.kind, f.id, f.errMsg, want)
+		}
 	}
 }
 
@@ -227,35 +235,40 @@ func (c *failConn) Close() error              { c.closed.Store(true); return nil
 // not at their timeout) and still releases the reply.
 func TestFailedResponseWriteClosesConn(t *testing.T) {
 	conn := &failConn{}
-	released := false
+	var released releaseCounter
 	h := func([]byte) (Reply, error) {
-		return Reply{Head: []byte{1}, Body: []byte("payload"), Done: func() { released = true }}, nil
+		return Reply{Head: []byte{1}, Body: []byte("payload"), Owner: &released}, nil
 	}
-	serveFrame(conn, &frameWriter{w: conn}, frame{frameHeader: frameHeader{kind: kindRequest, id: 1}}, h, nil)
+	serveFrame(conn, &frameWriter{w: conn}, job{f: frame{frameHeader: frameHeader{kind: kindRequest, id: 1}}, h: h})
 	if !conn.closed.Load() {
 		t.Fatal("connection left open after a failed response write")
 	}
-	if !released {
+	if released.Load() != 1 {
 		t.Fatal("reply not released after a failed response write")
 	}
 }
 
+// releaseCounter is a reply Owner that counts its releases.
+type releaseCounter struct{ atomic.Int64 }
+
+func (c *releaseCounter) Release() { c.Add(1) }
+
 // bodyMux serves "blob": a reply whose body is the shared payload by
-// reference and whose Done counts releases.
-func bodyMux(payload []byte, done *atomic.Int64, delay time.Duration) *Mux {
+// reference and whose Owner counts releases.
+func bodyMux(payload []byte, done *releaseCounter, delay time.Duration) *Mux {
 	mux := echoMux()
 	mux.RegisterReply("blob", func(head []byte) (Reply, error) {
 		if delay > 0 {
 			time.Sleep(delay)
 		}
-		return Reply{Head: []byte{1}, Body: payload, Done: func() { done.Add(1) }}, nil
+		return Reply{Head: []byte{1}, Body: payload, Owner: done}, nil
 	})
 	return mux
 }
 
 func TestTCPCallCarriesBodyByReference(t *testing.T) {
 	payload := bytes.Repeat([]byte{0x5A}, 64<<10)
-	var done atomic.Int64
+	var done releaseCounter
 	srv, err := ListenTCP("127.0.0.1:0", bodyMux(payload, &done, 0))
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +317,7 @@ func TestTCPCallCarriesBodyByReference(t *testing.T) {
 // slice, and the handler's pin drops only when the caller releases.
 func TestInprocCallHonoursRelease(t *testing.T) {
 	payload := []byte("resident bytes")
-	var done atomic.Int64
+	var done releaseCounter
 	net := NewInprocNetwork(nil)
 	net.Join("n0", bodyMux(payload, &done, 0))
 	rep, err := Call(net.Dial("n0"), "blob", nil)
@@ -329,7 +342,7 @@ func TestInprocCallHonoursRelease(t *testing.T) {
 // TestLateResponseBodyReturnsToSlab: a response that arrives after its
 // request timed out is dropped and its body recycled.
 func TestLateResponseBodyReturnsToSlab(t *testing.T) {
-	var done atomic.Int64
+	var done releaseCounter
 	srv, err := ListenTCP("127.0.0.1:0", bodyMux(make([]byte, 8<<10), &done, 150*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
@@ -477,6 +490,9 @@ var benchSink []byte
 
 // BenchmarkTCPRoundTrip64K is the per-layer "wire encode" figure for
 // comm: one 64 KiB plain echo over TCP loopback, both ends in process.
+// It allocates once per op: the 64 KiB response head Request hands its
+// caller. The call record, the serving worker and the request's slab
+// buffers are reused.
 func BenchmarkTCPRoundTrip64K(b *testing.B) {
 	srv, err := ListenTCP("127.0.0.1:0", echoMux())
 	if err != nil {

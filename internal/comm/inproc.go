@@ -77,7 +77,7 @@ func (p *inprocPeer) mux() (*Mux, error) {
 }
 
 func (p *inprocPeer) Request(msgType string, payload []byte) ([]byte, error) {
-	return headOnly(p.Call(msgType, payload))
+	return HeadOnly(p.Call(msgType, payload))
 }
 
 // Call invokes the remote handler directly. The Reply is the handler's

@@ -1,7 +1,10 @@
 package comm
 
 import (
+	"encoding/binary"
+	"errors"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,5 +79,50 @@ func TestLedgerBrokenStreams(t *testing.T) {
 			t.Errorf("answer %d: the call succeeded", i)
 		}
 		p.Close()
+	}
+}
+
+// claimedConn is a client connection whose request write fails, but only
+// once the read loop has taken a response for that very request: the
+// race in which a failed send finds its entry already claimed.
+type claimedConn struct {
+	net.Conn          // the client's end of a pipe, read by the read loop
+	far      net.Conn // the other end, on which the response is sent
+	p        *tcpPeer
+	body     []byte
+}
+
+func (c *claimedConn) Write(b []byte) (int, error) {
+	id := binary.BigEndian.Uint64(b[4:])
+	go c.far.Write(rawFrame(WireVersion, kindResponse, id, "", "", 0, uint32(len(c.body)), c.body))
+	for claimed := false; !claimed; time.Sleep(time.Millisecond) {
+		c.p.mu.Lock()
+		_, waiting := c.p.pending[id]
+		c.p.mu.Unlock()
+		claimed = !waiting
+	}
+	return 0, errors.New("broken pipe")
+}
+
+// TestLedgerSendFailsAfterResponse: the read loop delivered a response
+// with a 64 KiB slab body to a call whose send then failed. The call
+// takes that delivery instead of dropping it, so the body goes back to
+// the slab and the call record goes back empty.
+func TestLedgerSendFailsAfterResponse(t *testing.T) {
+	defer leakcheck.Slab(t)()
+	near, far := net.Pipe()
+	defer far.Close()
+	c := &claimedConn{Conn: near, far: far, body: make([]byte, 64<<10)}
+	c.p = &tcpPeer{conn: c, w: &frameWriter{w: c}, reqTimeout: 5 * time.Second, pending: make(map[uint64]*callRec)}
+	go c.p.readLoop()
+	defer c.p.Close()
+	if _, err := c.p.Call("echo", []byte("hi")); err == nil || !strings.Contains(err.Error(), "send") {
+		t.Fatalf("err = %v, want the failed send", err)
+	}
+	c.p.mu.Lock()
+	free := len(c.p.free)
+	c.p.mu.Unlock()
+	if free != 1 {
+		t.Fatalf("%d call records pooled after the failed send, want 1", free)
 	}
 }

@@ -115,7 +115,7 @@ type statsPeer struct {
 }
 
 func (p *statsPeer) Request(msgType string, payload []byte) ([]byte, error) {
-	return headOnly(p.Call(msgType, payload))
+	return HeadOnly(p.Call(msgType, payload))
 }
 
 func (p *statsPeer) Call(msgType string, head []byte) (Reply, error) {

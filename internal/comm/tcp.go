@@ -10,7 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hfetch/internal/tiers"
+	"hfetch/internal/invariant"
 )
 
 // TCPServer serves a Mux over TCP. Each accepted connection carries a
@@ -79,8 +79,13 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	st := s.stats.Load()
 	r := &frameReader{r: conn, st: st, slabHead: true}
 	w := &frameWriter{w: conn, st: st}
-	var hwg sync.WaitGroup
-	defer hwg.Wait()
+	// Idle workers take frames off jobs; one starts when all are busy.
+	jobs := make(chan job)
+	var workers sync.WaitGroup
+	defer func() {
+		close(jobs)
+		workers.Wait()
+	}()
 	for {
 		f, err := r.read()
 		if err != nil {
@@ -97,28 +102,61 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			f.recycle()
 			return // a client never sends responses: not our protocol
 		}
-		h := s.mux.lookup(f.typ)
-		var herr error
-		if h == nil {
-			herr = errNoHandler(string(f.typ))
+		// The handler is looked up here: f.typ is the reader's scratch.
+		j := job{f: f, h: s.mux.lookup(f.typ)}
+		if j.h == nil {
+			err := errNoHandler(string(f.typ))
+			j.h = func([]byte) (Reply, error) { return Reply{}, err }
 		}
-		hwg.Add(1)
-		go func() {
-			defer hwg.Done()
-			serveFrame(conn, w, f, h, herr)
-		}()
+		select {
+		case jobs <- j:
+		default:
+			workers.Add(1)
+			go serveJobs(conn, w, j, jobs, &workers)
+		}
+	}
+}
+
+// job is one received request and the handler that serves it.
+type job struct {
+	f frame
+	h ReplyHandler
+}
+
+// serveIdle is how long a connection's idle worker waits before it exits.
+var serveIdle = time.Second
+
+// serveJobs is one connection worker: it serves j, then what the
+// connection's reader hands it, until it idles out or the connection ends.
+func serveJobs(conn net.Conn, w *frameWriter, j job, jobs <-chan job, wg *sync.WaitGroup) {
+	defer wg.Done()
+	serveFrame(conn, w, j)
+	idle := time.NewTimer(serveIdle)
+	defer idle.Stop()
+	for {
+		select {
+		case j, ok := <-jobs:
+			if !ok {
+				return
+			}
+			if !idle.Stop() {
+				<-idle.C // fired: drained before the Reset (go 1.22 timer rules)
+			}
+			serveFrame(conn, w, j)
+			idle.Reset(serveIdle)
+		case <-idle.C:
+			return
+		}
 	}
 }
 
 // serveFrame runs one request's handler and writes its response. The
 // request's buffers are recycled only after the response is written: a
 // handler may answer with (a slice of) its request.
-func serveFrame(conn net.Conn, w *frameWriter, f frame, h ReplyHandler, err error) {
+func serveFrame(conn net.Conn, w *frameWriter, j job) {
+	f := j.f
 	defer f.recycle()
-	var rep Reply
-	if err == nil {
-		rep, err = h(f.head)
-	}
+	rep, err := j.h(f.head)
 	if f.kind == kindOneway {
 		rep.Release()
 		return
@@ -172,7 +210,8 @@ type tcpPeer struct {
 	nextID atomic.Uint64
 
 	mu      sync.Mutex
-	pending map[uint64]chan result
+	pending map[uint64]*callRec
+	free    []*callRec // records of finished calls, each with its channel empty
 	closed  bool
 }
 
@@ -181,6 +220,20 @@ type tcpPeer struct {
 type result struct {
 	f   frame
 	err error
+}
+
+// callRec is one outstanding call's rendezvous, reused call after call:
+// a channel for the read loop's one send and the request timer, made
+// stopped. It is pooled only with its channel empty.
+type callRec struct {
+	ch    chan result
+	timer *time.Timer
+}
+
+func newCallRec() *callRec {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &callRec{ch: make(chan result, 1), timer: t}
 }
 
 // PeerOptions tunes the failure behavior of a dialed TCP peer. The zero
@@ -260,7 +313,7 @@ func DialTCPOpts(addr string, opts PeerOptions) (Peer, error) {
 		reqTimeout: opts.RequestTimeout,
 		stats:      opts.Stats,
 		peerName:   opts.PeerName,
-		pending:    make(map[uint64]chan result),
+		pending:    make(map[uint64]*callRec),
 	}
 	go p.readLoop()
 	return p, nil
@@ -277,8 +330,8 @@ func (p *tcpPeer) readLoop() {
 		if err != nil {
 			p.conn.Close()
 			p.mu.Lock()
-			for id, ch := range p.pending {
-				ch <- result{err: err}
+			for id, c := range p.pending {
+				c.ch <- result{err: err}
 				delete(p.pending, id)
 			}
 			p.closed = true
@@ -286,21 +339,21 @@ func (p *tcpPeer) readLoop() {
 			return
 		}
 		p.mu.Lock()
-		ch := p.pending[f.id]
+		c := p.pending[f.id]
 		delete(p.pending, f.id)
 		p.mu.Unlock()
-		if ch == nil {
+		if c == nil {
 			// The request timed out (or never existed): the late
 			// response's body goes back to the slab unread.
 			f.recycle()
 			continue
 		}
-		ch <- result{f: f}
+		c.ch <- result{f: f}
 	}
 }
 
 func (p *tcpPeer) Request(msgType string, payload []byte) ([]byte, error) {
-	return headOnly(p.Call(msgType, payload))
+	return HeadOnly(p.Call(msgType, payload))
 }
 
 func (p *tcpPeer) Call(msgType string, head []byte) (Reply, error) {
@@ -318,29 +371,43 @@ func (p *tcpPeer) call(msgType string, head []byte) (Reply, error) {
 		return Reply{}, err
 	}
 	id := p.nextID.Add(1)
-	// Buffered: the read loop's one send per request never blocks.
-	ch := make(chan result, 1)
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
 		return Reply{}, ErrClosed
 	}
-	p.pending[id] = ch
+	var c *callRec
+	if n := len(p.free); n > 0 {
+		c, p.free = p.free[n-1], p.free[:n-1]
+	} else {
+		c = newCallRec()
+	}
+	p.pending[id] = c
 	p.mu.Unlock()
+	defer p.release(c)
 
 	if err := p.w.write(kindRequest, id, msgType, "", head, nil); err != nil {
-		p.abandon(id)
+		if !p.abandon(id) {
+			// The read loop claimed the entry: its delivery is taken, so a
+			// slab body does not leak and the record goes back empty.
+			res := <-c.ch
+			res.f.recycle()
+		}
 		p.conn.Close() // mid-frame: fail the other pending requests now
 		return Reply{}, fmt.Errorf("comm: send: %w", err)
 	}
 
 	var res result
 	if p.reqTimeout > 0 {
-		timer := time.NewTimer(p.reqTimeout)
-		defer timer.Stop()
+		// Under go.mod's go 1.22 timer rules a Reset needs the timer
+		// stopped and drained: one stopped too late has fired into C.
+		c.timer.Reset(p.reqTimeout)
 		select {
-		case res = <-ch:
-		case <-timer.C:
+		case res = <-c.ch:
+			if !c.timer.Stop() {
+				<-c.timer.C
+			}
+		case <-c.timer.C:
 			if p.abandon(id) {
 				// A late response finds no pending entry and is
 				// recycled by the read loop.
@@ -349,10 +416,10 @@ func (p *tcpPeer) call(msgType string, head []byte) (Reply, error) {
 			// The read loop claimed the entry first: its send is
 			// already on the way, and the response (and its slab body)
 			// must be taken, not leaked.
-			res = <-ch
+			res = <-c.ch
 		}
 	} else {
-		res = <-ch
+		res = <-c.ch
 	}
 	if res.err != nil {
 		if res.err == io.EOF || errors.Is(res.err, net.ErrClosed) {
@@ -365,12 +432,15 @@ func (p *tcpPeer) call(msgType string, head []byte) (Reply, error) {
 		f.recycle()
 		return Reply{}, remoteError{msg: f.errMsg}
 	}
-	rep := Reply{Head: f.head, Body: f.body}
-	if f.body != nil {
-		body := f.body
-		rep.Done = func() { tiers.SlabPut(body) }
-	}
-	return rep, nil
+	return Reply{Head: f.head, Body: f.body, slab: f.body != nil}, nil
+}
+
+// release pools a finished call's record for the next call.
+func (p *tcpPeer) release(c *callRec) {
+	invariant.Assert(len(c.ch) == 0, "comm: call record pooled with an undelivered result")
+	p.mu.Lock()
+	p.free = append(p.free, c)
+	p.mu.Unlock()
 }
 
 // abandon withdraws a pending request; false means the read loop has

@@ -8,14 +8,14 @@
 package server
 
 import (
+	"fmt"
 	"io"
+	"strings"
 	"sync"
 	"sync/atomic"
-
-	"fmt"
-	"hfetch/internal/comm"
 	"time"
 
+	"hfetch/internal/comm"
 	"hfetch/internal/core/auditor"
 	"hfetch/internal/core/heatmap"
 	"hfetch/internal/core/ioclient"
@@ -93,10 +93,9 @@ type Server struct {
 	dialer Dialer
 	peers  map[string]comm.Peer
 
-	// remoteReader, when set, replaces the built-in peer read path with a
-	// cluster-aware one (single-flight, timeout/backoff, suspect
-	// avoidance); see SetRemoteReader.
-	remoteReader atomic.Pointer[remoteReaderBox]
+	// remote is the one peer read path (cluster.Fetcher); see
+	// SetRemoteReader.
+	remote RemoteReader
 
 	remoteReads  atomic.Int64
 	remoteServes atomic.Int64
@@ -135,18 +134,9 @@ type RemoteReader interface {
 	ReadRemote(node, tier string, id seg.ID, off int64, p []byte) (int, bool)
 }
 
-type remoteReaderBox struct{ r RemoteReader }
-
-// SetRemoteReader installs (or, with nil, removes) a cluster-aware
-// remote read path; when unset the server uses its built-in direct peer
-// request.
-func (s *Server) SetRemoteReader(r RemoteReader) {
-	if r == nil {
-		s.remoteReader.Store(nil)
-		return
-	}
-	s.remoteReader.Store(&remoteReaderBox{r: r})
-}
+// SetRemoteReader installs, before the server serves reads, the path
+// every read from another node's tier takes; without one, the PFS.
+func (s *Server) SetRemoteReader(r RemoteReader) { s.remote = r }
 
 // New builds a server over the shared PFS, this node's tier hierarchy,
 // and the cluster's stats/maps hashmaps (single-node callers can pass
@@ -501,10 +491,10 @@ func (s *Server) serve(id seg.ID, off int64, p []byte) (n int, tier string, ok b
 	}
 	if node == "" || node == s.cfg.Node || s.shared[tier] {
 		n, ok = s.ReadFromTier(tier, id, off, p)
-	} else if box := s.remoteReader.Load(); box != nil {
-		n, ok = box.r.ReadRemote(node, tier, id, off, p)
+	} else if s.remote != nil {
+		n, ok = s.remote.ReadRemote(node, tier, id, off, p)
 	} else {
-		n, ok = s.readRemote(node, tier, id, off, p)
+		return 0, "", false // no peer read path: the PFS serves it
 	}
 	if !ok {
 		return 0, "", false
@@ -577,10 +567,10 @@ func (s *Server) EnableRemote(mux *comm.Mux, dialer Dialer) {
 }
 
 // serveRemoteRead answers one srv.read: the reply's body is the pinned
-// resident payload itself, and the pin is the reply's Done — the
+// resident payload itself, and the pin is the reply's Owner — the
 // transport drops it once the frame is on the wire (or, in process, the
 // reading node does when it has consumed the bytes). No byte of the
-// payload is copied on this node.
+// payload is copied on this node; tier and file are read in place.
 //
 //hfetch:hotpath
 func (s *Server) serveRemoteRead(head []byte) (comm.Reply, error) {
@@ -605,7 +595,7 @@ func (s *Server) serveRemoteRead(head []byte) (comm.Reply, error) {
 					end = int64(len(data))
 				}
 				st.ChargeRead(end - req.Off)
-				rep = comm.Reply{Head: readRespOK, Body: data[req.Off:end], Done: b.Release}
+				rep = comm.Reply{Head: readRespOK, Body: data[req.Off:end], Owner: b}
 			} else {
 				b.Release()
 			}
@@ -617,7 +607,8 @@ func (s *Server) serveRemoteRead(head []byte) (comm.Reply, error) {
 		if lc := s.tele.Lifecycle(); lc != nil {
 			//lint:allow hotpath completes the traced request's serve span
 			d := time.Since(serveStart)
-			lc.RecordPeer(tc.ID, telemetry.StagePeerFetchServe, req.File, req.Idx, req.Tier, serveStart, d)
+			// The span outlives the head its names alias: copy them.
+			lc.RecordPeer(tc.ID, telemetry.StagePeerFetchServe, strings.Clone(req.File), req.Idx, strings.Clone(req.Tier), serveStart, d)
 		}
 	}
 	return rep, nil
@@ -637,11 +628,6 @@ func (s *Server) peer(node string) comm.Peer {
 	return p
 }
 
-func (s *Server) readRemote(node, tier string, id seg.ID, off int64, p []byte) (int, bool) {
-	n, ok, _ := s.ReadRemoteDirect(node, tier, id, off, p)
-	return n, ok
-}
-
 // ViewRemote issues one peer read request with no retry or
 // single-flight policy and returns the payload by reference: rep.Body
 // is the buffer the response frame's body was received into (over TCP a
@@ -651,17 +637,16 @@ func (s *Server) readRemote(node, tier string, id seg.ID, off int64, p []byte) (
 // transport failure (no peer, dial/request error — the peer should be
 // penalized), while (ok=false, err=nil) is a clean "not resident"
 // answer from a healthy peer (stale mapping — fall back to the PFS,
-// peer is fine). cluster.Fetcher builds its backoff and suspect logic
-// on this split.
+// peer is fine). cluster.Fetcher, its only caller on the read path,
+// builds its backoff and suspect logic on this split.
 func (s *Server) ViewRemote(node, tier string, id seg.ID, off int64, length int) (rep comm.Reply, ok bool, err error) {
 	peer := s.peer(node)
 	if peer == nil {
 		return comm.Reply{}, false, fmt.Errorf("server: no peer for node %q", node)
 	}
 	s.remoteReads.Add(1)
-	head := appendReadReq(make([]byte, 0, 64), remoteReadReq{
-		Tier: tier, File: id.File, Idx: id.Index, Off: off, Len: length,
-	})
+	hb := comm.NewHeadBuf()
+	head := appendReadReq(hb.B, remoteReadReq{Tier: tier, File: id.File, Idx: id.Index, Off: off, Len: length})
 	// Propagate the segment's lifecycle trace (when sampled) so the
 	// serving peer's span lands under the same trace ID.
 	if lc := s.tele.Lifecycle(); lc != nil {
@@ -672,6 +657,7 @@ func (s *Server) ViewRemote(node, tier string, id seg.ID, off int64, length int)
 		}
 	}
 	rep, err = comm.Call(peer, msgRemoteRead, head)
+	hb.Release()
 	if err != nil {
 		// Drop the cached peer so the next attempt redials through the
 		// dialer (which may resolve a restarted node's new transport).
@@ -687,19 +673,6 @@ func (s *Server) ViewRemote(node, tier string, id seg.ID, off int64, length int)
 		return comm.Reply{}, false, err
 	}
 	return rep, true, nil
-}
-
-// ReadRemoteDirect is ViewRemote filling the caller's buffer: one peer
-// read, the received payload copied into p at the API boundary.
-func (s *Server) ReadRemoteDirect(node, tier string, id seg.ID, off int64, p []byte) (int, bool, error) {
-	rep, ok, err := s.ViewRemote(node, tier, id, off, len(p))
-	if !ok {
-		return 0, false, err
-	}
-	n := copy(p, rep.Body)
-	tiers.CountCopied(int64(n))
-	rep.Release()
-	return n, true, nil
 }
 
 func (s *Server) dropPeer(node string, p comm.Peer) {

@@ -15,7 +15,9 @@ import (
 
 var errShortHead = errors.New("server: srv.read head truncated or malformed")
 
-// remoteReadReq is a decoded srv.read request.
+// remoteReadReq is a srv.read request. Decoded, Tier and File alias the
+// head (comm.CutView): the handler resolves them in place and copies
+// only what it keeps.
 type remoteReadReq struct {
 	Tier string
 	File string
@@ -39,15 +41,15 @@ func appendReadReq(dst []byte, r remoteReadReq) []byte {
 //
 //hfetch:hotpath
 func parseReadReq(b []byte) (remoteReadReq, error) {
-	tier, b, ok := comm.CutBytes(b)
+	tier, b, ok := comm.CutView(b)
 	if !ok {
 		return remoteReadReq{}, errShortHead
 	}
-	file, b, ok := comm.CutBytes(b)
+	file, b, ok := comm.CutView(b)
 	if !ok || len(b) != 20 {
 		return remoteReadReq{}, errShortHead
 	}
-	r := remoteReadReq{Tier: string(tier), File: string(file)}
+	r := remoteReadReq{Tier: tier, File: file}
 	r.Idx = int64(binary.BigEndian.Uint64(b))
 	r.Off = int64(binary.BigEndian.Uint64(b[8:]))
 	r.Len = int(binary.BigEndian.Uint32(b[16:]))

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"maps"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -463,13 +464,18 @@ func (m *Map) remote(rpc int, owner string, req []byte) ([]byte, error) {
 	return p.Request(m.msgTypes[rpc], req)
 }
 
-// newReq starts a request head sized for a typical key.
-func newReq(k Key, op string, arg []byte) []byte {
-	return appendReq(make([]byte, 0, 128), k, op, arg)
+// newReq starts a request head in a pooled buffer, released once the
+// response is parsed (in process, a get answers in it).
+func newReq(k Key, op string, arg []byte) *comm.HeadBuf {
+	hb := comm.NewHeadBuf()
+	hb.B = appendReq(hb.B, k, op, arg)
+	return hb
 }
 
 func (m *Map) remoteGet(owner string, k Key) (any, bool, error) {
-	raw, err := m.remote(rpcGet, owner, newReq(k, "", nil))
+	req := newReq(k, "", nil)
+	defer req.Release()
+	raw, err := m.remote(rpcGet, owner, req.B)
 	if err != nil {
 		return nil, false, err
 	}
@@ -477,21 +483,26 @@ func (m *Map) remoteGet(owner string, k Key) (any, bool, error) {
 }
 
 func (m *Map) remotePut(owner string, k Key, val any) error {
-	req, err := appendValue(newReq(k, "", nil), val)
-	if err != nil {
-		return err
+	req := newReq(k, "", nil)
+	defer req.Release()
+	var err error
+	if req.B, err = appendValue(req.B, val); err == nil {
+		_, err = m.remote(rpcPut, owner, req.B)
 	}
-	_, err = m.remote(rpcPut, owner, req)
 	return err
 }
 
 func (m *Map) remoteDelete(owner string, k Key) error {
-	_, err := m.remote(rpcDel, owner, newReq(k, "", nil))
+	req := newReq(k, "", nil)
+	defer req.Release()
+	_, err := m.remote(rpcDel, owner, req.B)
 	return err
 }
 
 func (m *Map) remoteApply(owner string, k Key, op string, arg []byte) (found bool, out []byte, err error) {
-	raw, err := m.remote(rpcApply, owner, newReq(k, op, arg))
+	req := newReq(k, op, arg)
+	defer req.Release()
+	raw, err := m.remote(rpcApply, owner, req.B)
 	if err != nil {
 		return false, nil, err
 	}
@@ -505,6 +516,9 @@ func (m *Map) registerHandlers(mux *comm.Mux) {
 	mux.Register(m.msgTypes[rpcApply], m.serveApply)
 }
 
+// serveGet answers in its request's buffer, once the key aliasing it has
+// been looked up.
+//
 //hfetch:hotpath
 func (m *Map) serveGet(raw []byte) ([]byte, error) {
 	req, err := parseReq(raw, false)
@@ -515,10 +529,13 @@ func (m *Map) serveGet(raw []byte) ([]byte, error) {
 	// Encoded under the lock: an in-place op may change v once it is gone.
 	s.mu.RLock()
 	v, ok := s.m[req.key]
-	resp, err := appendResp(make([]byte, 0, 64), ok, v)
+	resp, err := appendResp(raw[:0], ok, v)
 	s.mu.RUnlock()
 	return resp, err
 }
+
+// storedKey is a request's key with a file the map may keep.
+func storedKey(k Key) Key { return Key{File: strings.Clone(k.File), Index: k.Index} }
 
 //hfetch:hotpath
 func (m *Map) servePut(raw []byte) ([]byte, error) {
@@ -530,7 +547,7 @@ func (m *Map) servePut(raw []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m.localPut(m.shardAt(req.key.hash()), req.key, v, true)
+	m.localPut(m.shardAt(req.key.hash()), storedKey(req.key), v, true)
 	return nil, nil
 }
 
@@ -552,7 +569,7 @@ func (m *Map) serveApply(raw []byte) ([]byte, error) {
 	}
 	// The response head is found u8 | answer: the op appends its answer
 	// behind the byte, which is set once the op has returned a value.
-	next, plain, resp, err := m.localApply(m.shardAt(req.key.hash()), req.key, req.op, req.arg, make([]byte, 1, 64))
+	next, plain, resp, err := m.localApply(m.shardAt(req.key.hash()), storedKey(req.key), req.op, req.arg, make([]byte, 1, 64))
 	if err != nil {
 		return nil, err
 	}

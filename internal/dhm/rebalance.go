@@ -35,20 +35,22 @@ func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
 		// The put that ships a value is encoded under its shard lock: an
 		// in-place op may change the value as soon as the lock is released.
 		s := m.shardAt(e.key.hash())
+		put := newReq(e.key, "", nil)
 		s.mu.RLock()
 		val, ok := s.m[e.key]
-		var put []byte
 		var err error
 		if ok {
-			put, err = appendValue(newReq(e.key, "", nil), val)
+			put.B, err = appendValue(put.B, val)
 		}
 		s.mu.RUnlock()
 		if !ok {
+			put.Release()
 			continue // deleted since the scan
 		}
 		if err == nil {
-			_, err = m.remote(rpcPut, e.owner, put)
+			_, err = m.remote(rpcPut, e.owner, put.B)
 		}
+		put.Release()
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("dhm: rebalance %v: %w", e.key, err)

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"sync/atomic"
 
 	"hfetch/internal/comm"
 )
@@ -98,7 +100,7 @@ func parseValue(b []byte) (any, error) {
 	tag, b := b[0], b[1:]
 	switch tag {
 	case tagString:
-		return string(b), nil
+		return internString(b), nil
 	case tagInt, tagInt64:
 		x, w := binary.Varint(b)
 		if w <= 0 || w != len(b) {
@@ -123,6 +125,28 @@ func parseValue(b []byte) (any, error) {
 	return nil, unknownValueTag(tag)
 }
 
+// Decoded strings are interned in a direct-mapped table: every remote get
+// of one mapping shares one boxed "node|tier". A collision costs what an
+// uninterned decode would; a long string is never held.
+var (
+	internSeed = maphash.MakeSeed()
+	interned   [256]atomic.Pointer[any]
+)
+
+//hfetch:hotpath
+func internString(b []byte) any {
+	if len(b) > 256 {
+		return string(b)
+	}
+	slot := &interned[maphash.Bytes(internSeed, b)%uint64(len(interned))]
+	if v := slot.Load(); v != nil && (*v).(string) == string(b) {
+		return *v
+	}
+	v := any(string(b))
+	slot.Store(&v)
+	return v
+}
+
 func unknownValueTag(tag byte) error {
 	return fmt.Errorf("dhm: unknown value tag %d", tag)
 }
@@ -131,7 +155,8 @@ func unknownValueTag(tag byte) error {
 // path, far below what a corrupt length could claim of a 4 MiB head.
 const maxKeyFile = 64 << 10
 
-// rpcReq is a decoded request head. arg and val alias the head.
+// rpcReq is a decoded request head. All of it aliases the head, key.File
+// and op too (comm.CutView): a handler clones the file only to store it.
 type rpcReq struct {
 	key Key
 	op  string
@@ -155,7 +180,7 @@ func appendReq(dst []byte, k Key, op string, arg []byte) []byte {
 //
 //hfetch:hotpath
 func parseReq(b []byte, withValue bool) (rpcReq, error) {
-	file, b, ok := comm.CutBytes(b)
+	file, b, ok := comm.CutView(b)
 	if !ok || len(file) > maxKeyFile {
 		return rpcReq{}, errShortHead
 	}
@@ -163,7 +188,7 @@ func parseReq(b []byte, withValue bool) (rpcReq, error) {
 	if !ok {
 		return rpcReq{}, errShortHead
 	}
-	op, b, ok := comm.CutBytes(b)
+	op, b, ok := comm.CutView(b)
 	if !ok {
 		return rpcReq{}, errShortHead
 	}
@@ -171,7 +196,7 @@ func parseReq(b []byte, withValue bool) (rpcReq, error) {
 	if !ok || (!withValue && len(b) != 0) {
 		return rpcReq{}, errShortHead
 	}
-	return rpcReq{key: Key{File: string(file), Index: idx}, op: string(op), arg: arg, val: b}, nil
+	return rpcReq{key: Key{File: file, Index: idx}, op: op, arg: arg, val: b}, nil
 }
 
 // appendResp appends a response head: found, then the value if found.
