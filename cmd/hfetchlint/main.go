@@ -19,7 +19,6 @@ import (
 	"os"
 	"strings"
 
-	"hfetch/internal/analysis/atomicmix"
 	"hfetch/internal/analysis/bufown"
 	"hfetch/internal/analysis/driftcheck"
 	"hfetch/internal/analysis/framework"
@@ -27,15 +26,12 @@ import (
 	"hfetch/internal/analysis/hotpath"
 	"hfetch/internal/analysis/lockorder"
 	"hfetch/internal/analysis/nilsafe"
-	"hfetch/internal/analysis/pairing"
 )
 
 var suite = []*framework.Analyzer{
 	lockorder.Analyzer,
 	hotpath.Analyzer,
 	nilsafe.Analyzer,
-	atomicmix.Analyzer,
-	pairing.Analyzer,
 	bufown.Analyzer,
 	goleak.Analyzer,
 	driftcheck.Analyzer,

@@ -255,23 +255,8 @@ func (c *checker) walkFunc(body *ast.BlockStmt, name string) {
 			return equalFacts(a.(*bufFact), b.(*bufFact))
 		},
 	}
-	c.silent = true
-	res := flow.Solve()
-	c.silent = false
-	if !res.Converged {
-		return
-	}
-	for _, blk := range g.Blocks {
-		in, ok := res.In[blk].(*bufFact)
-		if !ok {
-			continue // unreachable
-		}
-		f := in.clone()
-		for _, n := range blk.Nodes {
-			c.node(n, f)
-		}
-	}
-	if out, ok := res.Out[g.Exit].(*bufFact); ok {
+	res := flow.Replay(&c.silent)
+	if out, ok := res.Out[g.Exit].(*bufFact); ok && res.Converged {
 		for _, st := range out.objs {
 			if !st.mayOwned {
 				continue

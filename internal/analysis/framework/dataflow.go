@@ -111,3 +111,24 @@ func (f *Flow) Solve() *FlowResult {
 	}
 	return res
 }
+
+// Replay is how the path-sensitive analyzers report: it solves with
+// *quiet set, so a Transfer that reports stays silent while facts are
+// still moving, then clears it and re-runs Transfer once over every
+// reachable block from its converged in-fact. Each finding is therefore
+// computed from final facts and emitted exactly once. Nothing is
+// replayed when the solver did not converge.
+func (f *Flow) Replay(quiet *bool) *FlowResult {
+	*quiet = true
+	res := f.Solve()
+	*quiet = false
+	if !res.Converged {
+		return res
+	}
+	for _, b := range f.CFG.Blocks {
+		if in := res.In[b]; in != nil {
+			f.Transfer(b, in)
+		}
+	}
+	return res
+}

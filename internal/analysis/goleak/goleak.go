@@ -2,7 +2,10 @@
 // long-lived type is joinable from its quiesce method.
 //
 // A type is long-lived when it declares Stop, Close, Drain or Shutdown.
-// The analyzer first collects the type's *stop signals* — what the
+// A type whose New* constructor or Start (or start*) method spawns a
+// goroutine must be long-lived: one that declares none of the four is
+// reported at its first such spawn. For a long-lived type the analyzer
+// first collects the type's *stop signals* — what the
 // quiesce method (transitively, through other methods of the same
 // type) actually triggers: `close(t.f)` and `t.f <- v` on channel
 // fields, and calls to context.CancelFunc fields. It then examines
@@ -20,8 +23,7 @@
 // Loops with an explicit exit condition (`for i < n`, `for !done`) and
 // ranges over non-channel operands are exempt: they terminate on their
 // own. Goroutines whose body cannot be resolved (method values from
-// other packages, dynamic calls) are skipped. Types without any quiesce
-// method are the pairing analyzer's problem, not this one's.
+// other packages, dynamic calls) are skipped.
 package goleak
 
 import (
@@ -33,10 +35,10 @@ import (
 	"hfetch/internal/analysis/framework"
 )
 
-// Analyzer checks goroutine joinability.
+// Analyzer checks Start/Stop pairing and goroutine joinability.
 var Analyzer = &framework.Analyzer{
 	Name: "goleak",
-	Doc:  "every goroutine spawned by a long-lived type must observe a stop signal its quiesce method triggers",
+	Doc:  "a type whose New*/Start spawns a goroutine needs a quiesce method, whose stop signal every spawned loop observes",
 	Run:  run,
 }
 
@@ -63,6 +65,12 @@ type signals struct {
 func run(pass *framework.Pass) error {
 	c := &collector{pass: pass}
 	c.index()
+	for key, sp := range c.spawner {
+		if c.quiesceOf[key] == "" {
+			pass.Reportf(sp.pos, "%s spawns a goroutine in %s but declares no Stop/Close/Drain/Shutdown method",
+				key[strings.LastIndexByte(key, '.')+1:], sp.in)
+		}
+	}
 	for key := range c.quiesceOf {
 		sigs := c.collect(key)
 		if sigs == nil {
@@ -83,6 +91,14 @@ type collector struct {
 	ctorsOf map[string][]*ast.FuncDecl
 	// declOf resolves a function object to its declaration.
 	declOf map[*types.Func]*ast.FuncDecl
+	// spawner maps this package's type keys to the first go statement in
+	// one of their New* constructors or Start/start* methods.
+	spawner map[string]spawn
+}
+
+type spawn struct {
+	pos token.Pos
+	in  string // the spawning function's name
 }
 
 func (c *collector) index() {
@@ -90,6 +106,7 @@ func (c *collector) index() {
 	c.quiesceOf = make(map[string]string)
 	c.ctorsOf = make(map[string][]*ast.FuncDecl)
 	c.declOf = make(map[*types.Func]*ast.FuncDecl)
+	c.spawner = make(map[string]spawn)
 	for _, f := range c.pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)
@@ -101,6 +118,7 @@ func (c *collector) index() {
 				continue
 			}
 			c.declOf[fn] = fd
+			var owner *types.Named
 			if recv := framework.ReceiverNamed(fn); recv != nil {
 				key := framework.TypeKey(recv)
 				c.methodsOf[key] = append(c.methodsOf[key], fd)
@@ -111,18 +129,36 @@ func (c *collector) index() {
 						}
 					}
 				}
-				continue
-			}
-			if strings.HasPrefix(fd.Name.Name, "New") {
+				if fd.Name.Name == "Start" || strings.HasPrefix(fd.Name.Name, "start") {
+					owner = recv
+				}
+			} else if strings.HasPrefix(fd.Name.Name, "New") {
 				sig := fn.Type().(*types.Signature)
 				if sig.Results().Len() > 0 {
-					if n := framework.Named(sig.Results().At(0).Type()); n != nil {
-						c.ctorsOf[framework.TypeKey(n)] = append(c.ctorsOf[framework.TypeKey(n)], fd)
+					if owner = framework.Named(sig.Results().At(0).Type()); owner != nil {
+						c.ctorsOf[framework.TypeKey(owner)] = append(c.ctorsOf[framework.TypeKey(owner)], fd)
 					}
 				}
 			}
+			if owner != nil && owner.Obj().Pkg() == c.pass.Pkg {
+				c.noteSpawn(framework.TypeKey(owner), fd)
+			}
 		}
 	}
+}
+
+// noteSpawn records fd's first go statement as key's spawn, unless an
+// earlier function already spawned for key.
+func (c *collector) noteSpawn(key string, fd *ast.FuncDecl) {
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if _, have := c.spawner[key]; have {
+			return false
+		}
+		if g, ok := n.(*ast.GoStmt); ok {
+			c.spawner[key] = spawn{g.Pos(), fd.Name.Name}
+		}
+		return true
+	})
 }
 
 // collect walks the quiesce method and everything it calls on the same

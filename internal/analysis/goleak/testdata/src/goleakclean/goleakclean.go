@@ -1,5 +1,6 @@
-// Package goleakclean is the goleak negative fixture: every spawned
-// loop observes a stop signal.
+// Package goleakclean is the goleak negative fixture: every spawning
+// type declares a quiesce method and every spawned loop observes a stop
+// signal.
 package goleakclean
 
 import "sync"
@@ -64,3 +65,22 @@ func (b *Batch) Run(items []int) {
 		}
 	}()
 }
+
+// Cache pairs its Start spawn with a Stop.
+type Cache struct {
+	quit chan struct{}
+}
+
+func NewCache() *Cache {
+	return &Cache{quit: make(chan struct{})}
+}
+
+func (c *Cache) Start() {
+	go c.loop()
+}
+
+func (c *Cache) loop() {
+	<-c.quit
+}
+
+func (c *Cache) Stop() { close(c.quit) }

@@ -1,6 +1,7 @@
-// Package goleakfixture exercises the goleak analyzer: goroutines
-// spawned by long-lived types must observe a stop signal the quiesce
-// method triggers.
+// Package goleakfixture exercises the goleak analyzer: a type whose
+// constructor or Start spawns a goroutine needs a quiesce method, and
+// goroutines spawned by long-lived types must observe a stop signal the
+// quiesce method triggers.
 package goleakfixture
 
 import (
@@ -190,8 +191,9 @@ func (c *CtxBad) Start() {
 
 func (c *CtxBad) Stop() { c.cancel() }
 
-// Quiet's Stop triggers nothing observable; goleak stays silent and
-// leaves the lifecycle question to the pairing analyzer.
+// Quiet's Stop triggers nothing observable: declaring it is what the
+// lifecycle rule asks, and with no signal to observe goleak stays silent
+// about the loop.
 type Quiet struct{ n int }
 
 func (q *Quiet) Stop() { q.n = 0 }
@@ -203,3 +205,33 @@ func (q *Quiet) Start() {
 		}
 	}()
 }
+
+// Leaky spawns a background loop but has no quiesce method.
+type Leaky struct{ ch chan int }
+
+func NewLeaky() *Leaky {
+	l := &Leaky{ch: make(chan int)}
+	go func() { // want `Leaky spawns a goroutine in NewLeaky but declares no Stop/Close/Drain/Shutdown method`
+		for range l.ch {
+		}
+	}()
+	return l
+}
+
+// Worker pairs its Start spawn with a Stop method.
+type Worker struct {
+	quit chan struct{}
+}
+
+func (w *Worker) Start() {
+	go func() {
+		<-w.quit
+	}()
+}
+
+func (w *Worker) Stop() { close(w.quit) }
+
+// Plain never spawns: no lifecycle obligation.
+type Plain struct{ n int }
+
+func NewPlain() *Plain { return &Plain{} }

@@ -34,6 +34,27 @@ func TestLockorderFixture(t *testing.T) {
 	analysistest.Run(t, "./testdata/src/lockfixture", NewAnalyzer(fixtureManifest()))
 }
 
+// TestLockorderReleaseFixture: the exit rule alone, for mutexes outside
+// any manifest.
+func TestLockorderReleaseFixture(t *testing.T) {
+	analysistest.Run(t, "./testdata/src/lockrelease", NewAnalyzer(Manifest{}))
+}
+
+func TestLockorderReleaseClean(t *testing.T) {
+	analysistest.NoFindings(t, "./testdata/src/releaseclean", NewAnalyzer(Manifest{}))
+}
+
+// TestLockorderBarrierPackage: inside a barrier package the I/O rule is
+// off and the exit rule is not.
+func TestLockorderBarrierPackage(t *testing.T) {
+	const pkg = "hfetch/internal/analysis/lockorder/testdata/src/lockbarrier"
+	m := Manifest{
+		Classes:     []Class{{Name: "store", Fields: []FieldSel{{pkg + ".Store", "mu"}}}},
+		BarrierPkgs: []string{pkg},
+	}
+	analysistest.Run(t, "./testdata/src/lockbarrier", NewAnalyzer(m))
+}
+
 func TestLockorderClean(t *testing.T) {
 	cleanPkg := "hfetch/internal/analysis/lockorder/testdata/src/lockclean"
 	m := fixtureManifest()

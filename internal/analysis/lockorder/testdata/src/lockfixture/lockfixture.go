@@ -1,6 +1,7 @@
 // Package lockfixture exercises the lockorder analyzer: the test
 // manifest ranks Ring < Shard < Engine.runMu < Engine.mu < Store, marks
-// Ring as released-between and treats IO.Write as an I/O barrier.
+// Ring as released-between and treats IO.Write as an I/O barrier. The
+// exit rule's own cases are in the lockrelease fixture.
 package lockfixture
 
 import "sync"
@@ -100,4 +101,16 @@ func allowed(st *Store, e *Engine) {
 	e.mu.Lock()
 	e.mu.Unlock()
 	st.mu.Unlock()
+}
+
+// releasedOnOneArm: one fact serves both rule sets. After the join the
+// ring lock is held on one path only, so taking the shard lock is no
+// ordering finding; the exit rule still sees the path that kept it.
+func releasedOnOneArm(r *Ring, s *Shard, done bool) {
+	r.mu.Lock() // want `r\.mu locked but not released on every path out of releasedOnOneArm`
+	if done {
+		r.mu.Unlock()
+	}
+	s.mu.Lock()
+	s.mu.Unlock()
 }

@@ -172,7 +172,7 @@ func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) 
 	start := time.Now()
 	rep, ok, err := f.call.ViewRemote(node, tier, id, off, len(p))
 	d := time.Since(start)
-	f.cfg.Health.Observe(node, d, err)
+	f.cfg.Health.Observe(node, err)
 	f.settle(node, err)
 	switch {
 	case err != nil:

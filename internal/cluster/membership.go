@@ -101,9 +101,7 @@ type MembershipConfig struct {
 	// Keys reports this node's owned-key count for heartbeat payloads
 	// (nil reports 0).
 	Keys func() int64
-	// Health, when non-nil, records probe outcomes. Its snapshot is also
-	// piggybacked on outgoing heartbeats, so every member learns how the
-	// fleet's links look from every other member's vantage point.
+	// Health, when non-nil, records probe outcomes.
 	Health *comm.Health
 	// Stats, when non-nil, instruments the peer connections this agent
 	// dials (request latency, timeouts).
@@ -136,10 +134,9 @@ type memberState struct {
 type Membership struct {
 	cfg MembershipConfig
 
-	mu           sync.RWMutex
-	members      map[string]*memberState
-	view         []string                     // last view OnChange fired with (sorted, non-dead)
-	remoteHealth map[string][]comm.PeerHealth // sender -> piggybacked link health
+	mu      sync.RWMutex
+	members map[string]*memberState
+	view    []string // last view OnChange fired with (sorted, non-dead)
 
 	peerMu sync.Mutex
 	peers  map[string]comm.Peer // by address
@@ -174,9 +171,6 @@ type wireMember struct {
 type hbMsg struct {
 	From    wireMember
 	Members []wireMember
-	// Health is the sender's per-peer link health snapshot, piggybacked
-	// so the fleet's pairwise link view is observable from any member.
-	Health []comm.PeerHealth
 }
 
 // NewMembership builds the agent and registers its heartbeat handler on
@@ -195,11 +189,10 @@ func NewMembership(cfg MembershipConfig, mux *comm.Mux) *Membership {
 		}
 	}
 	m := &Membership{
-		cfg:          cfg,
-		members:      make(map[string]*memberState),
-		remoteHealth: make(map[string][]comm.PeerHealth),
-		peers:        make(map[string]comm.Peer),
-		incarnation:  uint64(time.Now().UnixNano()),
+		cfg:         cfg,
+		members:     make(map[string]*memberState),
+		peers:       make(map[string]comm.Peer),
+		incarnation: uint64(time.Now().UnixNano()),
 	}
 	now := time.Now()
 	m.members[cfg.Self] = &memberState{
@@ -281,12 +274,6 @@ func (m *Membership) loop() {
 func (m *Membership) tick() {
 	now := time.Now()
 	keys := m.keysNow()
-	// Health snapshot before mu: comm.Health has its own lock and must
-	// not nest under membership mu.
-	var hs []comm.PeerHealth
-	if m.cfg.Health != nil {
-		hs = m.cfg.Health.Snapshot()
-	}
 
 	type target struct{ name, addr string }
 	var targets []target
@@ -307,7 +294,7 @@ func (m *Membership) tick() {
 	}
 	msg := appendHeartbeat(nil, hbMsg{From: wireMember{
 		Name: m.cfg.Self, Addr: m.cfg.Addr, Ops: m.cfg.Ops, Incarnation: m.incarnation, Keys: keys,
-	}, Members: m.wireMembersLocked(), Health: hs})
+	}, Members: m.wireMembersLocked()})
 	m.mu.Unlock()
 
 	for _, s := range m.cfg.Seeds {
@@ -345,14 +332,13 @@ func (m *Membership) wireMembersLocked() []wireMember {
 // failure drops the cached connection so the next tick redials.
 func (m *Membership) probe(name, addr string, payload []byte) {
 	p, err := m.peer(addr)
-	start := time.Now()
 	var raw []byte
 	if err == nil {
 		m.hbSent.Add(1)
 		raw, err = p.Request(MsgHeartbeat, payload)
 	}
-	if m.cfg.Health != nil && name != "" {
-		m.cfg.Health.Observe(name, time.Since(start), err)
+	if name != "" {
+		m.cfg.Health.Observe(name, err)
 	}
 	if err != nil {
 		m.hbFailed.Add(1)
@@ -386,9 +372,6 @@ func (m *Membership) handleHeartbeat(raw []byte) ([]byte, error) {
 	m.mu.Lock()
 	m.mergeOneLocked(msg.From, now, true)
 	m.mergeLocked(msg.Members, now)
-	if msg.From.Name != "" {
-		m.remoteHealth[msg.From.Name] = msg.Health
-	}
 	resp := appendHeartbeat(nil, hbMsg{Members: m.wireMembersLocked()})
 	m.mu.Unlock()
 
@@ -519,19 +502,6 @@ func (m *Membership) Suspect(name string) {
 		}
 	}
 	m.mu.Unlock()
-}
-
-// FleetHealth returns every member's piggybacked link-health snapshot,
-// keyed by the reporting member. The values are what each member last
-// told us about its own outbound links.
-func (m *Membership) FleetHealth() map[string][]comm.PeerHealth {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[string][]comm.PeerHealth, len(m.remoteHealth))
-	for k, v := range m.remoteHealth {
-		out[k] = append([]comm.PeerHealth(nil), v...)
-	}
-	return out
 }
 
 // SuspectCount returns how many members are currently judged suspect —

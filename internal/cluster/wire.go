@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
-	"time"
 
 	"hfetch/internal/comm"
 	"hfetch/internal/core/auditor"
@@ -18,10 +17,8 @@ import (
 //	  update:       uvarint len | file | idx varint | score f64 |
 //	                size varint | trace u64 | uvarint len | origin
 //	cluster.inval:  uvarint len | file
-//	cluster.hb:     member (sender) | varint n | n × member | varint n | n × health
+//	cluster.hb:     member (sender) | varint n | n × member
 //	  member:       name | addr | ops (each uvarint len | bytes) | incarnation, keys varint
-//	  health:       node | ok, failed, consecutive varint | last error | last change
-//	                varint (unix nanos, 0 = never) | ewma varint
 
 var errShortHead = errors.New("cluster: message head truncated or malformed")
 
@@ -115,16 +112,6 @@ func appendHeartbeat(dst []byte, m hbMsg) []byte {
 	for _, w := range m.Members {
 		dst = appendMember(dst, w)
 	}
-	dst = binary.AppendVarint(dst, int64(len(m.Health)))
-	for _, h := range m.Health {
-		var changed int64
-		if !h.LastChange.IsZero() {
-			changed = h.LastChange.UnixNano()
-		}
-		dst = binary.AppendVarint(binary.AppendVarint(comm.AppendString(dst, h.Node), h.OK), h.Failed)
-		dst = comm.AppendString(binary.AppendVarint(dst, int64(h.Consecutive)), h.LastErr)
-		dst = binary.AppendVarint(binary.AppendVarint(dst, changed), h.EWMANanos)
-	}
 	return dst
 }
 
@@ -134,8 +121,8 @@ func appendMember(dst []byte, w wireMember) []byte {
 }
 
 // parseHeartbeat decodes a heartbeat occupying all of b. The first field
-// cut short clears ok for good and ends every list, so a claimed count
-// grows a list no further than the bytes present hold.
+// cut short clears ok for good and ends the list, so a claimed count
+// grows it no further than the bytes present hold.
 func parseHeartbeat(b []byte) (hbMsg, error) {
 	ok := true
 	str := func() string {
@@ -154,14 +141,6 @@ func parseHeartbeat(b []byte) (hbMsg, error) {
 	m := hbMsg{From: member()}
 	for n := num(); n != 0 && ok; n-- {
 		m.Members = append(m.Members, member())
-	}
-	for n := num(); n != 0 && ok; n-- {
-		h := comm.PeerHealth{Node: str(), OK: num(), Failed: num(), Consecutive: int(num()), LastErr: str()}
-		if changed := num(); changed != 0 {
-			h.LastChange = time.Unix(0, changed)
-		}
-		h.EWMANanos = num()
-		m.Health = append(m.Health, h)
 	}
 	if !ok || len(b) != 0 {
 		return hbMsg{}, errShortHead

@@ -3,11 +3,10 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
-	"time"
 
-	"hfetch/internal/comm"
 	"hfetch/internal/core/auditor"
 	"hfetch/internal/core/seg"
 )
@@ -71,39 +70,16 @@ var heartbeatCases = []hbMsg{
 			{Name: "n0", Addr: "n0", Incarnation: 1<<64 - 1},
 			{Name: strings.Repeat("m", 300), Ops: "o"},
 		},
-		Health: []comm.PeerHealth{
-			{Node: "n0", OK: 10, Failed: 2, Consecutive: 1, LastErr: "comm: request timed out",
-				LastChange: time.Unix(1700000000, 123456789), EWMANanos: 41000},
-			{Node: "n2", Failed: 1 << 40, Consecutive: -3},
-		},
 	},
 }
 
-// equalHeartbeat compares decoded heartbeats; times by instant.
+// equalHeartbeat compares decoded heartbeats.
 func equalHeartbeat(a, b hbMsg) bool {
-	if a.From != b.From || len(a.Members) != len(b.Members) || len(a.Health) != len(b.Health) {
-		return false
-	}
-	for i := range a.Members {
-		if a.Members[i] != b.Members[i] {
-			return false
-		}
-	}
-	for i := range a.Health {
-		x, y := a.Health[i], b.Health[i]
-		if !x.LastChange.Equal(y.LastChange) {
-			return false
-		}
-		x.LastChange, y.LastChange = time.Time{}, time.Time{}
-		if x != y {
-			return false
-		}
-	}
-	return true
+	return a.From == b.From && slices.Equal(a.Members, b.Members)
 }
 
-// The smallest encoded member and health row (every string empty).
-const minMemberLen, minHealthLen = 5, 7
+// The smallest encoded member (every string empty).
+const minMemberLen = 5
 
 func TestHeartbeatCodec(t *testing.T) {
 	for _, want := range heartbeatCases {
@@ -128,7 +104,6 @@ func TestHeartbeatCodec(t *testing.T) {
 	sender := appendMember(nil, wireMember{})
 	for _, b := range [][]byte{
 		append(append([]byte(nil), sender...), 0xfe, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3),
-		append(append([]byte(nil), sender...), 0, 0xfe, 0xff, 0xff, 0xff, 0x0f),
 		append(append([]byte(nil), sender...), 1, 0),
 	} {
 		if _, err := parseHeartbeat(b); err == nil {
@@ -148,8 +123,8 @@ func FuzzParseHeartbeat(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if (len(m.Members)+1)*minMemberLen+len(m.Health)*minHealthLen > len(data) {
-			t.Fatalf("%d members and %d health rows decoded from %d bytes", len(m.Members)+1, len(m.Health), len(data))
+		if (len(m.Members)+1)*minMemberLen > len(data) {
+			t.Fatalf("%d members decoded from %d bytes", len(m.Members)+1, len(data))
 		}
 		if again, err := parseHeartbeat(appendHeartbeat(nil, m)); err != nil || !equalHeartbeat(again, m) {
 			t.Fatalf("accepted heartbeat does not re-encode: %v", err)

@@ -24,8 +24,9 @@ const (
 	// refused at its first frame. 2 keys the dhm by (file, index): a
 	// version 1 peer would hash the same segment to another owner. 3
 	// answers a dhm apply with the bytes its op appended, not the value.
-	// 4 carries the cluster heartbeat in a binary head instead of gob.
-	WireVersion = 4
+	// 4 carries the cluster heartbeat in a binary head instead of gob. 5
+	// drops the per-peer link-health rows that heartbeat carried.
+	WireVersion = 5
 
 	frameHeaderLen = 24
 

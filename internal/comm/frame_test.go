@@ -106,8 +106,9 @@ func TestFrameReaderRejects(t *testing.T) {
 
 	// Version 2 is the wire before a dhm apply answered in its op's bytes
 	// (such a peer would parse an answer as a value), version 3 the one
-	// before the heartbeat's binary head: both are refused like any other.
-	for _, v := range []byte{WireVersion + 1, 3, 2, 1} {
+	// before the heartbeat's binary head, version 4 the one whose heartbeat
+	// carried link-health rows: all are refused like any other.
+	for _, v := range []byte{WireVersion + 1, 4, 3, 2, 1} {
 		var ve *versionError
 		r := &frameReader{r: bytes.NewReader(rawFrame(v, kindRequest, 42, "x", "", 0, 0, nil))}
 		if _, err := r.read(); !errors.As(err, &ve) || ve.got != v || ve.id != 42 {
@@ -162,8 +163,9 @@ func TestTCPServerRefusesForeignStreams(t *testing.T) {
 // TestTCPServerRefusesVersion2Peer: version 2 answered a dhm apply with
 // the value; this node answers with its op's bytes, which such a peer
 // would parse as one. Version 3 gob-encoded the heartbeat this node
-// reads as a binary head. Either peer's first frame gets the refusal
-// every other version gets, naming both.
+// reads as a binary head, and version 4 appended link-health rows to
+// it. Each peer's first frame gets the refusal every other version gets,
+// naming both.
 func TestTCPServerRefusesVersion2Peer(t *testing.T) {
 	srv, err := ListenTCP("127.0.0.1:0", echoMux())
 	if err != nil {
@@ -173,7 +175,7 @@ func TestTCPServerRefusesVersion2Peer(t *testing.T) {
 	for _, c := range []struct {
 		version byte
 		typ     string
-	}{{2, "dhm.stats.apply"}, {3, "cluster.hb"}} {
+	}{{2, "dhm.stats.apply"}, {3, "cluster.hb"}, {4, "cluster.hb"}} {
 		conn, err := net.DialTimeout("tcp", srv.Addr(), time.Second)
 		if err != nil {
 			t.Fatal(err)
@@ -185,7 +187,7 @@ func TestTCPServerRefusesVersion2Peer(t *testing.T) {
 		if err != nil {
 			t.Fatalf("version %d refusal: %v", c.version, err)
 		}
-		want := fmt.Sprintf("comm: peer speaks wire version %d, this node speaks 4", c.version)
+		want := fmt.Sprintf("comm: peer speaks wire version %d, this node speaks %d", c.version, WireVersion)
 		if f.kind != kindResponse || f.id != 9 || f.errMsg != want {
 			t.Fatalf("got kind %d id %d err %q, want the refusal %q", f.kind, f.id, f.errMsg, want)
 		}

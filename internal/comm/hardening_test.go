@@ -138,12 +138,12 @@ func TestHealthTracker(t *testing.T) {
 		t.Fatal("unknown peer must start healthy")
 	}
 	boom := errors.New("boom")
-	h.Observe("n1", 0, boom)
-	h.Observe("n1", 0, boom)
+	h.Observe("n1", boom)
+	h.Observe("n1", boom)
 	if !h.Healthy("n1") {
 		t.Fatal("2 consecutive failures under threshold 3 must stay healthy")
 	}
-	h.Observe("n1", 0, boom)
+	h.Observe("n1", boom)
 	if h.Healthy("n1") {
 		t.Fatal("3 consecutive failures must be unhealthy")
 	}
@@ -151,30 +151,21 @@ func TestHealthTracker(t *testing.T) {
 		t.Fatalf("Consecutive = %d, want 3", got)
 	}
 	// One success resets the streak.
-	h.Observe("n1", 2*time.Millisecond, nil)
-	if !h.Healthy("n1") {
+	h.Observe("n1", nil)
+	if !h.Healthy("n1") || h.Consecutive("n1") != 0 {
 		t.Fatal("success must restore health")
 	}
-	snap := h.Snapshot()
-	if len(snap) != 1 || snap[0].Node != "n1" {
-		t.Fatalf("snapshot = %+v", snap)
-	}
-	if snap[0].OK != 1 || snap[0].Failed != 3 {
-		t.Fatalf("counts = %d ok / %d failed, want 1/3", snap[0].OK, snap[0].Failed)
-	}
-	if snap[0].EWMANanos == 0 {
-		t.Fatal("EWMA not recorded")
-	}
+	h.Observe("n1", boom)
 	h.Forget("n1")
-	if len(h.Snapshot()) != 0 {
+	if h.Consecutive("n1") != 0 {
 		t.Fatal("Forget did not drop the peer")
 	}
 }
 
 func TestHealthNilSafe(t *testing.T) {
 	var h *Health
-	h.Observe("x", 0, nil)
-	if !h.Healthy("x") || h.Consecutive("x") != 0 || h.Snapshot() != nil {
+	h.Observe("x", nil)
+	if !h.Healthy("x") || h.Consecutive("x") != 0 {
 		t.Fatal("nil tracker must be a healthy no-op")
 	}
 	h.Forget("x")

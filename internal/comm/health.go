@@ -1,30 +1,10 @@
 package comm
 
-import (
-	"sort"
-	"sync"
-	"time"
-)
+import "sync"
 
 // DefaultHealthThreshold is the consecutive-failure count after which a
 // peer is reported unhealthy.
 const DefaultHealthThreshold = 3
-
-// PeerHealth is one peer's observed request health.
-type PeerHealth struct {
-	Node string
-	// OK and Failed count completed observations.
-	OK, Failed int64
-	// Consecutive counts failures since the last success.
-	Consecutive int
-	// LastErr is the most recent failure's message ("" after a success).
-	LastErr string
-	// LastChange is when the healthy/unhealthy verdict last flipped.
-	LastChange time.Time
-	// EWMANanos is the exponentially weighted moving average of
-	// successful request latency (0 until the first success).
-	EWMANanos int64
-}
 
 // Health tracks per-peer request outcomes so higher layers (the cluster
 // membership) can mark a slow or dead peer suspect instead of waiting on
@@ -34,7 +14,7 @@ type Health struct {
 	stats     *Stats // optional; counts failed observations
 
 	mu    sync.Mutex
-	peers map[string]*PeerHealth
+	peers map[string]int // consecutive failures since the last success
 }
 
 // SetStats attaches transport instrumentation: every failed observation
@@ -53,12 +33,11 @@ func NewHealth(threshold int) *Health {
 	if threshold <= 0 {
 		threshold = DefaultHealthThreshold
 	}
-	return &Health{threshold: threshold, peers: make(map[string]*PeerHealth)}
+	return &Health{threshold: threshold, peers: make(map[string]int)}
 }
 
-// Observe records one request outcome for node; d is the request latency
-// (meaningful on success, ignored on failure). Nil-safe.
-func (h *Health) Observe(node string, d time.Duration, err error) {
+// Observe records one request outcome for node. Nil-safe.
+func (h *Health) Observe(node string, err error) {
 	if h == nil {
 		return
 	}
@@ -67,30 +46,10 @@ func (h *Health) Observe(node string, d time.Duration, err error) {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ph := h.peers[node]
-	if ph == nil {
-		ph = &PeerHealth{Node: node, LastChange: time.Now()}
-		h.peers[node] = ph
-	}
-	wasHealthy := ph.Consecutive < h.threshold
 	if err != nil {
-		ph.Failed++
-		ph.Consecutive++
-		ph.LastErr = err.Error()
+		h.peers[node]++
 	} else {
-		ph.OK++
-		ph.Consecutive = 0
-		ph.LastErr = ""
-		// EWMA with alpha = 1/8: smooth enough to ride out one slow
-		// request, fresh enough to follow a degrading link.
-		if ph.EWMANanos == 0 {
-			ph.EWMANanos = int64(d)
-		} else {
-			ph.EWMANanos += (int64(d) - ph.EWMANanos) / 8
-		}
-	}
-	if wasHealthy != (ph.Consecutive < h.threshold) {
-		ph.LastChange = time.Now()
+		h.peers[node] = 0
 	}
 }
 
@@ -101,10 +60,7 @@ func (h *Health) Healthy(node string) bool {
 	if h == nil {
 		return true
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	ph := h.peers[node]
-	return ph == nil || ph.Consecutive < h.threshold
+	return h.Consecutive(node) < h.threshold
 }
 
 // Consecutive returns node's current consecutive-failure count.
@@ -114,11 +70,7 @@ func (h *Health) Consecutive(node string) int {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ph := h.peers[node]
-	if ph == nil {
-		return 0
-	}
-	return ph.Consecutive
+	return h.peers[node]
 }
 
 // Threshold returns the consecutive-failure count at which a peer is
@@ -138,19 +90,4 @@ func (h *Health) Forget(node string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	delete(h.peers, node)
-}
-
-// Snapshot returns every tracked peer's health, sorted by node name.
-func (h *Health) Snapshot() []PeerHealth {
-	if h == nil {
-		return nil
-	}
-	h.mu.Lock()
-	out := make([]PeerHealth, 0, len(h.peers))
-	for _, ph := range h.peers {
-		out = append(out, *ph)
-	}
-	h.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Node < out[j].Node })
-	return out
 }

@@ -153,12 +153,15 @@ func TestRemoteReadEdges(t *testing.T) {
 }
 
 func TestRemoteStatsAndTiers(t *testing.T) {
-	c, _ := daemon(t)
+	c, srv := daemon(t)
 	c.CreateFile("f", 8*4096)
 	f, _ := c.Open("f")
 	defer f.Close()
 	buf := make([]byte, 4096)
 	f.ReadAt(buf, 0)
+	// The read event is audited asynchronously; wait for it before
+	// asserting the auditor's read counter.
+	srv.Flush()
 	st, err := c.ServerStats()
 	if err != nil {
 		t.Fatal(err)

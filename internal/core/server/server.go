@@ -9,7 +9,6 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -384,21 +383,6 @@ func (s *Server) Lookup(id seg.ID) (node, tier string, ok bool) {
 	return s.aud.Mapping(id)
 }
 
-// ReadFromTier reads from a resident segment in this node's named tier.
-// ok is false when the segment is not actually resident (stale mapping),
-// in which case the caller falls back to the PFS.
-func (s *Server) ReadFromTier(tier string, id seg.ID, off int64, p []byte) (int, bool) {
-	st, _ := s.hier.ByName(tier)
-	if st == nil {
-		return 0, false
-	}
-	n, _, err := st.ReadAt(id, off, p)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
-}
-
 // ReadPrefetched serves a read of segment id at intra-segment offset off
 // from wherever the hierarchy holds it: a local tier, a shared tier, or
 // a remote node's tier through the node-to-node communicator. ok is
@@ -481,7 +465,8 @@ func (s *Server) sampleAccess(lc *telemetry.Lifecycle, id seg.ID, off int64, len
 }
 
 // serve resolves the segment mapping and reads from the resolved tier,
-// local or remote. ok is false on an absent or stale mapping.
+// local or remote. ok is false on an absent or stale mapping (the
+// segment is not actually resident where the mapping says).
 //
 //hfetch:hotpath
 func (s *Server) serve(id seg.ID, off int64, p []byte) (n int, tier string, ok bool) {
@@ -490,7 +475,13 @@ func (s *Server) serve(id seg.ID, off int64, p []byte) (n int, tier string, ok b
 		return 0, "", false
 	}
 	if node == "" || node == s.cfg.Node || s.shared[tier] {
-		n, ok = s.ReadFromTier(tier, id, off, p)
+		st, _ := s.hier.ByName(tier)
+		if st == nil {
+			return 0, "", false
+		}
+		var err error
+		n, _, err = st.ReadAt(id, off, p)
+		ok = err == nil
 	} else if s.remote != nil {
 		n, ok = s.remote.ReadRemote(node, tier, id, off, p)
 	} else {
@@ -500,45 +491,6 @@ func (s *Server) serve(id seg.ID, off int64, p []byte) (n int, tier string, ok b
 		return 0, "", false
 	}
 	return n, tier, true
-}
-
-// ReadRange serves up to len(p) bytes of file starting at off into the
-// caller's buffer, resolving the whole range's segments vectored — one
-// lock acquisition per tier — through an internal RangeView: tier hits
-// are copied once from the pinned payloads (the fill of p is this API's
-// contract; callers that can consume bytes by reference should hold a
-// RangeView via OpenRangeView instead and skip even that copy), misses
-// go through ReadPrefetched (including the stall/rescue path) and then
-// the PFS. size is the caller's pinned view of the file length —
-// normally from a Stat when the request opened — so a concurrent
-// truncation cannot over-read. It returns the bytes written into p plus
-// segment-grain hit/miss counts for the caller's telemetry. The path
-// performs no steady-state allocations (views are pooled).
-//
-//hfetch:hotpath
-func (s *Server) ReadRange(file string, size, off int64, p []byte) (n, hits, misses int, err error) {
-	v := s.OpenRangeView(file, size, off, int64(len(p)))
-	done := 0
-	for {
-		chunk, pinned, rerr := v.Next(p[done:])
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			hits, misses = v.Hits(), v.Misses()
-			v.Close()
-			return done, hits, misses, rerr
-		}
-		if pinned {
-			//lint:allow hotpath filling the caller's buffer is ReadRange's contract — the one remaining copy sits at the API boundary, not on the serve path
-			copy(p[done:], chunk)
-			tiers.CountCopied(int64(len(chunk)))
-		}
-		done += len(chunk)
-	}
-	hits, misses = v.Hits(), v.Misses()
-	v.Close()
-	return done, hits, misses, nil
 }
 
 // StallStats reports (reads that waited on an in-flight fetch, waits

@@ -71,20 +71,22 @@ func TestEventsDrivePlacement(t *testing.T) {
 		t.Fatalf("Lookup = %q %q %v", node, tier, ok)
 	}
 	buf := make([]byte, 100)
-	n, ok := srv.ReadFromTier("ram", id, 0, buf)
-	if !ok || n != 100 {
-		t.Fatalf("ReadFromTier = %d %v", n, ok)
-	}
-	n, tier, ok = srv.ReadPrefetched(id, 0, buf)
+	n, tier, ok := srv.ReadPrefetched(id, 0, buf)
 	if !ok || n != 100 || tier != "ram" {
 		t.Fatalf("ReadPrefetched = %d %q %v", n, tier, ok)
 	}
 }
 
+// TestReadFromUnknownTier: a mapping naming a tier this node does not
+// have, or a tier that no longer holds the segment, is a miss.
 func TestReadFromUnknownTier(t *testing.T) {
 	srv, _ := newServer(t, Config{})
-	if _, ok := srv.ReadFromTier("zzz", seg.ID{File: "f"}, 0, make([]byte, 1)); ok {
-		t.Fatal("unknown tier must report !ok")
+	id := seg.ID{File: "f"}
+	for _, tier := range []string{"zzz", "ram"} {
+		srv.Auditor().SetMapping(id, tier)
+		if _, _, ok := srv.ReadPrefetched(id, 0, make([]byte, 1)); ok {
+			t.Fatalf("a mapping to %q with nothing resident must report !ok", tier)
+		}
 	}
 }
 
@@ -383,15 +385,24 @@ func TestReadRangeMatchesPFSUnderPartialResidency(t *testing.T) {
 	if _, _, err := fs.ReadAt("f", 0, ref); err != nil {
 		t.Fatal(err)
 	}
-	p := make([]byte, size)
-	n, hits, misses, err := srv.ReadRange("f", size, 0, p)
-	if err != nil || int64(n) != size {
-		t.Fatalf("ReadRange = %d, %v", n, err)
+	v := srv.OpenRangeView("f", size, 0, size)
+	defer v.Close()
+	dst := make([]byte, size)
+	var got []byte
+	for {
+		chunk, _, err := v.Next(dst)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, chunk...)
 	}
-	if hits == 0 || misses == 0 {
-		t.Fatalf("hits/misses = %d/%d, want both nonzero", hits, misses)
+	if v.Hits() == 0 || v.Misses() == 0 {
+		t.Fatalf("hits/misses = %d/%d, want both nonzero", v.Hits(), v.Misses())
 	}
-	if !bytes.Equal(p, ref) {
+	if !bytes.Equal(got, ref) {
 		t.Fatal("mixed hit/miss range diverges from PFS")
 	}
 }

@@ -32,7 +32,7 @@ func (k *kernelTimer) start(tick func()) {
 		return
 	}
 	k.fd, k.f = fd, os.NewFile(fd, "devsim-clock")
-	//lint:allow pairing one per process, serving every device until exit; internal/harness/leakcheck knows it by name
+	//lint:allow goleak one per process, serving every device until exit; internal/harness/leakcheck knows it by name
 	go k.run(tick)
 }
 

@@ -340,16 +340,15 @@ func SlabInUseBytes() int64 { return ReadSlabStats().InUseBytes }
 func SlabMappedBytes() int64 { return ReadSlabStats().MappedBytes }
 
 // copiedBytes counts payload bytes memcpy'd on the read path
-// (Store.ReadAt, and the serve-path copies the server and cluster fetcher
-// report via CountCopied). The bench alloc scenario reads it before and
+// (Store.ReadAt, and the copy the cluster fetcher reports via
+// CountCopied). The bench alloc scenario reads it before and
 // after a run to compute bytes-copied-per-read; the zero-copy view path
 // leaves it untouched.
 var copiedBytes atomic.Int64
 
 // CountCopied adds n payload bytes to the read-path copy ledger. Serve
-// paths outside this package (server range fill, cluster remote-read
-// splice) report their copies here so one counter covers the whole read
-// path.
+// paths outside this package (the cluster remote-read splice) report
+// their copies here so one counter covers the whole read path.
 func CountCopied(n int64) { copiedBytes.Add(n) }
 
 // CopiedBytes returns the cumulative read-path payload bytes copied.
