@@ -64,7 +64,7 @@ func main() {
 		log.Fatalf("hfdrive: create: %v", err)
 	}
 
-	rec := telemetry.NewAccessLog(1<<16, 1)
+	rec := telemetry.NewAccessLog(1 << 16)
 	total := *size * int64(*passes)
 	fmt.Printf("driving %s: %d procs, %s pattern, %d MiB x %d passes\n",
 		*addr, *procs, p, *size>>20, *passes)
@@ -143,7 +143,7 @@ func replayScript(addr, path, traceOut string) {
 	fmt.Printf("replaying %q: %d apps, %d procs, %d files\n",
 		doc.Name, len(apps), procs, len(doc.Files))
 
-	rec := telemetry.NewAccessLog(1<<16, 1)
+	rec := telemetry.NewAccessLog(1 << 16)
 	start := time.Now()
 	var wg sync.WaitGroup
 	for _, app := range apps {

@@ -100,22 +100,20 @@ func main() {
 		}
 		printMetrics(snap)
 	case "spans":
-		recs, err := c.Spans()
+		_, recs, err := c.TraceRecords()
 		if err != nil {
 			log.Fatalf("hfetchctl: %v", err)
 		}
 		if len(recs) == 0 {
-			fmt.Println("no sampled spans (telemetry or span log disabled, or no traffic yet)")
+			fmt.Println("no traced spans (telemetry or lifecycle tracing disabled, or no traffic yet)")
 			return
 		}
 		fmt.Printf("%-12s %-24s %8s %-8s %12s\n", "STAGE", "FILE", "SEG", "TIER", "DURATION")
 		for _, r := range recs {
-			seg := "-"
-			if r.Seg >= 0 {
-				seg = strconv.FormatInt(r.Seg, 10)
+			for _, e := range r.Events {
+				fmt.Printf("%-12s %-24s %8d %-8s %12v\n",
+					e.Stage, ellipsis(r.File, 24), r.Seg, orDash(e.Tier), time.Duration(e.Nanos).Round(time.Microsecond))
 			}
-			fmt.Printf("%-12s %-24s %8s %-8s %12v\n",
-				r.Stage, ellipsis(r.File, 24), seg, orDash(r.Tier), time.Duration(r.Nanos).Round(time.Microsecond))
 		}
 	case "tiers":
 		ti, err := c.Tiers()
@@ -581,7 +579,7 @@ commands:
   tiers                     show tier occupancy
   nodes                     show cluster membership (state, heartbeat age, keys, fetch p99)
   metrics [-fleet] [raw]    show telemetry (raw = Prometheus text; -fleet merges all members)
-  spans                     show sampled pipeline spans
+  spans                     show the span events of recent lifecycle traces
   trace [-csv|-fleet] [-o file]  export lifecycle traces (Perfetto JSON; -fleet = one lane per node)
   top [-interval d] [-n k] [-fleet]  live status view (hit ratio, tiers, mover, gateway, effectiveness)
   create <name> <size>      register a synthetic file

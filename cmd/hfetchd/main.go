@@ -3,7 +3,7 @@
 // monitor and the hierarchical data placement engine, and serves the
 // agent protocol (open/read/write/close + admin/ctl) over TCP. When
 // http_listen is configured it also serves the observability API:
-// /metrics (Prometheus text), /healthz, /stats, /tiers, /spans,
+// /metrics (Prometheus text), /healthz, /stats, /tiers,
 // /debug/trace (Perfetto-loadable lifecycle traces), and /debug/pprof.
 //
 // Usage:
@@ -251,7 +251,7 @@ func main() {
 			logger.Info("serving HTTP API",
 				"component", "http",
 				"addr", cfg.HTTPListen,
-				"endpoints", "/files/{path} /metrics /healthz /stats /tiers /spans /debug/trace /debug/pprof",
+				"endpoints", "/files/{path} /metrics /healthz /stats /tiers /debug/trace /debug/pprof",
 				"stream_detect", cfg.StreamDetect,
 				"tenant_rps", cfg.TenantRPS)
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
@@ -368,15 +368,7 @@ func build(cfg config.Config) (*daemon, error) {
 
 	var reg *telemetry.Registry
 	if !cfg.DisableTelemetry {
-		size, every := cfg.SpanLogSize, cfg.SpanSampleEvery
-		if size <= 0 {
-			size = 256
-		}
-		if every <= 0 {
-			every = 16
-		}
 		reg = telemetry.NewRegistry()
-		reg.EnableSpans(size, every)
 		if cfg.TimeSampleEvery > 0 {
 			reg.SetTimeSampling(cfg.TimeSampleEvery)
 		}

@@ -17,7 +17,6 @@ import (
 	"hfetch/internal/devsim"
 	"hfetch/internal/dhm"
 	"hfetch/internal/gateway"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
 	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
@@ -110,10 +109,6 @@ type Config struct {
 	// timings; see Node.Telemetry and Cluster.TelemetrySnapshot). Off by
 	// default: the instrumentation then costs ~nothing on the read path.
 	EnableTelemetry bool
-	// SpanLogSize and SpanSampleEvery tune the sampled pipeline-span ring
-	// each node keeps when telemetry is on (defaults 256 and 16).
-	SpanLogSize     int
-	SpanSampleEvery int
 	// EnableLifecycle attaches the causal segment tracer and the
 	// prefetch-effectiveness ledger to each node's registry (requires
 	// EnableTelemetry). Every prefetch is then classified
@@ -351,12 +346,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	if len(cfg.Tiers) == 0 {
 		cfg.Tiers = DefaultTiers(8<<20, 24<<20, 32<<20)
 	}
-	if cfg.SpanLogSize <= 0 {
-		cfg.SpanLogSize = 256
-	}
-	if cfg.SpanSampleEvery <= 0 {
-		cfg.SpanSampleEvery = 16
-	}
 	pfsProf := devsim.Profile{
 		Name:        "pfs",
 		Latency:     cfg.PFS.Latency,
@@ -437,7 +426,6 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			// tier occupancy) are bound to a single server each; merge
 			// per-node snapshots with Cluster.TelemetrySnapshot.
 			reg = telemetry.NewRegistry()
-			reg.EnableSpans(cfg.SpanLogSize, cfg.SpanSampleEvery)
 			if cfg.TimeSampleEvery > 0 {
 				reg.SetTimeSampling(cfg.TimeSampleEvery)
 			}
@@ -653,16 +641,9 @@ func (n *Node) GatewayHandler() http.Handler {
 }
 
 // NewClient creates a client (application process) attached to this
-// node's server. Clients sharing one application should share stats via
-// NewClientWithStats.
+// node's server, with its own read statistics.
 func (n *Node) NewClient() *Client {
-	return n.NewClientWithStats(nil)
-}
-
-// NewClientWithStats creates a client recording into the given stats
-// collector (nil allocates a private one).
-func (n *Node) NewClientWithStats(stats *metrics.IOStats) *Client {
-	ag := agent.New(n.srv, n.srv.FS(), stats)
+	ag := agent.New(n.srv, n.srv.FS(), nil)
 	ag.SetTelemetry(n.srv.Telemetry())
 	return &Client{agent: ag}
 }
@@ -682,7 +663,7 @@ func (c *Client) Open(name string) (*File, error) {
 }
 
 // Stats returns the client's I/O statistics (hits, misses, per-tier).
-func (c *Client) Stats() *metrics.IOStats { return c.agent.Stats() }
+func (c *Client) Stats() *telemetry.ReadStats { return c.agent.Stats() }
 
 // File is an open file handle; reads are transparently served from the
 // hierarchy.

@@ -111,7 +111,7 @@ func TestOneConfiguration(t *testing.T) {
 	notPipeline := map[string]bool{
 		// the deployment's and the caller's
 		"Nodes": true, "Tiers": true, "ClusterFabric": true, "ClusterHeartbeat": true, "ClusterTransport": true,
-		"EnableML": true, "EnableTelemetry": true, "SpanLogSize": true, "SpanSampleEvery": true, "EnableLifecycle": true,
+		"EnableML": true, "EnableTelemetry": true, "EnableLifecycle": true,
 		"LifecycleRing": true, "LifecycleSampleEvery": true, "LifecycleMaxActive": true, "TimeSampleEvery": true,
 		// deprecated, read by nothing
 		"DaemonThreads": true, "WorkersPerShard": true, "AsyncMover": true,

@@ -3,7 +3,7 @@
 //
 // Rule A — inside the telemetry package: every exported method with a
 // pointer receiver on a nil-safe type (Registry, Lifecycle, Counter,
-// Gauge, Histogram, SpanLog, AccessLog, CounterVec, HistVec) must
+// Gauge, Histogram, AccessLog, CounterVec, HistVec) must
 // establish its nil guard in the first statement: a `recv == nil`
 // comparison (guard-and-return or `return recv != nil`), or pure
 // delegation to another method of the same receiver. This is what makes
@@ -50,7 +50,7 @@ func DefaultConfig() Config {
 		Pkg: "hfetch/internal/telemetry",
 		NilSafe: []string{
 			"Registry", "Lifecycle", "Counter", "Gauge", "Histogram",
-			"SpanLog", "AccessLog", "CounterVec", "HistVec", "Watchdog",
+			"AccessLog", "CounterVec", "HistVec", "Watchdog",
 		},
 		Gated: []string{"Lifecycle", "Watchdog"},
 	}

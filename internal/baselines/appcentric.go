@@ -6,8 +6,8 @@ import (
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 )
 
 // AppCentricConfig configures the application-centric comparator.
@@ -40,7 +40,7 @@ type AppCentric struct {
 	fs    *pfs.FS
 	segr  *seg.Segmenter
 	cfg   AppCentricConfig
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 
 	queue chan appFetchReq
 	wg    sync.WaitGroup
@@ -109,7 +109,7 @@ func NewAppCentric(fs *pfs.FS, cfg AppCentricConfig) *AppCentric {
 		fs:        fs,
 		segr:      seg.NewSegmenter(cfg.SegmentSize),
 		cfg:       cfg,
-		stats:     metrics.NewIOStats(),
+		stats:     telemetry.NewReadStats(),
 		queue:     make(chan appFetchReq, 4096),
 		caches:    make(map[string]*lruCache),
 		detectors: make(map[string]*strideDetector),
@@ -125,7 +125,7 @@ func NewAppCentric(fs *pfs.FS, cfg AppCentricConfig) *AppCentric {
 func (s *AppCentric) Name() string { return "app-centric" }
 
 // Stats implements System.
-func (s *AppCentric) Stats() *metrics.IOStats { return s.stats }
+func (s *AppCentric) Stats() *telemetry.ReadStats { return s.stats }
 
 // Stop implements System.
 func (s *AppCentric) Stop() {

@@ -27,7 +27,7 @@
 package baselines
 
 import (
-	"hfetch/internal/metrics"
+	"hfetch/internal/telemetry"
 )
 
 // Handle is an open file within a System.
@@ -45,7 +45,7 @@ type System interface {
 	// app).
 	Open(app, file string) (Handle, error)
 	// Stats aggregates hit/miss statistics across all handles.
-	Stats() *metrics.IOStats
+	Stats() *telemetry.ReadStats
 	// Stop tears the system down.
 	Stop()
 }

@@ -3,28 +3,28 @@ package baselines
 import (
 	"hfetch/internal/core/agent"
 	"hfetch/internal/core/server"
-	"hfetch/internal/metrics"
+	"hfetch/internal/telemetry"
 )
 
 // HFetch adapts an HFetch server node to the System interface so the
 // experiment harness can drive it alongside the comparators.
 type HFetch struct {
 	srv   *server.Server
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 	owned bool
 }
 
 // NewHFetch wraps a started server. When owned is true, Stop tears the
 // server down too.
 func NewHFetch(srv *server.Server, owned bool) *HFetch {
-	return &HFetch{srv: srv, stats: metrics.NewIOStats(), owned: owned}
+	return &HFetch{srv: srv, stats: telemetry.NewReadStats(), owned: owned}
 }
 
 // Name implements System.
 func (h *HFetch) Name() string { return "hfetch" }
 
 // Stats implements System.
-func (h *HFetch) Stats() *metrics.IOStats { return h.stats }
+func (h *HFetch) Stats() *telemetry.ReadStats { return h.stats }
 
 // Stop implements System.
 func (h *HFetch) Stop() {

@@ -7,8 +7,8 @@ import (
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 )
 
 // InMemConfig configures the Figure 4(b) in-memory comparators.
@@ -34,7 +34,7 @@ type InMemOptimal struct {
 	fs    *pfs.FS
 	segr  *seg.Segmenter
 	cfg   InMemConfig
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 
 	mu      sync.Mutex
 	handles int
@@ -56,7 +56,7 @@ func NewInMemOptimal(fs *pfs.FS, cfg InMemConfig) *InMemOptimal {
 		fs:    fs,
 		segr:  seg.NewSegmenter(cfg.SegmentSize),
 		cfg:   cfg,
-		stats: metrics.NewIOStats(),
+		stats: telemetry.NewReadStats(),
 	}
 }
 
@@ -64,7 +64,7 @@ func NewInMemOptimal(fs *pfs.FS, cfg InMemConfig) *InMemOptimal {
 func (s *InMemOptimal) Name() string { return "inmem-optimal" }
 
 // Stats implements System.
-func (s *InMemOptimal) Stats() *metrics.IOStats { return s.stats }
+func (s *InMemOptimal) Stats() *telemetry.ReadStats { return s.stats }
 
 // Stop implements System.
 func (s *InMemOptimal) Stop() { s.wg.Wait() }
@@ -197,7 +197,7 @@ func NewInMemNaive(fs *pfs.FS, cfg InMemConfig) *InMemNaive {
 func (s *InMemNaive) Name() string { return "inmem-naive" }
 
 // Stats implements System.
-func (s *InMemNaive) Stats() *metrics.IOStats { return s.pf.Stats() }
+func (s *InMemNaive) Stats() *telemetry.ReadStats { return s.pf.Stats() }
 
 // Stop implements System.
 func (s *InMemNaive) Stop() { s.pf.Stop() }

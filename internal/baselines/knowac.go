@@ -6,8 +6,8 @@ import (
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 )
 
 // KnowAcConfig configures the history-based comparator.
@@ -37,7 +37,7 @@ type KnowAc struct {
 	segr  *seg.Segmenter
 	cfg   KnowAcConfig
 	cache *lruCache
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 
 	mu        sync.Mutex
 	profiling bool
@@ -69,7 +69,7 @@ func NewKnowAc(fs *pfs.FS, cfg KnowAcConfig) *KnowAc {
 		segr:   seg.NewSegmenter(cfg.SegmentSize),
 		cfg:    cfg,
 		cache:  newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
-		stats:  metrics.NewIOStats(),
+		stats:  telemetry.NewReadStats(),
 		pos:    make(map[seg.ID][]int),
 		stopCh: make(chan struct{}),
 		wakeCh: make(chan struct{}, 1),
@@ -80,7 +80,7 @@ func NewKnowAc(fs *pfs.FS, cfg KnowAcConfig) *KnowAc {
 func (k *KnowAc) Name() string { return "knowac" }
 
 // Stats implements System.
-func (k *KnowAc) Stats() *metrics.IOStats { return k.stats }
+func (k *KnowAc) Stats() *telemetry.ReadStats { return k.stats }
 
 // Stop implements System.
 func (k *KnowAc) Stop() {
@@ -110,7 +110,7 @@ func (k *KnowAc) FinishProfile() {
 	started := k.started
 	k.started = true
 	k.mu.Unlock()
-	k.stats = metrics.NewIOStats()
+	k.stats = telemetry.NewReadStats()
 	if !started {
 		for w := 0; w < k.cfg.Workers; w++ {
 			k.wg.Add(1)

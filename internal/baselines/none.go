@@ -2,27 +2,28 @@ package baselines
 
 import (
 	"fmt"
+	"time"
 
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 )
 
 // None is the no-prefetching baseline: every read is a PFS read.
 type None struct {
 	fs    *pfs.FS
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 }
 
 // NewNone creates the baseline over the shared PFS.
 func NewNone(fs *pfs.FS) *None {
-	return &None{fs: fs, stats: metrics.NewIOStats()}
+	return &None{fs: fs, stats: telemetry.NewReadStats()}
 }
 
 // Name implements System.
 func (n *None) Name() string { return "none" }
 
 // Stats implements System.
-func (n *None) Stats() *metrics.IOStats { return n.stats }
+func (n *None) Stats() *telemetry.ReadStats { return n.stats }
 
 // Stop implements System.
 func (n *None) Stop() {}
@@ -41,13 +42,13 @@ type noneHandle struct {
 }
 
 func (h *noneHandle) ReadAt(p []byte, off int64) (int, error) {
-	t := metrics.StartTimer()
+	start := time.Now()
 	got, _, err := h.sys.fs.ReadAt(h.file, off, p)
 	if err != nil {
 		return 0, err
 	}
 	h.sys.stats.Miss(int64(got))
-	h.sys.stats.ObserveRead(t.Elapsed())
+	h.sys.stats.ObserveRead(time.Since(start))
 	return got, nil
 }
 

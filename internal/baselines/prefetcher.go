@@ -3,11 +3,12 @@ package baselines
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 )
 
 // PrefetcherConfig configures the single-tier readahead prefetchers.
@@ -42,7 +43,7 @@ type Prefetcher struct {
 	fs    *pfs.FS
 	segr  *seg.Segmenter
 	cache *lruCache
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 
 	queue chan fetchReq
 	depth int
@@ -81,7 +82,7 @@ func NewPrefetcher(fs *pfs.FS, cfg PrefetcherConfig) *Prefetcher {
 		fs:    fs,
 		segr:  seg.NewSegmenter(cfg.SegmentSize),
 		cache: newCache(cfg.CacheBytes, cfg.CacheDevice, cfg.Eviction, cfg.Lambda),
-		stats: metrics.NewIOStats(),
+		stats: telemetry.NewReadStats(),
 		queue: make(chan fetchReq, cfg.QueueLen),
 		depth: cfg.Depth,
 		sizes: make(map[string]int64),
@@ -97,7 +98,7 @@ func NewPrefetcher(fs *pfs.FS, cfg PrefetcherConfig) *Prefetcher {
 func (p *Prefetcher) Name() string { return p.name }
 
 // Stats implements System.
-func (p *Prefetcher) Stats() *metrics.IOStats { return p.stats }
+func (p *Prefetcher) Stats() *telemetry.ReadStats { return p.stats }
 
 // Stop implements System.
 func (p *Prefetcher) Stop() {
@@ -186,7 +187,7 @@ type readCtx struct {
 	segr     *seg.Segmenter
 	cache    *lruCache
 	fs       *pfs.FS
-	stats    *metrics.IOStats
+	stats    *telemetry.ReadStats
 	onAccess func(idx int64)
 	tierName string
 }
@@ -209,7 +210,7 @@ func readViaCache(ctx readCtx, p []byte, off int64) (int, error) {
 	if tier == "" {
 		tier = "ram"
 	}
-	t := metrics.StartTimer()
+	start := time.Now()
 	n := int64(0)
 	for n < want {
 		cur := off + n
@@ -249,6 +250,6 @@ func readViaCache(ctx readCtx, p []byte, off int64) (int, error) {
 			ctx.onAccess(idx)
 		}
 	}
-	ctx.stats.ObserveRead(t.Elapsed())
+	ctx.stats.ObserveRead(time.Since(start))
 	return int(n), nil
 }

@@ -6,8 +6,8 @@ import (
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 )
 
 // StackerConfig configures the online learned comparator.
@@ -39,7 +39,7 @@ type Stacker struct {
 	segr  *seg.Segmenter
 	cfg   StackerConfig
 	cache *lruCache
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 
 	queue chan fetchReq
 	wg    sync.WaitGroup
@@ -69,7 +69,7 @@ func NewStacker(fs *pfs.FS, cfg StackerConfig) *Stacker {
 		segr:  seg.NewSegmenter(cfg.SegmentSize),
 		cfg:   cfg,
 		cache: newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
-		stats: metrics.NewIOStats(),
+		stats: telemetry.NewReadStats(),
 		queue: make(chan fetchReq, 4096),
 		trans: make(map[seg.ID]map[int64]int),
 		last:  make(map[string]int64),
@@ -85,7 +85,7 @@ func NewStacker(fs *pfs.FS, cfg StackerConfig) *Stacker {
 func (s *Stacker) Name() string { return "stacker" }
 
 // Stats implements System.
-func (s *Stacker) Stats() *metrics.IOStats { return s.stats }
+func (s *Stacker) Stats() *telemetry.ReadStats { return s.stats }
 
 // Stop implements System.
 func (s *Stacker) Stop() {

@@ -43,7 +43,7 @@ type Config struct {
 	Node   string `json:"node"`
 	Listen string `json:"listen"`
 	// HTTPListen serves the read-only status API (/healthz, /stats,
-	// /tiers, /metrics, /spans, /debug/pprof) when non-empty.
+	// /tiers, /metrics, /debug/trace, /debug/pprof) when non-empty.
 	HTTPListen string `json:"http_listen,omitempty"`
 	// PeerListen, when non-empty, turns the daemon into a cluster
 	// member: a second TCP listener carries peer traffic (heartbeats,
@@ -68,10 +68,6 @@ type Config struct {
 	// default in the daemon; the registry costs one pointer check per
 	// instrumented operation plus the timestamp reads).
 	DisableTelemetry bool `json:"disable_telemetry,omitempty"`
-	// SpanLogSize is the sampled pipeline-span ring size (default 256).
-	SpanLogSize int `json:"span_log_size,omitempty"`
-	// SpanSampleEvery samples one pipeline span in every N (default 16).
-	SpanSampleEvery int `json:"span_sample_every,omitempty"`
 	// TimeSampleEvery times one in every N hot-path operations for the
 	// latency histograms (default 8; 1 times everything).
 	TimeSampleEvery int `json:"time_sample_every,omitempty"`

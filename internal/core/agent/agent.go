@@ -15,7 +15,6 @@ import (
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/events"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
 	"hfetch/internal/telemetry"
 )
@@ -37,7 +36,7 @@ type ServerAPI interface {
 type Agent struct {
 	api   ServerAPI
 	fs    *pfs.FS
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 
 	// Telemetry handles; nil when disabled (their methods no-op).
 	tele    *telemetry.Registry
@@ -46,9 +45,9 @@ type Agent struct {
 
 // New creates an agent. stats may be shared across agents of one
 // emulated application; nil allocates a private collector.
-func New(api ServerAPI, fs *pfs.FS, stats *metrics.IOStats) *Agent {
+func New(api ServerAPI, fs *pfs.FS, stats *telemetry.ReadStats) *Agent {
 	if stats == nil {
-		stats = metrics.NewIOStats()
+		stats = telemetry.NewReadStats()
 	}
 	return &Agent{api: api, fs: fs, stats: stats}
 }
@@ -67,7 +66,7 @@ func (a *Agent) SetTelemetry(reg *telemetry.Registry) {
 }
 
 // Stats returns the agent's I/O statistics collector.
-func (a *Agent) Stats() *metrics.IOStats { return a.stats }
+func (a *Agent) Stats() *telemetry.ReadStats { return a.stats }
 
 // File is an open handle participating in a prefetching epoch.
 type File struct {

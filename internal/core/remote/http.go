@@ -19,7 +19,6 @@ import (
 //	                     telemetry registry (histograms included); when
 //	                     the daemon runs without telemetry, a coarse
 //	                     counter-only fallback rendered from StatsReply
-//	GET /spans        -> JSON sampled pipeline spans, most recent first
 //	GET /debug/trace  -> Chrome trace_event JSON of lifecycle traces
 //	                     (load in Perfetto / chrome://tracing); ?csv=1
 //	                     switches to the access-record CSV
@@ -43,10 +42,6 @@ func NewHTTPHandler(srv *server.Server) http.Handler {
 			writeLegacyMetrics(w, srv)
 		})
 	}
-	mux.HandleFunc("GET /spans", func(w http.ResponseWriter, r *http.Request) {
-		recs := srv.Telemetry().Spans().Recent()
-		writeJSON(w, spansReply{Spans: recs})
-	})
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		csv := r.URL.Query().Get("csv") == "1"
 		data, err := RenderTrace(srv, csv)

@@ -14,7 +14,8 @@ import (
 	"hfetch/internal/tiers"
 )
 
-// daemonTelemetry is daemon with a metric registry and span log attached.
+// daemonTelemetry is daemon with a metric registry and a lifecycle tracer
+// that traces every event.
 func daemonTelemetry(t *testing.T) (*Client, *server.Server) {
 	t.Helper()
 	fs := pfs.New(nil)
@@ -23,7 +24,7 @@ func daemonTelemetry(t *testing.T) (*Client, *server.Server) {
 	hier := tiers.NewHierarchy(ram, nvme)
 	stats, maps := server.NewLocalMaps("daemon0")
 	reg := telemetry.NewRegistry()
-	reg.EnableSpans(64, 1)
+	reg.EnableLifecycle(0, 1, 0)
 	reg.SetTimeSampling(1)
 	srv, err := server.New(server.Config{
 		Node:        "daemon0",
@@ -123,19 +124,21 @@ func TestRemoteSpans(t *testing.T) {
 	c, srv := daemonTelemetry(t)
 	readTwice(t, c, srv)
 
-	recs, err := c.Spans()
+	// hfetchctl spans lists the span events of the lifecycle traces.
+	_, recs, err := c.TraceRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) == 0 {
-		t.Fatal("span log sampled nothing despite every=1")
-	}
 	stages := map[string]bool{}
 	for _, r := range recs {
-		stages[r.Stage] = true
+		for _, e := range r.Events {
+			if r.File == "data/m" && r.Seg == 0 {
+				stages[e.Stage] = true
+			}
+		}
 	}
-	if !stages[telemetry.StageQueueWait] || !stages[telemetry.StageAudit] {
-		t.Fatalf("expected queue_wait and audit spans, got %v", stages)
+	if !stages[telemetry.StageEvent] || !stages[telemetry.StageAudit] {
+		t.Fatalf("expected event and audit spans in data/m#0's traces, got %v", stages)
 	}
 }
 
@@ -148,12 +151,12 @@ func TestRemoteMetricsDisabled(t *testing.T) {
 	if len(snap.Metrics) != 0 {
 		t.Fatalf("telemetry-disabled daemon must return an empty snapshot, got %d series", len(snap.Metrics))
 	}
-	recs, err := c.Spans()
+	_, recs, err := c.TraceRecords()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(recs) != 0 {
-		t.Fatalf("telemetry-disabled daemon must return no spans, got %d", len(recs))
+		t.Fatalf("telemetry-disabled daemon must return no traces, got %d", len(recs))
 	}
 }
 
@@ -182,14 +185,24 @@ func TestHTTPTelemetryEndpoints(t *testing.T) {
 		}
 	}
 
+	// Pipeline spans are served inside the lifecycle traces.
 	rr = httptest.NewRecorder()
-	h.ServeHTTP(rr, httptest.NewRequest("GET", "/spans", nil))
-	var sp spansReply
-	if err := json.Unmarshal(rr.Body.Bytes(), &sp); err != nil {
+	h.ServeHTTP(rr, httptest.NewRequest("GET", "/debug/trace", nil))
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(sp.Spans) == 0 {
-		t.Fatal("/spans returned no sampled spans")
+	audited := false
+	for _, e := range doc.TraceEvents {
+		audited = audited || (e.Name == telemetry.StageAudit && e.Ph == "X")
+	}
+	if !audited {
+		t.Fatalf("/debug/trace has no audit span: %s", rr.Body.String())
 	}
 
 	rr = httptest.NewRecorder()

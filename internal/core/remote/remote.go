@@ -10,12 +10,12 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"time"
 
 	"hfetch/internal/comm"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/core/server"
 	"hfetch/internal/events"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
 	"hfetch/internal/telemetry"
 )
@@ -29,7 +29,6 @@ const (
 	MsgStats   = "ctl.stats"
 	MsgTiers   = "ctl.tiers"
 	MsgMetrics = "ctl.metrics"
-	MsgSpans   = "ctl.spans"
 	MsgTrace   = "ctl.trace"
 	// MsgTraceRecs returns the raw lifecycle records plus the node name,
 	// so fleet-level callers (hfetchctl trace -fleet) can merge lanes from
@@ -58,10 +57,6 @@ type writeReq struct {
 }
 
 type closeReq struct{ File string }
-
-// spansReply wraps the sampled span list so an empty list still
-// round-trips through gob (a bare nil slice encodes to nothing).
-type spansReply struct{ Spans []telemetry.SpanRecord }
 
 // traceReq selects the lifecycle export format: Chrome trace_event JSON
 // (the default, loadable in Perfetto) or the legacy access-record CSV.
@@ -93,7 +88,7 @@ type StatsReply struct {
 	RemoteServes  int64
 	// IO is the server-side read accounting (hits, misses, bytes,
 	// per-tier hit counts) across every agent the daemon serves.
-	IO metrics.IOSnapshot
+	IO telemetry.ReadSnapshot
 }
 
 // TierInfo is one tier's line in the ctl.tiers reply.
@@ -169,13 +164,6 @@ func Serve(mux *comm.Mux, srv *server.Server) {
 			snap = reg.Snapshot()
 		}
 		return enc(snap)
-	})
-	mux.Register(MsgSpans, func(raw []byte) ([]byte, error) {
-		var recs []telemetry.SpanRecord
-		if reg := srv.Telemetry(); reg != nil {
-			recs = reg.Spans().Recent()
-		}
-		return enc(spansReply{Spans: recs})
 	})
 	mux.Register(MsgTrace, func(raw []byte) ([]byte, error) {
 		var req traceReq
@@ -266,7 +254,7 @@ func serveRead(srv *server.Server, req readReq) ([]byte, string, error) {
 // Client is a remote HFetch agent speaking to an hfetchd daemon.
 type Client struct {
 	peer  comm.Peer
-	stats *metrics.IOStats
+	stats *telemetry.ReadStats
 }
 
 // Dial connects to a daemon at addr.
@@ -275,16 +263,16 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{peer: peer, stats: metrics.NewIOStats()}, nil
+	return &Client{peer: peer, stats: telemetry.NewReadStats()}, nil
 }
 
 // NewClient wraps an existing peer (tests use the in-process fabric).
 func NewClient(peer comm.Peer) *Client {
-	return &Client{peer: peer, stats: metrics.NewIOStats()}
+	return &Client{peer: peer, stats: telemetry.NewReadStats()}
 }
 
 // Stats returns the client-side I/O statistics.
-func (c *Client) Stats() *metrics.IOStats { return c.stats }
+func (c *Client) Stats() *telemetry.ReadStats { return c.stats }
 
 // Close releases the connection.
 func (c *Client) Close() error { return c.peer.Close() }
@@ -313,17 +301,6 @@ func (c *Client) Metrics() (telemetry.Snapshot, error) {
 	var out telemetry.Snapshot
 	err = dec(raw, &out)
 	return out, err
-}
-
-// Spans queries the daemon's sampled pipeline spans, most recent first.
-func (c *Client) Spans() ([]telemetry.SpanRecord, error) {
-	raw, err := c.peer.Request(MsgSpans, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out spansReply
-	err = dec(raw, &out)
-	return out.Spans, err
 }
 
 // RenderTrace renders the server's lifecycle export: Chrome trace_event
@@ -436,7 +413,7 @@ func (f *File) ReadAtTier(p []byte, off int64) (int, string, error) {
 	if err != nil {
 		return 0, "", err
 	}
-	t := metrics.StartTimer()
+	start := time.Now()
 	raw, err := f.c.peer.Request(MsgRead, req)
 	if err != nil {
 		return 0, "", err
@@ -451,7 +428,7 @@ func (f *File) ReadAtTier(p []byte, off int64) (int, string, error) {
 	} else {
 		f.c.stats.Miss(int64(n))
 	}
-	f.c.stats.ObserveRead(t.Elapsed())
+	f.c.stats.ObserveRead(time.Since(start))
 	return n, resp.Tier, nil
 }
 

@@ -202,7 +202,6 @@ func (v *RangeView) accountHit(i int, segStart, segLen int64) {
 		lc.OnReadHit(id.File, id.Index, tier, false)
 	}
 	s.iostats.Hit(tier, hi-lo)
-	s.hitVec.With(tier).Inc()
 }
 
 // Hits returns the per-segment tier-hit count so far.

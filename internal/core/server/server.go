@@ -24,7 +24,6 @@ import (
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
-	"hfetch/internal/metrics"
 	"hfetch/internal/pfs"
 	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
@@ -104,13 +103,12 @@ type Server struct {
 	swept     atomic.Int64
 
 	// Server-side I/O accounting: every ReadPrefetched outcome, local or
-	// on behalf of a remote agent.
-	iostats *metrics.IOStats
+	// on behalf of a remote agent. The registry's hit and miss families
+	// are views over it.
+	iostats *telemetry.ReadStats
 
 	// Telemetry handles for the read hot path; nil when disabled.
 	tele      *telemetry.Registry
-	hitVec    *telemetry.CounterVec
-	missCtr   *telemetry.Counter
 	readHist  *telemetry.HistVec
 	stallHist *telemetry.Histogram
 
@@ -184,7 +182,7 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		ioc:      ioc,
 		shared:   shared,
 		peers:    make(map[string]comm.Peer),
-		iostats:  metrics.NewIOStats(),
+		iostats:  telemetry.NewReadStats(),
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		s.tele = reg
@@ -192,8 +190,7 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 			lc.SetGrain(segr.Size())
 			lc.SetOrigin(cfg.Node)
 		}
-		s.hitVec = reg.CounterVec("hfetch_tier_read_hits_total", "segment reads served from the tier", "tier")
-		s.missCtr = reg.Counter("hfetch_read_misses_total", "segment reads that fell back to the PFS")
+		reg.CounterFunc("hfetch_read_misses_total", "segment reads that fell back to the PFS", s.iostats.Misses)
 		s.readHist = reg.HistVec("hfetch_tier_read_nanos", "prefetched-read latency by serving tier in nanoseconds", "tier")
 		s.stallHist = reg.Histogram("hfetch_read_stall_nanos", "time reads blocked waiting for an in-flight mover fetch")
 		reg.CounterFunc("hfetch_read_stalls_total", "reads that waited on an in-flight mover fetch", s.stalls.Load)
@@ -212,6 +209,7 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		})
 		for _, st := range hier.Stores() {
 			st := st
+			reg.CounterFunc("hfetch_tier_read_hits_total", "segment reads served from the tier", s.iostats.TierCounter(st.Name()), "tier", st.Name())
 			reg.GaugeFunc("hfetch_tier_capacity_bytes", "tier cache capacity", func() int64 { return st.Capacity() }, "tier", st.Name())
 			reg.GaugeFunc("hfetch_tier_used_bytes", "tier bytes resident", func() int64 { return st.Used() }, "tier", st.Name())
 			reg.GaugeFunc("hfetch_tier_segments", "segments resident in the tier", func() int64 { return int64(st.Len()) }, "tier", st.Name())
@@ -420,7 +418,7 @@ func (s *Server) ReadPrefetched(id seg.ID, off int64, p []byte) (n int, tier str
 		if lc != nil {
 			lc.OnReadMiss(id.File, id.Index)
 		}
-		s.miss(int64(len(p)))
+		s.iostats.Miss(int64(len(p)))
 		if timed {
 			s.sampleAccess(lc, id, off, len(p), "", start)
 		}
@@ -430,7 +428,6 @@ func (s *Server) ReadPrefetched(id seg.ID, off int64, p []byte) (n int, tier str
 		lc.OnReadHit(id.File, id.Index, tier, stalled)
 	}
 	s.iostats.Hit(tier, int64(n))
-	s.hitVec.With(tier).Inc()
 	if timed {
 		d := time.Since(start)
 		s.iostats.ObserveRead(d)
@@ -497,12 +494,6 @@ func (s *Server) serve(id seg.ID, off int64, p []byte) (n int, tier string, ok b
 // that were then served from a tier).
 func (s *Server) StallStats() (stalls, rescues int64) {
 	return s.stalls.Load(), s.stallRescues.Load()
-}
-
-//hfetch:hotpath
-func (s *Server) miss(nbytes int64) {
-	s.iostats.Miss(nbytes)
-	s.missCtr.Inc()
 }
 
 // ---- node-to-node data path ----
@@ -686,7 +677,7 @@ func (s *Server) Telemetry() *telemetry.Registry { return s.cfg.Telemetry }
 
 // IOStats returns the server-side read accounting (hits, misses, bytes,
 // per-tier hit counts) for every ReadPrefetched call on this node.
-func (s *Server) IOStats() *metrics.IOStats { return s.iostats }
+func (s *Server) IOStats() *telemetry.ReadStats { return s.iostats }
 
 // ZeroCopyBytes returns the cumulative payload bytes this server has
 // served by reference from pinned tier buffers (no memcpy on the serve

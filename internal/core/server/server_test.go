@@ -16,6 +16,7 @@ import (
 	"hfetch/internal/events"
 	"hfetch/internal/invariant"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
 )
 
@@ -258,25 +259,40 @@ func TestPersistentMapsReplayVersion1Log(t *testing.T) {
 }
 
 // TestReadPrefetchedDoesNotAllocate: a hit on a resident segment builds
-// no key and no buffer between the mapping lookup and the tier.
+// no key and no buffer between the mapping lookup and the tier, and
+// counting it allocates nothing whether telemetry is off or on with
+// lifecycle tracing and every read timed.
 func TestReadPrefetchedDoesNotAllocate(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("allocation counts are for the production build")
 	}
-	srv, fs := newServer(t, Config{SegmentSize: 1024, Engine: placement.Config{UpdateThreshold: 1}})
-	fs.Create("f", 8192)
-	srv.Start()
-	defer srv.Stop()
-	srv.StartEpoch("f", 8192)
-	srv.PostEvent(events.Event{Op: events.OpRead, File: "f", Offset: 0, Length: 1024, Time: time.Now()})
-	srv.Flush()
-	id := seg.ID{File: "f", Index: 0}
-	p := make([]byte, 1024)
-	if _, _, ok := srv.ReadPrefetched(id, 0, p); !ok {
-		t.Fatal("segment 0 not resident after its read was audited and placed")
-	}
-	if n := testing.AllocsPerRun(1000, func() { srv.ReadPrefetched(id, 0, p) }); n != 0 {
-		t.Fatalf("ReadPrefetched of a resident segment allocates %.1f times", n)
+	traced := telemetry.NewRegistry()
+	traced.EnableLifecycle(0, 0, 0)
+	traced.SetTimeSampling(1)
+	for _, tc := range []struct {
+		name string
+		reg  *telemetry.Registry
+	}{
+		{"no registry", nil},
+		{"lifecycle", traced},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			srv, fs := newServer(t, Config{SegmentSize: 1024, Engine: placement.Config{UpdateThreshold: 1}, Telemetry: tc.reg})
+			fs.Create("f", 8192)
+			srv.Start()
+			defer srv.Stop()
+			srv.StartEpoch("f", 8192)
+			srv.PostEvent(events.Event{Op: events.OpRead, File: "f", Offset: 0, Length: 1024, Time: time.Now()})
+			srv.Flush()
+			id := seg.ID{File: "f", Index: 0}
+			p := make([]byte, 1024)
+			if _, _, ok := srv.ReadPrefetched(id, 0, p); !ok {
+				t.Fatal("segment 0 not resident after its read was audited and placed")
+			}
+			if n := testing.AllocsPerRun(1000, func() { srv.ReadPrefetched(id, 0, p) }); n != 0 {
+				t.Fatalf("ReadPrefetched of a resident segment allocates %.1f times", n)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -68,8 +69,8 @@ func TestRepeatAveragesAndVariance(t *testing.T) {
 		n++
 		return RunResult{Elapsed: time.Duration(n) * time.Second, HitRatio: 0.5}, nil
 	})
-	if err != nil || series.N() != 3 {
-		t.Fatalf("repeat: %v, n=%d", err, series.N())
+	if err != nil || len(series) != 3 {
+		t.Fatalf("repeat: %v, n=%d", err, len(series))
 	}
 	if mean.Elapsed != 2*time.Second {
 		t.Fatalf("mean = %v, want 2s", mean.Elapsed)
@@ -79,6 +80,25 @@ func TestRepeatAveragesAndVariance(t *testing.T) {
 	}
 	if mean.HitRatio != 0.5 {
 		t.Fatalf("hit ratio mean = %v", mean.HitRatio)
+	}
+}
+
+func TestSeriesStatistics(t *testing.T) {
+	var s Series
+	if s.Mean() != 0 || s.Variance() != 0 {
+		t.Fatal("empty series must be zeros")
+	}
+	s = append(s, 2)
+	if s.Variance() != 0 {
+		t.Fatal("single-value variance must be 0")
+	}
+	s = append(s, 4, 6)
+	if math.Abs(s.Mean()-4) > 1e-12 {
+		t.Fatalf("mean = %v", s.Mean())
+	}
+	// Population variance of {2,4,6} = 8/3.
+	if math.Abs(s.Variance()-8.0/3.0) > 1e-12 {
+		t.Fatalf("variance = %v", s.Variance())
 	}
 }
 

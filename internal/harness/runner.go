@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"hfetch/internal/baselines"
-	"hfetch/internal/metrics"
 	"hfetch/internal/workloads"
 )
 
@@ -37,7 +36,7 @@ func RunPhases(sys baselines.System, phases [][]workloads.App) (RunResult, error
 }
 
 func run(sys baselines.System, phases [][]workloads.App) (RunResult, error) {
-	before := snapshot(sys.Stats())
+	before := sys.Stats().Snapshot()
 	start := time.Now()
 	for _, apps := range phases {
 		var wg sync.WaitGroup
@@ -63,28 +62,19 @@ func run(sys baselines.System, phases [][]workloads.App) (RunResult, error) {
 		}
 	}
 	elapsed := time.Since(start)
-	after := snapshot(sys.Stats())
-	hits := after.hits - before.hits
-	misses := after.misses - before.misses
+	after := sys.Stats().Snapshot()
+	hits := after.Hits - before.Hits
+	misses := after.Misses - before.Misses
 	res := RunResult{
 		Elapsed:  elapsed,
 		Hits:     hits,
 		Misses:   misses,
-		ReadTime: after.readTime - before.readTime,
+		ReadTime: time.Duration(after.ReadNanos - before.ReadNanos),
 	}
 	if hits+misses > 0 {
 		res.HitRatio = float64(hits) / float64(hits+misses)
 	}
 	return res, nil
-}
-
-type statSnap struct {
-	hits, misses int64
-	readTime     time.Duration
-}
-
-func snapshot(s *metrics.IOStats) statSnap {
-	return statSnap{hits: s.Hits(), misses: s.Misses(), readTime: s.TotalReadTime()}
 }
 
 // runProc executes one process script: handles are opened lazily per
@@ -122,11 +112,10 @@ func runProc(sys baselines.System, app string, script workloads.Script) error {
 
 // Repeat runs fn n times and aggregates the elapsed-seconds series plus
 // the last run's result (the paper reports averages of five runs).
-func Repeat(n int, fn func() (RunResult, error)) (mean RunResult, series *metrics.Series, err error) {
+func Repeat(n int, fn func() (RunResult, error)) (mean RunResult, series Series, err error) {
 	if n < 1 {
 		n = 1
 	}
-	series = &metrics.Series{}
 	var last RunResult
 	var hitSum float64
 	for i := 0; i < n; i++ {
@@ -134,11 +123,40 @@ func Repeat(n int, fn func() (RunResult, error)) (mean RunResult, series *metric
 		if err != nil {
 			return RunResult{}, nil, err
 		}
-		series.Add(last.Elapsed.Seconds())
+		series = append(series, last.Elapsed.Seconds())
 		hitSum += last.HitRatio
 	}
 	mean = last
 	mean.Elapsed = time.Duration(series.Mean() * float64(time.Second))
 	mean.HitRatio = hitSum / float64(n)
 	return mean, series, nil
+}
+
+// Series accumulates repeated measurements and reports mean/variance,
+// matching the paper's "average along with the variance over five runs".
+type Series []float64
+
+// Mean returns the arithmetic mean (0 when empty).
+func (s Series) Mean() float64 {
+	if len(s) == 0 {
+		return 0
+	}
+	var t float64
+	for _, v := range s {
+		t += v
+	}
+	return t / float64(len(s))
+}
+
+// Variance returns the population variance (0 when fewer than 2 values).
+func (s Series) Variance() float64 {
+	if len(s) < 2 {
+		return 0
+	}
+	m := s.Mean()
+	var t float64
+	for _, v := range s {
+		t += (v - m) * (v - m)
+	}
+	return t / float64(len(s))
 }

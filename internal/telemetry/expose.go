@@ -38,22 +38,21 @@ func (r *Registry) Snapshot() Snapshot {
 	r.mu.RUnlock()
 	for _, f := range fams {
 		f.mu.Lock()
-		series := make([]*series, len(f.order))
-		copy(series, f.order)
+		series := make([]series, len(f.order))
+		for i, s := range f.order {
+			series[i] = *s
+		}
 		f.mu.Unlock()
 		for _, s := range series {
 			m := MetricSnapshot{Name: f.name, Help: f.help, Kind: f.kind, Labels: s.labels}
 			switch f.kind {
-			case KindCounter:
-				if s.cf != nil {
-					m.Value = s.cf()
-				} else {
+			case KindCounter, KindGauge:
+				switch {
+				case s.fn != nil:
+					m.Value = s.fn()
+				case s.c != nil:
 					m.Value = s.c.Value()
-				}
-			case KindGauge:
-				if s.gf != nil {
-					m.Value = s.gf()
-				} else {
+				default:
 					m.Value = s.g.Value()
 				}
 			case KindHistogram:

@@ -162,10 +162,8 @@ type Lifecycle struct {
 	perStripe int
 	stripes   [lifecycleStripes]stripe
 
-	ringMu   sync.Mutex
-	ring     []TraceRecord
-	ringNext int
-	ringFull bool
+	ringMu sync.Mutex
+	ring   ring[TraceRecord]
 
 	window classWindow
 
@@ -180,24 +178,16 @@ type Lifecycle struct {
 // classWindow is the rolling window behind the effectiveness ratio.
 type classWindow struct {
 	mu     sync.Mutex
-	buf    []Class
-	next   int
-	full   bool
+	ring   ring[Class]
 	counts [5]int64
 }
 
 func (w *classWindow) add(c Class) {
 	w.mu.Lock()
-	if w.full {
-		w.counts[w.buf[w.next]]-- // the overwritten slot leaves the window
+	if old, evicted := w.ring.push(c); evicted {
+		w.counts[old]-- // the overwritten slot leaves the window
 	}
-	w.buf[w.next] = c
 	w.counts[c]++
-	w.next++
-	if w.next == len(w.buf) {
-		w.next = 0
-		w.full = true
-	}
 	w.mu.Unlock()
 }
 
@@ -234,11 +224,11 @@ func NewLifecycle(ringSize, every, maxActive int) *Lifecycle {
 	lc := &Lifecycle{
 		every:     uint64(every),
 		perStripe: per,
-		ring:      make([]TraceRecord, ringSize),
+		ring:      newRing[TraceRecord](ringSize),
 		lead:      &Histogram{},
-		access:    NewAccessLog(DefaultAccessLogSize, 1),
+		access:    NewAccessLog(DefaultAccessLogSize),
 	}
-	lc.window.buf = make([]Class, 512)
+	lc.window.ring = newRing[Class](512)
 	for i := range lc.stripes {
 		lc.stripes[i].m = make(map[segKey]*live)
 	}
@@ -367,12 +357,7 @@ func (lc *Lifecycle) insertLocked(st *stripe, k segKey, t *live) {
 func (lc *Lifecycle) pushRing(k segKey, t *live, class Class) {
 	rec := TraceRecord{ID: t.id, File: k.file, Seg: k.seg, Class: class, Done: true, Events: t.events}
 	lc.ringMu.Lock()
-	lc.ring[lc.ringNext] = rec
-	lc.ringNext++
-	if lc.ringNext == len(lc.ring) {
-		lc.ringNext = 0
-		lc.ringFull = true
-	}
+	lc.ring.push(rec)
 	lc.ringMu.Unlock()
 	lc.completed.Add(1)
 }
@@ -536,16 +521,7 @@ func (lc *Lifecycle) Completed() []TraceRecord {
 	}
 	lc.ringMu.Lock()
 	defer lc.ringMu.Unlock()
-	n := lc.ringNext
-	if lc.ringFull {
-		n = len(lc.ring)
-	}
-	out := make([]TraceRecord, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (lc.ringNext - 1 - i + len(lc.ring)) % len(lc.ring)
-		out = append(out, lc.ring[idx])
-	}
-	return out
+	return lc.ring.held(true)
 }
 
 // Export returns completed traces plus snapshots of the in-flight ones

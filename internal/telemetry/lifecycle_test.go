@@ -412,7 +412,7 @@ func TestValidateTraceJSONRejectsBadDocuments(t *testing.T) {
 }
 
 func TestAccessLogRecordsAndSummarizes(t *testing.T) {
-	al := NewAccessLog(4, 1)
+	al := NewAccessLog(4)
 	base := time.Unix(0, 1)
 	for i := 0; i < 9; i++ {
 		al.Record(AccessSample{When: base, File: "/f", Offset: int64(i), Length: 100,
@@ -430,9 +430,6 @@ func TestAccessLogRecordsAndSummarizes(t *testing.T) {
 	sum := al.Summary()
 	if sum.Total != 10 || sum.Hits != 9 || sum.HitRatio() != 0.9 {
 		t.Fatalf("summary = %+v", sum)
-	}
-	if sum.ByTier["ram"] != 9 || sum.ByTier[""] != 1 {
-		t.Fatalf("by tier = %v", sum.ByTier)
 	}
 	if sum.String() == "" {
 		t.Fatal("empty summary string")
@@ -454,18 +451,6 @@ func TestAccessLogRecordsAndSummarizes(t *testing.T) {
 	}
 	if !strings.Contains(lines[4], "false") {
 		t.Fatalf("miss row = %q", lines[4])
-	}
-
-	// Sampling: 1-in-3 keeps every third record but counts everything.
-	s3 := NewAccessLog(16, 3)
-	for i := 0; i < 9; i++ {
-		s3.Record(AccessSample{Tier: "ram"})
-	}
-	if s3.Len() != 3 {
-		t.Fatalf("sampled retained = %d, want 3", s3.Len())
-	}
-	if s := s3.Summary(); s.Total != 9 {
-		t.Fatalf("sampled total = %d, want 9 (totals count everything)", s.Total)
 	}
 
 	var nilLog *AccessLog

@@ -96,8 +96,7 @@ type series struct {
 	labels string // rendered {k="v",...}, "" when unlabeled
 	c      *Counter
 	g      *Gauge
-	cf     func() int64 // counter backed by an external atomic
-	gf     func() int64 // gauge computed at snapshot time
+	fn     func() int64 // value read at snapshot time (CounterFunc, GaugeFunc)
 	h      *Histogram
 }
 
@@ -120,7 +119,6 @@ type Registry struct {
 	families map[string]*family
 	order    []*family
 
-	spans      atomic.Pointer[SpanLog]
 	lifecycle  atomic.Pointer[Lifecycle]
 	stageHists sync.Map // stage string -> *Histogram
 
@@ -137,9 +135,6 @@ const DefaultTimeSampleEvery = 8
 func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family), sampleEvery: DefaultTimeSampleEvery}
 }
-
-// Enabled reports whether the registry records anything (nil-safe).
-func (r *Registry) Enabled() bool { return r != nil }
 
 // SetTimeSampling makes TimeSample admit one in every N operations
 // (every <= 1 admits all). Latency histograms fed through TimeSample
@@ -199,8 +194,10 @@ func RenderLabels(pairs ...string) string {
 }
 
 // lookup returns (creating as needed) the series of name+labels,
-// checking the kind matches any prior registration.
-func (r *Registry) lookup(name, help string, kind Kind, labels string) *series {
+// checking the kind matches any prior registration. A non-nil fn
+// becomes the series' value, set under the family lock that Snapshot
+// reads it under.
+func (r *Registry) lookup(name, help string, kind Kind, labels string, fn func() int64) *series {
 	r.mu.RLock()
 	f := r.families[name]
 	r.mu.RUnlock()
@@ -233,6 +230,9 @@ func (r *Registry) lookup(name, help string, kind Kind, labels string) *series {
 		f.series[labels] = s
 		f.order = append(f.order, s)
 	}
+	if fn != nil {
+		s.fn = fn
+	}
 	return s
 }
 
@@ -242,7 +242,7 @@ func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, KindCounter, RenderLabels(labelPairs...)).c
+	return r.lookup(name, help, KindCounter, RenderLabels(labelPairs...), nil).c
 }
 
 // CounterFunc registers a counter whose value is read from fn at
@@ -252,8 +252,7 @@ func (r *Registry) CounterFunc(name, help string, fn func() int64, labelPairs ..
 	if r == nil {
 		return
 	}
-	s := r.lookup(name, help, KindCounter, RenderLabels(labelPairs...))
-	s.cf = fn
+	r.lookup(name, help, KindCounter, RenderLabels(labelPairs...), fn)
 }
 
 // Gauge returns the gauge of name with the given label pairs.
@@ -261,7 +260,7 @@ func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, KindGauge, RenderLabels(labelPairs...)).g
+	return r.lookup(name, help, KindGauge, RenderLabels(labelPairs...), nil).g
 }
 
 // GaugeFunc registers a gauge whose value is computed by fn at snapshot
@@ -270,8 +269,7 @@ func (r *Registry) GaugeFunc(name, help string, fn func() int64, labelPairs ...s
 	if r == nil {
 		return
 	}
-	s := r.lookup(name, help, KindGauge, RenderLabels(labelPairs...))
-	s.gf = fn
+	r.lookup(name, help, KindGauge, RenderLabels(labelPairs...), fn)
 }
 
 // Histogram returns the histogram of name with the given label pairs.
@@ -279,7 +277,7 @@ func (r *Registry) Histogram(name, help string, labelPairs ...string) *Histogram
 	if r == nil {
 		return nil
 	}
-	return r.lookup(name, help, KindHistogram, RenderLabels(labelPairs...)).h
+	return r.lookup(name, help, KindHistogram, RenderLabels(labelPairs...), nil).h
 }
 
 // CounterVec hands out per-label-value counters of one family, caching

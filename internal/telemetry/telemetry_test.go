@@ -47,9 +47,6 @@ func TestTelemetryCounterGauge(t *testing.T) {
 
 func TestTelemetryNilSafety(t *testing.T) {
 	var r *Registry
-	if r.Enabled() {
-		t.Fatal("nil registry reports enabled")
-	}
 	r.Counter("x", "").Inc()
 	r.Gauge("x2", "").Set(1)
 	r.GaugeFunc("x3", "", func() int64 { return 1 })
@@ -57,10 +54,6 @@ func TestTelemetryNilSafety(t *testing.T) {
 	r.HistVec("x5", "", "tier").With("ram").Observe(1)
 	r.CounterVec("x6", "", "tier").With("ram").Add(1)
 	r.Span(StageAudit, "f", 0, "", time.Now(), time.Millisecond)
-	r.EnableSpans(8, 1)
-	if got := r.Spans().Recent(); got != nil {
-		t.Fatalf("nil span log returned %v", got)
-	}
 	var buf bytes.Buffer
 	r.WriteText(&buf)
 	if buf.Len() != 0 {
@@ -255,30 +248,32 @@ func TestTelemetryExpositionGolden(t *testing.T) {
 	}
 }
 
-func TestTelemetrySpanLog(t *testing.T) {
+// TestTelemetrySpanFeedsHistAndTrace: every span lands in its stage
+// histogram, and a span of a segment with an in-flight lifecycle trace
+// joins that trace, which is where hfetchctl spans reads it.
+func TestTelemetrySpanFeedsHistAndTrace(t *testing.T) {
 	r := NewRegistry()
-	r.EnableSpans(4, 2) // keep 4, sample every 2nd
+	r.EnableLifecycle(8, 1, 0)
+	lc := r.Lifecycle()
+	lc.SetGrain(1)
 	base := time.Now()
+	lc.OnEvent("f.dat", 3, base)
 	for i := 0; i < 10; i++ {
 		r.Span(StageFetch, "f.dat", int64(i), "nvme", base, time.Duration(i)*time.Millisecond)
 	}
-	recent := r.Spans().Recent()
-	if len(recent) != 4 {
-		t.Fatalf("span log kept %d, want 4", len(recent))
+	recs := lc.Export()
+	if len(recs) != 1 || recs[0].Seg != 3 {
+		t.Fatalf("traces = %+v, want segment 3's alone", recs)
 	}
-	// Every 2nd span sampled: indices 1,3,5,7,9 recorded; ring keeps the
-	// last 4, most recent first.
-	wantSegs := []int64{9, 7, 5, 3}
-	for i, rec := range recent {
-		if rec.Seg != wantSegs[i] {
-			t.Fatalf("recent[%d].Seg = %d, want %d (%+v)", i, rec.Seg, wantSegs[i], recent)
-		}
-		if rec.Stage != StageFetch || rec.Tier != "nvme" || rec.File != "f.dat" {
-			t.Fatalf("bad span record %+v", rec)
-		}
+	evs := recs[0].Events
+	if len(evs) != 2 || evs[0].Stage != StageEvent {
+		t.Fatalf("trace events = %+v, want the root event and one span", evs)
+	}
+	if e := evs[1]; e.Stage != StageFetch || e.Tier != "nvme" || e.Nanos != int64(3*time.Millisecond) {
+		t.Fatalf("joined span = %+v", e)
 	}
 	if got := r.StageHist(StageFetch).Count(); got != 10 {
-		t.Fatalf("aggregate stage count = %d, want 10 (all spans, not just sampled)", got)
+		t.Fatalf("aggregate stage count = %d, want 10 (every span, traced or not)", got)
 	}
 }
 

@@ -172,34 +172,22 @@ type AccessSample struct {
 // Hit reports whether the access was served from the hierarchy.
 func (s AccessSample) Hit() bool { return s.Tier != "" }
 
-// AccessLog is a sampling ring of access samples. Recording is mutex +
-// slot write; callers on hot paths gate on their own time sampling (the
-// server records only accesses it already timed).
+// AccessLog is a ring of access samples. Recording is mutex + slot
+// write; callers on hot paths sample (the server records only accesses
+// it already timed).
 type AccessLog struct {
-	mu    sync.Mutex
-	every int
-	n     int
-	ring  []AccessSample
-	next  int
-	full  bool
+	mu   sync.Mutex
+	ring ring[AccessSample]
 
 	total, hits int64
-	byTier      map[string]int64
 }
 
-// NewAccessLog keeps `size` samples, recording one access in `every`
-// (minimums 1).
-func NewAccessLog(size, every int) *AccessLog {
-	if size < 1 {
-		size = 1
-	}
-	if every < 1 {
-		every = 1
-	}
-	return &AccessLog{every: every, ring: make([]AccessSample, size), byTier: make(map[string]int64)}
+// NewAccessLog keeps the last size samples.
+func NewAccessLog(size int) *AccessLog {
+	return &AccessLog{ring: newRing[AccessSample](size)}
 }
 
-// Record stores s (subject to sampling). Nil-safe.
+// Record stores s. Nil-safe.
 //
 //hfetch:hotpath
 func (l *AccessLog) Record(s AccessSample) {
@@ -207,20 +195,11 @@ func (l *AccessLog) Record(s AccessSample) {
 		return
 	}
 	l.mu.Lock()
-	l.n++
-	if l.n%l.every == 0 {
-		l.ring[l.next] = s
-		l.next++
-		if l.next == len(l.ring) {
-			l.next = 0
-			l.full = true
-		}
-	}
+	l.ring.push(s)
 	l.total++
 	if s.Hit() {
 		l.hits++
 	}
-	l.byTier[s.Tier]++
 	l.mu.Unlock()
 }
 
@@ -231,10 +210,7 @@ func (l *AccessLog) Len() int {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.full {
-		return len(l.ring)
-	}
-	return l.next
+	return l.ring.len()
 }
 
 // Samples returns the held samples, oldest first.
@@ -244,35 +220,19 @@ func (l *AccessLog) Samples() []AccessSample {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	n := l.next
-	start := 0
-	if l.full {
-		n = len(l.ring)
-		start = l.next
-	}
-	out := make([]AccessSample, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, l.ring[(start+i)%len(l.ring)])
-	}
-	return out
+	return l.ring.held(false)
 }
 
 // AccessSummary aggregates an access log for human output.
 type AccessSummary struct {
 	Total   int64
 	Hits    int64
-	ByTier  map[string]int64
 	MeanLat time.Duration
 	P99Lat  time.Duration
 }
 
 // HitRatio returns hits/total (0 when empty).
-func (s AccessSummary) HitRatio() float64 {
-	if s.Total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Total)
-}
+func (s AccessSummary) HitRatio() float64 { return ratio(s.Hits, s.Total-s.Hits) }
 
 func (s AccessSummary) String() string {
 	return fmt.Sprintf("accesses %d, hit ratio %.3f, mean %v, p99 %v",
@@ -282,17 +242,13 @@ func (s AccessSummary) String() string {
 // Summary computes totals over everything recorded (not just the held
 // window) plus latency quantiles over the held samples.
 func (l *AccessLog) Summary() AccessSummary {
-	out := AccessSummary{ByTier: make(map[string]int64)}
+	var out AccessSummary
 	if l == nil {
 		return out
 	}
 	samples := l.Samples()
 	l.mu.Lock()
-	out.Total = l.total
-	out.Hits = l.hits
-	for k, v := range l.byTier {
-		out.ByTier[k] = v
-	}
+	out.Total, out.Hits = l.total, l.hits
 	l.mu.Unlock()
 	if len(samples) == 0 {
 		return out

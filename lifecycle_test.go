@@ -21,7 +21,6 @@ func TestLifecycleTraceEndToEnd(t *testing.T) {
 	cfg.EnableLifecycle = true
 	cfg.LifecycleSampleEvery = 1
 	cfg.TimeSampleEvery = 1
-	cfg.SpanSampleEvery = 1
 	cfg.FetchWait = 2 * time.Millisecond
 	cluster, err := NewCluster(cfg)
 	if err != nil {

@@ -1,8 +1,11 @@
 package hfetch
 
 import (
+	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"hfetch/internal/telemetry"
 )
 
 // TestClusterTelemetry covers the embedded-cluster observability path:
@@ -10,7 +13,8 @@ import (
 func TestClusterTelemetry(t *testing.T) {
 	cfg := fastConfig(2)
 	cfg.EnableTelemetry = true
-	cfg.SpanSampleEvery = 1
+	cfg.EnableLifecycle = true
+	cfg.LifecycleSampleEvery = 1
 	cfg.TimeSampleEvery = 1
 	cluster, err := NewCluster(cfg)
 	if err != nil {
@@ -64,8 +68,18 @@ func TestClusterTelemetry(t *testing.T) {
 		t.Fatalf("merged events_posted_total = %d, want >= 2", posted)
 	}
 
-	if spans := cluster.Node(0).Telemetry().Spans().Recent(); len(spans) == 0 {
-		t.Fatal("span log empty despite SpanSampleEvery=1")
+	// Spans of traced segments join their lifecycle traces, which is what
+	// hfetchctl spans lists.
+	spans := 0
+	for _, rec := range cluster.Node(0).Telemetry().Lifecycle().Export() {
+		for _, e := range rec.Events {
+			if e.Nanos > 0 {
+				spans++
+			}
+		}
+	}
+	if spans == 0 {
+		t.Fatal("no span joined a lifecycle trace despite LifecycleSampleEvery=1")
 	}
 }
 
@@ -81,5 +95,73 @@ func TestClusterTelemetryDisabled(t *testing.T) {
 	}
 	if _, ok := cluster.TelemetrySnapshot(); ok {
 		t.Fatal("TelemetrySnapshot must report ok=false when disabled")
+	}
+}
+
+// TestReadCountsMatchRegistry: the registry's per-tier hit and miss
+// families are views over the server's read stats, so the two cannot
+// drift, whether a read came through the agent or a gateway range.
+func TestReadCountsMatchRegistry(t *testing.T) {
+	cfg := fastConfig(1)
+	cfg.EnableTelemetry = true
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Stop()
+	if err := cluster.CreateFile("data/d", 16*4096); err != nil {
+		t.Fatal(err)
+	}
+	node := cluster.Node(0)
+	f, err := node.NewClient().Open("data/d")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, 8*4096)
+	read := func() {
+		if _, err := f.ReadAt(buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		rr := httptest.NewRecorder()
+		req := httptest.NewRequest("GET", "/files/data/d", nil)
+		req.Header.Set("Range", "bytes=32768-65535")
+		node.GatewayHandler().ServeHTTP(rr, req)
+		if rr.Code != 206 || rr.Body.Len() != 32768 {
+			t.Fatalf("gateway GET = %d with %d bytes", rr.Code, rr.Body.Len())
+		}
+	}
+	read() // cold: misses
+	node.Flush()
+	read() // warm: hits
+
+	stats := node.Server().IOStats()
+	if stats.Hits() == 0 || stats.Misses() == 0 {
+		t.Fatalf("server read stats = %v, want hits and misses", stats)
+	}
+	want := map[string]int64{}
+	for tier, n := range stats.TierHits() {
+		want[telemetry.RenderLabels("tier", tier)] = n
+	}
+	got := map[string]int64{}
+	misses := int64(-1)
+	for _, m := range node.Telemetry().Snapshot().Metrics {
+		switch m.Name {
+		case "hfetch_tier_read_hits_total":
+			got[m.Labels] = m.Value
+		case "hfetch_read_misses_total":
+			misses = m.Value
+		}
+	}
+	if len(got) != len(want) {
+		t.Fatalf("registry tier hits %v, server %v", got, want)
+	}
+	for labels, n := range want {
+		if got[labels] != n {
+			t.Fatalf("registry tier hits %v, server %v", got, want)
+		}
+	}
+	if misses != stats.Misses() {
+		t.Fatalf("registry misses %d, server %d", misses, stats.Misses())
 	}
 }
