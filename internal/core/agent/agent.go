@@ -4,7 +4,10 @@
 // directly, which exercises the same protocol: open begins a prefetching
 // epoch, every read consults the segment mappings and is redirected to
 // the tier holding the prefetched segment (falling back to the PFS on a
-// miss), and every access emits an enriched event to the server.
+// miss), and every access emits an enriched event to the server. A read
+// that misses emits its event before its first origin read, so the server
+// can push what follows while the reader waits on the PFS; a read served
+// wholly from tiers emits it afterwards.
 package agent
 
 import (
@@ -106,66 +109,81 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if closed {
 		return 0, fmt.Errorf("agent: read on closed file %q", f.name)
 	}
+	n, _, err := f.a.ReadAt(f.name, f.size, p, off)
+	return n, err
+}
+
+// ReadAt is File.ReadAt for a reader whose epoch of file name (size
+// bytes) is held open elsewhere, as a daemon holds it for its remote
+// agents. It posts exactly one read event, for the bytes requested and
+// stamped with the request's start: at the first segment that misses,
+// before that segment's origin read, or after the reads when tiers served
+// them all. tier is the tier of the last segment when every one was a
+// hit, "" otherwise.
+func (a *Agent) ReadAt(name string, size int64, p []byte, off int64) (int, string, error) {
 	if off < 0 {
-		return 0, fmt.Errorf("agent: negative offset %d", off)
+		return 0, "", fmt.Errorf("agent: negative offset %d", off)
 	}
 	want := int64(len(p))
-	if off >= f.size {
-		return 0, nil
+	if off >= size {
+		return 0, "", nil
 	}
-	if off+want > f.size {
-		want = f.size - off
+	if off+want > size {
+		want = size - off
 	}
 
 	start := time.Now()
-	segr := f.a.api.Segmenter()
-	n := int64(0)
+	ev := events.Event{Op: events.OpRead, File: name, Offset: off, Length: want, Time: start}
+	segr := a.api.Segmenter()
+	n, tier, missed := int64(0), "", false
 	for n < want {
 		cur := off + n
-		id := seg.ID{File: f.name, Index: segr.IndexOf(cur)}
+		id := seg.ID{File: name, Index: segr.IndexOf(cur)}
 		segOff := cur - id.Index*segr.Size()
-		segEnd := segr.RangeOf(id, f.size).End()
-		chunk := segEnd - cur
-		if chunk > want-n {
-			chunk = want - n
-		}
+		chunk := min(segr.RangeOf(id, size).End()-cur, want-n)
 		if chunk <= 0 {
 			break
 		}
 		dst := p[n : n+chunk]
-		if got, tier, ok := f.a.api.ReadPrefetched(id, segOff, dst); ok && int64(got) == chunk {
-			f.a.stats.Hit(tier, chunk)
+		if got, t, ok := a.api.ReadPrefetched(id, segOff, dst); ok && int64(got) == chunk {
+			a.stats.Hit(t, chunk)
+			if !missed {
+				tier = t
+			}
 			n += chunk
 			continue
 		}
 		// Miss, or stale mapping (segment demoted or evicted mid-read).
+		if !missed {
+			missed, tier = true, ""
+			a.api.PostEvent(ev)
+		}
 		var pfsStart time.Time
-		if f.a.tele != nil {
+		if a.tele != nil {
 			pfsStart = time.Now()
 		}
-		got, _, err := f.a.fs.ReadAt(f.name, cur, dst)
+		got, _, err := a.fs.ReadAt(name, cur, dst)
 		if err != nil {
-			return int(n), fmt.Errorf("agent: pfs read: %w", err)
+			return int(n), "", fmt.Errorf("agent: pfs read: %w", err)
 		}
-		if f.a.tele != nil {
-			f.a.pfsHist.Observe(int64(time.Since(pfsStart)))
+		if a.tele != nil {
+			a.pfsHist.Observe(int64(time.Since(pfsStart)))
 		}
-		f.a.stats.Miss(int64(got))
+		a.stats.Miss(int64(got))
 		n += int64(got)
 		if int64(got) < chunk {
 			break
 		}
 	}
 	elapsed := time.Since(start)
-	f.a.stats.ObserveRead(elapsed)
-	if f.a.tele.TimeSample() {
-		f.a.tele.Span(telemetry.StageClientRead, f.name, segr.IndexOf(off), "", start, elapsed)
+	a.stats.ObserveRead(elapsed)
+	if a.tele.TimeSample() {
+		a.tele.Span(telemetry.StageClientRead, name, segr.IndexOf(off), "", start, elapsed)
 	}
-
-	f.a.api.PostEvent(events.Event{
-		Op: events.OpRead, File: f.name, Offset: off, Length: n, Time: start,
-	})
-	return int(n), nil
+	if !missed {
+		a.api.PostEvent(ev)
+	}
+	return int(n), tier, nil
 }
 
 // WriteAt emulates an update to the file: the PFS version is bumped and

@@ -5,12 +5,15 @@ import (
 	"io"
 	"sync"
 	"testing"
+	"time"
 
 	"hfetch/internal/core/placement"
+	"hfetch/internal/core/seg"
 	"hfetch/internal/core/server"
-	"hfetch/internal/tiers"
-
+	"hfetch/internal/devsim"
+	"hfetch/internal/events"
 	"hfetch/internal/pfs"
+	"hfetch/internal/tiers"
 )
 
 // rig builds a single-node in-process HFetch deployment with free
@@ -329,5 +332,96 @@ func TestSequentialReadAndSeek(t *testing.T) {
 	}
 	if _, err := f.Seek(0, 99); err == nil {
 		t.Fatal("bad whence must error")
+	}
+}
+
+// stubServer holds the segments in resident in a tier called "ram" and
+// notes, for every event posted, how far the read had got: the tier
+// probes made and the reads the PFS device had served.
+type stubServer struct {
+	segr     *seg.Segmenter
+	fs       *pfs.FS
+	resident map[int64]bool
+
+	probes   int
+	probed   time.Time // the first probe of the current read
+	posted   []events.Event
+	atProbes []int
+	atOrigin []int64
+}
+
+func (s *stubServer) StartEpoch(string, int64)  {}
+func (s *stubServer) EndEpoch(string)           {}
+func (s *stubServer) Segmenter() *seg.Segmenter { return s.segr }
+
+func (s *stubServer) ReadPrefetched(id seg.ID, off int64, p []byte) (int, string, bool) {
+	if s.probes++; s.probes == 1 {
+		s.probed = time.Now()
+	}
+	if !s.resident[id.Index] {
+		return 0, "", false
+	}
+	return len(p), "ram", true
+}
+
+func (s *stubServer) PostEvent(ev events.Event) {
+	ops, _, _ := s.fs.Device().Stats()
+	s.posted = append(s.posted, ev)
+	s.atProbes = append(s.atProbes, s.probes)
+	s.atOrigin = append(s.atOrigin, ops)
+}
+
+// TestReadEventOrder: a read that misses posts its one event before its
+// first origin read, for the bytes requested and stamped with the
+// request's start, so the server can push what follows while the reader
+// waits on the PFS; a read served wholly from tiers posts after its reads.
+func TestReadEventOrder(t *testing.T) {
+	const segSize, size = 1024, 8 * 1024
+	fs := pfs.New(devsim.New(devsim.Profile{Name: "pfs"}, 1))
+	fs.Create("f", size)
+	api := &stubServer{segr: seg.NewSegmenter(segSize), fs: fs, resident: map[int64]bool{0: true, 1: true, 5: true}}
+	a := New(api, fs, nil)
+	f, err := a.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 3*segSize)
+	for _, c := range []struct {
+		name     string
+		off, len int64
+		// probes and origin are the tier probes and PFS reads made when
+		// the event is posted, misses the PFS reads of the whole read.
+		probes         int
+		origin, misses int64
+	}{
+		{"served wholly from tiers", 0, 2 * segSize, 2, 0, 0},
+		{"a miss after a hit", segSize + 100, 2 * segSize, 2, 0, 2},
+		{"hits and misses mixed", 4 * segSize, 3 * segSize, 1, 0, 2},
+		{"a short read at EOF", size - 24, 2 * segSize, 1, 0, 1},
+	} {
+		api.probes, api.posted, api.atProbes, api.atOrigin = 0, nil, nil, nil
+		ops0, _, _ := fs.Device().Stats()
+		start := time.Now()
+		n, err := f.ReadAt(buf[:c.len], c.off)
+		want := min(c.len, size-c.off)
+		if err != nil || int64(n) != want {
+			t.Fatalf("%s: read %d, %v; want %d", c.name, n, err, want)
+		}
+		if len(api.posted) != 1 {
+			t.Fatalf("%s: %d events posted, want 1", c.name, len(api.posted))
+		}
+		ev := api.posted[0]
+		if ev.Op != events.OpRead || ev.File != "f" || ev.Offset != c.off || ev.Length != want {
+			t.Errorf("%s: posted %+v, want a read of [%d, +%d)", c.name, ev, c.off, want)
+		}
+		if ev.Time.Before(start) || ev.Time.After(api.probed) {
+			t.Errorf("%s: event stamped %v after the read's start, want it at the start, before the first probe (%v)",
+				c.name, ev.Time.Sub(start), api.probed.Sub(start))
+		}
+		ops, _, _ := fs.Device().Stats()
+		if api.atProbes[0] != c.probes || api.atOrigin[0]-ops0 != c.origin || ops-ops0 != c.misses {
+			t.Errorf("%s: posted after %d probes and %d origin reads (%d in all), want %d, %d and %d",
+				c.name, api.atProbes[0], api.atOrigin[0]-ops0, ops-ops0, c.probes, c.origin, c.misses)
+		}
 	}
 }

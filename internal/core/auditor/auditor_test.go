@@ -256,17 +256,17 @@ func TestCountersAccumulate(t *testing.T) {
 	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
 	a.StartEpoch("f", 1000)
 	a.HandleEvent(readEv("f", 0, 100))
-	a.HandleEvent(readEv("f", 100, 100))
 	a.HandleEvent(events.Event{Op: events.OpCapacity, Tier: "ram", Free: 10})
 	c := a.Counters()
-	if c.Events != 3 || c.Reads != 2 || c.SegmentsSeen != 2 || c.Hints != 0 {
+	if c.Events != 2 || c.Reads != 1 || c.SegmentsSeen != 1 || c.Hints != 0 {
 		t.Fatalf("counters = %+v", c)
 	}
-	// The third in-order read is hinted six segments ahead: records the
-	// auditor has seen, reads the application has not made.
-	a.HandleEvent(readEv("f", 200, 100))
+	// The second in-order read from segment 0 is hinted four segments
+	// ahead: records the auditor has seen, reads the application has not
+	// made.
+	a.HandleEvent(readEv("f", 100, 100))
 	c = a.Counters()
-	if c.Events != 4 || c.Reads != 3 || c.SegmentsSeen != 3+6 || c.Hints != 6 {
+	if c.Events != 3 || c.Reads != 2 || c.SegmentsSeen != 2+4 || c.Hints != 4 {
 		t.Fatalf("counters = %+v", c)
 	}
 }
@@ -354,9 +354,9 @@ func TestSweepRemovesColdClosedStats(t *testing.T) {
 	a.StartEpoch("hot", 1000)
 	a.StartEpoch("cold", 1000)
 	a.HandleEvent(readEv("hot", 0, 100))
-	a.HandleEvent(readEv("cold", 0, 100))
 	a.HandleEvent(readEv("cold", 100, 100))
-	a.HandleEvent(readEv("cold", 200, 100)) // hints segments 3..8
+	a.HandleEvent(readEv("cold", 200, 100))
+	a.HandleEvent(readEv("cold", 300, 100)) // hints segments 4..9
 	a.EndEpoch("cold")                      // cold's epoch closes; hot stays open
 
 	// Wait for the scores to decay well below the floor.
@@ -365,10 +365,10 @@ func TestSweepRemovesColdClosedStats(t *testing.T) {
 	if removed != 3+6 {
 		t.Fatalf("removed = %d, want cold's 3 read and 6 hinted segments", removed)
 	}
-	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 8}); ok {
+	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 9}); ok {
 		t.Fatal("a hinted, never read record must be gone")
 	}
-	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 0}); ok {
+	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 1}); ok {
 		t.Fatal("cold stats must be gone")
 	}
 	if _, ok := a.SegmentRec(seg.ID{File: "hot", Index: 0}); !ok {

@@ -7,7 +7,10 @@ package auditor
 const (
 	// streamSlots is how many streams one open file tracks (LRU).
 	streamSlots = 4
-	// streamArm is the in-order request that earns a stream its first hint.
+	// streamArm is the in-order request that earns a stream its first hint;
+	// a run from its file's first segment, how a whole-file reader starts,
+	// earns it one request earlier (Linux's readahead gives a read at
+	// offset 0 its window early for the same reason).
 	streamArm = 3
 	// streamMaxSegs and streamMaxBytes cap how far beyond the reader a
 	// stream is hinted; the bytes are one coalesced origin read of the
@@ -28,6 +31,8 @@ type stream struct {
 	hinted int64
 	reqs   int64
 	used   uint64
+	// armed is set by the run's first hint.
+	armed bool
 }
 
 // streamTable holds a file's streams. Events carry no reader identity, so
@@ -54,10 +59,12 @@ type streamTable struct {
 // request, for a seek that of the most recently used stream (a lone
 // reader's previous request, so strided and irregular repeats stay
 // learnable), for a trailing reader none. [from, to) are the segments to
-// hint now: none before the stream's streamArm-th request or while the
-// file owes more than one, then up to twice the run's length (at most
-// maxAhead, never past eof) beyond the reader, extended when the reader
-// has consumed half of it.
+// hint now: none before the stream's streamArm-th request (the second for
+// a run from segment 0) or while the file owes more than one, then up to
+// twice the run's length (at most maxAhead, never past eof) beyond the
+// reader, extended when the reader has consumed half of it. Once hinted, a
+// run from segment 0 ramps at four times its length: its first window is
+// still twice the run, so an accidental arm costs no more than one did.
 func (t *streamTable) note(first, last, eof, maxAhead int64) (prev, from, to int64) {
 	t.clock++
 	var s, trailing *stream
@@ -87,9 +94,7 @@ func (t *streamTable) note(first, last, eof, maxAhead int64) (prev, from, to int
 		if newest.reqs > 0 {
 			prev = newest.next - 1
 		}
-		if t.debt < debtMax {
-			t.debt += 2
-		}
+		t.debt = min(t.debt+2, debtMax)
 		*oldest = stream{start: first, next: last + 1, hinted: last + 1, reqs: 1, used: t.clock}
 		return prev, 0, 0
 	}
@@ -100,15 +105,22 @@ func (t *streamTable) note(first, last, eof, maxAhead int64) (prev, from, to int
 	if t.debt > 0 {
 		t.debt--
 	}
-	if s.reqs < streamArm || t.debt > 1 || s.next >= eof {
+	arm, ramp := int64(streamArm), int64(2)
+	if s.start == 0 {
+		arm = streamArm - 1
+		if s.armed {
+			ramp = 4
+		}
+	}
+	if s.reqs < arm || t.debt > 1 || s.next >= eof {
 		return prev, 0, 0
 	}
 	if s.hinted < s.next {
 		s.hinted = s.next
 	}
 	window := maxAhead
-	if run := s.next - s.start; run < maxAhead/2 {
-		window = 2 * run
+	if run := s.next - s.start; run < maxAhead/ramp {
+		window = ramp * run
 	}
 	if s.hinted-s.next > window/2 {
 		return prev, 0, 0
@@ -121,6 +133,6 @@ func (t *streamTable) note(first, last, eof, maxAhead int64) (prev, from, to int
 	if from >= to {
 		return prev, 0, 0
 	}
-	s.hinted = to
+	s.hinted, s.armed = to, true
 	return prev, from, to
 }

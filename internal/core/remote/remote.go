@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"hfetch/internal/comm"
-	"hfetch/internal/core/seg"
+	"hfetch/internal/core/agent"
 	"hfetch/internal/core/server"
 	"hfetch/internal/events"
 	"hfetch/internal/pfs"
@@ -113,6 +113,7 @@ func dec(b []byte, v any) error {
 
 // Serve registers the agent protocol handlers for srv on mux.
 func Serve(mux *comm.Mux, srv *server.Server) {
+	a := agent.New(srv, srv.FS(), nil)
 	mux.Register(MsgOpen, func(raw []byte) ([]byte, error) {
 		var req openReq
 		if err := dec(raw, &req); err != nil {
@@ -130,7 +131,7 @@ func Serve(mux *comm.Mux, srv *server.Server) {
 		if err := dec(raw, &req); err != nil {
 			return nil, err
 		}
-		data, tier, err := serveRead(srv, req)
+		data, tier, err := serveRead(a, srv, req)
 		if err != nil {
 			return nil, err
 		}
@@ -196,9 +197,9 @@ func Serve(mux *comm.Mux, srv *server.Server) {
 	})
 }
 
-// serveRead performs the server-side read path: prefetched segments from
-// their tiers, the rest from the PFS, with the access event posted.
-func serveRead(srv *server.Server, req readReq) ([]byte, string, error) {
+// serveRead performs the server-side read path through the daemon's
+// agent, which holds no epoch of its own: the remote agent's open did.
+func serveRead(a *agent.Agent, srv *server.Server, req readReq) ([]byte, string, error) {
 	if req.Len <= 0 || req.Off < 0 {
 		return nil, "", fmt.Errorf("remote: bad read [%d,+%d)", req.Off, req.Len)
 	}
@@ -206,47 +207,13 @@ func serveRead(srv *server.Server, req readReq) ([]byte, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	want := req.Len
 	if req.Off >= fi.Size {
 		return nil, "", nil
 	}
-	if req.Off+want > fi.Size {
-		want = fi.Size - req.Off
-	}
-	out := make([]byte, want)
-	segr := srv.Segmenter()
-	tier := ""
-	allHit := true
-	n := int64(0)
-	for n < want {
-		cur := req.Off + n
-		id := seg.ID{File: req.File, Index: segr.IndexOf(cur)}
-		segOff := cur - id.Index*segr.Size()
-		chunk := segr.RangeOf(id, fi.Size).End() - cur
-		if chunk > want-n {
-			chunk = want - n
-		}
-		if chunk <= 0 {
-			break
-		}
-		if got, t, ok := srv.ReadPrefetched(id, segOff, out[n:n+chunk]); ok && int64(got) == chunk {
-			tier = t
-			n += chunk
-			continue
-		}
-		allHit = false
-		got, _, err := srv.FS().ReadAt(req.File, cur, out[n:n+chunk])
-		if err != nil {
-			return nil, "", err
-		}
-		n += int64(got)
-		if int64(got) < chunk {
-			break
-		}
-	}
-	srv.PostEvent(events.Event{Op: events.OpRead, File: req.File, Offset: req.Off, Length: n})
-	if !allHit {
-		tier = ""
+	out := make([]byte, min(req.Len, fi.Size-req.Off))
+	n, tier, err := a.ReadAt(req.File, fi.Size, out, req.Off)
+	if err != nil {
+		return nil, "", err
 	}
 	return out[:n], tier, nil
 }

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"hfetch/internal/config"
 )
@@ -37,10 +38,11 @@ func TestServerPushGetsAheadOfAColdReader(t *testing.T) {
 		minHits, maxHits, maxOrigin int64
 		noHints                     bool
 	}{
-		// Measured: 57..60 hits over 19..23 origin reads — the three
-		// requests before the stream arms, a catch of the frontier or
-		// two, and the hinted windows striped over the idle PFS streams —
-		// and 118..122 hits over 18..27 for the pair.
+		// Measured: 60..62 hits over 14..17 origin reads — the first
+		// two requests (a stream from segment 0 arms on its second), a
+		// catch of the frontier or two, and the hinted windows striped
+		// over the idle PFS streams — and 122..123 hits over 18..19 for
+		// the pair.
 		{name: "one sequential reader", seqBoost: 0.5, readers: 1, minHits: 54, maxHits: -1, maxOrigin: 28},
 		{name: "two readers interleaved in one file", seqBoost: 0.5, readers: 2, minHits: 112, maxHits: -1, maxOrigin: 32},
 		{name: "a random reader is not hinted", seqBoost: 0.5, readers: 1, random: true, maxHits: -1, maxOrigin: -1, noHints: true},
@@ -109,5 +111,46 @@ func TestServerPushGetsAheadOfAColdReader(t *testing.T) {
 				t.Errorf("%d hints", hints)
 			}
 		})
+	}
+}
+
+// TestColdSequentialReadHidesOriginLatency: one reader of a cold file of
+// 64 segments, from its first segment to its last with 1 ms of compute
+// per segment, on the shipped defaults (devsim.PFSProfile's origin). A
+// read pays an origin latency when it misses or waits on a fetch in
+// flight (a stall). The first miss announces the reader before its own
+// origin read, and a run from segment 0 is hinted from its second request
+// with a window that then grows four times the run: the reader pays for
+// its first two reads and no others. Measured: 2 (2 misses, 0 stalls) in
+// every run; with the event posted after the read and the stream armed on
+// its third request, 5 (4 misses, 1 stall) in every run.
+func TestColdSequentialReadHidesOriginLatency(t *testing.T) {
+	const segs, segSize, think, maxPaid = 64, 64 << 10, time.Millisecond, 3
+	cl, err := NewCluster(shippedDefaults(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	if err := cl.CreateFile("data/cold", segs*segSize); err != nil {
+		t.Fatal(err)
+	}
+	client := cl.Node(0).NewClient()
+	f, err := client.Open("data/cold")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, segSize)
+	for i := int64(0); i < segs; i++ {
+		time.Sleep(think)
+		if n, err := f.ReadAt(buf, i*segSize); err != nil || n != segSize {
+			t.Fatalf("segment %d: n=%d err=%v", i, n, err)
+		}
+	}
+	misses := client.Stats().Misses()
+	stalls, _ := cl.Node(0).Server().StallStats()
+	t.Logf("%d misses, %d stalls", misses, stalls)
+	if misses+stalls > maxPaid {
+		t.Fatalf("%d reads paid an origin latency (%d misses, %d stalls), want <= %d", misses+stalls, misses, stalls, maxPaid)
 	}
 }
