@@ -281,12 +281,10 @@ func runTop(c *remote.Client, addr string, interval time.Duration, count int) {
 			fmt.Printf("gateway    req %-10d rate %-9s bytes %-12d inflight %d\n",
 				gwReqs, rate, metricSum(snap, "hfetch_gateway_bytes_total"),
 				metricSum(snap, "hfetch_gateway_inflight"))
-			fmt.Printf("           shed %-8d degraded %-8d aborted %-8d streams %-6d hints %d\n",
+			fmt.Printf("           shed %-8d degraded %-8d aborted %d\n",
 				metricSum(snap, "hfetch_gateway_shed_total"),
 				metricSum(snap, "hfetch_gateway_degraded_total"),
-				metricSum(snap, "hfetch_gateway_aborted_total"),
-				metricSum(snap, "hfetch_gateway_streams_detected_total"),
-				metricSum(snap, "hfetch_gateway_hints_total"))
+				metricSum(snap, "hfetch_gateway_aborted_total"))
 			if h := metricHist(snap, "hfetch_gateway_ttfb_nanos"); h != nil && h.Count > 0 {
 				fmt.Printf("           ttfb p50 %v p99 %v max %v\n",
 					dur(h.Quantile(0.5)), dur(h.Quantile(0.99)), dur(h.Max))

@@ -53,7 +53,6 @@ func main() {
 	moverQueueDepth := flag.Int("mover-queue-depth", 0, "override the per-tier mover queue bound (0 = config/default 256)")
 	fetchCoalesce := flag.Bool("fetch-coalesce", true, "merge adjacent queued PFS fetches into one origin read")
 	fetchWaitMS := flag.Float64("fetch-wait-ms", -1, "bounded read wait for an in-flight fetch in ms (-1 = config/default 2)")
-	streamDetect := flag.Bool("stream-detect", true, "detect sequential gateway streams and post readahead hints")
 	tenantRPS := flag.Float64("tenant-rps", 0, "per-tenant gateway admission rate in req/s (0 = unlimited)")
 	disableWatchdog := flag.Bool("disable-watchdog", false, "turn off the stall watchdog")
 	watchdogStallMS := flag.Int("watchdog-stall-ms", 0, "stall window before the watchdog trips in ms (0 = config/default 5000)")
@@ -103,8 +102,7 @@ func main() {
 		}
 	}
 	// Flags override the file only when set on the command line, so a
-	// config file's fetch_coalesce / stream_detect choices survive bare
-	// invocations.
+	// config file's fetch_coalesce choice survives bare invocations.
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
 		case "mover-queue-depth":
@@ -113,8 +111,6 @@ func main() {
 			cfg.FetchCoalesce = *fetchCoalesce
 		case "fetch-wait-ms":
 			cfg.FetchWaitMS = *fetchWaitMS
-		case "stream-detect":
-			cfg.StreamDetect = *streamDetect
 		case "tenant-rps":
 			cfg.TenantRPS = *tenantRPS
 		case "disable-watchdog":
@@ -259,7 +255,6 @@ func main() {
 				"component", "http",
 				"addr", cfg.HTTPListen,
 				"endpoints", "/files/{path} /metrics /healthz /stats /tiers /debug/trace /debug/pprof",
-				"stream_detect", cfg.StreamDetect,
 				"tenant_rps", cfg.TenantRPS)
 			if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 				httpErr <- err

@@ -18,7 +18,7 @@
 // port and registers -files synthetic files (load/gw-NN.dat) so the run
 // is self-contained against a fresh daemon. Three of every four
 // workers stream their file sequentially — the access shape the
-// gateway's stream detector turns into readahead hints — and the rest
+// auditor's stream detector hints ahead of — and the rest
 // read at random offsets to keep the tier mix honest.
 package main
 

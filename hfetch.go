@@ -132,9 +132,8 @@ type Config struct {
 	TimeSampleEvery int
 	// Gateway tunes the per-node HTTP range-read gateway obtained from
 	// Node.GatewayHandler. The zero value uses the gateway's defaults
-	// (no tenant rate limit, stream detection off); DefaultConfig turns
-	// StreamDetect on, so that external sequential readers drive
-	// prefetching for themselves.
+	// (no tenant rate limit). Its requests are access events like agent
+	// reads, so the auditor hints ahead of sequential HTTP readers too.
 	Gateway GatewaySpec
 	// Tiers lists the hierarchy fastest-first. Defaults to
 	// DefaultTiers() when empty.
@@ -176,15 +175,11 @@ type GatewaySpec struct {
 	// AdmitWait bounds the over-rate pacing wait before a request is
 	// shed with 429 + Retry-After (default 10ms).
 	AdmitWait time.Duration
-	// StreamDetect turns detected sequential client streams into
-	// readahead hint events — the paper's sequencing signal from
-	// external readers.
+	// Deprecated: StreamDetect is read by nothing; the auditor detects
+	// the streams of gateway readers as it does those of agent readers.
 	StreamDetect bool
-	// StreamWindow is the sequentiality byte tolerance (default: one
-	// segment).
-	StreamWindow int64
-	// StreamLookahead is how many segments ahead a stream hints
-	// (default 4).
+	// Deprecated: StreamLookahead is read by nothing; the auditor's
+	// stream window sets how far ahead a stream is hinted.
 	StreamLookahead int
 }
 
@@ -241,14 +236,11 @@ func FromConfig(d config.Config) Config {
 		FetchWait:             d.FetchWait(),
 		TimeScale:             d.TimeScale,
 		Gateway: GatewaySpec{
-			MaxInflight:     d.GatewayMaxInflight,
-			ClientInflight:  d.GatewayClientInflight,
-			TenantRPS:       d.TenantRPS,
-			TenantBurst:     d.TenantBurst,
-			AdmitWait:       d.GatewayWait(),
-			StreamDetect:    d.StreamDetect,
-			StreamWindow:    d.StreamDetectWindow,
-			StreamLookahead: d.StreamLookahead,
+			MaxInflight:    d.GatewayMaxInflight,
+			ClientInflight: d.GatewayClientInflight,
+			TenantRPS:      d.TenantRPS,
+			TenantBurst:    d.TenantBurst,
+			AdmitWait:      d.GatewayWait(),
 		},
 		PFS: PFSSpec{
 			Latency:   microseconds(d.PFS.LatencyUS),
@@ -298,15 +290,12 @@ func (cfg Config) ServerConfig(node string) server.Config {
 // through reg (nil: not at all).
 func (g GatewaySpec) Config(reg *telemetry.Registry) gateway.Config {
 	return gateway.Config{
-		MaxInflight:     g.MaxInflight,
-		ClientInflight:  g.ClientInflight,
-		TenantRPS:       g.TenantRPS,
-		TenantBurst:     g.TenantBurst,
-		AdmitWait:       g.AdmitWait,
-		StreamDetect:    g.StreamDetect,
-		StreamWindow:    g.StreamWindow,
-		StreamLookahead: g.StreamLookahead,
-		Telemetry:       reg,
+		MaxInflight:    g.MaxInflight,
+		ClientInflight: g.ClientInflight,
+		TenantRPS:      g.TenantRPS,
+		TenantBurst:    g.TenantBurst,
+		AdmitWait:      g.AdmitWait,
+		Telemetry:      reg,
 	}
 }
 

@@ -93,7 +93,6 @@ func TestOneConfiguration(t *testing.T) {
 		"Gateway": {got.Gateway, GatewaySpec{
 			MaxInflight: d.GatewayMaxInflight, ClientInflight: d.GatewayClientInflight,
 			TenantRPS: d.TenantRPS, TenantBurst: d.TenantBurst, AdmitWait: d.GatewayWait(),
-			StreamDetect: d.StreamDetect, StreamWindow: d.StreamDetectWindow, StreamLookahead: d.StreamLookahead,
 		}},
 		"PFS": {got.PFS, PFSSpec{Latency: devsim.PFSProfile.Latency, Bandwidth: devsim.PFSProfile.BytesPerSec, Servers: devsim.PFSProfile.Channels}},
 	}
@@ -102,7 +101,7 @@ func TestOneConfiguration(t *testing.T) {
 			t.Errorf("DefaultConfig().%s = %v, config.Default() has %v", name, v[0], v[1])
 		}
 	}
-	if got.EventShards != 8 || !got.FetchCoalesce || got.FetchWait <= 0 || !got.Gateway.StreamDetect {
+	if got.EventShards != 8 || !got.FetchCoalesce || got.FetchWait <= 0 {
 		t.Errorf("DefaultConfig() = %+v: not the shipped pipeline", got)
 	}
 	if !reflect.DeepEqual(got.Tiers, DefaultTiers(8<<20, 24<<20, 32<<20)) {

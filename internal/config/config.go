@@ -160,16 +160,6 @@ type Config struct {
 	// GatewayWaitMS bounds how long an over-rate gateway request waits
 	// for a token before being shed (default 10ms).
 	GatewayWaitMS float64 `json:"gateway_wait_ms,omitempty"`
-	// StreamDetect enables the gateway's sequential-stream detector and
-	// its readahead hints. Daemon default true.
-	StreamDetect bool `json:"stream_detect"`
-	// StreamDetectWindow is the byte tolerance between consecutive
-	// ranges of one client still considered sequential (default: one
-	// segment).
-	StreamDetectWindow int64 `json:"stream_detect_window,omitempty"`
-	// StreamLookahead is how many segments ahead a detected stream
-	// hints (default 4).
-	StreamLookahead int `json:"stream_lookahead,omitempty"`
 
 	TimeScale float64 `json:"time_scale"`
 	Tiers     []Tier  `json:"tiers"`
@@ -197,8 +187,6 @@ func Default() Config {
 		GatewayMaxInflight:    256,
 		GatewayClientInflight: 64,
 		GatewayWaitMS:         10,
-		StreamDetect:          true,
-		StreamLookahead:       4,
 		TimeScale:             1,
 		Tiers: []Tier{
 			{Name: "ram", CapacityBytes: 64 << 20, LatencyUS: 0.2, BandwidthMBps: 8000, Channels: 8},
@@ -284,9 +272,6 @@ func (c Config) Validate() error {
 	}
 	if c.TenantRPS < 0 || c.TenantBurst < 0 || c.GatewayWaitMS < 0 {
 		return fmt.Errorf("config: tenant_rps, tenant_burst and gateway_wait_ms must be >= 0")
-	}
-	if c.StreamDetectWindow < 0 || c.StreamLookahead < 0 {
-		return fmt.Errorf("config: stream_detect_window and stream_lookahead must be >= 0")
 	}
 	if c.LifecycleRing < 0 || c.LifecycleSampleEvery < 0 || c.LifecycleMaxActive < 0 {
 		return fmt.Errorf("config: lifecycle_ring, lifecycle_sample_every and lifecycle_max_active must be >= 0")

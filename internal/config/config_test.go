@@ -122,7 +122,8 @@ func TestMoverDefaults(t *testing.T) {
 		t.Fatalf("opt-out lost in defaulting: %+v", got)
 	}
 	// A retired knob or a misspelled one is refused by name, not ignored.
-	for _, key := range []string{"async_mover", "daemons", "workers_per_shard", "fetch_coalese"} {
+	for _, key := range []string{"async_mover", "daemons", "workers_per_shard", "fetch_coalese",
+		"stream_detect", "stream_detect_window", "stream_lookahead"} {
 		if err := writeFile(path, `{"node":"n1","`+key+`":false}`); err != nil {
 			t.Fatal(err)
 		}

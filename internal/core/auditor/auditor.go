@@ -581,15 +581,8 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 	var fileSize int64
 	if es != nil {
 		fileSize = es.size
-		// A gateway hint is not an access: it neither moves a stream nor
-		// teaches a link. A gateway read does both, but is hinted by the
-		// gateway's own per-client detector, so its window here is empty.
-		if a.cfg.SeqBoost > 0 && ev.Via != events.ViaHint {
-			maxAhead := a.maxAhead
-			if ev.Via != events.ViaAgent {
-				maxAhead = 0
-			}
-			prev, hintFrom, hintTo = es.streams.note(first, last, a.cfg.Segmenter.Count(fileSize), maxAhead)
+		if a.cfg.SeqBoost > 0 {
+			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, first, last, a.cfg.Segmenter.Count(fileSize), a.maxAhead)
 		}
 	}
 	st.mu.Unlock()

@@ -87,12 +87,8 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 	var fileSize int64
 	if es := r.epochs[ev.File]; es != nil {
 		fileSize = es.size
-		if r.cfg.SeqBoost > 0 && ev.Via != events.ViaHint {
-			maxAhead := r.maxAhead
-			if ev.Via != events.ViaAgent {
-				maxAhead = 0
-			}
-			prev, hintFrom, hintTo = es.streams.note(first, last, sg.Count(fileSize), maxAhead)
+		if r.cfg.SeqBoost > 0 {
+			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, first, last, sg.Count(fileSize), r.maxAhead)
 		}
 	}
 	ts := ev.Time

@@ -26,6 +26,8 @@ const (
 // stream is one run of in-order requests over the segments [start, next).
 type stream struct {
 	start, next int64
+	// end is the byte where the run's last request ended.
+	end int64
 	// hinted is the first segment beyond the run not hinted yet: each
 	// segment is hinted once per run.
 	hinted int64
@@ -50,11 +52,15 @@ type streamTable struct {
 	debt int
 }
 
-// note records the read of segments first..last (first <= last) of a file
-// of eof segments. A read that starts inside a stream or at its end and
-// reaches beyond it continues the stream; one that stays inside belongs
-// to a reader trailing it and changes nothing; any other is a seek and
-// takes the least recently used slot. prev is the segment the read
+// note records the read of the bytes [off, end), segments first..last
+// (first <= last), of a file of eof segments. A read that starts inside a
+// stream or at its end and reaches beyond it continues the stream, and so
+// does one that starts at the byte where the stream's last request ended,
+// even inside the stream's last segment: a stream is counted in requests,
+// as Linux readahead counts it, so a reader of half segments arms it as
+// soon as a reader of whole ones. Any other read that stays inside a
+// stream belongs to a reader trailing it and changes nothing; any other is
+// a seek and takes the least recently used slot. prev is the segment the read
 // followed, -1 when unknown: the last one of the stream's previous
 // request, for a seek that of the most recently used stream (a lone
 // reader's previous request, so strided and irregular repeats stay
@@ -65,14 +71,14 @@ type streamTable struct {
 // reader, extended when the reader has consumed half of it. Once hinted, a
 // run from segment 0 ramps at four times its length: its first window is
 // still twice the run, so an accidental arm costs no more than one did.
-func (t *streamTable) note(first, last, eof, maxAhead int64) (prev, from, to int64) {
+func (t *streamTable) note(off, end, first, last, eof, maxAhead int64) (prev, from, to int64) {
 	t.clock++
 	var s, trailing *stream
 	oldest, newest := &t.slots[0], &t.slots[0]
 	for i := range t.slots {
 		c := &t.slots[i]
 		if c.reqs > 0 && first >= c.start && first <= c.next {
-			if last >= c.next {
+			if last >= c.next || off == c.end {
 				s = c
 				break
 			}
@@ -95,11 +101,11 @@ func (t *streamTable) note(first, last, eof, maxAhead int64) (prev, from, to int
 			prev = newest.next - 1
 		}
 		t.debt = min(t.debt+2, debtMax)
-		*oldest = stream{start: first, next: last + 1, hinted: last + 1, reqs: 1, used: t.clock}
+		*oldest = stream{start: first, next: last + 1, end: end, hinted: last + 1, reqs: 1, used: t.clock}
 		return prev, 0, 0
 	}
 	prev = s.next - 1
-	s.next = last + 1
+	s.next, s.end = last+1, end
 	s.reqs++
 	s.used = t.clock
 	if t.debt > 0 {

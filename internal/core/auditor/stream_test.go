@@ -9,7 +9,6 @@ import (
 	"hfetch/internal/core/heatmap"
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
-	"hfetch/internal/events"
 )
 
 // rd is one read of the segments first..last and what the detector must
@@ -136,15 +135,65 @@ func TestStreamDetector(t *testing.T) {
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			var tab streamTable
+			reads := make([]rb, len(c.reads))
 			for i, r := range c.reads {
-				prev, from, to := tab.note(r.first, r.last, c.eof, c.cap)
-				if prev != r.prev || from != r.from || to != r.to {
-					t.Fatalf("read %d (%d..%d): prev %d, hints [%d, %d); want prev %d, hints [%d, %d)",
-						i, r.first, r.last, prev, from, to, r.prev, r.from, r.to)
-				}
+				reads[i] = rb{r.first * 100, (r.last + 1) * 100, r.prev, r.from, r.to}
 			}
+			playReads(t, c.eof, c.cap, reads)
 		})
+	}
+	// Reads in bytes: one that begins where the stream's last request
+	// ended continues it inside a segment too.
+	for _, c := range []struct {
+		name     string
+		eof, cap int64
+		reads    []rb
+	}{
+		{"a half-segment reader arms at its second request", 1000, 64, []rb{
+			{0, 50, -1, 0, 0},
+			{50, 100, 0, 1, 3},   // run 1 from segment 0: a first window of 2
+			{100, 150, 0, 3, 10}, // run 2: window 8
+			{150, 200, 1, 0, 0},  // 8 of a window of 8 still ahead
+		}},
+		{"a non-contiguous request inside the last segment changes nothing", 1000, 64, []rb{
+			{0, 50, -1, 0, 0},
+			{60, 90, -1, 0, 0}, // trailing: the stream still ends at 50
+			{50, 100, 0, 1, 3},
+		}},
+		{"a second reader trailing inside the run is still trailing", 1000, 64, []rb{
+			{0, 50, -1, 0, 0},
+			{50, 100, 0, 1, 3},
+			{100, 150, 0, 3, 10},
+			{0, 50, -1, 0, 0}, // B
+			{150, 200, 1, 0, 0},
+			{50, 100, -1, 0, 0}, // B follows its own last request, not the stream's
+			{200, 250, 1, 0, 0},
+			{100, 150, -1, 0, 0}, // B
+			{250, 300, 2, 0, 0},
+			{300, 350, 2, 10, 20},
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { playReads(t, c.eof, c.cap, c.reads) })
+	}
+}
+
+// rb is a read of the bytes [off, end) at 100 bytes a segment, and what
+// the detector must answer, as in rd.
+type rb struct {
+	off, end       int64
+	prev, from, to int64
+}
+
+// playReads feeds reads to an empty table and checks every answer.
+func playReads(t *testing.T, eof, maxAhead int64, reads []rb) {
+	t.Helper()
+	var tab streamTable
+	for i, r := range reads {
+		prev, from, to := tab.note(r.off, r.end, r.off/100, (r.end-1)/100, eof, maxAhead)
+		if prev != r.prev || from != r.from || to != r.to {
+			t.Fatalf("read %d [%d, %d): prev %d, hints [%d, %d); want prev %d, hints [%d, %d)",
+				i, r.off, r.end, prev, from, to, r.prev, r.from, r.to)
+		}
 	}
 }
 
@@ -162,7 +211,7 @@ func TestStreamWindowRamp(t *testing.T) {
 		var tab streamTable
 		frontier, widest := int64(0), int64(0)
 		for i := c.start; i < eof; i++ {
-			_, from, to := tab.note(i, i, eof, maxAhead)
+			_, from, to := tab.note(i*100, (i+1)*100, i, i, eof, maxAhead)
 			if from >= to {
 				continue
 			}
@@ -303,38 +352,36 @@ func TestSeqBoostZeroDisablesStreams(t *testing.T) {
 	}
 }
 
-// TestOnlyAgentReadsAreHinted: a gateway read moves a stream and teaches
-// its link but is hinted by the gateway's detector; a gateway hint is not
-// an access at all.
-func TestOnlyAgentReadsAreHinted(t *testing.T) {
+// TestGatewayReadsAreHintedLikeAgentReads: the gateway posts one read
+// event per ranged GET and keeps no stream state of its own, so an HTTP
+// reader is hinted by the auditor's streams like an agent reader. From a
+// file's start both are hinted at their second request, whether their
+// requests are whole segments (an agent's) or half segments (64 KiB GETs
+// of larger segments), and both teach the same links.
+func TestGatewayReadsAreHintedLikeAgentReads(t *testing.T) {
 	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
-	a.StartEpoch("gw", 10000)
-	a.StartEpoch("mixed", 10000)
-	for i := int64(0); i < 8; i++ {
-		ev := readEv("gw", i*100, 100)
-		ev.Via = events.ViaGateway
-		a.HandleEvent(ev)
-		hint := readEv("gw", (i+4)*100, 100)
-		hint.Via = events.ViaHint
-		a.HandleEvent(hint)
-	}
-	if h := a.Counters().Hints; h != 0 {
-		t.Fatalf("%d hints from gateway traffic", h)
-	}
-	if rec, _ := a.SegmentRec(seg.ID{File: "gw", Index: 5}); rec.Succ != 6 {
-		t.Fatalf("gateway reads interleaved with hints: successor of 5 is %d, want 6", rec.Succ)
-	}
-	// An agent reader whose every other request is overtaken by a hint
-	// event still runs in order: from segment 0 it is hinted 2..5 at its
-	// second request and 6..14 at its third.
-	for i := int64(0); i < 3; i++ {
-		a.HandleEvent(readEv("mixed", i*100, 100))
-		hint := readEv("mixed", 5000, 100)
-		hint.Via = events.ViaHint
-		a.HandleEvent(hint)
-	}
-	if h := a.Counters().Hints; h != 13 {
-		t.Fatalf("%d hints for the agent stream, want 13", h)
+	for _, c := range []struct {
+		file            string
+		length          int64
+		second, through int64 // hints after the second request, and after byte 400
+	}{
+		{"agent", 100, 4, 13},
+		{"gw", 50, 2, 19},
+	} {
+		a.StartEpoch(c.file, 10000)
+		before := a.Counters().Hints
+		for off := int64(0); off < 400; off += c.length {
+			a.HandleEvent(readEv(c.file, off, c.length))
+			if got := a.Counters().Hints - before; off == c.length && got != c.second {
+				t.Errorf("%s: %d hints after the second request, want %d", c.file, got, c.second)
+			}
+		}
+		if got := a.Counters().Hints - before; got != c.through {
+			t.Errorf("%s: %d hints after byte 400, want %d", c.file, got, c.through)
+		}
+		if rec, _ := a.SegmentRec(seg.ID{File: c.file, Index: 2}); rec.Succ != 3 {
+			t.Errorf("%s: successor of 2 is %d, want 3", c.file, rec.Succ)
+		}
 	}
 }
 

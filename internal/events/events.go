@@ -44,30 +44,6 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Via identifies the producer of an event: the in-process client agent
-// (the default, zero value), the HTTP gateway's request path, or a
-// synthetic readahead hint emitted by the gateway's sequential-stream
-// detector. Hints are scored like real reads — a detected stream *is*
-// the paper's sequencing signal — but carry the tag so consumers and
-// tests can tell externally-driven traffic from agent traffic.
-type Via uint8
-
-// Event producers.
-const (
-	ViaAgent Via = iota
-	ViaGateway
-	ViaHint
-)
-
-var viaNames = [...]string{"agent", "gateway", "hint"}
-
-func (v Via) String() string {
-	if int(v) < len(viaNames) {
-		return viaNames[v]
-	}
-	return fmt.Sprintf("via(%d)", uint8(v))
-}
-
 // Event is one enriched file-system event.
 type Event struct {
 	Op     Op
@@ -75,9 +51,6 @@ type Event struct {
 	Offset int64
 	Length int64
 	Time   time.Time
-	// Via tags the producer: in-process agent (default), the HTTP
-	// gateway, or a synthetic stream-detector readahead hint.
-	Via Via
 	// Tier names the tier that produced the event (capacity events) or
 	// served the access, when known.
 	Tier string

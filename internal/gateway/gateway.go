@@ -1,12 +1,12 @@
 // Package gateway is the HTTP/1.1 range-read serving surface in front of
 // an HFetch node: GET/HEAD /files/{path} with Range and If-Range
 // semantics, streaming responses served straight from the tier hierarchy
-// (falling back to PFS passthrough when tiers are cold), per-tenant
-// token-bucket admission with a bounded wait, and a per-client range
-// continuity tracker whose detected sequential streams feed synthetic
-// readahead hints into the event pipeline — external readers drive
-// prefetching for themselves, which is exactly the paper's sequencing
-// signal arriving over the wire instead of through the client agent.
+// (falling back to PFS passthrough when tiers are cold), and per-tenant
+// token-bucket admission with a bounded wait. Every served request posts
+// one read event into the node's event pipeline, so the auditor detects
+// an HTTP client's sequential stream and prefetches ahead of it as it
+// does for an agent reader: the paper's sequencing signal arriving over
+// the wire instead of through the client agent.
 package gateway
 
 import (
@@ -46,16 +46,6 @@ type Config struct {
 	// AdmitWait bounds how long an over-rate request may wait for a
 	// token before being shed with 429 + Retry-After (default 10ms).
 	AdmitWait time.Duration
-	// StreamDetect enables the sequential-stream detector and its
-	// readahead hint events.
-	StreamDetect bool
-	// StreamWindow is the byte tolerance between the end of one request
-	// and the start of the next for the pair to count as one sequential
-	// stream (default: the node's segment size).
-	StreamWindow int64
-	// StreamLookahead is how many segments ahead of a detected stream
-	// the gateway hints (default 4).
-	StreamLookahead int
 	// ChunkBytes is the streaming copy granularity (default 256 KiB).
 	// Each chunk re-checks the file generation so a response never
 	// mixes bytes of two generations.
@@ -73,7 +63,7 @@ type Config struct {
 	LogMaxPerSec int
 }
 
-func (c Config) withDefaults(segSize int64) Config {
+func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 256
 	}
@@ -88,12 +78,6 @@ func (c Config) withDefaults(segSize int64) Config {
 	}
 	if c.AdmitWait <= 0 {
 		c.AdmitWait = 10 * time.Millisecond
-	}
-	if c.StreamWindow <= 0 {
-		c.StreamWindow = segSize
-	}
-	if c.StreamLookahead <= 0 {
-		c.StreamLookahead = 4
 	}
 	if c.ChunkBytes <= 0 {
 		c.ChunkBytes = 256 << 10
@@ -113,8 +97,7 @@ type Gateway struct {
 	fs  *pfs.FS
 	cfg Config
 
-	qos     *qos
-	streams *streamTable
+	qos *qos
 
 	// mu guards the epoch table and the closed flag. It is the
 	// outermost lock of the node (see ARCHITECTURE.md "Lock ordering")
@@ -141,21 +124,18 @@ type Gateway struct {
 	fullHist   *telemetry.Histogram
 	shedVec    *telemetry.CounterVec
 	degradeCtr *telemetry.Counter
-	streamCtr  *telemetry.Counter
-	hintCtr    *telemetry.Counter
 	abortCtr   *telemetry.Counter
 }
 
 // New builds a gateway over srv. The server must outlive the gateway.
 func New(srv *server.Server, cfg Config) *Gateway {
-	cfg = cfg.withDefaults(srv.Segmenter().Size())
+	cfg = cfg.withDefaults()
 	g := &Gateway{
-		srv:     srv,
-		fs:      srv.FS(),
-		cfg:     cfg,
-		qos:     newQOS(cfg),
-		streams: newStreamTable(cfg.StreamWindow),
-		epochs:  make(map[string]int64),
+		srv:    srv,
+		fs:     srv.FS(),
+		cfg:    cfg,
+		qos:    newQOS(cfg),
+		epochs: make(map[string]int64),
 	}
 	g.log = cfg.Logger
 	g.logLim.max = cfg.LogMaxPerSec
@@ -175,8 +155,6 @@ func New(srv *server.Server, cfg Config) *Gateway {
 		g.fullHist = reg.Histogram("hfetch_gateway_request_nanos", "request start to last body byte in nanoseconds")
 		g.shedVec = reg.CounterVec("hfetch_gateway_shed_total", "requests shed by QoS admission, by reason", "reason")
 		g.degradeCtr = reg.Counter("hfetch_gateway_degraded_total", "responses served entirely from the PFS (no tier hit)")
-		g.streamCtr = reg.Counter("hfetch_gateway_streams_detected_total", "sequential client streams detected")
-		g.hintCtr = reg.Counter("hfetch_gateway_hints_total", "synthetic readahead hint events posted")
 		g.abortCtr = reg.Counter("hfetch_gateway_aborted_total", "responses aborted mid-stream by a generation change")
 		reg.GaugeFunc("hfetch_gateway_inflight", "gateway requests currently being served", g.qos.inflightNow)
 	}
@@ -263,7 +241,7 @@ func (g *Gateway) trackEpoch(file string, size int64) (started, ok bool) {
 }
 
 // clientOf extracts the client identity (IP without port) used for
-// per-client caps and stream tracking.
+// per-client caps.
 func clientOf(r *http.Request) string {
 	host, _, err := net.SplitHostPort(r.RemoteAddr)
 	if err != nil {
@@ -474,17 +452,12 @@ func (g *Gateway) handleFile(w http.ResponseWriter, r *http.Request, path string
 	}
 
 	// Every request is an access event: the gateway is just another
-	// reader as far as the prefetching pipeline is concerned.
+	// reader as far as the prefetching pipeline is concerned, and the
+	// auditor's stream table detects its sequential clients.
 	g.srv.PostEvent(events.Event{
 		Op: events.OpRead, File: path, Offset: br.start, Length: br.length,
-		Time: start, Via: events.ViaGateway,
+		Time: start,
 	})
-	if g.cfg.StreamDetect && br.length > 0 {
-		if detected := g.streams.note(client, path, br.start, br.length); detected {
-			g.streamCtr.Inc()
-			g.hint(path, br.start+br.length, fi.Size, start)
-		}
-	}
 
 	g.countCode(status)
 	w.WriteHeader(status)
@@ -503,33 +476,6 @@ func (g *Gateway) InflightNow() int64 { return g.qos.inflightNow() }
 // Completed reports finished requests, any status including aborts (the
 // watchdog's progress signal).
 func (g *Gateway) Completed() int64 { return g.completed.Load() }
-
-// hint posts synthetic readahead events for the segments following end,
-// at segment granularity: a detected stream is the sequencing signal,
-// and these events are what turns it into prefetches that land before
-// the client's next request arrives.
-func (g *Gateway) hint(path string, end, size int64, now time.Time) {
-	segr := g.srv.Segmenter()
-	if end <= 0 {
-		end = 1
-	}
-	idx := segr.IndexOf(end - 1)
-	for k := 1; k <= g.cfg.StreamLookahead; k++ {
-		off := (idx + int64(k)) * segr.Size()
-		if off >= size {
-			return
-		}
-		ln := segr.Size()
-		if off+ln > size {
-			ln = size - off
-		}
-		g.srv.PostEvent(events.Event{
-			Op: events.OpRead, File: path, Offset: off, Length: ln,
-			Time: now, Via: events.ViaHint,
-		})
-		g.hintCtr.Inc()
-	}
-}
 
 // stream writes [br.start, br.start+br.length) of path to w in chunks
 // of at most ChunkBytes, served from one pinned RangeView: the range's

@@ -71,7 +71,7 @@ func TestConcurrentTenantNoOverAdmission(t *testing.T) {
 		TenantRPS:      rps,
 		TenantBurst:    burst,
 		AdmitWait:      time.Nanosecond,
-	}.withDefaults(1 << 20))
+	}.withDefaults())
 
 	var admitted atomic.Int64
 	start := time.Now()
@@ -101,7 +101,7 @@ func TestConcurrentTenantNoOverAdmission(t *testing.T) {
 }
 
 func TestInflightCaps(t *testing.T) {
-	q := newQOS(Config{MaxInflight: 2, ClientInflight: 1}.withDefaults(1 << 20))
+	q := newQOS(Config{MaxInflight: 2, ClientInflight: 1}.withDefaults())
 
 	a1 := q.admit("t", "c1")
 	if !a1.ok {
@@ -135,7 +135,7 @@ func TestBoundedWaitAdmits(t *testing.T) {
 		TenantRPS:      1000,
 		TenantBurst:    1,
 		AdmitWait:      50 * time.Millisecond,
-	}.withDefaults(1 << 20))
+	}.withDefaults())
 	if adm := q.admit("t", "c"); !adm.ok || adm.wait != 0 {
 		t.Fatalf("burst admit = %+v, want immediate", adm)
 	}
@@ -150,33 +150,9 @@ func TestBoundedWaitAdmits(t *testing.T) {
 	}
 }
 
-func TestStreamTableWindowAndReset(t *testing.T) {
-	tb := newStreamTable(100)
-	if tb.note("c", "f", 0, 100) {
-		t.Fatal("first range already a stream")
-	}
-	if !tb.note("c", "f", 100, 100) {
-		t.Fatal("contiguous continuation not detected")
-	}
-	if !tb.note("c", "f", 250, 100) {
-		t.Fatal("in-window gap broke the stream")
-	}
-	if tb.note("c", "f", 10_000, 100) {
-		t.Fatal("far jump still counted as a stream")
-	}
-	if tb.note("other", "f", 100, 100) {
-		t.Fatal("fresh client inherited another client's stream")
-	}
-	// The key is the (client, file) pair, not their concatenation.
-	if tb.note("c", "ff", 200, 100) || tb.note("cf", "f", 200, 100) {
-		t.Fatal("a stream leaked to a pair spelling the same bytes")
-	}
-}
-
-// TestPerRequestBookkeepingDoesNotAllocate: noting a request of a tracked
-// stream and counting a status the gateway emits build no string, and
-// without telemetry no status is formatted at all, not even one the
-// gateway does not emit.
+// TestPerRequestBookkeepingDoesNotAllocate: counting a status the gateway
+// emits builds no string, and without telemetry no status is formatted at
+// all, not even one the gateway does not emit.
 func TestPerRequestBookkeepingDoesNotAllocate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -188,14 +164,10 @@ func TestPerRequestBookkeepingDoesNotAllocate(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, _, _ := newTestNodeWith(t, Config{}, tc.reg)
-			off := int64(0)
-			g.streams.note("10.0.0.1", "data/f", off, 100)
 			if n := testing.AllocsPerRun(100, func() {
-				off += 100
-				g.streams.note("10.0.0.1", "data/f", off, 100)
 				g.countCode(tc.code)
 			}); n != 0 {
-				t.Fatalf("stream note + status %d count allocate %.1f times per request", tc.code, n)
+				t.Fatalf("status %d count allocates %.1f times per request", tc.code, n)
 			}
 		})
 	}
