@@ -54,23 +54,23 @@ type streamTable struct {
 
 // note records the read of the bytes [off, end), segments first..last
 // (first <= last), of a file of eof segments. A read that starts inside a
-// stream or at its end and reaches beyond it continues the stream, and so
-// does one that starts at the byte where the stream's last request ended,
-// even inside the stream's last segment: a stream is counted in requests,
-// as Linux readahead counts it, so a reader of half segments arms it as
-// soon as a reader of whole ones. Any other read that stays inside a
-// stream belongs to a reader trailing it and changes nothing; any other is
-// a seek and takes the least recently used slot. prev is the segment the read
-// followed, -1 when unknown: the last one of the stream's previous
-// request, for a seek that of the most recently used stream (a lone
-// reader's previous request, so strided and irregular repeats stay
-// learnable), for a trailing reader none. [from, to) are the segments to
-// hint now: none before the stream's streamArm-th request (the second for
-// a run from segment 0) or while the file owes more than one, then up to
-// twice the run's length (at most maxAhead, never past eof) beyond the
-// reader, extended when the reader has consumed half of it. Once hinted, a
-// run from segment 0 ramps at four times its length: its first window is
-// still twice the run, so an accidental arm costs no more than one did.
+// stream or at its end and reaches beyond it continues the stream; in the
+// file's first segment so does one that starts where the stream's last
+// request ended, so a reader of half segments from a file's start arms it
+// as soon as a reader of whole ones (Linux readahead favours offset 0 so),
+// while the contiguous reads of one random record elsewhere make no run.
+// Any other read that stays inside a stream is a reader trailing it and
+// changes nothing; any other is a seek and takes the least recently used
+// slot. prev is the segment the read followed, -1 when unknown: the last
+// one of the stream's previous request, for a seek that of the most
+// recently used stream (a lone reader's previous request, so strided and
+// irregular repeats stay learnable), for a trailing reader none. [from,
+// to) are the segments to hint now: none before the stream's streamArm-th
+// request (the second for a run from segment 0) or while the file owes
+// more than one, then up to twice the run's length (at most maxAhead,
+// never past eof) beyond the reader, extended when half of it is read.
+// Once hinted, a run from segment 0 ramps at four times its length: its
+// first window is still twice the run, so an accidental arm costs no more.
 func (t *streamTable) note(off, end, first, last, eof, maxAhead int64) (prev, from, to int64) {
 	t.clock++
 	var s, trailing *stream
@@ -78,7 +78,7 @@ func (t *streamTable) note(off, end, first, last, eof, maxAhead int64) (prev, fr
 	for i := range t.slots {
 		c := &t.slots[i]
 		if c.reqs > 0 && first >= c.start && first <= c.next {
-			if last >= c.next || off == c.end {
+			if last >= c.next || off == c.end && c.next == 1 {
 				s = c
 				break
 			}

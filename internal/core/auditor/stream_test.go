@@ -142,8 +142,8 @@ func TestStreamDetector(t *testing.T) {
 			playReads(t, c.eof, c.cap, reads)
 		})
 	}
-	// Reads in bytes: one that begins where the stream's last request
-	// ended continues it inside a segment too.
+	// Reads in bytes: inside the file's first segment, one that begins
+	// where the stream's last request ended continues it too.
 	for _, c := range []struct {
 		name     string
 		eof, cap int64
@@ -153,24 +153,32 @@ func TestStreamDetector(t *testing.T) {
 			{0, 50, -1, 0, 0},
 			{50, 100, 0, 1, 3},   // run 1 from segment 0: a first window of 2
 			{100, 150, 0, 3, 10}, // run 2: window 8
-			{150, 200, 1, 0, 0},  // 8 of a window of 8 still ahead
+			{150, 200, -1, 0, 0}, // past segment 0 a half segment trails the run
+			{200, 250, 1, 0, 0},  // 7 of a window of 12 still ahead
+			{250, 300, -1, 0, 0},
+			{300, 350, 2, 10, 20}, // run 4: window 16
+		}},
+		{"beyond segment 0 a half-segment reader is counted in segments", 1000, 64, []rb{
+			{1000, 1050, -1, 0, 0},
+			{1050, 1100, -1, 0, 0}, // trails: contiguous reads of one record are no stream
+			{1100, 1150, 10, 0, 0},
+			{1150, 1200, -1, 0, 0},
+			{1200, 1250, 11, 13, 19}, // the third segment arms the run, as whole segments do
 		}},
 		{"a non-contiguous request inside the last segment changes nothing", 1000, 64, []rb{
 			{0, 50, -1, 0, 0},
 			{60, 90, -1, 0, 0}, // trailing: the stream still ends at 50
 			{50, 100, 0, 1, 3},
 		}},
-		{"a second reader trailing inside the run is still trailing", 1000, 64, []rb{
-			{0, 50, -1, 0, 0},
-			{50, 100, 0, 1, 3},
-			{100, 150, 0, 3, 10},
-			{0, 50, -1, 0, 0}, // B
-			{150, 200, 1, 0, 0},
-			{50, 100, -1, 0, 0}, // B follows its own last request, not the stream's
-			{200, 250, 1, 0, 0},
-			{100, 150, -1, 0, 0}, // B
-			{250, 300, 2, 0, 0},
-			{300, 350, 2, 10, 20},
+		{"a second reader trailing inside segment 0 is still trailing", 1000, 64, []rb{
+			{0, 25, -1, 0, 0},
+			{0, 25, -1, 0, 0}, // B
+			{25, 50, 0, 1, 3},
+			{25, 50, -1, 0, 0}, // B follows its own last request, not the stream's
+			{50, 75, 0, 3, 5},  // run 1, ramped ×4 once hinted: window 4
+			{50, 75, -1, 0, 0}, // B
+			{75, 100, 0, 0, 0}, // 4 of a window of 4 still ahead
+			{100, 125, 0, 5, 10},
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) { playReads(t, c.eof, c.cap, c.reads) })
@@ -237,39 +245,64 @@ func TestStreamWindowRamp(t *testing.T) {
 }
 
 // TestRandomReadsAreNotHinted is warm_read's and event_storm's geometry
-// over 200 seeds: no seed hints more than 10 segments per 10 000 reads.
+// over 200 seeds: no seed hints more than 10 segments per 10 000 whole-
+// segment reads, nor per 10 000 reads in records of three contiguous
+// quarter-segment reads beyond a file's first segment. Records that may
+// also lie in the first segment are allowed 40: one that is a file's first
+// access there reads like a whole-file reader's first requests and is
+// hinted up to 4 segments, and 64 files make up to 7 such records a seed.
+// Counted by byte in every segment, the records drew about 8 000.
 func TestRandomReadsAreNotHinted(t *testing.T) {
-	const files, segs, reads, seeds, maxHints = 64, 32, 10000, 200, 10
+	const files, segs, reads, seeds = 64, 32, 10000, 200
 	names := make([]string, files)
 	for i := range names {
 		names[i] = "f" + string(rune('A'+i))
 	}
-	total, worst := 0, 0
-	for seed := int64(1); seed <= seeds; seed++ {
-		a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
-		for _, name := range names {
-			a.StartEpoch(name, segs*100)
-		}
-		rng := rand.New(rand.NewSource(seed))
-		for i := 0; i < reads; i++ {
-			a.HandleEvent(readEv(names[rng.Intn(files)], rng.Int63n(segs)*100, 100))
-		}
-		hinted := 0
-		ups, _ := sink.snapshot()
-		for _, u := range ups {
-			if u.Ahead {
-				hinted++
+	for _, c := range []struct {
+		name      string
+		per, size int64 // reads per record, bytes per read
+		lo        int64 // the first segment a record may lie in
+		maxHints  int
+	}{
+		{"whole segments", 1, 100, 0, 10},
+		{"records of three quarter segments beyond segment 0", 3, 25, 1, 10},
+		{"records of three quarter segments", 3, 25, 0, 40},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			total, worst := 0, 0
+			for seed := int64(1); seed <= seeds; seed++ {
+				a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
+				for _, name := range names {
+					a.StartEpoch(name, segs*100)
+				}
+				rng := rand.New(rand.NewSource(seed))
+				for i := int64(0); i < reads; i += c.per {
+					name, off := names[rng.Intn(files)], (c.lo+rng.Int63n(segs-c.lo))*100
+					if c.per > 1 {
+						off += rng.Int63n(100/c.size-c.per+1) * c.size
+					}
+					for j := int64(0); j < c.per; j++ {
+						a.HandleEvent(readEv(name, off+j*c.size, c.size))
+					}
+				}
+				hinted := 0
+				ups, _ := sink.snapshot()
+				for _, u := range ups {
+					if u.Ahead {
+						hinted++
+					}
+				}
+				if got := a.Counters().Hints; int64(hinted) != got {
+					t.Fatalf("seed %d: %d updates marked Ahead, counter says %d", seed, hinted, got)
+				}
+				if hinted > c.maxHints {
+					t.Errorf("seed %d: %d hinted updates from %d random reads, want <= %d", seed, hinted, reads, c.maxHints)
+				}
+				total, worst = total+hinted, max(worst, hinted)
 			}
-		}
-		if got := a.Counters().Hints; int64(hinted) != got {
-			t.Fatalf("seed %d: %d updates marked Ahead, counter says %d", seed, hinted, got)
-		}
-		if hinted > maxHints {
-			t.Errorf("seed %d: %d hinted updates from %d random reads, want <= %d", seed, hinted, reads, maxHints)
-		}
-		total, worst = total+hinted, max(worst, hinted)
+			t.Logf("hinted updates per %d random reads over %d seeds: worst %d, mean %.2f", reads, seeds, worst, float64(total)/seeds)
+		})
 	}
-	t.Logf("hinted updates per %d random reads over %d seeds: worst %d, mean %.2f", reads, seeds, worst, float64(total)/seeds)
 }
 
 // TestInterleavedReadersLearnTheirOwnLinks: B trails A by 3 over a
