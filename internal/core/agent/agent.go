@@ -44,6 +44,7 @@ type Agent struct {
 	// Telemetry handles; nil when disabled (their methods no-op).
 	tele    *telemetry.Registry
 	pfsHist *telemetry.Histogram
+	blocked *telemetry.CounterVec
 }
 
 // New creates an agent. stats may be shared across agents of one
@@ -56,7 +57,8 @@ func New(api ServerAPI, fs *pfs.FS, stats *telemetry.ReadStats) *Agent {
 }
 
 // SetTelemetry attaches a registry: every ReadAt records a client_read
-// pipeline span and PFS-fallback reads record their latency under
+// pipeline span and adds its time to hfetch_read_blocked_nanos_total by
+// serving tier, and PFS-fallback reads record their latency under
 // hfetch_tier_read_nanos{tier="pfs"}. Call before traffic; nil is
 // ignored.
 func (a *Agent) SetTelemetry(reg *telemetry.Registry) {
@@ -66,6 +68,8 @@ func (a *Agent) SetTelemetry(reg *telemetry.Registry) {
 	a.tele = reg
 	a.pfsHist = reg.Histogram("hfetch_tier_read_nanos",
 		"prefetched-read latency by serving tier in nanoseconds", "tier", "pfs")
+	a.blocked = reg.CounterVec("hfetch_read_blocked_nanos_total",
+		"time read calls blocked their callers, by the tier that served them (pfs when any segment missed)", "tier")
 }
 
 // Stats returns the agent's I/O statistics collector.
@@ -177,6 +181,12 @@ func (a *Agent) ReadAt(name string, size int64, p []byte, off int64) (int, strin
 	}
 	elapsed := time.Since(start)
 	a.stats.ObserveRead(elapsed)
+	servedBy := tier
+	if missed {
+		servedBy = "pfs"
+	}
+	a.stats.Blocked(servedBy, elapsed)
+	a.blocked.With(servedBy).Add(int64(elapsed))
 	if a.tele.TimeSample() {
 		a.tele.Span(telemetry.StageClientRead, name, segr.IndexOf(off), "", start, elapsed)
 	}

@@ -3,6 +3,7 @@ package agent
 import (
 	"bytes"
 	"io"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"hfetch/internal/devsim"
 	"hfetch/internal/events"
 	"hfetch/internal/pfs"
+	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
 )
 
@@ -423,5 +425,41 @@ func TestReadEventOrder(t *testing.T) {
 			t.Errorf("%s: posted after %d probes and %d origin reads (%d in all), want %d, %d and %d",
 				c.name, api.atProbes[0], api.atOrigin[0]-ops0, ops-ops0, c.probes, c.origin, c.misses)
 		}
+	}
+}
+
+// TestReadBlockedTimeByServingTier: every read's time is charged once, to
+// the tier that served it all or to "pfs" when any segment missed, in the
+// client's statistics and in hfetch_read_blocked_nanos_total alike.
+func TestReadBlockedTimeByServingTier(t *testing.T) {
+	const segSize, size = 1024, 8 * 1024
+	fs := pfs.New(devsim.New(devsim.Profile{Name: "pfs"}, 1))
+	fs.Create("f", size)
+	api := &stubServer{segr: seg.NewSegmenter(segSize), fs: fs, resident: map[int64]bool{0: true, 1: true}}
+	reg := telemetry.NewRegistry()
+	a := New(api, fs, nil)
+	a.SetTelemetry(reg)
+	buf := make([]byte, 2*segSize)
+	for _, off := range []int64{0, segSize, 4 * segSize, 0} { // ram, pfs, pfs, ram
+		if _, _, err := a.ReadAt("f", size, buf, off); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap := a.Stats().Snapshot()
+	if len(snap.TierBlocked) != 2 || snap.TierBlocked["ram"] <= 0 || snap.TierBlocked["pfs"] <= 0 ||
+		snap.TierBlocked["ram"]+snap.TierBlocked["pfs"] != snap.ReadNanos {
+		t.Fatalf("blocked by tier %v, want ram and pfs summing to the read time %d", snap.TierBlocked, snap.ReadNanos)
+	}
+	exported := map[string]int64{}
+	for _, m := range reg.Snapshot().Metrics {
+		if m.Name == "hfetch_read_blocked_nanos_total" {
+			exported[m.Labels] = m.Value
+		}
+	}
+	if exported[`{tier="ram"}`] != snap.TierBlocked["ram"] || exported[`{tier="pfs"}`] != snap.TierBlocked["pfs"] {
+		t.Fatalf("exported %v, want the client's %v", exported, snap.TierBlocked)
+	}
+	if s := a.Stats().String(); !strings.Contains(s, "blocked: pfs=") {
+		t.Fatalf("String = %q, want the blocked split", s)
 	}
 }

@@ -582,7 +582,7 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 	if es != nil {
 		fileSize = es.size
 		if a.cfg.SeqBoost > 0 {
-			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, first, last, a.cfg.Segmenter.Count(fileSize), a.maxAhead)
+			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, a.cfg.Segmenter.Size(), a.cfg.Segmenter.Count(fileSize), a.maxAhead)
 		}
 	}
 	st.mu.Unlock()
@@ -593,6 +593,7 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 		ts = time.Now()
 	}
 
+	var top float64 // the read's highest segment score
 	for idx := first; idx <= last; idx++ {
 		id := seg.ID{File: ev.File, Index: idx}
 		segSize := a.cfg.Segmenter.RangeOf(id, fileSize).Len
@@ -614,11 +615,12 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 			up.Trace = ev.Trace
 		}
 		c.out(up)
+		top = max(top, sc)
 
 		// Sequencing readahead: boost the known successor of every
 		// accessed segment so it climbs the hierarchy ahead of its read.
 		if succ >= 0 && succ != idx && a.cfg.SeqBoost > 0 {
-			a.boost(seg.ID{File: ev.File, Index: succ}, ts, fileSize, ev.Origin, false, c)
+			a.boost(seg.ID{File: ev.File, Index: succ}, ts, fileSize, ev.Origin, false, 0, c)
 		}
 	}
 
@@ -627,11 +629,13 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 	a.learnLink(ev.File, prev, first, c)
 
 	// Stream readahead: the segments beyond a detected stream get the same
-	// anticipatory weight before anything has been learned about them.
+	// anticipatory weight before anything has been learned about them, and
+	// rank with their reader: a segment about to be read is worth at least
+	// what the reader's read just scored.
 	if hintFrom < hintTo {
 		a.ctr.hints.Add(hintTo - hintFrom)
 		for idx := hintFrom; idx < hintTo; idx++ {
-			a.boost(seg.ID{File: ev.File, Index: idx}, ts, fileSize, ev.Origin, true, c)
+			a.boost(seg.ID{File: ev.File, Index: idx}, ts, fileSize, ev.Origin, true, top, c)
 		}
 	}
 }
@@ -654,10 +658,11 @@ func (a *Auditor) learnLink(file string, prev, cur int64, c *cycle) {
 
 // boost applies the anticipatory sequencing weight to id. The update
 // inherits the triggering access's origin: the successor should be
-// prefetched where the reader is.
+// prefetched where the reader is. It carries at least floor as its score;
+// the stored record keeps Eq. (1).
 //
 //hfetch:hotpath
-func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, ahead bool, c *cycle) {
+func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, ahead bool, floor float64, c *cycle) {
 	binary.BigEndian.PutUint64(c.arg[0:8], uint64(ts.UnixNano()))
 	binary.BigEndian.PutUint64(c.arg[8:16], math.Float64bits(a.cfg.SeqBoost))
 	out, err := a.stats.ApplyResult(dhm.Key(id), opRef, c.arg[:], c.res[:0])
@@ -671,7 +676,7 @@ func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, 
 			size = a.cfg.Segmenter.Size()
 		}
 	}
-	c.out(Update{ID: id, Score: sc, Size: size, Origin: origin, Ahead: ahead})
+	c.out(Update{ID: id, Score: max(sc, floor), Size: size, Origin: origin, Ahead: ahead})
 }
 
 // learnAndBlend feeds the learner a positive example for the segment's

@@ -19,7 +19,9 @@ import (
 // got back, a link is learned with a read of the predecessor followed by
 // two mutations, and events are handled one at a time. It shares with the
 // auditor only what this change did not touch: the score model, the
-// segmenter and the stream detector.
+// segmenter and the stream detector. A stream hint carries the higher of
+// its Eq. (1) score and its read's highest segment score; notes keeps, for
+// every update handle returns, what that score was made of.
 type refAuditor struct {
 	cfg      Config
 	model    *score.Model
@@ -27,6 +29,15 @@ type refAuditor struct {
 	epochs   map[string]*epochState
 	maxAhead int64
 	hints    int64
+	notes    []refNote
+}
+
+// refNote is how the reference scored one update: its Eq. (1) score, the
+// highest score of the read behind it, and whether it boosts a learned
+// successor.
+type refNote struct {
+	eq1, top  float64
+	successor bool
 }
 
 func newRefAuditor(cfg Config) *refAuditor {
@@ -88,10 +99,11 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 	if es := r.epochs[ev.File]; es != nil {
 		fileSize = es.size
 		if r.cfg.SeqBoost > 0 {
-			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, first, last, sg.Count(fileSize), r.maxAhead)
+			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, sg.Size(), sg.Count(fileSize), r.maxAhead)
 		}
 	}
 	ts := ev.Time
+	var top float64
 	boost := func(id seg.ID, ahead bool) {
 		rec := r.ref(id, ts, r.cfg.SeqBoost)
 		size := rec.Size
@@ -100,7 +112,12 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 				size = sg.Size()
 			}
 		}
-		ups = append(ups, Update{ID: id, Score: r.model.Score(&rec.Stats, ts), Size: size, Origin: ev.Origin, Ahead: ahead})
+		sc := r.model.Score(&rec.Stats, ts)
+		r.notes = append(r.notes, refNote{eq1: sc, top: top, successor: !ahead})
+		if ahead {
+			sc = max(sc, top)
+		}
+		ups = append(ups, Update{ID: id, Score: sc, Size: size, Origin: ev.Origin, Ahead: ahead})
 	}
 	for idx := first; idx <= last; idx++ {
 		id := seg.ID{File: ev.File, Index: idx}
@@ -121,6 +138,8 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 			up.Trace = ev.Trace
 		}
 		ups = append(ups, up)
+		top = max(top, sc)
+		r.notes = append(r.notes, refNote{eq1: sc, top: top})
 		if rec.Succ >= 0 && rec.Succ != idx && r.cfg.SeqBoost > 0 {
 			boost(seg.ID{File: ev.File, Index: rec.Succ}, false)
 		}
@@ -197,19 +216,24 @@ func refTrace(sequential bool, pass int) []events.Event {
 // that mutate in place and answer under the lock emits the Update
 // sequence — score bits, size, order, origin, trace, Ahead — that the
 // copy-on-write reference emits one event at a time, and leaves the same
-// record for every segment. Each trace is played twice, so both the cold
+// record for every segment. Each case plays two passes, so both the cold
 // pass (records created, links learned, a sequential reader hinted) and
 // the warm one (successors boosted, full histories shifting) are
-// compared.
+// compared. The last case hints a sequential reader over segments a random
+// pass has scored: a hint ranks with its reader, a successor boost keeps
+// its Eq. (1) score however hot the read behind it, and the stored records
+// (compared with the reference's, which never see a lifted score) are
+// Eq. (1)'s alone.
 func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 	for _, c := range []struct {
 		name       string
-		sequential bool
+		sequential [2]bool // per pass
 		learner    bool
 	}{
-		{"random", false, false},
-		{"sequential", true, false},
-		{"random with the learner", false, true},
+		{"random", [2]bool{false, false}, false},
+		{"sequential", [2]bool{true, true}, false},
+		{"random with the learner", [2]bool{false, false}, true},
+		{"random, then sequential: hints lifted, records and successors not", [2]bool{false, true}, false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Node: "n0", Segmenter: seg.NewSegmenter(refSegSize), SeqBoost: 0.5}
@@ -225,8 +249,9 @@ func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 			ref.epochs[batchFile] = &epochState{opens: 1, size: refFileSize}
 
 			for pass := 0; pass < 2; pass++ {
-				evs := refTrace(c.sequential, pass)
+				evs := refTrace(c.sequential[pass], pass)
 				var want []Update
+				ref.notes = ref.notes[:0]
 				for _, ev := range evs {
 					want = append(want, ref.handle(ev)...)
 				}
@@ -243,17 +268,37 @@ func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 							pass, i, got[i], math.Float64bits(got[i].Score), want[i], math.Float64bits(want[i].Score))
 					}
 				}
-				ahead := 0
-				for _, u := range want {
-					if u.Ahead {
+				ahead, lifted, hot := 0, 0, 0
+				for i, u := range want {
+					n := ref.notes[i]
+					switch {
+					case u.Ahead:
 						ahead++
+						if u.Score != max(n.eq1, n.top) {
+							t.Fatalf("pass %d, update %d: hint scored %v, want max(%v, %v)", pass, i, u.Score, n.eq1, n.top)
+						}
+						if u.Score > n.eq1 {
+							lifted++
+						}
+					case n.successor:
+						if u.Score != n.eq1 {
+							t.Fatalf("pass %d, update %d: successor boost scored %v, Eq. (1) says %v", pass, i, u.Score, n.eq1)
+						}
+						if n.eq1 < n.top {
+							hot++ // a hint of this read's rank would have been lifted
+						}
 					}
 				}
-				t.Logf("pass %d: %d updates, %d ahead of a stream", pass, len(want), ahead)
-				// The warm sequential pass trails the stream of the cold one:
+				t.Logf("pass %d: %d updates, %d ahead of a stream (%d lifted), %d successor boosts below their read",
+					pass, len(want), ahead, lifted, hot)
+				// A warm sequential pass trails the stream of the pass before:
 				// boosts of learned successors, no new hints.
-				if (c.sequential && pass == 0) != (ahead > 0) {
+				if cold := c.sequential[pass] && (pass == 0 || !c.sequential[pass-1]); cold != (ahead > 0) {
 					t.Errorf("pass %d: %d hinted updates", pass, ahead)
+				}
+				if c.sequential == [2]bool{false, true} && pass == 1 && (lifted == 0 || lifted == ahead || hot == 0) {
+					t.Errorf("pass 1: %d of %d hints lifted, %d successor boosts below their read: want some of each, and hints the lift leaves alone",
+						lifted, ahead, hot)
 				}
 			}
 			longest := 0
@@ -266,7 +311,7 @@ func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 					longest = max(longest, int(want.Stats.K))
 				}
 			}
-			if !c.sequential && longest <= a.Model().Window() {
+			if !c.sequential[1] && longest <= a.Model().Window() {
 				t.Errorf("no segment was read more than %d times: no history shifted", longest)
 			}
 			ctr := a.Counters()

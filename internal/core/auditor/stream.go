@@ -23,11 +23,11 @@ const (
 	debtMax = 8
 )
 
-// stream is one run of in-order requests over the segments [start, next).
+// stream is one run of in-order requests over the bytes [off, end), which
+// lie in the segments [start, next).
 type stream struct {
 	start, next int64
-	// end is the byte where the run's last request ended.
-	end int64
+	off, end    int64
 	// hinted is the first segment beyond the run not hinted yet: each
 	// segment is hinted once per run.
 	hinted int64
@@ -52,35 +52,42 @@ type streamTable struct {
 	debt int
 }
 
-// note records the read of the bytes [off, end), segments first..last
-// (first <= last), of a file of eof segments. A read that starts inside a
-// stream or at its end and reaches beyond it continues the stream; in the
-// file's first segment so does one that starts where the stream's last
+// note records the read of the bytes [off, end) of a file of eof segments
+// of seg bytes. A read that starts inside the bytes a stream has read or
+// where they end, and reaches a segment beyond it, continues the stream; in
+// the file's first segment so does one that starts where the stream's last
 // request ended, so a reader of half segments from a file's start arms it
-// as soon as a reader of whole ones (Linux readahead favours offset 0 so),
-// while the contiguous reads of one random record elsewhere make no run.
+// as soon as a reader of whole ones (Linux readahead favours offset 0 so).
 // Any other read that stays inside a stream is a reader trailing it and
-// changes nothing; any other is a seek and takes the least recently used
-// slot. prev is the segment the read followed, -1 when unknown: the last
-// one of the stream's previous request, for a seek that of the most
-// recently used stream (a lone reader's previous request, so strided and
-// irregular repeats stay learnable), for a trailing reader none. [from,
-// to) are the segments to hint now: none before the stream's streamArm-th
-// request (the second for a run from segment 0) or while the file owes
-// more than one, then up to twice the run's length (at most maxAhead,
-// never past eof) beyond the reader, extended when half of it is read.
-// Once hinted, a run from segment 0 ramps at four times its length: its
-// first window is still twice the run, so an accidental arm costs no more.
-func (t *streamTable) note(off, end, first, last, eof, maxAhead int64) (prev, from, to int64) {
+// changes nothing, except that one starting where the stream ended moves
+// its end: a sub-segment reader keeps its stream, the contiguous reads of
+// one random record make none. Any other read is a seek and takes the
+// least recently used slot. prev is the segment the read followed, -1 when
+// unknown: the last one of the stream's previous request, for a seek that
+// of the most recently used stream (a lone reader's previous request, so
+// strided and irregular repeats stay learnable), for a trailing reader
+// none. [from, to) are the segments to hint now: none before the stream's
+// streamArm-th request (the second for a run from segment 0), before a run
+// elsewhere has read streamArm segments' worth of bytes, or while the file
+// owes more than one; then up to twice the run's length in bytes (at most
+// maxAhead, never past eof) beyond the reader, extended when half of it is
+// read. Once hinted, a run from segment 0 ramps at four times its length:
+// its first window is still twice the run, so an accidental arm costs no
+// more.
+func (t *streamTable) note(off, end, seg, eof, maxAhead int64) (prev, from, to int64) {
 	t.clock++
+	first, last := off/seg, (end-1)/seg
 	var s, trailing *stream
 	oldest, newest := &t.slots[0], &t.slots[0]
 	for i := range t.slots {
 		c := &t.slots[i]
 		if c.reqs > 0 && first >= c.start && first <= c.next {
-			if last >= c.next || off == c.end && c.next == 1 {
+			if off <= c.end && (last >= c.next || off == c.end && c.next == 1) {
 				s = c
 				break
+			}
+			if off == c.end {
+				c.end = end
 			}
 			trailing = c
 		}
@@ -101,7 +108,7 @@ func (t *streamTable) note(off, end, first, last, eof, maxAhead int64) (prev, fr
 			prev = newest.next - 1
 		}
 		t.debt = min(t.debt+2, debtMax)
-		*oldest = stream{start: first, next: last + 1, end: end, hinted: last + 1, reqs: 1, used: t.clock}
+		*oldest = stream{start: first, next: last + 1, off: off, end: end, hinted: last + 1, reqs: 1, used: t.clock}
 		return prev, 0, 0
 	}
 	prev = s.next - 1
@@ -118,14 +125,15 @@ func (t *streamTable) note(off, end, first, last, eof, maxAhead int64) (prev, fr
 			ramp = 4
 		}
 	}
-	if s.reqs < arm || t.debt > 1 || s.next >= eof {
+	run := (s.end - s.off + seg - 1) / seg
+	if s.reqs < arm || s.start > 0 && run < arm || t.debt > 1 || s.next >= eof {
 		return prev, 0, 0
 	}
 	if s.hinted < s.next {
 		s.hinted = s.next
 	}
 	window := maxAhead
-	if run := s.next - s.start; run < maxAhead/ramp {
+	if run < maxAhead/ramp {
 		window = ramp * run
 	}
 	if s.hinted-s.next > window/2 {

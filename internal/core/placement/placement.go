@@ -290,7 +290,8 @@ func (e *Engine) Stop() {
 }
 
 // ScoreUpdated implements auditor.Sink. It is the hot path: a map insert
-// and, past the threshold or for a readahead hint, a non-blocking kick.
+// and, past the threshold, for a readahead hint or for an update that
+// climbs, a non-blocking kick.
 //
 //hfetch:hotpath
 func (e *Engine) ScoreUpdated(u auditor.Update) {
@@ -298,11 +299,23 @@ func (e *Engine) ScoreUpdated(u auditor.Update) {
 	e.mu.Lock()
 	e.pending[u.ID] = u
 	e.updateCount++
-	fire := u.Ahead || e.updateCount >= e.cfg.UpdateThreshold
+	fire := u.Ahead || e.updateCount >= e.cfg.UpdateThreshold || e.climbs(u)
 	e.mu.Unlock()
 	if fire {
 		e.kickPass()
 	}
+}
+
+// climbs reports whether u lifts a resident a tier: the tier above the
+// segment's has room for it or ranks a resident colder than u. Algorithm 1
+// would move it there, and a segment that climbs is one about to be read,
+// so the engine decides at once, as for a hint. Called under e.mu.
+func (e *Engine) climbs(u auditor.Update) bool {
+	if e.cfg.Policy != PolicyScore {
+		return false
+	}
+	ti := e.locate(u.ID)
+	return ti > 0 && (e.used[ti-1]+u.Size <= e.hier.Tier(ti-1).Capacity() || u.Score > e.minResident(ti-1))
 }
 
 // kickPass wakes the loop for a pass unless one is already due.
@@ -317,10 +330,10 @@ func (e *Engine) kickPass() {
 // absorbs a whole drain cycle's score updates, so the sharded monitor's
 // workers do not re-serialize on the engine. Later updates of the same
 // segment within the batch win, exactly as they would arriving one by
-// one. A delivery that carries a readahead hint starts a pass at once —
-// a hint is worth nothing after its reader arrives — and that pass takes
-// everything pending with it; other updates wait for the threshold or
-// the interval.
+// one. A delivery that carries a readahead hint or an update that climbs
+// starts a pass at once — a hint is worth nothing after its reader
+// arrives — and that pass takes everything pending with it; other updates
+// wait for the threshold or the interval.
 //
 //hfetch:hotpath
 func (e *Engine) ScoreBatch(ups []auditor.Update) {
@@ -328,14 +341,14 @@ func (e *Engine) ScoreBatch(ups []auditor.Update) {
 		return
 	}
 	e.ctr.updates.Add(int64(len(ups)))
-	ahead := false
+	fire := false
 	e.mu.Lock()
 	for _, u := range ups {
 		e.pending[u.ID] = u
-		ahead = ahead || u.Ahead
+		fire = fire || u.Ahead || e.climbs(u)
 	}
 	e.updateCount += len(ups)
-	fire := ahead || e.updateCount >= e.cfg.UpdateThreshold
+	fire = fire || e.updateCount >= e.cfg.UpdateThreshold
 	e.mu.Unlock()
 	if fire {
 		e.kickPass()
@@ -751,7 +764,7 @@ func (e *Engine) plan(u auditor.Update, plan *[]move) {
 			if base < u.Score {
 				base = u.Score
 			}
-			if base > 0 && abs(u.Score-ent.score)/base < h && u.Size == ent.size {
+			if base > 0 && math.Abs(u.Score-ent.score)/base < h && u.Size == ent.size {
 				e.setResident(cur, u.ID, entry{score: u.Score, size: ent.size})
 				return
 			}
@@ -936,11 +949,4 @@ func (e *Engine) MoverStats() amover.Stats { return e.mover.Stats() }
 // to ride a queued fetch instead of re-reading the bytes from the PFS.
 func (e *Engine) WaitInflight(id seg.ID, timeout time.Duration) (time.Duration, bool) {
 	return e.mover.WaitFor(id, timeout)
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

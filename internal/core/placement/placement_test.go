@@ -10,6 +10,7 @@ import (
 	"hfetch/internal/core/ioclient"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
+	"hfetch/internal/events"
 	"hfetch/internal/pfs"
 	"hfetch/internal/tiers"
 )
@@ -306,6 +307,88 @@ func TestAheadUpdateKicksThePass(t *testing.T) {
 		r.eng.Flush()
 		if runs := r.eng.Counters().Runs; runs != 2 || !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 4}) {
 			t.Fatalf("batched %v: Flush: %d passes, want 2 and segment 4 in the tier", batched, runs)
+		}
+		r.eng.Stop()
+	}
+}
+
+// TestHintLiftsResidentAboveTheCut: a segment resident in the deepest tier
+// that a sequential reader is about to reach is hinted at its reader's
+// score, not at the half access of its own Eq. (1) score, so one pass lifts
+// it over the colder residents of both tiers above into the fastest.
+func TestHintLiftsResidentAboveTheCut(t *testing.T) {
+	r := newRig(t, Config{UpdateThreshold: 1 << 20, Interval: time.Hour}, 600, 200, 1000)
+	for i := int64(100); i < 106; i++ {
+		r.eng.ScoreUpdated(up(i, 0.8)) // ram's six slots
+	}
+	r.eng.ScoreUpdated(up(106, 0.7)) // nvme's two
+	r.eng.ScoreUpdated(up(107, 0.7))
+	r.eng.ScoreUpdated(up(2, 0.6))
+	r.eng.Flush()
+	target := seg.ID{File: "f", Index: 2}
+	if got := r.eng.Resident(target); got != 2 {
+		t.Fatalf("segment 2 resident in tier %d before the reader, want 2", got)
+	}
+	r.aud.StartEpoch("f", 1<<20)
+	now := time.Now()
+	for i := int64(0); i < 2; i++ { // a run from segment 0 arms on its second read
+		r.aud.HandleEvent(events.Event{Op: events.OpRead, File: "f", Offset: i * 100, Length: 100, Time: now})
+	}
+	if hints := r.aud.Counters().Hints; hints == 0 {
+		t.Fatal("the reader was not hinted")
+	}
+	runs := r.eng.Counters().Runs
+	r.eng.Flush()
+	if got, passes := r.eng.Resident(target), r.eng.Counters().Runs-runs; got != 0 || passes != 1 {
+		t.Fatalf("segment 2 in tier %d after %d passes, want tier 0 after 1", got, passes)
+	}
+}
+
+// TestClimbingUpdateStartsPass: with both triggers out of reach, an update
+// of a resident that beats the coldest resident of the tier above, or finds
+// room there, starts a pass at once; one that does neither waits.
+func TestClimbingUpdateStartsPass(t *testing.T) {
+	for _, batched := range []bool{true, false} {
+		r := newRig(t, Config{UpdateThreshold: 1 << 20, Interval: time.Hour}, 200, 1000)
+		deliver := func(u auditor.Update) {
+			if batched {
+				r.eng.ScoreBatch([]auditor.Update{u})
+			} else {
+				r.eng.ScoreUpdated(u)
+			}
+		}
+		r.eng.ScoreUpdated(up(0, 5))
+		r.eng.ScoreUpdated(up(1, 4))
+		r.eng.ScoreUpdated(up(2, 1))
+		r.eng.ScoreUpdated(up(3, 0.5))
+		r.eng.Flush()
+		r.eng.Start()
+		placedWithin := func(idx int64, d time.Duration) bool {
+			for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+				if r.eng.Resident(seg.ID{File: "f", Index: idx}) == 0 && r.hier.Tier(0).Has(seg.ID{File: "f", Index: idx}) {
+					return true
+				}
+			}
+			return false
+		}
+		runs := r.eng.Counters().Runs
+		deliver(up(2, 3)) // below ram's coldest, 4
+		if placedWithin(2, 50*time.Millisecond) || r.eng.Counters().Runs != runs {
+			t.Fatalf("batched %v: an update below the tier above's coldest was decided at once", batched)
+		}
+		deliver(up(2, 4.5))
+		if !placedWithin(2, 2*time.Second) {
+			t.Fatalf("batched %v: an update above the tier above's coldest was not placed; segment 2 in tier %d",
+				batched, r.eng.Resident(seg.ID{File: "f", Index: 2}))
+		}
+		// Segment 2 leaving ram for good (below the floor) makes room there,
+		// and segment 3's next update climbs into it outranking no one.
+		r.eng.ScoreUpdated(up(2, 0))
+		r.eng.Flush()
+		deliver(up(3, 0.7))
+		if !placedWithin(3, 2*time.Second) {
+			t.Fatalf("batched %v: an update with room in the tier above was not placed; segment 3 in tier %d",
+				batched, r.eng.Resident(seg.ID{File: "f", Index: 3}))
 		}
 		r.eng.Stop()
 	}

@@ -114,6 +114,7 @@ func dec(b []byte, v any) error {
 // Serve registers the agent protocol handlers for srv on mux.
 func Serve(mux *comm.Mux, srv *server.Server) {
 	a := agent.New(srv, srv.FS(), nil)
+	a.SetTelemetry(srv.Telemetry())
 	mux.Register(MsgOpen, func(raw []byte) ([]byte, error) {
 		var req openReq
 		if err := dec(raw, &req); err != nil {

@@ -7,12 +7,12 @@ import (
 	"time"
 )
 
-// ReadStats records read outcomes: hits by serving tier, misses, bytes
-// and read time. It is the one place a read's outcome is counted — the
-// agent keeps one per client, the server one per node, and the server's
-// hfetch_tier_read_hits_total and hfetch_read_misses_total families are
-// views over it. Every field is an atomic: recording takes no lock and
-// writes no map.
+// ReadStats records read outcomes: hits and read time by serving tier,
+// misses, bytes and total read time. It is the one place a read's outcome
+// is counted — the agent keeps one per client, the server one per node,
+// and the server's hfetch_tier_read_hits_total and hfetch_read_misses_total
+// families are views over it. Every field is an atomic: recording takes
+// no lock and writes no map.
 type ReadStats struct {
 	hits, misses        atomic.Int64
 	bytesHit, bytesMiss atomic.Int64
@@ -20,14 +20,15 @@ type ReadStats struct {
 
 	// tiers is an append-only list with one entry per tier ever hit (or
 	// named at construction); an entry is never removed or renamed, so a
-	// hit finds its count with loads alone.
-	tiers atomic.Pointer[tierHits]
+	// hit finds its count with loads alone. blocked is another such list,
+	// of nanoseconds.
+	tiers, blocked atomic.Pointer[tierCount]
 }
 
-type tierHits struct {
+type tierCount struct {
 	name string
 	n    atomic.Int64
-	next atomic.Pointer[tierHits]
+	next atomic.Pointer[tierCount]
 }
 
 // NewReadStats returns zeroed statistics.
@@ -39,16 +40,16 @@ func NewReadStats() *ReadStats { return &ReadStats{} }
 func (s *ReadStats) Hit(tier string, nbytes int64) {
 	s.hits.Add(1)
 	s.bytesHit.Add(nbytes)
-	s.tier(tier).n.Add(1)
+	entry(&s.tiers, tier).n.Add(1)
 }
 
-// tier returns name's entry, appending one on the tier's first use.
-func (s *ReadStats) tier(name string) *tierHits {
-	link := &s.tiers
+// entry returns name's entry of the list at link, appending one on the
+// tier's first use.
+func entry(link *atomic.Pointer[tierCount], name string) *tierCount {
 	for {
 		t := link.Load()
 		if t == nil {
-			t = &tierHits{name: name}
+			t = &tierCount{name: name}
 			if link.CompareAndSwap(nil, t) {
 				return t
 			}
@@ -64,7 +65,7 @@ func (s *ReadStats) tier(name string) *tierHits {
 // TierCounter returns a reader of tier's hit count, valid before the
 // tier's first hit: the server registers its per-tier counter views
 // with it.
-func (s *ReadStats) TierCounter(tier string) func() int64 { return s.tier(tier).n.Load }
+func (s *ReadStats) TierCounter(tier string) func() int64 { return entry(&s.tiers, tier).n.Load }
 
 // Miss records nbytes served from the PFS.
 func (s *ReadStats) Miss(nbytes int64) {
@@ -78,6 +79,14 @@ func (s *ReadStats) ObserveRead(d time.Duration) {
 	s.readNanos.Add(int64(d))
 }
 
+// Blocked charges d, the time one read call blocked its caller, to the
+// tier that served it: "pfs" when any segment missed.
+//
+//hfetch:hotpath
+func (s *ReadStats) Blocked(tier string, d time.Duration) {
+	entry(&s.blocked, tier).n.Add(int64(d))
+}
+
 // Hits returns the total segment-hit count.
 func (s *ReadStats) Hits() int64 { return s.hits.Load() }
 
@@ -88,9 +97,11 @@ func (s *ReadStats) Misses() int64 { return s.misses.Load() }
 func (s *ReadStats) HitRatio() float64 { return ratio(s.hits.Load(), s.misses.Load()) }
 
 // TierHits returns the per-tier hit counts.
-func (s *ReadStats) TierHits() map[string]int64 {
+func (s *ReadStats) TierHits() map[string]int64 { return counts(&s.tiers) }
+
+func counts(head *atomic.Pointer[tierCount]) map[string]int64 {
 	out := make(map[string]int64)
-	for t := s.tiers.Load(); t != nil; t = t.next.Load() {
+	for t := head.Load(); t != nil; t = t.next.Load() {
 		out[t.name] = t.n.Load()
 	}
 	return out
@@ -107,18 +118,22 @@ type ReadSnapshot struct {
 	BytesMiss int64
 	ReadNanos int64
 	TierHits  map[string]int64
+	// TierBlocked is read time in nanoseconds by serving tier ("pfs" for a
+	// read that missed).
+	TierBlocked map[string]int64
 }
 
 // Snapshot copies every counter.
 func (s *ReadStats) Snapshot() ReadSnapshot {
 	return ReadSnapshot{
-		Hits:      s.hits.Load(),
-		Misses:    s.misses.Load(),
-		Reads:     s.reads.Load(),
-		BytesHit:  s.bytesHit.Load(),
-		BytesMiss: s.bytesMiss.Load(),
-		ReadNanos: s.readNanos.Load(),
-		TierHits:  s.TierHits(),
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		Reads:       s.reads.Load(),
+		BytesHit:    s.bytesHit.Load(),
+		BytesMiss:   s.bytesMiss.Load(),
+		ReadNanos:   s.readNanos.Load(),
+		TierHits:    s.TierHits(),
+		TierBlocked: counts(&s.blocked),
 	}
 }
 
@@ -127,17 +142,31 @@ func (s *ReadStats) String() string { return s.Snapshot().String() }
 
 // String renders a one-line summary.
 func (s ReadSnapshot) String() string {
-	names := make([]string, 0, len(s.TierHits))
-	for n := range s.TierHits {
+	str := fmt.Sprintf("hits=%d misses=%d ratio=%.1f%%%s", s.Hits, s.Misses,
+		ratio(s.Hits, s.Misses)*100, perTier(s.TierHits, false))
+	if len(s.TierBlocked) > 0 {
+		str += " blocked:" + perTier(s.TierBlocked, true)
+	}
+	return str
+}
+
+// perTier renders " name=value" for every tier of m in name order, each
+// value a duration in nanoseconds when dur is set.
+func perTier(m map[string]int64, dur bool) string {
+	names := make([]string, 0, len(m))
+	for n := range m {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	per := ""
 	for _, n := range names {
-		per += fmt.Sprintf(" %s=%d", n, s.TierHits[n])
+		var v any = m[n]
+		if dur {
+			v = time.Duration(m[n])
+		}
+		per += fmt.Sprintf(" %s=%v", n, v)
 	}
-	return fmt.Sprintf("hits=%d misses=%d ratio=%.1f%%%s",
-		s.Hits, s.Misses, ratio(s.Hits, s.Misses)*100, per)
+	return per
 }
 
 func ratio(hits, misses int64) float64 {

@@ -127,4 +127,29 @@ func TestReadStatsHitDoesNotAllocate(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { s.Hit("ram", 1) }); a != 0 {
 		t.Fatalf("Hit allocates %.1f per call", a)
 	}
+	s.Blocked("ram", 1)
+	s.Blocked("pfs", 1)
+	if a := testing.AllocsPerRun(100, func() { s.ObserveRead(1); s.Blocked("pfs", 1) }); a != 0 {
+		t.Fatalf("ObserveRead and Blocked allocate %.1f per call", a)
+	}
+}
+
+// TestReadStatsBlockedByTier: blocked time is kept per serving tier apart
+// from the hit counts, and the snapshot and its summary carry it.
+func TestReadStatsBlockedByTier(t *testing.T) {
+	s := NewReadStats()
+	s.Hit("ram", 1)
+	s.Blocked("ram", 2*time.Microsecond)
+	s.Blocked("pfs", 3*time.Millisecond)
+	s.Blocked("pfs", time.Millisecond)
+	snap := s.Snapshot()
+	if b := snap.TierBlocked; len(b) != 2 || b["ram"] != 2000 || b["pfs"] != 4e6 {
+		t.Fatalf("blocked = %v", b)
+	}
+	if len(snap.TierHits) != 1 {
+		t.Fatalf("tier hits = %v, want ram alone", snap.TierHits)
+	}
+	if str := s.String(); !strings.HasSuffix(str, " ram=1 blocked: pfs=4ms ram=2µs") {
+		t.Fatalf("String = %q", str)
+	}
 }
