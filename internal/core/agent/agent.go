@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hfetch/internal/core/seg"
@@ -80,6 +81,9 @@ type File struct {
 	a    *Agent
 	name string
 	size int64
+	// done is when this handle's latest read returned, as time since
+	// clock; 0 before its first.
+	done atomic.Int64
 
 	mu     sync.Mutex
 	pos    int64 // sequential cursor for Read/Seek
@@ -113,9 +117,13 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 	if closed {
 		return 0, fmt.Errorf("agent: read on closed file %q", f.name)
 	}
-	n, _, err := f.a.ReadAt(f.name, f.size, p, off)
+	n, _, err := f.a.readAt(f.name, f.size, p, off, &f.done)
 	return n, err
 }
+
+// clock is the origin of File.done: durations since it are read off the
+// times a read already takes, monotonic and without a clock read.
+var clock = time.Now()
 
 // ReadAt is File.ReadAt for a reader whose epoch of file name (size
 // bytes) is held open elsewhere, as a daemon holds it for its remote
@@ -123,8 +131,14 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // stamped with the request's start: at the first segment that misses,
 // before that segment's origin read, or after the reads when tiers served
 // them all. tier is the tier of the last segment when every one was a
-// hit, "" otherwise.
+// hit, "" otherwise. The event's Think is 0: such a reader has no handle.
 func (a *Agent) ReadAt(name string, size int64, p []byte, off int64) (int, string, error) {
+	return a.readAt(name, size, p, off, nil)
+}
+
+// readAt is ReadAt for a handle whose last read returned at done (nil: no
+// handle): the event's Think is the gap since, and done moves to this one.
+func (a *Agent) readAt(name string, size int64, p []byte, off int64, done *atomic.Int64) (int, string, error) {
 	if off < 0 {
 		return 0, "", fmt.Errorf("agent: negative offset %d", off)
 	}
@@ -138,6 +152,11 @@ func (a *Agent) ReadAt(name string, size int64, p []byte, off int64) (int, strin
 
 	start := time.Now()
 	ev := events.Event{Op: events.OpRead, File: name, Offset: off, Length: want, Time: start}
+	if done != nil {
+		if prev := time.Duration(done.Load()); prev > 0 { // else the handle's first read
+			ev.Think = max(0, start.Sub(clock)-prev) // 0 after a concurrent read ended
+		}
+	}
 	segr := a.api.Segmenter()
 	n, tier, missed := int64(0), "", false
 	for n < want {
@@ -180,6 +199,9 @@ func (a *Agent) ReadAt(name string, size int64, p []byte, off int64) (int, strin
 		}
 	}
 	elapsed := time.Since(start)
+	if done != nil {
+		done.Store(int64(start.Sub(clock) + elapsed))
+	}
 	a.stats.ObserveRead(elapsed)
 	servedBy := tier
 	if missed {

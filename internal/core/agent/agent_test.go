@@ -463,3 +463,57 @@ func TestReadBlockedTimeByServingTier(t *testing.T) {
 		t.Fatalf("String = %q, want the blocked split", s)
 	}
 }
+
+// TestReadEventThink: a handle's read event carries the time since that
+// handle's previous read returned, 0 on its first read; two handles on one
+// file keep separate gaps, and Agent.ReadAt, which has no handle, posts 0.
+func TestReadEventThink(t *testing.T) {
+	const segSize, size = 1024, 8 * 1024
+	fs := pfs.New(devsim.New(devsim.Profile{Name: "pfs"}, 1))
+	fs.Create("f", size)
+	api := &stubServer{segr: seg.NewSegmenter(segSize), fs: fs, resident: map[int64]bool{0: true, 1: true, 2: true}}
+	a := New(api, fs, nil)
+	f1, err := a.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	f2, _ := a.Open("f")
+	handles := [2]*File{f1, f2}
+	buf := make([]byte, segSize)
+	// read reads through handle h and returns the event's Think and the
+	// bounds the gap since h's previous read returned must lie within.
+	var called, returned [2]time.Time // each handle's last read
+	read := func(h int) (think, lo, hi time.Duration) {
+		before := time.Now()
+		if _, err := handles[h].ReadAt(buf, int64(h)*segSize); err != nil {
+			t.Fatal(err)
+		}
+		after := time.Now()
+		think = api.posted[len(api.posted)-1].Think
+		lo, hi = before.Sub(returned[h]), after.Sub(called[h])
+		called[h], returned[h] = before, after
+		return think, lo, hi
+	}
+	if th, _, _ := read(0); th != 0 {
+		t.Fatalf("f1's first read: Think %v, want 0", th)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if th, _, _ := read(1); th != 0 {
+		t.Fatalf("f2's first read, after f1's: Think %v, want 0", th)
+	}
+	time.Sleep(time.Millisecond)
+	if th, lo, hi := read(1); th < lo || th > hi || th >= 20*time.Millisecond {
+		t.Fatalf("f2's second read: Think %v, want its own gap, within [%v, %v]", th, lo, hi)
+	}
+	if th, lo, hi := read(0); th < lo || th > hi || th < 21*time.Millisecond {
+		t.Fatalf("f1's second read: Think %v, want the gap since f1's first, within [%v, %v]", th, lo, hi)
+	}
+	for range 2 {
+		if _, _, err := a.ReadAt("f", size, buf, 0); err != nil {
+			t.Fatal(err)
+		}
+		if th := api.posted[len(api.posted)-1].Think; th != 0 {
+			t.Fatalf("Agent.ReadAt posted Think %v, want 0", th)
+		}
+	}
+}

@@ -156,6 +156,9 @@ type Auditor struct {
 	maps  *dhm.Map // segment -> "node|tier" (string)
 	// maxAhead is the stream readahead cap in segments.
 	maxAhead int64
+	// landing is the mover's smoothed fetch landing time in nanoseconds
+	// (SetLanding); 0, unknown, until set.
+	landing *atomic.Int64
 
 	sink atomic.Pointer[sinkBox]
 
@@ -190,11 +193,12 @@ func New(cfg Config, stats, maps *dhm.Map) *Auditor {
 		cfg.HeatDecay = 0.7
 	}
 	a := &Auditor{
-		cfg:   cfg,
-		model: score.NewModel(cfg.Score),
-		stats: stats,
-		maps:  maps,
-		locs:  make(map[string]any),
+		cfg:     cfg,
+		model:   score.NewModel(cfg.Score),
+		stats:   stats,
+		maps:    maps,
+		locs:    make(map[string]any),
+		landing: new(atomic.Int64),
 	}
 	a.maxAhead = max(1, min(streamMaxSegs, streamMaxBytes/cfg.Segmenter.Size()))
 	for i := range a.epochs {
@@ -229,6 +233,11 @@ func (a *Auditor) epochStripeOf(file string) *epochStripe {
 func (a *Auditor) SetSink(s Sink) {
 	a.sink.Store(&sinkBox{s: s})
 }
+
+// SetLanding installs the mover's smoothed fetch landing time, in
+// nanoseconds, which sizes the readahead window of a reader that outruns
+// it. Call before traffic.
+func (a *Auditor) SetLanding(ns *atomic.Int64) { a.landing = ns }
 
 func (a *Auditor) emit(u Update) {
 	if box := a.sink.Load(); box != nil && box.s != nil {
@@ -582,7 +591,8 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 	if es != nil {
 		fileSize = es.size
 		if a.cfg.SeqBoost > 0 {
-			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, a.cfg.Segmenter.Size(), a.cfg.Segmenter.Count(fileSize), a.maxAhead)
+			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, a.cfg.Segmenter.Size(), a.cfg.Segmenter.Count(fileSize), a.maxAhead,
+				ev.Think, time.Duration(a.landing.Load()))
 		}
 	}
 	st.mu.Unlock()

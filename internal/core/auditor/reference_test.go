@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -19,15 +20,18 @@ import (
 // got back, a link is learned with a read of the predecessor followed by
 // two mutations, and events are handled one at a time. It shares with the
 // auditor only what this change did not touch: the score model, the
-// segmenter and the stream detector. A stream hint carries the higher of
-// its Eq. (1) score and its read's highest segment score; notes keeps, for
-// every update handle returns, what that score was made of.
+// segmenter and the stream detector, whose window it sizes by each
+// event's Think against landing as the auditor sizes it by SetLanding's.
+// A stream hint carries the higher of its Eq. (1) score and its read's
+// highest segment score; notes keeps, for every update handle returns,
+// what that score was made of.
 type refAuditor struct {
 	cfg      Config
 	model    *score.Model
 	recs     map[seg.ID]*Rec
 	epochs   map[string]*epochState
 	maxAhead int64
+	landing  time.Duration
 	hints    int64
 	notes    []refNote
 }
@@ -99,7 +103,7 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 	if es := r.epochs[ev.File]; es != nil {
 		fileSize = es.size
 		if r.cfg.SeqBoost > 0 {
-			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, sg.Size(), sg.Count(fileSize), r.maxAhead)
+			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, sg.Size(), sg.Count(fileSize), r.maxAhead, ev.Think, r.landing)
 		}
 	}
 	ts := ev.Time
@@ -223,17 +227,22 @@ func refTrace(sequential bool, pass int) []events.Event {
 // pass has scored: a hint ranks with its reader, a successor boost keeps
 // its Eq. (1) score however hot the read behind it, and the stored records
 // (compared with the reference's, which never see a lifted score) are
-// Eq. (1)'s alone.
+// Eq. (1)'s alone. Both size stream windows against a landing time of
+// 10 ms: events without a Think keep the ramp's first window of 4, and a
+// reader that thinks 50 µs is hinted the cap on its arming request.
 func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
+	const landing = 10 * time.Millisecond
 	for _, c := range []struct {
 		name       string
 		sequential [2]bool // per pass
 		learner    bool
+		think      time.Duration
 	}{
-		{"random", [2]bool{false, false}, false},
-		{"sequential", [2]bool{true, true}, false},
-		{"random with the learner", [2]bool{false, false}, true},
-		{"random, then sequential: hints lifted, records and successors not", [2]bool{false, true}, false},
+		{"random", [2]bool{false, false}, false, 0},
+		{"sequential", [2]bool{true, true}, false, 0},
+		{"random with the learner", [2]bool{false, false}, true, 0},
+		{"random, then sequential: hints lifted, records and successors not", [2]bool{false, true}, false, 0},
+		{"sequential, a reader that outruns the landing", [2]bool{true, true}, false, 50 * time.Microsecond},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Node: "n0", Segmenter: seg.NewSegmenter(refSegSize), SeqBoost: 0.5}
@@ -244,16 +253,33 @@ func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 			a := New(cfg, dhm.New(dhm.Config{Name: "stats", Self: "n0"}, nil), dhm.New(dhm.Config{Name: "maps", Self: "n0"}, nil))
 			sink := &copySink{}
 			a.SetSink(sink)
+			var ns atomic.Int64
+			ns.Store(int64(landing))
+			a.SetLanding(&ns)
 			a.StartEpoch(batchFile, refFileSize)
 			ref := newRefAuditor(refCfg)
+			ref.landing = landing
 			ref.epochs[batchFile] = &epochState{opens: 1, size: refFileSize}
 
 			for pass := 0; pass < 2; pass++ {
 				evs := refTrace(c.sequential[pass], pass)
 				var want []Update
 				ref.notes = ref.notes[:0]
-				for _, ev := range evs {
-					want = append(want, ref.handle(ev)...)
+				arming := 0 // hints of the second request
+				for i := range evs {
+					evs[i].Think = c.think
+					ups := ref.handle(evs[i])
+					for _, u := range ups {
+						if i == 1 && u.Ahead {
+							arming++
+						}
+					}
+					want = append(want, ups...)
+				}
+				if cold := c.sequential[pass] && pass == 0; cold {
+					if w := map[bool]int{false: 4, true: int(ref.maxAhead)}[c.think > 0]; arming != w {
+						t.Fatalf("the arming request hinted %d segments, want %d", arming, w)
+					}
 				}
 				for b := 0; b < len(evs); b += batchLen {
 					a.HandleBatch(evs[b : b+batchLen])

@@ -1,5 +1,7 @@
 package auditor
 
+import "time"
+
 // Stream readahead: the auditor sees every access, so it is where a
 // sequential reader is recognized before any link has been learned. The
 // ramp is fixed, like Linux readahead's; SeqBoost = 0 turns it off with
@@ -73,8 +75,12 @@ type streamTable struct {
 // maxAhead, never past eof) beyond the reader, extended when half of it is
 // read. Once hinted, a run from segment 0 ramps at four times its length:
 // its first window is still twice the run, so an accidental arm costs no
-// more.
-func (t *streamTable) note(off, end, seg, eof, maxAhead int64) (prev, from, to int64) {
+// more. A reader that outruns the origin gets a wider window: think is its
+// compute time before this request and landing how long a hinted window
+// takes to land, and the window is at least the ⌈landing ÷ think⌉ requests,
+// counted a segment each, the reader makes while one lands (at most
+// maxAhead). Either 0 means unknown and leaves the ramp alone.
+func (t *streamTable) note(off, end, seg, eof, maxAhead int64, think, landing time.Duration) (prev, from, to int64) {
 	t.clock++
 	first, last := off/seg, (end-1)/seg
 	var s, trailing *stream
@@ -135,6 +141,9 @@ func (t *streamTable) note(off, end, seg, eof, maxAhead int64) (prev, from, to i
 	window := maxAhead
 	if run < maxAhead/ramp {
 		window = ramp * run
+	}
+	if think > 0 && landing > 0 {
+		window = max(window, min(maxAhead, int64((landing+think-1)/think)))
 	}
 	if s.hinted-s.next > window/2 {
 		return prev, 0, 0

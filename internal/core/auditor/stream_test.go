@@ -3,6 +3,8 @@ package auditor
 import (
 	"encoding/binary"
 	"math/rand"
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -212,7 +214,7 @@ func playReads(t *testing.T, eof, maxAhead int64, reads []rb) {
 	t.Helper()
 	var tab streamTable
 	for i, r := range reads {
-		prev, from, to := tab.note(r.off, r.end, 100, eof, maxAhead)
+		prev, from, to := tab.note(r.off, r.end, 100, eof, maxAhead, 0, 0)
 		if prev != r.prev || from != r.from || to != r.to {
 			t.Fatalf("read %d [%d, %d): prev %d, hints [%d, %d); want prev %d, hints [%d, %d)",
 				i, r.off, r.end, prev, from, to, r.prev, r.from, r.to)
@@ -234,7 +236,7 @@ func TestStreamWindowRamp(t *testing.T) {
 		var tab streamTable
 		frontier, widest := int64(0), int64(0)
 		for i := c.start; i < eof; i++ {
-			_, from, to := tab.note(i*100, (i+1)*100, 100, eof, maxAhead)
+			_, from, to := tab.note(i*100, (i+1)*100, 100, eof, maxAhead, 0, 0)
 			if from >= to {
 				continue
 			}
@@ -255,6 +257,80 @@ func TestStreamWindowRamp(t *testing.T) {
 		}
 		if widest != maxAhead || frontier != eof {
 			t.Fatalf("start %d: widest window %d, want the cap %d; last hint ended at %d, want EOF %d", c.start, widest, maxAhead, frontier, eof)
+		}
+	}
+}
+
+// windowPlay follows one reader of whole segments from segment start to
+// eof, each request after a think of think while a window takes landing
+// to land, and returns every hint as [from, to) by request.
+func windowPlay(start, eof, maxAhead int64, think, landing time.Duration) map[int64][2]int64 {
+	var tab streamTable
+	hints := map[int64][2]int64{}
+	for i := start; i < eof; i++ {
+		if _, from, to := tab.note(i*100, (i+1)*100, 100, eof, maxAhead, think, landing); from < to {
+			hints[i] = [2]int64{from, to}
+		}
+	}
+	return hints
+}
+
+// TestStreamWindowSizedToLanding: a reader from segment 0 whose requests
+// come faster than a window lands is hinted ⌈landing ÷ think⌉ segments
+// (at most the cap, never past EOF) from its arming request on; a reader
+// that thinks as long as a landing, or whose think or landing time is
+// unknown (0), keeps the ramp of TestStreamWindowRamp, range for range.
+// lead is how close the reader comes to the hinted frontier before it
+// reaches EOF: a back-to-back reader is re-hinted at half the cap.
+func TestStreamWindowSizedToLanding(t *testing.T) {
+	const maxAhead = 64
+	for _, c := range []struct {
+		name           string
+		think, landing time.Duration
+		eof            int64
+		arm            [2]int64
+		lead           int64
+	}{
+		{"back to back: the cap on the arming request", 10 * time.Microsecond, 10 * time.Millisecond, 500, [2]int64{2, 66}, 33},
+		{"back to back: to EOF on the arming request", 10 * time.Microsecond, 10 * time.Millisecond, 40, [2]int64{2, 40}, 0},
+		{"a think of a tenth of the landing: 10 segments", time.Millisecond, 10 * time.Millisecond, 500, [2]int64{2, 12}, 9},
+		{"a think of 10 ms: the ramp", 10 * time.Millisecond, 10 * time.Millisecond, 500, [2]int64{2, 6}, 4},
+		{"think unknown: the ramp", 0, 10 * time.Millisecond, 500, [2]int64{2, 6}, 4},
+		{"no landing yet: the ramp", 10 * time.Microsecond, 0, 500, [2]int64{2, 6}, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			hints := windowPlay(0, c.eof, maxAhead, c.think, c.landing)
+			if got := hints[1]; got != c.arm { // a run from segment 0 arms on its second request
+				t.Fatalf("arming request hinted %v, want %v (all hints %v)", got, c.arm, hints)
+			}
+			frontier, lead := int64(0), int64(0)
+			for i := int64(0); i < c.eof; i++ {
+				if h, ok := hints[i]; ok {
+					frontier = h[1]
+				}
+				if frontier > 0 && frontier < c.eof {
+					if ahead := frontier - (i + 1); lead == 0 || ahead < lead {
+						lead = ahead
+					}
+				}
+			}
+			if lead != c.lead {
+				t.Errorf("the reader came within %d segments of the frontier, want %d", lead, c.lead)
+			}
+			if c.think >= c.landing || c.think == 0 || c.landing == 0 {
+				if ramp := windowPlay(0, c.eof, maxAhead, 0, 0); !reflect.DeepEqual(hints, ramp) {
+					t.Errorf("hints %v, the ramp's %v", hints, ramp)
+				}
+			}
+		})
+	}
+	// Unknown think or landing reproduces the ramp from anywhere in a file.
+	for _, start := range []int64{0, 10} {
+		ramp := windowPlay(start, 500, maxAhead, 0, 0)
+		for _, tl := range [][2]time.Duration{{0, 10 * time.Millisecond}, {10 * time.Microsecond, 0}} {
+			if got := windowPlay(start, 500, maxAhead, tl[0], tl[1]); !reflect.DeepEqual(got, ramp) {
+				t.Errorf("start %d, think %v, landing %v: hints %v, the ramp's %v", start, tl[0], tl[1], got, ramp)
+			}
 		}
 	}
 }
@@ -447,9 +523,9 @@ func TestGatewayReadsAreHintedLikeAgentReads(t *testing.T) {
 }
 
 // FuzzStreamDetector plays arbitrary reads, negative and past EOF among
-// them, against a file of arbitrary size: whatever is hinted lies inside
-// the file, no run hints a segment twice, and one event hints no more
-// than the cap.
+// them, with think times from none to a landing's, against a file of
+// arbitrary size: whatever is hinted lies inside the file, no run hints a
+// segment twice, and one event hints no more than the cap.
 func FuzzStreamDetector(f *testing.F) {
 	seq := make([]byte, 0, 9*40)
 	for i := 0; i < 40; i++ {
@@ -463,6 +539,9 @@ func FuzzStreamDetector(f *testing.F) {
 	f.Fuzz(func(t *testing.T, size int64, ops []byte) {
 		const segSize = 100
 		a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(segSize)})
+		var landing atomic.Int64
+		landing.Store(int64(10 * time.Millisecond))
+		a.SetLanding(&landing)
 		a.StartEpoch("f", size)
 		eof := a.Segmenter().Count(size)
 		var seen [streamSlots]map[int64]bool
@@ -483,7 +562,9 @@ func FuzzStreamDetector(f *testing.F) {
 			if kind&0x80 != 0 {
 				length = -length
 			}
-			a.HandleEvent(readEv("f", off, length))
+			ev := readEv("f", off, length)
+			ev.Think = [...]time.Duration{0, time.Microsecond, time.Millisecond, 10 * time.Millisecond}[raw&3]
+			a.HandleEvent(ev)
 			if off >= 0 && length > 0 && off+length > 0 {
 				end = off + length
 			}

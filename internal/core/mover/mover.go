@@ -211,9 +211,10 @@ type Mover struct {
 	// fetching counts the fetch groups a worker has taken whose origin
 	// read has not returned: the PFS streams spoken for.
 	fetching int
-	// landTime is the smoothed time from taking a fetch group to its last
-	// segment landing: what WaitFor expects of a running fetch.
-	landTime time.Duration
+	// landTime is the smoothed time, in nanoseconds, from taking a fetch
+	// group to its last segment landing: what WaitFor expects of a running
+	// fetch, and what the auditor sizes a stream's window by (Landing).
+	landTime atomic.Int64
 
 	pfsSem chan struct{}
 	wg     sync.WaitGroup
@@ -480,7 +481,7 @@ func (m *Mover) WaitFor(id seg.ID, timeout time.Duration) (waited time.Duration,
 	ch := r.done
 	start := time.Now()
 	if r.state == recRunning && r.mv.From < 0 && timeout > 0 {
-		if left := r.taken.Add(2 * m.landTime).Sub(start); left > timeout {
+		if left := r.taken.Add(2 * time.Duration(m.landTime.Load())).Sub(start); left > timeout {
 			timeout = left
 		}
 	}
@@ -494,6 +495,10 @@ func (m *Mover) WaitFor(id seg.ID, timeout time.Duration) (waited time.Duration,
 		return time.Since(start), false
 	}
 }
+
+// Landing is landTime, 0 before the first fetch group lands; read it
+// without a lock, and leave writing it to the mover.
+func (m *Mover) Landing() *atomic.Int64 { return &m.landTime }
 
 // Drain blocks until nothing is in flight (Engine.Flush's barrier). It needs
 // no deadline: workers never wait for room, and every parked fill is woken.

@@ -857,11 +857,7 @@ func TestMoverWaitForRunningFetch(t *testing.T) {
 	m.Start()
 	defer m.Stop()
 	defer ex.release()
-	setLandTime := func(d time.Duration) {
-		m.mu.Lock()
-		m.landTime = d
-		m.mu.Unlock()
-	}
+	setLandTime := func(d time.Duration) { m.landTime.Store(int64(d)) }
 
 	m.Submit(fetches(0, 2)) // running, held by the gate
 	<-ex.entered
@@ -899,9 +895,7 @@ func TestMoverLearnsLandTime(t *testing.T) {
 	m.Submit(fetches(0, 4))
 	m.Drain()
 	m.Stop() // the worker records the time after its last op is terminal
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.landTime <= 0 {
-		t.Fatalf("landTime = %v after a fetch group landed", m.landTime)
+	if d := m.Landing().Load(); d <= 0 {
+		t.Fatalf("landing time = %v after a fetch group landed", time.Duration(d))
 	}
 }

@@ -170,14 +170,12 @@ func (m *Mover) execute(g *group) {
 			co := m.batch.FetchMany(mv.ID.File, mv.ID.Index, g.sizes, m.hier.Tier(mv.To), g.fetched, g.landed)
 			m.ctr.coalesced.Add(int64(co))
 		}
-		d := time.Since(g.taken)
-		m.mu.Lock()
-		if m.landTime == 0 {
-			m.landTime = d
-		} else {
-			m.landTime += (d - m.landTime) / 8
+		// Two workers finishing at once may drop one sample, not the mean.
+		d := int64(time.Since(g.taken))
+		if old := m.landTime.Load(); old != 0 {
+			d = old + (d-old)/8
 		}
-		m.mu.Unlock()
+		m.landTime.Store(d)
 	case m.carrier == nil: // tier-to-tier transfer in one call
 		m.complete(head, m.exec.Transfer(mv.ID, m.hier.Tier(mv.From), m.hier.Tier(mv.To)))
 	default: // tier-to-tier transfer: leave the source first, then land

@@ -950,3 +950,7 @@ func (e *Engine) MoverStats() amover.Stats { return e.mover.Stats() }
 func (e *Engine) WaitInflight(id seg.ID, timeout time.Duration) (time.Duration, bool) {
 	return e.mover.WaitFor(id, timeout)
 }
+
+// Landing is the mover's smoothed time from taking a fetch group to its
+// last landing, in nanoseconds (mover.Mover.Landing).
+func (e *Engine) Landing() *atomic.Int64 { return e.mover.Landing() }

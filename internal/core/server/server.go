@@ -114,6 +114,7 @@ type Server struct {
 
 	stalls       atomic.Int64
 	stallRescues atomic.Int64
+	stallNanos   atomic.Int64 // time reads waited on a fetch in flight
 	zeroCopy     atomic.Int64 // payload bytes served by reference from pinned views
 
 	started bool
@@ -164,6 +165,7 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 	cfg.Engine.Telemetry = cfg.Telemetry
 	eng := placement.New(cfg.Engine, hier, ioc, aud)
 	aud.SetSink(eng)
+	aud.SetLanding(eng.Landing())
 	cfg.Monitor.Telemetry = cfg.Telemetry
 	mon := monitor.New(cfg.Monitor, aud, hier)
 	shared := make(map[string]bool, len(cfg.SharedTiers))
@@ -403,6 +405,7 @@ func (s *Server) ReadPrefetched(id seg.ID, off int64, p []byte) (n int, tier str
 	if !ok && s.cfg.FetchWait > 0 {
 		if waited, landed := s.eng.WaitInflight(id, s.cfg.FetchWait); waited > 0 {
 			s.stalls.Add(1)
+			s.stallNanos.Add(int64(waited))
 			if s.stallHist != nil {
 				s.stallHist.Observe(int64(waited))
 			}
@@ -494,6 +497,12 @@ func (s *Server) serve(id seg.ID, off int64, p []byte) (n int, tier string, ok b
 // that were then served from a tier).
 func (s *Server) StallStats() (stalls, rescues int64) {
 	return s.stalls.Load(), s.stallRescues.Load()
+}
+
+// StallTime reports how long reads have waited on fetches in flight in
+// all: the time a prefetch that arrived late cost its readers.
+func (s *Server) StallTime() time.Duration {
+	return time.Duration(s.stallNanos.Load())
 }
 
 // ---- node-to-node data path ----

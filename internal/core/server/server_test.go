@@ -12,6 +12,7 @@ import (
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
+	"hfetch/internal/devsim"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
 	"hfetch/internal/invariant"
@@ -420,5 +421,46 @@ func TestReadRangeMatchesPFSUnderPartialResidency(t *testing.T) {
 	}
 	if !bytes.Equal(got, ref) {
 		t.Fatal("mixed hit/miss range diverges from PFS")
+	}
+}
+
+// TestStallTimeCountsTheWaitOnAFetchInFlight: a read of a segment whose
+// fetch is still reading a slow origin waits for it to land, and the wait
+// is counted in StallTime, with telemetry off and on.
+func TestStallTimeCountsTheWaitOnAFetchInFlight(t *testing.T) {
+	for _, reg := range []*telemetry.Registry{nil, telemetry.NewRegistry()} {
+		fs := pfs.New(devsim.New(devsim.Profile{Name: "pfs", Latency: 40 * time.Millisecond}, 1))
+		hier := tiers.NewHierarchy(tiers.NewStore("ram", 1<<20, nil))
+		stats, maps := NewLocalMaps("n0")
+		srv, err := New(Config{SegmentSize: 1024, FetchWait: 5 * time.Second, Telemetry: reg,
+			Engine: placement.Config{UpdateThreshold: 1}}, fs, hier, stats, maps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs.Create("f", 8192)
+		srv.Start()
+		srv.StartEpoch("f", 8192)
+		srv.PostEvent(events.Event{Op: events.OpRead, File: "f", Offset: 1024, Length: 1024, Time: time.Now()})
+		id := seg.ID{File: "f", Index: 1}
+		deadline := time.Now().Add(5 * time.Second)
+		for srv.Engine().MoverStats().Outstanding == 0 {
+			if time.Now().After(deadline) {
+				t.Fatal("no fetch went in flight")
+			}
+			time.Sleep(100 * time.Microsecond)
+		}
+		start := time.Now()
+		n, _, ok := srv.ReadPrefetched(id, 0, make([]byte, 100))
+		took := time.Since(start)
+		stalls, rescues := srv.StallStats()
+		waited := srv.StallTime()
+		srv.Stop()
+		if !ok || n != 100 || stalls != 1 || rescues != 1 {
+			t.Fatalf("telemetry %v: read %d bytes (ok %v), %d stalls and %d rescues, want a read served after one stall", reg != nil, n, ok, stalls, rescues)
+		}
+		if waited <= 0 || waited > took {
+			t.Fatalf("telemetry %v: StallTime %v for a read that took %v", reg != nil, waited, took)
+		}
+		t.Logf("telemetry %v: the read waited %v of its %v on the fetch", reg != nil, waited, took)
 	}
 }

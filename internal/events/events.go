@@ -51,6 +51,9 @@ type Event struct {
 	Offset int64
 	Length int64
 	Time   time.Time
+	// Think is the reader's compute time between its previous request on
+	// the same handle returning and this one starting; 0 means unknown.
+	Think time.Duration
 	// Tier names the tier that produced the event (capacity events) or
 	// served the access, when known.
 	Tier string

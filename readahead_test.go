@@ -154,3 +154,47 @@ func TestColdSequentialReadHidesOriginLatency(t *testing.T) {
 		t.Fatalf("%d reads paid an origin latency (%d misses, %d stalls), want <= %d", misses+stalls, misses, stalls, maxPaid)
 	}
 }
+
+// TestWarmReadAtAllocatesNothing: a File.ReadAt served from RAM on the
+// shipped defaults allocates nothing, the handle's Think bookkeeping and
+// the event it posts included. It guards warm_read's and
+// read_write_mix's allocs_per_op.
+func TestWarmReadAtAllocatesNothing(t *testing.T) {
+	const segs, segSize = 8, 64 << 10
+	cl, err := NewCluster(shippedDefaults(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Stop()
+	if err := cl.CreateFile("data/warm", segs*segSize); err != nil {
+		t.Fatal(err)
+	}
+	client := cl.Node(0).NewClient()
+	f, err := client.Open("data/warm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, segSize)
+	read := func() {
+		if n, err := f.ReadAt(buf, 0); err != nil || n != segSize {
+			t.Fatalf("n=%d err=%v", n, err)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for hits := client.Stats().TierHits()["ram"]; client.Stats().TierHits()["ram"] == hits; {
+		if time.Now().After(deadline) {
+			t.Fatal("segment 0 never came to be read from RAM")
+		}
+		read()
+		cl.Node(0).Flush()
+	}
+	hits := client.Stats().TierHits()["ram"]
+	const runs = 500
+	if n := testing.AllocsPerRun(runs, read); n != 0 {
+		t.Fatalf("a warm File.ReadAt allocates %.2f times, want 0", n)
+	}
+	if got := client.Stats().TierHits()["ram"] - hits; got != runs+1 {
+		t.Fatalf("%d of %d reads hit RAM", got, runs+1)
+	}
+}
