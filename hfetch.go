@@ -3,8 +3,6 @@ package hfetch
 import (
 	"fmt"
 	"io"
-	"net/http"
-	"sync"
 	"time"
 
 	"hfetch/internal/cluster"
@@ -15,8 +13,6 @@ import (
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/server"
 	"hfetch/internal/devsim"
-	"hfetch/internal/dhm"
-	"hfetch/internal/gateway"
 	"hfetch/internal/pfs"
 	"hfetch/internal/telemetry"
 	"hfetch/internal/tiers"
@@ -98,10 +94,6 @@ type Config struct {
 	// mover fetch of the same segment before falling back to the PFS
 	// (zero disables).
 	FetchWait time.Duration
-	// EnableML turns on the learned-scoring extension: an online
-	// logistic model (trained from the cluster's own re-access history)
-	// scales Equation (1) scores by the predicted re-access probability.
-	EnableML bool
 	// TimeScale multiplies all modeled device times (default 1).
 	TimeScale float64
 	// EnableTelemetry gives every node its own metric registry
@@ -213,8 +205,9 @@ func DefaultConfig() Config {
 }
 
 // FromConfig translates the daemon's JSON configuration into a one-node
-// Config: the file's tiers and PFS, its scoring parameters and its
-// pipeline (event rings, engine triggers and threads, mover, gateway).
+// Config: the file's tiers and PFS, its scoring parameters, its pipeline
+// (event rings, engine triggers and threads, mover, gateway) and the
+// sizing and sampling of its telemetry.
 // It is the only translation there is, so what the library, the paper's
 // figures and the daemon run can differ only where a caller says so.
 func FromConfig(d config.Config) Config {
@@ -235,6 +228,10 @@ func FromConfig(d config.Config) Config {
 		FetchCoalesce:         d.FetchCoalesce,
 		FetchWait:             d.FetchWait(),
 		TimeScale:             d.TimeScale,
+		LifecycleRing:         d.LifecycleRing,
+		LifecycleSampleEvery:  d.LifecycleSampleEvery,
+		LifecycleMaxActive:    d.LifecycleMaxActive,
+		TimeSampleEvery:       d.TimeSampleEvery,
 		Gateway: GatewaySpec{
 			MaxInflight:    d.GatewayMaxInflight,
 			ClientInflight: d.GatewayClientInflight,
@@ -286,241 +283,102 @@ func (cfg Config) ServerConfig(node string) server.Config {
 	return sc
 }
 
-// Config is the spec as the gateway package takes it, instrumented
-// through reg (nil: not at all).
-func (g GatewaySpec) Config(reg *telemetry.Registry) gateway.Config {
-	return gateway.Config{
-		MaxInflight:    g.MaxInflight,
-		ClientInflight: g.ClientInflight,
-		TenantRPS:      g.TenantRPS,
-		TenantBurst:    g.TenantBurst,
-		AdmitWait:      g.AdmitWait,
-		Telemetry:      reg,
-	}
-}
-
 // Cluster is an emulated multi-node HFetch deployment sharing one PFS
 // and one distributed hashmap.
 type Cluster struct {
-	cfg     Config
-	fs      *pfs.FS
-	net     *comm.InprocNetwork
-	nodes   []*Node
-	learner *score.Learned
+	fs    *pfs.FS
+	net   *comm.InprocNetwork
+	nodes []*Node
 	// shared are the tiers every node's hierarchy holds one instance of:
 	// no server owns them, so Stop clears them.
 	shared map[string]*tiers.Store
 }
 
-// Node is one compute node: an HFetch server plus its tier hierarchy.
-type Node struct {
-	name string
-	srv  *server.Server
-	cn   *cluster.Node   // fabric membership; nil unless ClusterFabric
-	tcp  *comm.TCPServer // peer listener; nil unless ClusterTransport "tcp"
-
-	gwSpec GatewaySpec
-	gwOnce sync.Once
-	gw     *gateway.Gateway
-}
-
-// NewCluster builds and starts a cluster.
+// NewCluster builds and starts a cluster. Each node is assembled as
+// NewNode assembles the daemon's; the cluster passes in only what an
+// emulated deployment shares or fixes: one PFS, the shared tiers' stores,
+// the peer network (in process, or TCP on loopback) with its roster, and
+// the heartbeat.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
 	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = 1
-	}
 	if len(cfg.Tiers) == 0 {
 		cfg.Tiers = DefaultTiers(8<<20, 24<<20, 32<<20)
 	}
-	pfsProf := devsim.Profile{
-		Name:        "pfs",
-		Latency:     cfg.PFS.Latency,
-		BytesPerSec: cfg.PFS.Bandwidth,
-		Channels:    cfg.PFS.Servers,
-	}
-	fs := pfs.New(devsim.New(pfsProf, cfg.TimeScale))
-
+	c := &Cluster{fs: newPFS(cfg), net: comm.NewInprocNetwork(nil), shared: make(map[string]*tiers.Store)}
 	// Shared tiers are single store+device instances used by all nodes.
-	shared := make(map[string]*tiers.Store)
 	for _, ts := range cfg.Tiers {
 		if ts.Shared {
-			shared[ts.Name] = newStore(ts, cfg.TimeScale)
+			c.shared[ts.Name] = newStore(ts, cfg.TimeScale)
 		}
 	}
-
-	// One in-process fabric for the distributed hashmap.
 	names := make([]string, cfg.Nodes)
 	for i := range names {
 		names[i] = fmt.Sprintf("node%d", i)
 	}
-	net := comm.NewInprocNetwork(nil)
-	dial := inprocDialer{net}
-	fabric := cfg.ClusterFabric && cfg.Nodes > 1
-	useTCP := fabric && cfg.ClusterTransport == "tcp"
-	// Every node's mux exists before any node boots: the fabric needs the
-	// full roster (and, over TCP, every peer's bound address) up front so
-	// boot skips the discovery churn and the rebalances it would trigger.
-	muxes := make([]*comm.Mux, cfg.Nodes)
-	for i := range muxes {
-		muxes[i] = comm.NewMux()
+	specs := make([]nodeSpec, cfg.Nodes)
+	for i := range specs {
+		specs[i] = nodeSpec{name: names[i], fs: c.fs, shared: c.shared, watchdog: &telemetry.WatchdogConfig{}}
 	}
-	var static map[string]string
-	var tcpSrvs []*comm.TCPServer
-	if fabric {
-		static = make(map[string]string, cfg.Nodes)
-		if useTCP {
-			tcpSrvs = make([]*comm.TCPServer, cfg.Nodes)
-			for i := range muxes {
-				ts, err := comm.ListenTCP("127.0.0.1:0", muxes[i])
-				if err != nil {
-					for _, prev := range tcpSrvs {
-						if prev != nil {
-							prev.Close()
-						}
-					}
-					return nil, err
-				}
-				tcpSrvs[i] = ts
-				static[names[i]] = ts.Addr()
-			}
-		} else {
-			// The in-process fabric addresses peers by node name.
-			for _, name := range names {
-				static[name] = name
+	// fail stops the nodes built so far and closes the listeners of those
+	// not yet built.
+	fail := func(err error) (*Cluster, error) {
+		c.Stop()
+		for _, s := range specs[len(c.nodes):] {
+			if s.tcp != nil {
+				s.tcp.Close()
 			}
 		}
+		return nil, err
 	}
-
-	c := &Cluster{cfg: cfg, fs: fs, net: net, shared: shared}
-	if cfg.EnableML {
-		c.learner = score.NewLearned(0, cfg.DecayUnit)
-	}
-	for i := 0; i < cfg.Nodes; i++ {
-		var stores []*tiers.Store
-		for _, ts := range cfg.Tiers {
-			if ts.Shared {
-				stores = append(stores, shared[ts.Name])
-			} else {
-				stores = append(stores, newStore(ts, cfg.TimeScale))
-			}
-		}
-		hier := tiers.NewHierarchy(stores...)
-
-		var reg *telemetry.Registry
-		if cfg.EnableTelemetry {
-			// One registry per node: snapshot-time closures (queue depth,
-			// tier occupancy) are bound to a single server each; merge
-			// per-node snapshots with Cluster.TelemetrySnapshot.
-			reg = telemetry.NewRegistry()
-			if cfg.TimeSampleEvery > 0 {
-				reg.SetTimeSampling(cfg.TimeSampleEvery)
-			}
-			if cfg.EnableLifecycle {
-				reg.EnableLifecycle(cfg.LifecycleRing, cfg.LifecycleSampleEvery, cfg.LifecycleMaxActive)
-			}
-		}
-
-		mux := muxes[i]
-		var cn *cluster.Node
-		var dl dhm.Dialer
-		var nodeList []string
-		if cfg.Nodes > 1 {
-			dl = dial
-			nodeList = names
-		}
-		if fabric {
-			dialAddr := func(addr string) (comm.Peer, error) { return net.Dial(addr), nil }
+	if cfg.Nodes > 1 {
+		// Unlike a daemon, which starts as a roster of one and grows as it
+		// hears its seeds, every node here boots with the full roster (and,
+		// over TCP, every peer's bound address): a cluster built in one
+		// call skips the discovery churn and the rebalances it would
+		// trigger.
+		useTCP := cfg.ClusterFabric && cfg.ClusterTransport == "tcp"
+		book := make(map[string]string, cfg.Nodes)
+		for i := range specs {
+			s := &specs[i]
+			s.mux, s.roster = comm.NewMux(), names
+			addr := s.name // the in-process network addresses peers by node name
 			if useTCP {
-				cstats := comm.NewStats(reg)
-				dialAddr = func(addr string) (comm.Peer, error) {
-					return comm.DialTCPOpts(addr, comm.PeerOptions{
-						DialTimeout:    time.Second,
-						RequestTimeout: 2 * time.Second,
-						DialAttempts:   2,
-						Stats:          cstats,
-					})
+				tcp, err := comm.ListenTCP("127.0.0.1:0", s.mux)
+				if err != nil {
+					return fail(err)
 				}
-				tcpSrvs[i].SetStats(cstats)
+				s.tcp, s.timeout, addr = tcp, config.Config{}.PeerRequestTimeout(), tcp.Addr()
+			} else {
+				s.net = c.net
 			}
-			cn = cluster.New(cluster.Config{
-				Self:              names[i],
-				Addr:              static[names[i]],
-				Ops:               static[names[i]],
-				Static:            static,
-				HeartbeatInterval: cfg.ClusterHeartbeat,
-				Mux:               mux,
-				DialAddr:          dialAddr,
-				Telemetry:         reg,
-			})
-			dl = cn.Dialer()
-		}
-		stats := dhm.New(dhm.Config{Name: "hfetch-stats", Self: names[i], Nodes: nodeList, Dialer: dl}, mux)
-		maps := dhm.New(dhm.Config{Name: "hfetch-maps", Self: names[i], Nodes: nodeList, Dialer: dl}, mux)
-		net.Join(names[i], mux)
-
-		var sharedNames []string
-		for _, ts := range cfg.Tiers {
-			if ts.Shared {
-				sharedNames = append(sharedNames, ts.Name)
+			book[s.name] = addr
+			if cfg.ClusterFabric {
+				s.fabric = &cluster.Config{Self: s.name, Addr: addr, Ops: addr, Static: book,
+					HeartbeatInterval: cfg.ClusterHeartbeat}
 			}
 		}
-		srvCfg := cfg.ServerConfig(names[i])
-		srvCfg.SharedTiers = sharedNames
-		srvCfg.Learner = c.learner
-		srvCfg.Telemetry = reg
-		srv, err := server.New(srvCfg, fs, hier, stats, maps)
+	}
+	for _, s := range specs {
+		if s.net != nil {
+			c.net.Join(s.name, s.mux)
+		}
+		n, err := assemble(cfg, s)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		if cn != nil {
-			cn.Attach(srv, stats, maps)
-		} else if cfg.Nodes > 1 {
-			// Statically wired: the one peer read path, no membership gate.
-			srv.EnableRemote(mux, dial)
-			srv.SetRemoteReader(cluster.NewFetcher(cluster.FetcherConfig{}, nil, srv))
-		}
-		srv.Start()
-		if cn != nil {
-			cn.Start()
-		}
-		node := &Node{name: names[i], srv: srv, cn: cn, gwSpec: cfg.Gateway}
-		if useTCP {
-			node.tcp = tcpSrvs[i]
-		}
-		c.nodes = append(c.nodes, node)
+		c.nodes = append(c.nodes, n)
 	}
 	return c, nil
 }
-
-func newStore(ts TierSpec, scale float64) *tiers.Store {
-	dev := devsim.New(devsim.Profile{
-		Name: ts.Name, Latency: ts.Latency, BytesPerSec: ts.Bandwidth, Channels: ts.Channels,
-	}, scale)
-	return tiers.NewStore(ts.Name, ts.Capacity, dev)
-}
-
-type inprocDialer struct{ net *comm.InprocNetwork }
-
-func (d inprocDialer) Dial(node string) comm.Peer { return d.net.Dial(node) }
 
 // Stop shuts down every node. Each server clears its own tiers as it
 // stops; the shared tiers are the cluster's and go last, once, when no
 // node's mover can land in them any more.
 func (c *Cluster) Stop() {
 	for _, n := range c.nodes {
-		if n.gw != nil {
-			n.gw.Close()
-		}
-		if n.tcp != nil {
-			n.tcp.Close()
-		}
-		if n.cn != nil {
-			n.cn.Stop()
-		}
-		n.srv.Stop()
+		n.Stop()
 	}
 	for _, st := range c.shared {
 		st.Clear()
@@ -534,21 +392,15 @@ func (c *Cluster) Nodes() int { return len(c.nodes) }
 func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // KillNode simulates node i crashing: it is torn off the in-process
-// network (peers' requests to it start failing), its fabric agent and
-// server stop, and its own tiers are cleared (the shared ones live on
-// with the survivors). With ClusterFabric on, the survivors age it to
-// suspect, then dead, and rebalance the hashmaps around it; reads that
-// mapped to its tiers degrade to PFS passthrough.
+// network (peers' requests to it start failing) and stopped, which clears
+// its own tiers (the shared ones live on with the survivors). With
+// ClusterFabric on, the survivors age it to suspect, then dead, and
+// rebalance the hashmaps around it; reads that mapped to its tiers
+// degrade to PFS passthrough.
 func (c *Cluster) KillNode(i int) {
 	n := c.nodes[i]
 	c.net.Leave(n.name)
-	if n.tcp != nil {
-		n.tcp.Close()
-	}
-	if n.cn != nil {
-		n.cn.Stop()
-	}
-	n.srv.Stop()
+	n.Stop()
 }
 
 // ClusterNode exposes node i's fabric agent (nil unless ClusterFabric).
@@ -561,17 +413,6 @@ func (c *Cluster) CreateFile(name string, size int64) error {
 
 // FS exposes the emulated parallel file system.
 func (c *Cluster) FS() *pfs.FS { return c.fs }
-
-// MLStats reports the learned-scoring extension's training progress:
-// positive and negative examples absorbed. ok is false when EnableML
-// was not set.
-func (c *Cluster) MLStats() (pos, neg int64, ok bool) {
-	if c.learner == nil {
-		return 0, 0, false
-	}
-	pos, neg = c.learner.Examples()
-	return pos, neg, true
-}
 
 // TelemetrySnapshot merges every node's metric registry into one
 // cluster-wide snapshot (counters and histograms sum; rendering it with
@@ -602,39 +443,6 @@ func (c *Cluster) FleetTrace(w io.Writer) error {
 		}
 	}
 	return telemetry.WriteFleetTraceJSON(w, lanes)
-}
-
-// Name returns the node's cluster name.
-func (n *Node) Name() string { return n.name }
-
-// Telemetry returns the node's metric registry (nil unless
-// Config.EnableTelemetry was set).
-func (n *Node) Telemetry() *telemetry.Registry { return n.srv.Telemetry() }
-
-// Server exposes the node's HFetch server (advanced use: metrics,
-// hierarchy inspection).
-func (n *Node) Server() *server.Server { return n.srv }
-
-// Flush synchronously drains pending events and runs a placement pass.
-func (n *Node) Flush() { n.srv.Flush() }
-
-// GatewayHandler returns this node's HTTP range-read gateway, building
-// it on first call from Config.Gateway (mount it on any http.Server or
-// httptest.Server; see GATEWAY.md for the endpoint semantics). The
-// gateway is closed with the cluster.
-func (n *Node) GatewayHandler() http.Handler {
-	n.gwOnce.Do(func() {
-		n.gw = gateway.New(n.srv, n.gwSpec.Config(n.srv.Telemetry()))
-	})
-	return n.gw
-}
-
-// NewClient creates a client (application process) attached to this
-// node's server, with its own read statistics.
-func (n *Node) NewClient() *Client {
-	ag := agent.New(n.srv, n.srv.FS(), nil)
-	ag.SetTelemetry(n.srv.Telemetry())
-	return &Client{agent: ag}
 }
 
 // Client is an application's connection to HFetch (the agent).

@@ -3,6 +3,7 @@ package hfetch
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"hfetch/internal/config"
 	"hfetch/internal/core/seg"
+	"hfetch/internal/core/server"
 	"hfetch/internal/devsim"
 )
 
@@ -69,8 +71,9 @@ func TestDefaultConfigSane(t *testing.T) {
 // pipeline field of DefaultConfig() is config.Default()'s value, field for
 // field, so the two cannot drift; every field of Config is either one of
 // them or named here as not the pipeline's, so a new one cannot be
-// forgotten; and the zero Config still builds the one pipeline there is —
-// 8 event rings, moves through the mover.
+// forgotten; a library node and the daemon's node are one assembly; and
+// the zero Config still builds the one pipeline there is — 8 event rings,
+// moves through the mover.
 func TestOneConfiguration(t *testing.T) {
 	d := config.Default()
 	got := DefaultConfig()
@@ -110,7 +113,7 @@ func TestOneConfiguration(t *testing.T) {
 	notPipeline := map[string]bool{
 		// the deployment's and the caller's
 		"Nodes": true, "Tiers": true, "ClusterFabric": true, "ClusterHeartbeat": true, "ClusterTransport": true,
-		"EnableML": true, "EnableTelemetry": true, "EnableLifecycle": true,
+		"EnableTelemetry": true, "EnableLifecycle": true,
 		"LifecycleRing": true, "LifecycleSampleEvery": true, "LifecycleMaxActive": true, "TimeSampleEvery": true,
 		// deprecated, read by nothing
 		"DaemonThreads": true, "WorkersPerShard": true, "AsyncMover": true,
@@ -120,6 +123,58 @@ func TestOneConfiguration(t *testing.T) {
 		if _, ok := pipeline[name]; ok == notPipeline[name] {
 			t.Errorf("Config.%s must be checked against config.Default() or named as not the pipeline's (exactly one)", name)
 		}
+	}
+
+	// The telemetry knobs the daemon's file sets reach its node too.
+	tel := d
+	tel.LifecycleRing, tel.LifecycleSampleEvery, tel.LifecycleMaxActive, tel.TimeSampleEvery = 1, 2, 3, 4
+	if c := FromConfig(tel); c.LifecycleRing != 1 || c.LifecycleSampleEvery != 2 || c.LifecycleMaxActive != 3 || c.TimeSampleEvery != 4 {
+		t.Errorf("FromConfig dropped a telemetry knob: %+v", c)
+	}
+
+	// A node from DefaultConfig() with telemetry and lifecycle on and the
+	// node NewNode builds from config.Default() have one server
+	// configuration, one set of metric families and one watchdog.
+	libCfg := DefaultConfig()
+	libCfg.EnableTelemetry, libCfg.EnableLifecycle = true, true
+	lib, err := NewCluster(libCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lib.Stop()
+	daemon, err := NewNode(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer daemon.Stop()
+	var built [2]struct {
+		srv      server.Config
+		families []string
+		probes   []string
+	}
+	for i, n := range []*Node{lib.Node(0), daemon} {
+		n.GatewayHandler()
+		b := &built[i]
+		b.srv = n.Server().Config()
+		b.srv.Telemetry, b.srv.Monitor.Telemetry, b.srv.Engine.Telemetry = nil, nil, nil
+		seen := map[string]bool{}
+		for _, m := range n.Telemetry().Snapshot().Metrics {
+			if !seen[m.Name] {
+				seen[m.Name] = true
+				b.families = append(b.families, m.Name)
+			}
+		}
+		sort.Strings(b.families)
+		b.probes = n.wd.Probes()
+	}
+	if !reflect.DeepEqual(built[0].srv, built[1].srv) {
+		t.Errorf("server configurations differ:\nlibrary %+v\ndaemon  %+v", built[0].srv, built[1].srv)
+	}
+	if !reflect.DeepEqual(built[0].families, built[1].families) || len(built[0].families) == 0 {
+		t.Errorf("metric families differ:\nlibrary %v\ndaemon  %v", built[0].families, built[1].families)
+	}
+	if want := []string{"monitor", "mover", "gateway"}; !reflect.DeepEqual(built[0].probes, want) || !reflect.DeepEqual(built[1].probes, want) {
+		t.Errorf("watchdog probes: library %v, daemon %v, want %v", built[0].probes, built[1].probes, want)
 	}
 
 	cluster, err := NewCluster(Config{})

@@ -279,41 +279,3 @@ func TestByteLevelIntegrityAcrossDemotions(t *testing.T) {
 		t.Fatal("exclusivity violated under churn")
 	}
 }
-
-func TestMLExtensionTrainsOnline(t *testing.T) {
-	defer leakcheck.Guard(t)()
-	cfg := fastConfig(1)
-	cfg.EnableML = true
-	cluster, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cluster.Stop()
-	if _, _, ok := cluster.MLStats(); !ok {
-		t.Fatal("MLStats must report enabled")
-	}
-	cluster.CreateFile("ml", 16*4096)
-	c := cluster.Node(0).NewClient()
-	f, _ := c.Open("ml")
-	buf := make([]byte, 4096)
-	// Segment 0 re-read repeatedly (positives); the tail touched once.
-	for i := 0; i < 10; i++ {
-		f.ReadAt(buf, 0)
-	}
-	for off := int64(4096); off < 16*4096; off += 4096 {
-		f.ReadAt(buf, off)
-	}
-	f.Close() // one-shot segments become negatives at epoch end
-	pos, neg, _ := cluster.MLStats()
-	if pos == 0 || neg == 0 {
-		t.Fatalf("learner examples = %d/%d, want both > 0", pos, neg)
-	}
-	// The warm path still works with blended scores.
-	f2, _ := c.Open("ml")
-	defer f2.Close()
-	cluster.Node(0).Flush()
-	f2.ReadAt(buf, 0)
-	if c.Stats().Hits() == 0 {
-		t.Fatalf("blended scoring must still place hot segments: %s", c.Stats())
-	}
-}

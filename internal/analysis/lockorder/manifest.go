@@ -44,11 +44,9 @@ type Manifest struct {
 //	membership mu → (released) → dhm → (released) → cluster fetch mu →
 //	(released) → engine runMu → engine mu → mover mu → tier store mutex
 //
-// Two mutexes sit next to the dhm shard without being ranks of the chain.
-// The WAL's is never nested under a shard: a record is encoded under the
-// shard lock (dhm.encodePut takes no lock) and written after it. The
-// learner's (score.Learned.mu) is a leaf taken under the shard lock by
-// the auditor's access op, and takes nothing.
+// The WAL's mutex sits next to the dhm shard without being a rank of the
+// chain: it is never nested under a shard, since a record is encoded under
+// the shard lock (dhm.encodePut takes no lock) and written after it.
 func Default() Manifest {
 	return Manifest{
 		Classes: []Class{

@@ -145,11 +145,6 @@ func (n *Node) Fetcher() *Fetcher { return n.fetch }
 // Health exposes the shared per-peer health tracker.
 func (n *Node) Health() *comm.Health { return n.health }
 
-// CommStats exposes the transport instrumentation handle (nil when
-// telemetry is off), for callers that dial their own peers or host a
-// comm server and want those paths counted into the same families.
-func (n *Node) CommStats() *comm.Stats { return n.commStats }
-
 // RebalanceStats reports (view-change rebalances run, keys migrated).
 func (n *Node) RebalanceStats() (rebalances, keys int64) {
 	return n.rebalances.Load(), n.keysMigrated.Load()

@@ -108,11 +108,6 @@ type Config struct {
 	Heatmaps *heatmap.Store
 	// HeatDecay scales scores adopted from a stored heatmap (default 0.7).
 	HeatDecay float64
-	// Learner, when non-nil, enables the ML scoring extension: emitted
-	// scores are blended with the learned re-access probability, and the
-	// auditor feeds the model online (re-accesses as positives, one-shot
-	// segments as negatives at epoch end).
-	Learner *score.Learned
 	// Telemetry, when non-nil, times per-event scoring (the audit
 	// pipeline stage) and exports the auditor counters.
 	Telemetry *telemetry.Registry
@@ -283,9 +278,6 @@ func (a *Auditor) registerOps() {
 			r.Size = size
 		}
 		sc := a.model.Score(&r.Stats, ts)
-		if a.cfg.Learner != nil {
-			sc = a.learnAndBlend(r, ts, sc)
-		}
 		return r, binary.BigEndian.AppendUint64(appendScoreSize(res, sc, r.Size), uint64(r.Succ))
 	})
 	a.stats.RegisterResultOp(opRef, func(cur any, arg, res []byte) (any, []byte) {
@@ -394,29 +386,9 @@ func (a *Auditor) EndEpoch(file string) bool {
 	}
 	st.mu.Unlock()
 	if last {
-		a.finishEpoch(file, size)
+		a.saveHeatmap(file, size)
 	}
 	return last
-}
-
-// finishEpoch runs last-closer work: negative examples for the ML
-// extension (segments touched exactly once this epoch) and heatmap
-// persistence.
-func (a *Auditor) finishEpoch(file string, size int64) {
-	if a.cfg.Learner != nil {
-		now := time.Now()
-		n := a.cfg.Segmenter.Count(size)
-		for i := int64(0); i < n; i++ {
-			rec, ok := a.SegmentRec(seg.ID{File: file, Index: i})
-			if !ok {
-				continue
-			}
-			if rec.Stats.K == 1 {
-				a.cfg.Learner.Observe(1, rec.Stats.Last, rec.Stats.Refs, now, false)
-			}
-		}
-	}
-	a.saveHeatmap(file, size)
 }
 
 // EpochOpen reports whether file is inside a prefetching epoch.
@@ -687,20 +659,6 @@ func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, 
 		}
 	}
 	c.out(Update{ID: id, Score: max(sc, floor), Size: size, Origin: origin, Ahead: ahead})
-}
-
-// learnAndBlend feeds the learner a positive example for the segment's
-// pre-access state (this access proves it was re-accessed) and blends
-// the analytic score with the predicted re-access probability. It runs
-// inside opAccess: the learner's mutex nests under the shard lock.
-func (a *Auditor) learnAndBlend(rec *Rec, ts time.Time, analytic float64) float64 {
-	st := &rec.Stats
-	if st.K >= 2 && len(st.History) >= 2 {
-		prevLast := st.History[len(st.History)-2]
-		a.cfg.Learner.Observe(st.K-1, prevLast, st.Refs, ts, true)
-	}
-	p := a.cfg.Learner.Predict(st.K, st.Last, st.Refs, ts)
-	return score.Blend(analytic, p)
 }
 
 func (a *Auditor) handleWrite(ev events.Event) {

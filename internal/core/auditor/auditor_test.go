@@ -313,39 +313,6 @@ func TestZeroLengthReadIgnored(t *testing.T) {
 	}
 }
 
-func TestLearnerIntegration(t *testing.T) {
-	store, _ := heatmap.NewStore(t.TempDir())
-	learner := score.NewLearned(0.1, time.Second)
-	a, sink := newAuditor(t, Config{
-		Segmenter: seg.NewSegmenter(100),
-		Score:     score.Params{P: 2, Unit: time.Minute},
-		Heatmaps:  store,
-		Learner:   learner,
-	})
-	a.StartEpoch("f", 1000)
-	// Segment 0 re-accessed repeatedly (positives), segments 1..5 once.
-	for i := 0; i < 10; i++ {
-		a.HandleEvent(readEv("f", 0, 100))
-	}
-	for idx := int64(1); idx <= 5; idx++ {
-		a.HandleEvent(readEv("f", idx*100, 100))
-	}
-	a.EndEpoch("f") // one-shot segments become negative examples
-	pos, neg := learner.Examples()
-	if pos == 0 || neg == 0 {
-		t.Fatalf("learner examples = %d/%d, want both > 0", pos, neg)
-	}
-	ups, _ := sink.snapshot()
-	if len(ups) == 0 {
-		t.Fatal("no updates emitted")
-	}
-	for _, u := range ups {
-		if u.Score < 0 {
-			t.Fatalf("blended score negative: %+v", u)
-		}
-	}
-}
-
 func TestSweepRemovesColdClosedStats(t *testing.T) {
 	a, _ := newAuditor(t, Config{
 		Segmenter: seg.NewSegmenter(100),

@@ -8,7 +8,6 @@ import (
 
 	"hfetch/internal/comm"
 	"hfetch/internal/core/heatmap"
-	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
@@ -27,8 +26,8 @@ func (d inprocDialer) Dial(node string) comm.Peer { return d.net.Dial(node) }
 
 // fabric builds one auditor per node over stats and mapping maps shared
 // across an in-process network; the stats maps log to a WAL and every
-// auditor learns and keeps heatmaps, so each way a record leaves its
-// shard lock is in play.
+// auditor keeps heatmaps, so each way a record leaves its shard lock is
+// in play.
 func fabric(t *testing.T, nodes int) []*Auditor {
 	t.Helper()
 	net := comm.NewInprocNetwork(nil)
@@ -53,8 +52,7 @@ func fabric(t *testing.T, nodes int) []*Auditor {
 		stats := dhm.New(cfg, mux)
 		cfg.Name, cfg.WAL = "maps", nil
 		maps := dhm.New(cfg, mux)
-		auds[i] = New(Config{Node: name, Segmenter: seg.NewSegmenter(64 << 10), Heatmaps: hm,
-			Learner: score.NewLearned(0, 0)}, stats, maps)
+		auds[i] = New(Config{Node: name, Segmenter: seg.NewSegmenter(64 << 10), Heatmaps: hm}, stats, maps)
 		auds[i].SetSink(nullSink{})
 		net.Join(name, mux)
 	}

@@ -131,12 +131,6 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 		}
 		rec := r.access(id, ts, segSize)
 		sc := r.model.Score(&rec.Stats, ts)
-		if l := r.cfg.Learner; l != nil {
-			if st := &rec.Stats; st.K >= 2 && len(st.History) >= 2 {
-				l.Observe(st.K-1, st.History[len(st.History)-2], st.Refs, ts, true)
-			}
-			sc = score.Blend(sc, l.Predict(rec.Stats.K, rec.Stats.Last, rec.Stats.Refs, ts))
-		}
 		up := Update{ID: id, Score: sc, Size: rec.Size, Origin: ev.Origin}
 		if idx == first {
 			up.Trace = ev.Trace
@@ -235,21 +229,16 @@ func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		sequential [2]bool // per pass
-		learner    bool
 		think      time.Duration
 	}{
-		{"random", [2]bool{false, false}, false, 0},
-		{"sequential", [2]bool{true, true}, false, 0},
-		{"random with the learner", [2]bool{false, false}, true, 0},
-		{"random, then sequential: hints lifted, records and successors not", [2]bool{false, true}, false, 0},
-		{"sequential, a reader that outruns the landing", [2]bool{true, true}, false, 50 * time.Microsecond},
+		{"random", [2]bool{false, false}, 0},
+		{"sequential", [2]bool{true, true}, 0},
+		{"random, then sequential: hints lifted, records and successors not", [2]bool{false, true}, 0},
+		{"sequential, a reader that outruns the landing", [2]bool{true, true}, 50 * time.Microsecond},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := Config{Node: "n0", Segmenter: seg.NewSegmenter(refSegSize), SeqBoost: 0.5}
 			refCfg := cfg
-			if c.learner {
-				cfg.Learner, refCfg.Learner = score.NewLearned(0, 0), score.NewLearned(0, 0)
-			}
 			a := New(cfg, dhm.New(dhm.Config{Name: "stats", Self: "n0"}, nil), dhm.New(dhm.Config{Name: "maps", Self: "n0"}, nil))
 			sink := &copySink{}
 			a.SetSink(sink)
@@ -343,11 +332,6 @@ func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 			ctr := a.Counters()
 			if ctr.Hints != ref.hints || ctr.SegmentsSeen != int64(len(ref.recs)) {
 				t.Errorf("hints %d and segments %d, reference %d and %d", ctr.Hints, ctr.SegmentsSeen, ref.hints, len(ref.recs))
-			}
-			if c.learner {
-				if got, want := cfg.Learner.Weights(), refCfg.Learner.Weights(); got != want {
-					t.Errorf("learner weights %v, reference %v", got, want)
-				}
 			}
 		})
 	}

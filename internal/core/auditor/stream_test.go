@@ -434,12 +434,10 @@ func TestInterleavedReadersLearnTheirOwnLinks(t *testing.T) {
 
 func TestHintedNeverReadRecord(t *testing.T) {
 	store, _ := heatmap.NewStore(t.TempDir())
-	learner := score.NewLearned(0.1, time.Second)
 	a, sink := newAuditor(t, Config{
 		Segmenter: seg.NewSegmenter(100),
 		Score:     score.Params{P: 2, Unit: time.Millisecond},
 		Heatmaps:  store,
-		Learner:   learner,
 	})
 	a.StartEpoch("f", 2000)
 	for i := int64(5); i < 8; i++ {
@@ -463,11 +461,6 @@ func TestHintedNeverReadRecord(t *testing.T) {
 		t.Fatalf("hinted record %+v %v, want K = 0 and a reference", rec, ok)
 	}
 	a.EndEpoch("f")
-	// The three segments read once are negatives; the six hinted are not
-	// accesses at all.
-	if pos, neg := learner.Examples(); pos != 0 || neg != 3 {
-		t.Fatalf("learner saw %d positives and %d negatives, want 0 and 3", pos, neg)
-	}
 	time.Sleep(30 * time.Millisecond)
 	if removed := a.Sweep(time.Now(), 0.01); removed != 9 {
 		t.Fatalf("sweep removed %d records, want the 3 read and the 6 hinted", removed)

@@ -61,10 +61,6 @@ type Config struct {
 	SweepInterval time.Duration
 	// SweepFloor is the score below which swept records are discarded.
 	SweepFloor float64
-	// Learner enables the ML scoring extension when non-nil (see
-	// score.Learned); one instance may be shared across the servers of a
-	// cluster so every node trains the same model.
-	Learner *score.Learned
 	// Telemetry, when non-nil, is the node's metric registry: the server
 	// wires it through the monitor, auditor, placement engine and I/O
 	// client, and instruments its own read path. Nil disables all
@@ -149,7 +145,6 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		Segmenter: segr,
 		Score:     cfg.Score,
 		SeqBoost:  cfg.SeqBoost,
-		Learner:   cfg.Learner,
 		Telemetry: cfg.Telemetry,
 	}
 	if cfg.HeatDir != "" {
@@ -220,46 +215,16 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 	return s, nil
 }
 
-// NewLocalMaps returns fresh single-node stats and mapping hashmaps for
-// standalone servers.
-func NewLocalMaps(node string) (stats, maps *dhm.Map) {
-	stats = dhm.New(dhm.Config{Name: "hfetch-stats", Self: node}, nil)
-	maps = dhm.New(dhm.Config{Name: "hfetch-maps", Self: node}, nil)
-	return stats, maps
-}
-
-// NewPersistentMaps returns single-node hashmaps backed by a write-ahead
-// log at walPath: segment statistics and mappings survive daemon
-// restarts and power-downs (the fault-tolerance property the paper's
-// distributed hashmap provides). Existing log contents are replayed
-// into the maps before they are returned. Note that mappings restored
-// this way are advisory: tier *payloads* are volatile, so stale
-// mappings simply miss and fall back to the PFS.
-func NewPersistentMaps(node, walPath string) (stats, maps *dhm.Map, wal *dhm.WAL, err error) {
-	state, rerr := dhm.Replay(walPath)
-	wal, err = dhm.OpenWAL(walPath)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stats = dhm.New(dhm.Config{Name: "hfetch-stats", Self: node, WAL: wal}, nil)
-	maps = dhm.New(dhm.Config{Name: "hfetch-maps", Self: node, WAL: wal}, nil)
-	if rerr == nil {
-		stats.Restore(state)
-		// Mappings are NOT restored: they point at volatile tier
-		// payloads that did not survive the restart.
-	}
-	return stats, maps, wal, nil
-}
-
-// NewClusterMaps returns the stats and mapping hashmaps for a cluster
-// member: both register their operation handlers on the peer-facing mux
-// and reach remote owners through dialer. Membership starts as just
-// this node — the cluster fabric grows it via Rebalance on view
-// changes. When walPath is non-empty the maps are WAL-backed and
-// segment statistics are replayed before rejoining (mappings are not:
-// they point at volatile tier payloads that did not survive the
-// restart).
-func NewClusterMaps(node, walPath string, dialer dhm.Dialer, mux *comm.Mux) (stats, maps *dhm.Map, wal *dhm.WAL, err error) {
+// NewMaps returns a node's stats and mapping hashmaps. roster lists the
+// members at boot (nil: this node alone); dialer reaches remote owners and
+// mux carries their operations (both nil for a node alone). A cluster
+// fabric grows or shrinks the roster through Rebalance on view changes.
+// When walPath is non-empty the maps are backed by a write-ahead log and
+// the segment statistics it holds are replayed into them, so they survive
+// restarts and power-downs (the fault tolerance the paper's distributed
+// hashmap provides). Mappings are not replayed: they point at volatile
+// tier payloads that did not survive the restart.
+func NewMaps(node string, roster []string, dialer dhm.Dialer, mux *comm.Mux, walPath string) (stats, maps *dhm.Map, wal *dhm.WAL, err error) {
 	var state map[string]map[dhm.Key]any
 	if walPath != "" {
 		var rerr error
@@ -272,13 +237,18 @@ func NewClusterMaps(node, walPath string, dialer dhm.Dialer, mux *comm.Mux) (sta
 			state = nil
 		}
 	}
-	self := []string{node}
-	stats = dhm.New(dhm.Config{Name: "hfetch-stats", Self: node, Nodes: self, Dialer: dialer, WAL: wal}, mux)
-	maps = dhm.New(dhm.Config{Name: "hfetch-maps", Self: node, Nodes: self, Dialer: dialer, WAL: wal}, mux)
+	stats = dhm.New(dhm.Config{Name: "hfetch-stats", Self: node, Nodes: roster, Dialer: dialer, WAL: wal}, mux)
+	maps = dhm.New(dhm.Config{Name: "hfetch-maps", Self: node, Nodes: roster, Dialer: dialer, WAL: wal}, mux)
 	if state != nil {
 		stats.Restore(state)
 	}
 	return stats, maps, wal, nil
+}
+
+// NewLocalMaps is NewMaps for a node alone without a log.
+func NewLocalMaps(node string) (stats, maps *dhm.Map) {
+	stats, maps, _, _ = NewMaps(node, nil, nil, nil, "")
+	return stats, maps
 }
 
 // Start launches the monitor daemons, the placement engine, and (when
@@ -680,6 +650,9 @@ func (s *Server) IOClient() *ioclient.Client { return s.ioc }
 
 // Registry returns the watch registry.
 func (s *Server) Registry() *events.Registry { return s.registry }
+
+// Config returns the configuration the server was built from.
+func (s *Server) Config() Config { return s.cfg }
 
 // Telemetry returns the node's metric registry (nil when disabled).
 func (s *Server) Telemetry() *telemetry.Registry { return s.cfg.Telemetry }

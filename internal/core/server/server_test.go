@@ -177,7 +177,7 @@ func TestJanitorSweepsStaleStats(t *testing.T) {
 
 func TestPersistentMapsSurviveRestart(t *testing.T) {
 	wal := filepath.Join(t.TempDir(), "meta.wal")
-	stats, _, w, err := NewPersistentMaps("n0", wal)
+	stats, _, w, err := NewMaps("n0", nil, nil, nil, wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestPersistentMapsSurviveRestart(t *testing.T) {
 
 	// "Power-down": a brand-new process replays the WAL and sees the
 	// accumulated segment statistics.
-	stats2, _, w2, err := NewPersistentMaps("n0", wal)
+	stats2, _, w2, err := NewMaps("n0", nil, nil, nil, wal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +233,7 @@ func TestPersistentMapsReplayVersion1Log(t *testing.T) {
 	if err := os.WriteFile(wal, old, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	stats, maps, w, err := NewPersistentMaps("n0", wal)
+	stats, maps, w, err := NewMaps("n0", nil, nil, nil, wal)
 	if err != nil {
 		t.Fatal(err)
 	}

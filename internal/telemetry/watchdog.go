@@ -177,6 +177,21 @@ func (w *Watchdog) Stop() {
 	<-w.done
 }
 
+// Probes returns the registered probes' names in registration order.
+// Nil-safe.
+func (w *Watchdog) Probes() []string {
+	if w == nil {
+		return nil
+	}
+	var names []string
+	w.mu.Lock()
+	for _, ps := range w.probes {
+		names = append(names, ps.probe.Name)
+	}
+	w.mu.Unlock()
+	return names
+}
+
 // Trips returns the total bundle count written so far. Nil-safe.
 func (w *Watchdog) Trips() int64 {
 	if w == nil {
