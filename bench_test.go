@@ -22,6 +22,7 @@ import (
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
+	"hfetch/internal/events"
 	"hfetch/internal/harness"
 	"hfetch/internal/pfs"
 	"hfetch/internal/tiers"
@@ -133,12 +134,14 @@ func BenchmarkAblationPlacement(b *testing.B) {
 					hier, ioclient.New(fs, segr), aud)
 				rng := rand.New(rand.NewSource(1))
 				// Zipf-ish: segment k gets score 1/(k+1); 256 segments.
-				for j := 0; j < 2048; j++ {
+				ups := make([]auditor.Update, 2048)
+				for j := range ups {
 					k := int64(rng.Intn(256))
-					eng.ScoreUpdated(auditor.Update{
+					ups[j] = auditor.Update{
 						ID: seg.ID{File: "f", Index: k}, Score: 1 / float64(k+1), Size: 1 << 10,
-					})
+					}
 				}
+				eng.ScoreBatch(ups)
 				eng.Flush()
 				hot := 0
 				for k := int64(0); k < 26; k++ { // hottest decile
@@ -189,8 +192,10 @@ func BenchmarkSegmentAuditing(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
+		evs := make([]events.Event, 1)
 		for pb.Next() {
-			aud.HandleEvent(readEvent("f", int64(rng.Intn(1<<30-4096)), 4096))
+			evs[0] = readEvent("f", int64(rng.Intn(1<<30-4096)), 4096)
+			aud.HandleBatch(evs)
 		}
 	})
 }

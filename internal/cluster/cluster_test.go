@@ -362,9 +362,9 @@ type recSink struct {
 	invals []string
 }
 
-func (s *recSink) ScoreUpdated(u auditor.Update) {
+func (s *recSink) ScoreBatch(ups []auditor.Update) {
 	s.mu.Lock()
-	s.ups = append(s.ups, u)
+	s.ups = append(s.ups, ups...)
 	s.mu.Unlock()
 }
 func (s *recSink) FileInvalidated(file string) {

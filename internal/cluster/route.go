@@ -73,17 +73,8 @@ type muxRegistrar interface {
 	Register(msgType string, h comm.Handler)
 }
 
-// ScoreUpdated implements auditor.Sink.
-func (r *Router) ScoreUpdated(u auditor.Update) {
-	if r.isLocal(u.Origin) {
-		r.local.ScoreUpdated(u)
-		return
-	}
-	r.ship(u.Origin, []auditor.Update{u})
-}
-
-// ScoreBatch implements auditor.BatchSink: one partition pass, one
-// delivery per destination.
+// ScoreBatch implements auditor.Sink: one partition pass, one delivery
+// per destination.
 func (r *Router) ScoreBatch(ups []auditor.Update) {
 	var local []auditor.Update
 	var foreign map[string][]auditor.Update
@@ -98,13 +89,7 @@ func (r *Router) ScoreBatch(ups []auditor.Update) {
 		foreign[u.Origin] = append(foreign[u.Origin], u)
 	}
 	if len(local) > 0 {
-		if bs, ok := r.local.(auditor.BatchSink); ok {
-			bs.ScoreBatch(local)
-		} else {
-			for _, u := range local {
-				r.local.ScoreUpdated(u)
-			}
-		}
+		r.local.ScoreBatch(local)
 	}
 	for node, batch := range foreign {
 		r.ship(node, batch)
@@ -183,13 +168,7 @@ func (r *Router) deliverLocal(ups []auditor.Update) {
 	for i := range ups {
 		ups[i].Origin = ""
 	}
-	if bs, ok := r.local.(auditor.BatchSink); ok {
-		bs.ScoreBatch(ups)
-		return
-	}
-	for _, u := range ups {
-		r.local.ScoreUpdated(u)
-	}
+	r.local.ScoreBatch(ups)
 }
 
 func (r *Router) handleUpdates(raw []byte) ([]byte, error) {

@@ -13,11 +13,10 @@ import (
 	"hfetch/internal/events"
 )
 
-// discardSink is a BatchSink that keeps nothing, so what a measurement
-// counts is the auditor's own work.
+// discardSink is a Sink that keeps nothing, so what a measurement counts
+// is the auditor's own work.
 type discardSink struct{ n int }
 
-func (d *discardSink) ScoreUpdated(Update)    { d.n++ }
 func (d *discardSink) FileInvalidated(string) {}
 func (d *discardSink) ScoreBatch(u []Update)  { d.n += len(u) }
 
@@ -137,7 +136,7 @@ func TestColdSequentialAllocBudget(t *testing.T) {
 func TestWarmOpsDoNotAllocate(t *testing.T) {
 	a, _ := warmBatches(t, false)
 	for i := 0; i < a.model.Window(); i++ { // fill the history: growing it is the one allocation left
-		a.HandleEvent(events.Event{Op: events.OpRead, File: batchFile, Length: 1, Time: time.Unix(1700000100, int64(i))})
+		handle(a, events.Event{Op: events.OpRead, File: batchFile, Length: 1, Time: time.Unix(1700000100, int64(i))})
 	}
 	k0, k1 := dhm.Key{File: batchFile, Index: 0}, dhm.Key{File: batchFile, Index: 1}
 	var arg [16]byte
@@ -163,7 +162,7 @@ func TestWarmOpsDoNotAllocate(t *testing.T) {
 	}
 }
 
-// retainingSink breaks BatchSink's contract: it keeps the slice.
+// retainingSink breaks Sink's contract: it keeps the slice.
 type retainingSink struct {
 	discardSink
 	kept   []Update
@@ -174,7 +173,7 @@ func (r *retainingSink) ScoreBatch(ups []Update) {
 	r.kept, r.copied = ups, append([]Update(nil), ups...)
 }
 
-// TestScoreBatchSliceBelongsToTheCycle: the slice a BatchSink is handed
+// TestScoreBatchSliceBelongsToTheCycle: the slice a Sink is handed
 // is the drain cycle's scratch — cleared once ScoreBatch returns and
 // reused by the next cycle — so a sink that keeps it instead of copying
 // out is left holding nothing.

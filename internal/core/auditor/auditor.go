@@ -6,10 +6,11 @@
 // cluster shares one view of how files are accessed — without a global
 // synchronization barrier.
 //
-// The auditor is driven by the hardware monitor's event stream. Every
-// score change is pushed to a Sink (the hierarchical data placement
-// engine), which is what makes HFetch server-push: prefetching is
-// triggered by score changes, not by application requests.
+// The auditor is driven by the hardware monitor's event stream, one
+// drained batch at a time. The score changes of a batch are pushed to a
+// Sink (the hierarchical data placement engine) in one delivery, which is
+// what makes HFetch server-push: prefetching is triggered by score
+// changes, not by application requests.
 //
 // Both hashmaps are keyed by the segment identity itself (dhm.Key(id)):
 // no textual key is built on the event path or the read path.
@@ -72,24 +73,20 @@ type Update struct {
 }
 
 // Sink receives score updates and invalidations. Implemented by the
-// hierarchical data placement engine.
+// hierarchical data placement engine (and the cluster router in front of
+// it). ScoreBatch gets one delivery per drained event batch, so the
+// engine takes its pending lock once per drain cycle rather than once per
+// update, which is what keeps shard workers from re-serializing on it.
+// The slice belongs to the drain cycle: it is cleared and reused once
+// ScoreBatch returns, so a sink copies out what it keeps.
 type Sink interface {
-	ScoreUpdated(Update)
+	ScoreBatch([]Update)
 	FileInvalidated(file string)
 }
 
-// BatchSink is optionally implemented by sinks that accept one delivery
-// per drained event batch instead of one call per score change. The
-// placement engine implements it: a batched delivery takes its pending
-// lock once per drain cycle rather than once per update, which is what
-// keeps shard workers from re-serializing on the engine after the event
-// queue has been sharded.
-//
-// The slice belongs to the drain cycle: it is cleared and reused once
-// ScoreBatch returns, so a sink copies out what it keeps.
-type BatchSink interface {
-	ScoreBatch([]Update)
-}
+// heatDecay scales the scores adopted from a stored heatmap and the old
+// heatmap merged into a saved one.
+const heatDecay = 0.7
 
 // Config configures an Auditor.
 type Config struct {
@@ -106,8 +103,6 @@ type Config struct {
 	SeqBoost float64
 	// Heatmaps, when non-nil, persists per-file heatmaps across epochs.
 	Heatmaps *heatmap.Store
-	// HeatDecay scales scores adopted from a stored heatmap (default 0.7).
-	HeatDecay float64
 	// Telemetry, when non-nil, times per-event scoring (the audit
 	// pipeline stage) and exports the auditor counters.
 	Telemetry *telemetry.Registry
@@ -143,7 +138,7 @@ type epochStripe struct {
 }
 
 // Auditor is safe for concurrent use; many monitor daemons call
-// HandleEvent in parallel.
+// HandleBatch in parallel.
 type Auditor struct {
 	cfg   Config
 	model *score.Model
@@ -183,9 +178,6 @@ func New(cfg Config, stats, maps *dhm.Map) *Auditor {
 	}
 	if cfg.SeqBoost < 0 {
 		cfg.SeqBoost = 0
-	}
-	if cfg.HeatDecay <= 0 || cfg.HeatDecay > 1 {
-		cfg.HeatDecay = 0.7
 	}
 	a := &Auditor{
 		cfg:     cfg,
@@ -234,9 +226,10 @@ func (a *Auditor) SetSink(s Sink) {
 // it. Call before traffic.
 func (a *Auditor) SetLanding(ns *atomic.Int64) { a.landing = ns }
 
-func (a *Auditor) emit(u Update) {
-	if box := a.sink.Load(); box != nil && box.s != nil {
-		box.s.ScoreUpdated(u)
+// deliver hands ups to the sink in one delivery.
+func (a *Auditor) deliver(ups []Update) {
+	if box := a.sink.Load(); box != nil && box.s != nil && len(ups) > 0 {
+		box.s.ScoreBatch(ups)
 	}
 }
 
@@ -410,21 +403,23 @@ func (a *Auditor) loadHeatmap(file string, size int64) {
 	now := time.Now()
 	arg, res := make([]byte, 40), make([]byte, 0, 16)
 	binary.BigEndian.PutUint64(arg[32:40], uint64(now.UnixNano()))
+	var ups []Update
 	for _, e := range h.Entries {
 		id := seg.ID{File: file, Index: e.Index}
 		segSize := a.cfg.Segmenter.RangeOf(id, size).Len
 		if segSize <= 0 {
 			continue
 		}
-		binary.BigEndian.PutUint64(arg[0:8], math.Float64bits(e.Score*a.cfg.HeatDecay))
+		binary.BigEndian.PutUint64(arg[0:8], math.Float64bits(e.Score*heatDecay))
 		binary.BigEndian.PutUint64(arg[8:16], uint64(e.Refs))
 		binary.BigEndian.PutUint64(arg[16:24], uint64(e.Succ))
 		binary.BigEndian.PutUint64(arg[24:32], uint64(segSize))
 		out, err := a.stats.ApplyResult(dhm.Key(id), opSeed, arg, res)
 		if s, recSize, ok := scoreSize(out, 16); err == nil && ok && s > 0 {
-			a.emit(Update{ID: id, Score: s, Size: recSize})
+			ups = append(ups, Update{ID: id, Score: s, Size: recSize})
 		}
 	}
+	a.deliver(ups)
 }
 
 func (a *Auditor) saveHeatmap(file string, size int64) {
@@ -449,72 +444,40 @@ func (a *Auditor) saveHeatmap(file string, size int64) {
 		return
 	}
 	if old, err := a.cfg.Heatmaps.Load(file); err == nil {
-		h.Merge(old, a.cfg.HeatDecay)
+		h.Merge(old, heatDecay)
 	}
 	a.cfg.Heatmaps.Save(h) //nolint:errcheck // heatmaps are an optional optimization
 }
 
 // ---- event handling ----
 
-// cycle is what one drain cycle owns: where its score updates go and
+// cycle is what one drain cycle owns: the score updates it collects and
 // the scratch every op argument and answer of the cycle is written into.
 // Cycles are pooled: a drain allocates nothing once its ups has grown to
 // the batches it sees.
 type cycle struct {
-	a *Auditor
-	// batch, when non-nil, gets the updates collected in ups in one
-	// ScoreBatch delivery; otherwise each goes straight to the sink.
-	batch BatchSink
-	ups   []Update
-	arg   [16]byte
-	res   [24]byte
+	ups []Update
+	arg [16]byte
+	res [24]byte
 }
 
 var cyclePool = sync.Pool{New: func() any { return new(cycle) }}
 
-func (c *cycle) out(u Update) {
-	if c.batch != nil {
-		c.ups = append(c.ups, u)
-		return
-	}
-	c.a.emit(u)
-}
-
-// finish delivers what the cycle collected and returns it to the pool,
-// cleared: the updates hold file names the pool must not keep alive.
-func (c *cycle) finish() {
-	if len(c.ups) > 0 {
-		c.batch.ScoreBatch(c.ups)
-	}
-	clear(c.ups)
-	*c = cycle{ups: c.ups[:0]}
-	cyclePool.Put(c)
-}
-
-// HandleEvent processes one monitored event; called by the monitor's
-// daemon pool.
-func (a *Auditor) HandleEvent(ev events.Event) {
-	c := cyclePool.Get().(*cycle)
-	c.a = a
-	a.handleEvent(ev, c)
-	c.finish()
-}
-
-// HandleBatch processes one drained batch (monitor.BatchHandler). When
-// the sink implements BatchSink, the batch's score updates are
-// accumulated locally and delivered in a single ScoreBatch call, so a
-// shard worker takes the engine's pending lock once per drain cycle
+// HandleBatch processes one drained batch (monitor.Handler): the batch's
+// score updates are collected and delivered in a single ScoreBatch call,
+// so a shard worker takes the engine's pending lock once per drain cycle
 // instead of once per score change.
 func (a *Auditor) HandleBatch(evs []events.Event) {
 	c := cyclePool.Get().(*cycle)
-	c.a = a
-	if box := a.sink.Load(); box != nil {
-		c.batch, _ = box.s.(BatchSink)
-	}
 	for _, ev := range evs {
 		a.handleEvent(ev, c)
 	}
-	c.finish()
+	a.deliver(c.ups)
+	// Back to the pool cleared: the updates hold file names the pool
+	// must not keep alive.
+	clear(c.ups)
+	c.ups = c.ups[:0]
+	cyclePool.Put(c)
 }
 
 // handleEvent audits one event, sending every score change to c.
@@ -534,16 +497,13 @@ func (a *Auditor) handleEvent(ev events.Event, c *cycle) {
 	case events.OpWrite:
 		a.ctr.writes.Add(1)
 		a.handleWrite(ev)
-	case events.OpCapacity, events.OpOpen, events.OpClose:
-		// Capacity is consumed for metrics; open/close epochs arrive via
-		// the agent manager's StartEpoch/EndEpoch.
 	}
 	if timed {
 		segIdx := int64(-1)
 		if ev.Op == events.OpRead {
 			segIdx = a.cfg.Segmenter.IndexOf(ev.Offset)
 		}
-		a.cfg.Telemetry.Span(telemetry.StageAudit, ev.File, segIdx, ev.Tier, start, time.Since(start))
+		a.cfg.Telemetry.Span(telemetry.StageAudit, ev.File, segIdx, "", start, time.Since(start))
 	}
 }
 
@@ -596,7 +556,7 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 			// for the rest of a multi-segment read stay untraced.
 			up.Trace = ev.Trace
 		}
-		c.out(up)
+		c.ups = append(c.ups, up)
 		top = max(top, sc)
 
 		// Sequencing readahead: boost the known successor of every
@@ -658,7 +618,7 @@ func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, 
 			size = a.cfg.Segmenter.Size()
 		}
 	}
-	c.out(Update{ID: id, Score: max(sc, floor), Size: size, Origin: origin, Ahead: ahead})
+	c.ups = append(c.ups, Update{ID: id, Score: max(sc, floor), Size: size, Origin: origin, Ahead: ahead})
 }
 
 func (a *Auditor) handleWrite(ev events.Event) {
@@ -724,35 +684,6 @@ func (a *Auditor) SetMapping(id seg.ID, tier string) {
 // DeleteMapping clears id's residency; engine-only.
 func (a *Auditor) DeleteMapping(id seg.ID) {
 	a.maps.DeleteKey(dhm.Key(id)) //nolint:errcheck
-}
-
-// Sweep garbage-collects segment statistics: records belonging to files
-// with no open epoch whose score has decayed below floor — and which are
-// not prefetched anywhere — are deleted. It returns how many records
-// were removed. Long-running servers call this periodically so the
-// statistics map tracks the active working set instead of growing with
-// every file ever touched ("heatmaps get deleted once the workflow
-// ends").
-func (a *Auditor) Sweep(now time.Time, floor float64) int {
-	var victims []seg.ID
-	a.stats.Range(func(k dhm.Key, val any) bool {
-		if rec, ok := val.(*Rec); ok && a.model.Score(&rec.Stats, now) < floor {
-			victims = append(victims, seg.ID(k))
-		}
-		return true
-	})
-	removed := 0
-	for _, id := range victims {
-		if a.EpochOpen(id.File) {
-			continue
-		}
-		if _, _, mapped := a.Mapping(id); mapped {
-			continue // still resident in a tier; the engine owns it
-		}
-		a.stats.DeleteKey(dhm.Key(id)) //nolint:errcheck
-		removed++
-	}
-	return removed
 }
 
 // Counters returns a snapshot of the auditor counters.

@@ -18,10 +18,10 @@ type recordingSink struct {
 	invalidated []string
 }
 
-func (r *recordingSink) ScoreUpdated(u Update) {
+func (r *recordingSink) ScoreBatch(ups []Update) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.updates = append(r.updates, u)
+	r.updates = append(r.updates, ups...)
 }
 
 func (r *recordingSink) FileInvalidated(f string) {
@@ -49,6 +49,9 @@ func newAuditor(t *testing.T, cfg Config) (*Auditor, *recordingSink) {
 	return a, sink
 }
 
+// handle delivers evs to a as one drained batch.
+func handle(a *Auditor, evs ...events.Event) { a.HandleBatch(evs) }
+
 func readEv(file string, off, ln int64) events.Event {
 	return events.Event{Op: events.OpRead, File: file, Offset: off, Length: ln, Time: time.Now()}
 }
@@ -56,7 +59,7 @@ func readEv(file string, off, ln int64) events.Event {
 func TestReadEventUpdatesStats(t *testing.T) {
 	a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
 	a.StartEpoch("f", 1000)
-	a.HandleEvent(readEv("f", 0, 100))
+	handle(a, readEv("f", 0, 100))
 	rec, ok := a.SegmentRec(seg.ID{File: "f", Index: 0})
 	if !ok || rec.Stats.K != 1 {
 		t.Fatalf("rec = %+v %v, want K=1", rec, ok)
@@ -73,7 +76,7 @@ func TestReadEventUpdatesStats(t *testing.T) {
 func TestReadSpanningSegmentsUpdatesAll(t *testing.T) {
 	a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100), SeqBoost: -1})
 	a.StartEpoch("f", 1000)
-	a.HandleEvent(readEv("f", 50, 200)) // covers segments 0,1,2
+	handle(a, readEv("f", 50, 200)) // covers segments 0,1,2
 	for i := int64(0); i <= 2; i++ {
 		if _, ok := a.SegmentRec(seg.ID{File: "f", Index: i}); !ok {
 			t.Fatalf("segment %d not recorded", i)
@@ -88,7 +91,7 @@ func TestReadSpanningSegmentsUpdatesAll(t *testing.T) {
 func TestLastSegmentSizeClipped(t *testing.T) {
 	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
 	a.StartEpoch("f", 250)
-	a.HandleEvent(readEv("f", 200, 50)) // segment 2: bytes 200..250
+	handle(a, readEv("f", 200, 50)) // segment 2: bytes 200..250
 	rec, _ := a.SegmentRec(seg.ID{File: "f", Index: 2})
 	if rec.Size != 50 {
 		t.Fatalf("clipped size = %d, want 50", rec.Size)
@@ -99,8 +102,8 @@ func TestSequencingLearnsLinkAndBoosts(t *testing.T) {
 	a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100), SeqBoost: 0.5})
 	a.StartEpoch("f", 1000)
 	// First pass: reads of segment 0 then 1 teach the 0 -> 1 link.
-	a.HandleEvent(readEv("f", 0, 100))
-	a.HandleEvent(readEv("f", 100, 100))
+	handle(a, readEv("f", 0, 100))
+	handle(a, readEv("f", 100, 100))
 	rec0, _ := a.SegmentRec(seg.ID{File: "f", Index: 0})
 	if rec0.Succ != 1 {
 		t.Fatalf("succ of seg 0 = %d, want 1", rec0.Succ)
@@ -111,7 +114,7 @@ func TestSequencingLearnsLinkAndBoosts(t *testing.T) {
 	}
 	// Second pass: re-reading segment 0 must boost segment 1's score.
 	before := a.ScoreOf(seg.ID{File: "f", Index: 1}, time.Now())
-	a.HandleEvent(readEv("f", 0, 100))
+	handle(a, readEv("f", 0, 100))
 	after := a.ScoreOf(seg.ID{File: "f", Index: 1}, time.Now())
 	if after <= before {
 		t.Fatalf("successor not boosted: before=%v after=%v", before, after)
@@ -132,8 +135,8 @@ func TestSequencingLearnsLinkAndBoosts(t *testing.T) {
 func TestSeqBoostDisabled(t *testing.T) {
 	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100), SeqBoost: -1})
 	a.StartEpoch("f", 1000)
-	a.HandleEvent(readEv("f", 0, 100))
-	a.HandleEvent(readEv("f", 100, 100))
+	handle(a, readEv("f", 0, 100))
+	handle(a, readEv("f", 100, 100))
 	rec0, _ := a.SegmentRec(seg.ID{File: "f", Index: 0})
 	if rec0.Succ != -1 {
 		t.Fatalf("sequencing should be disabled, succ = %d", rec0.Succ)
@@ -143,7 +146,7 @@ func TestSeqBoostDisabled(t *testing.T) {
 func TestWriteEventInvalidates(t *testing.T) {
 	a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
 	a.StartEpoch("f", 1000)
-	a.HandleEvent(events.Event{Op: events.OpWrite, File: "f", Offset: 0, Length: 10, Time: time.Now()})
+	handle(a, events.Event{Op: events.OpWrite, File: "f", Offset: 0, Length: 10, Time: time.Now()})
 	_, inv := sink.snapshot()
 	if len(inv) != 1 || inv[0] != "f" {
 		t.Fatalf("invalidations = %v", inv)
@@ -205,9 +208,9 @@ func TestHeatmapPersistAndSeed(t *testing.T) {
 	}
 	a1, _ := newAuditor(t, cfg)
 	a1.StartEpoch("f", 1000)
-	a1.HandleEvent(readEv("f", 0, 100))
-	a1.HandleEvent(readEv("f", 0, 100))
-	a1.HandleEvent(readEv("f", 100, 100))
+	handle(a1, readEv("f", 0, 100))
+	handle(a1, readEv("f", 0, 100))
+	handle(a1, readEv("f", 100, 100))
 	if !a1.EndEpoch("f") {
 		t.Fatal("epoch must close")
 	}
@@ -240,12 +243,12 @@ func TestSeedDoesNotClobberLiveStats(t *testing.T) {
 		Score: score.Params{P: 2, Unit: time.Minute}}
 	a, _ := newAuditor(t, cfg)
 	a.StartEpoch("f", 1000)
-	a.HandleEvent(readEv("f", 0, 100))
+	handle(a, readEv("f", 0, 100))
 	a.EndEpoch("f")
 
 	// Accumulate live stats, then re-open (heatmap seed must not reset K).
 	a.StartEpoch("f", 1000)
-	a.HandleEvent(readEv("f", 0, 100))
+	handle(a, readEv("f", 0, 100))
 	rec, _ := a.SegmentRec(seg.ID{File: "f", Index: 0})
 	if rec.Stats.K != 2 {
 		t.Fatalf("K = %d, want 2 (live stats preserved)", rec.Stats.K)
@@ -255,16 +258,16 @@ func TestSeedDoesNotClobberLiveStats(t *testing.T) {
 func TestCountersAccumulate(t *testing.T) {
 	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
 	a.StartEpoch("f", 1000)
-	a.HandleEvent(readEv("f", 0, 100))
-	a.HandleEvent(events.Event{Op: events.OpCapacity, Tier: "ram", Free: 10})
+	handle(a, readEv("f", 0, 100))
+	handle(a, events.Event{Op: events.OpWrite, File: "f"})
 	c := a.Counters()
-	if c.Events != 2 || c.Reads != 1 || c.SegmentsSeen != 1 || c.Hints != 0 {
+	if c.Events != 2 || c.Reads != 1 || c.Writes != 1 || c.SegmentsSeen != 1 || c.Hints != 0 {
 		t.Fatalf("counters = %+v", c)
 	}
 	// The second in-order read from segment 0 is hinted four segments
 	// ahead: records the auditor has seen, reads the application has not
 	// made.
-	a.HandleEvent(readEv("f", 100, 100))
+	handle(a, readEv("f", 100, 100))
 	c = a.Counters()
 	if c.Events != 3 || c.Reads != 2 || c.SegmentsSeen != 2+4 || c.Hints != 4 {
 		t.Fatalf("counters = %+v", c)
@@ -282,7 +285,7 @@ func TestConcurrentReadEvents(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				off := int64((w*per + i) % 100 * 100)
-				a.HandleEvent(readEv("f", off, 100))
+				handle(a, readEv("f", off, 100))
 			}
 		}(w)
 	}
@@ -306,57 +309,9 @@ func TestConcurrentReadEvents(t *testing.T) {
 func TestZeroLengthReadIgnored(t *testing.T) {
 	a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
 	a.StartEpoch("f", 100)
-	a.HandleEvent(readEv("f", 0, 0))
+	handle(a, readEv("f", 0, 0))
 	ups, _ := sink.snapshot()
 	if len(ups) != 0 {
 		t.Fatalf("zero-length read emitted updates: %+v", ups)
-	}
-}
-
-func TestSweepRemovesColdClosedStats(t *testing.T) {
-	a, _ := newAuditor(t, Config{
-		Segmenter: seg.NewSegmenter(100),
-		Score:     score.Params{P: 2, Unit: time.Millisecond}, // fast decay
-	})
-	a.StartEpoch("hot", 1000)
-	a.StartEpoch("cold", 1000)
-	a.HandleEvent(readEv("hot", 0, 100))
-	a.HandleEvent(readEv("cold", 100, 100))
-	a.HandleEvent(readEv("cold", 200, 100))
-	a.HandleEvent(readEv("cold", 300, 100)) // hints segments 4..9
-	a.EndEpoch("cold")                      // cold's epoch closes; hot stays open
-
-	// Wait for the scores to decay well below the floor.
-	time.Sleep(30 * time.Millisecond)
-	removed := a.Sweep(time.Now(), 0.01)
-	if removed != 3+6 {
-		t.Fatalf("removed = %d, want cold's 3 read and 6 hinted segments", removed)
-	}
-	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 9}); ok {
-		t.Fatal("a hinted, never read record must be gone")
-	}
-	if _, ok := a.SegmentRec(seg.ID{File: "cold", Index: 1}); ok {
-		t.Fatal("cold stats must be gone")
-	}
-	if _, ok := a.SegmentRec(seg.ID{File: "hot", Index: 0}); !ok {
-		t.Fatal("open-epoch stats must survive the sweep")
-	}
-}
-
-func TestSweepSparesMappedSegments(t *testing.T) {
-	a, _ := newAuditor(t, Config{
-		Segmenter: seg.NewSegmenter(100),
-		Score:     score.Params{P: 2, Unit: time.Millisecond},
-	})
-	a.StartEpoch("f", 1000)
-	a.HandleEvent(readEv("f", 0, 100))
-	a.EndEpoch("f")
-	a.SetMapping(seg.ID{File: "f", Index: 0}, "ram") // resident somewhere
-	time.Sleep(20 * time.Millisecond)
-	if removed := a.Sweep(time.Now(), 0.01); removed != 0 {
-		t.Fatalf("removed = %d, want 0 (segment is resident)", removed)
-	}
-	if _, ok := a.SegmentRec(seg.ID{File: "f", Index: 0}); !ok {
-		t.Fatal("mapped segment stats must survive")
 	}
 }

@@ -13,10 +13,9 @@ import (
 	"hfetch/internal/events"
 )
 
-// nullSink is a BatchSink with no state to race on.
+// nullSink is a Sink with no state to race on.
 type nullSink struct{}
 
-func (nullSink) ScoreUpdated(Update)    {}
 func (nullSink) FileInvalidated(string) {}
 func (nullSink) ScoreBatch([]Update)    {}
 
@@ -104,7 +103,6 @@ func TestNothingEscapesAShardLock(t *testing.T) {
 			}
 		})
 		loop(func(i int) { a0.ScoreOf(seg.ID{File: file, Index: int64(i % segs)}, time.Now()) })
-		loop(func(int) { a0.Sweep(time.Now(), 1e9) })
 		loop(func(int) { a0.saveHeatmap(file, segs*segSize) })
 		loop(func(int) {
 			a0.EndEpoch(file)

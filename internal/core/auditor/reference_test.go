@@ -161,7 +161,6 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 // copySink keeps a copy of every delivery, as the contract asks.
 type copySink struct{ ups []Update }
 
-func (s *copySink) ScoreUpdated(u Update)   { s.ups = append(s.ups, u) }
 func (s *copySink) FileInvalidated(string)  {}
 func (s *copySink) ScoreBatch(ups []Update) { s.ups = append(s.ups, ups...) }
 

@@ -386,7 +386,7 @@ func TestRandomReadsAreNotHinted(t *testing.T) {
 						off += rng.Int63n(100/c.size-c.per+1) * c.size
 					}
 					for j := int64(0); j < c.per; j++ {
-						a.HandleEvent(readEv(name, off+j*c.size, c.size))
+						handle(a, readEv(name, off+j*c.size, c.size))
 					}
 				}
 				hinted := 0
@@ -419,10 +419,10 @@ func TestInterleavedReadersLearnTheirOwnLinks(t *testing.T) {
 	for sweep := 0; sweep < 3; sweep++ {
 		for i := int64(0); i < 32+3; i++ {
 			if i < 32 {
-				a.HandleEvent(readEv("f", i*100, 100)) // A
+				handle(a, readEv("f", i*100, 100)) // A
 			}
 			if i >= 3 {
-				a.HandleEvent(readEv("f", (i-3)*100, 100)) // B
+				handle(a, readEv("f", (i-3)*100, 100)) // B
 			}
 		}
 		rec, _ := a.SegmentRec(seg.ID{File: "f", Index: 10})
@@ -441,7 +441,7 @@ func TestHintedNeverReadRecord(t *testing.T) {
 	})
 	a.StartEpoch("f", 2000)
 	for i := int64(5); i < 8; i++ {
-		a.HandleEvent(readEv("f", i*100, 100))
+		handle(a, readEv("f", i*100, 100))
 	}
 	ups, _ := sink.snapshot()
 	var hinted []int64
@@ -462,8 +462,11 @@ func TestHintedNeverReadRecord(t *testing.T) {
 	}
 	a.EndEpoch("f")
 	time.Sleep(30 * time.Millisecond)
-	if removed := a.Sweep(time.Now(), 0.01); removed != 9 {
-		t.Fatalf("sweep removed %d records, want the 3 read and the 6 hinted", removed)
+	// A hinted record decays as a read one does: nothing pins it.
+	for _, idx := range []int64{5, 13} {
+		if sc := a.ScoreOf(seg.ID{File: "f", Index: idx}, time.Now()); sc >= 0.01 {
+			t.Fatalf("segment %d scores %g 30 ms after its epoch closed, want < 0.01", idx, sc)
+		}
 	}
 }
 
@@ -471,7 +474,7 @@ func TestSeqBoostZeroDisablesStreams(t *testing.T) {
 	a, sink := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100), SeqBoost: -1})
 	a.StartEpoch("f", 10000)
 	for i := int64(0); i < 10; i++ {
-		a.HandleEvent(readEv("f", i*100, 100))
+		handle(a, readEv("f", i*100, 100))
 	}
 	ups, _ := sink.snapshot()
 	if len(ups) != 10 || a.Counters().Hints != 0 || a.Counters().SegmentsSeen != 10 {
@@ -501,7 +504,7 @@ func TestGatewayReadsAreHintedLikeAgentReads(t *testing.T) {
 		a.StartEpoch(c.file, 10000)
 		before := a.Counters().Hints
 		for off := int64(0); off < 400; off += c.length {
-			a.HandleEvent(readEv(c.file, off, c.length))
+			handle(a, readEv(c.file, off, c.length))
 			if got := a.Counters().Hints - before; off == c.length && got != c.second {
 				t.Errorf("%s: %d hints after the second request, want %d", c.file, got, c.second)
 			}
@@ -557,7 +560,7 @@ func FuzzStreamDetector(f *testing.F) {
 			}
 			ev := readEv("f", off, length)
 			ev.Think = [...]time.Duration{0, time.Microsecond, time.Millisecond, 10 * time.Millisecond}[raw&3]
-			a.HandleEvent(ev)
+			handle(a, ev)
 			if off >= 0 && length > 0 && off+length > 0 {
 				end = off + length
 			}

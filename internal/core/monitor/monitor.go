@@ -1,9 +1,7 @@
-// Package monitor implements HFetch's hardware monitor: it discovers the
-// configured tiers, hosts the in-memory event queue every tier (and the
-// client I/O layer) pushes into, and serves that queue with a pool of
-// daemon threads that forward events to the file segment auditor. It
-// also probes each tier's remaining capacity periodically and reports it
-// as OpCapacity events — the second event kind the paper describes.
+// Package monitor implements HFetch's hardware monitor: it hosts the
+// in-memory event queue the client I/O layer pushes read and write
+// events into, and serves that queue with a pool of daemon threads that
+// hand each drained batch to the file segment auditor in one call.
 //
 // The queue is an events.ShardedQueue: events hash by file onto
 // Config.Shards independent rings, each drained by one daemon, so events
@@ -23,19 +21,13 @@ import (
 	"hfetch/internal/devsim"
 	"hfetch/internal/events"
 	"hfetch/internal/telemetry"
-	"hfetch/internal/tiers"
 )
 
-// Handler consumes monitored events (implemented by the auditor).
+// Handler consumes monitored events, one call per drained batch
+// (implemented by the auditor, which hands the placement engine one
+// delivery per batch). The slice is the daemon's and is reused once
+// HandleBatch returns.
 type Handler interface {
-	HandleEvent(events.Event)
-}
-
-// BatchHandler is optionally implemented by handlers that want one call
-// per drained batch instead of one per event. The auditor implements it
-// to aggregate score updates and hand the placement engine a single
-// batched delivery per drain cycle.
-type BatchHandler interface {
 	HandleBatch([]events.Event)
 }
 
@@ -54,14 +46,6 @@ type Config struct {
 	// Drop selects the overflow policy: true drops events when the queue
 	// is full (inotify IN_Q_OVERFLOW), false applies backpressure.
 	Drop bool
-	// CapacityInterval is how often tier capacities are probed;
-	// 0 disables probing.
-	CapacityInterval time.Duration
-	// Batch is the daemon batch size when draining a ring. It defaults to
-	// the ring's full capacity (capped at 2048): a ring has a single
-	// drainer and a whole-ring drain costs one lock acquisition however
-	// deep the ring is.
-	Batch int
 	// Telemetry, when non-nil, exports queue depth/wait and consumption
 	// counters; nil disables instrumentation at ~zero cost.
 	Telemetry *telemetry.Registry
@@ -72,37 +56,29 @@ type Monitor struct {
 	cfg     Config
 	queue   *events.ShardedQueue
 	handler Handler
-	batch   BatchHandler // handler's batch fast path, when implemented
-	hier    *tiers.Hierarchy
+	// batch is a daemon's drain size: its ring's full capacity, capped
+	// at 2048. A ring has a single drainer, and a whole-ring drain costs
+	// one lock acquisition however deep the ring is.
+	batch int
 
-	wg   sync.WaitGroup
-	stop chan struct{}
-	once sync.Once
+	wg sync.WaitGroup
 
 	consumed atomic.Int64
 }
 
-// New creates a monitor feeding handler; hier may be nil (no capacity
-// probes).
-func New(cfg Config, handler Handler, hier *tiers.Hierarchy) *Monitor {
+// New creates a monitor feeding handler.
+func New(cfg Config, handler Handler) *Monitor {
 	if cfg.Shards <= 0 {
 		cfg.Shards = DefaultShards
 	}
 	if cfg.QueueCap <= 0 {
 		cfg.QueueCap = 1 << 16
 	}
-	if cfg.Batch <= 0 {
-		cfg.Batch = min(max(cfg.QueueCap/cfg.Shards, 1), 2048)
-	}
 	m := &Monitor{
 		cfg:     cfg,
 		queue:   events.NewSharded(cfg.Shards, cfg.QueueCap, cfg.Drop),
 		handler: handler,
-		hier:    hier,
-		stop:    make(chan struct{}),
-	}
-	if bh, ok := handler.(BatchHandler); ok {
-		m.batch = bh
+		batch:   min(max(cfg.QueueCap/cfg.Shards, 1), 2048),
 	}
 	if cfg.Telemetry != nil {
 		m.queue.SetTelemetry(cfg.Telemetry)
@@ -171,23 +147,17 @@ func (m *Monitor) WaitQuiescent(timeout time.Duration) bool {
 // QueueStats returns the cumulative posted and dropped counts.
 func (m *Monitor) QueueStats() (posted, dropped int64) { return m.queue.Stats() }
 
-// Start launches the daemon pool, one daemon per ring (and the capacity
-// prober when configured).
+// Start launches the daemon pool, one daemon per ring.
 func (m *Monitor) Start() {
 	for i := 0; i < m.queue.NumShards(); i++ {
 		m.wg.Add(1)
 		//lint:allow goleak daemon joins via the queue, not a signal field: Stop closes the ring and TakeBatch returns ok=false once drained
 		go m.daemon(m.queue.Shard(i))
 	}
-	if m.cfg.CapacityInterval > 0 && m.hier != nil {
-		m.wg.Add(1)
-		go m.prober()
-	}
 }
 
 // Stop closes the queue, waits for the daemons to drain it, and returns.
 func (m *Monitor) Stop() {
-	m.once.Do(func() { close(m.stop) })
 	m.queue.Close()
 	m.wg.Wait()
 }
@@ -200,38 +170,13 @@ func (m *Monitor) Consumed() int64 { return m.consumed.Load() }
 //hfetch:hotpath
 func (m *Monitor) daemon(q *events.Queue) {
 	defer m.wg.Done()
-	buf := make([]events.Event, m.cfg.Batch)
+	buf := make([]events.Event, m.batch)
 	for {
 		n, ok := q.TakeBatch(buf)
 		if !ok {
 			return
 		}
-		if m.batch != nil {
-			m.batch.HandleBatch(buf[:n])
-		} else {
-			for i := 0; i < n; i++ {
-				m.handler.HandleEvent(buf[i])
-			}
-		}
+		m.handler.HandleBatch(buf[:n])
 		m.consumed.Add(int64(n))
-	}
-}
-
-func (m *Monitor) prober() {
-	defer m.wg.Done()
-	ticker := time.NewTicker(m.cfg.CapacityInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-m.stop:
-			return
-		case <-ticker.C:
-			now := time.Now()
-			for _, s := range m.hier.Stores() {
-				m.Post(events.Event{
-					Op: events.OpCapacity, Tier: s.Name(), Free: s.Free(), Time: now,
-				})
-			}
-		}
 	}
 }

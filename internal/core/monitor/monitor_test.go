@@ -4,34 +4,25 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"hfetch/internal/events"
-	"hfetch/internal/tiers"
 )
 
 type countingHandler struct {
-	reads    atomic.Int64
-	capacity atomic.Int64
-	mu       sync.Mutex
-	seen     []events.Event
+	reads atomic.Int64
 }
 
-func (c *countingHandler) HandleEvent(ev events.Event) {
-	switch ev.Op {
-	case events.OpRead:
-		c.reads.Add(1)
-	case events.OpCapacity:
-		c.capacity.Add(1)
+func (c *countingHandler) HandleBatch(evs []events.Event) {
+	for _, ev := range evs {
+		if ev.Op == events.OpRead {
+			c.reads.Add(1)
+		}
 	}
-	c.mu.Lock()
-	c.seen = append(c.seen, ev)
-	c.mu.Unlock()
 }
 
 func TestDaemonsConsumeAllEvents(t *testing.T) {
 	h := &countingHandler{}
-	m := New(Config{Shards: 1, QueueCap: 128}, h, nil)
+	m := New(Config{Shards: 1, QueueCap: 128}, h)
 	m.Start()
 	const n = 5000
 	var wg sync.WaitGroup
@@ -56,7 +47,7 @@ func TestDaemonsConsumeAllEvents(t *testing.T) {
 
 func TestStopDrainsQueue(t *testing.T) {
 	h := &countingHandler{}
-	m := New(Config{Shards: 1, QueueCap: 1024}, h, nil)
+	m := New(Config{Shards: 1, QueueCap: 1024}, h)
 	for i := 0; i < 100; i++ {
 		m.Post(events.Event{Op: events.OpRead})
 	}
@@ -67,35 +58,9 @@ func TestStopDrainsQueue(t *testing.T) {
 	}
 }
 
-func TestCapacityProber(t *testing.T) {
-	h := &countingHandler{}
-	ram := tiers.NewStore("ram", 100, nil)
-	hier := tiers.NewHierarchy(ram)
-	m := New(Config{Shards: 1, CapacityInterval: 10 * time.Millisecond}, h, hier)
-	m.Start()
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && h.capacity.Load() < 2 {
-		time.Sleep(5 * time.Millisecond)
-	}
-	m.Stop()
-	if h.capacity.Load() < 2 {
-		t.Fatalf("capacity events = %d, want >= 2", h.capacity.Load())
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for _, ev := range h.seen {
-		if ev.Op == events.OpCapacity {
-			if ev.Tier != "ram" || ev.Free != 100 {
-				t.Fatalf("capacity event = %+v", ev)
-			}
-			return
-		}
-	}
-}
-
 func TestDropPolicyCountsOverflow(t *testing.T) {
 	h := &countingHandler{}
-	m := New(Config{Shards: 1, QueueCap: 4, Drop: true}, h, nil)
+	m := New(Config{Shards: 1, QueueCap: 4, Drop: true}, h)
 	// Not started: queue fills, then drops.
 	for i := 0; i < 10; i++ {
 		m.Post(events.Event{Op: events.OpRead})
@@ -112,12 +77,12 @@ func TestDropPolicyCountsOverflow(t *testing.T) {
 }
 
 func TestDefaults(t *testing.T) {
-	m := New(Config{}, &countingHandler{}, nil)
-	if m.Shards() != DefaultShards || m.cfg.QueueCap != 1<<16 || m.cfg.Batch != 2048 {
-		t.Fatalf("defaults = %+v over %d rings", m.cfg, m.Shards())
+	m := New(Config{}, &countingHandler{})
+	if m.Shards() != DefaultShards || m.cfg.QueueCap != 1<<16 || m.batch != 2048 {
+		t.Fatalf("defaults = %+v over %d rings, batch %d", m.cfg, m.Shards(), m.batch)
 	}
 	// A daemon's batch is its ring, whole.
-	if m := New(Config{Shards: 4, QueueCap: 64}, &countingHandler{}, nil); m.Shards() != 4 || m.cfg.Batch != 16 {
-		t.Fatalf("4 rings over 64 slots = %+v over %d rings", m.cfg, m.Shards())
+	if m := New(Config{Shards: 4, QueueCap: 64}, &countingHandler{}); m.Shards() != 4 || m.batch != 16 {
+		t.Fatalf("4 rings over 64 slots = %+v over %d rings, batch %d", m.cfg, m.Shards(), m.batch)
 	}
 }

@@ -114,25 +114,18 @@ func (r *orderRecorder) observe(evs []events.Event) {
 	r.mu.Unlock()
 }
 
-func (r *orderRecorder) HandleEvent(ev events.Event) {
-	r.observe([]events.Event{ev})
-	r.aud.HandleEvent(ev)
-}
-
 func (r *orderRecorder) HandleBatch(evs []events.Event) {
 	r.observe(evs)
 	r.aud.HandleBatch(evs)
 }
 
-// batchCountSink counts deliveries; it implements BatchSink so the
-// batched engine path is the one exercised.
+// batchCountSink counts deliveries and the updates they carry.
 type batchCountSink struct {
 	updates atomic.Int64
 	batches atomic.Int64
 }
 
-func (s *batchCountSink) ScoreUpdated(auditor.Update) { s.updates.Add(1) }
-func (s *batchCountSink) FileInvalidated(string)      {}
+func (s *batchCountSink) FileInvalidated(string) {}
 func (s *batchCountSink) ScoreBatch(ups []auditor.Update) {
 	s.batches.Add(1)
 	s.updates.Add(int64(len(ups)))
@@ -160,7 +153,7 @@ func runStress(t *testing.T, mcfg monitor.Config, record bool) (map[seg.ID]float
 		rec = newOrderRecorder(aud)
 		handler = rec
 	}
-	mon := monitor.New(mcfg, handler, nil)
+	mon := monitor.New(mcfg, handler)
 	mon.Start()
 
 	scripts := buildScripts()
@@ -279,7 +272,7 @@ func TestShardedStressDropPolicy(t *testing.T) {
 	}, stats, maps)
 	mon := monitor.New(monitor.Config{
 		Shards: 4, QueueCap: 16, Drop: true,
-	}, aud, nil)
+	}, aud)
 	mon.Start()
 
 	const attempts = 8000

@@ -87,9 +87,9 @@ func gatedRig(t *testing.T, cfg Config, capacities ...int64) (*rig, *gatedMover)
 // land where three single fetches would.
 func TestAsyncPlacementMatchesSyncOutcome(t *testing.T) {
 	r := newRig(t, Config{FetchCoalesce: true}, 200, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
-	r.eng.ScoreUpdated(up(1, 4))
-	r.eng.ScoreUpdated(up(2, 3))
+	deliver(r.eng, up(0, 5))
+	deliver(r.eng, up(1, 4))
+	deliver(r.eng, up(2, 3))
 	r.eng.Flush()
 	if !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 0}) ||
 		!r.hier.Tier(0).Has(seg.ID{File: "f", Index: 1}) {
@@ -108,7 +108,7 @@ func TestAsyncPlacementMatchesSyncOutcome(t *testing.T) {
 
 func TestAsyncRunReturnsBeforeMovesExecute(t *testing.T) {
 	r, gm := gatedRig(t, Config{}, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 
 	done := make(chan struct{})
 	go func() {
@@ -141,7 +141,7 @@ func TestAsyncFailedFetchAfterRunReturnedReconciles(t *testing.T) {
 	gm.mu.Unlock()
 
 	id := seg.ID{File: "f", Index: 0}
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.run() // returns with the fetch still gated
 	if r.eng.Resident(id) != 0 {
 		t.Fatal("model must commit residency at plan time")
@@ -162,7 +162,7 @@ func TestAsyncFailedFetchAfterRunReturnedReconciles(t *testing.T) {
 		t.Fatal("failed fetch must not leave a mapping")
 	}
 	// A later update retries successfully.
-	r.eng.ScoreUpdated(up(0, 6))
+	deliver(r.eng, up(0, 6))
 	r.eng.Flush()
 	if r.hier.Locate(id) != 0 {
 		t.Fatal("retry after failure must place the segment")
@@ -177,21 +177,21 @@ func TestAsyncSupersededQueuedFetchNeverExecutes(t *testing.T) {
 
 	blocker := seg.ID{File: "f", Index: 9}
 	victim := seg.ID{File: "f", Index: 0}
-	r.eng.ScoreUpdated(up(9, 9))
+	deliver(r.eng, up(9, 9))
 	r.eng.run()
 	select {
 	case <-gm.entered:
 	case <-time.After(2 * time.Second):
 		t.Fatal("blocker fetch never started")
 	}
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.run() // victim fetch queued behind the gated blocker
 	if r.eng.Resident(victim) != 0 {
 		t.Fatal("victim must be modeled resident while its fetch is queued")
 	}
 	// A newer pass drops the victim below the admission floor: the queued
 	// fetch must be retargeted to an eviction and cancel out entirely.
-	r.eng.ScoreUpdated(up(0, 0))
+	deliver(r.eng, up(0, 0))
 	r.eng.run()
 
 	gm.release()
@@ -239,7 +239,7 @@ func TestAsyncSupersessionStressNoDuplicates(t *testing.T) {
 			defer wg.Done()
 			rnd := rand.New(rand.NewSource(seed))
 			for i := 0; i < 150; i++ {
-				r.eng.ScoreUpdated(up(int64(rnd.Intn(16)), rnd.Float64()*10))
+				deliver(r.eng, up(int64(rnd.Intn(16)), rnd.Float64()*10))
 			}
 		}(int64(g + 1))
 	}
@@ -302,7 +302,7 @@ func TestAsyncFailurePathsMirrorSync(t *testing.T) {
 			fm.failTransfer.Store(1)
 		}
 		for i := int64(0); i < 8; i++ {
-			r.eng.ScoreUpdated(up(i, float64((round+int(i))%10)+0.5))
+			deliver(r.eng, up(i, float64((round+int(i))%10)+0.5))
 		}
 		r.eng.Flush()
 	}
@@ -410,7 +410,7 @@ func runEngineStateMachine(t *testing.T, seed int64) (failed, superseded int64) 
 	for pass, passes := 0, 10+rng.Intn(20); pass < passes; pass++ {
 		for n := 1 + rng.Intn(10); n > 0; n-- {
 			id := seg.ID{File: files[rng.Intn(2)], Index: int64(rng.Intn(perFile))}
-			r.eng.ScoreUpdated(auditor.Update{ID: id, Score: float64(rng.Intn(12)) / 2, Size: 100})
+			deliver(r.eng, auditor.Update{ID: id, Score: float64(rng.Intn(12)) / 2, Size: 100})
 		}
 		if rng.Intn(12) == 0 {
 			file := files[rng.Intn(2)]

@@ -48,7 +48,7 @@ func flakyRig(t *testing.T, cfg Config, capacities ...int64) (*rig, *flakyMover)
 func TestFailedFetchReconcilesAndRetries(t *testing.T) {
 	r, fm := flakyRig(t, Config{}, 1000)
 	fm.failFetches.Store(1)
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 0}) != -1 {
 		t.Fatal("failed fetch must leave nothing resident")
@@ -60,7 +60,7 @@ func TestFailedFetchReconcilesAndRetries(t *testing.T) {
 		t.Fatal("failed fetch must not leave a mapping")
 	}
 	// A later update retries successfully.
-	r.eng.ScoreUpdated(up(0, 6))
+	deliver(r.eng, up(0, 6))
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 0}) != 0 {
 		t.Fatal("retry after failure must place the segment")
@@ -72,14 +72,14 @@ func TestFailedFetchReconcilesAndRetries(t *testing.T) {
 
 func TestFailedTransferKeepsSingleCopy(t *testing.T) {
 	r, fm := flakyRig(t, Config{}, 100, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 0}) != 0 {
 		t.Fatal("seed placement failed")
 	}
 	// A hotter segment displaces it, but the demotion transfer fails.
 	fm.failTransfer.Store(1)
-	r.eng.ScoreUpdated(up(1, 9))
+	deliver(r.eng, up(1, 9))
 	r.eng.Flush()
 	// Whatever happened, the invariants hold: at most one copy anywhere,
 	// model agrees with stores, mapping agrees with residency.
@@ -99,7 +99,7 @@ func TestFailedTransferKeepsSingleCopy(t *testing.T) {
 	}
 	// Churn afterwards stays consistent.
 	for i := int64(0); i < 10; i++ {
-		r.eng.ScoreUpdated(up(i%4, float64(10-i)))
+		deliver(r.eng, up(i%4, float64(10-i)))
 		r.eng.Flush()
 		if _, ok := r.hier.ExclusiveOK(); !ok {
 			t.Fatal("exclusivity violated during post-failure churn")
@@ -117,7 +117,7 @@ func TestRepeatedFailuresNeverCorruptAccounting(t *testing.T) {
 			fm.failTransfer.Store(1)
 		}
 		for i := int64(0); i < 8; i++ {
-			r.eng.ScoreUpdated(up(i, float64((round+int(i))%10)+0.5))
+			deliver(r.eng, up(i, float64((round+int(i))%10)+0.5))
 		}
 		r.eng.Flush()
 	}

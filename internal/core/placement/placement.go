@@ -78,6 +78,11 @@ const (
 	PolicyRoundRobin
 )
 
+// hysteresis damps churn: a resident segment whose score moved by less
+// than this relative fraction keeps its tier instead of being re-placed
+// (and possibly swapped with an equal-scored neighbour).
+const hysteresis = 0.2
+
 // Config configures an Engine.
 type Config struct {
 	// Policy selects the placement algorithm (default PolicyScore).
@@ -100,14 +105,6 @@ type Config struct {
 	// FetchCoalesce lets the mover merge adjacent queued PFS fetches of
 	// one file into a single origin read.
 	FetchCoalesce bool
-	// MinScore is the global admission floor: segments scoring below it
-	// are never prefetched. Default 0 (admit anything with score > 0).
-	MinScore float64
-	// Hysteresis damps churn: a resident segment whose score moved by
-	// less than this relative fraction keeps its tier instead of being
-	// re-placed (and possibly swapped with an equal-scored neighbour).
-	// Default 0.2; negative disables damping.
-	Hysteresis float64
 	// Telemetry, when non-nil, times placement decisions (the place
 	// pipeline stage) and exports the engine counters.
 	Telemetry *telemetry.Registry
@@ -224,12 +221,6 @@ func New(cfg Config, hier *tiers.Hierarchy, exec Mover, aud *auditor.Auditor) *E
 	if cfg.Workers <= 0 {
 		cfg.Workers = 2
 	}
-	if cfg.Hysteresis == 0 {
-		cfg.Hysteresis = 0.2
-	}
-	if cfg.Hysteresis < 0 {
-		cfg.Hysteresis = 0
-	}
 	e := &Engine{
 		cfg:         cfg,
 		hier:        hier,
@@ -289,23 +280,6 @@ func (e *Engine) Stop() {
 	e.mover.Stop()
 }
 
-// ScoreUpdated implements auditor.Sink. It is the hot path: a map insert
-// and, past the threshold, for a readahead hint or for an update that
-// climbs, a non-blocking kick.
-//
-//hfetch:hotpath
-func (e *Engine) ScoreUpdated(u auditor.Update) {
-	e.ctr.updates.Add(1)
-	e.mu.Lock()
-	e.pending[u.ID] = u
-	e.updateCount++
-	fire := u.Ahead || e.updateCount >= e.cfg.UpdateThreshold || e.climbs(u)
-	e.mu.Unlock()
-	if fire {
-		e.kickPass()
-	}
-}
-
 // climbs reports whether u lifts a resident a tier: the tier above the
 // segment's has room for it or ranks a resident colder than u. Algorithm 1
 // would move it there, and a segment that climbs is one about to be read,
@@ -326,11 +300,10 @@ func (e *Engine) kickPass() {
 	}
 }
 
-// ScoreBatch implements auditor.BatchSink: one pending-lock acquisition
-// absorbs a whole drain cycle's score updates, so the sharded monitor's
-// workers do not re-serialize on the engine. Later updates of the same
-// segment within the batch win, exactly as they would arriving one by
-// one. A delivery that carries a readahead hint or an update that climbs
+// ScoreBatch implements auditor.Sink. It is the hot path: one
+// pending-lock acquisition absorbs a whole drain cycle's score updates,
+// so the sharded monitor's workers do not re-serialize on the engine.
+// Later updates of the same segment within the batch win. A delivery that carries a readahead hint or an update that climbs
 // starts a pass at once — a hint is worth nothing after its reader
 // arrives — and that pass takes everything pending with it; other updates
 // wait for the threshold or the interval.
@@ -759,12 +732,12 @@ func (e *Engine) plan(u auditor.Update, plan *[]move) {
 		ent := e.resident[cur][u.ID]
 		// Hysteresis: small score drift does not justify data movement —
 		// update the model in place and keep the tier.
-		if h := e.cfg.Hysteresis; h > 0 && u.Score > e.cfg.MinScore {
+		if u.Score > 0 {
 			base := ent.score
 			if base < u.Score {
 				base = u.Score
 			}
-			if base > 0 && math.Abs(u.Score-ent.score)/base < h && u.Size == ent.size {
+			if base > 0 && math.Abs(u.Score-ent.score)/base < hysteresis && u.Size == ent.size {
 				e.setResident(cur, u.ID, entry{score: u.Score, size: ent.size})
 				return
 			}
@@ -773,7 +746,7 @@ func (e *Engine) plan(u auditor.Update, plan *[]move) {
 		// re-placement decides whether it stays, moves, or is evicted.
 		e.dropResident(cur, u.ID)
 	}
-	if !(u.Score > e.cfg.MinScore) { // at or below the floor, or not a number
+	if !(u.Score > 0) { // at or below the floor of 0, or not a number
 		if cur >= 0 {
 			*plan = append(*plan, move{id: u.ID, size: u.Size, from: cur, to: -1, trace: u.Trace})
 		}

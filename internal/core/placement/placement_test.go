@@ -2,6 +2,7 @@ package placement
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -59,9 +60,12 @@ func up(idx int64, score float64) auditor.Update {
 	return auditor.Update{ID: seg.ID{File: "f", Index: idx}, Score: score, Size: 100}
 }
 
+// deliver hands e ups as one delivery, as a drained event batch does.
+func deliver(e *Engine, ups ...auditor.Update) { e.ScoreBatch(ups) }
+
 func TestHotSegmentLandsInFastestTier(t *testing.T) {
 	r := newRig(t, Config{}, 1000, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	if !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 0}) {
 		t.Fatal("hot segment must be resident in ram")
@@ -75,9 +79,9 @@ func TestHotSegmentLandsInFastestTier(t *testing.T) {
 func TestOverflowCascadesToNextTier(t *testing.T) {
 	// RAM holds 2 segments; the 3rd (colder) must land in nvme.
 	r := newRig(t, Config{}, 200, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
-	r.eng.ScoreUpdated(up(1, 4))
-	r.eng.ScoreUpdated(up(2, 3))
+	deliver(r.eng, up(0, 5))
+	deliver(r.eng, up(1, 4))
+	deliver(r.eng, up(2, 3))
 	r.eng.Flush()
 	if !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 0}) ||
 		!r.hier.Tier(0).Has(seg.ID{File: "f", Index: 1}) {
@@ -92,12 +96,12 @@ func TestHotterSegmentDemotesColdest(t *testing.T) {
 	// Paper's example: RAM min score 2.0, new segment 2.2 arrives -> the
 	// 2.0 segment is demoted, the 2.2 one takes its place.
 	r := newRig(t, Config{}, 100, 1000)
-	r.eng.ScoreUpdated(up(0, 2.0))
+	deliver(r.eng, up(0, 2.0))
 	r.eng.Flush()
 	if !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 0}) {
 		t.Fatal("seed segment must be in ram")
 	}
-	r.eng.ScoreUpdated(up(1, 2.2))
+	deliver(r.eng, up(1, 2.2))
 	r.eng.Flush()
 	if !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 1}) {
 		t.Fatal("hotter segment must displace the resident")
@@ -116,11 +120,11 @@ func TestHotterSegmentDemotesColdest(t *testing.T) {
 
 func TestColdSegmentDoesNotDisplaceHotter(t *testing.T) {
 	r := newRig(t, Config{}, 100, 100)
-	r.eng.ScoreUpdated(up(0, 5))
-	r.eng.ScoreUpdated(up(1, 4))
+	deliver(r.eng, up(0, 5))
+	deliver(r.eng, up(1, 4))
 	r.eng.Flush()
 	// Both tiers full; a colder segment must fall below the hierarchy.
-	r.eng.ScoreUpdated(up(2, 1))
+	deliver(r.eng, up(2, 1))
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 2}) != -1 {
 		t.Fatal("cold segment must not be prefetched when outranked everywhere")
@@ -132,11 +136,11 @@ func TestColdSegmentDoesNotDisplaceHotter(t *testing.T) {
 
 func TestCascadingDemotionsThroughThreeTiers(t *testing.T) {
 	r := newRig(t, Config{}, 100, 100, 100)
-	r.eng.ScoreUpdated(up(0, 3))
+	deliver(r.eng, up(0, 3))
 	r.eng.Flush()
-	r.eng.ScoreUpdated(up(1, 4))
+	deliver(r.eng, up(1, 4))
 	r.eng.Flush()
-	r.eng.ScoreUpdated(up(2, 5))
+	deliver(r.eng, up(2, 5))
 	r.eng.Flush()
 	// 2 (5) in ram, 1 (4) in nvme, 0 (3) in bb.
 	if r.hier.Locate(seg.ID{File: "f", Index: 2}) != 0 ||
@@ -151,15 +155,15 @@ func TestCascadingDemotionsThroughThreeTiers(t *testing.T) {
 
 func TestScoreDropDemotesResident(t *testing.T) {
 	r := newRig(t, Config{}, 100, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 0}) != 0 {
 		t.Fatal("seed must be in ram")
 	}
 	// A hotter segment arrives while segment 0 cools: segment 0 must end
 	// up demoted to nvme, segment 2 takes the single RAM slot.
-	r.eng.ScoreUpdated(up(2, 6))
-	r.eng.ScoreUpdated(up(0, 0.5))
+	deliver(r.eng, up(2, 6))
+	deliver(r.eng, up(0, 0.5))
 	r.eng.Flush()
 	if got := r.hier.Locate(seg.ID{File: "f", Index: 0}); got != 1 {
 		t.Fatalf("cooled segment at tier %d, want 1 (demoted)", got)
@@ -171,10 +175,10 @@ func TestScoreDropDemotesResident(t *testing.T) {
 
 func TestEvictionBelowLastTier(t *testing.T) {
 	r := newRig(t, Config{}, 100)
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	// A hotter segment displaces it; with no lower tier it is evicted.
-	r.eng.ScoreUpdated(up(1, 9))
+	deliver(r.eng, up(1, 9))
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 0}) != -1 {
 		t.Fatal("displaced segment must be evicted from a one-tier hierarchy")
@@ -187,18 +191,34 @@ func TestEvictionBelowLastTier(t *testing.T) {
 	}
 }
 
+// TestMinScoreFloor: the admission floor is 0. An update scoring 0, less
+// or NaN is never placed, and a resident whose update scores 0 is
+// evicted.
 func TestMinScoreFloor(t *testing.T) {
-	r := newRig(t, Config{MinScore: 1.0}, 1000)
-	r.eng.ScoreUpdated(up(0, 0.5))
+	r := newRig(t, Config{}, 1000)
+	deliver(r.eng, up(0, 0), up(1, -1), up(2, math.NaN()), up(3, 5))
 	r.eng.Flush()
-	if r.hier.Locate(seg.ID{File: "f", Index: 0}) != -1 {
-		t.Fatal("segment below the admission floor must not be prefetched")
+	for idx := int64(0); idx < 3; idx++ {
+		if got := r.hier.Locate(seg.ID{File: "f", Index: idx}); got != -1 {
+			t.Fatalf("segment %d, at or below the floor, was placed in tier %d", idx, got)
+		}
+	}
+	if got := r.hier.Locate(seg.ID{File: "f", Index: 3}); got != 0 {
+		t.Fatalf("segment above the floor in tier %d, want 0", got)
+	}
+	deliver(r.eng, up(3, 0))
+	r.eng.Flush()
+	if got := r.hier.Locate(seg.ID{File: "f", Index: 3}); got != -1 {
+		t.Fatalf("resident whose update scores 0 is in tier %d, want evicted", got)
+	}
+	if st := r.eng.Counters(); st.Placements != 1 || st.Evictions != 1 {
+		t.Fatalf("counters %+v, want 1 placement and 1 eviction", st)
 	}
 }
 
 func TestSegmentLargerThanTierSkipsIt(t *testing.T) {
 	r := newRig(t, Config{}, 50, 1000) // ram smaller than one segment
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	if got := r.hier.Locate(seg.ID{File: "f", Index: 0}); got != 1 {
 		t.Fatalf("oversized segment at tier %d, want 1", got)
@@ -208,8 +228,8 @@ func TestSegmentLargerThanTierSkipsIt(t *testing.T) {
 func TestInvalidationDropsFileEverywhere(t *testing.T) {
 	r := newRig(t, Config{}, 200, 200)
 	r.fs.Create("g", 1000)
-	r.eng.ScoreUpdated(up(0, 5))
-	r.eng.ScoreUpdated(auditor.Update{ID: seg.ID{File: "g", Index: 0}, Score: 4, Size: 100})
+	deliver(r.eng, up(0, 5))
+	deliver(r.eng, auditor.Update{ID: seg.ID{File: "g", Index: 0}, Score: 4, Size: 100})
 	r.eng.Flush()
 	r.eng.FileInvalidated("f")
 	r.eng.Flush()
@@ -226,7 +246,7 @@ func TestInvalidationDropsFileEverywhere(t *testing.T) {
 
 func TestInvalidationBeatsPendingUpdates(t *testing.T) {
 	r := newRig(t, Config{}, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.FileInvalidated("f") // same run: update must be discarded
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 0}) != -1 {
@@ -239,7 +259,7 @@ func TestUpdateThresholdTriggersWithoutFlush(t *testing.T) {
 	r.eng.Start()
 	defer r.eng.Stop()
 	for i := int64(0); i < 5; i++ {
-		r.eng.ScoreUpdated(up(i, float64(5-i)))
+		deliver(r.eng, up(i, float64(5-i)))
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -255,7 +275,7 @@ func TestIntervalTriggers(t *testing.T) {
 	r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: 20 * time.Millisecond}, 1000)
 	r.eng.Start()
 	defer r.eng.Stop()
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		if r.hier.Tier(0).Has(seg.ID{File: "f", Index: 0}) {
@@ -271,44 +291,32 @@ func TestIntervalTriggers(t *testing.T) {
 // pass takes the ordinary updates pending beside it; one without a hint
 // waits, and Flush still runs whatever is pending.
 func TestAheadUpdateKicksThePass(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: time.Hour}, 1000)
-		r.eng.Start()
-		deliver := func(ups ...auditor.Update) {
-			if batched {
-				r.eng.ScoreBatch(ups)
-				return
-			}
-			for _, u := range ups {
-				r.eng.ScoreUpdated(u)
-			}
+	r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: time.Hour}, 1000)
+	r.eng.Start()
+	deliver(r.eng, up(0, 5), up(1, 4))
+	time.Sleep(50 * time.Millisecond)
+	if runs := r.eng.Counters().Runs; runs != 0 {
+		t.Fatalf("%d passes for updates without a hint", runs)
+	}
+	hint := up(2, 3)
+	hint.Ahead = true
+	deliver(r.eng, up(3, 2), hint)
+	deadline := time.Now().Add(2 * time.Second)
+	for r.eng.Counters().Runs == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if runs := r.eng.Counters().Runs; runs != 1 {
+		t.Fatalf("%d passes after a hint, want 1", runs)
+	}
+	for i := int64(0); i < 4; i++ {
+		if r.eng.Resident(seg.ID{File: "f", Index: i}) != 0 {
+			t.Fatalf("segment %d was not decided by the kicked pass", i)
 		}
-		deliver(up(0, 5), up(1, 4))
-		time.Sleep(50 * time.Millisecond)
-		if runs := r.eng.Counters().Runs; runs != 0 {
-			t.Fatalf("batched %v: %d passes for updates without a hint", batched, runs)
-		}
-		hint := up(2, 3)
-		hint.Ahead = true
-		deliver(up(3, 2), hint)
-		deadline := time.Now().Add(2 * time.Second)
-		for r.eng.Counters().Runs == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		if runs := r.eng.Counters().Runs; runs != 1 {
-			t.Fatalf("batched %v: %d passes after a hint, want 1", batched, runs)
-		}
-		for i := int64(0); i < 4; i++ {
-			if r.eng.Resident(seg.ID{File: "f", Index: i}) != 0 {
-				t.Fatalf("batched %v: segment %d was not decided by the kicked pass", batched, i)
-			}
-		}
-		deliver(up(4, 1))
-		r.eng.Flush()
-		if runs := r.eng.Counters().Runs; runs != 2 || !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 4}) {
-			t.Fatalf("batched %v: Flush: %d passes, want 2 and segment 4 in the tier", batched, runs)
-		}
-		r.eng.Stop()
+	}
+	deliver(r.eng, up(4, 1))
+	r.eng.Flush()
+	if runs := r.eng.Counters().Runs; runs != 2 || !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 4}) {
+		t.Fatalf("Flush: %d passes, want 2 and segment 4 in the tier", runs)
 	}
 }
 
@@ -319,11 +327,11 @@ func TestAheadUpdateKicksThePass(t *testing.T) {
 func TestHintLiftsResidentAboveTheCut(t *testing.T) {
 	r := newRig(t, Config{UpdateThreshold: 1 << 20, Interval: time.Hour}, 600, 200, 1000)
 	for i := int64(100); i < 106; i++ {
-		r.eng.ScoreUpdated(up(i, 0.8)) // ram's six slots
+		deliver(r.eng, up(i, 0.8)) // ram's six slots
 	}
-	r.eng.ScoreUpdated(up(106, 0.7)) // nvme's two
-	r.eng.ScoreUpdated(up(107, 0.7))
-	r.eng.ScoreUpdated(up(2, 0.6))
+	deliver(r.eng, up(106, 0.7)) // nvme's two
+	deliver(r.eng, up(107, 0.7))
+	deliver(r.eng, up(2, 0.6))
 	r.eng.Flush()
 	target := seg.ID{File: "f", Index: 2}
 	if got := r.eng.Resident(target); got != 2 {
@@ -332,7 +340,7 @@ func TestHintLiftsResidentAboveTheCut(t *testing.T) {
 	r.aud.StartEpoch("f", 1<<20)
 	now := time.Now()
 	for i := int64(0); i < 2; i++ { // a run from segment 0 arms on its second read
-		r.aud.HandleEvent(events.Event{Op: events.OpRead, File: "f", Offset: i * 100, Length: 100, Time: now})
+		r.aud.HandleBatch([]events.Event{{Op: events.OpRead, File: "f", Offset: i * 100, Length: 100, Time: now}})
 	}
 	if hints := r.aud.Counters().Hints; hints == 0 {
 		t.Fatal("the reader was not hinted")
@@ -348,56 +356,43 @@ func TestHintLiftsResidentAboveTheCut(t *testing.T) {
 // of a resident that beats the coldest resident of the tier above, or finds
 // room there, starts a pass at once; one that does neither waits.
 func TestClimbingUpdateStartsPass(t *testing.T) {
-	for _, batched := range []bool{true, false} {
-		r := newRig(t, Config{UpdateThreshold: 1 << 20, Interval: time.Hour}, 200, 1000)
-		deliver := func(u auditor.Update) {
-			if batched {
-				r.eng.ScoreBatch([]auditor.Update{u})
-			} else {
-				r.eng.ScoreUpdated(u)
+	r := newRig(t, Config{UpdateThreshold: 1 << 20, Interval: time.Hour}, 200, 1000)
+	deliver(r.eng, up(0, 5), up(1, 4), up(2, 1), up(3, 0.5))
+	r.eng.Flush()
+	r.eng.Start()
+	placedWithin := func(idx int64, d time.Duration) bool {
+		for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if r.eng.Resident(seg.ID{File: "f", Index: idx}) == 0 && r.hier.Tier(0).Has(seg.ID{File: "f", Index: idx}) {
+				return true
 			}
 		}
-		r.eng.ScoreUpdated(up(0, 5))
-		r.eng.ScoreUpdated(up(1, 4))
-		r.eng.ScoreUpdated(up(2, 1))
-		r.eng.ScoreUpdated(up(3, 0.5))
-		r.eng.Flush()
-		r.eng.Start()
-		placedWithin := func(idx int64, d time.Duration) bool {
-			for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-				if r.eng.Resident(seg.ID{File: "f", Index: idx}) == 0 && r.hier.Tier(0).Has(seg.ID{File: "f", Index: idx}) {
-					return true
-				}
-			}
-			return false
-		}
-		runs := r.eng.Counters().Runs
-		deliver(up(2, 3)) // below ram's coldest, 4
-		if placedWithin(2, 50*time.Millisecond) || r.eng.Counters().Runs != runs {
-			t.Fatalf("batched %v: an update below the tier above's coldest was decided at once", batched)
-		}
-		deliver(up(2, 4.5))
-		if !placedWithin(2, 2*time.Second) {
-			t.Fatalf("batched %v: an update above the tier above's coldest was not placed; segment 2 in tier %d",
-				batched, r.eng.Resident(seg.ID{File: "f", Index: 2}))
-		}
-		// Segment 2 leaving ram for good (below the floor) makes room there,
-		// and segment 3's next update climbs into it outranking no one.
-		r.eng.ScoreUpdated(up(2, 0))
-		r.eng.Flush()
-		deliver(up(3, 0.7))
-		if !placedWithin(3, 2*time.Second) {
-			t.Fatalf("batched %v: an update with room in the tier above was not placed; segment 3 in tier %d",
-				batched, r.eng.Resident(seg.ID{File: "f", Index: 3}))
-		}
-		r.eng.Stop()
+		return false
+	}
+	runs := r.eng.Counters().Runs
+	deliver(r.eng, up(2, 3)) // below ram's coldest, 4
+	if placedWithin(2, 50*time.Millisecond) || r.eng.Counters().Runs != runs {
+		t.Fatal("an update below the tier above's coldest was decided at once")
+	}
+	deliver(r.eng, up(2, 4.5))
+	if !placedWithin(2, 2*time.Second) {
+		t.Fatalf("an update above the tier above's coldest was not placed; segment 2 in tier %d",
+			r.eng.Resident(seg.ID{File: "f", Index: 2}))
+	}
+	// Segment 2 leaving ram for good (below the floor) makes room there,
+	// and segment 3's next update climbs into it outranking no one.
+	deliver(r.eng, up(2, 0))
+	r.eng.Flush()
+	deliver(r.eng, up(3, 0.7))
+	if !placedWithin(3, 2*time.Second) {
+		t.Fatalf("an update with room in the tier above was not placed; segment 3 in tier %d",
+			r.eng.Resident(seg.ID{File: "f", Index: 3}))
 	}
 }
 
 func TestStopDrainsPending(t *testing.T) {
 	r := newRig(t, Config{UpdateThreshold: 1 << 30, Interval: time.Hour}, 1000)
 	r.eng.Start()
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Stop() // final drain must place it
 	if !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 0}) {
 		t.Fatal("Stop must drain pending updates")
@@ -406,9 +401,9 @@ func TestStopDrainsPending(t *testing.T) {
 
 func TestDedupLatestUpdateWins(t *testing.T) {
 	r := newRig(t, Config{}, 100, 1000)
-	r.eng.ScoreUpdated(up(0, 9))
-	r.eng.ScoreUpdated(up(0, 0.1)) // same segment, cooled before the run
-	r.eng.ScoreUpdated(up(1, 5))
+	deliver(r.eng, up(0, 9))
+	deliver(r.eng, up(0, 0.1)) // same segment, cooled before the run
+	deliver(r.eng, up(1, 5))
 	r.eng.Flush()
 	// Latest score 0.1 must be the one used: segment 1 gets RAM.
 	if !r.hier.Tier(0).Has(seg.ID{File: "f", Index: 1}) {
@@ -424,7 +419,7 @@ func TestExclusivityInvariantUnderChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for round := 0; round < 50; round++ {
 		for i := 0; i < 20; i++ {
-			r.eng.ScoreUpdated(up(int64(rng.Intn(40)), rng.Float64()*10))
+			deliver(r.eng, up(int64(rng.Intn(40)), rng.Float64()*10))
 		}
 		r.eng.Flush()
 		if id, ok := r.hier.ExclusiveOK(); !ok {
@@ -450,7 +445,7 @@ func TestResidentView(t *testing.T) {
 	if r.eng.Resident(seg.ID{File: "f", Index: 0}) != -1 {
 		t.Fatal("unknown segment must report -1")
 	}
-	r.eng.ScoreUpdated(up(0, 5))
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	if r.eng.Resident(seg.ID{File: "f", Index: 0}) != 0 {
 		t.Fatal("placed segment must report tier 0")
@@ -464,7 +459,7 @@ func TestManyFilesInterleaved(t *testing.T) {
 	}
 	for i := 0; i < 5; i++ {
 		for j := int64(0); j < 2; j++ {
-			r.eng.ScoreUpdated(auditor.Update{
+			deliver(r.eng, auditor.Update{
 				ID: seg.ID{File: fmt.Sprintf("f%d", i), Index: j}, Score: float64(i + 1), Size: 100,
 			})
 		}
@@ -484,12 +479,12 @@ func TestManyFilesInterleaved(t *testing.T) {
 }
 
 func TestHysteresisKeepsTierOnSmallDrift(t *testing.T) {
-	r := newRig(t, Config{Hysteresis: 0.2}, 100, 1000)
-	r.eng.ScoreUpdated(up(0, 5))
+	r := newRig(t, Config{}, 100, 1000)
+	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
 	before := r.eng.Counters()
 	// 10% drift: within the hysteresis band, no movement.
-	r.eng.ScoreUpdated(up(0, 4.6))
+	deliver(r.eng, up(0, 4.6))
 	r.eng.Flush()
 	after := r.eng.Counters()
 	if got := after.Promotions + after.Demotions + after.Evictions -
@@ -501,8 +496,8 @@ func TestHysteresisKeepsTierOnSmallDrift(t *testing.T) {
 	}
 	// A big drop still demotes/evicts (one-tier hierarchy: falls out when
 	// displaced; here it just stays since nothing competes).
-	r.eng.ScoreUpdated(up(1, 9)) // displaces the now-cold resident
-	r.eng.ScoreUpdated(up(0, 0.5))
+	deliver(r.eng, up(1, 9)) // displaces the now-cold resident
+	deliver(r.eng, up(0, 0.5))
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 1}) != 0 {
 		t.Fatal("hot segment must take ram despite hysteresis")

@@ -203,7 +203,7 @@ func newRankedPair(t testing.TB, caps ...int64) *rankedPair {
 			s.Clear()
 		}
 	})
-	return &rankedPair{eng: eng, ref: newScanEngine(eng.cfg.Hysteresis, caps...), hier: hier}
+	return &rankedPair{eng: eng, ref: newScanEngine(hysteresis, caps...), hier: hier}
 }
 
 func (p *rankedPair) step(op traceOp) error {

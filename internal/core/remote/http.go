@@ -16,9 +16,9 @@ import (
 //	GET /stats        -> JSON StatsReply
 //	GET /tiers        -> JSON []TierInfo
 //	GET /metrics      -> Prometheus text exposition from the node's
-//	                     telemetry registry (histograms included); when
-//	                     the daemon runs without telemetry, a coarse
-//	                     counter-only fallback rendered from StatsReply
+//	                     telemetry registry (histograms included); 404
+//	                     when the daemon runs without telemetry, whose
+//	                     counters /stats still serves
 //	GET /debug/trace  -> Chrome trace_event JSON of lifecycle traces
 //	                     (load in Perfetto / chrome://tracing); ?csv=1
 //	                     switches to the access-record CSV
@@ -37,10 +37,6 @@ func NewHTTPHandler(srv *server.Server) http.Handler {
 	})
 	if reg := srv.Telemetry(); reg != nil {
 		mux.Handle("GET /metrics", reg.Handler())
-	} else {
-		mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-			writeLegacyMetrics(w, srv)
-		})
 	}
 	mux.HandleFunc("GET /debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		csv := r.URL.Query().Get("csv") == "1"
@@ -62,33 +58,6 @@ func NewHTTPHandler(srv *server.Server) http.Handler {
 	mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-// writeLegacyMetrics is the pre-telemetry coarse exposition: plain
-// counters from StatsReply and tier occupancy, no histograms.
-func writeLegacyMetrics(w http.ResponseWriter, srv *server.Server) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	st := statsReply(srv)
-	emit := func(name string, v int64, labels string) {
-		fmt.Fprintf(w, "hfetch_%s%s %d\n", name, labels, v)
-	}
-	emit("events_total", st.Events, "")
-	emit("reads_total", st.Reads, "")
-	emit("invalidations_total", st.Invalidations, "")
-	emit("segments_seen", st.SegmentsSeen, "")
-	emit("engine_runs_total", st.EngineRuns, "")
-	emit("placements_total", st.Placements, "")
-	emit("promotions_total", st.Promotions, "")
-	emit("demotions_total", st.Demotions, "")
-	emit("evictions_total", st.Evictions, "")
-	emit("remote_reads_total", st.RemoteReads, "")
-	emit("remote_serves_total", st.RemoteServes, "")
-	for _, ti := range tierInfos(srv) {
-		l := fmt.Sprintf("{tier=%q}", ti.Name)
-		emit("tier_capacity_bytes", ti.Capacity, l)
-		emit("tier_used_bytes", ti.Used, l)
-		emit("tier_segments", int64(ti.Segments), l)
-	}
 }
 
 func statsReply(srv *server.Server) StatsReply {

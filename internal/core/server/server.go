@@ -54,13 +54,6 @@ type Config struct {
 	// avoiding the double-read where a client re-fetches bytes the mover
 	// is already moving. Zero disables the wait.
 	FetchWait time.Duration
-	// SweepInterval enables the statistics janitor: every interval,
-	// segment records of closed epochs whose score decayed below
-	// SweepFloor (default 0.01) and which are not resident anywhere are
-	// garbage-collected. Zero disables sweeping.
-	SweepInterval time.Duration
-	// SweepFloor is the score below which swept records are discarded.
-	SweepFloor float64
 	// Telemetry, when non-nil, is the node's metric registry: the server
 	// wires it through the monitor, auditor, placement engine and I/O
 	// client, and instruments its own read path. Nil disables all
@@ -93,10 +86,6 @@ type Server struct {
 
 	remoteReads  atomic.Int64
 	remoteServes atomic.Int64
-
-	sweepStop chan struct{}
-	sweepWG   sync.WaitGroup
-	swept     atomic.Int64
 
 	// Server-side I/O accounting: every ReadPrefetched outcome, local or
 	// on behalf of a remote agent. The registry's hit and miss families
@@ -162,7 +151,7 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 	aud.SetSink(eng)
 	aud.SetLanding(eng.Landing())
 	cfg.Monitor.Telemetry = cfg.Telemetry
-	mon := monitor.New(cfg.Monitor, aud, hier)
+	mon := monitor.New(cfg.Monitor, aud)
 	shared := make(map[string]bool, len(cfg.SharedTiers))
 	for _, n := range cfg.SharedTiers {
 		shared[n] = true
@@ -194,7 +183,6 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		reg.CounterFunc("hfetch_read_stall_rescues_total", "stalled reads served from a tier after the fetch landed", s.stallRescues.Load)
 		reg.CounterFunc("hfetch_remote_reads_total", "segment reads issued to peer nodes", s.remoteReads.Load)
 		reg.CounterFunc("hfetch_remote_serves_total", "segment reads served for peer nodes", s.remoteServes.Load)
-		reg.CounterFunc("hfetch_swept_records_total", "statistics records garbage-collected by the janitor", s.swept.Load)
 		reg.CounterFunc("hfetch_read_zero_copy_total", "payload bytes served by reference from pinned tier buffers", s.zeroCopy.Load)
 		reg.CounterFunc("hfetch_slab_hits_total", "segment buffers served from the slab free lists", tiers.SlabHits)
 		reg.CounterFunc("hfetch_slab_misses_total", "slab requests that mapped a new chunk or fell back to a plain allocation", tiers.SlabMisses)
@@ -251,8 +239,7 @@ func NewLocalMaps(node string) (stats, maps *dhm.Map) {
 	return stats, maps
 }
 
-// Start launches the monitor daemons, the placement engine, and (when
-// configured) the statistics janitor.
+// Start launches the monitor daemons and the placement engine.
 func (s *Server) Start() {
 	if s.started {
 		return
@@ -260,33 +247,7 @@ func (s *Server) Start() {
 	s.started = true
 	s.mon.Start()
 	s.eng.Start()
-	if s.cfg.SweepInterval > 0 {
-		s.sweepStop = make(chan struct{})
-		s.sweepWG.Add(1)
-		go s.janitor()
-	}
 }
-
-func (s *Server) janitor() {
-	defer s.sweepWG.Done()
-	floor := s.cfg.SweepFloor
-	if floor <= 0 {
-		floor = 0.01
-	}
-	ticker := time.NewTicker(s.cfg.SweepInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-s.sweepStop:
-			return
-		case <-ticker.C:
-			s.swept.Add(int64(s.aud.Sweep(time.Now(), floor)))
-		}
-	}
-}
-
-// Swept returns the cumulative count of garbage-collected stat records.
-func (s *Server) Swept() int64 { return s.swept.Load() }
 
 // Stop flushes and terminates all components, then clears the tiers this
 // server owns: their residents are slab memory, which no collector gives
@@ -298,11 +259,6 @@ func (s *Server) Stop() {
 		return
 	}
 	s.started = false
-	if s.sweepStop != nil {
-		close(s.sweepStop)
-		s.sweepWG.Wait()
-		s.sweepStop = nil
-	}
 	s.mon.Stop()
 	s.eng.Stop()
 	for _, st := range s.hier.Stores() {
@@ -613,10 +569,9 @@ func (s *Server) RemoteStats() (reads, serves int64) {
 }
 
 // PostEvent accepts an enriched file-system event. Only events for
-// watched files (plus capacity events) enter the queue, mirroring
-// inotify semantics.
+// watched files enter the queue, mirroring inotify semantics.
 func (s *Server) PostEvent(ev events.Event) {
-	if ev.Op != events.OpCapacity && !s.registry.Watched(ev.File) {
+	if !s.registry.Watched(ev.File) {
 		return
 	}
 	s.mon.Post(ev)

@@ -144,37 +144,6 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-func TestJanitorSweepsStaleStats(t *testing.T) {
-	fs := pfs.New(nil)
-	hier := tiers.NewHierarchy(tiers.NewStore("ram", 1<<20, nil))
-	stats, maps := NewLocalMaps("n0")
-	srv, err := New(Config{
-		SegmentSize:   1024,
-		Score:         score.Params{P: 2, Unit: time.Millisecond},
-		Engine:        placement.Config{UpdateThreshold: 1 << 30, Interval: time.Hour},
-		SweepInterval: 10 * time.Millisecond,
-		SweepFloor:    0.01,
-	}, fs, hier, stats, maps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs.Create("f", 8192)
-	srv.Start()
-	defer srv.Stop()
-	srv.StartEpoch("f", 8192)
-	srv.PostEvent(events.Event{Op: events.OpRead, File: "f", Offset: 0, Length: 1024, Time: time.Now()})
-	// No engine flush: the segment must not get placed (a resident
-	// segment is exempt from sweeping).
-	srv.EndEpoch("f")
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.Swept() == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if srv.Swept() == 0 {
-		t.Fatal("janitor never swept the decayed record")
-	}
-}
-
 func TestPersistentMapsSurviveRestart(t *testing.T) {
 	wal := filepath.Join(t.TempDir(), "meta.wal")
 	stats, _, w, err := NewMaps("n0", nil, nil, nil, wal)

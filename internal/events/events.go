@@ -1,11 +1,14 @@
 // Package events emulates the system-generated event substrate HFetch
 // builds on. The paper intercepts the Linux inotify API at the VFS layer
-// and enriches the raw events (open/read/write/close + filename) with the
-// read offset, request size and a timestamp. This repository cannot
-// intercept real syscalls, so the emulated I/O layer (internal/pfs and
-// the client agents) posts the same enriched events through a watch
-// registry: events are only delivered for files that currently have a
-// watch installed, mirroring inotify_add_watch/inotify_rm_watch.
+// and enriches the raw events (op + filename) with the read offset,
+// request size and a timestamp. This repository cannot intercept real
+// syscalls, so the client agents and the gateway post the same enriched
+// events through a watch registry: events are only delivered for files
+// that currently have a watch installed, mirroring
+// inotify_add_watch/inotify_rm_watch. Two ops reach the auditor: a read,
+// which it scores, and a write, which invalidates the file's prefetched
+// data. Opens and closes arrive as epochs (the agent manager's
+// StartEpoch/EndEpoch), not as events.
 //
 // Delivered events land in the monitor's queue, a ShardedQueue: the
 // stream is partitioned into per-file-hashed rings, each a Queue (a
@@ -25,21 +28,19 @@ import (
 // Op enumerates event types.
 type Op uint8
 
-// Event operations. Capacity events are tier-utilization notifications
-// from the hardware monitor's per-tier probes and bypass file watches.
+// Event operations. The zero Op is none of them, so an Event whose Op
+// was never set is neither scored nor an invalidation.
 const (
-	OpOpen Op = iota
-	OpRead
+	OpRead Op = iota + 1
 	OpWrite
-	OpClose
-	OpCapacity
 )
 
-var opNames = [...]string{"open", "read", "write", "close", "capacity"}
-
 func (o Op) String() string {
-	if int(o) < len(opNames) {
-		return opNames[o]
+	switch o {
+	case OpRead:
+		return "read"
+	case OpWrite:
+		return "write"
 	}
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
@@ -54,11 +55,6 @@ type Event struct {
 	// Think is the reader's compute time between its previous request on
 	// the same handle returning and this one starting; 0 means unknown.
 	Think time.Duration
-	// Tier names the tier that produced the event (capacity events) or
-	// served the access, when known.
-	Tier string
-	// Free is the remaining capacity for OpCapacity events.
-	Free int64
 	// Trace is the lifecycle trace ID stamped at monitor ingestion
 	// (0 = untraced). It rides the event through the auditor into the
 	// placement update so a prefetch can be attributed to the access
@@ -123,36 +119,3 @@ func (r *Registry) Len() int {
 	defer r.mu.RUnlock()
 	return len(r.watches)
 }
-
-// AddDirWatch installs a watch on a directory prefix: every file whose
-// name starts with dir + "/" is considered watched (inotify's directory
-// watches). Reports whether this call created the watch.
-func (r *Registry) AddDirWatch(dir string) bool {
-	return r.AddWatch(dirKey(dir))
-}
-
-// RemoveDirWatch dereferences a directory watch.
-func (r *Registry) RemoveDirWatch(dir string) bool {
-	return r.RemoveWatch(dirKey(dir))
-}
-
-// Covered reports whether file is watched directly or through a watched
-// parent directory.
-func (r *Registry) Covered(file string) bool {
-	if r.Watched(file) {
-		return true
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for i := len(file) - 1; i > 0; i-- {
-		if file[i] == '/' {
-			if r.watches[dirKey(file[:i])] > 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// dirKey namespaces directory watches away from file watches.
-func dirKey(dir string) string { return "\x00dir:" + dir }

@@ -67,15 +67,22 @@ func TestRegistryConcurrent(t *testing.T) {
 	}
 }
 
+// take dequeues one event through a one-slot batch.
+func take(q *Queue) (Event, bool) {
+	var one [1]Event
+	_, ok := q.TakeBatch(one[:])
+	return one[0], ok
+}
+
 func TestQueueFIFO(t *testing.T) {
 	q := NewQueue(8, false)
 	for i := 0; i < 5; i++ {
 		q.Post(Event{Offset: int64(i)})
 	}
 	for i := 0; i < 5; i++ {
-		ev, ok := q.Take()
+		ev, ok := take(q)
 		if !ok || ev.Offset != int64(i) {
-			t.Fatalf("Take %d = %+v %v", i, ev, ok)
+			t.Fatalf("take %d = %+v %v", i, ev, ok)
 		}
 	}
 }
@@ -87,7 +94,7 @@ func TestQueueWrapsAround(t *testing.T) {
 			q.Post(Event{Offset: int64(round*4 + i)})
 		}
 		for i := 0; i < 4; i++ {
-			ev, _ := q.Take()
+			ev, _ := take(q)
 			if ev.Offset != int64(round*4+i) {
 				t.Fatalf("round %d idx %d: got %d", round, i, ev.Offset)
 			}
@@ -100,7 +107,7 @@ func TestQueueBlockingBackpressure(t *testing.T) {
 	q.Post(Event{Offset: 1})
 	done := make(chan struct{})
 	go func() {
-		q.Post(Event{Offset: 2}) // blocks until a Take
+		q.Post(Event{Offset: 2}) // blocks until a take
 		close(done)
 	}()
 	select {
@@ -108,7 +115,7 @@ func TestQueueBlockingBackpressure(t *testing.T) {
 		t.Fatal("Post should have blocked on full queue")
 	case <-time.After(20 * time.Millisecond):
 	}
-	q.Take()
+	take(q)
 	select {
 	case <-done:
 	case <-time.After(time.Second):
@@ -137,11 +144,11 @@ func TestQueueCloseDrains(t *testing.T) {
 	if ok := q.Post(Event{}); ok {
 		t.Fatal("post after close must fail")
 	}
-	ev, ok := q.Take()
+	ev, ok := take(q)
 	if !ok || ev.Offset != 7 {
 		t.Fatal("pending event must still drain after close")
 	}
-	if _, ok := q.Take(); ok {
+	if _, ok := take(q); ok {
 		t.Fatal("drained closed queue must report !ok")
 	}
 }
@@ -150,7 +157,7 @@ func TestQueueCloseUnblocksConsumers(t *testing.T) {
 	q := NewQueue(4, false)
 	done := make(chan bool)
 	go func() {
-		_, ok := q.Take()
+		_, ok := take(q)
 		done <- ok
 	}()
 	time.Sleep(10 * time.Millisecond)
@@ -158,10 +165,10 @@ func TestQueueCloseUnblocksConsumers(t *testing.T) {
 	select {
 	case ok := <-done:
 		if ok {
-			t.Fatal("Take on closed empty queue must report !ok")
+			t.Fatal("a take on a closed empty queue must report !ok")
 		}
 	case <-time.After(time.Second):
-		t.Fatal("Take did not unblock on close")
+		t.Fatal("a take did not unblock on close")
 	}
 }
 
@@ -202,9 +209,9 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	for _, c := range []struct {
 		name                                     string
 		capacity, producers, perProducer, rounds int
-		batch                                    int // 0: Take
+		batch                                    int
 	}{
-		{"take", 32, 8, 500, 1, 0},
+		{"take", 32, 8, 500, 1, 1},
 		{"take-batch", 2, 16, 8, 200, 3},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -227,12 +234,7 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 						defer cwg.Done()
 						buf := make([]Event, c.batch)
 						for {
-							n, ok := 1, true
-							if c.batch > 0 {
-								n, ok = q.TakeBatch(buf)
-							} else {
-								_, ok = q.Take()
-							}
+							n, ok := q.TakeBatch(buf)
 							if !ok {
 								return
 							}
@@ -259,39 +261,10 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 }
 
 func TestOpString(t *testing.T) {
-	if OpRead.String() != "read" || OpCapacity.String() != "capacity" {
+	if OpRead.String() != "read" || OpWrite.String() != "write" {
 		t.Fatal("Op.String mismatch")
 	}
-	if Op(200).String() == "" {
+	if Op(0).String() == "" || Op(200).String() == "" {
 		t.Fatal("unknown op must still stringify")
-	}
-}
-
-func TestDirectoryWatches(t *testing.T) {
-	r := NewRegistry()
-	if !r.AddDirWatch("data") {
-		t.Fatal("first AddDirWatch must create")
-	}
-	if !r.Covered("data/sub/file.bin") {
-		t.Fatal("nested file must be covered by the directory watch")
-	}
-	if !r.Covered("data/x") {
-		t.Fatal("direct child must be covered")
-	}
-	if r.Covered("database/x") {
-		t.Fatal("sibling prefix must NOT be covered (data != database)")
-	}
-	if r.Covered("data") {
-		t.Fatal("the directory name itself is not a watched file")
-	}
-	r.AddWatch("plain")
-	if !r.Covered("plain") {
-		t.Fatal("file watches still work through Covered")
-	}
-	if !r.RemoveDirWatch("data") {
-		t.Fatal("RemoveDirWatch must remove")
-	}
-	if r.Covered("data/x") {
-		t.Fatal("coverage must end with the watch")
 	}
 }

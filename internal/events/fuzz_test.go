@@ -3,8 +3,7 @@ package events
 import "testing"
 
 // FuzzHashShard checks the routing-hash contract for arbitrary keys:
-// HashOf is deterministic, ShardOf stays in range and routes File and
-// Tier keys identically, and shard choice is consistent with the
+// HashOf is deterministic, ShardOf stays in range, and shard choice is consistent with the
 // auditor's 64-way epoch striping whenever the shard count divides 64
 // (so a shard worker's epoch accesses cluster on a stable stripe
 // subset — the property sharded.go's doc comment promises).
@@ -22,13 +21,6 @@ func FuzzHashShard(f *testing.F) {
 		s := ShardOf(Event{File: key}, shards)
 		if s < 0 || s >= shards {
 			t.Fatalf("ShardOf(%q, %d) = %d, out of range", key, shards, s)
-		}
-		if key != "" {
-			// Capacity events carry no File and route by Tier; the same
-			// key must land on the same shard either way.
-			if ts := ShardOf(Event{Tier: key}, shards); ts != s {
-				t.Fatalf("Tier routing for %q gave shard %d, File routing gave %d", key, ts, s)
-			}
 		}
 		if 64%shards == 0 {
 			stripe := int(HashOf(key) % 64)

@@ -122,36 +122,13 @@ func (q *Queue) takeStamp(slot int) int64 {
 // spanWait records the queue_wait span outside the queue lock.
 //
 //hfetch:hotpath
-func (q *Queue) spanWait(ev Event, enq int64) {
+func (q *Queue) spanWait(file string, enq int64) {
 	if enq == 0 {
 		return
 	}
 	start := time.Unix(0, enq)
 	//lint:allow hotpath enq is nonzero only for posts that passed TimeSample; Since completes that sampled span
-	q.tele.Span(telemetry.StageQueueWait, ev.File, -1, ev.Tier, start, time.Since(start))
-}
-
-// Take dequeues one event, blocking until one is available or the queue
-// is closed and drained. ok is false only on close-and-drained.
-//
-//hfetch:hotpath
-func (q *Queue) Take() (ev Event, ok bool) {
-	q.mu.Lock()
-	for q.n == 0 && !q.closed {
-		q.notEmpt.Wait()
-	}
-	if q.n == 0 {
-		q.mu.Unlock()
-		return Event{}, false
-	}
-	ev = q.buf[q.head]
-	enq := q.takeStamp(q.head)
-	q.head = (q.head + 1) % len(q.buf)
-	q.n--
-	q.notFull.Signal()
-	q.mu.Unlock()
-	q.spanWait(ev, enq)
-	return ev, true
+	q.tele.Span(telemetry.StageQueueWait, file, -1, "", start, time.Since(start))
 }
 
 // TakeBatch dequeues up to max events in one lock acquisition, blocking
@@ -202,7 +179,7 @@ func (q *Queue) TakeBatch(dst []Event) (n int, ok bool) {
 	}
 	q.mu.Unlock()
 	for i, enq := range stamps {
-		q.spanWait(dst[i], enq)
+		q.spanWait(dst[i].File, enq)
 	}
 	return n, true
 }

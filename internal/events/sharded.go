@@ -14,9 +14,6 @@ import (
 // scoring and sequencing-link learning require — is preserved without
 // any cross-shard coordination.
 //
-// Capacity events carry no file name; they hash by tier name so each
-// tier's capacity stream is also ordered.
-//
 // Overflow policy is per the underlying rings: blocking backpressure by
 // default, or counted drops (inotify IN_Q_OVERFLOW) when drop is set.
 type ShardedQueue struct {
@@ -45,11 +42,7 @@ func NewSharded(shards, capacity int, drop bool) *ShardedQueue {
 // n shards. Exported so tests and the auditor's stripe accounting can
 // reproduce the routing.
 func ShardOf(ev Event, n int) int {
-	key := ev.File
-	if key == "" {
-		key = ev.Tier
-	}
-	return int(HashOf(key) % uint64(n))
+	return int(HashOf(ev.File) % uint64(n))
 }
 
 // HashOf is the routing hash (word-at-a-time FNV-1a with a final

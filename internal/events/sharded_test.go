@@ -24,11 +24,6 @@ func TestShardedRoutingIsStable(t *testing.T) {
 			}
 		}
 	}
-	// Capacity events route by tier.
-	cap1 := Event{Op: OpCapacity, Tier: "ram"}
-	if ShardOf(cap1, 8) != ShardOf(cap1, 8) {
-		t.Fatal("capacity event routing unstable")
-	}
 }
 
 func TestShardedSpreadsFiles(t *testing.T) {
@@ -134,7 +129,7 @@ func TestShardedTelemetryAggregates(t *testing.T) {
 		go func(q *Queue) {
 			defer wg.Done()
 			for {
-				if _, ok := q.Take(); !ok {
+				if _, ok := take(q); !ok {
 					return
 				}
 			}
@@ -161,7 +156,7 @@ func TestShardedBackpressureReleases(t *testing.T) {
 	got := 0
 	q := s.Shard(ShardOf(Event{File: "hot"}, 2))
 	for got < 100 {
-		if _, ok := q.Take(); !ok {
+		if _, ok := take(q); !ok {
 			break
 		}
 		got++

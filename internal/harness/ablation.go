@@ -49,15 +49,19 @@ func AblationPlacement(opts Opts) ([]Row, error) {
 				ioclient.New(fs, segr), aud)
 			rng := rand.New(rand.NewSource(int64(rep)))
 			start := time.Now()
+			var ups []auditor.Update
 			for j := 0; j < 4096; j++ {
 				k := int64(rng.Intn(256))
-				eng.ScoreUpdated(auditor.Update{
+				ups = append(ups, auditor.Update{
 					ID: seg.ID{File: "f", Index: k}, Score: 1 / float64(k+1), Size: segSize,
 				})
 				if j%128 == 0 {
+					eng.ScoreBatch(ups)
+					ups = ups[:0]
 					eng.Flush()
 				}
 			}
+			eng.ScoreBatch(ups)
 			eng.Flush()
 			planSec += time.Since(start).Seconds()
 			hot := 0

@@ -88,13 +88,6 @@ func (s *Store) Used() int64 {
 	return s.used
 }
 
-// Free returns the remaining capacity in bytes.
-func (s *Store) Free() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.capacity - s.used
-}
-
 // Len returns the number of resident segments.
 func (s *Store) Len() int {
 	s.mu.RLock()

@@ -56,8 +56,8 @@ func TestCapacityEnforced(t *testing.T) {
 	if !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("err = %v, want ErrNoSpace", err)
 	}
-	if s.Used() != 8 || s.Free() != 2 {
-		t.Fatalf("Used/Free = %d/%d, want 8/2", s.Used(), s.Free())
+	if s.Used() != 8 || s.Capacity()-s.Used() != 2 {
+		t.Fatalf("Used = %d of %d, want 8 of 10", s.Used(), s.Capacity())
 	}
 }
 
