@@ -6,16 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"hfetch/internal/core/seg"
 	"hfetch/internal/harness/leakcheck"
 	"hfetch/internal/telemetry"
 )
 
-// fabricConfig returns a fast-device ClusterFabric config with only
-// node-local tiers, so every cross-node segment must travel the
-// cluster fetch path (a shared tier would serve it locally).
+// fabricConfig returns a fast-device cluster config with a quick
+// heartbeat and only node-local tiers, so every cross-node segment must
+// travel the cluster fetch path (a shared tier would serve it locally).
 func fabricConfig(nodes int) Config {
 	cfg := fastConfig(nodes)
-	cfg.ClusterFabric = true
 	cfg.ClusterHeartbeat = 20 * time.Millisecond
 	cfg.Tiers = []TierSpec{
 		{Name: "ram", Capacity: 8 << 20},
@@ -350,5 +350,92 @@ func TestFabricTracePropagation(t *testing.T) {
 	}
 	if crossNode != fsize/4096 {
 		t.Fatalf("%d trace IDs span two node lanes with event + peer_fetch_serve stages, want one per segment read twice (%d; traces: %d)", crossNode, fsize/4096, len(pidsByTID))
+	}
+}
+
+// TestFabricWriteInvalidatesEveryNode: a write on one node drops the
+// file's prefetched copies on every node, so no node serves the old
+// version afterwards — neither from its own tiers nor from a peer's. The
+// cluster is NewCluster's for two nodes with nothing but the transport
+// chosen, in process and over TCP.
+func TestFabricWriteInvalidatesEveryNode(t *testing.T) {
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			defer leakcheck.Guard(t)()
+			cfg := fastConfig(2)
+			cfg.ClusterTransport = transport
+			cfg.EnableTelemetry = true
+			cluster, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cluster.Stop()
+			const segs, size = 16, 16 * 4096
+			cluster.CreateFile("f", size)
+			node0, node1 := cluster.Node(0), cluster.Node(1)
+			resident := func(n *Node) (held int) {
+				for _, st := range n.Server().Hierarchy().Stores() {
+					for i := int64(0); i < segs; i++ {
+						if st.Has(seg.ID{File: "f", Index: i}) {
+							held++
+						}
+					}
+				}
+				return held
+			}
+			warm(t, node0, "f", size)
+			if resident(node0) == 0 {
+				t.Fatal("node 0 prefetched nothing: there is no copy to invalidate")
+			}
+
+			w, err := node1.NewClient().Open("f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WriteAt(0, 50); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			node1.Flush()
+			// The invalidation reaches node 0 as a one-way message; give it
+			// a bounded time to land before node 0's barrier.
+			for deadline := time.Now().Add(2 * time.Second); resident(node0) > 0 && time.Now().Before(deadline); {
+				time.Sleep(5 * time.Millisecond)
+			}
+			node0.Flush()
+			node1.Flush()
+
+			want := make([]byte, 4096)
+			got := make([]byte, 4096)
+			for i, n := range []*Node{node0, node1} {
+				f, err := n.NewClient().Open("f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				stale := 0
+				for off := int64(0); off < size; off += 4096 {
+					cluster.FS().ReadAt("f", off, want)
+					if k, err := f.ReadAt(got, off); err != nil || k != len(got) {
+						t.Fatalf("node %d read at %d: n %d, err %v", i, off, k, err)
+					}
+					if !bytes.Equal(got, want) {
+						stale++
+					}
+				}
+				f.Close()
+				if stale > 0 {
+					t.Errorf("node %d: %d of %d reads after the write returned the old version", i, stale, segs)
+				}
+			}
+			var sent int64
+			for _, m := range node1.Telemetry().Snapshot().Metrics {
+				if m.Name == "hfetch_cluster_invalidations_sent_total" {
+					sent += m.Value
+				}
+			}
+			if sent == 0 {
+				t.Error("the writer's node broadcast no invalidation")
+			}
+		})
 	}
 }

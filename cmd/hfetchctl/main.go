@@ -431,9 +431,8 @@ func runTopFleet(c *remote.Client, addr string, interval time.Duration, count in
 			fmt.Printf("prefetch   timely %-8d late %-8d wasted %-8d redundant %-8d effectiveness %.1f%%\n",
 				timely, late, wasted, redundant, 100*float64(timely)/float64(total))
 		}
-		fmt.Printf("routing    shipped %-8d received %-8d peer fetches %d   watchdog trips %d\n\n",
-			metricSum(merged, "hfetch_cluster_updates_routed_total"),
-			metricSum(merged, "hfetch_cluster_updates_received_total"),
+		fmt.Printf("cluster    invalidations sent %-8d peer fetches %-8d watchdog trips %d\n\n",
+			metricSum(merged, "hfetch_cluster_invalidations_sent_total"),
 			metricSum(merged, "hfetch_remote_reads_total"),
 			metricSum(merged, "hfetch_watchdog_trips_total"))
 

@@ -132,22 +132,17 @@ type Config struct {
 	Tiers []TierSpec
 	// PFS models the origin file system.
 	PFS PFSSpec
-	// ClusterFabric runs the real multi-node fabric (internal/cluster)
-	// over the emulated in-process network: heartbeat membership,
-	// view-change hashmap rebalancing, node-aware update routing, and
-	// the guarded cross-node fetch path. Off by default — the nodes
-	// are then wired statically — and effective only when Nodes > 1.
-	// Killed nodes (Cluster.KillNode) are then detected by the
-	// survivors, which rebalance around them.
+	// Deprecated: ClusterFabric is read by nothing; every cluster of more
+	// than one node runs the fabric.
 	ClusterFabric bool
-	// ClusterHeartbeat is the fabric's heartbeat interval (default 50ms;
-	// suspect and dead thresholds scale from it).
+	// ClusterHeartbeat is the fabric's heartbeat interval (default 250ms,
+	// the membership's; suspect and dead thresholds scale from it).
 	ClusterHeartbeat time.Duration
-	// ClusterTransport selects how fabric peers talk: "" or "inproc"
-	// (emulated in-process network) or "tcp" (real framed TCP on
-	// loopback — the same transport cmd/hfetchd deploys, so benchmarks
-	// and smoke tests exercise true serialization and socket costs).
-	// Only meaningful with ClusterFabric.
+	// ClusterTransport selects how the nodes of a cluster of more than one
+	// talk: "" or "inproc" (emulated in-process network) or "tcp" (real
+	// framed TCP on loopback — the same transport cmd/hfetchd deploys, so
+	// benchmarks and smoke tests exercise true serialization and socket
+	// costs).
 	ClusterTransport string
 }
 
@@ -297,8 +292,8 @@ type Cluster struct {
 // NewCluster builds and starts a cluster. Each node is assembled as
 // NewNode assembles the daemon's; the cluster passes in only what an
 // emulated deployment shares or fixes: one PFS, the shared tiers' stores,
-// the peer network (in process, or TCP on loopback) with its roster, and
-// the heartbeat.
+// and, with more than one node, the fabric: the peer network (in process,
+// or TCP on loopback) with its roster, and the heartbeat.
 func NewCluster(cfg Config) (*Cluster, error) {
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 1
@@ -338,7 +333,7 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		// over TCP, every peer's bound address): a cluster built in one
 		// call skips the discovery churn and the rebalances it would
 		// trigger.
-		useTCP := cfg.ClusterFabric && cfg.ClusterTransport == "tcp"
+		useTCP := cfg.ClusterTransport == "tcp"
 		book := make(map[string]string, cfg.Nodes)
 		for i := range specs {
 			s := &specs[i]
@@ -354,10 +349,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 				s.net = c.net
 			}
 			book[s.name] = addr
-			if cfg.ClusterFabric {
-				s.fabric = &cluster.Config{Self: s.name, Addr: addr, Ops: addr, Static: book,
-					HeartbeatInterval: cfg.ClusterHeartbeat}
-			}
+			s.fabric = &cluster.Config{Self: s.name, Addr: addr, Ops: addr, Static: book,
+				HeartbeatInterval: cfg.ClusterHeartbeat}
 		}
 	}
 	for _, s := range specs {
@@ -393,8 +386,8 @@ func (c *Cluster) Node(i int) *Node { return c.nodes[i] }
 
 // KillNode simulates node i crashing: it is torn off the in-process
 // network (peers' requests to it start failing) and stopped, which clears
-// its own tiers (the shared ones live on with the survivors). With
-// ClusterFabric on, the survivors age it to suspect, then dead, and
+// its own tiers and closes its peer listener (the shared tiers live on
+// with the survivors). The survivors age it to suspect, then dead, and
 // rebalance the hashmaps around it; reads that mapped to its tiers
 // degrade to PFS passthrough.
 func (c *Cluster) KillNode(i int) {
@@ -403,7 +396,7 @@ func (c *Cluster) KillNode(i int) {
 	n.Stop()
 }
 
-// ClusterNode exposes node i's fabric agent (nil unless ClusterFabric).
+// ClusterNode exposes node i's fabric agent (nil in a one-node cluster).
 func (c *Cluster) ClusterNode(i int) *cluster.Node { return c.nodes[i].cn }
 
 // CreateFile registers a synthetic file of the given size in the PFS.

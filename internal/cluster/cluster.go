@@ -29,17 +29,12 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	SuspectAfter      time.Duration
 	DeadAfter         time.Duration
-	// Mux is the peer-facing handler table: heartbeats, routed updates,
+	// Mux is the peer-facing handler table: heartbeats, invalidations,
 	// dhm traffic and remote reads all share it.
 	Mux *comm.Mux
 	// DialAddr opens a transport connection to a peer address
 	// (comm.DialTCPOpts for daemons, InprocNetwork.Dial for emulation).
 	DialAddr func(addr string) (comm.Peer, error)
-	// Fetch tunes the cross-node read path (zeros take defaults).
-	Fetch FetcherConfig
-	// SuspectThreshold is the consecutive-failure count before a peer is
-	// reported suspect (default comm.DefaultHealthThreshold).
-	SuspectThreshold int
 	// Telemetry, when non-nil, exports the cluster metric families.
 	Telemetry *telemetry.Registry
 }
@@ -71,11 +66,7 @@ type Node struct {
 // yet probing).
 func New(cfg Config) *Node {
 	n := &Node{cfg: cfg}
-	thr := cfg.SuspectThreshold
-	if thr <= 0 {
-		thr = comm.DefaultHealthThreshold
-	}
-	n.health = comm.NewHealth(thr)
+	n.health = comm.NewHealth(comm.DefaultHealthThreshold)
 	n.commStats = comm.NewStats(cfg.Telemetry)
 	n.health.SetStats(n.commStats)
 	n.mem = NewMembership(MembershipConfig{
@@ -102,8 +93,8 @@ func New(cfg Config) *Node {
 }
 
 // Attach wires the fabric into a built server and its hashmaps: the
-// cross-node fetch path becomes the server's peer read path, the
-// node-aware router wraps the placement engine, and view changes
+// cross-node fetch path becomes the server's peer read path, the router
+// wraps the placement engine to fan invalidations out, and view changes
 // rebalance both hashmaps. Call before Start.
 func (n *Node) Attach(srv *server.Server, stats, maps *dhm.Map) {
 	n.mu.Lock()
@@ -111,13 +102,7 @@ func (n *Node) Attach(srv *server.Server, stats, maps *dhm.Map) {
 	n.maps = maps
 	n.mu.Unlock()
 
-	fc := n.cfg.Fetch
-	fc.Health = n.health
-	if fc.SuspectAfter <= 0 {
-		fc.SuspectAfter = n.health.Threshold()
-	}
-	fc.Telemetry = n.cfg.Telemetry
-	n.fetch = NewFetcher(fc, n.mem, srv)
+	n.fetch = NewFetcher(FetcherConfig{Health: n.health, Telemetry: n.cfg.Telemetry}, n.mem, srv)
 	srv.SetRemoteReader(n.fetch)
 
 	router := NewRouter(n.cfg.Self, srv.Engine(), n.mem, n.cfg.Mux, n.cfg.Telemetry)

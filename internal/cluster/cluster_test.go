@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -235,57 +236,76 @@ func TestFetcherSingleFlight(t *testing.T) {
 }
 
 // TestFetcherBackoffAndSuspect checks transport failures open a cooldown
-// window and eventually report the peer suspect, degrading to PFS
-// passthrough (ok=false) without further peer calls.
+// window that doubles per failure and, at suspectAfter consecutive
+// failures, report the peer suspect, degrading to PFS passthrough
+// (ok=false) without further peer calls.
 func TestFetcherBackoffAndSuspect(t *testing.T) {
 	defer leakcheck.Slab(t)() // the shared view is a slab buffer: hit, error and stale answer all return it
 	net := comm.NewInprocNetwork(nil)
 	mem := staticMembership(net, "n0", "n1")
 	fc := &fakeCaller{err: errors.New("conn refused")}
-	f := NewFetcher(FetcherConfig{
-		BackoffBase:  time.Hour, // one failure must gate the next attempt
-		SuspectAfter: 1,
-	}, mem, fc)
+	f := NewFetcher(FetcherConfig{}, mem, fc)
 
 	buf := make([]byte, 8)
 	id := seg.ID{File: "/f", Index: 0}
-	if _, ok := f.ReadRemote("n1", "ram", id, 0, buf); ok {
-		t.Fatal("failed fetch reported ok")
+	backoff := backoffBase
+	for i := 1; i <= suspectAfter; i++ {
+		if !mem.Usable("n1") {
+			t.Fatalf("peer suspected after %d of %d failures", i-1, suspectAfter)
+		}
+		if _, ok := f.ReadRemote("n1", "ram", id, 0, buf); ok {
+			t.Fatal("failed fetch reported ok")
+		}
+		failed := time.Now()
+		if got := fc.count(); got != i {
+			t.Fatalf("failure %d made %d peer calls in all, want %d", i, got, i)
+		}
+		if i == suspectAfter {
+			break
+		}
+		// Inside the cooldown the next attempt goes to the PFS unasked.
+		if _, ok := f.ReadRemote("n1", "ram", id, 0, buf); ok {
+			t.Fatal("gated fetch reported ok")
+		}
+		if fc.count() != i && time.Since(failed) < backoff {
+			t.Fatalf("the cooldown after failure %d did not gate the next attempt", i)
+		}
+		time.Sleep(time.Until(failed.Add(backoff + 10*time.Millisecond)))
+		backoff *= 2
 	}
-	// SuspectAfter=1: the single failure must have reported n1.
 	if mem.Usable("n1") {
-		t.Fatal("peer not suspected after threshold failures")
+		t.Fatalf("peer not suspected after %d failures", suspectAfter)
 	}
 	calls := fc.count()
 	if _, ok := f.ReadRemote("n1", "ram", id, 0, buf); ok {
-		t.Fatal("gated fetch reported ok")
+		t.Fatal("fetch from a suspect peer reported ok")
 	}
 	if fc.count() != calls {
-		t.Fatal("cooldown window did not gate the second attempt")
+		t.Fatal("a suspect peer was asked")
 	}
 }
 
 // TestFetcherStaleMappingIsNotFailure checks a clean "not resident"
-// answer does not penalize the peer.
+// answer does not penalize the peer: suspectAfter of them in a row open
+// no cooldown and report nothing to membership.
 func TestFetcherStaleMappingIsNotFailure(t *testing.T) {
 	defer leakcheck.Slab(t)() // the shared view is a slab buffer: hit, error and stale answer all return it
 	net := comm.NewInprocNetwork(nil)
 	mem := staticMembership(net, "n0", "n1")
 	fc := &fakeCaller{ok: false}
-	f := NewFetcher(FetcherConfig{SuspectAfter: 1}, mem, fc)
+	f := NewFetcher(FetcherConfig{}, mem, fc)
 
 	buf := make([]byte, 8)
-	if _, ok := f.ReadRemote("n1", "ram", seg.ID{File: "/f"}, 0, buf); ok {
-		t.Fatal("stale mapping reported ok")
+	for i := 1; i <= suspectAfter; i++ {
+		if _, ok := f.ReadRemote("n1", "ram", seg.ID{File: "/f"}, 0, buf); ok {
+			t.Fatal("stale mapping reported ok")
+		}
+		if fc.count() != i {
+			t.Fatalf("stale answer %d: %d peer calls in all, want %d (a clean miss opened a cooldown)", i, fc.count(), i)
+		}
 	}
 	if !mem.Usable("n1") {
-		t.Fatal("stale mapping must not suspect the peer")
-	}
-	// And no cooldown: the next attempt goes straight through.
-	calls := fc.count()
-	f.ReadRemote("n1", "ram", seg.ID{File: "/f"}, 0, buf)
-	if fc.count() != calls+1 {
-		t.Fatal("clean miss opened a cooldown window")
+		t.Fatal("stale mappings must not suspect the peer")
 	}
 }
 
@@ -299,8 +319,8 @@ func (d tcpDialer) Dial(node string) comm.Peer {
 	return p
 }
 
-// TestFetcherReadAllocs guards the peer read end to end: a Fetcher with
-// no membership over a reading server, a serving server behind TCP
+// TestFetcherReadAllocs guards the peer read end to end: a Fetcher gated
+// by a membership over a reading server, a serving server behind TCP
 // loopback, both in this process. What is left is the response head the
 // reading side's transport hands its caller.
 func TestFetcherReadAllocs(t *testing.T) {
@@ -331,7 +351,7 @@ func TestFetcherReadAllocs(t *testing.T) {
 	defer ln.Close()
 	dial := tcpDialer{"n0": ln.Addr()}
 	n1.EnableRemote(comm.NewMux(), dial)
-	f := NewFetcher(FetcherConfig{}, nil, n1)
+	f := NewFetcher(FetcherConfig{}, staticMembership(comm.NewInprocNetwork(nil), "n1", "n0"), n1)
 
 	const size = 64 << 10
 	id := seg.ID{File: "f", Index: 0}
@@ -383,52 +403,9 @@ func (s *recSink) invalidations() []string {
 	return append([]string(nil), s.invals...)
 }
 
-// TestRouterPartitionsByOrigin checks local-origin updates go to the
-// local engine while foreign-origin updates are shipped to the origin
-// node and delivered there with origin cleared.
-func TestRouterPartitionsByOrigin(t *testing.T) {
-	net := comm.NewInprocNetwork(nil)
-	mem0 := staticMembership(net, "n0", "n1")
-	mem1 := staticMembership(net, "n1", "n0")
-
-	sink0, sink1 := &recSink{}, &recSink{}
-	mux0, mux1 := comm.NewMux(), comm.NewMux()
-	net.Join("n0", mux0)
-	net.Join("n1", mux1)
-	r0 := NewRouter("n0", sink0, mem0, mux0, nil)
-	NewRouter("n1", sink1, mem1, mux1, nil)
-
-	r0.ScoreBatch([]auditor.Update{
-		{ID: seg.ID{File: "/a", Index: 0}, Score: 1},                // local (empty origin)
-		{ID: seg.ID{File: "/a", Index: 1}, Score: 2, Origin: "n0"},  // local (self)
-		{ID: seg.ID{File: "/b", Index: 0}, Score: 3, Origin: "n1"},  // foreign
-		{ID: seg.ID{File: "/b", Index: 1}, Score: 4, Origin: "nXX"}, // unknown → local fallback
-	})
-
-	deadline := time.Now().Add(2 * time.Second)
-	for len(sink1.updates()) < 1 {
-		if time.Now().After(deadline) {
-			t.Fatalf("foreign update never arrived at n1; n1 got %v", sink1.updates())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	got1 := sink1.updates()
-	if len(got1) != 1 || got1[0].Score != 3 || got1[0].Origin != "" {
-		t.Fatalf("n1 updates = %+v, want one score-3 update with origin cleared", got1)
-	}
-	got0 := sink0.updates()
-	if len(got0) != 3 {
-		t.Fatalf("n0 updates = %+v, want 3 (two local + unknown-origin fallback)", got0)
-	}
-	for _, u := range got0 {
-		if u.Score == 3 {
-			t.Fatal("foreign update also delivered locally")
-		}
-	}
-}
-
 // TestRouterBroadcastsInvalidations checks a write invalidation reaches
-// every peer exactly once (no re-broadcast loop).
+// every peer exactly once (no re-broadcast loop), while a score batch
+// goes to the local engine alone, unchanged.
 func TestRouterBroadcastsInvalidations(t *testing.T) {
 	net := comm.NewInprocNetwork(nil)
 	mem0 := staticMembership(net, "n0", "n1", "n2")
@@ -444,6 +421,8 @@ func TestRouterBroadcastsInvalidations(t *testing.T) {
 	NewRouter("n1", sinks[1], mem1, muxes[1], nil)
 	NewRouter("n2", sinks[2], mem2, muxes[2], nil)
 
+	batch := []auditor.Update{{ID: seg.ID{File: "/data", Index: 1}, Score: 2, Size: 4096, Trace: 7, Ahead: true}}
+	r0.ScoreBatch(batch)
 	r0.FileInvalidated("/data")
 
 	deadline := time.Now().Add(2 * time.Second)
@@ -458,6 +437,13 @@ func TestRouterBroadcastsInvalidations(t *testing.T) {
 	for i, s := range sinks {
 		if got := s.invalidations(); len(got) != 1 || got[0] != "/data" {
 			t.Fatalf("node %d invalidations = %v, want exactly [/data]", i, got)
+		}
+		want := batch
+		if i != 0 {
+			want = nil
+		}
+		if got := s.updates(); !slices.Equal(got, want) {
+			t.Fatalf("node %d score updates = %+v, want %+v", i, got, want)
 		}
 	}
 }

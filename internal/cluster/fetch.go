@@ -19,16 +19,8 @@ type remoteViewer interface {
 	ViewRemote(node, tier string, id seg.ID, off int64, length int) (comm.Reply, bool, error)
 }
 
-// FetcherConfig tunes the cross-node fetch path.
+// FetcherConfig wires the cross-node fetch path to its node.
 type FetcherConfig struct {
-	// BackoffBase and BackoffMax bound the per-peer cooldown after a
-	// transport failure (defaults 100ms and 5s; doubles per failure).
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-	// SuspectAfter is the consecutive-transport-failure count after
-	// which the peer is reported suspect to membership (default
-	// comm.DefaultHealthThreshold).
-	SuspectAfter int
 	// Health, when non-nil, records per-peer outcomes (shared with the
 	// membership prober so both paths feed one verdict).
 	Health *comm.Health
@@ -37,18 +29,26 @@ type FetcherConfig struct {
 	Telemetry *telemetry.Registry
 }
 
+// The per-peer cooldown after a transport failure starts at backoffBase
+// and doubles per failure up to backoffMax; suspectAfter consecutive
+// failures report the peer suspect to membership.
+const (
+	backoffBase  = 100 * time.Millisecond
+	backoffMax   = 5 * time.Second
+	suspectAfter = comm.DefaultHealthThreshold
+)
+
 // Fetcher is a server's one peer read path, installed via
 // server.SetRemoteReader. On a local miss whose mapping points at a
 // peer's tier it serves the read over comm — the peer's RAM/NVMe is
 // still far faster than the PFS — with three guards so a sick cluster
 // degrades to PFS passthrough instead of stalling reads:
 //
-//   - a membership gate: suspect or dead peers are never asked (open
-//     without a membership, as on a cluster wired without the fabric);
+//   - a membership gate: suspect or dead peers are never asked;
 //   - single-flight: concurrent reads of the same remote range share
 //     one request;
 //   - per-peer cooldown with doubling backoff after transport failures,
-//     and a suspect report to membership after SuspectAfter consecutive
+//     and a suspect report to membership after suspectAfter consecutive
 //     failures.
 //
 // Lock discipline: mu is released before any network call ("cluster
@@ -113,18 +113,9 @@ type peerCooldown struct {
 	backoff  time.Duration
 }
 
-// NewFetcher builds the fetch path over a membership view (nil: every
-// peer is usable) and a direct caller (the local server).
+// NewFetcher builds the fetch path over a membership view and a direct
+// caller (the local server).
 func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteViewer) *Fetcher {
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = 100 * time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 5 * time.Second
-	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = comm.DefaultHealthThreshold
-	}
 	f := &Fetcher{
 		cfg:       cfg,
 		mem:       mem,
@@ -144,7 +135,7 @@ func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteViewer) *Fetcher 
 // PFS" — the caller cannot distinguish why, by design: every failure
 // mode of the remote path has the same safe fallback.
 func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) (int, bool) {
-	if (f.mem != nil && !f.mem.Usable(node)) || !f.admit(node) {
+	if !f.mem.Usable(node) || !f.admit(node) {
 		f.outcome("gated")
 		return 0, false
 	}
@@ -205,7 +196,6 @@ func (f *Fetcher) admit(node string) bool {
 // open (and double) the backoff window; any completed exchange —
 // success or a clean "not resident" — closes it.
 func (f *Fetcher) settle(node string, err error) {
-	var suspect bool
 	f.mu.Lock()
 	if err == nil {
 		delete(f.cooldown, node)
@@ -214,17 +204,15 @@ func (f *Fetcher) settle(node string, err error) {
 	}
 	cd := f.cooldown[node]
 	if cd == nil {
-		cd = &peerCooldown{backoff: f.cfg.BackoffBase}
+		cd = &peerCooldown{backoff: backoffBase}
 		f.cooldown[node] = cd
 	}
 	cd.failures++
 	cd.nextTry = time.Now().Add(cd.backoff)
-	if cd.backoff *= 2; cd.backoff > f.cfg.BackoffMax {
-		cd.backoff = f.cfg.BackoffMax
-	}
-	suspect = cd.failures >= f.cfg.SuspectAfter
+	cd.backoff = min(2*cd.backoff, backoffMax)
+	suspect := cd.failures >= suspectAfter
 	f.mu.Unlock()
-	if suspect && f.mem != nil {
+	if suspect {
 		f.mem.Suspect(node)
 	}
 }

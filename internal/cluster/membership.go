@@ -10,9 +10,8 @@
 //     serve from a peer's faster tier over comm before falling back to
 //     the PFS, with single-flight dedup and timeout/backoff so a slow or
 //     dead peer degrades to PFS passthrough instead of stalling reads;
-//   - node-aware placement routing (route.go): score updates whose
-//     access origin is another node are delivered to that node's
-//     placement engine, so data is prefetched where it will be read;
+//   - invalidation fan-out (route.go): a write observed on one node
+//     drops the file's prefetched copies on every member;
 //   - self-healing named peers (dial.go) that redial through the
 //     membership address book, so the dhm and server peer caches survive
 //     peer restarts.

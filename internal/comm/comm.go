@@ -36,7 +36,7 @@
 // The head is the message's encoding, owned by the package that owns
 // the message: srv.read (internal/core/server), the dhm RPC and its
 // tagged values (internal/dhm, *auditor.Rec registering its own pair),
-// cluster.update / cluster.inval / cluster.hb (internal/cluster) are
+// cluster.inval / cluster.hb (internal/cluster) are
 // hand-written binary codecs; ctl.* and the agent protocol still put a
 // gob encoding there. comm never looks inside a head; field.go only
 // offers the length-prefixed field helpers the codecs share.

@@ -73,15 +73,6 @@ func (h *Health) Consecutive(node string) int {
 	return h.peers[node]
 }
 
-// Threshold returns the consecutive-failure count at which a peer is
-// reported unhealthy. Nil-safe.
-func (h *Health) Threshold() int {
-	if h == nil {
-		return DefaultHealthThreshold
-	}
-	return h.threshold
-}
-
 // Forget drops node's history (a departed member).
 func (h *Health) Forget(node string) {
 	if h == nil {

@@ -60,15 +60,9 @@ type Update struct {
 	// update (0 = untraced); it lets the engine attribute the fetch it
 	// decides on back to the event that caused it.
 	Trace uint64
-	// Origin names the node whose client drives the access (empty =
-	// local). The cluster router uses it to deliver the update to the
-	// placement engine of the node that will read the data.
-	Origin string
 	// Ahead marks a stream readahead hint: the segment has not been read
 	// and its reader is a few requests away, so the engine decides on it
-	// now instead of at its next trigger. The mark does not cross the
-	// cluster router's wire: a hint routed to another node's engine waits
-	// there like any update.
+	// now instead of at its next trigger.
 	Ahead bool
 }
 
@@ -550,7 +544,7 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 			continue
 		}
 		succ := int64(binary.BigEndian.Uint64(out[16:]))
-		up := Update{ID: id, Score: sc, Size: size, Origin: ev.Origin}
+		up := Update{ID: id, Score: sc, Size: size}
 		if idx == first {
 			// The event's trace is rooted at its first segment; updates
 			// for the rest of a multi-segment read stay untraced.
@@ -562,7 +556,7 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 		// Sequencing readahead: boost the known successor of every
 		// accessed segment so it climbs the hierarchy ahead of its read.
 		if succ >= 0 && succ != idx && a.cfg.SeqBoost > 0 {
-			a.boost(seg.ID{File: ev.File, Index: succ}, ts, fileSize, ev.Origin, false, 0, c)
+			a.boost(seg.ID{File: ev.File, Index: succ}, ts, fileSize, false, 0, c)
 		}
 	}
 
@@ -577,7 +571,7 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 	if hintFrom < hintTo {
 		a.ctr.hints.Add(hintTo - hintFrom)
 		for idx := hintFrom; idx < hintTo; idx++ {
-			a.boost(seg.ID{File: ev.File, Index: idx}, ts, fileSize, ev.Origin, true, top, c)
+			a.boost(seg.ID{File: ev.File, Index: idx}, ts, fileSize, true, top, c)
 		}
 	}
 }
@@ -599,12 +593,10 @@ func (a *Auditor) learnLink(file string, prev, cur int64, c *cycle) {
 }
 
 // boost applies the anticipatory sequencing weight to id. The update
-// inherits the triggering access's origin: the successor should be
-// prefetched where the reader is. It carries at least floor as its score;
-// the stored record keeps Eq. (1).
+// carries at least floor as its score; the stored record keeps Eq. (1).
 //
 //hfetch:hotpath
-func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, ahead bool, floor float64, c *cycle) {
+func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, ahead bool, floor float64, c *cycle) {
 	binary.BigEndian.PutUint64(c.arg[0:8], uint64(ts.UnixNano()))
 	binary.BigEndian.PutUint64(c.arg[8:16], math.Float64bits(a.cfg.SeqBoost))
 	out, err := a.stats.ApplyResult(dhm.Key(id), opRef, c.arg[:], c.res[:0])
@@ -618,7 +610,7 @@ func (a *Auditor) boost(id seg.ID, ts time.Time, fileSize int64, origin string, 
 			size = a.cfg.Segmenter.Size()
 		}
 	}
-	c.ups = append(c.ups, Update{ID: id, Score: max(sc, floor), Size: size, Origin: origin, Ahead: ahead})
+	c.ups = append(c.ups, Update{ID: id, Score: max(sc, floor), Size: size, Ahead: ahead})
 }
 
 func (a *Auditor) handleWrite(ev events.Event) {

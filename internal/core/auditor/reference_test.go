@@ -121,7 +121,7 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 		if ahead {
 			sc = max(sc, top)
 		}
-		ups = append(ups, Update{ID: id, Score: sc, Size: size, Origin: ev.Origin, Ahead: ahead})
+		ups = append(ups, Update{ID: id, Score: sc, Size: size, Ahead: ahead})
 	}
 	for idx := first; idx <= last; idx++ {
 		id := seg.ID{File: ev.File, Index: idx}
@@ -131,7 +131,7 @@ func (r *refAuditor) handle(ev events.Event) (ups []Update) {
 		}
 		rec := r.access(id, ts, segSize)
 		sc := r.model.Score(&rec.Stats, ts)
-		up := Update{ID: id, Score: sc, Size: rec.Size, Origin: ev.Origin}
+		up := Update{ID: id, Score: sc, Size: rec.Size}
 		if idx == first {
 			up.Trace = ev.Trace
 		}
@@ -181,7 +181,7 @@ const refSegSize = 64 << 10
 const refFileSize = batchSegs*refSegSize - refSegSize/3
 
 // refTrace is one fixed trace of 4096 read events over batchFile. Random
-// reads vary in length (half a segment to three), origin and trace id,
+// reads vary in length (half a segment to three) and trace id,
 // and every fifth lands in a hot set of 16 segments;
 // sequential ones are whole segments in order, the shape the stream
 // detector hints ahead of.
@@ -191,8 +191,7 @@ func refTrace(sequential bool, pass int) []events.Event {
 	for i := range evs {
 		n := pass*batchSegs + i
 		ev := events.Event{Op: events.OpRead, File: batchFile, Trace: uint64(n + 1),
-			Time:   time.Unix(1700000000, 0).Add(time.Duration(n) * 700 * time.Microsecond),
-			Origin: [...]string{"", "", "n1"}[n%3]}
+			Time: time.Unix(1700000000, 0).Add(time.Duration(n) * 700 * time.Microsecond)}
 		if sequential {
 			ev.Offset, ev.Length = int64(i)*refSegSize, refSegSize
 		} else {
@@ -211,7 +210,7 @@ func refTrace(sequential bool, pass int) []events.Event {
 
 // TestInPlaceEventPathEqualsCopyOnWriteReference: HandleBatch over ops
 // that mutate in place and answer under the lock emits the Update
-// sequence — score bits, size, order, origin, trace, Ahead — that the
+// sequence — score bits, size, order, trace, Ahead — that the
 // copy-on-write reference emits one event at a time, and leaves the same
 // record for every segment. Each case plays two passes, so both the cold
 // pass (records created, links learned, a sequential reader hinted) and

@@ -153,7 +153,7 @@ type Stats struct {
 	Superseded int64 // in-flight segments re-placed by a newer pass
 	Cancelled  int64 // moves dropped before (or undone after) executing
 	// Retried is always 0: nothing increments it (a full destination is
-	// waited for). benchmark/ reads it; ROADMAP item 4's PR drops it.
+	// waited for). benchmark/ reads it; ROADMAP item 8, the benchmark PR, drops it.
 	Retried     int64
 	QueueDepths []int // queued moves per tier, fastest first
 	Outstanding int   // segments in flight (queued + running + waiting)

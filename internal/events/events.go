@@ -60,11 +60,6 @@ type Event struct {
 	// placement update so a prefetch can be attributed to the access
 	// that caused it.
 	Trace uint64
-	// Origin names the cluster node whose client issued (or will issue)
-	// the access; empty means the local node. It gives placement its
-	// "where" axis: score updates for a foreign origin are routed to that
-	// node's engine so data is prefetched where it will be read.
-	Origin string
 }
 
 // Registry implements the watch table: files gain a watch when the first

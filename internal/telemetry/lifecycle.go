@@ -22,10 +22,6 @@ const (
 	StageLand = "land"
 	// StageRead marks the first application read served from a tier.
 	StageRead = "read"
-	// StageRoute marks a score update leaving (or arriving at) a node on
-	// the cluster routing path; the span's duration is the wire hop time
-	// when the receiver records it.
-	StageRoute = "route"
 	// StagePeerFetchServe marks a node serving a cross-node fetch from
 	// its own tiers on behalf of a peer. It is recorded on the serving
 	// node under the requester's trace ID, so a merged fleet export shows

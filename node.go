@@ -26,7 +26,7 @@ import (
 type Node struct {
 	name string
 	srv  *server.Server
-	cn   *cluster.Node   // fabric membership; nil outside a fabric
+	cn   *cluster.Node   // fabric membership; nil on a node alone
 	tcp  *comm.TCPServer // peer listener; nil unless the fabric runs over TCP
 	wal  *dhm.WAL        // nil unless the hashmaps are logged
 	wd   *telemetry.Watchdog
@@ -62,8 +62,8 @@ type nodeSpec struct {
 	net     *comm.InprocNetwork
 	tcp     *comm.TCPServer
 	timeout time.Duration
-	// fabric, when set, runs membership (Mux, DialAddr and Telemetry are
-	// filled in here); a roster without it is wired statically.
+	// fabric, set whenever mux is, runs membership (Mux, DialAddr and
+	// Telemetry are filled in here).
 	fabric *cluster.Config
 }
 
@@ -152,9 +152,6 @@ func assemble(cfg Config, s nodeSpec) (*Node, error) {
 		TenantBurst: g.TenantBurst, AdmitWait: g.AdmitWait, Telemetry: reg,
 	}}
 	var dialer dhm.Dialer
-	if s.net != nil {
-		dialer = s.net
-	}
 	if s.fabric != nil {
 		fc := *s.fabric
 		fc.Mux, fc.Telemetry = s.mux, reg
@@ -192,13 +189,8 @@ func assemble(cfg Config, s nodeSpec) (*Node, error) {
 		}
 		return nil, err
 	}
-	switch {
-	case n.cn != nil:
+	if n.cn != nil {
 		n.cn.Attach(n.srv, stats, maps)
-	case s.mux != nil:
-		// Statically wired: the one peer read path, no membership gate.
-		n.srv.EnableRemote(s.mux, dialer)
-		n.srv.SetRemoteReader(cluster.NewFetcher(cluster.FetcherConfig{}, nil, n.srv))
 	}
 	n.srv.Start()
 	if n.cn != nil {
