@@ -20,9 +20,7 @@ import (
 	"strings"
 
 	"hfetch/internal/analysis/bufown"
-	"hfetch/internal/analysis/driftcheck"
 	"hfetch/internal/analysis/framework"
-	"hfetch/internal/analysis/goleak"
 	"hfetch/internal/analysis/hotpath"
 	"hfetch/internal/analysis/lockorder"
 	"hfetch/internal/analysis/nilsafe"
@@ -33,8 +31,6 @@ var suite = []*framework.Analyzer{
 	hotpath.Analyzer,
 	nilsafe.Analyzer,
 	bufown.Analyzer,
-	goleak.Analyzer,
-	driftcheck.Analyzer,
 }
 
 // finding is the -json output shape, one object per diagnostic.

@@ -37,26 +37,6 @@ type Analyzer struct {
 	Doc string
 	// Run performs the analysis on one package.
 	Run func(*Pass) error
-	// Finish, when non-nil, runs once after every package's Run with
-	// all the passes that ran — the hook whole-tree contract checks
-	// (driftcheck) use to union per-package facts before comparing them
-	// against external ground truth. Findings it reports go through the
-	// same //lint:allow filtering as per-package ones.
-	Finish func(*FinishContext) error
-}
-
-// FinishContext carries the cross-package view to an Analyzer.Finish
-// hook.
-type FinishContext struct {
-	// Fset is the shared file set of every loaded package. Finish hooks
-	// that diagnose non-Go files (documentation contracts) may AddFile
-	// them here to mint real positions.
-	Fset *token.FileSet
-	// Passes are this analyzer's per-package passes, with whatever each
-	// Run stored in Pass.Facts.
-	Passes []*Pass
-	// Report delivers one whole-tree finding.
-	Report func(Diagnostic)
 }
 
 // Pass carries one package's ASTs and type information to an analyzer.
@@ -74,9 +54,6 @@ type Pass struct {
 	// Report delivers one finding. The driver handles //lint:allow
 	// filtering, deduplication and ordering; analyzers just report.
 	Report func(Diagnostic)
-	// Facts is scratch storage a Run may fill for its analyzer's Finish
-	// hook; the framework never touches it.
-	Facts any
 }
 
 // Reportf is a convenience formatter around Report.

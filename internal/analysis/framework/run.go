@@ -5,20 +5,14 @@ import "fmt"
 // Run executes every analyzer over every package and returns the
 // surviving findings, ordered by position. //lint:allow suppressions
 // are applied here; malformed suppressions surface as "allowsyntax"
-// findings so they cannot silently disable a check. Analyzers with a
-// Finish hook get it invoked once after the per-package loop, with
-// their passes (and whatever facts those stored); Finish findings pass
-// through the same suppression filter.
+// findings so they cannot silently disable a check.
 func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var all []Diagnostic
-	var allRules []allowRule
-	passesOf := make(map[*Analyzer][]*Pass, len(analyzers))
 	for _, pkg := range pkgs {
 		var raw []Diagnostic
 		rules := collectAllows(pkg.Fset, pkg.Files, func(d Diagnostic) {
 			raw = append(raw, d)
 		})
-		allRules = append(allRules, rules...)
 		for _, a := range analyzers {
 			pass := &Pass{
 				Analyzer:  a,
@@ -32,7 +26,6 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				d.Analyzer = name
 				raw = append(raw, d)
 			}
-			passesOf[a] = append(passesOf[a], pass)
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.PkgPath, err)
 			}
@@ -51,38 +44,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 	}
 	if len(pkgs) > 0 {
-		fset := pkgs[0].Fset
-		seen := make(map[string]bool)
-		for _, a := range analyzers {
-			if a.Finish == nil {
-				continue
-			}
-			var finish []Diagnostic
-			name := a.Name
-			fc := &FinishContext{
-				Fset:   fset,
-				Passes: passesOf[a],
-				Report: func(d Diagnostic) {
-					d.Analyzer = name
-					finish = append(finish, d)
-				},
-			}
-			if err := a.Finish(fc); err != nil {
-				return nil, fmt.Errorf("%s: finish: %v", a.Name, err)
-			}
-			for _, d := range finish {
-				if suppressed(fset, allRules, d) {
-					continue
-				}
-				key := fmt.Sprintf("%v|%s|%s", fset.Position(d.Pos), d.Analyzer, d.Message)
-				if seen[key] {
-					continue
-				}
-				seen[key] = true
-				all = append(all, d)
-			}
-		}
-		SortDiagnostics(fset, all)
+		SortDiagnostics(pkgs[0].Fset, all)
 	}
 	return all, nil
 }

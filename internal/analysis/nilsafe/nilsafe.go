@@ -1,26 +1,20 @@
-// Package nilsafe enforces the telemetry nil-safety contract from both
-// sides.
-//
-// Rule A — inside the telemetry package: every exported method with a
-// pointer receiver on a nil-safe type (Registry, Lifecycle, Counter,
-// Gauge, Histogram, AccessLog, CounterVec, HistVec) must
-// establish its nil guard in the first statement: a `recv == nil`
-// comparison (guard-and-return or `return recv != nil`), or pure
-// delegation to another method of the same receiver. This is what makes
-// a disabled (nil) registry free to call from anywhere.
-//
-// Rule B — outside the telemetry package: a method call on a gated
-// type (*telemetry.Lifecycle, *telemetry.Watchdog) must sit behind the
-// established call-site gate. The lifecycle tracer is fetched through
-// an atomic pointer and the idiom skips argument construction when
-// tracing is off; the watchdog is nil when disabled, and gating keeps
-// probe closures from being built for nothing:
+// Package nilsafe enforces the telemetry call-site gate: outside the
+// telemetry package, a method call on a gated type
+// (*telemetry.Lifecycle, *telemetry.Watchdog) must sit behind a nil
+// check. The lifecycle tracer is fetched through an atomic pointer and
+// the idiom skips argument construction when tracing is off; the
+// watchdog is nil when disabled, and gating keeps probe closures from
+// being built for nothing:
 //
 //	if lc := reg.Lifecycle(); lc != nil { lc.OnReadHit(...) }
 //
 // or an early `if lc == nil { return }` guard earlier in the function.
 // Calling through the accessor directly (reg.Lifecycle().OnX(...)) is
 // always flagged.
+//
+// The other half of the contract, that every exported method of a
+// nil-safe telemetry type tolerates a nil receiver, is behaviour, and
+// telemetry's TestNilReceivers checks it by calling each one.
 package nilsafe
 
 import (
@@ -34,24 +28,18 @@ import (
 // Config parameterizes the analyzer so fixtures can target
 // fixture-local types.
 type Config struct {
-	// Pkg is the package whose exported methods Rule A covers.
+	// Pkg is the package declaring the gated types; calls inside it
+	// are not checked.
 	Pkg string
-	// NilSafe are type names in Pkg whose pointer methods must begin
-	// with the nil guard.
-	NilSafe []string
 	// Gated are type names in Pkg whose methods must be nil-gated at
-	// call sites outside Pkg (Rule B).
+	// call sites outside Pkg.
 	Gated []string
 }
 
 // DefaultConfig covers hfetch/internal/telemetry.
 func DefaultConfig() Config {
 	return Config{
-		Pkg: "hfetch/internal/telemetry",
-		NilSafe: []string{
-			"Registry", "Lifecycle", "Counter", "Gauge", "Histogram",
-			"AccessLog", "CounterVec", "HistVec", "Watchdog",
-		},
+		Pkg:   "hfetch/internal/telemetry",
 		Gated: []string{"Lifecycle", "Watchdog"},
 	}
 }
@@ -63,154 +51,21 @@ var Analyzer = NewAnalyzer(DefaultConfig())
 func NewAnalyzer(cfg Config) *framework.Analyzer {
 	return &framework.Analyzer{
 		Name: "nilsafe",
-		Doc:  "enforce telemetry nil-receiver guards and call-site lifecycle gating",
+		Doc:  "gate calls on the optional lifecycle tracer and watchdog behind a nil check",
 		Run:  func(pass *framework.Pass) error { return run(pass, cfg) },
 	}
 }
 
 func run(pass *framework.Pass, cfg Config) error {
-	if pass.Pkg == nil {
+	if pass.Pkg == nil || pass.Pkg.Path() == cfg.Pkg {
 		return nil
-	}
-	nilSafe := make(map[string]bool, len(cfg.NilSafe))
-	for _, n := range cfg.NilSafe {
-		nilSafe[cfg.Pkg+"."+n] = true
 	}
 	gated := make(map[string]bool, len(cfg.Gated))
 	for _, n := range cfg.Gated {
 		gated[cfg.Pkg+"."+n] = true
 	}
-	if pass.Pkg.Path() == cfg.Pkg {
-		ruleA(pass, nilSafe)
-		return nil
-	}
-	ruleB(pass, gated)
+	checkFuncs(pass, gated)
 	return nil
-}
-
-// --- Rule A -----------------------------------------------------------
-
-func ruleA(pass *framework.Pass, nilSafe map[string]bool) {
-	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Recv == nil || !fd.Name.IsExported() {
-				continue
-			}
-			fn, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if fn == nil {
-				continue
-			}
-			sig := fn.Type().(*types.Signature)
-			if _, isPtr := types.Unalias(sig.Recv().Type()).(*types.Pointer); !isPtr {
-				continue
-			}
-			recv := framework.ReceiverNamed(fn)
-			if !nilSafe[framework.TypeKey(recv)] {
-				continue
-			}
-			recvObj := recvVar(pass, fd)
-			if recvObj == nil {
-				// Unnamed receiver cannot be nil-checked.
-				pass.Reportf(fd.Name.Pos(),
-					"exported method %s.%s on nil-safe type has unnamed receiver; name it and add the nil guard",
-					recv.Obj().Name(), fd.Name.Name)
-				continue
-			}
-			if !guardsBeforeUse(pass, fd.Body, recvObj) {
-				pass.Reportf(fd.Name.Pos(),
-					"exported method %s.%s must nil-check the receiver (if %s == nil) before using it, or delegate to a guarded method",
-					recv.Obj().Name(), fd.Name.Name, recvObj.Name())
-			}
-		}
-	}
-}
-
-func recvVar(pass *framework.Pass, fd *ast.FuncDecl) types.Object {
-	if len(fd.Recv.List) == 0 || len(fd.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return pass.TypesInfo.Defs[fd.Recv.List[0].Names[0]]
-}
-
-// guardsBeforeUse walks the body's top-level statements in order: the
-// receiver's nil guard (any nil-comparison of it) must appear no later
-// than its first other use. A statement that uses the receiver only as
-// the direct callee of its own methods counts as delegation — the
-// callee carries the guard (e.g. `r.Snapshot().WriteText(w)`).
-func guardsBeforeUse(pass *framework.Pass, body *ast.BlockStmt, recv types.Object) bool {
-	for _, s := range body.List {
-		if containsNilCompare(pass, s, recv) {
-			return true
-		}
-		if !usesObj(pass, s, recv) {
-			continue
-		}
-		return delegates(pass, s, recv)
-	}
-	// Receiver never dereferenced at all — trivially nil-safe.
-	return true
-}
-
-func usesObj(pass *framework.Pass, n ast.Node, obj types.Object) bool {
-	used := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && pass.TypesInfo.Uses[id] == obj {
-			used = true
-		}
-		return !used
-	})
-	return used
-}
-
-// delegates reports whether every use of recv in s is as the immediate
-// receiver of a method call (recv.M(...)), so the called method's own
-// guard covers it.
-func delegates(pass *framework.Pass, s ast.Stmt, recv types.Object) bool {
-	ok := true
-	ast.Inspect(s, func(n ast.Node) bool {
-		call, isCall := n.(*ast.CallExpr)
-		if !isCall {
-			if id, isID := n.(*ast.Ident); isID && pass.TypesInfo.Uses[id] == recv {
-				ok = false // bare use outside a recv.M(...) shape
-			}
-			return ok
-		}
-		if sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr); isSel {
-			if id, isID := ast.Unparen(sel.X).(*ast.Ident); isID && pass.TypesInfo.Uses[id] == recv {
-				if _, mok := pass.TypesInfo.Selections[sel]; mok {
-					// recv.M(args): skip the receiver ident, check args.
-					for _, a := range call.Args {
-						ast.Inspect(a, func(n ast.Node) bool {
-							if id, isID := n.(*ast.Ident); isID && pass.TypesInfo.Uses[id] == recv {
-								ok = false
-							}
-							return ok
-						})
-					}
-					return false
-				}
-			}
-		}
-		return ok
-	})
-	return ok
-}
-
-func containsNilCompare(pass *framework.Pass, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		be, ok := n.(*ast.BinaryExpr)
-		if !ok || (be.Op != token.EQL && be.Op != token.NEQ) {
-			return !found
-		}
-		if isObjIdent(pass, be.X, obj) && isNil(pass, be.Y) ||
-			isObjIdent(pass, be.Y, obj) && isNil(pass, be.X) {
-			found = true
-		}
-		return !found
-	})
-	return found
 }
 
 func isObjIdent(pass *framework.Pass, e ast.Expr, obj types.Object) bool {
@@ -223,9 +78,7 @@ func isNil(pass *framework.Pass, e ast.Expr) bool {
 	return ok && tv.IsNil()
 }
 
-// --- Rule B -----------------------------------------------------------
-
-func ruleB(pass *framework.Pass, gated map[string]bool) {
+func checkFuncs(pass *framework.Pass, gated map[string]bool) {
 	for _, f := range pass.Files {
 		for _, d := range f.Decls {
 			fd, ok := d.(*ast.FuncDecl)

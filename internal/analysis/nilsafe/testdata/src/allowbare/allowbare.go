@@ -6,9 +6,9 @@
 // own line, where a want comment cannot sit.
 package allowbare
 
-import "hfetch/internal/analysis/nilsafe/testdata/src/nilfixture"
+import "hfetch/internal/analysis/nilsafe/testdata/src/gated"
 
-func bare(r *nilfixture.Reg) {
+func bare(r *gated.Reg) {
 	tr := r.Tracer()
 	//lint:allow nilsafe
 	tr.On()

@@ -1,25 +1,25 @@
-// Package nilcaller exercises nilsafe Rule B: method calls on the gated
-// Tracer type must sit behind a nil gate at the call site.
+// Package nilcaller exercises nilsafe's call-site gate: method calls on
+// the gated Tracer and Guard types must sit behind a nil gate.
 package nilcaller
 
-import "hfetch/internal/analysis/nilsafe/testdata/src/nilfixture"
+import "hfetch/internal/analysis/nilsafe/testdata/src/gated"
 
-func ungated(r *nilfixture.Reg) {
+func ungated(r *gated.Reg) {
 	tr := r.Tracer()
 	tr.On() // want `call to Tracer.On outside a nil gate`
 }
 
-func unbound(r *nilfixture.Reg) {
+func unbound(r *gated.Reg) {
 	r.Tracer().On() // want `call to Tracer.On on an unbound expression`
 }
 
-func gatedIf(r *nilfixture.Reg) {
+func gatedIf(r *gated.Reg) {
 	if tr := r.Tracer(); tr != nil {
 		tr.On()
 	}
 }
 
-func gatedEarly(r *nilfixture.Reg) {
+func gatedEarly(r *gated.Reg) {
 	tr := r.Tracer()
 	if tr == nil {
 		return
@@ -27,42 +27,42 @@ func gatedEarly(r *nilfixture.Reg) {
 	tr.On()
 }
 
-func gatedParam(tr *nilfixture.Tracer) {
+func gatedParam(tr *gated.Tracer) {
 	if tr == nil {
 		return
 	}
 	tr.On()
 }
 
-func waived(r *nilfixture.Reg) {
+func waived(r *gated.Reg) {
 	tr := r.Tracer()
 	//lint:allow nilsafe fixture demonstrates a waived ungated call
 	tr.On()
 }
 
 // Reg is nil-safe but not gated: direct calls are fine.
-func regDirect(r *nilfixture.Reg) {
+func regDirect(r *gated.Reg) {
 	r.Good()
 }
 
 // Guard is gated too: the same call-site rules apply to the second
 // entry in the gated-type list.
-func guardUngated(r *nilfixture.Reg) {
+func guardUngated(r *gated.Reg) {
 	g := r.Guard()
 	g.Arm() // want `call to Guard.Arm outside a nil gate`
 }
 
-func guardUnbound(r *nilfixture.Reg) {
+func guardUnbound(r *gated.Reg) {
 	r.Guard().Arm() // want `call to Guard.Arm on an unbound expression`
 }
 
-func guardGated(r *nilfixture.Reg) {
+func guardGated(r *gated.Reg) {
 	if g := r.Guard(); g != nil {
 		g.Arm()
 	}
 }
 
-func guardGatedEarly(g *nilfixture.Guard) {
+func guardGatedEarly(g *gated.Guard) {
 	if g == nil {
 		return
 	}
@@ -71,21 +71,21 @@ func guardGatedEarly(g *nilfixture.Guard) {
 
 // guardProbeGated is the watchdog probe idiom: the closure is only
 // built inside the gate, so a disabled watchdog costs one branch.
-func guardProbeGated(r *nilfixture.Reg) {
+func guardProbeGated(r *gated.Reg) {
 	if g := r.Guard(); g != nil {
 		g.Probe(func() int64 { return 1 })
 	}
 }
 
 // guardProbeUngated builds the closure without a gate.
-func guardProbeUngated(r *nilfixture.Reg) {
+func guardProbeUngated(r *gated.Reg) {
 	g := r.Guard()
 	g.Probe(func() int64 { return 1 }) // want `call to Guard.Probe outside a nil gate`
 }
 
 // guardManyCalls: one early gate covers every later call in the
 // function body.
-func guardManyCalls(r *nilfixture.Reg) {
+func guardManyCalls(r *gated.Reg) {
 	g := r.Guard()
 	if g == nil {
 		return

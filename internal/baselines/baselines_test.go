@@ -9,6 +9,7 @@ import (
 
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/server"
+	"hfetch/internal/harness/leakcheck"
 	"hfetch/internal/pfs"
 	"hfetch/internal/tiers"
 )
@@ -409,5 +410,67 @@ func TestStrideDetector(t *testing.T) {
 		if p >= 100 {
 			t.Fatalf("prediction beyond EOF: %v", preds)
 		}
+	}
+}
+
+// TestStopJoinsEveryWorker starts each baseline that spawns goroutines,
+// drives reads through two applications' handles, and stops it under a
+// leak guard: Stop must return within five seconds, and no goroutine
+// the system started may outlive it.
+func TestStopJoinsEveryWorker(t *testing.T) {
+	const size = 32 * testSeg
+	for _, c := range []struct {
+		name string
+		sys  func(fs *pfs.FS) System
+	}{
+		{"stacker", func(fs *pfs.FS) System {
+			return NewStacker(fs, StackerConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2, MinCount: 1})
+		}},
+		{"prefetcher", func(fs *pfs.FS) System {
+			return NewPrefetcher(fs, PrefetcherConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2})
+		}},
+		{"inmem-naive", func(fs *pfs.FS) System {
+			return NewInMemNaive(fs, InMemConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg})
+		}},
+		{"inmem-optimal", func(fs *pfs.FS) System {
+			return NewInMemOptimal(fs, InMemConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Processes: 2})
+		}},
+		{"knowac", func(fs *pfs.FS) System {
+			return NewKnowAc(fs, KnowAcConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2})
+		}},
+		{"app-centric", func(fs *pfs.FS) System {
+			return NewAppCentric(fs, AppCentricConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2, Apps: 2})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer leakcheck.Guard(t)()
+			sys := c.sys(testFS(t, size))
+			read := func() {
+				buf := make([]byte, testSeg)
+				for _, app := range []string{"a", "b"} {
+					h, err := sys.Open(app, "f")
+					if err != nil {
+						t.Fatal(err)
+					}
+					for off := int64(0); off < size; off += testSeg {
+						h.ReadAt(buf, off)
+					}
+					h.Close()
+				}
+			}
+			if k, ok := sys.(*KnowAc); ok {
+				k.StartProfile()
+				read()
+				k.FinishProfile()
+			}
+			read()
+			stopped := make(chan struct{})
+			go func() { sys.Stop(); close(stopped) }()
+			select {
+			case <-stopped:
+			case <-time.After(5 * time.Second):
+				t.Error("Stop did not return within 5s")
+			}
+		})
 	}
 }

@@ -111,9 +111,8 @@ func (c *Client) Fetch(id seg.ID, size int64, dst *tiers.Store) error {
 // to Release. fetched, when non-nil, is called once, when the call has
 // issued its last origin read: what follows is tier writes only. Both run
 // on the caller's goroutine with no store lock held (they may call back
-// into dst). coalesced counts the segments stored out of an origin read
-// they shared with at least one other.
-func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, held *tiers.Buf, err error)) (coalesced int) {
+// into dst).
+func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, held *tiers.Buf, err error)) {
 	grain := c.seg.Size()
 	length := func(k int) int64 {
 		if sizes[k] <= 0 || sizes[k] > grain {
@@ -160,13 +159,9 @@ func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.S
 				landed(i+k, b, err)
 				continue
 			}
-			if len(bufs) > 1 {
-				coalesced++
-			}
 			landed(i+k, nil, nil)
 		}
 	}
-	return coalesced
 }
 
 // Transfer moves a resident segment from src to dst (promotion or

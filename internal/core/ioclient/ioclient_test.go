@@ -249,9 +249,9 @@ func fetchManySetup(t *testing.T, capacity int64) (*pfs.FS, *Client, *tiers.Stor
 // fetchMany runs FetchMany and collects what it reported: errs[i] is
 // segment i's outcome, order the indices in the order they landed, and
 // fetched how many times the origin-read hook ran.
-func fetchMany(c *Client, file string, first int64, sizes []int64, dst *tiers.Store) (errs []error, order []int, fetched, coalesced int) {
+func fetchMany(c *Client, file string, first int64, sizes []int64, dst *tiers.Store) (errs []error, order []int, fetched int) {
 	errs = make([]error, len(sizes))
-	coalesced = c.FetchMany(file, first, sizes, dst, func() { fetched++ }, func(i int, held *tiers.Buf, err error) {
+	c.FetchMany(file, first, sizes, dst, func() { fetched++ }, func(i int, held *tiers.Buf, err error) {
 		if held != nil {
 			// A refused segment's payload is the callback's: nobody here
 			// waits for room, so it goes back to the slab.
@@ -265,20 +265,20 @@ func fetchMany(c *Client, file string, first int64, sizes []int64, dst *tiers.St
 		// Called with no store lock held: this would deadlock otherwise.
 		dst.Has(seg.ID{File: file, Index: first + int64(i)})
 	})
-	return errs, order, fetched, coalesced
+	return errs, order, fetched
 }
 
 func TestFetchManyCoalescesRunIntoOneRead(t *testing.T) {
 	fs, c, ram, dev := fetchManySetup(t, 1000)
 	copied := tiers.CopiedBytes()
-	errs, order, fetched, coalesced := fetchMany(c, "f", 2, []int64{100, 100, 100, 100}, ram)
+	errs, order, fetched := fetchMany(c, "f", 2, []int64{100, 100, 100, 100}, ram)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
 	}
-	if coalesced != 4 || fetched != 1 {
-		t.Fatalf("coalesced = %d, fetched called %d times; want 4 and 1", coalesced, fetched)
+	if fetched != 1 {
+		t.Fatalf("fetched called %d times, want 1", fetched)
 	}
 	if want := []int{0, 1, 2, 3}; !slices.Equal(order, want) {
 		t.Fatalf("landing order = %v, want %v", order, want)
@@ -313,17 +313,14 @@ func TestFetchManyShortSegmentBreaksRun(t *testing.T) {
 	// [full, short, full] must take one coalesced read for the first
 	// pair and one single fetch for the trailing segment.
 	_, c, ram, dev := fetchManySetup(t, 1000)
-	errs, order, fetched, coalesced := fetchMany(c, "f", 0, []int64{100, 40, 100}, ram)
+	errs, order, fetched := fetchMany(c, "f", 0, []int64{100, 40, 100}, ram)
 	for i, err := range errs {
 		if err != nil {
 			t.Fatalf("segment %d: %v", i, err)
 		}
 	}
-	if coalesced != 2 {
-		t.Fatalf("coalesced = %d, want 2 (only the leading pair shares a read)", coalesced)
-	}
 	if ops, _, _ := dev.Stats(); ops != 2 {
-		t.Fatalf("origin reads = %d, want 2", ops)
+		t.Fatalf("origin reads = %d, want 2 (only the leading pair shares a read)", ops)
 	}
 	if fetched != 1 || len(order) != 3 {
 		t.Fatalf("fetched called %d times, %d landings; want 1 and 3", fetched, len(order))
@@ -342,15 +339,12 @@ func TestFetchManyReportsPerSegmentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	frees := tiers.ReadSlabStats()
-	errs, _, _, coalesced := fetchMany(c, "f", 0, []int64{100, 100, 50}, ram)
+	errs, _, _ := fetchMany(c, "f", 0, []int64{100, 100, 50}, ram)
 	if errs[0] != nil || errs[2] != nil {
 		t.Fatalf("segments that fit: %v, %v", errs[0], errs[2])
 	}
 	if !errors.Is(errs[1], tiers.ErrNoSpace) {
 		t.Fatalf("segment 1 error = %v, want ErrNoSpace", errs[1])
-	}
-	if coalesced != 2 {
-		t.Fatalf("coalesced = %d, want 2 (only the stored segments count)", coalesced)
 	}
 	if !ram.Has(seg.ID{File: "f", Index: 0}) || ram.Has(seg.ID{File: "f", Index: 1}) || !ram.Has(seg.ID{File: "f", Index: 2}) {
 		t.Fatal("segments 0 and 2 must be resident, segment 1 not")
@@ -363,7 +357,7 @@ func TestFetchManyReportsPerSegmentErrors(t *testing.T) {
 
 func TestFetchManyMissingFile(t *testing.T) {
 	_, c, ram, _ := fetchManySetup(t, 1000)
-	errs, _, fetched, _ := fetchMany(c, "ghost", 0, []int64{100, 100}, ram)
+	errs, _, fetched := fetchMany(c, "ghost", 0, []int64{100, 100}, ram)
 	for i, err := range errs {
 		if err == nil {
 			t.Fatalf("segment %d: expected an error for a missing file", i)
@@ -379,7 +373,7 @@ func TestFetchManyShortAtEOF(t *testing.T) {
 	// gives the segments still inside it, clipped, and fails the rest.
 	fs, c, ram, _ := fetchManySetup(t, 1000)
 	fs.Create("f", 250)
-	errs, _, _, _ := fetchMany(c, "f", 0, []int64{100, 100, 100, 100}, ram)
+	errs, _, _ := fetchMany(c, "f", 0, []int64{100, 100, 100, 100}, ram)
 	if errs[0] != nil || errs[1] != nil || errs[2] != nil || errs[3] == nil {
 		t.Fatalf("errs = %v, want only the segment past EOF to fail", errs)
 	}

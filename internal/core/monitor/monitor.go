@@ -151,7 +151,8 @@ func (m *Monitor) QueueStats() (posted, dropped int64) { return m.queue.Stats() 
 func (m *Monitor) Start() {
 	for i := 0; i < m.queue.NumShards(); i++ {
 		m.wg.Add(1)
-		//lint:allow goleak daemon joins via the queue, not a signal field: Stop closes the ring and TakeBatch returns ok=false once drained
+		// The daemon joins via the queue, not a signal field: Stop closes
+		// the ring and TakeBatch returns ok=false once drained.
 		go m.daemon(m.queue.Shard(i))
 	}
 }

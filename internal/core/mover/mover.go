@@ -85,10 +85,10 @@ type Executor interface {
 // segment first+i, lowest index first, as soon as it is written to dst or
 // has failed — one dst had no room for with tiers.ErrNoSpace and its
 // payload in held, the mover's to land later. Both run on the calling
-// goroutine with no mover or store lock held. coalesced counts the
-// segments that shared an origin read. Without it fetches run one by one.
+// goroutine with no mover or store lock held. Without it fetches run one
+// by one.
 type BatchFetcher interface {
-	FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, held *tiers.Buf, err error)) (coalesced int)
+	FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, held *tiers.Buf, err error))
 }
 
 // Carrier is the optional extension of Executor that moves in two halves,

@@ -129,7 +129,7 @@ func (f *fakeExec) Evict(id seg.ID, src *tiers.Store) error {
 	return nil
 }
 
-func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, *tiers.Buf, error)) int {
+func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, *tiers.Buf, error)) {
 	f.enter()
 	f.wait()
 	f.mu.Lock()
@@ -140,7 +140,6 @@ func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers
 	}
 	f.mu.Unlock()
 	fetched()
-	co := 0
 	for i, sz := range sizes {
 		id := seg.ID{File: file, Index: first + int64(i)}
 		f.hops.Add(1)
@@ -156,12 +155,8 @@ func (f *fakeExec) FetchMany(file string, first int64, sizes []int64, dst *tiers
 			landed(i, b, err)
 			continue
 		}
-		if len(sizes) > 1 {
-			co++
-		}
 		landed(i, nil, nil)
 	}
-	return co
 }
 
 // plainExec is fakeExec behind the Executor interface alone: what a mover
@@ -789,8 +784,8 @@ func TestMoverParksOnlyTheSegmentThatDidNotFit(t *testing.T) {
 	ex.mu.Lock()
 	calls := len(ex.batchCalls)
 	ex.mu.Unlock()
-	if st := m.Stats(); calls != 1 || st.Retried != 0 || st.Failed != 1 || st.Executed != 2 || out.n != 3 {
-		t.Fatalf("stats = %+v, %d FetchMany calls, %d reports; want one call, 1 failed, 2 executed, 3 reports", st, calls, out.n)
+	if st := m.Stats(); calls != 1 || st.Retried != 0 || st.Failed != 1 || st.Executed != 2 || st.Coalesced != 2 || out.n != 3 {
+		t.Fatalf("stats = %+v, %d FetchMany calls, %d reports; want one call, 1 failed, 2 executed, 2 coalesced, 3 reports", st, calls, out.n)
 	}
 	hier.Tier(0).Clear()
 }

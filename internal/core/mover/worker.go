@@ -34,8 +34,14 @@ func (g *group) onFetched() {
 	g.m.mu.Unlock()
 }
 
+// onLanded completes segment i of the group. A segment written out of a
+// shared origin read is counted before its record completes, so a Drain
+// that returns has seen the count.
 func (g *group) onLanded(i int, held *tiers.Buf, err error) {
 	r := g.ops[i]
+	if err == nil && len(g.ops) > 1 {
+		g.m.ctr.coalesced.Add(1)
+	}
 	if held != nil && g.m.carrier != nil {
 		r.buf = held
 		g.m.land(r)
@@ -167,8 +173,7 @@ func (m *Mover) execute(g *group) {
 				g.sizes = append(g.sizes, r.mv.Size)
 			}
 			// Each record completes from g.landed as its segment is written.
-			co := m.batch.FetchMany(mv.ID.File, mv.ID.Index, g.sizes, m.hier.Tier(mv.To), g.fetched, g.landed)
-			m.ctr.coalesced.Add(int64(co))
+			m.batch.FetchMany(mv.ID.File, mv.ID.Index, g.sizes, m.hier.Tier(mv.To), g.fetched, g.landed)
 		}
 		// Two workers finishing at once may drop one sample, not the mean.
 		d := int64(time.Since(g.taken))

@@ -357,15 +357,15 @@ func (f *faultyClient) Evict(id seg.ID, src *tiers.Store) error {
 	return f.Client.Evict(id, src)
 }
 
-func (f *faultyClient) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, *tiers.Buf, error)) int {
+func (f *faultyClient) FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(int, *tiers.Buf, error)) {
 	if err := f.trip(); err != nil {
 		fetched()
 		for i := range sizes {
 			landed(i, nil, err)
 		}
-		return 0
+		return
 	}
-	return f.Client.FetchMany(file, first, sizes, dst, fetched, landed)
+	f.Client.FetchMany(file, first, sizes, dst, fetched, landed)
 }
 
 // TestAsyncEngineStateMachine is the engine-level twin of the mover's

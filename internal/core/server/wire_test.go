@@ -199,6 +199,11 @@ func TestRemoteReadOverTCP(t *testing.T) {
 		t.Fatal("segment no longer resident on the serving node")
 	}
 	defer b.Release()
+	// The serving node drops its pin once the frame is on the wire, which
+	// may be after the reply reached this side: wait for it, boundedly.
+	for deadline := time.Now().Add(2 * time.Second); b.Refs() != 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
 	if b.Refs() != 2 {
 		t.Fatalf("serving node leaked a pin: refs %d, want 2 (residency + this view)", b.Refs())
 	}

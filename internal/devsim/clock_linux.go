@@ -32,7 +32,8 @@ func (k *kernelTimer) start(tick func()) {
 		return
 	}
 	k.fd, k.f = fd, os.NewFile(fd, "devsim-clock")
-	//lint:allow goleak one per process, serving every device until exit; internal/harness/leakcheck knows it by name
+	// One per process, serving every device until exit;
+	// internal/harness/leakcheck knows it by name.
 	go k.run(tick)
 }
 

@@ -181,9 +181,8 @@ func (r *Registry) WriteText(w io.Writer) {
 	r.Snapshot().WriteText(w)
 }
 
-// Handler serves the registry as a Prometheus /metrics endpoint.
-//
-//lint:allow nilsafe r is only captured into the handler closure, which calls nil-safe WriteText
+// Handler serves the registry as a Prometheus /metrics endpoint. A nil
+// r is only captured into the handler, whose WriteText is nil-safe.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

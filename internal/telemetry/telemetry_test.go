@@ -3,7 +3,9 @@ package telemetry
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -62,6 +64,85 @@ func TestTelemetryNilSafety(t *testing.T) {
 	if n := len(r.Snapshot().Metrics); n != 0 {
 		t.Fatalf("nil registry snapshot has %d metrics", n)
 	}
+}
+
+// TestNilReceivers holds the nil-safety contract of the optional
+// telemetry types: a disabled registry hands out nil everywhere, so
+// every exported method of a pointer to each type must tolerate a nil
+// receiver. Each is called twice through reflect, with zero arguments
+// and with non-zero ones, and must not panic.
+func TestNilReceivers(t *testing.T) {
+	for _, typ := range []reflect.Type{
+		reflect.TypeFor[*Registry](), reflect.TypeFor[*Lifecycle](), reflect.TypeFor[*Counter](),
+		reflect.TypeFor[*Gauge](), reflect.TypeFor[*Histogram](), reflect.TypeFor[*AccessLog](),
+		reflect.TypeFor[*CounterVec](), reflect.TypeFor[*HistVec](), reflect.TypeFor[*Watchdog](),
+	} {
+		recv := reflect.Zero(typ)
+		if typ.NumMethod() == 0 {
+			t.Errorf("%v has no exported methods to call", typ)
+		}
+		for i := 0; i < typ.NumMethod(); i++ {
+			m := typ.Method(i)
+			for _, args := range []string{"zero", "non-zero"} {
+				in := []reflect.Value{recv}
+				for j := 1; j < m.Type.NumIn(); j++ {
+					in = append(in, argOf(m.Type.In(j), args == "non-zero"))
+				}
+				func() {
+					defer func() {
+						if p := recover(); p != nil {
+							t.Errorf("(%v).%s on a nil receiver with %s arguments panics: %v", typ, m.Name, args, p)
+						}
+					}()
+					if m.Type.IsVariadic() {
+						m.Func.CallSlice(in)
+					} else {
+						m.Func.Call(in)
+					}
+				}()
+			}
+		}
+	}
+}
+
+// argOf returns the zero value of t, or a non-zero one: 1, "x", true,
+// a no-op func, io.Discard, one-element slices and filled structs.
+func argOf(t reflect.Type, nonZero bool) reflect.Value {
+	v := reflect.New(t).Elem()
+	if !nonZero {
+		return v
+	}
+	switch k := t.Kind(); {
+	case v.CanInt():
+		v.SetInt(1)
+	case v.CanUint():
+		v.SetUint(1)
+	case k == reflect.String:
+		v.SetString("x")
+	case k == reflect.Bool:
+		v.SetBool(true)
+	case k == reflect.Func:
+		v.Set(reflect.MakeFunc(t, func([]reflect.Value) []reflect.Value {
+			out := make([]reflect.Value, t.NumOut())
+			for i := range out {
+				out[i] = reflect.Zero(t.Out(i))
+			}
+			return out
+		}))
+	case k == reflect.Interface:
+		if d := reflect.ValueOf(io.Discard); d.Type().Implements(t) {
+			v.Set(d)
+		}
+	case k == reflect.Slice:
+		v = reflect.Append(v, argOf(t.Elem(), true))
+	case k == reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if t.Field(i).IsExported() {
+				v.Field(i).Set(argOf(t.Field(i).Type, true))
+			}
+		}
+	}
+	return v
 }
 
 // TestTelemetryConcurrentWriters hammers one histogram and the registry

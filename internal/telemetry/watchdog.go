@@ -192,7 +192,8 @@ func (w *Watchdog) Probes() []string {
 	return names
 }
 
-// Trips returns the total bundle count written so far. Nil-safe.
+// Trips returns the number of stalls tripped so far, each counted once
+// its bundle is written. Nil-safe.
 func (w *Watchdog) Trips() int64 {
 	if w == nil {
 		return 0
@@ -240,15 +241,20 @@ func (w *Watchdog) Poll() {
 	}
 }
 
-// trip records one stall: counter bump plus a diagnostic bundle.
+// trip records one stall: a diagnostic bundle, then the counter bump,
+// so a reader that sees the count also finds the bundle on disk.
 func (w *Watchdog) trip(probe string, now time.Time, pending, progress int64) {
+	if w.cfg.Dir != "" {
+		w.writeBundle(probe, now, pending, progress)
+	}
 	if w.trips != nil {
 		w.trips.With(probe).Inc()
 	}
 	w.total.Add(1)
-	if w.cfg.Dir == "" {
-		return
-	}
+}
+
+// writeBundle writes one stall's bundle file and prunes old ones.
+func (w *Watchdog) writeBundle(probe string, now time.Time, pending, progress int64) {
 	w.mu.Lock()
 	w.seq++
 	seq := w.seq
