@@ -40,11 +40,11 @@ type Config struct {
 }
 
 // Node is one hfetchd's membership in the prefetching fabric. Staged
-// construction, because the server and hashmaps need the dialer before
-// the fabric can start:
+// construction, because the hashmaps reach their owners through the
+// membership before the fabric can start:
 //
 //	n := cluster.New(cfg)           // membership built, not probing
-//	d := n.Dialer()                 // give to dhm.Config and the server
+//	p := n.Membership()             // give to server.NewMaps
 //	n.Attach(srv, stats, maps)      // install fetcher, router, rebalance
 //	n.Start()                       // join seeds, begin heartbeats
 type Node struct {
@@ -108,7 +108,7 @@ func (n *Node) Attach(srv *server.Server, stats, maps *dhm.Map) {
 	router := NewRouter(n.cfg.Self, srv.Engine(), n.mem, n.cfg.Mux, n.cfg.Telemetry)
 	srv.Auditor().SetSink(router)
 
-	srv.EnableRemote(n.cfg.Mux, n.Dialer())
+	srv.EnableRemote(n.cfg.Mux, n.mem)
 }
 
 // Start joins the cluster: seed probing and heartbeats begin, and the

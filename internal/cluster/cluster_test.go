@@ -309,16 +309,6 @@ func TestFetcherStaleMappingIsNotFailure(t *testing.T) {
 	}
 }
 
-type tcpDialer map[string]string
-
-func (d tcpDialer) Dial(node string) comm.Peer {
-	p, err := comm.DialTCPOpts(d[node], comm.PeerOptions{RequestTimeout: 10 * time.Second})
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 // TestFetcherReadAllocs guards the peer read end to end: a Fetcher gated
 // by a membership over a reading server, a serving server behind TCP
 // loopback, both in this process. What is left is the response head the
@@ -349,9 +339,17 @@ func TestFetcherReadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ln.Close()
-	dial := tcpDialer{"n0": ln.Addr()}
-	n1.EnableRemote(comm.NewMux(), dial)
-	f := NewFetcher(FetcherConfig{}, staticMembership(comm.NewInprocNetwork(nil), "n1", "n0"), n1)
+	// n1's membership gates the fetcher and holds its one connection to
+	// n0, as a fabric node's does.
+	mem := NewMembership(MembershipConfig{
+		Self: "n1", Addr: "n1", Static: map[string]string{"n0": ln.Addr()},
+		Dial: func(addr string) (comm.Peer, error) {
+			return comm.DialTCPOpts(addr, comm.PeerOptions{RequestTimeout: 10 * time.Second})
+		},
+	}, nil)
+	defer mem.DropPeer("n0")
+	n1.EnableRemote(comm.NewMux(), mem)
+	f := NewFetcher(FetcherConfig{}, mem, n1)
 
 	const size = 64 << 10
 	id := seg.ID{File: "f", Index: 0}
@@ -445,5 +443,42 @@ func TestRouterBroadcastsInvalidations(t *testing.T) {
 		if got := s.updates(); !slices.Equal(got, want) {
 			t.Fatalf("node %d score updates = %+v, want %+v", i, got, want)
 		}
+	}
+}
+
+// TestPeerNeverDialsUnknownOrDeadMembers checks the guard every peer
+// path relies on to fail fast: Peer of a member membership does not know,
+// or has aged to dead, is an error and dials nothing, while an alive
+// member is dialed once and its connection reused.
+func TestPeerNeverDialsUnknownOrDeadMembers(t *testing.T) {
+	net := comm.NewInprocNetwork(nil)
+	var dials atomic.Int64
+	mem := NewMembership(MembershipConfig{
+		Self: "n0", Addr: "n0", Static: map[string]string{"n1": "n1", "n2": "n2"},
+		HeartbeatInterval: time.Millisecond, SuspectAfter: 20 * time.Millisecond, DeadAfter: 40 * time.Millisecond,
+		Dial: func(addr string) (comm.Peer, error) {
+			dials.Add(1)
+			return net.Dial(addr), nil
+		},
+	}, nil)
+	for i := 0; i < 2; i++ {
+		if _, err := mem.Peer("n1"); err != nil {
+			t.Fatalf("alive member: %v", err)
+		}
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("two Peer calls to an alive member dialed %d times, want 1", got)
+	}
+	if _, err := mem.Peer("zz"); err == nil {
+		t.Fatal("Peer of an unknown member returned a connection")
+	}
+	for st, _ := mem.StateOf("n2"); st != StateDead; st, _ = mem.StateOf("n2") {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := mem.Peer("n2"); err == nil {
+		t.Fatal("Peer of a dead member returned a connection")
+	}
+	if got := dials.Load(); got != 1 {
+		t.Fatalf("Peer of an unknown and a dead member dialed %d times, want none", got-1)
 	}
 }

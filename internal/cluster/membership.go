@@ -12,9 +12,9 @@
 //     dead peer degrades to PFS passthrough instead of stalling reads;
 //   - invalidation fan-out (route.go): a write observed on one node
 //     drops the file's prefetched copies on every member;
-//   - self-healing named peers (dial.go) that redial through the
-//     membership address book, so the dhm and server peer caches survive
-//     peer restarts.
+//   - one connection cache (Membership.Peer), through which the router,
+//     the hashmaps and the peer read reach members by name, so a member
+//     that restarts on a new address is dialed there.
 //
 // The paper runs HFetch on every node of a 64-node testbed with one
 // shared metadata plane (the distributed hashmap); this package is the
@@ -601,10 +601,20 @@ func (m *Membership) WaitView(want int, timeout time.Duration) bool {
 
 // ---- peer cache ----
 
+var _ comm.Peers = (*Membership)(nil)
+
 // Peer returns a cached transport connection to the named member,
-// dialing if needed. The cache is shared with the heartbeat prober, so
-// a connection a probe declared dead is redialed here and vice versa.
+// dialing if needed. It is the node's one connection cache: the router,
+// the hashmaps and the peer read reach members through it by name, so a
+// member that restarts on a new address is dialed there, and the cache
+// is shared with the heartbeat prober, so a connection a probe declared
+// dead is redialed here and vice versa. An unknown or dead member is an
+// error and is never dialed: its caller's fallback (PFS, skip) applies
+// at once instead of after a dial.
 func (m *Membership) Peer(name string) (comm.Peer, error) {
+	if st, known := m.StateOf(name); !known || st == StateDead {
+		return nil, fmt.Errorf("cluster: member %q unreachable (state %v)", name, st)
+	}
 	addr, ok := m.AddrOf(name)
 	if !ok {
 		return nil, fmt.Errorf("cluster: no address for member %q", name)

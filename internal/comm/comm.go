@@ -207,6 +207,14 @@ type Peer interface {
 	Close() error
 }
 
+// Peers reaches cluster members by name (cluster.Membership). Peer
+// returns the connection cached for the member; after a transport error
+// (!IsRemote) the caller drops it, so the next Peer redials.
+type Peers interface {
+	Peer(name string) (Peer, error)
+	DropPeer(name string)
+}
+
 // Caller is the body-carrying call shape. Every transport and wrapper
 // in the tree implements it next to Peer; the returned Reply must be
 // released.

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"runtime"
@@ -170,14 +171,25 @@ func TestServeWorkersIdleOut(t *testing.T) {
 	if _, err := p.Request("echo", []byte("warm")); err != nil {
 		t.Fatal(err)
 	}
+	// Only connection workers are counted: the process's other goroutines
+	// (the runtime's, earlier tests' connections winding down) come and
+	// go on their own schedule.
+	workers := func() int {
+		buf := make([]byte, 64<<10)
+		n := runtime.Stack(buf, true)
+		for ; n == len(buf); n = runtime.Stack(buf, true) {
+			buf = make([]byte, 2*len(buf))
+		}
+		return bytes.Count(buf[:n], []byte("comm.serveJobs("))
+	}
 	settled := func(want int) int {
-		n := runtime.NumGoroutine()
-		for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = runtime.NumGoroutine() {
+		n := workers()
+		for deadline := time.Now().Add(5 * time.Second); n > want && time.Now().Before(deadline); n = workers() {
 			time.Sleep(5 * time.Millisecond)
 		}
 		return n
 	}
-	base := settled(runtime.NumGoroutine() - 1) // the warm-up's worker idles out
+	base := settled(0) // the warm-up's worker idles out, and any left by earlier tests
 
 	var done sync.WaitGroup
 	for i := 0; i < burst; i++ {
@@ -190,13 +202,15 @@ func TestServeWorkersIdleOut(t *testing.T) {
 		}()
 	}
 	arrived.Wait() // every request holds its own worker
-	if n := runtime.NumGoroutine(); n < base+2*burst {
-		t.Fatalf("%d goroutines with %d requests held, want ≥ %d: workers were not started per busy request", n, burst, base+2*burst)
+	// Not fatal: the held requests must still be released, or the
+	// deferred Close waits on their handlers.
+	if n := workers(); n < base+burst {
+		t.Errorf("%d workers with %d requests held, want ≥ %d: workers were not started per busy request", n, burst, base+burst)
 	}
 	close(release)
 	done.Wait()
 	if n := settled(base); n > base {
-		t.Fatalf("%d goroutines after the burst went idle, want %d: the burst's workers stayed parked", n, base)
+		t.Fatalf("%d workers after the burst went idle, want %d: the burst's workers stayed parked", n, base)
 	}
 	if resp, err := p.Request("echo", []byte("again")); err != nil || string(resp) != "again" {
 		t.Fatalf("a request after every worker idled out: %q, %v", resp, err)

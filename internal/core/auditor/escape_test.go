@@ -19,9 +19,31 @@ type nullSink struct{}
 func (nullSink) FileInvalidated(string) {}
 func (nullSink) ScoreBatch([]Update)    {}
 
-type inprocDialer struct{ net *comm.InprocNetwork }
+// inprocPeers is one node's comm.Peers over the in-process fabric: one
+// connection per name, kept until dropped, as cluster.Membership keeps
+// its own.
+type inprocPeers struct {
+	net   *comm.InprocNetwork
+	mu    sync.Mutex
+	peers map[string]comm.Peer
+}
 
-func (d inprocDialer) Dial(node string) comm.Peer { return d.net.Dial(node) }
+func (s *inprocPeers) Peer(node string) (comm.Peer, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	p, ok := s.peers[node]
+	if !ok {
+		p = s.net.Dial(node)
+		s.peers[node] = p
+	}
+	return p, nil
+}
+
+func (s *inprocPeers) DropPeer(node string) {
+	s.mu.Lock()
+	delete(s.peers, node)
+	s.mu.Unlock()
+}
 
 // fabric builds one auditor per node over stats and mapping maps shared
 // across an in-process network; the stats maps log to a WAL and every
@@ -46,7 +68,7 @@ func fabric(t *testing.T, nodes int) []*Auditor {
 		}
 		t.Cleanup(func() { wal.Close() })
 		mux := comm.NewMux()
-		cfg := dhm.Config{Self: name, Nodes: names, Dialer: inprocDialer{net}}
+		cfg := dhm.Config{Self: name, Nodes: names, Peers: &inprocPeers{net: net, peers: make(map[string]comm.Peer)}}
 		cfg.Name, cfg.WAL = "stats", wal
 		stats := dhm.New(cfg, mux)
 		cfg.Name, cfg.WAL = "maps", nil

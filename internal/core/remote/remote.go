@@ -187,15 +187,7 @@ func Serve(mux *comm.Mux, srv *server.Server) {
 		}
 		return enc(reply)
 	})
-	mux.Register(MsgTiers, func(raw []byte) ([]byte, error) {
-		var out []TierInfo
-		for _, st := range srv.Hierarchy().Stores() {
-			out = append(out, TierInfo{
-				Name: st.Name(), Capacity: st.Capacity(), Used: st.Used(), Segments: st.Len(),
-			})
-		}
-		return enc(out)
-	})
+	mux.Register(MsgTiers, func(raw []byte) ([]byte, error) { return enc(tierInfos(srv)) })
 }
 
 // serveRead performs the server-side read path through the daemon's

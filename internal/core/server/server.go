@@ -10,7 +10,6 @@ package server
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -76,9 +75,9 @@ type Server struct {
 
 	shared map[string]bool
 
-	peerMu sync.Mutex
-	dialer Dialer
-	peers  map[string]comm.Peer
+	// peers reaches other members by name for peer reads; see
+	// EnableRemote.
+	peers comm.Peers
 
 	// remote is the one peer read path (cluster.Fetcher); see
 	// SetRemoteReader.
@@ -103,11 +102,6 @@ type Server struct {
 	zeroCopy     atomic.Int64 // payload bytes served by reference from pinned views
 
 	started bool
-}
-
-// Dialer reaches peer nodes for remote tier reads.
-type Dialer interface {
-	Dial(node string) comm.Peer
 }
 
 // RemoteReader serves a segment read from a peer node's tier. ok is
@@ -167,7 +161,6 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		eng:      eng,
 		ioc:      ioc,
 		shared:   shared,
-		peers:    make(map[string]comm.Peer),
 		iostats:  telemetry.NewReadStats(),
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -204,7 +197,7 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 }
 
 // NewMaps returns a node's stats and mapping hashmaps. roster lists the
-// members at boot (nil: this node alone); dialer reaches remote owners and
+// members at boot (nil: this node alone); peers reaches remote owners and
 // mux carries their operations (both nil for a node alone). A cluster
 // fabric grows or shrinks the roster through Rebalance on view changes.
 // When walPath is non-empty the maps are backed by a write-ahead log and
@@ -212,7 +205,7 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 // restarts and power-downs (the fault tolerance the paper's distributed
 // hashmap provides). Mappings are not replayed: they point at volatile
 // tier payloads that did not survive the restart.
-func NewMaps(node string, roster []string, dialer dhm.Dialer, mux *comm.Mux, walPath string) (stats, maps *dhm.Map, wal *dhm.WAL, err error) {
+func NewMaps(node string, roster []string, peers comm.Peers, mux *comm.Mux, walPath string) (stats, maps *dhm.Map, wal *dhm.WAL, err error) {
 	var state map[string]map[dhm.Key]any
 	if walPath != "" {
 		var rerr error
@@ -225,8 +218,8 @@ func NewMaps(node string, roster []string, dialer dhm.Dialer, mux *comm.Mux, wal
 			state = nil
 		}
 	}
-	stats = dhm.New(dhm.Config{Name: "hfetch-stats", Self: node, Nodes: roster, Dialer: dialer, WAL: wal}, mux)
-	maps = dhm.New(dhm.Config{Name: "hfetch-maps", Self: node, Nodes: roster, Dialer: dialer, WAL: wal}, mux)
+	stats = dhm.New(dhm.Config{Name: "hfetch-stats", Self: node, Nodes: roster, Peers: peers, WAL: wal}, mux)
+	maps = dhm.New(dhm.Config{Name: "hfetch-maps", Self: node, Nodes: roster, Peers: peers, WAL: wal}, mux)
 	if state != nil {
 		stats.Restore(state)
 	}
@@ -285,11 +278,7 @@ func (s *Server) Flush() {
 // StartEpoch begins a prefetching epoch for an opening reader; the first
 // opener installs the file watch.
 func (s *Server) StartEpoch(file string, size int64) {
-	if s.registry.AddWatch(file) {
-		s.aud.StartEpoch(file, size)
-		return
-	}
-	// Joiner: still reference-count the epoch.
+	s.registry.AddWatch(file)
 	s.aud.StartEpoch(file, size)
 }
 
@@ -435,12 +424,11 @@ func (s *Server) StallTime() time.Duration {
 
 const msgRemoteRead = "srv.read"
 
-// EnableRemote wires the server into the cluster fabric: mux receives
-// this node's remote-read handler, dialer reaches peers.
-func (s *Server) EnableRemote(mux *comm.Mux, dialer Dialer) {
-	s.peerMu.Lock()
-	s.dialer = dialer
-	s.peerMu.Unlock()
+// EnableRemote wires the server into the cluster fabric, before it
+// serves reads: mux receives this node's remote-read handler, peers
+// reaches the members whose tiers it reads.
+func (s *Server) EnableRemote(mux *comm.Mux, peers comm.Peers) {
+	s.peers = peers
 	mux.RegisterReply(msgRemoteRead, s.serveRemoteRead)
 }
 
@@ -492,20 +480,6 @@ func (s *Server) serveRemoteRead(head []byte) (comm.Reply, error) {
 	return rep, nil
 }
 
-func (s *Server) peer(node string) comm.Peer {
-	s.peerMu.Lock()
-	defer s.peerMu.Unlock()
-	if s.dialer == nil {
-		return nil
-	}
-	if p, ok := s.peers[node]; ok {
-		return p
-	}
-	p := s.dialer.Dial(node)
-	s.peers[node] = p
-	return p
-}
-
 // ViewRemote issues one peer read request with no retry or
 // single-flight policy and returns the payload by reference: rep.Body
 // is the buffer the response frame's body was received into (over TCP a
@@ -518,11 +492,14 @@ func (s *Server) peer(node string) comm.Peer {
 // peer is fine). cluster.Fetcher, its only caller on the read path,
 // builds its backoff and suspect logic on this split.
 func (s *Server) ViewRemote(node, tier string, id seg.ID, off int64, length int) (rep comm.Reply, ok bool, err error) {
-	peer := s.peer(node)
-	if peer == nil {
+	if s.peers == nil {
 		return comm.Reply{}, false, fmt.Errorf("server: no peer for node %q", node)
 	}
 	s.remoteReads.Add(1)
+	peer, err := s.peers.Peer(node)
+	if err != nil {
+		return comm.Reply{}, false, err
+	}
 	hb := comm.NewHeadBuf()
 	head := appendReadReq(hb.B, remoteReadReq{Tier: tier, File: id.File, Idx: id.Index, Off: off, Len: length})
 	// Propagate the segment's lifecycle trace (when sampled) so the
@@ -537,9 +514,11 @@ func (s *Server) ViewRemote(node, tier string, id seg.ID, off int64, length int)
 	rep, err = comm.Call(peer, msgRemoteRead, head)
 	hb.Release()
 	if err != nil {
-		// Drop the cached peer so the next attempt redials through the
-		// dialer (which may resolve a restarted node's new transport).
-		s.dropPeer(node, peer)
+		if !comm.IsRemote(err) {
+			// The next attempt redials, at the address membership then
+			// holds (a restarted node's new transport).
+			s.peers.DropPeer(node)
+		}
 		return comm.Reply{}, false, err
 	}
 	ok, err = parseReadResp(rep.Head)
@@ -551,15 +530,6 @@ func (s *Server) ViewRemote(node, tier string, id seg.ID, off int64, length int)
 		return comm.Reply{}, false, err
 	}
 	return rep, true, nil
-}
-
-func (s *Server) dropPeer(node string, p comm.Peer) {
-	s.peerMu.Lock()
-	if s.peers[node] == p {
-		delete(s.peers, node)
-	}
-	s.peerMu.Unlock()
-	p.Close()
 }
 
 // RemoteStats reports (requests issued to peers, requests served for

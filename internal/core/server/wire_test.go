@@ -104,17 +104,36 @@ func segPayload(idx int64, size int) []byte {
 	return p
 }
 
-type tcpDialer struct {
-	t     testing.TB
+// tcpPeers is the reading node's comm.Peers over TCP loopback: one
+// connection per name, kept until dropped, as cluster.Membership keeps
+// its own.
+type tcpPeers struct {
 	addrs map[string]string
+	mu    sync.Mutex
+	peers map[string]comm.Peer
 }
 
-func (d tcpDialer) Dial(node string) comm.Peer {
-	p, err := comm.DialTCPOpts(d.addrs[node], comm.PeerOptions{RequestTimeout: 10 * time.Second})
-	if err != nil {
-		d.t.Fatalf("dial %s: %v", node, err)
+func (s *tcpPeers) Peer(node string) (comm.Peer, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p, ok := s.peers[node]; ok {
+		return p, nil
 	}
-	return p
+	p, err := comm.DialTCPOpts(s.addrs[node], comm.PeerOptions{RequestTimeout: 10 * time.Second})
+	if err == nil {
+		s.peers[node] = p
+	}
+	return p, err
+}
+
+func (s *tcpPeers) DropPeer(node string) {
+	s.mu.Lock()
+	p, ok := s.peers[node]
+	delete(s.peers, node)
+	s.mu.Unlock()
+	if ok {
+		p.Close()
+	}
 }
 
 // remotePair boots a serving node n0 (whose RAM tier the returned store
@@ -139,12 +158,9 @@ func remotePair(t testing.TB, capacity int64) (n1 *Server, ram0 *tiers.Store) {
 	}
 	t.Cleanup(func() { ln.Close() })
 	n0.EnableRemote(mux0, nil)
-	n1.EnableRemote(mux1, tcpDialer{t: t, addrs: map[string]string{"n0": ln.Addr()}})
-	t.Cleanup(func() {
-		if p := n1.peer("n0"); p != nil {
-			p.Close()
-		}
-	})
+	peers := &tcpPeers{addrs: map[string]string{"n0": ln.Addr()}, peers: make(map[string]comm.Peer)}
+	n1.EnableRemote(mux1, peers)
+	t.Cleanup(func() { peers.DropPeer("n0") })
 	return n1, ram0
 }
 

@@ -21,7 +21,7 @@ func TestConcurrentWritesDuringRebalance(t *testing.T) {
 	maps := make([]*Map, len(all))
 	for i, name := range all {
 		mux := comm.NewMux()
-		maps[i] = New(Config{Name: "t", Self: name, Nodes: all, Dialer: inprocDialer{net}}, mux)
+		maps[i] = New(Config{Name: "t", Self: name, Nodes: all, Peers: inprocPeers(net)}, mux)
 		net.Join(name, mux)
 	}
 
@@ -170,7 +170,7 @@ func TestWALCrashRecoveryRejoin(t *testing.T) {
 	}
 	net := comm.NewInprocNetwork(nil)
 	mux0, mux1 := comm.NewMux(), comm.NewMux()
-	m0 := New(Config{Name: "t", Self: "n0", Nodes: []string{"n0"}, WAL: wal, Dialer: inprocDialer{net}}, mux0)
+	m0 := New(Config{Name: "t", Self: "n0", Nodes: []string{"n0"}, WAL: wal, Peers: inprocPeers(net)}, mux0)
 	m0.Restore(state)
 	net.Join("n0", mux0)
 
@@ -179,7 +179,7 @@ func TestWALCrashRecoveryRejoin(t *testing.T) {
 		t.Fatalf("recovered %d keys, want >= 99", recovered)
 	}
 
-	m1 := New(Config{Name: "t", Self: "n1", Nodes: []string{"n0", "n1"}, Dialer: inprocDialer{net}}, mux1)
+	m1 := New(Config{Name: "t", Self: "n1", Nodes: []string{"n0", "n1"}, Peers: inprocPeers(net)}, mux1)
 	net.Join("n1", mux1)
 	migrated, err := m0.Rebalance([]string{"n0", "n1"})
 	if err != nil {

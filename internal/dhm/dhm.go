@@ -70,11 +70,6 @@ type opEntry struct {
 	plain bool
 }
 
-// Dialer abstracts how the map reaches other nodes.
-type Dialer interface {
-	Dial(node string) comm.Peer
-}
-
 // Config configures a Map instance.
 type Config struct {
 	// Name namespaces the map's message types and WAL records.
@@ -85,8 +80,9 @@ type Config struct {
 	Nodes []string
 	// Shards is the number of local lock stripes (default 64).
 	Shards int
-	// Dialer reaches remote owners; may be nil for single-node maps.
-	Dialer Dialer
+	// Peers reaches remote owners by name (the cluster membership); may
+	// be nil for single-node maps.
+	Peers comm.Peers
 	// WAL, when non-nil, records local mutations for recovery.
 	WAL *WAL
 }
@@ -104,9 +100,6 @@ type Map struct {
 	// the writers) and read with one load per apply, like members.
 	opMu sync.Mutex
 	ops  atomic.Pointer[map[string]opEntry]
-
-	peerMu sync.Mutex
-	peers  map[string]comm.Peer
 
 	// msgTypes are the four RPC message types, built once: the name
 	// concatenation is off the per-call path.
@@ -138,10 +131,7 @@ func New(cfg Config, mux *comm.Mux) *Map {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 64
 	}
-	m := &Map{
-		cfg:   cfg,
-		peers: make(map[string]comm.Peer),
-	}
+	m := &Map{cfg: cfg}
 	m.ops.Store(&map[string]opEntry{})
 	m.setMembers(cfg.Nodes)
 	for i, op := range [...]string{rpcGet: "get", rpcPut: "put", rpcDel: "del", rpcApply: "apply"} {
@@ -440,28 +430,22 @@ func (m *Map) Range(fn func(k Key, val any) bool) {
 
 // ---- remote plumbing ----
 
-func (m *Map) peer(node string) (comm.Peer, error) {
-	if m.cfg.Dialer == nil {
-		return nil, fmt.Errorf("dhm: no dialer configured for remote owner %q", node)
-	}
-	m.peerMu.Lock()
-	defer m.peerMu.Unlock()
-	if p, ok := m.peers[node]; ok {
-		return p, nil
-	}
-	p := m.cfg.Dialer.Dial(node)
-	m.peers[node] = p
-	return p, nil
-}
-
 // remote sends one RPC's request head to owner and returns the response
-// head.
+// head. A transport error drops owner's connection, so the next RPC
+// redials it.
 func (m *Map) remote(rpc int, owner string, req []byte) ([]byte, error) {
-	p, err := m.peer(owner)
+	if m.cfg.Peers == nil {
+		return nil, fmt.Errorf("dhm: no peers configured for remote owner %q", owner)
+	}
+	p, err := m.cfg.Peers.Peer(owner)
 	if err != nil {
 		return nil, err
 	}
-	return p.Request(m.msgTypes[rpc], req)
+	out, err := p.Request(m.msgTypes[rpc], req)
+	if err != nil && !comm.IsRemote(err) {
+		m.cfg.Peers.DropPeer(owner)
+	}
+	return out, err
 }
 
 // newReq starts a request head in a pooled buffer, released once the

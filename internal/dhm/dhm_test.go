@@ -144,9 +144,44 @@ func TestOwnerMinimalReshuffle(t *testing.T) {
 	}
 }
 
-type inprocDialer struct{ net *comm.InprocNetwork }
+// peerSet is the tests' comm.Peers: one connection per name, dialed on
+// first use and kept until dropped, as cluster.Membership keeps its own.
+type peerSet struct {
+	dial  func(node string) (comm.Peer, error)
+	mu    sync.Mutex
+	peers map[string]comm.Peer
+}
 
-func (d inprocDialer) Dial(node string) comm.Peer { return d.net.Dial(node) }
+func (s *peerSet) Peer(node string) (comm.Peer, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if p, ok := s.peers[node]; ok {
+		return p, nil
+	}
+	p, err := s.dial(node)
+	if err == nil {
+		if s.peers == nil {
+			s.peers = make(map[string]comm.Peer)
+		}
+		s.peers[node] = p
+	}
+	return p, err
+}
+
+func (s *peerSet) DropPeer(node string) {
+	s.mu.Lock()
+	p, ok := s.peers[node]
+	delete(s.peers, node)
+	s.mu.Unlock()
+	if ok {
+		p.Close()
+	}
+}
+
+// inprocPeers is one node's peerSet over the in-process fabric.
+func inprocPeers(net *comm.InprocNetwork) *peerSet {
+	return &peerSet{dial: func(node string) (comm.Peer, error) { return net.Dial(node), nil }}
+}
 
 // cluster builds an n-node DHM over the in-process fabric.
 func cluster(t *testing.T, n int) []*Map {
@@ -156,7 +191,7 @@ func cluster(t *testing.T, n int) []*Map {
 	maps := make([]*Map, n)
 	for i, name := range names {
 		mux := comm.NewMux()
-		maps[i] = New(Config{Name: "t", Self: name, Nodes: names, Dialer: inprocDialer{net}}, mux)
+		maps[i] = New(Config{Name: "t", Self: name, Nodes: names, Peers: inprocPeers(net)}, mux)
 		net.Join(name, mux)
 	}
 	return maps
@@ -233,14 +268,14 @@ func TestDistributedAtomicCounter(t *testing.T) {
 	}
 }
 
-func TestRemoteWithoutDialerFails(t *testing.T) {
+func TestRemoteWithoutPeersFails(t *testing.T) {
 	m := New(Config{Name: "t", Self: "a", Nodes: []string{"a", "zz"}}, nil)
 	// Find a key owned by zz.
 	for i := 0; ; i++ {
 		k := fmt.Sprintf("key-%d", i)
 		if m.Owner(StringKey(k)) == "zz" {
 			if err := m.Put(k, int64(1)); err == nil {
-				t.Fatal("remote put without dialer must fail")
+				t.Fatal("remote put without peers must fail")
 			}
 			return
 		}
@@ -391,13 +426,13 @@ func TestRebalanceJoinPushesKeys(t *testing.T) {
 	net := comm.NewInprocNetwork(nil)
 	names := []string{"n0", "n1"}
 	mux0, mux1 := comm.NewMux(), comm.NewMux()
-	m0 := New(Config{Name: "t", Self: "n0", Nodes: []string{"n0"}, Dialer: inprocDialer{net}}, mux0)
+	m0 := New(Config{Name: "t", Self: "n0", Nodes: []string{"n0"}, Peers: inprocPeers(net)}, mux0)
 	net.Join("n0", mux0)
 	for i := 0; i < 100; i++ {
 		m0.Put(fmt.Sprintf("key-%d", i), int64(i))
 	}
 	// n1 joins.
-	m1 := New(Config{Name: "t", Self: "n1", Nodes: names, Dialer: inprocDialer{net}}, mux1)
+	m1 := New(Config{Name: "t", Self: "n1", Nodes: names, Peers: inprocPeers(net)}, mux1)
 	net.Join("n1", mux1)
 	migrated, err := m0.Rebalance(names)
 	if err != nil {

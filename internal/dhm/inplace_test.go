@@ -190,7 +190,7 @@ func TestConcurrentInPlaceOpsDuringRebalance(t *testing.T) {
 	maps := make([]*Map, len(all))
 	for i, name := range all {
 		mux := comm.NewMux()
-		maps[i] = New(Config{Name: "t", Self: name, Nodes: all, Dialer: inprocDialer{net}}, mux)
+		maps[i] = New(Config{Name: "t", Self: name, Nodes: all, Peers: inprocPeers(net)}, mux)
 		registerPointOps(maps[i])
 		net.Join(name, mux)
 	}

@@ -204,20 +204,6 @@ func TestRemotePutUnregisteredTypeFails(t *testing.T) {
 	}
 }
 
-type tcpDialer struct {
-	t     testing.TB
-	addrs map[string]string
-}
-
-func (d tcpDialer) Dial(node string) comm.Peer {
-	// With a request timeout, so the call's timer is on the counted path.
-	p, err := comm.DialTCPOpts(d.addrs[node], comm.PeerOptions{RequestTimeout: 10 * time.Second})
-	if err != nil {
-		d.t.Fatalf("dial %s: %v", node, err)
-	}
-	return p
-}
-
 // remoteMapping returns node n0's view of a 2-node map over TCP loopback
 // and a key n1 owns holding a mapping string.
 func remoteMapping(t testing.TB) (m0 *Map, key string) {
@@ -229,8 +215,12 @@ func remoteMapping(t testing.TB) (m0 *Map, key string) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ln.Close() })
-	dial := tcpDialer{t: t, addrs: map[string]string{"n1": ln.Addr()}}
-	m0 = New(Config{Name: "hfetch-maps", Self: "n0", Nodes: names, Dialer: dial}, nil)
+	// With a request timeout, so the call's timer is on the counted path.
+	peers := &peerSet{dial: func(string) (comm.Peer, error) {
+		return comm.DialTCPOpts(ln.Addr(), comm.PeerOptions{RequestTimeout: 10 * time.Second})
+	}}
+	t.Cleanup(func() { peers.DropPeer("n1") })
+	m0 = New(Config{Name: "hfetch-maps", Self: "n0", Nodes: names, Peers: peers}, nil)
 	m1 := New(Config{Name: "hfetch-maps", Self: "n1", Nodes: names}, mux1)
 	for i := 0; ; i++ {
 		key = fmt.Sprintf("/data/file-%d", i)
@@ -241,11 +231,6 @@ func remoteMapping(t testing.TB) (m0 *Map, key string) {
 	if err := m1.Put(key, "n1|ram"); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() {
-		if p, err := m0.peer("n1"); err == nil {
-			p.Close()
-		}
-	})
 	return m0, key
 }
 

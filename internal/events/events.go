@@ -75,13 +75,11 @@ func NewRegistry() *Registry {
 	return &Registry{watches: make(map[string]int)}
 }
 
-// AddWatch installs (or references) a watch on file and reports whether
-// this call created it.
-func (r *Registry) AddWatch(file string) bool {
+// AddWatch installs (or references) a watch on file.
+func (r *Registry) AddWatch(file string) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.watches[file]++
-	return r.watches[file] == 1
+	r.mu.Unlock()
 }
 
 // RemoveWatch dereferences the watch on file and reports whether this

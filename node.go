@@ -151,7 +151,7 @@ func assemble(cfg Config, s nodeSpec) (*Node, error) {
 		MaxInflight: g.MaxInflight, ClientInflight: g.ClientInflight, TenantRPS: g.TenantRPS,
 		TenantBurst: g.TenantBurst, AdmitWait: g.AdmitWait, Telemetry: reg,
 	}}
-	var dialer dhm.Dialer
+	var peers comm.Peers
 	if s.fabric != nil {
 		fc := *s.fabric
 		fc.Mux, fc.Telemetry = s.mux, reg
@@ -170,9 +170,9 @@ func assemble(cfg Config, s nodeSpec) (*Node, error) {
 			}
 		}
 		n.cn = cluster.New(fc)
-		dialer = n.cn.Dialer()
+		peers = n.cn.Membership()
 	}
-	stats, maps, wal, err := server.NewMaps(s.name, s.roster, dialer, s.mux, s.walPath)
+	stats, maps, wal, err := server.NewMaps(s.name, s.roster, peers, s.mux, s.walPath)
 	if err != nil {
 		return nil, err
 	}
