@@ -20,8 +20,8 @@
 //     dst.PutBuf(id, b)` — flips the polarity: the caller owns again
 //     only when the error is non-nil.
 //   - released: a must-release happened; any later use of the object
-//     (or of a slice obtained from its Bytes-style alias methods) is a
-//     use-after-release.
+//     (or of a slice obtained from its Bytes-style alias methods or
+//     Head-style alias fields) is a use-after-release.
 //
 // `defer b.Release()` discharges the obligation at registration (the
 // exit chain runs it on every path), without marking the object
@@ -64,8 +64,9 @@ type Acquire struct {
 	// Release lists method names on the owned value that discharge the
 	// obligation.
 	Release []string
-	// Alias lists method names whose result aliases the owned storage
-	// (Bytes); uses of such slices after release are flagged.
+	// Alias lists the methods whose result (Bytes) and the fields
+	// (a Reply's Head) that alias the owned storage; uses of such slices
+	// after release are flagged.
 	Alias []string
 	// Name labels the resource in messages.
 	Name string
@@ -116,19 +117,23 @@ func DefaultConfig() Config {
 				Cond: -1, Release: []string{"Close"},
 				Name: "range view (Server.OpenRangeView)"},
 			// A comm.Reply borrows its Body (its Owner's pin on the serving
-			// side, a slab buffer on the receiving side) until Release.
+			// side, a slab buffer on the receiving side) and its Head until
+			// Release.
 			{Callee: "hfetch/internal/comm.Call", Result: 0,
 				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
-				Name: "reply (comm.Call)"},
+				Alias: []string{"Head", "Body"}, Name: "reply (comm.Call)"},
 			{Callee: "hfetch/internal/comm.Caller.Call", Result: 0,
 				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
-				Name: "reply (Caller.Call)"},
+				Alias: []string{"Head", "Body"}, Name: "reply (Caller.Call)"},
 			{Callee: "hfetch/internal/comm.Mux.Serve", Result: 0,
 				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
-				Name: "reply (Mux.Serve)"},
+				Alias: []string{"Head", "Body"}, Name: "reply (Mux.Serve)"},
 			{Callee: "hfetch/internal/core/server.Server.ViewRemote", Result: 0,
 				Cond: 1, CondKind: CondBool, Release: []string{"Release"},
-				Name: "received body (Server.ViewRemote)"},
+				Alias: []string{"Head", "Body"}, Name: "received body (Server.ViewRemote)"},
+			{Callee: "hfetch/internal/dhm.Map.remote", Result: 0,
+				Cond: 1, CondKind: CondErrNil, Release: []string{"Release"},
+				Alias: []string{"Head", "Body"}, Name: "reply (Map.remote)"},
 			{Callee: "hfetch/internal/comm.NewHeadBuf", Result: 0,
 				Cond: -1, Release: []string{"Release"},
 				Name: "pooled head (comm.NewHeadBuf)"},
@@ -512,9 +517,9 @@ func (c *checker) assign(lhs, rhs []ast.Expr, define bool, f *bufFact) {
 			if c.bindTransfer(call, lhs, f) {
 				return
 			}
-			if c.bindAlias(call, lhs, f) {
-				return
-			}
+		}
+		if c.bindAlias(rhs[0], lhs, f) {
+			return
 		}
 	}
 	if len(lhs) == len(rhs) {
@@ -631,9 +636,12 @@ func (c *checker) bindTransfer(call *ast.CallExpr, lhs []ast.Expr, f *bufFact) b
 	return true
 }
 
-// bindAlias matches `data := b.Bytes()`.
-func (c *checker) bindAlias(call *ast.CallExpr, lhs []ast.Expr, f *bufFact) bool {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+// bindAlias matches `data := b.Bytes()` and `head := rep.Head`.
+func (c *checker) bindAlias(rhs ast.Expr, lhs []ast.Expr, f *bufFact) bool {
+	if call, ok := ast.Unparen(rhs).(*ast.CallExpr); ok {
+		rhs = call.Fun
+	}
+	sel, ok := ast.Unparen(rhs).(*ast.SelectorExpr)
 	if !ok || len(lhs) != 1 {
 		return false
 	}

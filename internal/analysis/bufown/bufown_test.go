@@ -23,6 +23,10 @@ func fixtureConfig(pkg string) Config {
 				Cond: 1, CondKind: CondErrNil,
 				Release: []string{"Release"}, Alias: []string{"Bytes"},
 				Name: "taken buffer (Store.TakeBuf)"},
+			{Callee: pkg + ".Call", Result: 0,
+				Cond: 1, CondKind: CondErrNil,
+				Release: []string{"Release"}, Alias: []string{"Head"},
+				Name: "reply (Call)"},
 		},
 		Transfers: []Transfer{
 			{Callee: pkg + ".Store.PutBuf", Arg: 1, HasErr: true},

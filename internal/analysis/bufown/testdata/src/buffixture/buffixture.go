@@ -143,6 +143,23 @@ func aliasAfterRelease(s *Store, id int) []byte {
 	return data // want `slice aliasing pinned view \(Store\.View\) used after the buffer was released`
 }
 
+// Reply borrows its Head until Release, as comm.Reply does.
+type Reply struct{ Head []byte }
+
+func (r Reply) Release() {}
+
+func Call() (Reply, error) { return Reply{}, nil }
+
+func headAfterRelease() []byte {
+	rep, err := Call()
+	if err != nil {
+		return nil
+	}
+	head := rep.Head
+	rep.Release()
+	return head // want `slice aliasing reply \(Call\) used after the buffer was released`
+}
+
 // --- loops and merges stay precise -----------------------------------
 
 func loopViews(s *Store, ids []int) int {

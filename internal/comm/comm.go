@@ -36,10 +36,11 @@
 // The head is the message's encoding, owned by the package that owns
 // the message: srv.read (internal/core/server), the dhm RPC and its
 // tagged values (internal/dhm, *auditor.Rec registering its own pair),
-// cluster.inval / cluster.hb (internal/cluster) are
-// hand-written binary codecs; ctl.* and the agent protocol still put a
-// gob encoding there. comm never looks inside a head; field.go only
-// offers the length-prefixed field helpers the codecs share.
+// cluster.inval / cluster.hb (internal/cluster) and agent.read
+// (internal/core/remote) are hand-written binary codecs; ctl.* and the
+// agent's open, write and close still put a gob encoding there. comm
+// never looks inside a head; field.go only offers the length-prefixed
+// field helpers the codecs share.
 //
 // The body is bulk bytes passed by reference. A serving handler
 // registered with Mux.RegisterReply returns a Reply whose Body points
@@ -52,15 +53,20 @@
 // is the handler's own slice and Release drops the handler's pin — so
 // the emulated cluster exercises the same ownership rules as TCP.
 //
+// A TCP client reads a response head of up to 4 KiB (the slab's smallest
+// class) into a slab buffer too: Call's head is borrowed like its body,
+// valid until Release, which returns both. A larger head (a gob ctl.*
+// reply) is GC-managed.
+//
 // Handler, Mux.Register and Peer.Request are the body-less case of the
 // same call: a plain handler is a reply handler with no body, and a
 // plain Request is a Call whose reply is released on the spot and whose
-// head — always a GC-managed, caller-owned slice — is returned.
+// head is returned owned by the caller: a borrowed head is copied first.
 //
-// A TCP call allocates nothing but its caller's head: a client reuses a
-// call record (channel, timer) per outstanding request, pooled only
-// empty; a server hands each frame to an idle worker of its connection,
-// starting one only when all are busy, and retires a worker idle 1 s.
+// A TCP Call allocates nothing: a client reuses a call record (channel,
+// timer) per outstanding request, pooled only empty; a server hands each
+// frame to an idle worker of its connection, starting one only when all
+// are busy, and retires a worker idle 1 s.
 package comm
 
 import (
@@ -89,15 +95,14 @@ var ErrTimeout = errors.New("comm: request timed out")
 type Handler func(payload []byte) ([]byte, error)
 
 // Reply is a response in the general call shape: a head plus bulk bytes
-// by reference. Head is an ordinary GC-managed slice, never pooled: it
-// stays valid after Release. Body is borrowed: whoever holds the Reply
-// calls Release exactly once when done with it, and must not touch Body
+// by reference. Both are borrowed: whoever holds the Reply calls Release
+// exactly once when done with it, and must not touch Head or Body
 // afterwards.
 type Reply struct {
-	Head  []byte
-	Body  []byte
-	Owner Owner // what Body goes back to on Release: the serving side's pinned *tiers.Buf
-	slab  bool  // Body is the slab buffer the TCP transport received into
+	Head           []byte
+	Body           []byte
+	Owner          Owner // what Body goes back to on Release: the serving side's pinned *tiers.Buf
+	slabHead, slab bool  // Head, Body: slab buffers the TCP transport received into
 }
 
 // Owner holds a reply's borrowed bytes until the reply is released.
@@ -105,6 +110,9 @@ type Owner interface{ Release() }
 
 // Release ends the holder's use of the reply. Safe on the zero Reply.
 func (r Reply) Release() {
+	if r.slabHead {
+		tiers.SlabPut(r.Head)
+	}
 	if r.Owner != nil {
 		r.Owner.Release()
 	} else if r.slab {
@@ -188,13 +196,18 @@ func errNoHandler(t string) error {
 	return fmt.Errorf("comm: no handler for message type %q", t)
 }
 
-// HeadOnly folds a general reply into the plain call shape, releasing it.
+// HeadOnly folds a general reply into the plain call shape, releasing it;
+// a borrowed head is copied out first.
 func HeadOnly(r Reply, err error) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	head := r.Head
+	if r.slabHead {
+		head = bytes.Clone(head)
+	}
 	r.Release()
-	return r.Head, nil
+	return head, nil
 }
 
 // Peer is a connection to one remote node.

@@ -25,8 +25,10 @@ const (
 	// version 1 peer would hash the same segment to another owner. 3
 	// answers a dhm apply with the bytes its op appended, not the value.
 	// 4 carries the cluster heartbeat in a binary head instead of gob. 5
-	// drops the per-peer link-health rows that heartbeat carried.
-	WireVersion = 5
+	// drops the per-peer link-health rows that heartbeat carried. 6 moves
+	// the agent's read from a gob head to a binary one, its payload to the
+	// body.
+	WireVersion = 6
 
 	frameHeaderLen = 24
 
@@ -34,9 +36,12 @@ const (
 	maxErrLen  = 4096
 
 	// MaxHead bounds a frame's head: codec heads are tens of bytes; the
-	// bound leaves room for the cold gob heads (ctl.*, the agent
-	// protocol's reads) that still ride here.
+	// bound leaves room for the cold gob heads (ctl.* replies) that still
+	// ride here.
 	MaxHead = 4 << 20
+	// slabHeadMax is the largest head a client draws from the slab (its
+	// smallest class); a larger one is GC-owned and handed on uncopied.
+	slabHeadMax = 4 << 10
 	// MaxBody bounds a frame's body at the slab's largest class, so a
 	// received body always lands in a pooled buffer.
 	MaxBody = tiers.SlabMaxBuf
@@ -138,7 +143,7 @@ func checkFrame(msgType string, head, body []byte) error {
 
 // frame is one received frame. typ aliases the reader's scratch and is
 // valid until the next read; head and body are the receiver's own
-// buffers.
+// buffers, slabHead says whether head came from the slab.
 type frame struct {
 	frameHeader
 	typ      []byte
@@ -148,9 +153,8 @@ type frame struct {
 	slabHead bool
 }
 
-// recycle returns the frame's slab-drawn buffers. The body always comes
-// from the slab; the head only on the serving side (a client's response
-// head is handed to the caller, GC-managed).
+// recycle returns the frame's slab-drawn buffers: the body always, the
+// head when it was drawn there.
 func (f *frame) recycle() {
 	if f.slabHead {
 		tiers.SlabPut(f.head)
@@ -165,8 +169,9 @@ func (f *frame) recycle() {
 type frameReader struct {
 	r  io.Reader
 	st *Stats
-	// slabHead draws heads from the slab (serving side: the request is
-	// recycled once its response is written) instead of the GC heap.
+	// slabHead draws every head from the slab (serving side: the request
+	// is recycled once its response is written); without it only a head
+	// of up to slabHeadMax is, and a larger one comes from the GC heap.
 	slabHead bool
 	hdr      [frameHeaderLen]byte
 	meta     []byte // message type + error scratch, reused across frames
@@ -182,7 +187,7 @@ func (r *frameReader) read() (frame, error) {
 	if err != nil {
 		return frame{}, err
 	}
-	f := frame{frameHeader: h, slabHead: r.slabHead}
+	f := frame{frameHeader: h, slabHead: r.slabHead || h.headLen <= slabHeadMax}
 	if n := h.typeLen + h.errLen; n > 0 {
 		if cap(r.meta) < n {
 			r.meta = make([]byte, n)
@@ -195,7 +200,7 @@ func (r *frameReader) read() (frame, error) {
 		f.errMsg = string(r.meta[h.typeLen:])
 	}
 	if h.headLen > 0 {
-		if r.slabHead {
+		if f.slabHead {
 			f.head = tiers.SlabGet(int64(h.headLen))
 		} else {
 			f.head = make([]byte, h.headLen)

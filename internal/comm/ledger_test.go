@@ -44,7 +44,8 @@ func TestLedgerBrokenStreams(t *testing.T) {
 	srv.Close() // waits for every connection's reader and handlers
 
 	// The calling side, answered by a raw server: each connection gets one
-	// scripted answer to its first request, then the socket closes.
+	// scripted answer to its first request, then the socket closes. A
+	// response head of up to 4 KiB is a slab buffer on this side too.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -56,6 +57,9 @@ func TestLedgerBrokenStreams(t *testing.T) {
 		rawFrame(WireVersion, kindResponse, 1, "", "boom", 0, 4096, big[:4096]),               // an error with a body
 		rawFrame(WireVersion, kindResponse, 99, "", "", 0, 4096, big[:4096]),                  // for a request never made
 		rawFrame(WireVersion, kindRequest, 1, "echo", "", 0, 4096, big[:4096]),                // not a response at all
+		rawFrame(WireVersion, kindResponse, 1, "", "", 4096, 0, big[:2048]),                   // closes mid-head
+		rawFrame(WireVersion, kindResponse, 1, "", "boom", 16, 4096, big[:16+4096]),           // an error with a head
+		rawFrame(WireVersion, kindResponse, 99, "", "", 4096, 16, big[:4096+16]),              // a head for a request never made
 	}
 	go func() {
 		for _, ans := range answers {
@@ -63,7 +67,8 @@ func TestLedgerBrokenStreams(t *testing.T) {
 			if err != nil {
 				return
 			}
-			if _, err := (&frameReader{r: c}).read(); err == nil {
+			if f, err := (&frameReader{r: c}).read(); err == nil {
+				f.recycle()
 				c.Write(ans)
 			}
 			c.Close()

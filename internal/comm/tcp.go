@@ -344,7 +344,7 @@ func (p *tcpPeer) readLoop() {
 		p.mu.Unlock()
 		if c == nil {
 			// The request timed out (or never existed): the late
-			// response's body goes back to the slab unread.
+			// response's head and body go back to the slab unread.
 			f.recycle()
 			continue
 		}
@@ -432,7 +432,7 @@ func (p *tcpPeer) call(msgType string, head []byte) (Reply, error) {
 		f.recycle()
 		return Reply{}, remoteError{msg: f.errMsg}
 	}
-	return Reply{Head: f.head, Body: f.body, slab: f.body != nil}, nil
+	return Reply{Head: f.head, Body: f.body, slabHead: f.slabHead, slab: f.body != nil}, nil
 }
 
 // release pools a finished call's record for the next call.

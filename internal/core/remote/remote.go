@@ -3,13 +3,21 @@
 // cluster, agents call the server in-process; across processes the same
 // agent operations — open (start epoch), read (prefetched-or-PFS), write
 // (invalidate), close (end epoch) — travel over the node-to-node
-// communicator as gob-encoded request/response messages.
+// communicator. A read has a binary head and its payload rides the
+// frame's body by reference, landing on the daemon in a slab buffer the
+// transport frees once the frame is written; open, write, close and the
+// ctl.* queries are gob-encoded heads.
 package remote
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
+	"slices"
+	"strings"
+	"sync"
 	"time"
 
 	"hfetch/internal/comm"
@@ -18,6 +26,7 @@ import (
 	"hfetch/internal/events"
 	"hfetch/internal/pfs"
 	"hfetch/internal/telemetry"
+	"hfetch/internal/tiers"
 )
 
 // Message types of the agent protocol.
@@ -39,15 +48,47 @@ const (
 type openReq struct{ File string }
 type openResp struct{ Size int64 }
 
+// The agent.read heads; the payload read is the frame's body:
+//
+//	request:  uvarint len | file | varint off | varint len
+//	response: uvarint len | tier   (empty: the PFS served some of it)
+var errShortHead = errors.New("remote: agent.read head truncated or malformed")
+
+// readReq is an agent.read request; decoded, File aliases the head.
 type readReq struct {
-	File string
-	Off  int64
-	Len  int64
+	File     string
+	Off, Len int64
 }
 
-type readResp struct {
-	Data []byte
-	Tier string // tier that served it; empty = PFS (miss)
+func appendReadReq(dst []byte, r readReq) []byte {
+	dst = comm.AppendString(dst, r.File)
+	dst = binary.AppendVarint(dst, r.Off)
+	return binary.AppendVarint(dst, r.Len)
+}
+
+func parseReadReq(b []byte) (readReq, error) {
+	file, b, ok := comm.CutView(b)
+	if !ok {
+		return readReq{}, errShortHead
+	}
+	off, b, ok := comm.CutVarint(b)
+	if !ok {
+		return readReq{}, errShortHead
+	}
+	n, b, ok := comm.CutVarint(b)
+	if !ok || len(b) != 0 {
+		return readReq{}, errShortHead
+	}
+	return readReq{File: file, Off: off, Len: n}, nil
+}
+
+// parseReadResp decodes a response head; tier aliases it.
+func parseReadResp(b []byte) (tier string, err error) {
+	tier, b, ok := comm.CutView(b)
+	if !ok || len(b) != 0 {
+		return "", errShortHead
+	}
+	return tier, nil
 }
 
 type writeReq struct {
@@ -111,49 +152,45 @@ func dec(b []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
+// serveGob registers h for msg: a non-empty head decodes into its
+// request, and a non-nil answer is encoded as the reply's head.
+func serveGob[Req any](mux *comm.Mux, msg string, h func(Req) (any, error)) {
+	mux.Register(msg, func(raw []byte) ([]byte, error) {
+		var req Req
+		if len(raw) > 0 {
+			if err := dec(raw, &req); err != nil {
+				return nil, err
+			}
+		}
+		out, err := h(req)
+		if err != nil || out == nil {
+			return nil, err
+		}
+		return enc(out)
+	})
+}
+
 // Serve registers the agent protocol handlers for srv on mux.
 func Serve(mux *comm.Mux, srv *server.Server) {
 	a := agent.New(srv, srv.FS(), nil)
 	a.SetTelemetry(srv.Telemetry())
-	mux.Register(MsgOpen, func(raw []byte) ([]byte, error) {
-		var req openReq
-		if err := dec(raw, &req); err != nil {
-			return nil, err
-		}
+	serveGob(mux, MsgOpen, func(req openReq) (any, error) {
 		fi, err := srv.FS().Stat(req.File)
 		if err != nil {
 			return nil, err
 		}
 		srv.StartEpoch(req.File, fi.Size)
-		return enc(openResp{Size: fi.Size})
+		return openResp{Size: fi.Size}, nil
 	})
-	mux.Register(MsgRead, func(raw []byte) ([]byte, error) {
-		var req readReq
-		if err := dec(raw, &req); err != nil {
-			return nil, err
-		}
-		data, tier, err := serveRead(a, srv, req)
-		if err != nil {
-			return nil, err
-		}
-		return enc(readResp{Data: data, Tier: tier})
-	})
-	mux.Register(MsgWrite, func(raw []byte) ([]byte, error) {
-		var req writeReq
-		if err := dec(raw, &req); err != nil {
-			return nil, err
-		}
+	mux.RegisterReply(MsgRead, func(raw []byte) (comm.Reply, error) { return serveRead(a, srv, raw) })
+	serveGob(mux, MsgWrite, func(req writeReq) (any, error) {
 		if _, err := srv.FS().Write(req.File, req.Off, req.Len); err != nil {
 			return nil, err
 		}
 		srv.PostEvent(events.Event{Op: events.OpWrite, File: req.File, Offset: req.Off, Length: req.Len})
 		return nil, nil
 	})
-	mux.Register(MsgClose, func(raw []byte) ([]byte, error) {
-		var req closeReq
-		if err := dec(raw, &req); err != nil {
-			return nil, err
-		}
+	serveGob(mux, MsgClose, func(req closeReq) (any, error) {
 		srv.EndEpoch(req.File)
 		return nil, nil
 	})
@@ -167,18 +204,9 @@ func Serve(mux *comm.Mux, srv *server.Server) {
 		}
 		return enc(snap)
 	})
-	mux.Register(MsgTrace, func(raw []byte) ([]byte, error) {
-		var req traceReq
-		if len(raw) > 0 {
-			if err := dec(raw, &req); err != nil {
-				return nil, err
-			}
-		}
+	serveGob(mux, MsgTrace, func(req traceReq) (any, error) {
 		data, err := RenderTrace(srv, req.CSV)
-		if err != nil {
-			return nil, err
-		}
-		return enc(traceReply{Data: data})
+		return traceReply{Data: data}, err
 	})
 	mux.Register(MsgTraceRecs, func(raw []byte) ([]byte, error) {
 		reply := traceRecsReply{Node: srv.Node()}
@@ -192,29 +220,51 @@ func Serve(mux *comm.Mux, srv *server.Server) {
 
 // serveRead performs the server-side read path through the daemon's
 // agent, which holds no epoch of its own: the remote agent's open did.
-func serveRead(a *agent.Agent, srv *server.Server, req readReq) ([]byte, string, error) {
-	if req.Len <= 0 || req.Off < 0 {
-		return nil, "", fmt.Errorf("remote: bad read [%d,+%d)", req.Off, req.Len)
+// The bytes land in a slab buffer the reply owns; the head answers in
+// the request's buffer, which outlives the response.
+func serveRead(a *agent.Agent, srv *server.Server, raw []byte) (comm.Reply, error) {
+	req, err := parseReadReq(raw)
+	if err == nil && (req.Len <= 0 || req.Off < 0 || req.Len > comm.MaxBody) {
+		err = fmt.Errorf("remote: bad read [%d,+%d)", req.Off, req.Len)
 	}
-	fi, err := srv.FS().Stat(req.File)
 	if err != nil {
-		return nil, "", err
+		return comm.Reply{}, err
 	}
-	if req.Off >= fi.Size {
-		return nil, "", nil
+	file := strings.Clone(req.File) // the read's event keeps it
+	fi, err := srv.FS().Stat(file)
+	if err != nil || req.Off >= fi.Size {
+		return comm.Reply{Head: comm.AppendString(raw[:0], "")}, err
 	}
-	out := make([]byte, min(req.Len, fi.Size-req.Off))
-	n, tier, err := a.ReadAt(req.File, fi.Size, out, req.Off)
+	out := tiers.SlabGet(min(req.Len, fi.Size-req.Off))
+	n, tier, err := a.ReadAt(file, fi.Size, out, req.Off)
 	if err != nil {
-		return nil, "", err
+		tiers.SlabPut(out)
+		return comm.Reply{}, err
 	}
-	return out[:n], tier, nil
+	b := tiers.NewBuf(out[:n])
+	return comm.Reply{Head: comm.AppendString(raw[:0], tier), Body: b.Bytes(), Owner: b}, nil
 }
 
 // Client is a remote HFetch agent speaking to an hfetchd daemon.
 type Client struct {
 	peer  comm.Peer
 	stats *telemetry.ReadStats
+
+	mu    sync.Mutex
+	tiers []string // the tier names read replies carried (a daemon has a handful)
+}
+
+// tierName returns view as a string that outlives its reply, shared by
+// every read its tier serves.
+func (c *Client) tierName(view string) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if i := slices.Index(c.tiers, view); i >= 0 {
+		return c.tiers[i]
+	}
+	t := strings.Clone(view)
+	c.tiers = append(c.tiers, t)
+	return t
 }
 
 // Dial connects to a daemon at addr.
@@ -240,26 +290,33 @@ func (c *Client) Close() error { return c.peer.Close() }
 // Ping probes the daemon's liveness.
 func (c *Client) Ping() bool { return comm.Ping(c.peer, []byte("hfetch")) }
 
-// Stats queries the daemon's counters.
-func (c *Client) ServerStats() (StatsReply, error) {
-	raw, err := c.peer.Request(MsgStats, nil)
-	if err != nil {
-		return StatsReply{}, err
+// call sends msg with req gob-encoded as its head and decodes the reply
+// into resp; either may be nil.
+func (c *Client) call(msg string, req, resp any) error {
+	var head []byte
+	if req != nil {
+		var err error
+		if head, err = enc(req); err != nil {
+			return err
+		}
 	}
-	var out StatsReply
-	err = dec(raw, &out)
+	raw, err := c.peer.Request(msg, head)
+	if err != nil || resp == nil {
+		return err
+	}
+	return dec(raw, resp)
+}
+
+// ServerStats queries the daemon's counters.
+func (c *Client) ServerStats() (out StatsReply, err error) {
+	err = c.call(MsgStats, nil, &out)
 	return out, err
 }
 
 // Metrics queries the daemon's full telemetry snapshot. The snapshot is
 // empty (no series) when the daemon runs with telemetry disabled.
-func (c *Client) Metrics() (telemetry.Snapshot, error) {
-	raw, err := c.peer.Request(MsgMetrics, nil)
-	if err != nil {
-		return telemetry.Snapshot{}, err
-	}
-	var out telemetry.Snapshot
-	err = dec(raw, &out)
+func (c *Client) Metrics() (out telemetry.Snapshot, err error) {
+	err = c.call(MsgMetrics, nil, &out)
 	return out, err
 }
 
@@ -292,41 +349,22 @@ func RenderTrace(srv *server.Server, csv bool) ([]byte, error) {
 // Trace fetches the daemon's lifecycle trace export: Perfetto-loadable
 // trace_event JSON, or the access-record CSV when csv is set.
 func (c *Client) Trace(csv bool) ([]byte, error) {
-	req, err := enc(traceReq{CSV: csv})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.peer.Request(MsgTrace, req)
-	if err != nil {
-		return nil, err
-	}
 	var out traceReply
-	err = dec(raw, &out)
+	err := c.call(MsgTrace, traceReq{CSV: csv}, &out)
 	return out.Data, err
 }
 
 // TraceRecords fetches the daemon's raw lifecycle records and its node
 // name, for fleet-merged exports (telemetry.WriteFleetTraceJSON).
 func (c *Client) TraceRecords() (node string, recs []telemetry.TraceRecord, err error) {
-	raw, err := c.peer.Request(MsgTraceRecs, nil)
-	if err != nil {
-		return "", nil, err
-	}
 	var out traceRecsReply
-	if err := dec(raw, &out); err != nil {
-		return "", nil, err
-	}
-	return out.Node, out.Recs, nil
+	err = c.call(MsgTraceRecs, nil, &out)
+	return out.Node, out.Recs, err
 }
 
 // Tiers queries the daemon's tier occupancy.
-func (c *Client) Tiers() ([]TierInfo, error) {
-	raw, err := c.peer.Request(MsgTiers, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []TierInfo
-	err = dec(raw, &out)
+func (c *Client) Tiers() (out []TierInfo, err error) {
+	err = c.call(MsgTiers, nil, &out)
 	return out, err
 }
 
@@ -339,16 +377,8 @@ type File struct {
 
 // Open opens name for reading and begins its prefetching epoch.
 func (c *Client) Open(name string) (*File, error) {
-	req, err := enc(openReq{File: name})
-	if err != nil {
-		return nil, err
-	}
-	raw, err := c.peer.Request(MsgOpen, req)
-	if err != nil {
-		return nil, err
-	}
 	var resp openResp
-	if err := dec(raw, &resp); err != nil {
+	if err := c.call(MsgOpen, openReq{File: name}, &resp); err != nil {
 		return nil, err
 	}
 	return &File{c: c, name: name, size: resp.Size}, nil
@@ -369,47 +399,37 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // ReadAtTier is ReadAt plus the name of the tier that served the bytes
 // ("" when they came from the PFS).
 func (f *File) ReadAtTier(p []byte, off int64) (int, string, error) {
-	req, err := enc(readReq{File: f.name, Off: off, Len: int64(len(p))})
-	if err != nil {
-		return 0, "", err
-	}
+	hb := comm.NewHeadBuf()
+	defer hb.Release()
+	hb.B = appendReadReq(hb.B, readReq{File: f.name, Off: off, Len: int64(len(p))})
 	start := time.Now()
-	raw, err := f.c.peer.Request(MsgRead, req)
+	rep, err := comm.Call(f.c.peer, MsgRead, hb.B)
 	if err != nil {
 		return 0, "", err
 	}
-	var resp readResp
-	if err := dec(raw, &resp); err != nil {
+	defer rep.Release()
+	tier, err := parseReadResp(rep.Head)
+	if err != nil {
 		return 0, "", err
 	}
-	n := copy(p, resp.Data)
-	if resp.Tier != "" {
-		f.c.stats.Hit(resp.Tier, int64(n))
+	n := copy(p, rep.Body)
+	if tier = f.c.tierName(tier); tier != "" {
+		f.c.stats.Hit(tier, int64(n))
 	} else {
 		f.c.stats.Miss(int64(n))
 	}
 	f.c.stats.ObserveRead(time.Since(start))
-	return n, resp.Tier, nil
+	return n, tier, nil
 }
 
 // WriteAt emulates an update (invalidating prefetched data).
 func (f *File) WriteAt(off, ln int64) error {
-	req, err := enc(writeReq{File: f.name, Off: off, Len: ln})
-	if err != nil {
-		return err
-	}
-	_, err = f.c.peer.Request(MsgWrite, req)
-	return err
+	return f.c.call(MsgWrite, writeReq{File: f.name, Off: off, Len: ln}, nil)
 }
 
 // Close ends this reader's epoch.
 func (f *File) Close() error {
-	req, err := enc(closeReq{File: f.name})
-	if err != nil {
-		return err
-	}
-	_, err = f.c.peer.Request(MsgClose, req)
-	return err
+	return f.c.call(MsgClose, closeReq{File: f.name}, nil)
 }
 
 // CreateFile registers a synthetic file on the daemon's PFS (testing and
@@ -424,23 +444,12 @@ type createReq struct {
 
 // ServeAdmin registers administrative handlers (file creation).
 func ServeAdmin(mux *comm.Mux, fs *pfs.FS) {
-	mux.Register(MsgCreate, func(raw []byte) ([]byte, error) {
-		var req createReq
-		if err := dec(raw, &req); err != nil {
-			return nil, err
-		}
-		return nil, fs.Create(req.File, req.Size)
-	})
+	serveGob(mux, MsgCreate, func(req createReq) (any, error) { return nil, fs.Create(req.File, req.Size) })
 }
 
 // CreateFile asks the daemon to register a synthetic file.
 func (c *Client) CreateFile(name string, size int64) error {
-	req, err := enc(createReq{File: name, Size: size})
-	if err != nil {
-		return err
-	}
-	_, err = c.peer.Request(MsgCreate, req)
-	return err
+	return c.call(MsgCreate, createReq{File: name, Size: size}, nil)
 }
 
 // MsgNodes is the cluster membership query (hfetchctl nodes).
@@ -481,13 +490,7 @@ func ServeNodes(mux *comm.Mux, fn func() []NodeInfo) {
 
 // Nodes queries the daemon's cluster membership view.
 func (c *Client) Nodes() ([]NodeInfo, error) {
-	raw, err := c.peer.Request(MsgNodes, nil)
-	if err != nil {
-		return nil, err
-	}
 	var out nodesReply
-	if err := dec(raw, &out); err != nil {
-		return nil, err
-	}
-	return out.Nodes, nil
+	err := c.call(MsgNodes, nil, &out)
+	return out.Nodes, err
 }

@@ -2,18 +2,22 @@ package remote
 
 import (
 	"bytes"
+	"fmt"
+	"sync"
 	"testing"
 
 	"hfetch/internal/comm"
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/server"
+	"hfetch/internal/harness/leakcheck"
+	"hfetch/internal/invariant"
 	"hfetch/internal/pfs"
 	"hfetch/internal/tiers"
 )
 
 // daemon boots a full HFetch server behind a TCP endpoint and returns a
 // connected client.
-func daemon(t *testing.T) (*Client, *server.Server) {
+func daemon(t testing.TB) (*Client, *server.Server) {
 	t.Helper()
 	fs := pfs.New(nil)
 	ram := tiers.NewStore("ram", 1<<20, nil)
@@ -172,5 +176,169 @@ func TestRemoteStatsAndTiers(t *testing.T) {
 	ti, err := c.Tiers()
 	if err != nil || len(ti) != 2 || ti[0].Name != "ram" {
 		t.Fatalf("tiers = %+v %v", ti, err)
+	}
+}
+
+// TestAgentReadAllocs guards the agent read's allocation budget: one
+// 64 KiB File.ReadAt over TCP loopback, both ends in this process (so the
+// daemon's allocations count too). The payload rides the frame's body
+// from a slab buffer on the daemon to one on the client, and both heads
+// are slab buffers; what is left is the daemon's owner of that payload
+// and the file name the read's event keeps. The bytes are checked
+// against the PFS on a miss and on a hit, and every slab buffer drawn is
+// given back.
+func TestAgentReadAllocs(t *testing.T) {
+	if invariant.Enabled || raceEnabled {
+		t.Skip("allocation counts are for the production build")
+	}
+	t.Cleanup(leakcheck.Slab(t)) // registered first: runs after the daemon has stopped
+	c, srv := daemon(t)
+	const size = 64 << 10
+	if err := c.CreateFile("f", 4*size); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := make([]byte, size)
+	srv.FS().ReadAt("f", size, want)
+	got := make([]byte, size)
+	for _, pass := range []string{"miss", "hit"} {
+		n, tier, err := f.ReadAtTier(got, size)
+		if err != nil || n != size || !bytes.Equal(got, want) {
+			t.Fatalf("%s: read %d bytes, err %v, match %v", pass, n, err, bytes.Equal(got, want))
+		}
+		if (tier != "") != (pass == "hit") {
+			t.Fatalf("%s: served by tier %q", pass, tier)
+		}
+		srv.Flush()
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if n, err := f.ReadAt(got, size); err != nil || n != size {
+			t.Fatalf("read: %d bytes, %v", n, err)
+		}
+	})
+	t.Logf("a 64 KiB agent read over TCP: %.1f allocs", allocs)
+	if allocs > 2 {
+		t.Fatalf("a 64 KiB agent read over TCP costs %.1f allocs, budget 2", allocs)
+	}
+}
+
+// TestAgentReadsConcurrently: readers sharing one client read through one
+// connection at once. Each read's head and body
+// are slab buffers on both ends, so a buffer released while another read
+// still used it would show as wrong bytes or a wrong tier; when the
+// daemon stops, every buffer drawn is back.
+func TestAgentReadsConcurrently(t *testing.T) {
+	t.Cleanup(leakcheck.Slab(t)) // registered first: runs after the daemon has stopped
+	c, srv := daemon(t)
+	const size, nseg = 4096, 64
+	if err := c.CreateFile("f", nseg*size); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := make([]byte, nseg*size)
+	srv.FS().ReadAt("f", 0, want)
+	// The first half is read once and placed: the readers hit there, and
+	// miss in the second half unless readahead got there first.
+	if _, err := f.ReadAt(make([]byte, nseg/2*size), 0); err != nil {
+		t.Fatal(err)
+	}
+	srv.Flush()
+	hits := c.Stats().Hits()
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			got := make([]byte, 2*size)
+			for i := 0; i < 100; i++ {
+				off := int64((r*31+i*7)%(nseg-1)) * size
+				n, tier, err := f.ReadAtTier(got, off)
+				if err != nil || n != len(got) || !bytes.Equal(got, want[off:off+int64(n)]) {
+					t.Errorf("reader %d: read at %d: %d bytes, err %v", r, off, n, err)
+					return
+				}
+				if tier != "" && tier != "ram" && tier != "nvme" {
+					t.Errorf("reader %d: served by tier %q", r, tier)
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	if c.Stats().Hits() == hits {
+		t.Fatalf("no reader hit: %s", c.Stats())
+	}
+}
+
+// BenchmarkAgentRead is one warm File.ReadAt through the daemon over TCP
+// loopback, both ends in process, at a 4 KiB and a 64 KiB read.
+func BenchmarkAgentRead(b *testing.B) {
+	for _, size := range []int{4 << 10, 64 << 10} {
+		b.Run(fmt.Sprintf("%dKiB", size>>10), func(b *testing.B) {
+			c, srv := daemon(b)
+			if err := c.CreateFile("f", int64(size)); err != nil {
+				b.Fatal(err)
+			}
+			f, err := c.Open("f")
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer f.Close()
+			p := make([]byte, size)
+			f.ReadAt(p, 0) //nolint:errcheck // checked by the timed reads
+			srv.Flush()
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n, err := f.ReadAt(p, 0); err != nil || n != size {
+					b.Fatalf("read: %d bytes, %v", n, err)
+				}
+			}
+		})
+	}
+}
+
+// TestAgentReadInProcess: over the in-process transport the reply's head
+// is written into the client's request buffer and its body is the
+// daemon's slab buffer itself; both must hold until the client has
+// parsed and copied them, and the body go back to the slab after.
+func TestAgentReadInProcess(t *testing.T) {
+	t.Cleanup(leakcheck.Slab(t)) // registered first: runs after the daemon has stopped
+	_, srv := daemon(t)
+	mux := comm.NewMux()
+	Serve(mux, srv)
+	net := comm.NewInprocNetwork(nil)
+	net.Join("daemon0", mux)
+	c := NewClient(net.Dial("daemon0"))
+	const size = 4096
+	if err := srv.FS().Create("f", 8*size); err != nil {
+		t.Fatal(err)
+	}
+	f, err := c.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := make([]byte, 2*size)
+	srv.FS().ReadAt("f", size, want)
+	got := make([]byte, 2*size)
+	for _, pass := range []string{"miss", "hit"} {
+		n, tier, err := f.ReadAtTier(got, size)
+		if err != nil || n != len(got) || !bytes.Equal(got, want) {
+			t.Fatalf("%s: read %d bytes, err %v, match %v", pass, n, err, bytes.Equal(got, want))
+		}
+		if (tier != "") != (pass == "hit") {
+			t.Fatalf("%s: served by tier %q", pass, tier)
+		}
+		srv.Flush()
 	}
 }

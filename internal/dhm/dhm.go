@@ -318,7 +318,7 @@ func (m *Map) localDelete(s *shard, k Key) {
 func (m *Map) ApplyKey(k Key, op string, arg []byte) (any, error) {
 	s, owner := m.locate(k)
 	if s == nil {
-		found, out, err := m.remoteApply(owner, k, op, arg)
+		found, out, err := m.remoteApply(owner, k, op, arg, nil)
 		if err != nil || !found || !m.op(op).plain {
 			return nil, err
 		}
@@ -339,8 +339,8 @@ func (m *Map) ApplyKey(k Key, op string, arg []byte) (any, error) {
 func (m *Map) ApplyResult(k Key, op string, arg, res []byte) ([]byte, error) {
 	s, owner := m.locate(k)
 	if s == nil {
-		_, out, err := m.remoteApply(owner, k, op, arg)
-		return append(res, out...), err
+		_, out, err := m.remoteApply(owner, k, op, arg, res)
+		return out, err
 	}
 	next, plain, out, err := m.localApply(s, k, op, arg, res)
 	if plain && next != nil {
@@ -430,22 +430,22 @@ func (m *Map) Range(fn func(k Key, val any) bool) {
 
 // ---- remote plumbing ----
 
-// remote sends one RPC's request head to owner and returns the response
-// head. A transport error drops owner's connection, so the next RPC
-// redials it.
-func (m *Map) remote(rpc int, owner string, req []byte) ([]byte, error) {
+// remote sends one RPC's request head to owner and returns the reply,
+// whose head is borrowed until its Release. A transport error drops
+// owner's connection, so the next RPC redials it.
+func (m *Map) remote(rpc int, owner string, req []byte) (comm.Reply, error) {
 	if m.cfg.Peers == nil {
-		return nil, fmt.Errorf("dhm: no peers configured for remote owner %q", owner)
+		return comm.Reply{}, fmt.Errorf("dhm: no peers configured for remote owner %q", owner)
 	}
 	p, err := m.cfg.Peers.Peer(owner)
 	if err != nil {
-		return nil, err
+		return comm.Reply{}, err
 	}
-	out, err := p.Request(m.msgTypes[rpc], req)
+	rep, err := comm.Call(p, m.msgTypes[rpc], req)
 	if err != nil && !comm.IsRemote(err) {
 		m.cfg.Peers.DropPeer(owner)
 	}
-	return out, err
+	return rep, err
 }
 
 // newReq starts a request head in a pooled buffer, released once the
@@ -459,38 +459,45 @@ func newReq(k Key, op string, arg []byte) *comm.HeadBuf {
 func (m *Map) remoteGet(owner string, k Key) (any, bool, error) {
 	req := newReq(k, "", nil)
 	defer req.Release()
-	raw, err := m.remote(rpcGet, owner, req.B)
+	rep, err := m.remote(rpcGet, owner, req.B)
 	if err != nil {
 		return nil, false, err
 	}
-	return parseResp(raw)
+	defer rep.Release()
+	return parseResp(rep.Head)
 }
 
 func (m *Map) remotePut(owner string, k Key, val any) error {
 	req := newReq(k, "", nil)
 	defer req.Release()
 	var err error
-	if req.B, err = appendValue(req.B, val); err == nil {
-		_, err = m.remote(rpcPut, owner, req.B)
+	if req.B, err = appendValue(req.B, val); err != nil {
+		return err
 	}
+	rep, err := m.remote(rpcPut, owner, req.B)
+	rep.Release()
 	return err
 }
 
 func (m *Map) remoteDelete(owner string, k Key) error {
 	req := newReq(k, "", nil)
 	defer req.Release()
-	_, err := m.remote(rpcDel, owner, req.B)
+	rep, err := m.remote(rpcDel, owner, req.B)
+	rep.Release()
 	return err
 }
 
-func (m *Map) remoteApply(owner string, k Key, op string, arg []byte) (found bool, out []byte, err error) {
+// remoteApply returns res with the op's answer appended.
+func (m *Map) remoteApply(owner string, k Key, op string, arg, res []byte) (found bool, out []byte, err error) {
 	req := newReq(k, op, arg)
 	defer req.Release()
-	raw, err := m.remote(rpcApply, owner, req.B)
+	rep, err := m.remote(rpcApply, owner, req.B)
 	if err != nil {
-		return false, nil, err
+		return false, res, err
 	}
-	return parseApplyResp(raw)
+	defer rep.Release()
+	found, answer, err := parseApplyResp(rep.Head)
+	return found, append(res, answer...), err
 }
 
 func (m *Map) registerHandlers(mux *comm.Mux) {

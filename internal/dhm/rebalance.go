@@ -48,7 +48,9 @@ func (m *Map) Rebalance(newNodes []string) (migrated int, err error) {
 			continue // deleted since the scan
 		}
 		if err == nil {
-			_, err = m.remote(rpcPut, e.owner, put.B)
+			rep, perr := m.remote(rpcPut, e.owner, put.B)
+			rep.Release()
+			err = perr
 		}
 		put.Release()
 		if err != nil {
