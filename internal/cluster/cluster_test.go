@@ -482,3 +482,50 @@ func TestPeerNeverDialsUnknownOrDeadMembers(t *testing.T) {
 		t.Fatalf("Peer of an unknown and a dead member dialed %d times, want none", got-1)
 	}
 }
+
+// TestSteadyHeartbeatAllocs guards what a heartbeat costs once the view
+// is steady: one tick of a two-node membership over TCP loopback, both
+// ends in this process (so the answering node's allocations count too).
+// What is left is the answer's buffer, which the transport sends after
+// the handler returns, and the probe goroutine's closure. Before the
+// member list, the parsed members, the view and the sent heartbeat were
+// reused and parsed strings interned against the table, a tick cost 39.
+func TestSteadyHeartbeatAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("allocation counts are for the production build")
+	}
+	dial := func(addr string) (comm.Peer, error) {
+		return comm.DialTCPOpts(addr, comm.PeerOptions{RequestTimeout: 10 * time.Second})
+	}
+	mux0, mux1 := comm.NewMux(), comm.NewMux()
+	ln0, err := comm.ListenTCP("127.0.0.1:0", mux0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln0.Close()
+	ln1, err := comm.ListenTCP("127.0.0.1:0", mux1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln1.Close()
+	keys := func() int64 { return 42 }
+	m0 := NewMembership(MembershipConfig{Self: "n0", Addr: ln0.Addr(), Ops: "ops0", Static: map[string]string{"n1": ln1.Addr()}, Dial: dial, Keys: keys}, mux0)
+	m1 := NewMembership(MembershipConfig{Self: "n1", Addr: ln1.Addr(), Ops: "ops1", Static: map[string]string{"n0": ln0.Addr()}, Dial: dial, Keys: keys}, mux1)
+	defer m0.DropPeer("n1")
+	defer m1.DropPeer("n0")
+	for range 3 { // dial, learn the ops addresses, settle the view
+		m0.tick()
+		m1.tick()
+	}
+	if v := m0.View(); len(v) != 2 {
+		t.Fatalf("view %v", v)
+	}
+	allocs := testing.AllocsPerRun(200, m0.tick)
+	t.Logf("a steady-view heartbeat over TCP: %.1f allocs", allocs)
+	if allocs > 2 {
+		t.Fatalf("a steady-view heartbeat over TCP costs %.1f allocs, budget 2", allocs)
+	}
+	if v := m1.View(); len(v) != 2 || m1.members["n0"].ops != "ops0" {
+		t.Fatalf("n1's view %v, n0's ops %q", v, m1.members["n0"].ops)
+	}
+}

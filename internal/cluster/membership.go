@@ -136,6 +136,13 @@ type Membership struct {
 	mu      sync.RWMutex
 	members map[string]*memberState
 	view    []string // last view OnChange fired with (sorted, non-dead)
+	// Scratch under mu (the gossiped list, the last parsed members, the
+	// view compared with view), then tick's own (targets, heartbeat, probes).
+	wire, parsed []wireMember
+	next         []string
+	targets      []target
+	sendBuf      []byte
+	probes       sync.WaitGroup
 
 	peerMu sync.Mutex
 	peers  map[string]comm.Peer // by address
@@ -164,6 +171,9 @@ type wireMember struct {
 	Incarnation uint64
 	Keys        int64
 }
+
+// target is a member (or, nameless, a seed) a tick probes.
+type target struct{ name, addr string }
 
 // hbMsg is a heartbeat (wire.go has its codec); a response carries only
 // Members.
@@ -203,7 +213,7 @@ func NewMembership(cfg MembershipConfig, mux *comm.Mux) *Membership {
 		}
 		m.members[name] = &memberState{name: name, addr: addr, lastSeen: now}
 	}
-	m.view = m.aliveView(now)
+	m.view = m.aliveView(nil, now)
 	if mux != nil {
 		mux.Register(MsgHeartbeat, m.handleHeartbeat)
 	}
@@ -274,8 +284,7 @@ func (m *Membership) tick() {
 	now := time.Now()
 	keys := m.keysNow()
 
-	type target struct{ name, addr string }
-	var targets []target
+	targets := m.targets[:0]
 	known := make(map[string]bool)
 	m.mu.Lock()
 	self := m.members[m.cfg.Self]
@@ -291,10 +300,11 @@ func (m *Membership) tick() {
 		}
 		targets = append(targets, target{ms.name, ms.addr})
 	}
-	msg := appendHeartbeat(nil, hbMsg{From: wireMember{
+	msg := appendHeartbeat(m.sendBuf[:0], hbMsg{From: wireMember{
 		Name: m.cfg.Self, Addr: m.cfg.Addr, Ops: m.cfg.Ops, Incarnation: m.incarnation, Keys: keys,
 	}, Members: m.wireMembersLocked()})
 	m.mu.Unlock()
+	m.sendBuf = msg
 
 	for _, s := range m.cfg.Seeds {
 		if s != "" && s != m.cfg.Addr && !known[s] {
@@ -302,39 +312,39 @@ func (m *Membership) tick() {
 		}
 	}
 
-	var wg sync.WaitGroup
+	m.targets = targets
 	for _, t := range targets {
-		t := t
-		wg.Add(1)
+		m.probes.Add(1)
 		go func() {
-			defer wg.Done()
+			defer m.probes.Done()
 			m.probe(t.name, t.addr, msg)
 		}()
 	}
-	wg.Wait()
+	m.probes.Wait()
 
 	m.fireIfChanged()
 }
 
-// wireMembersLocked lists the member table as gossiped; mu must be held.
+// wireMembersLocked lists the member table as gossiped, in m.wire; mu
+// must be held.
 func (m *Membership) wireMembersLocked() []wireMember {
-	out := make([]wireMember, 0, len(m.members))
+	m.wire = m.wire[:0]
 	for _, ms := range m.members {
-		out = append(out, wireMember{
+		m.wire = append(m.wire, wireMember{
 			Name: ms.name, Addr: ms.addr, Ops: ms.ops, Incarnation: ms.incarnation, Keys: ms.keys,
 		})
 	}
-	return out
+	return m.wire
 }
 
 // probe sends one heartbeat to addr and merges the response. A probe
 // failure drops the cached connection so the next tick redials.
 func (m *Membership) probe(name, addr string, payload []byte) {
 	p, err := m.peer(addr)
-	var raw []byte
+	var rep comm.Reply
 	if err == nil {
 		m.hbSent.Add(1)
-		raw, err = p.Request(MsgHeartbeat, payload)
+		rep, err = comm.Call(p, MsgHeartbeat, payload)
 	}
 	if name != "" {
 		m.cfg.Health.Observe(name, err)
@@ -344,12 +354,15 @@ func (m *Membership) probe(name, addr string, payload []byte) {
 		m.dropPeer(addr)
 		return
 	}
-	resp, err := parseHeartbeat(raw)
+	defer rep.Release()
+	now := time.Now()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	resp, err := parseHeartbeat(rep.Head, m.parsed, m.members)
 	if err != nil {
 		return
 	}
-	now := time.Now()
-	m.mu.Lock()
+	m.parsed = resp.Members
 	// The probed member answered: that is a direct liveness observation.
 	if name != "" {
 		if ms := m.members[name]; ms != nil {
@@ -357,21 +370,23 @@ func (m *Membership) probe(name, addr string, payload []byte) {
 		}
 	}
 	m.mergeLocked(resp.Members, now)
-	m.mu.Unlock()
 }
 
 // handleHeartbeat merges the sender's view and answers with ours. The
 // sender itself is a direct observation: it is provably alive now.
 func (m *Membership) handleHeartbeat(raw []byte) ([]byte, error) {
-	msg, err := parseHeartbeat(raw)
-	if err != nil {
-		return nil, err
-	}
 	now := time.Now()
 	m.mu.Lock()
+	msg, err := parseHeartbeat(raw, m.parsed, m.members)
+	if err != nil {
+		m.mu.Unlock()
+		return nil, err
+	}
+	m.parsed = msg.Members
 	m.mergeOneLocked(msg.From, now, true)
 	m.mergeLocked(msg.Members, now)
-	resp := appendHeartbeat(nil, hbMsg{Members: m.wireMembersLocked()})
+	// The one buffer a heartbeat allocates: the answer outlives the call.
+	resp := appendHeartbeat(make([]byte, 0, len(raw)), hbMsg{Members: m.wireMembersLocked()})
 	m.mu.Unlock()
 
 	// A heartbeat can move the view (a joiner's first contact); the
@@ -426,11 +441,12 @@ func (m *Membership) mergeOneLocked(wm wireMember, now time.Time, direct bool) {
 func (m *Membership) fireIfChanged() {
 	now := time.Now()
 	m.mu.Lock()
-	view := m.aliveView(now)
-	if slices.Equal(view, m.view) {
+	m.next = m.aliveView(m.next[:0], now)
+	if slices.Equal(m.next, m.view) {
 		m.mu.Unlock()
 		return
 	}
+	view := slices.Clone(m.next)
 	m.view = view
 	fn := m.cfg.OnChange
 	m.mu.Unlock()
@@ -440,10 +456,9 @@ func (m *Membership) fireIfChanged() {
 	}
 }
 
-// aliveView returns the sorted names of non-dead members; mu must be
-// held.
-func (m *Membership) aliveView(now time.Time) []string {
-	var out []string
+// aliveView appends the sorted names of non-dead members to out; mu
+// must be held.
+func (m *Membership) aliveView(out []string, now time.Time) []string {
 	for _, ms := range m.members {
 		if ms.name == m.cfg.Self || now.Sub(ms.lastSeen) <= m.cfg.DeadAfter {
 			out = append(out, ms.name)
@@ -562,7 +577,7 @@ func (m *Membership) View() []string {
 	now := time.Now()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	return m.aliveView(now)
+	return m.aliveView(nil, now)
 }
 
 // ViewVersion returns how many times the view has changed.

@@ -47,14 +47,19 @@ func appendMember(dst []byte, w wireMember) []byte {
 	return binary.AppendVarint(binary.AppendVarint(dst, int64(w.Incarnation)), w.Keys)
 }
 
-// parseHeartbeat decodes a heartbeat occupying all of b. The first field
-// cut short clears ok for good and ends the list, so a claimed count
-// grows it no further than the bytes present hold.
-func parseHeartbeat(b []byte) (hbMsg, error) {
+// parseHeartbeat decodes a heartbeat occupying all of b, its members
+// appended to into[:0]. A field equal to what known holds for the member
+// reuses that string, so a steady view's heartbeat copies no bytes. The
+// first field cut short clears ok for good and ends the list, so a
+// claimed count grows it no further than the bytes present hold.
+func parseHeartbeat(b []byte, into []wireMember, known map[string]*memberState) (hbMsg, error) {
 	ok := true
-	str := func() string {
+	str := func(have string) string {
 		f, rest, cut := comm.CutBytes(b)
 		b, ok = rest, ok && cut
+		if string(f) == have {
+			return have
+		}
 		return string(f)
 	}
 	num := func() int64 {
@@ -63,9 +68,13 @@ func parseHeartbeat(b []byte) (hbMsg, error) {
 		return v
 	}
 	member := func() wireMember {
-		return wireMember{Name: str(), Addr: str(), Ops: str(), Incarnation: uint64(num()), Keys: num()}
+		var have memberState
+		if name, _, _ := comm.CutBytes(b); known[string(name)] != nil {
+			have = *known[string(name)]
+		}
+		return wireMember{Name: str(have.name), Addr: str(have.addr), Ops: str(have.ops), Incarnation: uint64(num()), Keys: num()}
 	}
-	m := hbMsg{From: member()}
+	m := hbMsg{From: member(), Members: into[:0]}
 	for n := num(); n != 0 && ok; n-- {
 		m.Members = append(m.Members, member())
 	}

@@ -49,16 +49,26 @@ func TestHeartbeatCodec(t *testing.T) {
 		// A request, and the response shape: members only.
 		for _, m := range []hbMsg{want, {Members: want.Members}} {
 			enc := appendHeartbeat(nil, m)
-			got, err := parseHeartbeat(enc)
+			got, err := parseHeartbeat(enc, nil, nil)
 			if err != nil || !equalHeartbeat(got, m) {
 				t.Fatalf("%+v round-tripped to %+v, err %v", m, got, err)
 			}
+			// Against a table that knows every name, with some fields equal
+			// to the heartbeat's and some not, into another list's storage.
+			known := map[string]*memberState{}
+			for _, w := range append(m.Members, m.From) {
+				known[w.Name] = &memberState{name: w.Name, addr: "n0", ops: "o"}
+			}
+			got, err = parseHeartbeat(enc, []wireMember{{Name: "x"}, {Addr: "y"}, {}}, known)
+			if err != nil || !equalHeartbeat(got, m) {
+				t.Fatalf("%+v parsed against a table to %+v, err %v", m, got, err)
+			}
 			for n := 0; n < len(enc); n++ {
-				if _, err := parseHeartbeat(enc[:n]); err == nil {
+				if _, err := parseHeartbeat(enc[:n], nil, nil); err == nil {
 					t.Fatalf("%+v truncated to %d of %d bytes parsed", m, n, len(enc))
 				}
 			}
-			if _, err := parseHeartbeat(append(enc, 0)); err == nil {
+			if _, err := parseHeartbeat(append(enc, 0), nil, nil); err == nil {
 				t.Fatalf("%+v with a trailing byte parsed", m)
 			}
 		}
@@ -69,7 +79,7 @@ func TestHeartbeatCodec(t *testing.T) {
 		append(append([]byte(nil), sender...), 0xfe, 0xff, 0xff, 0xff, 0x0f, 1, 2, 3),
 		append(append([]byte(nil), sender...), 1, 0),
 	} {
-		if _, err := parseHeartbeat(b); err == nil {
+		if _, err := parseHeartbeat(b, nil, nil); err == nil {
 			t.Fatalf("a heartbeat claiming more entries than its %d bytes hold parsed", len(b))
 		}
 	}
@@ -82,14 +92,14 @@ func FuzzParseHeartbeat(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0, 0, 0, 0xfe, 0xff, 0xff, 0xff, 0x0f})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := parseHeartbeat(data)
+		m, err := parseHeartbeat(data, nil, nil)
 		if err != nil {
 			return
 		}
 		if (len(m.Members)+1)*minMemberLen > len(data) {
 			t.Fatalf("%d members decoded from %d bytes", len(m.Members)+1, len(data))
 		}
-		if again, err := parseHeartbeat(appendHeartbeat(nil, m)); err != nil || !equalHeartbeat(again, m) {
+		if again, err := parseHeartbeat(appendHeartbeat(nil, m), nil, nil); err != nil || !equalHeartbeat(again, m) {
 			t.Fatalf("accepted heartbeat does not re-encode: %v", err)
 		}
 	})

@@ -120,7 +120,8 @@ func (c *Client) FetchMany(file string, first int64, sizes []int64, dst *tiers.S
 		}
 		return sizes[k]
 	}
-	bufs := make([][]byte, 0, len(sizes))
+	// On the stack (ReadAtv keeps no reference); a run of more than 16 grows it.
+	bufs := make([][]byte, 0, 16)
 	for i, j := 0, 0; i < len(sizes); i = j {
 		var start time.Time
 		if c.tele != nil {

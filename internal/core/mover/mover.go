@@ -486,15 +486,27 @@ func (m *Mover) WaitFor(id seg.ID, timeout time.Duration) (waited time.Duration,
 		}
 	}
 	m.mu.Unlock()
-	t := time.NewTimer(timeout)
-	defer t.Stop()
+	t := waitTimers.Get().(*time.Timer)
+	t.Reset(timeout)
+	defer waitTimers.Put(t)
 	select {
 	case <-ch:
+		// go 1.22 timer rules: a timer stopped too late has fired into C.
+		if !t.Stop() {
+			<-t.C
+		}
 		return time.Since(start), true
 	case <-t.C:
 		return time.Since(start), false
 	}
 }
+
+// waitTimers holds WaitFor's timers between waits, each stopped and drained.
+var waitTimers = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return t
+}}
 
 // Landing is landTime, 0 before the first fetch group lands; read it
 // without a lock, and leave writing it to the mover.

@@ -149,12 +149,14 @@ type Engine struct {
 	rank     [][]ranked
 
 	// runMu serializes placement passes (the loop and explicit Flush). It
-	// guards drained, the map the pass before this one emptied and the
-	// next swaps in for pending, and the pass's scratch: its work list, its
-	// plan, mergePlan's table, the phase-ordered plan with its phase ends,
-	// and the batch submitted to the mover.
+	// guards drained and swept, the maps the pass before this one emptied
+	// and the next swaps in for pending and invalidated, and the pass's
+	// scratch: its work list, its plan, mergePlan's table, the
+	// phase-ordered plan with its phase ends, and the batch submitted to
+	// the mover.
 	runMu   sync.Mutex
 	drained map[seg.ID]auditor.Update
+	swept   map[string]struct{}
 	updates []auditor.Update
 	planned []move
 	mergeAt map[seg.ID]int32
@@ -230,6 +232,7 @@ func New(cfg Config, hier *tiers.Hierarchy, exec Mover, aud *auditor.Auditor) *E
 		mergeAt:     make(map[seg.ID]int32),
 		ends:        make([]int, hier.Len()+2),
 		invalidated: make(map[string]struct{}),
+		swept:       make(map[string]struct{}),
 		kick:        make(chan struct{}, 1),
 		stop:        make(chan struct{}),
 	}
@@ -376,12 +379,8 @@ func (e *Engine) run() {
 		return
 	}
 	e.pending, e.drained = e.drained, e.pending
+	e.invalidated, e.swept = e.swept, e.invalidated
 	e.updateCount = 0
-	var inval map[string]struct{}
-	if len(e.invalidated) > 0 {
-		inval = e.invalidated
-		e.invalidated = make(map[string]struct{})
-	}
 	e.mu.Unlock()
 	updates := e.updates[:0]
 	for _, u := range e.drained {
@@ -396,7 +395,7 @@ func (e *Engine) run() {
 		decideStart = time.Now()
 	}
 
-	for file := range inval {
+	for file := range e.swept {
 		e.dropFile(file)
 	}
 
@@ -407,13 +406,14 @@ func (e *Engine) run() {
 	plan := e.planned[:0]
 	e.mu.Lock()
 	for _, u := range updates {
-		if _, stale := inval[u.ID.File]; stale {
+		if _, stale := e.swept[u.ID.File]; stale {
 			continue
 		}
 		e.plan(u, &plan)
 	}
 	e.checkModelLocked()
 	e.mu.Unlock()
+	clear(e.swept)
 	e.planned = plan
 	if e.cfg.Telemetry != nil {
 		// Decision latency: planning only, data movement is the fetch stage.
@@ -578,7 +578,7 @@ func (e *Engine) dropFile(file string) {
 	if n > 0 {
 		e.ctr.evictions.Add(int64(n))
 	}
-	var dropped []seg.ID
+	dropped := make([]seg.ID, 0, 32) // on the stack: one file at the usual grain
 	e.mu.Lock()
 	for ti := range e.resident {
 		for id := range e.resident[ti] {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
+	"hfetch/internal/invariant"
 	"hfetch/internal/pfs"
 	"hfetch/internal/tiers"
 )
@@ -501,5 +503,50 @@ func TestHysteresisKeepsTierOnSmallDrift(t *testing.T) {
 	r.eng.Flush()
 	if r.hier.Locate(seg.ID{File: "f", Index: 1}) != 0 {
 		t.Fatal("hot segment must take ram despite hysteresis")
+	}
+}
+
+// TestInvalidationPassAllocs: a placement pass that drops a resident
+// 32-segment file — mover cancel, the stores' DeleteFile, the model's
+// entries and the file's mappings — counted alone, between passes that
+// put the file back. It cost 14 allocations when each pass made a fresh
+// invalidated set and the engine and the store grew their lists of
+// dropped segments by append.
+func TestInvalidationPassAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("allocation counts are for the production build")
+	}
+	const n, passes = 32, 50
+	r := newRig(t, Config{}, n*100)
+	ups := make([]auditor.Update, n)
+	for i := range ups {
+		ups[i] = up(int64(i), 5)
+	}
+	var ms runtime.MemStats
+	var total uint64
+	for p := 0; p <= passes; p++ {
+		deliver(r.eng, ups...)
+		r.eng.Flush()
+		if used := r.hier.Tier(0).Used(); used != n*100 {
+			t.Fatalf("pass %d: %d bytes resident before the invalidation", p, used)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		r.eng.FileInvalidated("f")
+		r.eng.Flush()
+		runtime.ReadMemStats(&ms)
+		if p > 0 { // the first pass sizes the scratch
+			total += ms.Mallocs - before
+		}
+		if used := r.hier.Tier(0).Used(); used != 0 {
+			t.Fatalf("pass %d: %d bytes resident after the invalidation", p, used)
+		}
+	}
+	// Whole allocations per pass, as testing.AllocsPerRun counts: a rare
+	// one of the runtime's (a parked waiter's record) averages away.
+	allocs := total / passes
+	t.Logf("an invalidation pass over %d resident segments: %d allocs (%d in %d passes)", n, allocs, total, passes)
+	if allocs > 0 {
+		t.Fatalf("an invalidation pass over %d resident segments costs %d allocs, budget 0", n, allocs)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 
 	"hfetch/internal/invariant"
@@ -29,10 +30,34 @@ type Buf struct {
 	refs atomic.Int32
 }
 
+// headers is the chunk NewBuf carves Buf headers from, bufChunk to an
+// allocation. A header is handed out once, never recycled: a stray second
+// Release lands on a dead header (refs -1, nothing freed), never on another
+// segment's payload. A live header keeps its chunk (2 KiB) from the collector.
+var headers struct {
+	mu   sync.Mutex
+	free []Buf
+}
+
+const bufChunk = 64
+
 // NewBuf wraps payload in a Buf holding one reference, transferring
-// ownership of the slice: the caller must not retain or free it.
+// ownership of the slice: the caller must not retain or free it. The
+// header is carved from a chunk, or under -tags hfetch_invariants
+// allocated alone, since a finalizer needs the start of an allocation.
 func NewBuf(payload []byte) *Buf {
-	b := &Buf{data: payload}
+	var b *Buf
+	if invariant.Enabled {
+		b = new(Buf)
+	} else {
+		headers.mu.Lock()
+		if len(headers.free) == 0 {
+			headers.free = make([]Buf, bufChunk)
+		}
+		b, headers.free = &headers.free[0], headers.free[1:]
+		headers.mu.Unlock()
+	}
+	b.data = payload
 	b.refs.Store(1)
 	if invariant.Enabled {
 		// The creator's stack rides in the finalizer's closure (by value:

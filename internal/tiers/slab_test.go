@@ -3,6 +3,7 @@ package tiers
 import (
 	"bytes"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -379,5 +380,65 @@ func TestSlabAllocationBudgets(t *testing.T) {
 	})
 	if n > 1 {
 		t.Errorf("warm PutOwned = %v allocations, want ≤ 1 (the Buf)", n)
+	}
+}
+
+// TestBufHeadersAreNeverReused: a Buf header is handed out once. Over
+// three chunks' worth of NewBuf from four goroutines at once, and
+// Release, no pointer comes back, a released header reads as dead, and
+// a stray second Release of a dead header changes no live Buf and frees
+// nothing.
+func TestBufHeadersAreNeverReused(t *testing.T) {
+	const workers, each, size = 4, 3 * bufChunk / 4, 4096
+	made := make([][]*Buf, workers)
+	var wg sync.WaitGroup
+	for w := range made {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range each {
+				b := NewBuf(SlabGet(size))
+				if i%2 == 0 {
+					b.Release()
+				}
+				made[w] = append(made[w], b)
+			}
+		}()
+	}
+	wg.Wait()
+	seen := make(map[*Buf]bool, workers*each) // holds every header, so none is collected
+	var dead, live []*Buf
+	for _, bufs := range made {
+		for i, b := range bufs {
+			if seen[b] {
+				t.Fatalf("header %p handed out twice", b)
+			}
+			seen[b] = true
+			if i%2 == 1 {
+				live = append(live, b)
+				continue
+			}
+			if b.Bytes() != nil || b.Refs() != 0 {
+				t.Fatalf("a released header holds %d bytes and %d refs", len(b.Bytes()), b.Refs())
+			}
+			dead = append(dead, b)
+		}
+	}
+	if !invariant.Enabled { // the tag asserts on the over-release itself
+		inUse := ReadSlabStats().InUseBytes
+		for _, b := range dead {
+			b.Release()
+		}
+		for _, b := range live {
+			if b.Refs() != 1 || len(b.Bytes()) != size {
+				t.Fatalf("a live Buf holds %d bytes and %d refs after dead headers were released again", len(b.Bytes()), b.Refs())
+			}
+		}
+		if got := ReadSlabStats().InUseBytes; got != inUse {
+			t.Fatalf("InUseBytes %d -> %d after dead headers were released again", inUse, got)
+		}
+	}
+	for _, b := range live {
+		b.Release()
 	}
 }

@@ -323,8 +323,8 @@ func (s *Store) signal(woken []RoomWaiter) {
 // how many were dropped.
 func (s *Store) DeleteFile(file string) int {
 	var door [4]RoomWaiter
+	dropped := make([]*Buf, 0, 32) // on the stack: one file at the usual grain
 	s.mu.Lock()
-	var dropped []*Buf
 	for id, b := range s.data {
 		if id.File == file {
 			delete(s.data, id)

@@ -11,6 +11,7 @@ import (
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
+	"hfetch/internal/invariant"
 )
 
 func id(f string, i int64) seg.ID { return seg.ID{File: f, Index: i} }
@@ -307,5 +308,42 @@ func TestPutOwnedChargesDevice(t *testing.T) {
 	}
 	if ops, nbytes, _ := dev.Stats(); ops != 1 || nbytes != 64 {
 		t.Fatalf("device saw %d ops / %d bytes, want 1 / 64", ops, nbytes)
+	}
+}
+
+// TestDeleteFileAllocs: dropping a file's 32 resident segments, one
+// file's worth at the usual grain, allocates nothing. The segments'
+// Bufs are kept alive by the test and put back each round. Growing the
+// list of dropped Bufs by append cost 6 per round.
+func TestDeleteFileAllocs(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("allocation counts are for the production build")
+	}
+	const n = 32
+	s := NewStore("ram", n*4096, nil)
+	bufs := make([]*Buf, n)
+	for i := range bufs {
+		bufs[i] = NewBuf(SlabGet(4096))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for i, b := range bufs {
+			b.Retain() // the store's reference, which DeleteFile drops
+			if err := s.PutBuf(id("f", int64(i)), b); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := s.DeleteFile("f"); got != n {
+			t.Fatalf("DeleteFile dropped %d of %d", got, n)
+		}
+	})
+	for _, b := range bufs {
+		if b.Refs() != 1 {
+			t.Fatalf("a dropped Buf holds %d refs, want the test's 1", b.Refs())
+		}
+		b.Release()
+	}
+	t.Logf("DeleteFile of %d segments: %.1f allocs", n, allocs)
+	if allocs > 0 {
+		t.Fatalf("DeleteFile of %d segments costs %.1f allocs, budget 0", n, allocs)
 	}
 }
