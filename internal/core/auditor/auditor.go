@@ -38,10 +38,11 @@ func init() {
 }
 
 // Rec is the per-segment record stored in the distributed hashmap. A
-// segment has one *Rec for its lifetime: the ops below mutate it under
-// its shard lock and answer in bytes, and whoever needs the record itself
-// gets what was made of it under that lock — a deep copy (SegmentRec),
-// its wire encoding (a remote get, a rebalance) or its gob (the WAL).
+// segment has one *Rec for its lifetime, carved from a chunk (newRec):
+// the ops below mutate it under its shard lock and answer in bytes, and
+// whoever needs the record itself gets what was made of it under that
+// lock — a plain copy (SegmentRec), its wire encoding (a remote get, a
+// rebalance) or its gob (the WAL).
 type Rec struct {
 	Stats score.Stats
 	// Size is the segment payload size in bytes (clipped at EOF).
@@ -150,6 +151,9 @@ type Auditor struct {
 	// value that already exists instead of building and boxing a string.
 	locMu sync.Mutex
 	locs  map[string]any
+
+	recMu   sync.Mutex // a leaf, held for newRec's carve alone
+	recFree []Rec      // the rest of the chunk newRec carves from
 
 	epochs [epochStripes]epochStripe
 
@@ -294,7 +298,7 @@ func (a *Auditor) registerOps() {
 		now := time.Unix(0, int64(binary.BigEndian.Uint64(arg[32:40])))
 		r, _ := cur.(*Rec)
 		if r == nil { // never clobber live statistics with history
-			r = &Rec{}
+			r = a.newRec()
 			r.Stats.Sum = math.Float64frombits(binary.BigEndian.Uint64(arg[0:8]))
 			r.Stats.Refs = max(1, int64(binary.BigEndian.Uint64(arg[8:16])))
 			r.Succ = int64(binary.BigEndian.Uint64(arg[16:24]))
@@ -310,9 +314,24 @@ func (a *Auditor) registerOps() {
 func (a *Auditor) rec(cur any) *Rec {
 	if cur == nil {
 		a.ctr.segs.Add(1)
-		return &Rec{Succ: -1}
+		return a.newRec()
 	}
 	return cur.(*Rec)
+}
+
+// newRec carves a record with no successor from the current chunk of 64.
+// A record lives as long as its segment's statistics, so none is handed
+// back; a live record keeps its chunk (21 KiB) from the collector.
+func (a *Auditor) newRec() *Rec {
+	a.recMu.Lock()
+	if len(a.recFree) == 0 {
+		a.recFree = make([]Rec, 64)
+	}
+	r := &a.recFree[0]
+	a.recFree = a.recFree[1:]
+	a.recMu.Unlock()
+	r.Succ = -1
+	return r
 }
 
 func appendScoreSize(res []byte, sc float64, size int64) []byte {
@@ -623,13 +642,12 @@ func (a *Auditor) handleWrite(ev events.Event) {
 
 // ---- queries ----
 
-// SegmentRec returns a snapshot of the stats record for id: a deep copy
+// SegmentRec returns a snapshot of the stats record for id: a copy
 // taken under the record's shard lock.
 func (a *Auditor) SegmentRec(id seg.ID) (*Rec, bool) {
 	var snap *Rec
 	ok, err := a.stats.ViewKey(dhm.Key(id), func(v any) {
 		r := *v.(*Rec)
-		r.Stats.History = append([]time.Time(nil), r.Stats.History...)
 		snap = &r
 	})
 	return snap, ok && err == nil

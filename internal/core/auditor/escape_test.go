@@ -1,6 +1,7 @@
 package auditor
 
 import (
+	"math"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -8,6 +9,7 @@ import (
 
 	"hfetch/internal/comm"
 	"hfetch/internal/core/heatmap"
+	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
 	"hfetch/internal/events"
@@ -120,7 +122,7 @@ func TestNothingEscapesAShardLock(t *testing.T) {
 		a0 := auds[0]
 		loop(func(i int) {
 			if rec, ok := a0.SegmentRec(seg.ID{File: file, Index: int64(i % segs)}); ok {
-				rec.Stats.History = append(rec.Stats.History, time.Time{}) // a snapshot is the caller's to change
+				rec.Stats.Stamps[0] = -1 // a snapshot is the caller's to change
 				rec.Succ = -7
 			}
 		})
@@ -151,7 +153,6 @@ func TestNothingEscapesAShardLock(t *testing.T) {
 		close(stop)
 		readers.Wait()
 
-		window := a0.Model().Window()
 		seen := 0
 		for i := int64(0); i < segs; i++ {
 			rec, ok := a0.SegmentRec(seg.ID{File: file, Index: i})
@@ -159,9 +160,9 @@ func TestNothingEscapesAShardLock(t *testing.T) {
 				continue
 			}
 			seen++
-			if want := min(int(rec.Stats.K), window); len(rec.Stats.History) != want || rec.Succ < -1 || rec.Succ >= segs {
+			if want := min(int(rec.Stats.K), score.Window); rec.Stats.N != want || rec.Succ < -1 || rec.Succ >= segs {
 				t.Errorf("%d nodes, segment %d: K %d with %d stamps (want %d), succ %d",
-					nodes, i, rec.Stats.K, len(rec.Stats.History), want, rec.Succ)
+					nodes, i, rec.Stats.K, rec.Stats.N, want, rec.Succ)
 			}
 		}
 		if seen == 0 {
@@ -198,16 +199,74 @@ func TestWALOfInPlaceOpsReplaysToLiveRecords(t *testing.T) {
 	for k, v := range state["stats"] {
 		live, ok := a.SegmentRec(seg.ID(k))
 		got := v.(*Rec)
-		// gob drops what is zero: an empty history comes back nil either way.
 		if !ok || got.Size != live.Size || got.Succ != live.Succ || got.Stats.K != live.Stats.K ||
 			got.Stats.Refs != live.Stats.Refs || got.Stats.Sum != live.Stats.Sum || !got.Stats.Last.Equal(live.Stats.Last) ||
-			len(got.Stats.History) != len(live.Stats.History) {
+			got.Stats.N != live.Stats.N || got.Stats.Stamps != live.Stats.Stamps {
 			t.Fatalf("%v: replayed %+v, live %+v", k, got, live)
 		}
-		for i, at := range got.Stats.History {
-			if !at.Equal(live.Stats.History[i]) {
-				t.Fatalf("%v: replayed history[%d] %v, live %v", k, i, at, live.Stats.History[i])
-			}
+	}
+}
+
+// v6Trace is the trace behind testdata/stats-v6.wal: 40 sequential
+// passes over the head of a 32-segment file, each 8 to 23 segments long,
+// so that records hold full windows, short ones and none (segments only
+// hinted).
+func v6Trace() []events.Event {
+	var evs []events.Event
+	base := time.Unix(1700000000, 0)
+	for p := 0; p < 40; p++ {
+		for i := 0; i < 8+p%16; i++ {
+			evs = append(evs, events.Event{Op: events.OpRead, File: batchFile, Offset: int64(i) * refSegSize, Length: refSegSize,
+				Time: base.Add(time.Duration(len(evs)) * 700 * time.Microsecond)})
 		}
+	}
+	return evs
+}
+
+// TestStatsV6LogReplays: testdata/stats-v6.wal holds the records v6Trace
+// leaves, one put each, as logged while a record's access times were a
+// []time.Time named History. gob skips that field, so each record
+// replays with the counts, sum, recency, size and successor this build
+// makes of the same trace, and no access times; a link added to it keeps
+// its sum instead of rebuilding it from none.
+func TestStatsV6LogReplays(t *testing.T) {
+	const segs = 32
+	state, err := dhm.Replay(filepath.Join("testdata", "stats-v6.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(refSegSize)})
+	a.StartEpoch(batchFile, segs*refSegSize)
+	evs := v6Trace()
+	for b := 0; b < len(evs); b += 64 {
+		a.HandleBatch(evs[b:min(b+64, len(evs))])
+	}
+	if len(state["stats"]) != segs {
+		t.Fatalf("replayed %d records, want %d", len(state["stats"]), segs)
+	}
+	full := 0
+	for k, v := range state["stats"] {
+		old := v.(*Rec)
+		live, ok := a.SegmentRec(seg.ID(k))
+		if !ok || old.Size != live.Size || old.Succ != live.Succ || old.Stats.K != live.Stats.K || old.Stats.Refs != live.Stats.Refs ||
+			math.Float64bits(old.Stats.Sum) != math.Float64bits(live.Stats.Sum) || !old.Stats.Last.Equal(live.Stats.Last) || old.Stats.N != 0 {
+			t.Fatalf("%v: replayed %+v, this build makes %+v", k, old, live)
+		}
+		if live.Stats.N == score.Window {
+			full++
+		}
+	}
+	if full == 0 {
+		t.Fatal("no replayed record had a full window")
+	}
+
+	stats := dhm.New(dhm.Config{Name: "stats", Self: "n0"}, nil)
+	stats.Restore(state)
+	b := New(Config{Node: "n0", Segmenter: seg.NewSegmenter(refSegSize)}, stats, dhm.New(dhm.Config{Name: "maps", Self: "n0"}, nil))
+	id := seg.ID{File: batchFile, Index: 5}
+	old, _ := b.SegmentRec(id)
+	b.learnLink(batchFile, 30, 5, new(cycle))
+	if rec, _ := b.SegmentRec(id); rec.Stats.Refs != old.Stats.Refs+1 || rec.Stats.Sum != old.Stats.Sum || rec.Stats.Sum == 0 {
+		t.Fatalf("a link to a replayed record made it refs %d sum %v, from %d and %v", rec.Stats.Refs, rec.Stats.Sum, old.Stats.Refs, old.Stats.Sum)
 	}
 }

@@ -324,7 +324,7 @@ func TestInPlaceEventPathEqualsCopyOnWriteReference(t *testing.T) {
 					longest = max(longest, int(want.Stats.K))
 				}
 			}
-			if !c.sequential[1] && longest <= a.Model().Window() {
+			if !c.sequential[1] && longest <= score.Window {
 				t.Errorf("no segment was read more than %d times: no history shifted", longest)
 			}
 			ctr := a.Counters()

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"hfetch/internal/comm"
+	"hfetch/internal/core/score"
 	"hfetch/internal/dhm"
 )
 
@@ -45,14 +46,16 @@ func appendRec(dst []byte, r *Rec) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Stats.Sum))
 	dst = binary.AppendVarint(dst, r.Size)
 	dst = binary.AppendVarint(dst, r.Succ)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Stats.History)))
-	for _, t := range r.Stats.History {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(timeNanos(t)))
+	times := r.Stats.Times()
+	dst = binary.AppendUvarint(dst, uint64(len(times)))
+	for _, ns := range times {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(ns))
 	}
 	return dst
 }
 
-// parseRec decodes a record occupying all of b.
+// parseRec decodes a record occupying all of b, of a longer history the
+// newest score.Window times.
 //
 //hfetch:hotpath
 func parseRec(b []byte) (*Rec, error) {
@@ -77,11 +80,12 @@ func parseRec(b []byte) (*Rec, error) {
 		return nil, errShortRec
 	}
 	b = b[w:]
-	if n > 0 {
-		r.Stats.History = make([]time.Time, n)
-		for i := range r.Stats.History {
-			r.Stats.History[i] = nanosTime(int64(binary.BigEndian.Uint64(b[8*i:])))
-		}
+	if n > score.Window {
+		b, n = b[8*(n-score.Window):], score.Window
+	}
+	r.Stats.N = int(n)
+	for i := range r.Stats.Stamps[:n] {
+		r.Stats.Stamps[i] = int64(binary.BigEndian.Uint64(b[8*i:]))
 	}
 	return r, nil
 }

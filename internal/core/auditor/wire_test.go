@@ -1,6 +1,7 @@
 package auditor
 
 import (
+	"encoding/binary"
 	"math"
 	"reflect"
 	"testing"
@@ -14,20 +15,15 @@ var recCases = []*Rec{
 	{Succ: -1},
 	{Stats: score.Stats{K: 3, Last: time.Unix(0, 1700000000123456789), Refs: 2, Sum: 1.75}, Size: 65536, Succ: 4},
 	{Stats: score.Stats{K: 1 << 40, Last: time.Unix(0, 1), Refs: -1, Sum: -0.0,
-		History: []time.Time{time.Unix(0, 5), {}, time.Unix(0, 1<<62)}}, Size: 1, Succ: 1 << 50},
+		N: 3, Stamps: [score.Window]int64{5, math.MinInt64, 1 << 62}}, Size: 1, Succ: 1 << 50},
 }
 
 func recEqual(a, b *Rec) bool {
 	if a.Size != b.Size || a.Succ != b.Succ || a.Stats.K != b.Stats.K || a.Stats.Refs != b.Stats.Refs ||
-		math.Float64bits(a.Stats.Sum) != math.Float64bits(b.Stats.Sum) || !a.Stats.Last.Equal(b.Stats.Last) || len(a.Stats.History) != len(b.Stats.History) {
+		math.Float64bits(a.Stats.Sum) != math.Float64bits(b.Stats.Sum) || !a.Stats.Last.Equal(b.Stats.Last) {
 		return false
 	}
-	for i := range a.Stats.History {
-		if !a.Stats.History[i].Equal(b.Stats.History[i]) {
-			return false
-		}
-	}
-	return true
+	return a.Stats.N == b.Stats.N && a.Stats.Stamps == b.Stats.Stamps
 }
 
 func TestRecCodec(t *testing.T) {
@@ -48,6 +44,23 @@ func TestRecCodec(t *testing.T) {
 		if _, err := parseRec(append(enc, 0)); err == nil {
 			t.Fatalf("%+v with a trailing byte parsed", want)
 		}
+	}
+}
+
+// TestParseRecKeepsNewestWindow: a history longer than the window (a
+// peer that keeps more) decodes to its newest score.Window times.
+func TestParseRecKeepsNewestWindow(t *testing.T) {
+	enc := appendRec(nil, recCases[1])
+	enc = binary.AppendUvarint(enc[:len(enc)-1], score.Window+8) // drop the empty history's count
+	for i := int64(0); i < score.Window+8; i++ {
+		enc = binary.BigEndian.AppendUint64(enc, uint64(1000+i))
+	}
+	r, err := parseRec(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Stats.N != score.Window || r.Stats.Stamps[0] != 1008 || r.Stats.Stamps[score.Window-1] != 1000+score.Window+7 {
+		t.Fatalf("a history of %d parsed as %d times %v", score.Window+8, r.Stats.N, r.Stats.Stamps)
 	}
 }
 
@@ -80,8 +93,8 @@ func FuzzParseRec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if len(r.Stats.History)*8 > len(data) {
-			t.Fatalf("%d history entries decoded from %d bytes", len(r.Stats.History), len(data))
+		if r.Stats.N*8 > len(data) {
+			t.Fatalf("%d history entries decoded from %d bytes", r.Stats.N, len(data))
 		}
 		again, err := parseRec(appendRec(nil, r))
 		if err != nil || !recEqual(r, again) {

@@ -11,7 +11,7 @@
 //
 // Two evaluation strategies are provided:
 //
-//   - Windowed: keeps the last Window access timestamps and evaluates the
+//   - Windowed: keeps the last Window access times and evaluates the
 //     sum exactly. Used as the reference implementation and whenever n
 //     changes (the per-term exponent depends on the current n).
 //   - Incremental: folds the running sum forward in O(1) per access via
@@ -31,16 +31,16 @@ type Params struct {
 	P float64
 	// Unit is the length of one decay time step. Defaults to 1s.
 	Unit time.Duration
-	// Window bounds the number of access timestamps retained for exact
-	// (windowed) evaluation. Defaults to 32. Older accesses have decayed
-	// to negligible contributions by then for any p ≥ 2.
-	Window int
 }
 
-// DefaultParams returns the paper's defaults: p = 2, 1-second decay unit,
-// 32-entry window.
+// Window is the number of access times a segment keeps for exact
+// (windowed) evaluation. Older accesses have decayed to negligible
+// contributions by then for any p ≥ 2.
+const Window = 32
+
+// DefaultParams returns the paper's defaults: p = 2, 1-second decay unit.
 func DefaultParams() Params {
-	return Params{P: 2, Unit: time.Second, Window: 32}
+	return Params{P: 2, Unit: time.Second}
 }
 
 func (p Params) normalized() Params {
@@ -50,15 +50,13 @@ func (p Params) normalized() Params {
 	if p.Unit <= 0 {
 		p.Unit = time.Second
 	}
-	if p.Window <= 0 {
-		p.Window = 32
-	}
 	return p
 }
 
 // Stats holds the per-segment access statistics the auditor maintains:
-// access frequency (K), recency (Last), sequencing (Refs, Prev), and the
-// folded incremental score.
+// access frequency (K), recency (Last), sequencing (Refs), the folded
+// incremental score and, inline, the access times behind it. Last, its
+// one pointer, is ahead of them, so the collector's scan stops there.
 type Stats struct {
 	// K is the total number of accesses observed.
 	K int64
@@ -70,9 +68,11 @@ type Stats struct {
 	Refs int64
 	// Sum is the incrementally folded score value as of Last.
 	Sum float64
-	// History holds up to Window most recent access times (oldest first)
-	// for exact evaluation.
-	History []time.Time
+	// N is how many of Stamps hold access times.
+	N int
+	// Stamps holds the N most recent access times, at most Window, in
+	// Unix nanoseconds, oldest first, for exact evaluation.
+	Stamps [Window]int64
 }
 
 // Model evaluates segment scores under fixed parameters. Model is
@@ -81,20 +81,16 @@ type Model struct {
 	p      float64
 	lnInvP float64 // ln(1/p), taken once: decay is one Exp per term
 	unit   float64 // seconds per decay step
-	window int
 }
 
 // NewModel builds a Model from params (normalized to valid values).
 func NewModel(params Params) *Model {
 	params = params.normalized()
-	return &Model{p: params.P, lnInvP: -math.Log(params.P), unit: params.Unit.Seconds(), window: params.Window}
+	return &Model{p: params.P, lnInvP: -math.Log(params.P), unit: params.Unit.Seconds()}
 }
 
 // P returns the decay base in use.
 func (m *Model) P() float64 { return m.p }
-
-// Window returns the history window length.
-func (m *Model) Window() int { return m.window }
 
 // decay returns (1/p)^{dt/n} for elapsed dt and reference count n.
 func (m *Model) decay(dt time.Duration, n int64) float64 {
@@ -109,7 +105,7 @@ func (m *Model) decay(dt time.Duration, n int64) float64 {
 }
 
 // OnAccess records an access at time t into st, updating frequency,
-// recency, history and the incremental sum. Out-of-order accesses
+// recency, the access times and the incremental sum. Out-of-order accesses
 // (t before st.Last) are treated as occurring at st.Last, which keeps the
 // fold monotone.
 func (m *Model) OnAccess(st *Stats, t time.Time) {
@@ -128,27 +124,26 @@ func (m *Model) OnAccess(st *Stats, t time.Time) {
 		st.Refs = 1
 	}
 	st.Last = t
-	switch n := len(st.History); {
-	case n >= m.window:
-		// Full: shift down in place, so a history never reallocates once
-		// it has reached the window.
-		st.History = st.History[:copy(st.History, st.History[n-m.window+1:])]
-	case n > 0 && n == cap(st.History):
-		// Read again: the history gets its whole window now, one
-		// allocation instead of append's log2(window) doublings spread
-		// over the segment's next accesses. A segment read once keeps
-		// its single timestamp.
-		st.History = append(make([]time.Time, 0, m.window), st.History...)
+	n := len(st.Times())
+	if n == Window { // full: the oldest time drops out
+		copy(st.Stamps[:], st.Stamps[1:])
+		n--
 	}
-	st.History = append(st.History, t)
+	st.Stamps[n] = t.UnixNano()
+	st.N = n + 1
 }
+
+// Times returns the access times st holds, oldest first: Stamps[:N],
+// with N kept in range.
+func (st *Stats) Times() []int64 { return st.Stamps[:min(max(st.N, 0), Window)] }
 
 // AddRef records an additional reference to the segment (sequencing link)
 // without counting an access. Because the exponent of every term depends
-// on n, the incremental sum is rebuilt from the history window.
+// on n, the incremental sum is rebuilt from the access times; a record
+// restored from a log older than Stamps holds none and keeps its sum.
 func (m *Model) AddRef(st *Stats) {
 	st.Refs++
-	if st.K > 0 {
+	if st.N > 0 {
 		st.Sum = m.Windowed(st, st.Last)
 	}
 }
@@ -192,16 +187,14 @@ func (m *Model) Score(st *Stats, t time.Time) float64 {
 	return st.Sum * m.decay(dt, st.Refs)
 }
 
-// Windowed evaluates Equation (1) exactly over the retained history
-// window at time t. It is the reference implementation.
+// Windowed evaluates Equation (1) exactly over the retained access
+// times at time t: the reference implementation. An elapsed time is a
+// difference of Unix nanoseconds, as t.Sub makes it of wall-only times.
 func (m *Model) Windowed(st *Stats, t time.Time) float64 {
 	var s float64
-	for _, ti := range st.History {
-		dt := t.Sub(ti)
-		if dt < 0 {
-			dt = 0
-		}
-		s += m.decay(dt, st.Refs)
+	now := t.UnixNano()
+	for _, ti := range st.Times() {
+		s += m.decay(time.Duration(now-ti), st.Refs)
 	}
 	return s
 }

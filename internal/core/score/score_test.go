@@ -102,23 +102,23 @@ func TestScoreBeforeLastClamps(t *testing.T) {
 }
 
 func TestWindowBoundsHistory(t *testing.T) {
-	m := NewModel(Params{Window: 4})
+	m := NewModel(DefaultParams())
 	var st Stats
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 40; i++ {
 		m.OnAccess(&st, t0.Add(time.Duration(i)*time.Millisecond))
 	}
-	if len(st.History) != 4 {
-		t.Fatalf("history length = %d, want 4", len(st.History))
+	if st.N != Window || Window != 32 {
+		t.Fatalf("%d access times held, want the window's %d (32)", st.N, Window)
 	}
-	if st.K != 10 {
-		t.Fatalf("K = %d, want 10", st.K)
+	if st.K != 40 {
+		t.Fatalf("K = %d, want 40", st.K)
 	}
 }
 
 func TestParamsNormalization(t *testing.T) {
-	m := NewModel(Params{P: 0.5, Unit: -1, Window: -3})
-	if m.P() != 2 || m.Window() != 32 {
-		t.Fatalf("normalized P=%v Window=%d, want 2 and 32", m.P(), m.Window())
+	m := NewModel(Params{P: 0.5, Unit: -1})
+	if m.P() != 2 || m.unit != 1 {
+		t.Fatalf("normalized P=%v unit=%vs, want 2 and 1s", m.P(), m.unit)
 	}
 }
 
@@ -138,7 +138,7 @@ func TestZeroStatsScoreZero(t *testing.T) {
 func TestIncrementalMatchesWindowed(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		m := NewModel(Params{P: 2 + float64(rng.Intn(6)), Unit: 50 * time.Millisecond, Window: 64})
+		m := NewModel(Params{P: 2 + float64(rng.Intn(6)), Unit: 50 * time.Millisecond})
 		var st Stats
 		now := t0
 		for i := 0; i < 30; i++ {
@@ -274,69 +274,164 @@ func TestDecayIsPowWithinRounding(t *testing.T) {
 	}
 }
 
-// TestHistoryShiftsInPlace: a full history drops its oldest stamp by
-// moving the rest down, so a record's history keeps one backing array
-// for life; the contents are the last Window accesses, oldest first.
+// TestHistoryShiftsInPlace: a full window drops its oldest time by
+// moving the rest down; the array holds the last Window accesses, oldest
+// first, in Unix nanoseconds.
 func TestHistoryShiftsInPlace(t *testing.T) {
-	m := NewModel(Params{P: 2, Unit: time.Second, Window: 8})
+	m := NewModel(DefaultParams())
 	var st Stats
-	var all []time.Time
-	var base *time.Time
+	var all []int64
 	for i := 0; i < 50; i++ {
 		at := t0.Add(time.Duration(i) * time.Millisecond)
 		m.OnAccess(&st, at)
-		all = append(all, at)
-		want := all[max(0, len(all)-8):]
-		if len(st.History) != len(want) {
-			t.Fatalf("access %d: history holds %d stamps, want %d", i, len(st.History), len(want))
+		all = append(all, at.UnixNano())
+		want := all[max(0, len(all)-Window):]
+		if st.N != len(want) {
+			t.Fatalf("access %d: %d times held, want %d", i, st.N, len(want))
 		}
 		for j := range want {
-			if !st.History[j].Equal(want[j]) {
-				t.Fatalf("access %d: history[%d] = %v, want %v", i, j, st.History[j], want[j])
+			if st.Stamps[j] != want[j] {
+				t.Fatalf("access %d: Stamps[%d] = %d, want %d", i, j, st.Stamps[j], want[j])
 			}
 		}
-		if len(st.History) == 8 {
-			if base == nil {
-				base = &st.History[0]
-			} else if base != &st.History[0] {
-				t.Fatalf("access %d: a full history moved to a new array", i)
-			}
-		}
-	}
-	// A history longer than the window (a record stored under a larger
-	// one) is cut to it the same way.
-	long := Stats{History: append([]time.Time(nil), all[:20]...), K: 20, Refs: 1, Sum: 1, Last: all[19]}
-	m.OnAccess(&long, all[20])
-	if len(long.History) != 8 || !long.History[0].Equal(all[13]) || !long.History[7].Equal(all[20]) {
-		t.Fatalf("an over-long history became %v", long.History)
 	}
 }
 
-// TestHistoryGrowsOnce: the first access costs one timestamp, the second
-// the whole window, and no later access allocates — a history restored at
-// its exact length (a decoded record) grows the same single time.
-func TestHistoryGrowsOnce(t *testing.T) {
-	m := NewModel(Params{P: 2, Unit: time.Second, Window: 32})
-	var st Stats
-	m.OnAccess(&st, t0)
-	if cap(st.History) != 1 {
-		t.Fatalf("a segment read once holds room for %d stamps, want 1", cap(st.History))
+// TestOnAccessAllocatesNothing: the access times are inline in the
+// record, so no access — the first included — allocates.
+func TestOnAccessAllocatesNothing(t *testing.T) {
+	m := NewModel(DefaultParams())
+	st := new(Stats)
+	i := 0
+	if got := testing.AllocsPerRun(100, func() {
+		if i == 0 {
+			*st = Stats{}
+		}
+		m.OnAccess(st, t0.Add(time.Duration(i)*time.Millisecond))
+		i = (i + 1) % 50
+	}); got != 0 {
+		t.Fatalf("an access allocates %v times, want 0", got)
 	}
-	i := 1
-	next := func() {
-		m.OnAccess(&st, t0.Add(time.Duration(i)*time.Millisecond))
-		i++
+}
+
+// refStats is Stats as it was while a segment's access times were a
+// []time.Time that grew to the window, with the model's rules over it
+// as they were: the oracle for the inline Unix-nanosecond window.
+type refStats struct {
+	k, refs int64
+	last    time.Time
+	sum     float64
+	history []time.Time
+}
+
+func (r *refStats) onAccess(m *Model, t time.Time) {
+	if r.k > 0 || r.sum > 0 {
+		dt := t.Sub(r.last)
+		if dt < 0 {
+			dt, t = 0, r.last
+		}
+		r.sum = r.sum*m.decay(dt, r.refs) + 1
+	} else {
+		r.sum = 1
 	}
-	next()
-	if len(st.History) != 2 || cap(st.History) != 32 || !st.History[0].Equal(t0) {
-		t.Fatalf("second access: len %d cap %d first %v, want 2, 32, %v", len(st.History), cap(st.History), st.History[0], t0)
+	r.k++
+	r.refs = max(r.refs, 1)
+	r.last = t
+	if len(r.history) == Window {
+		r.history = r.history[1:]
 	}
-	if got := testing.AllocsPerRun(100, next); got != 0 {
-		t.Fatalf("an access after the second allocates %v times, want 0", got)
+	r.history = append(r.history, t)
+}
+
+func (r *refStats) onRef(m *Model, t time.Time, w float64) {
+	r.refs = max(r.refs, 1)
+	if r.k > 0 || r.sum > 0 {
+		dt := t.Sub(r.last)
+		if dt < 0 {
+			dt, t = 0, r.last
+		}
+		r.sum = r.sum*m.decay(dt, r.refs) + w
+	} else {
+		r.sum = w
 	}
-	restored := Stats{History: append([]time.Time(nil), st.History[:5]...), K: 5, Refs: 1, Sum: 1, Last: st.History[4]}
-	m.OnAccess(&restored, st.History[5])
-	if len(restored.History) != 6 || cap(restored.History) != 32 {
-		t.Fatalf("a restored history of 5 became len %d cap %d, want 6, 32", len(restored.History), cap(restored.History))
+	r.last = t
+}
+
+func (r *refStats) addRef(m *Model) {
+	r.refs++
+	if r.k > 0 {
+		r.sum = r.windowed(m, r.last)
+	}
+}
+
+func (r *refStats) score(m *Model, t time.Time) float64 {
+	if r.k == 0 && r.sum == 0 {
+		return 0
+	}
+	return r.sum * m.decay(max(0, t.Sub(r.last)), r.refs)
+}
+
+func (r *refStats) windowed(m *Model, t time.Time) float64 {
+	var s float64
+	for _, ti := range r.history {
+		s += m.decay(max(0, t.Sub(ti)), r.refs)
+	}
+	return s
+}
+
+// TestStampsMatchTimeHistory: random sequences of up to 100 accesses,
+// anticipatory references and added links, over times that carry a
+// monotonic reading and over times that do not, leave Stats where the
+// []time.Time window leaves its oracle, and Score and Windowed answer
+// the same bits at times before and after the last access.
+func TestStampsMatchTimeHistory(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	long := 0
+	for trial := 0; trial < 400; trial++ {
+		m := NewModel(Params{P: 2 + float64(rng.Intn(6)), Unit: time.Duration(1+rng.Intn(200)) * time.Millisecond})
+		base := time.Unix(1700000000+int64(trial), int64(rng.Intn(1e9)))
+		if trial%2 == 0 {
+			base = time.Now() // a monotonic reading rides along every Add
+		}
+		var st Stats
+		var ref refStats
+		at, accesses, n := base, 0, 1+rng.Intn(100)
+		for accesses < n {
+			// Mostly forward, now and then back: an out-of-order access.
+			at = at.Add(time.Duration(rng.Int63n(300e6) - 20e6))
+			switch op := rng.Intn(10); {
+			case op < 7:
+				m.OnAccess(&st, at)
+				ref.onAccess(m, at)
+				accesses++
+			case op < 9:
+				w := []float64{0.5, 0.25, 1}[rng.Intn(3)]
+				m.OnRef(&st, at, w)
+				ref.onRef(m, at, w)
+			default:
+				m.AddRef(&st)
+				ref.addRef(m)
+			}
+			if st.K != ref.k || st.Refs != ref.refs || !st.Last.Equal(ref.last) ||
+				math.Float64bits(st.Sum) != math.Float64bits(ref.sum) || st.N != len(ref.history) {
+				t.Fatalf("trial %d, access %d: stats K %d refs %d last %v sum %v with %d times, oracle K %d refs %d last %v sum %v with %d",
+					trial, accesses, st.K, st.Refs, st.Last, st.Sum, st.N, ref.k, ref.refs, ref.last, ref.sum, len(ref.history))
+			}
+			for _, d := range []time.Duration{-time.Second, 0, time.Duration(rng.Int63n(5e9))} {
+				eval := at.Add(d)
+				if got, want := m.Score(&st, eval), ref.score(m, eval); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d, access %d: Score %v, oracle %v", trial, accesses, got, want)
+				}
+				if got, want := m.Windowed(&st, eval), ref.windowed(m, eval); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("trial %d, access %d: Windowed %v, oracle %v", trial, accesses, got, want)
+				}
+			}
+		}
+		if accesses > Window {
+			long++
+		}
+	}
+	if long == 0 {
+		t.Fatal("no sequence outgrew the window")
 	}
 }
