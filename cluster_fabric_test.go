@@ -357,14 +357,28 @@ func TestFabricTracePropagation(t *testing.T) {
 // file's prefetched copies on every node, so no node serves the old
 // version afterwards — neither from its own tiers nor from a peer's. The
 // cluster is NewCluster's for two nodes with nothing but the transport
-// chosen, in process and over TCP.
+// chosen, in process and over TCP. In the -suspect cases the writer's
+// node judges node 0 suspect (alive, but late or failing) when it writes:
+// a suspect member still holds copies, so it still gets the invalidation.
+// Their heartbeat is slow enough that node 0 stays suspect meanwhile.
 func TestFabricWriteInvalidatesEveryNode(t *testing.T) {
-	for _, transport := range []string{"inproc", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
+	for _, c := range []struct {
+		name, transport string
+		suspect         bool
+	}{
+		{"inproc", "inproc", false},
+		{"tcp", "tcp", false},
+		{"inproc-suspect", "inproc", true},
+		{"tcp-suspect", "tcp", true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
 			defer leakcheck.Guard(t)()
 			cfg := fastConfig(2)
-			cfg.ClusterTransport = transport
+			cfg.ClusterTransport = c.transport
 			cfg.EnableTelemetry = true
+			if c.suspect {
+				cfg.ClusterHeartbeat = 2 * time.Second
+			}
 			cluster, err := NewCluster(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -388,6 +402,13 @@ func TestFabricWriteInvalidatesEveryNode(t *testing.T) {
 				t.Fatal("node 0 prefetched nothing: there is no copy to invalidate")
 			}
 
+			if c.suspect {
+				mem := cluster.ClusterNode(1).Membership()
+				mem.Suspect("node0")
+				if st, _ := mem.StateOf("node0"); st.String() != "suspect" {
+					t.Fatalf("node 0 is %v to node 1, want suspect", st)
+				}
+			}
 			w, err := node1.NewClient().Open("f")
 			if err != nil {
 				t.Fatal(err)

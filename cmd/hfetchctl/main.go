@@ -247,7 +247,10 @@ func runTop(c *remote.Client, addr string, interval time.Duration, count int) {
 		if hits+misses > 0 {
 			ratio = float64(hits) / float64(hits+misses)
 		}
-		stalls := metricSum(snap, "hfetch_read_stalls_total")
+		var stalls int64
+		if h := metricHist(snap, "hfetch_read_stall_nanos"); h != nil {
+			stalls = h.Count
+		}
 		rescues := metricSum(snap, "hfetch_read_stall_rescues_total")
 		fmt.Printf("reads      hits %-10d misses %-10d hit ratio %.3f\n", hits, misses, ratio)
 		fmt.Printf("stalls     %-10d rescued %-10d\n\n", stalls, rescues)

@@ -185,7 +185,7 @@ func TestOpenCloseStorm(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if cluster.Node(0).Server().Registry().Watched("storm") {
+	if cluster.Node(0).Server().Auditor().EpochOpen("storm") {
 		t.Fatal("watch must be gone after all closes")
 	}
 }

@@ -50,7 +50,6 @@ type Config struct {
 type Node struct {
 	cfg       Config
 	mem       *Membership
-	health    *comm.Health
 	fetch     *Fetcher
 	commStats *comm.Stats
 
@@ -66,9 +65,7 @@ type Node struct {
 // yet probing).
 func New(cfg Config) *Node {
 	n := &Node{cfg: cfg}
-	n.health = comm.NewHealth(comm.DefaultHealthThreshold)
 	n.commStats = comm.NewStats(cfg.Telemetry)
-	n.health.SetStats(n.commStats)
 	n.mem = NewMembership(MembershipConfig{
 		Self:              cfg.Self,
 		Addr:              cfg.Addr,
@@ -80,7 +77,6 @@ func New(cfg Config) *Node {
 		DeadAfter:         cfg.DeadAfter,
 		Dial:              cfg.DialAddr,
 		Keys:              n.keyCount,
-		Health:            n.health,
 		Stats:             n.commStats,
 		OnChange:          n.onViewChange,
 		Telemetry:         cfg.Telemetry,
@@ -102,7 +98,7 @@ func (n *Node) Attach(srv *server.Server, stats, maps *dhm.Map) {
 	n.maps = maps
 	n.mu.Unlock()
 
-	n.fetch = NewFetcher(FetcherConfig{Health: n.health, Telemetry: n.cfg.Telemetry}, n.mem, srv)
+	n.fetch = NewFetcher(FetcherConfig{Telemetry: n.cfg.Telemetry}, n.mem, srv)
 	srv.SetRemoteReader(n.fetch)
 
 	router := NewRouter(n.cfg.Self, srv.Engine(), n.mem, n.cfg.Mux, n.cfg.Telemetry)
@@ -126,9 +122,6 @@ func (n *Node) Membership() *Membership { return n.mem }
 
 // Fetcher exposes the cross-node fetch path (nil before Attach).
 func (n *Node) Fetcher() *Fetcher { return n.fetch }
-
-// Health exposes the shared per-peer health tracker.
-func (n *Node) Health() *comm.Health { return n.health }
 
 // RebalanceStats reports (view-change rebalances run, keys migrated).
 func (n *Node) RebalanceStats() (rebalances, keys int64) {

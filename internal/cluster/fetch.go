@@ -21,9 +21,6 @@ type remoteViewer interface {
 
 // FetcherConfig wires the cross-node fetch path to its node.
 type FetcherConfig struct {
-	// Health, when non-nil, records per-peer outcomes (shared with the
-	// membership prober so both paths feed one verdict).
-	Health *comm.Health
 	// Telemetry, when non-nil, exports fetch counters and the per-peer
 	// latency histogram.
 	Telemetry *telemetry.Registry
@@ -35,7 +32,7 @@ type FetcherConfig struct {
 const (
 	backoffBase  = 100 * time.Millisecond
 	backoffMax   = 5 * time.Second
-	suspectAfter = comm.DefaultHealthThreshold
+	suspectAfter = 3
 )
 
 // Fetcher is a server's one peer read path, installed via
@@ -54,7 +51,6 @@ const (
 // Lock discipline: mu is released before any network call ("cluster
 // fetch mu" in the lock order manifest).
 type Fetcher struct {
-	cfg  FetcherConfig
 	mem  *Membership
 	call remoteViewer
 
@@ -62,10 +58,13 @@ type Fetcher struct {
 	inflight map[fetchKey]*fetchCall
 	cooldown map[string]*peerCooldown
 
-	fetches   *telemetry.CounterVec // outcome: hit|stale|error|gated|shared
-	latency   *telemetry.HistVec    // per-peer fetch nanos
-	histMu    sync.Mutex
-	histByWho map[string]*telemetry.Histogram // always kept, even without a registry
+	fetches *telemetry.CounterVec // outcome: hit|stale|error|gated|shared
+	latency *telemetry.HistVec    // per-peer fetch nanos
+	histMu  sync.Mutex
+	// histByWho holds each peer's one fetch-latency histogram: the
+	// registry's labelled one when there is a registry, so PeerP99 and
+	// FetchSnapshot read what /metrics shows.
+	histByWho map[string]*telemetry.Histogram
 }
 
 // fetchKey identifies one in-flight remote range.
@@ -117,7 +116,6 @@ type peerCooldown struct {
 // caller (the local server).
 func NewFetcher(cfg FetcherConfig, mem *Membership, call remoteViewer) *Fetcher {
 	f := &Fetcher{
-		cfg:       cfg,
 		mem:       mem,
 		call:      call,
 		inflight:  make(map[fetchKey]*fetchCall),
@@ -163,7 +161,6 @@ func (f *Fetcher) ReadRemote(node, tier string, id seg.ID, off int64, p []byte) 
 	start := time.Now()
 	rep, ok, err := f.call.ViewRemote(node, tier, id, off, len(p))
 	d := time.Since(start)
-	f.cfg.Health.Observe(node, err)
 	f.settle(node, err)
 	switch {
 	case err != nil:
@@ -224,13 +221,13 @@ func (f *Fetcher) outcome(o string) {
 }
 
 func (f *Fetcher) observeLatency(node string, d time.Duration) {
-	if f.latency != nil {
-		f.latency.With(node).Observe(int64(d))
-	}
 	f.histMu.Lock()
 	h := f.histByWho[node]
 	if h == nil {
-		h = &telemetry.Histogram{}
+		h = f.latency.With(node)
+		if h == nil {
+			h = &telemetry.Histogram{}
+		}
 		f.histByWho[node] = h
 	}
 	f.histMu.Unlock()

@@ -100,8 +100,6 @@ type MembershipConfig struct {
 	// Keys reports this node's owned-key count for heartbeat payloads
 	// (nil reports 0).
 	Keys func() int64
-	// Health, when non-nil, records probe outcomes.
-	Health *comm.Health
 	// Stats, when non-nil, instruments the peer connections this agent
 	// dials (request latency, timeouts).
 	Stats *comm.Stats
@@ -345,9 +343,6 @@ func (m *Membership) probe(name, addr string, payload []byte) {
 	if err == nil {
 		m.hbSent.Add(1)
 		rep, err = comm.Call(p, MsgHeartbeat, payload)
-	}
-	if name != "" {
-		m.cfg.Health.Observe(name, err)
 	}
 	if err != nil {
 		m.hbFailed.Add(1)

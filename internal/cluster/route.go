@@ -16,8 +16,9 @@ const MsgInval = "cluster.inval"
 // Router sits between the auditor and the placement engine (installed
 // via auditor.SetSink, wrapping the engine) and fans file invalidations
 // out: a write observed anywhere invalidates the file's prefetched data
-// on every alive member, closing the stale-read window a single-node
-// invalidation would leave on peers holding copies.
+// on every member not judged dead, suspect ones included, closing the
+// stale-read window a single-node invalidation would leave on peers
+// holding copies.
 //
 // Score batches go to the local engine unchanged. That engine is the
 // reader's: the auditor builds every update on the node where the access
@@ -65,7 +66,7 @@ func (r *Router) FileInvalidated(file string) {
 	wrapped := comm.WrapTrace(comm.TraceCtx{Origin: r.self, SentUnixNano: time.Now().UnixNano()},
 		appendInval(nil, file))
 	for _, name := range r.mem.View() {
-		if name == r.self || !r.mem.Usable(name) {
+		if name == r.self {
 			continue
 		}
 		p, err := r.mem.Peer(name)

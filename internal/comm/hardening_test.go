@@ -131,42 +131,3 @@ func TestDialRetryExhausted(t *testing.T) {
 		t.Fatal("dial to dead address succeeded")
 	}
 }
-
-func TestHealthTracker(t *testing.T) {
-	h := NewHealth(3)
-	if !h.Healthy("n1") {
-		t.Fatal("unknown peer must start healthy")
-	}
-	boom := errors.New("boom")
-	h.Observe("n1", boom)
-	h.Observe("n1", boom)
-	if !h.Healthy("n1") {
-		t.Fatal("2 consecutive failures under threshold 3 must stay healthy")
-	}
-	h.Observe("n1", boom)
-	if h.Healthy("n1") {
-		t.Fatal("3 consecutive failures must be unhealthy")
-	}
-	if got := h.Consecutive("n1"); got != 3 {
-		t.Fatalf("Consecutive = %d, want 3", got)
-	}
-	// One success resets the streak.
-	h.Observe("n1", nil)
-	if !h.Healthy("n1") || h.Consecutive("n1") != 0 {
-		t.Fatal("success must restore health")
-	}
-	h.Observe("n1", boom)
-	h.Forget("n1")
-	if h.Consecutive("n1") != 0 {
-		t.Fatal("Forget did not drop the peer")
-	}
-}
-
-func TestHealthNilSafe(t *testing.T) {
-	var h *Health
-	h.Observe("x", nil)
-	if !h.Healthy("x") || h.Consecutive("x") != 0 {
-		t.Fatal("nil tracker must be a healthy no-op")
-	}
-	h.Forget("x")
-}

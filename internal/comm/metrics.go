@@ -9,7 +9,7 @@ import (
 
 // Stats is the transport instrumentation for package comm: per-peer
 // dial and request latency histograms, frame bytes in/out, and
-// timeout/retry/health-failure counters, exported as the hfetch_comm_*
+// timeout/retry counters, exported as the hfetch_comm_*
 // families. All methods are nil-safe — a nil *Stats (telemetry
 // disabled) costs one branch per call, and the transports take a nil
 // *Stats by default so existing callers pay nothing.
@@ -20,7 +20,6 @@ type Stats struct {
 	bytesOut *telemetry.Counter
 	timeouts *telemetry.Counter
 	retries  *telemetry.Counter
-	hfails   *telemetry.Counter
 }
 
 // NewStats registers the hfetch_comm_* metric families on reg and
@@ -37,7 +36,6 @@ func NewStats(reg *telemetry.Registry) *Stats {
 		bytesOut: reg.Counter("hfetch_comm_bytes_out_total", "bytes written to comm transport connections"),
 		timeouts: reg.Counter("hfetch_comm_timeouts_total", "comm requests abandoned at the request deadline"),
 		retries:  reg.Counter("hfetch_comm_dial_retries_total", "TCP connect retries after transient dial failures"),
-		hfails:   reg.Counter("hfetch_comm_health_failures_total", "request failures recorded against peer health"),
 	}
 }
 
@@ -70,15 +68,6 @@ func (s *Stats) DialRetry() {
 		return
 	}
 	s.retries.Inc()
-}
-
-// HealthFailure counts one failed observation fed to a Health tracker.
-// Nil-safe.
-func (s *Stats) HealthFailure() {
-	if s == nil {
-		return
-	}
-	s.hfails.Inc()
 }
 
 // AddBytesIn counts received transport bytes. Nil-safe.

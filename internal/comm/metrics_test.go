@@ -33,7 +33,6 @@ func TestStatsNilSafe(t *testing.T) {
 	st.ObserveRequest("p", time.Millisecond, nil)
 	st.ObserveRequest("p", time.Millisecond, ErrTimeout)
 	st.DialRetry()
-	st.HealthFailure()
 	st.AddBytesIn(7)
 	st.AddBytesOut(7)
 	p := &inprocTestPeer{}

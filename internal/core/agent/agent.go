@@ -23,9 +23,10 @@ import (
 	"hfetch/internal/telemetry"
 )
 
-// ServerAPI is what an agent needs from its HFetch server (implemented
-// by server.Server locally and by the remote client in cmd/hfetchd
-// deployments).
+// ServerAPI is what an agent needs from its HFetch server. server.Server
+// implements it, and so does the benchmark's instantServer, which serves
+// every read at once; a remote client reaches the daemon's server over
+// the agent protocol instead.
 type ServerAPI interface {
 	StartEpoch(file string, size int64)
 	EndEpoch(file string)

@@ -154,13 +154,13 @@ func TestCloseEndsEpochAndBlocksIO(t *testing.T) {
 	r.fs.Create("f", 1000)
 	a := New(r.srv, r.fs, nil)
 	f, _ := a.Open("f")
-	if !r.srv.Registry().Watched("f") {
+	if !r.srv.Auditor().EpochOpen("f") {
 		t.Fatal("open must install a watch")
 	}
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if r.srv.Registry().Watched("f") {
+	if r.srv.Auditor().EpochOpen("f") {
 		t.Fatal("last close must remove the watch")
 	}
 	if _, err := f.ReadAt(make([]byte, 10), 0); err == nil {
@@ -228,11 +228,11 @@ func TestSharedEpochAcrossAgents(t *testing.T) {
 	f1, _ := a1.Open("f")
 	f2, _ := a2.Open("f")
 	f1.Close()
-	if !r.srv.Registry().Watched("f") {
+	if !r.srv.Auditor().EpochOpen("f") {
 		t.Fatal("watch must survive while any reader is open")
 	}
 	f2.Close()
-	if r.srv.Registry().Watched("f") {
+	if r.srv.Auditor().EpochOpen("f") {
 		t.Fatal("watch must be removed by the last closer")
 	}
 }

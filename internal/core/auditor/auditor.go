@@ -115,20 +115,26 @@ type Stats struct {
 }
 
 type epochState struct {
-	opens   int
+	opens int
+	// closing counts last closers waiting for the file's events to
+	// drain; the last of them deletes the epoch unless it was reopened.
+	closing int
 	size    int64
+
+	mu      sync.Mutex // a leaf, held for a stream match alone
 	streams streamTable
 }
 
-// epochStripes is the lock-stripe count for the per-file epoch table.
-// Epoch state is touched by every read event, so it is striped by the
-// same file hash the sharded event queue routes on: a shard worker's
-// files cluster on a stable stripe subset and never contend with the
-// other shards' workers.
+// epochStripes is the lock-stripe count for the per-file epoch table,
+// which is also the watch table: only files with an open epoch generate
+// events. Epoch state is touched by every read event, so it is striped
+// by the same file hash the sharded event queue routes on: a shard
+// worker's files cluster on a stable stripe subset and never contend
+// with the other shards' workers.
 const epochStripes = 64
 
 type epochStripe struct {
-	mu sync.Mutex
+	mu sync.RWMutex // written by StartEpoch and EndEpoch alone: a poster never waits on an audit
 	m  map[string]*epochState
 }
 
@@ -191,7 +197,6 @@ func New(cfg Config, stats, maps *dhm.Map) *Auditor {
 	}
 	a.registerOps()
 	if reg := cfg.Telemetry; reg != nil {
-		reg.CounterFunc("hfetch_events_total", "events seen by the auditor", a.ctr.events.Load)
 		reg.CounterFunc("hfetch_reads_total", "read events audited", a.ctr.reads.Load)
 		reg.CounterFunc("hfetch_invalidations_total", "write events invalidating prefetched data", a.ctr.invalidations.Load)
 		reg.CounterFunc("hfetch_segments_seen", "distinct segments with statistics", a.ctr.segs.Load)
@@ -199,9 +204,9 @@ func New(cfg Config, stats, maps *dhm.Map) *Auditor {
 			var n int64
 			for i := range a.epochs {
 				st := &a.epochs[i]
-				st.mu.Lock()
+				st.mu.RLock()
 				n += int64(len(st.m))
-				st.mu.Unlock()
+				st.mu.RUnlock()
 			}
 			return n
 		})
@@ -349,19 +354,21 @@ func scoreSize(out []byte, n int) (sc float64, size int64, ok bool) {
 
 // ---- epoch management ----
 
-// StartEpoch begins (or joins) a prefetching epoch for file. The first
-// opener triggers heatmap loading; the return value reports whether this
-// call opened the epoch (i.e. a watch should be installed).
+// StartEpoch begins (or joins) a prefetching epoch for file: the file's
+// events are audited from now on. The first opener triggers heatmap
+// loading; the return value reports whether this call created the epoch.
+// Reopening a file whose last closer is still draining joins its epoch
+// again, with nothing loaded.
 func (a *Auditor) StartEpoch(file string, size int64) bool {
 	st := a.epochStripeOf(file)
 	st.mu.Lock()
 	es := st.m[file]
-	if es == nil {
+	first := es == nil
+	if first {
 		es = &epochState{size: size}
 		st.m[file] = es
 	}
 	es.opens++
-	first := es.opens == 1
 	if size > es.size {
 		es.size = size
 	}
@@ -372,22 +379,32 @@ func (a *Auditor) StartEpoch(file string, size int64) bool {
 	return first
 }
 
-// EndEpoch ends one participant's epoch; the last closer persists the
-// heatmap. The return value reports whether the epoch fully closed
-// (i.e. the watch should be removed).
-func (a *Auditor) EndEpoch(file string) bool {
+// EndEpoch ends one participant's epoch. The last closer stops the file's
+// events, calls drained, which returns once the events already posted
+// have been audited, and then persists the heatmap and deletes the epoch,
+// unless the file was opened again meanwhile. The return value reports
+// whether the epoch fully closed.
+func (a *Auditor) EndEpoch(file string, drained func()) bool {
 	st := a.epochStripeOf(file)
 	st.mu.Lock()
 	es := st.m[file]
-	if es == nil {
+	if es == nil || es.opens == 0 {
 		st.mu.Unlock()
 		return false
 	}
 	es.opens--
-	last := es.opens <= 0
-	var size int64
+	if es.opens > 0 {
+		st.mu.Unlock()
+		return false
+	}
+	es.closing++
+	st.mu.Unlock()
+	drained()
+	st.mu.Lock()
+	es.closing--
+	last := es.opens == 0 && es.closing == 0
+	size := es.size
 	if last {
-		size = es.size
 		delete(st.m, file)
 	}
 	st.mu.Unlock()
@@ -397,12 +414,14 @@ func (a *Auditor) EndEpoch(file string) bool {
 	return last
 }
 
-// EpochOpen reports whether file is inside a prefetching epoch.
+// EpochOpen reports whether file is inside a prefetching epoch, that is,
+// whether its events are audited.
 func (a *Auditor) EpochOpen(file string) bool {
 	st := a.epochStripeOf(file)
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.m[file] != nil
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	es := st.m[file]
+	return es != nil && es.opens > 0
 }
 
 func (a *Auditor) loadHeatmap(file string, size int64) {
@@ -529,18 +548,20 @@ func (a *Auditor) handleRead(ev events.Event, c *cycle) {
 	first := a.cfg.Segmenter.IndexOf(ev.Offset)
 	last := a.cfg.Segmenter.IndexOf(ev.Offset + ev.Length - 1)
 	st := a.epochStripeOf(ev.File)
-	st.mu.Lock()
+	st.mu.RLock()
 	es := st.m[ev.File]
-	var prev, hintFrom, hintTo int64 = -1, 0, 0
 	var fileSize int64
 	if es != nil {
 		fileSize = es.size
-		if a.cfg.SeqBoost > 0 {
-			prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, a.cfg.Segmenter.Size(), a.cfg.Segmenter.Count(fileSize), a.maxAhead,
-				ev.Think, time.Duration(a.landing.Load()))
-		}
 	}
-	st.mu.Unlock()
+	st.mu.RUnlock()
+	var prev, hintFrom, hintTo int64 = -1, 0, 0
+	if es != nil && a.cfg.SeqBoost > 0 {
+		es.mu.Lock()
+		prev, hintFrom, hintTo = es.streams.note(ev.Offset, ev.Offset+ev.Length, a.cfg.Segmenter.Size(), a.cfg.Segmenter.Count(fileSize), a.maxAhead,
+			ev.Think, time.Duration(a.landing.Load()))
+		es.mu.Unlock()
+	}
 
 	ts := ev.Time
 	if ts.IsZero() {

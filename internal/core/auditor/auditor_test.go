@@ -2,6 +2,7 @@ package auditor
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -48,6 +49,9 @@ func newAuditor(t *testing.T, cfg Config) (*Auditor, *recordingSink) {
 	a.SetSink(sink)
 	return a, sink
 }
+
+// noDrain is EndEpoch's drain for tests that post through no monitor.
+func noDrain() {}
 
 // handle delivers evs to a as one drained batch.
 func handle(a *Auditor, evs ...events.Event) { a.HandleBatch(evs) }
@@ -157,6 +161,9 @@ func TestWriteEventInvalidates(t *testing.T) {
 	}
 }
 
+// TestEpochRefCounting: the epoch table is the watch table. The first
+// opener opens a file's epoch, only the last of any number of closers,
+// concurrent ones included, closes it, and an unknown close is a no-op.
 func TestEpochRefCounting(t *testing.T) {
 	a, _ := newAuditor(t, Config{Segmenter: seg.NewSegmenter(100)})
 	if !a.StartEpoch("f", 100) {
@@ -165,17 +172,112 @@ func TestEpochRefCounting(t *testing.T) {
 	if a.StartEpoch("f", 100) {
 		t.Fatal("second StartEpoch must not open")
 	}
-	if a.EndEpoch("f") {
+	if a.EndEpoch("f", noDrain) {
 		t.Fatal("first EndEpoch of two must not close")
 	}
-	if !a.EndEpoch("f") {
+	if !a.EpochOpen("f") {
+		t.Fatal("epoch must stay open while a participant remains")
+	}
+	if !a.EndEpoch("f", noDrain) {
 		t.Fatal("last EndEpoch must close")
 	}
 	if a.EpochOpen("f") {
 		t.Fatal("epoch should be closed")
 	}
-	if a.EndEpoch("ghost") {
+	if a.EndEpoch("f", noDrain) || a.EndEpoch("ghost", noDrain) {
 		t.Fatal("ending unknown epoch must be a no-op")
+	}
+
+	var wg sync.WaitGroup
+	for i := 0; i < 50; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			a.StartEpoch("g", 100)
+		}()
+	}
+	wg.Wait()
+	var closed atomic.Int32
+	for i := 0; i < 50; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if a.EndEpoch("g", noDrain) {
+				closed.Add(1)
+			}
+		}()
+	}
+	wg.Wait()
+	if closed.Load() != 1 || a.EpochOpen("g") {
+		t.Fatalf("%d of 50 concurrent closers closed the epoch (open after: %v), want exactly the last",
+			closed.Load(), a.EpochOpen("g"))
+	}
+}
+
+// TestEndEpochDrainsBeforeClosing: the last closer stops the file's
+// events at once, but deletes the epoch and saves the heatmap only after
+// drained returns, so events posted before the close are in the saved
+// heatmap; a file reopened while its closer drains keeps its epoch, with
+// no heatmap loaded or saved.
+func TestEndEpochDrainsBeforeClosing(t *testing.T) {
+	store, err := heatmap.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Segmenter: seg.NewSegmenter(100), Heatmaps: store,
+		Score: score.Params{P: 2, Unit: time.Minute}}
+	a, sink := newAuditor(t, cfg)
+
+	// An event posted before the close, still queued when the close
+	// begins: drained is where the monitor audits it.
+	a.StartEpoch("f", 1000)
+	queued := readEv("f", 300, 100)
+	if !a.EndEpoch("f", func() {
+		if a.EpochOpen("f") {
+			t.Error("the last closer must stop the file's events before it drains")
+		}
+		handle(a, queued)
+	}) {
+		t.Fatal("last EndEpoch must close")
+	}
+	h, err := store.Load("f")
+	if err != nil || h == nil {
+		t.Fatalf("heatmap = %v, %v", h, err)
+	}
+	found := false
+	for _, e := range h.Entries {
+		found = found || e.Index == 3
+	}
+	if !found {
+		t.Fatalf("saved heatmap %+v lacks segment 3, read before the close", h.Entries)
+	}
+
+	// Reopen while the last closer drains: f's saved heatmap would seed
+	// updates if it were loaded, and segment 7, read in this epoch, would
+	// be in it if it were saved.
+	a.StartEpoch("f", 1000)
+	handle(a, readEv("f", 700, 100))
+	ups, _ := sink.snapshot()
+	seeded := len(ups)
+	if a.EndEpoch("f", func() {
+		if a.StartEpoch("f", 1000) {
+			t.Error("a reopen during the drain must join the closing epoch, not create one")
+		}
+	}) {
+		t.Fatal("an epoch reopened during its drain must not close")
+	}
+	if !a.EpochOpen("f") {
+		t.Fatal("an epoch reopened during its drain must stay open")
+	}
+	if ups, _ := sink.snapshot(); len(ups) != seeded {
+		t.Fatalf("the reopen loaded a heatmap: %d seeded updates, want none", len(ups)-seeded)
+	}
+	if h, _ := store.Load("f"); h != nil {
+		for _, e := range h.Entries {
+			if e.Index == 7 {
+				t.Fatal("an epoch reopened during its drain saved its heatmap")
+			}
+		}
 	}
 }
 
@@ -211,7 +313,7 @@ func TestHeatmapPersistAndSeed(t *testing.T) {
 	handle(a1, readEv("f", 0, 100))
 	handle(a1, readEv("f", 0, 100))
 	handle(a1, readEv("f", 100, 100))
-	if !a1.EndEpoch("f") {
+	if !a1.EndEpoch("f", noDrain) {
 		t.Fatal("epoch must close")
 	}
 	h, err := store.Load("f")
@@ -244,7 +346,7 @@ func TestSeedDoesNotClobberLiveStats(t *testing.T) {
 	a, _ := newAuditor(t, cfg)
 	a.StartEpoch("f", 1000)
 	handle(a, readEv("f", 0, 100))
-	a.EndEpoch("f")
+	a.EndEpoch("f", noDrain)
 
 	// Accumulate live stats, then re-open (heatmap seed must not reset K).
 	a.StartEpoch("f", 1000)

@@ -129,7 +129,7 @@ func TestNothingEscapesAShardLock(t *testing.T) {
 		loop(func(i int) { a0.ScoreOf(seg.ID{File: file, Index: int64(i % segs)}, time.Now()) })
 		loop(func(int) { a0.saveHeatmap(file, segs*segSize) })
 		loop(func(int) {
-			a0.EndEpoch(file)
+			a0.EndEpoch(file, noDrain)
 			a0.StartEpoch(file, segs*segSize)
 		})
 		for w := 0; w < writers; w++ {

@@ -460,7 +460,7 @@ func TestHintedNeverReadRecord(t *testing.T) {
 	if !ok || rec.Stats.K != 0 || rec.Stats.Refs < 1 {
 		t.Fatalf("hinted record %+v %v, want K = 0 and a reference", rec, ok)
 	}
-	a.EndEpoch("f")
+	a.EndEpoch("f", noDrain)
 	time.Sleep(30 * time.Millisecond)
 	// A hinted record decays as a read one does: nothing pins it.
 	for _, idx := range []int64{5, 13} {

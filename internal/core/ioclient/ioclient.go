@@ -77,7 +77,6 @@ func (c *Client) SetTelemetry(reg *telemetry.Registry) {
 	c.moveHist = reg.HistVec("hfetch_tier_move_nanos", "data-movement latency into the tier in nanoseconds", "tier")
 	reg.CounterFunc("hfetch_fetches_total", "segment fetches from the PFS", c.fetches.Load)
 	reg.CounterFunc("hfetch_transfers_total", "tier-to-tier segment transfers", c.transfers.Load)
-	reg.CounterFunc("hfetch_moved_bytes_total", "total bytes moved by the I/O client", c.bytes.Load)
 }
 
 // Fetch loads segment id from the PFS into dst. size > 0 overrides the

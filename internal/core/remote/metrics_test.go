@@ -176,7 +176,7 @@ func TestHTTPTelemetryEndpoints(t *testing.T) {
 		"# TYPE hfetch_tier_read_nanos histogram",
 		"hfetch_tier_read_nanos_bucket{tier=",
 		"hfetch_read_misses_total",
-		"hfetch_event_queue_depth",
+		"hfetch_event_shard_depth{shard=",
 		"# TYPE hfetch_pipeline_stage_nanos histogram",
 		`hfetch_tier_capacity_bytes{tier="ram"}`,
 	} {

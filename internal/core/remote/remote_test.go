@@ -77,7 +77,7 @@ func TestRemoteOpenReadClose(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Registry().Watched("data/x") {
+	if srv.Auditor().EpochOpen("data/x") {
 		t.Fatal("close must remove the watch")
 	}
 }

@@ -2,9 +2,9 @@
 // node: the hardware monitor (event queue + daemon pool), the file
 // segment auditor, the hierarchical data placement engine, the
 // data-prefetching I/O clients, and the agent manager that client agents
-// talk to. It owns the inotify-emulation watch registry: the first
-// opener of a file installs a watch, the last closer removes it, and
-// only watched files generate events.
+// talk to. The auditor's epoch table is the inotify-emulation watch
+// table: the first opener of a file opens its epoch, the last closer
+// closes it, and only files inside an epoch generate events.
 package server
 
 import (
@@ -67,11 +67,10 @@ type Server struct {
 	hier *tiers.Hierarchy
 	segr *seg.Segmenter
 
-	registry *events.Registry
-	aud      *auditor.Auditor
-	mon      *monitor.Monitor
-	eng      *placement.Engine
-	ioc      *ioclient.Client
+	aud *auditor.Auditor
+	mon *monitor.Monitor
+	eng *placement.Engine
+	ioc *ioclient.Client
 
 	shared map[string]bool
 
@@ -151,17 +150,16 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		shared[n] = true
 	}
 	s := &Server{
-		cfg:      cfg,
-		fs:       fs,
-		hier:     hier,
-		segr:     segr,
-		registry: events.NewRegistry(),
-		aud:      aud,
-		mon:      mon,
-		eng:      eng,
-		ioc:      ioc,
-		shared:   shared,
-		iostats:  telemetry.NewReadStats(),
+		cfg:     cfg,
+		fs:      fs,
+		hier:    hier,
+		segr:    segr,
+		aud:     aud,
+		mon:     mon,
+		eng:     eng,
+		ioc:     ioc,
+		shared:  shared,
+		iostats: telemetry.NewReadStats(),
 	}
 	if reg := cfg.Telemetry; reg != nil {
 		s.tele = reg
@@ -172,7 +170,6 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		reg.CounterFunc("hfetch_read_misses_total", "segment reads that fell back to the PFS", s.iostats.Misses)
 		s.readHist = reg.HistVec("hfetch_tier_read_nanos", "prefetched-read latency by serving tier in nanoseconds", "tier")
 		s.stallHist = reg.Histogram("hfetch_read_stall_nanos", "time reads blocked waiting for an in-flight mover fetch")
-		reg.CounterFunc("hfetch_read_stalls_total", "reads that waited on an in-flight mover fetch", s.stalls.Load)
 		reg.CounterFunc("hfetch_read_stall_rescues_total", "stalled reads served from a tier after the fetch landed", s.stallRescues.Load)
 		reg.CounterFunc("hfetch_remote_reads_total", "segment reads issued to peer nodes", s.remoteReads.Load)
 		reg.CounterFunc("hfetch_remote_serves_total", "segment reads served for peer nodes", s.remoteServes.Load)
@@ -182,9 +179,6 @@ func New(cfg Config, fs *pfs.FS, hier *tiers.Hierarchy, stats, maps *dhm.Map) (*
 		reg.CounterFunc("hfetch_slab_frees_total", "segment buffers returned to the slab free lists", tiers.SlabFrees)
 		reg.GaugeFunc("hfetch_slab_inuse_bytes", "slab bytes handed out and not yet returned: resident payload plus buffers in flight", tiers.SlabInUseBytes)
 		reg.GaugeFunc("hfetch_slab_mapped_bytes", "address space the slab has mapped outside the Go heap (never falls)", tiers.SlabMappedBytes)
-		reg.GaugeFunc("hfetch_watched_files", "files with an installed watch", func() int64 {
-			return int64(s.registry.Len())
-		})
 		for _, st := range hier.Stores() {
 			st := st
 			reg.CounterFunc("hfetch_tier_read_hits_total", "segment reads served from the tier", s.iostats.TierCounter(st.Name()), "tier", st.Name())
@@ -275,21 +269,17 @@ func (s *Server) Flush() {
 
 // ---- agent manager API ----
 
-// StartEpoch begins a prefetching epoch for an opening reader; the first
-// opener installs the file watch.
+// StartEpoch begins a prefetching epoch for an opening reader; the
+// file's events are audited from the first opener on.
 func (s *Server) StartEpoch(file string, size int64) {
-	s.registry.AddWatch(file)
 	s.aud.StartEpoch(file, size)
 }
 
-// EndEpoch ends one reader's epoch; the last closer removes the watch.
-// Closing an epoch is a barrier: queued events are drained first, so the
-// persisted heatmap reflects every access of the epoch.
+// EndEpoch ends one reader's epoch; the last closer stops the file's
+// events. Closing an epoch is a barrier: queued events are drained first,
+// so the persisted heatmap reflects every access of the epoch.
 func (s *Server) EndEpoch(file string) {
-	if s.registry.RemoveWatch(file) {
-		s.mon.WaitQuiescent(2 * time.Second)
-	}
-	s.aud.EndEpoch(file)
+	s.aud.EndEpoch(file, func() { s.mon.WaitQuiescent(2 * time.Second) })
 }
 
 // Lookup resolves where a segment is prefetched: the owning node and
@@ -539,9 +529,9 @@ func (s *Server) RemoteStats() (reads, serves int64) {
 }
 
 // PostEvent accepts an enriched file-system event. Only events for
-// watched files enter the queue, mirroring inotify semantics.
+// files inside an epoch enter the queue, mirroring inotify semantics.
 func (s *Server) PostEvent(ev events.Event) {
-	if !s.registry.Watched(ev.File) {
+	if !s.aud.EpochOpen(ev.File) {
 		return
 	}
 	s.mon.Post(ev)
@@ -572,9 +562,6 @@ func (s *Server) Monitor() *monitor.Monitor { return s.mon }
 
 // IOClient returns the data-prefetching I/O client.
 func (s *Server) IOClient() *ioclient.Client { return s.ioc }
-
-// Registry returns the watch registry.
-func (s *Server) Registry() *events.Registry { return s.registry }
 
 // Config returns the configuration the server was built from.
 func (s *Server) Config() Config { return s.cfg }

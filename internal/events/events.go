@@ -3,12 +3,12 @@
 // and enriches the raw events (op + filename) with the read offset,
 // request size and a timestamp. This repository cannot intercept real
 // syscalls, so the client agents and the gateway post the same enriched
-// events through a watch registry: events are only delivered for files
-// that currently have a watch installed, mirroring
-// inotify_add_watch/inotify_rm_watch. Two ops reach the auditor: a read,
-// which it scores, and a write, which invalidates the file's prefetched
-// data. Opens and closes arrive as epochs (the agent manager's
-// StartEpoch/EndEpoch), not as events.
+// events to their node's server, which delivers them only for files
+// inside a prefetching epoch (the auditor's epoch table is the watch
+// table), mirroring inotify_add_watch/inotify_rm_watch. Two ops reach the
+// auditor: a read, which it scores, and a write, which invalidates the
+// file's prefetched data. Opens and closes arrive as epochs (the agent
+// manager's StartEpoch/EndEpoch), not as events.
 //
 // Delivered events land in the monitor's queue, a ShardedQueue: the
 // stream is partitioned into per-file-hashed rings, each a Queue (a
@@ -21,7 +21,6 @@ package events
 
 import (
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -60,55 +59,4 @@ type Event struct {
 	// placement update so a prefetch can be attributed to the access
 	// that caused it.
 	Trace uint64
-}
-
-// Registry implements the watch table: files gain a watch when the first
-// reader opens them and lose it when the last reader closes them.
-// Registry is safe for concurrent use.
-type Registry struct {
-	mu      sync.RWMutex
-	watches map[string]int
-}
-
-// NewRegistry returns an empty watch registry.
-func NewRegistry() *Registry {
-	return &Registry{watches: make(map[string]int)}
-}
-
-// AddWatch installs (or references) a watch on file.
-func (r *Registry) AddWatch(file string) {
-	r.mu.Lock()
-	r.watches[file]++
-	r.mu.Unlock()
-}
-
-// RemoveWatch dereferences the watch on file and reports whether this
-// call removed the last reference.
-func (r *Registry) RemoveWatch(file string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n, ok := r.watches[file]
-	if !ok {
-		return false
-	}
-	if n <= 1 {
-		delete(r.watches, file)
-		return true
-	}
-	r.watches[file] = n - 1
-	return false
-}
-
-// Watched reports whether file currently has a watch installed.
-func (r *Registry) Watched(file string) bool {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.watches[file] > 0
-}
-
-// Len returns the number of files with installed watches.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.watches)
 }

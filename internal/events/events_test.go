@@ -7,62 +7,6 @@ import (
 	"time"
 )
 
-func TestRegistryFirstAndLast(t *testing.T) {
-	r := NewRegistry()
-	r.AddWatch("f")
-	r.AddWatch("f")
-	if !r.Watched("f") {
-		t.Fatal("file should be watched")
-	}
-	if r.RemoveWatch("f") {
-		t.Fatal("first RemoveWatch of two refs must not remove")
-	}
-	if !r.RemoveWatch("f") {
-		t.Fatal("last RemoveWatch must remove")
-	}
-	if r.Watched("f") {
-		t.Fatal("file should no longer be watched")
-	}
-}
-
-func TestRegistryRemoveUnknown(t *testing.T) {
-	r := NewRegistry()
-	if r.RemoveWatch("nope") {
-		t.Fatal("removing unknown watch must report false")
-	}
-}
-
-func TestRegistryLen(t *testing.T) {
-	r := NewRegistry()
-	r.AddWatch("a")
-	r.AddWatch("b")
-	r.AddWatch("a")
-	if r.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", r.Len())
-	}
-}
-
-func TestRegistryConcurrent(t *testing.T) {
-	r := NewRegistry()
-	var wg sync.WaitGroup
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.AddWatch("f")
-		}()
-	}
-	wg.Wait()
-	for i := 0; i < 49; i++ {
-		if r.RemoveWatch("f") {
-			t.Fatal("premature removal")
-		}
-	}
-	if !r.RemoveWatch("f") {
-		t.Fatal("final removal must succeed")
-	}
-}
-
 // take dequeues one event through a one-slot batch.
 func take(q *Queue) (Event, bool) {
 	var one [1]Event

@@ -115,8 +115,8 @@ func (s *ShardedQueue) Stats() (posted, dropped int64) {
 	return posted, dropped
 }
 
-// SetTelemetry attaches a registry: the queue exports the aggregate
-// depth and posted/dropped totals, a per-shard depth gauge, and times
+// SetTelemetry attaches a registry: the queue exports the posted/dropped
+// totals, a per-shard depth gauge, and times
 // sampled events' queue wait (see Queue.AttachTelemetry). Call before
 // traffic; nil is ignored.
 func (s *ShardedQueue) SetTelemetry(reg *telemetry.Registry) {
@@ -129,7 +129,6 @@ func (s *ShardedQueue) SetTelemetry(reg *telemetry.Registry) {
 		reg.GaugeFunc("hfetch_event_shard_depth", "events queued in the shard",
 			func() int64 { return int64(q.Len()) }, "shard", strconv.Itoa(i))
 	}
-	reg.GaugeFunc("hfetch_event_queue_depth", "events currently queued", func() int64 { return int64(s.Len()) })
 	reg.CounterFunc("hfetch_events_posted_total", "events accepted into the queue", func() int64 {
 		p, _ := s.Stats()
 		return p

@@ -119,8 +119,14 @@ func TestShardedTelemetryAggregates(t *testing.T) {
 	if got := metricValue(t, snap, "hfetch_events_posted_total"); got != 10 {
 		t.Fatalf("posted counter = %d, want 10", got)
 	}
-	if got := metricValue(t, snap, "hfetch_event_queue_depth"); got != 10 {
-		t.Fatalf("depth gauge = %d, want 10", got)
+	var depth int64
+	for _, m := range snap.Metrics {
+		if m.Name == "hfetch_event_shard_depth" {
+			depth += m.Value
+		}
+	}
+	if depth != 10 {
+		t.Fatalf("shard depth gauges sum to %d, want 10", depth)
 	}
 	// Drain and confirm queue-wait spans land in the stage histogram.
 	var wg sync.WaitGroup

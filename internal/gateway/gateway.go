@@ -91,7 +91,7 @@ func (c Config) withDefaults() Config {
 // Gateway serves the range-read API over one node's server. Create with
 // New, mount as an http.Handler, and Close when done: the gateway holds
 // one epoch reference per file it has served (it is a long-lived reader
-// in the watch registry's eyes), released on Close.
+// in the watch table's eyes: the auditor's epochs), released on Close.
 type Gateway struct {
 	srv *server.Server
 	fs  *pfs.FS

@@ -356,11 +356,11 @@ func TestGatewayEpochsReleasedOnClose(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if !srv.Registry().Watched("data/e") {
+	if !srv.Auditor().EpochOpen("data/e") {
 		t.Fatal("served file is not watched")
 	}
 	g.Close()
-	if srv.Registry().Watched("data/e") {
+	if srv.Auditor().EpochOpen("data/e") {
 		t.Fatal("watch survived gateway Close")
 	}
 	resp, err = http.Get(ts.URL + "/files/data/e")

@@ -95,13 +95,6 @@ func (s *Store) Len() int {
 	return len(s.data)
 }
 
-// Fits reports whether a payload of size bytes would fit right now.
-func (s *Store) Fits(size int64) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.used+size <= s.capacity
-}
-
 // Put stores a segment payload, charging the device for the write. The
 // payload is copied (into a slab buffer). Returns ErrNoSpace when it
 // does not fit; replacing an existing segment accounts only the size
