@@ -23,8 +23,9 @@ import (
 //   - every hfetch_* family registered through a Registry method has a
 //     row in DESIGN.md's exported-metrics table, and every row is still
 //     registered somewhere;
-//   - every row of README.md's knob table names a real internal/config
-//     json tag, a real hfetch.Config field and, when it lists one, a
+//   - README.md's configuration table has one row for every top-level
+//     json key of internal/config's Config, and each row names such a
+//     key, a real hfetch.Config field (or "—") and, when it lists one, a
 //     real cmd/hfetchd flag;
 //   - every cmd/hfetchd flag is mentioned in README.md.
 //
@@ -130,8 +131,13 @@ func TestDocsMatchCode(t *testing.T) {
 		t.Fatalf("found %d metric families and %d daemon flags; the walk missed the tree", len(metrics), len(flags))
 	}
 
+	// The daemon's top-level JSON keys; tiers, pfs and files are one each.
 	knobs := map[string]bool{}
-	jsonTags(reflect.TypeOf(config.Config{}), knobs)
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(config.Config{})) {
+		if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != "" && name != "-" {
+			knobs[name] = true
+		}
+	}
 
 	// DESIGN.md's metrics table against the registrations.
 	design := readDoc(t, "DESIGN.md")
@@ -156,28 +162,33 @@ func TestDocsMatchCode(t *testing.T) {
 		}
 	}
 
-	// README.md's knob table and flag mentions.
+	// README.md's configuration table and flag mentions.
 	readme := readDoc(t, "README.md")
-	knobRow := regexp.MustCompile("^\\| `([a-z0-9_]+)` / `([A-Za-z][A-Za-z0-9]*)`(?: / `-([a-z0-9-]+)`)? \\|")
-	rows := 0
+	knobRow := regexp.MustCompile("^\\| `([a-z0-9_]+)`(?: / `-([a-z0-9-]+)`)? \\| (?:`([A-Za-z][A-Za-z0-9.]*)`|—) \\|")
+	rowOf := map[string]int{}
 	for i, line := range readme {
 		m := knobRow.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		rows++
+		if prev, dup := rowOf[m[1]]; dup {
+			problems = append(problems, fmt.Sprintf("README.md:%d: configuration table repeats key %q (first at line %d)", i+1, m[1], prev))
+		}
+		rowOf[m[1]] = i + 1
 		if !knobs[m[1]] {
-			problems = append(problems, fmt.Sprintf("README.md:%d: knob table names json tag %q but internal/config declares no such tag", i+1, m[1]))
+			problems = append(problems, fmt.Sprintf("README.md:%d: configuration table names key %q but internal/config's Config has no such top-level json tag", i+1, m[1]))
 		}
-		if _, ok := reflect.TypeOf(Config{}).FieldByName(m[2]); !ok || !token.IsExported(m[2]) {
-			problems = append(problems, fmt.Sprintf("README.md:%d: knob table names Config field %q but hfetch.Config has no such field", i+1, m[2]))
+		if _, ok := flags[m[2]]; m[2] != "" && !ok {
+			problems = append(problems, fmt.Sprintf("README.md:%d: configuration table lists flag -%s but cmd/hfetchd does not register it", i+1, m[2]))
 		}
-		if _, ok := flags[m[3]]; m[3] != "" && !ok {
-			problems = append(problems, fmt.Sprintf("README.md:%d: knob table lists flag -%s but cmd/hfetchd does not register it", i+1, m[3]))
+		if m[3] != "" && !hasField(reflect.TypeOf(Config{}), m[3]) {
+			problems = append(problems, fmt.Sprintf("README.md:%d: configuration table names Config field %q but hfetch.Config has no such field", i+1, m[3]))
 		}
 	}
-	if rows == 0 {
-		t.Error("README.md has no knob table rows")
+	for key := range knobs {
+		if _, ok := rowOf[key]; !ok {
+			problems = append(problems, fmt.Sprintf("internal/config: JSON key %q has no row in README.md's configuration table", key))
+		}
 	}
 	text := strings.Join(readme, "\n")
 	for name, pos := range flags {
@@ -201,20 +212,19 @@ func stringLit(e ast.Expr) (string, bool) {
 	return s, err == nil
 }
 
-// jsonTags adds the json tag name of every field reachable from t.
-func jsonTags(t reflect.Type, into map[string]bool) {
-	switch t.Kind() {
-	case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Map:
-		jsonTags(t.Elem(), into)
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if name, _, _ := strings.Cut(f.Tag.Get("json"), ","); name != "" && name != "-" {
-				into[name] = true
-			}
-			jsonTags(f.Type, into)
+// hasField reports whether t has the exported field path ("Gateway.TenantRPS").
+func hasField(t reflect.Type, path string) bool {
+	for _, name := range strings.Split(path, ".") {
+		if t.Kind() != reflect.Struct {
+			return false
 		}
+		f, ok := t.FieldByName(name)
+		if !ok || !token.IsExported(name) {
+			return false
+		}
+		t = f.Type
 	}
+	return true
 }
 
 func readDoc(t *testing.T, path string) []string {

@@ -82,13 +82,11 @@ type Config struct {
 	// Deprecated: AsyncMover is read by nothing; placement always hands
 	// its moves to the mover pipeline.
 	AsyncMover bool
-	// MoverConcurrency is the mover's per-tier worker count, fastest tier
-	// first (missing entries use max(2, 8>>tier)).
-	MoverConcurrency []int
-	// MoverQueueDepth bounds each per-tier mover queue (default 256).
+	// Deprecated: MoverQueueDepth is read by nothing; each per-tier mover
+	// queue holds 256 moves.
 	MoverQueueDepth int
-	// FetchCoalesce merges adjacent queued PFS fetches of one file into
-	// a single origin read.
+	// Deprecated: FetchCoalesce is read by nothing; the mover always
+	// merges adjacent queued PFS fetches of one file into one origin read.
 	FetchCoalesce bool
 	// FetchWait bounds how long a missing read waits for an in-flight
 	// mover fetch of the same segment before falling back to the PFS
@@ -107,16 +105,10 @@ type Config struct {
 	// timely/late/wasted/redundant, and whole-lifecycle traces are kept in
 	// a fixed-memory flight recorder (export with hfetchctl trace).
 	EnableLifecycle bool
-	// LifecycleRing is the completed-trace flight-recorder size (default
-	// telemetry.DefaultLifecycleRing).
-	LifecycleRing int
 	// LifecycleSampleEvery samples one event-rooted trace in every N
 	// access events (default telemetry.DefaultLifecycleSampleEvery; 1
 	// traces everything — tests and debugging only).
 	LifecycleSampleEvery int
-	// LifecycleMaxActive caps in-flight traces (default
-	// telemetry.DefaultLifecycleMaxActive).
-	LifecycleMaxActive int
 	// TimeSampleEvery sets how often hot-path latency observations read
 	// the clock: one in every N operations (default
 	// telemetry.DefaultTimeSampleEvery; 1 times everything). Counters are
@@ -218,14 +210,9 @@ func FromConfig(d config.Config) Config {
 		EngineThreads:         d.EngineWorkers,
 		EngineInterval:        d.EngineInterval(),
 		EngineUpdateThreshold: d.EngineUpdateThreshold,
-		MoverConcurrency:      d.MoverConcurrency,
-		MoverQueueDepth:       d.MoverQueueDepth,
-		FetchCoalesce:         d.FetchCoalesce,
 		FetchWait:             d.FetchWait(),
 		TimeScale:             d.TimeScale,
-		LifecycleRing:         d.LifecycleRing,
 		LifecycleSampleEvery:  d.LifecycleSampleEvery,
-		LifecycleMaxActive:    d.LifecycleMaxActive,
 		TimeSampleEvery:       d.TimeSampleEvery,
 		Gateway: GatewaySpec{
 			MaxInflight:    d.GatewayMaxInflight,
@@ -265,12 +252,9 @@ func (cfg Config) ServerConfig(node string) server.Config {
 		HeatDir:     cfg.HeatDir,
 		FetchWait:   cfg.FetchWait,
 		Engine: placement.Config{
-			Interval:         cfg.EngineInterval,
-			UpdateThreshold:  cfg.EngineUpdateThreshold,
-			Workers:          cfg.EngineThreads,
-			MoverConcurrency: cfg.MoverConcurrency,
-			MoverQueueDepth:  cfg.MoverQueueDepth,
-			FetchCoalesce:    cfg.FetchCoalesce,
+			Interval:        cfg.EngineInterval,
+			UpdateThreshold: cfg.EngineUpdateThreshold,
+			Workers:         cfg.EngineThreads,
 		},
 	}
 	sc.Monitor.Shards = cfg.EventShards

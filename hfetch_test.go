@@ -88,9 +88,6 @@ func TestOneConfiguration(t *testing.T) {
 		"EngineThreads":         {got.EngineThreads, d.EngineWorkers},
 		"EngineInterval":        {got.EngineInterval, d.EngineInterval()},
 		"EngineUpdateThreshold": {got.EngineUpdateThreshold, d.EngineUpdateThreshold},
-		"MoverConcurrency":      {got.MoverConcurrency, d.MoverConcurrency},
-		"MoverQueueDepth":       {got.MoverQueueDepth, d.MoverQueueDepth},
-		"FetchCoalesce":         {got.FetchCoalesce, d.FetchCoalesce},
 		"FetchWait":             {got.FetchWait, d.FetchWait()},
 		"TimeScale":             {got.TimeScale, d.TimeScale},
 		"Gateway": {got.Gateway, GatewaySpec{
@@ -104,7 +101,7 @@ func TestOneConfiguration(t *testing.T) {
 			t.Errorf("DefaultConfig().%s = %v, config.Default() has %v", name, v[0], v[1])
 		}
 	}
-	if got.EventShards != 8 || !got.FetchCoalesce || got.FetchWait <= 0 {
+	if got.EventShards != 8 || got.FetchWait <= 0 {
 		t.Errorf("DefaultConfig() = %+v: not the shipped pipeline", got)
 	}
 	if !reflect.DeepEqual(got.Tiers, DefaultTiers(8<<20, 24<<20, 32<<20)) {
@@ -114,9 +111,10 @@ func TestOneConfiguration(t *testing.T) {
 		// the deployment's and the caller's
 		"Nodes": true, "Tiers": true, "ClusterHeartbeat": true, "ClusterTransport": true,
 		"EnableTelemetry": true, "EnableLifecycle": true,
-		"LifecycleRing": true, "LifecycleSampleEvery": true, "LifecycleMaxActive": true, "TimeSampleEvery": true,
+		"LifecycleSampleEvery": true, "TimeSampleEvery": true,
 		// deprecated, read by nothing
 		"DaemonThreads": true, "WorkersPerShard": true, "AsyncMover": true, "ClusterFabric": true,
+		"MoverQueueDepth": true, "FetchCoalesce": true,
 	}
 	for i, typ := 0, reflect.TypeOf(got); i < typ.NumField(); i++ {
 		name := typ.Field(i).Name
@@ -127,8 +125,8 @@ func TestOneConfiguration(t *testing.T) {
 
 	// The telemetry knobs the daemon's file sets reach its node too.
 	tel := d
-	tel.LifecycleRing, tel.LifecycleSampleEvery, tel.LifecycleMaxActive, tel.TimeSampleEvery = 1, 2, 3, 4
-	if c := FromConfig(tel); c.LifecycleRing != 1 || c.LifecycleSampleEvery != 2 || c.LifecycleMaxActive != 3 || c.TimeSampleEvery != 4 {
+	tel.LifecycleSampleEvery, tel.TimeSampleEvery = 2, 4
+	if c := FromConfig(tel); c.LifecycleSampleEvery != 2 || c.TimeSampleEvery != 4 {
 		t.Errorf("FromConfig dropped a telemetry knob: %+v", c)
 	}
 

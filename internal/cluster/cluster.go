@@ -25,10 +25,8 @@ type Config struct {
 	// Seeds are peer addresses contacted to join an existing cluster.
 	Static map[string]string
 	Seeds  []string
-	// Heartbeat timing; see MembershipConfig (zeros take defaults).
+	// HeartbeatInterval is membership's probe period (see MembershipConfig).
 	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
 	// Mux is the peer-facing handler table: heartbeats, invalidations,
 	// dhm traffic and remote reads all share it.
 	Mux *comm.Mux
@@ -73,8 +71,6 @@ func New(cfg Config) *Node {
 		Seeds:             cfg.Seeds,
 		Static:            cfg.Static,
 		HeartbeatInterval: cfg.HeartbeatInterval,
-		SuspectAfter:      cfg.SuspectAfter,
-		DeadAfter:         cfg.DeadAfter,
 		Dial:              cfg.DialAddr,
 		Keys:              n.keyCount,
 		Stats:             n.commStats,

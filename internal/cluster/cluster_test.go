@@ -18,19 +18,18 @@ import (
 	"hfetch/internal/tiers"
 )
 
-func fastTimings() (hb, suspect, dead time.Duration) {
-	return 10 * time.Millisecond, 40 * time.Millisecond, 100 * time.Millisecond
-}
+// fastHeartbeat is the tests' heartbeat: a member silent for 40 ms is
+// suspect, for 100 ms dead.
+const fastHeartbeat = 10 * time.Millisecond
 
 // newAgent builds one membership agent on the in-process network.
 func newAgent(net *comm.InprocNetwork, self string, seeds []string, onChange func([]string)) *Membership {
-	hb, sus, dead := fastTimings()
 	mux := comm.NewMux()
 	m := NewMembership(MembershipConfig{
 		Self: self, Addr: self, Seeds: seeds,
-		HeartbeatInterval: hb, SuspectAfter: sus, DeadAfter: dead,
-		Dial:     func(addr string) (comm.Peer, error) { return net.Dial(addr), nil },
-		OnChange: onChange,
+		HeartbeatInterval: fastHeartbeat,
+		Dial:              func(addr string) (comm.Peer, error) { return net.Dial(addr), nil },
+		OnChange:          onChange,
 	}, mux)
 	net.Join(self, mux)
 	return m
@@ -455,7 +454,7 @@ func TestPeerNeverDialsUnknownOrDeadMembers(t *testing.T) {
 	var dials atomic.Int64
 	mem := NewMembership(MembershipConfig{
 		Self: "n0", Addr: "n0", Static: map[string]string{"n1": "n1", "n2": "n2"},
-		HeartbeatInterval: time.Millisecond, SuspectAfter: 20 * time.Millisecond, DeadAfter: 40 * time.Millisecond,
+		HeartbeatInterval: 5 * time.Millisecond, // suspect after 20 ms, dead after 50 ms
 		Dial: func(addr string) (comm.Peer, error) {
 			dials.Add(1)
 			return net.Dial(addr), nil

@@ -89,12 +89,9 @@ type MembershipConfig struct {
 	// Static pre-seeds the member table (the emulated cluster boots all
 	// nodes at once and skips discovery churn). Entries are (name, addr).
 	Static map[string]string
-	// HeartbeatInterval is the probe period (default 250ms).
-	// SuspectAfter and DeadAfter are the silence thresholds (defaults
-	// 4× and 10× the heartbeat interval).
+	// HeartbeatInterval is the probe period (default 250ms); a member
+	// silent for 4× it is suspect, for 10× dead.
 	HeartbeatInterval time.Duration
-	SuspectAfter      time.Duration
-	DeadAfter         time.Duration
 	// Dial opens a transport connection to a peer address.
 	Dial func(addr string) (comm.Peer, error)
 	// Keys reports this node's owned-key count for heartbeat payloads
@@ -129,7 +126,8 @@ type memberState struct {
 //
 // Lock discipline: mu is never held across Dial, Request or OnChange.
 type Membership struct {
-	cfg MembershipConfig
+	cfg           MembershipConfig
+	suspect, dead time.Duration // the silence thresholds
 
 	mu      sync.RWMutex
 	members map[string]*memberState
@@ -186,17 +184,10 @@ func NewMembership(cfg MembershipConfig, mux *comm.Mux) *Membership {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = 250 * time.Millisecond
 	}
-	if cfg.SuspectAfter <= 0 {
-		cfg.SuspectAfter = 4 * cfg.HeartbeatInterval
-	}
-	if cfg.DeadAfter <= cfg.SuspectAfter {
-		cfg.DeadAfter = 10 * cfg.HeartbeatInterval
-		if cfg.DeadAfter <= cfg.SuspectAfter {
-			cfg.DeadAfter = 2 * cfg.SuspectAfter
-		}
-	}
 	m := &Membership{
 		cfg:         cfg,
+		suspect:     4 * cfg.HeartbeatInterval,
+		dead:        10 * cfg.HeartbeatInterval,
 		members:     make(map[string]*memberState),
 		peers:       make(map[string]comm.Peer),
 		incarnation: uint64(time.Now().UnixNano()),
@@ -293,7 +284,7 @@ func (m *Membership) tick() {
 		if ms.name == m.cfg.Self || ms.addr == "" {
 			continue
 		}
-		if now.Sub(ms.lastSeen) > m.cfg.DeadAfter {
+		if now.Sub(ms.lastSeen) > m.dead {
 			continue // dead members are not probed; a rejoin re-seeds
 		}
 		targets = append(targets, target{ms.name, ms.addr})
@@ -455,7 +446,7 @@ func (m *Membership) fireIfChanged() {
 // must be held.
 func (m *Membership) aliveView(out []string, now time.Time) []string {
 	for _, ms := range m.members {
-		if ms.name == m.cfg.Self || now.Sub(ms.lastSeen) <= m.cfg.DeadAfter {
+		if ms.name == m.cfg.Self || now.Sub(ms.lastSeen) <= m.dead {
 			out = append(out, ms.name)
 		}
 	}
@@ -469,9 +460,9 @@ func (m *Membership) stateOfLocked(ms *memberState, now time.Time) State {
 	}
 	age := now.Sub(ms.lastSeen)
 	switch {
-	case age <= m.cfg.SuspectAfter:
+	case age <= m.suspect:
 		return StateAlive
-	case age <= m.cfg.DeadAfter:
+	case age <= m.dead:
 		return StateSuspect
 	default:
 		return StateDead
@@ -506,7 +497,7 @@ func (m *Membership) Suspect(name string) {
 	m.mu.Lock()
 	ms := m.members[name]
 	if ms != nil && ms.name != m.cfg.Self {
-		if aged := now.Add(-m.cfg.SuspectAfter - time.Nanosecond); ms.lastSeen.After(aged) {
+		if aged := now.Add(-m.suspect - time.Nanosecond); ms.lastSeen.After(aged) {
 			ms.lastSeen = aged
 		}
 	}

@@ -29,13 +29,12 @@ type member struct {
 
 func startMember(t *testing.T, net *comm.InprocNetwork, fs *pfs.FS, name, addr string, seeds ...string) *member {
 	t.Helper()
-	hb, sus, dead := fastTimings()
 	mux := comm.NewMux()
 	n := New(Config{
 		Self: name, Addr: addr, Seeds: seeds,
-		HeartbeatInterval: hb, SuspectAfter: sus, DeadAfter: dead,
-		Mux:      mux,
-		DialAddr: func(a string) (comm.Peer, error) { return net.Dial(a), nil },
+		HeartbeatInterval: fastHeartbeat,
+		Mux:               mux,
+		DialAddr:          func(a string) (comm.Peer, error) { return net.Dial(a), nil },
 	})
 	stats, maps, _, err := server.NewMaps(name, nil, n.Membership(), mux, "")
 	if err != nil {

@@ -55,12 +55,9 @@ type Config struct {
 	// join the cluster (the node also answers joins addressed to it, so
 	// the first member needs no seeds).
 	Seeds []string `json:"seeds,omitempty"`
-	// HeartbeatMS is the membership probe interval (default 500).
-	// SuspectAfterMS and DeadAfterMS are the silence thresholds after
-	// which a member is judged suspect and dead (defaults 2000/5000).
-	HeartbeatMS    int `json:"heartbeat_ms,omitempty"`
-	SuspectAfterMS int `json:"suspect_after_ms,omitempty"`
-	DeadAfterMS    int `json:"dead_after_ms,omitempty"`
+	// HeartbeatMS is the membership probe interval (default 500); a
+	// member silent for 4× and 10× it is judged suspect and dead.
+	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
 	// PeerRequestTimeoutMS bounds every peer request (default 2000; a
 	// peer that cannot answer within it degrades reads to the PFS).
 	PeerRequestTimeoutMS int `json:"peer_request_timeout_ms,omitempty"`
@@ -75,14 +72,9 @@ type Config struct {
 	// prefetch-effectiveness ledger (on by default whenever telemetry is
 	// on; export with hfetchctl trace or GET /debug/trace).
 	DisableLifecycle bool `json:"disable_lifecycle,omitempty"`
-	// LifecycleRing is the completed-trace flight-recorder size
-	// (default 256).
-	LifecycleRing int `json:"lifecycle_ring,omitempty"`
 	// LifecycleSampleEvery roots one lifecycle trace in every N access
 	// events (default 64; prefetches are always ledgered regardless).
 	LifecycleSampleEvery int `json:"lifecycle_sample_every,omitempty"`
-	// LifecycleMaxActive caps in-flight lifecycle traces (default 4096).
-	LifecycleMaxActive int `json:"lifecycle_max_active,omitempty"`
 	// DisableWatchdog turns off the stall watchdog (on by default
 	// whenever telemetry is on; its steady-state cost is one probe sweep
 	// per poll interval — the read path pays nothing).
@@ -91,12 +83,9 @@ type Config struct {
 	// progress before the watchdog trips and dumps a diagnostic bundle
 	// (default 5000).
 	WatchdogStallMS int `json:"watchdog_stall_ms,omitempty"`
-	// WatchdogDir is where trip bundles are written (default: the working
-	// directory).
+	// WatchdogDir is where trip bundles are written (default empty: a
+	// trip only counts).
 	WatchdogDir string `json:"watchdog_dir,omitempty"`
-	// WatchdogMaxBundles bounds the on-disk bundle ring (default 4;
-	// oldest bundles are pruned first).
-	WatchdogMaxBundles int `json:"watchdog_max_bundles,omitempty"`
 
 	// LogLevel selects the daemon's minimum log level: "debug", "info"
 	// (default), "warn" or "error".
@@ -121,24 +110,11 @@ type Config struct {
 	// applies backpressure to producers, "drop" discards events when the
 	// target ring is full (inotify IN_Q_OVERFLOW).
 	PostingPolicy string `json:"posting_policy,omitempty"`
-	// EventQueueCap bounds the event queue (total across shards;
-	// default 65536).
-	EventQueueCap int `json:"event_queue_cap,omitempty"`
 
 	EngineWorkers         int `json:"engine_workers"`
 	EngineIntervalMS      int `json:"engine_interval_ms"`
 	EngineUpdateThreshold int `json:"engine_update_threshold"`
 
-	// MoverConcurrency is the mover's worker count per tier, fastest
-	// first (entries <= 0 or missing use the built-in default
-	// max(2, 8>>tier)).
-	MoverConcurrency []int `json:"mover_concurrency,omitempty"`
-	// MoverQueueDepth bounds each per-tier mover queue; a full queue
-	// applies backpressure to the placement pass. Default 256.
-	MoverQueueDepth int `json:"mover_queue_depth,omitempty"`
-	// FetchCoalesce merges adjacent queued PFS fetches of one file into
-	// a single origin read. Daemon default true.
-	FetchCoalesce bool `json:"fetch_coalesce"`
 	// FetchWaitMS bounds how long a missing read waits for an in-flight
 	// mover fetch of the same segment before falling back to the PFS.
 	// Daemon default 2ms; 0 disables the wait.
@@ -181,8 +157,6 @@ func Default() Config {
 		EngineWorkers:         4,
 		EngineIntervalMS:      1000,
 		EngineUpdateThreshold: 100,
-		MoverQueueDepth:       256,
-		FetchCoalesce:         true,
 		FetchWaitMS:           2,
 		GatewayMaxInflight:    256,
 		GatewayClientInflight: 64,
@@ -254,16 +228,6 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("config: posting_policy must be \"block\" or \"drop\", got %q", c.PostingPolicy)
 	}
-	if c.EventQueueCap < 0 {
-		return fmt.Errorf("config: event_queue_cap must be >= 0, got %d", c.EventQueueCap)
-	}
-	if c.MoverQueueDepth < 0 {
-		return fmt.Errorf("config: mover_queue_depth must be >= 0, got %d", c.MoverQueueDepth)
-	}
-	if len(c.MoverConcurrency) > len(c.Tiers) {
-		return fmt.Errorf("config: mover_concurrency has %d entries for %d tiers",
-			len(c.MoverConcurrency), len(c.Tiers))
-	}
 	if c.FetchWaitMS < 0 {
 		return fmt.Errorf("config: fetch_wait_ms must be >= 0, got %g", c.FetchWaitMS)
 	}
@@ -273,11 +237,8 @@ func (c Config) Validate() error {
 	if c.TenantRPS < 0 || c.TenantBurst < 0 || c.GatewayWaitMS < 0 {
 		return fmt.Errorf("config: tenant_rps, tenant_burst and gateway_wait_ms must be >= 0")
 	}
-	if c.LifecycleRing < 0 || c.LifecycleSampleEvery < 0 || c.LifecycleMaxActive < 0 {
-		return fmt.Errorf("config: lifecycle_ring, lifecycle_sample_every and lifecycle_max_active must be >= 0")
-	}
-	if c.WatchdogStallMS < 0 || c.WatchdogMaxBundles < 0 {
-		return fmt.Errorf("config: watchdog_stall_ms and watchdog_max_bundles must be >= 0")
+	if c.LifecycleSampleEvery < 0 || c.WatchdogStallMS < 0 {
+		return fmt.Errorf("config: lifecycle_sample_every and watchdog_stall_ms must be >= 0")
 	}
 	switch c.LogLevel {
 	case "", "debug", "info", "warn", "error":
@@ -292,12 +253,8 @@ func (c Config) Validate() error {
 	if len(c.Seeds) > 0 && c.PeerListen == "" {
 		return fmt.Errorf("config: seeds require peer_listen (the node must be dialable to join a cluster)")
 	}
-	if c.HeartbeatMS < 0 || c.SuspectAfterMS < 0 || c.DeadAfterMS < 0 || c.PeerRequestTimeoutMS < 0 {
-		return fmt.Errorf("config: heartbeat_ms, suspect_after_ms, dead_after_ms and peer_request_timeout_ms must be >= 0")
-	}
-	hb, sus, dead := c.ClusterTimings()
-	if !(hb < sus && sus < dead) {
-		return fmt.Errorf("config: cluster timings must satisfy heartbeat < suspect_after < dead_after, got %v/%v/%v", hb, sus, dead)
+	if c.HeartbeatMS < 0 || c.PeerRequestTimeoutMS < 0 {
+		return fmt.Errorf("config: heartbeat_ms and peer_request_timeout_ms must be >= 0")
 	}
 	return nil
 }
@@ -305,22 +262,12 @@ func (c Config) Validate() error {
 // Clustered reports whether the daemon joins a multi-node fabric.
 func (c Config) Clustered() bool { return c.PeerListen != "" }
 
-// ClusterTimings returns the heartbeat interval and the suspect/dead
-// silence thresholds with defaults applied (500ms / 2s / 5s).
-func (c Config) ClusterTimings() (hb, suspect, dead time.Duration) {
-	hb = 500 * time.Millisecond
+// Heartbeat returns the membership probe interval (default 500ms).
+func (c Config) Heartbeat() time.Duration {
 	if c.HeartbeatMS > 0 {
-		hb = time.Duration(c.HeartbeatMS) * time.Millisecond
+		return time.Duration(c.HeartbeatMS) * time.Millisecond
 	}
-	suspect = 4 * hb
-	if c.SuspectAfterMS > 0 {
-		suspect = time.Duration(c.SuspectAfterMS) * time.Millisecond
-	}
-	dead = 10 * hb
-	if c.DeadAfterMS > 0 {
-		dead = time.Duration(c.DeadAfterMS) * time.Millisecond
-	}
-	return hb, suspect, dead
+	return 500 * time.Millisecond
 }
 
 // PeerRequestTimeout bounds peer requests (default 2s).

@@ -77,8 +77,6 @@ func TestValidateRejects(t *testing.T) {
 		{func(c *Config) { c.Tiers[1].Name = c.Tiers[0].Name }, "duplicate"},
 		{func(c *Config) { c.Tiers[0].CapacityBytes = 0 }, "capacity"},
 		{func(c *Config) { c.Files = []File{{Name: "", Size: 1}} }, "file"},
-		{func(c *Config) { c.MoverQueueDepth = -1 }, "mover_queue_depth"},
-		{func(c *Config) { c.MoverConcurrency = []int{1, 1, 1, 1} }, "mover_concurrency"},
 		{func(c *Config) { c.FetchWaitMS = -1 }, "fetch_wait_ms"},
 	}
 	for i, tc := range cases {
@@ -102,28 +100,24 @@ func TestDurations(t *testing.T) {
 }
 
 func TestMoverDefaults(t *testing.T) {
-	cfg := Default()
-	if !cfg.FetchCoalesce {
-		t.Fatalf("daemon must default to coalescing: %+v", cfg)
-	}
-	if cfg.MoverQueueDepth != 256 {
-		t.Fatalf("MoverQueueDepth = %d, want 256", cfg.MoverQueueDepth)
-	}
 	// An explicit opt-out in the file survives the defaulting overlay.
 	path := filepath.Join(t.TempDir(), "plain.json")
-	if err := writeFile(path, `{"node":"n1","fetch_coalesce":false,"fetch_wait_ms":0}`); err != nil {
+	if err := writeFile(path, `{"node":"n1","fetch_wait_ms":0}`); err != nil {
 		t.Fatal(err)
 	}
 	got, err := Load(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.FetchCoalesce || got.FetchWaitMS != 0 {
+	if got.FetchWaitMS != 0 {
 		t.Fatalf("opt-out lost in defaulting: %+v", got)
 	}
 	// A retired knob or a misspelled one is refused by name, not ignored.
 	for _, key := range []string{"async_mover", "daemons", "workers_per_shard", "fetch_coalese",
-		"stream_detect", "stream_detect_window", "stream_lookahead"} {
+		"stream_detect", "stream_detect_window", "stream_lookahead",
+		"mover_concurrency", "mover_queue_depth", "fetch_coalesce", "event_queue_cap",
+		"lifecycle_ring", "lifecycle_max_active", "watchdog_max_bundles",
+		"suspect_after_ms", "dead_after_ms"} {
 		if err := writeFile(path, `{"node":"n1","`+key+`":false}`); err != nil {
 			t.Fatal(err)
 		}

@@ -16,7 +16,7 @@ const (
 	streamArm = 3
 	// streamMaxSegs and streamMaxBytes cap how far beyond the reader a
 	// stream is hinted; the bytes are one coalesced origin read of the
-	// mover (mover.Config.MaxCoalesceBytes).
+	// mover (its maxCoalesceBytes).
 	streamMaxSegs  = 64
 	streamMaxBytes = 8 << 20
 	// debtMax bounds what a file owes for reads that fit no stream, so a

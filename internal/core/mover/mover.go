@@ -79,14 +79,17 @@ type Executor interface {
 	Evict(id seg.ID, src *tiers.Store) error
 }
 
+// maxCoalesceBytes bounds one coalesced origin read.
+const maxCoalesceBytes = 8 << 20
+
 // BatchFetcher is the optional extension of Executor that fetches a run of
 // consecutive segments with one origin read. fetched is called once, when
 // the call's last origin read has returned; landed(i, held, err) reports
 // segment first+i, lowest index first, as soon as it is written to dst or
 // has failed — one dst had no room for with tiers.ErrNoSpace and its
 // payload in held, the mover's to land later. Both run on the calling
-// goroutine with no mover or store lock held. Without it fetches run one
-// by one.
+// goroutine with no mover or store lock held. With it adjacent queued
+// fetches of one file always coalesce; without it fetches run one by one.
 type BatchFetcher interface {
 	FetchMany(file string, first int64, sizes []int64, dst *tiers.Store, fetched func(), landed func(i int, held *tiers.Buf, err error))
 }
@@ -107,31 +110,23 @@ type Config struct {
 	// Concurrency is the worker count per tier, fastest first. Missing
 	// entries default to max(2, 8>>i): fast tiers absorb more writes.
 	Concurrency []int
-	// QueueDepth bounds each tier's queue; a full queue blocks Submit
-	// (backpressure on the placement pass). Default 256.
-	QueueDepth int
 	// PFSStreams caps concurrent origin reads across all tiers — the
 	// paper's engine threads (engine_workers, 4 as shipped). Default 2.
 	PFSStreams int
-	// Coalesce merges adjacent queued PFS fetches of one file into one
-	// origin read (the executor must be a BatchFetcher).
-	Coalesce bool
-	// MaxCoalesceBytes bounds one coalesced origin read. Default 8 MiB.
-	MaxCoalesceBytes int64
 	// Telemetry, when non-nil, exports per-tier queue-depth gauges and
 	// the coalesced/superseded/cancelled counters.
 	Telemetry *telemetry.Registry
+	// queueDepth bounds each tier's queue; a full queue blocks Submit
+	// (backpressure on the placement pass). Default 256; tests shrink it.
+	queueDepth int
 }
 
 func (c Config) withDefaults(tierCount int) Config {
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 256
+	if c.queueDepth <= 0 {
+		c.queueDepth = 256
 	}
 	if c.PFSStreams <= 0 {
 		c.PFSStreams = 2
-	}
-	if c.MaxCoalesceBytes <= 0 {
-		c.MaxCoalesceBytes = 8 << 20
 	}
 	conc := make([]int, tierCount)
 	for i := range conc {
@@ -321,7 +316,7 @@ func (m *Mover) Submit(moves []Move) {
 
 // admitLocked queues a fresh move under a record, waiting for queue space.
 func (m *Mover) admitLocked(mv Move) {
-	for len(m.queues[qFor(mv)]) >= m.cfg.QueueDepth && !m.closed {
+	for len(m.queues[qFor(mv)]) >= m.cfg.queueDepth && !m.closed {
 		m.space.Wait()
 	}
 	if m.closed {

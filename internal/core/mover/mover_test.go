@@ -395,7 +395,7 @@ func TestMoverCoalescesAdjacentFetches(t *testing.T) {
 	hier := twoTiers(10_000)
 	ex := newFakeExec().withGate()
 	out := newOutcome()
-	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
 	defer m.Stop()
 	defer ex.release()
@@ -643,7 +643,7 @@ func TestMoverCompletesEachSegmentAsItLands(t *testing.T) {
 		}
 	}
 	out := newOutcome()
-	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
 	defer m.Stop()
 
@@ -684,7 +684,7 @@ func TestMoverStripesRunOverIdleStreams(t *testing.T) {
 	} {
 		hier := twoTiers(10_000)
 		ex := newFakeExec().withGate() // no group's origin read returns before all are taken
-		m := New(Config{Concurrency: []int{4}, PFSStreams: c.streams, Coalesce: true}, hier, ex, newOutcome().cb)
+		m := New(Config{Concurrency: []int{4}, PFSStreams: c.streams}, hier, ex, newOutcome().cb)
 		m.Start()
 		m.Submit(fetches(0, 61))
 		for range c.firsts {
@@ -729,7 +729,7 @@ func TestMoverFreesStreamBeforeTierWrites(t *testing.T) {
 	}
 	other := seg.ID{File: "g", Index: 0}
 	landed := make(chan struct{})
-	m := New(Config{Concurrency: []int{2}, PFSStreams: 1, Coalesce: true}, hier, ex, func(mv Move, err error) {
+	m := New(Config{Concurrency: []int{2}, PFSStreams: 1}, hier, ex, func(mv Move, err error) {
 		if mv.ID == other {
 			close(landed)
 		}
@@ -763,7 +763,7 @@ func TestMoverParksOnlyTheSegmentThatDidNotFit(t *testing.T) {
 	hier := twoTiers(250)
 	ex := newFakeExec()
 	out := newOutcome()
-	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1}, hier, ex, out.cb)
 	m.Start()
 	defer m.Stop()
 
@@ -805,7 +805,7 @@ func TestMoverSupersedeAndCancelInsideRunningGroup(t *testing.T) {
 			}
 		}
 		out := newOutcome()
-		m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1, Coalesce: true}, hier, ex, out.cb)
+		m := New(Config{Concurrency: []int{1, 1}, PFSStreams: 1}, hier, ex, out.cb)
 		m.Start()
 		m.Submit(fetches(0, 4))
 		<-held // 0 and 1 have landed; 2 and 3 are running
@@ -848,7 +848,7 @@ func TestMoverSupersedeAndCancelInsideRunningGroup(t *testing.T) {
 func TestMoverWaitForRunningFetch(t *testing.T) {
 	hier := twoTiers(10_000)
 	ex := newFakeExec().withGate()
-	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, ex, newOutcome().cb)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1}, hier, ex, newOutcome().cb)
 	m.Start()
 	defer m.Stop()
 	defer ex.release()
@@ -885,7 +885,7 @@ func TestMoverWaitForRunningFetch(t *testing.T) {
 // The mover learns what a fetch group takes from its own groups.
 func TestMoverLearnsLandTime(t *testing.T) {
 	hier := twoTiers(10_000)
-	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, Coalesce: true}, hier, newFakeExec(), newOutcome().cb)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1}, hier, newFakeExec(), newOutcome().cb)
 	m.Start()
 	m.Submit(fetches(0, 4))
 	m.Drain()

@@ -67,7 +67,7 @@ func TestMoverSwapCycleLosesNothing(t *testing.T) {
 		inUse := tiers.ReadSlabStats().InUseBytes
 		rng.Shuffle(len(cycle), func(i, j int) { cycle[i], cycle[j] = cycle[j], cycle[i] })
 		out := newOutcome()
-		m := New(Config{Concurrency: []int{1 + rng.Intn(2), 1 + rng.Intn(2), 1 + rng.Intn(2)}, PFSStreams: 1, QueueDepth: 1 + rng.Intn(2)}, hier, ioc, out.cb)
+		m := New(Config{Concurrency: []int{1 + rng.Intn(2), 1 + rng.Intn(2), 1 + rng.Intn(2)}, PFSStreams: 1, queueDepth: 1 + rng.Intn(2)}, hier, ioc, out.cb)
 		m.Start()
 		start := time.Now()
 		m.Submit(cycle) // one pass's plan is one batch, in whatever order
@@ -115,7 +115,7 @@ func TestMoverSubmitAnnouncesItsDepartures(t *testing.T) {
 		}
 	}
 	out := newOutcome()
-	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, QueueDepth: 1}, hier, ex, out.cb)
+	m := New(Config{Concurrency: []int{1}, PFSStreams: 1, queueDepth: 1}, hier, ex, out.cb)
 	m.Start()
 	defer m.Stop()
 	submitted := make(chan struct{})
@@ -326,7 +326,7 @@ func runStateMachine(t *testing.T, seed int64) (Stats, int64) {
 			model[mv.ID] = last[mv.ID]
 		}
 	}
-	m := New(Config{Concurrency: []int{2, 1, 1}, PFSStreams: 2, QueueDepth: 16, Coalesce: seed%2 == 0}, hier, ex, done)
+	m := New(Config{Concurrency: []int{2, 1, 1}, PFSStreams: 2, queueDepth: 16}, hier, ex, done)
 	m.Start()
 	for step, steps := 0, 20+rng.Intn(40); step < steps; step++ {
 		switch n := rng.Intn(20); {

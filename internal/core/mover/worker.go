@@ -74,15 +74,16 @@ func (m *Mover) worker(ti int) {
 }
 
 // takeLocked moves the head of tier ti's queue into g and marks it running
-// — or, for a PFS fetch with coalescing on, a share of the queued run the
-// head belongs to (shareLocked), which may leave the head for a later take.
+// — or, for a PFS fetch through a BatchFetcher, a share of the queued run
+// the head belongs to (shareLocked), which may leave the head for a later
+// take.
 func (m *Mover) takeLocked(ti int, g *group) {
 	q := m.queues[ti]
 	g.ops = append(g.ops[:0], q[0])
 	fetch := q[0].mv.From < 0 && q[0].buf == nil
 	if fetch {
 		g.taken = time.Now()
-		if m.batch != nil && m.cfg.Coalesce && len(q) > 1 {
+		if m.batch != nil && len(q) > 1 {
 			g.ops = m.shareLocked(q, g.ops[:0])
 		}
 		m.fetching++
@@ -107,7 +108,7 @@ func (m *Mover) takeLocked(ti int, g *group) {
 // shareLocked picks, into ops, the fetches one worker takes out of queue
 // q, whose head is a fetch: of the queued fetches of the head's file whose
 // indices are contiguous with it, the lowest-indexed 1/idle, rounded up and
-// bounded by MaxCoalesceBytes, in index order — idle being the PFS streams
+// bounded by maxCoalesceBytes, in index order — idle being the PFS streams
 // no taken group has spoken for (at least this worker's). The rest stays
 // queued for the other workers: a long run is read over every idle stream
 // at once and lands in reader order.
@@ -129,7 +130,7 @@ func (m *Mover) shareLocked(q, ops []*rec) []*rec {
 	}
 	idle := max(1, m.cfg.PFSStreams-m.fetching)
 	n := (hi - lo + idle - 1) / idle
-	budget := m.cfg.MaxCoalesceBytes - ops[lo].mv.Size
+	budget := maxCoalesceBytes - ops[lo].mv.Size
 	for k := 1; k < n; k++ {
 		if budget -= ops[lo+k].mv.Size; budget < 0 {
 			n = k

@@ -83,10 +83,10 @@ func gatedRig(t *testing.T, cfg Config, capacities ...int64) (*rig, *gatedMover)
 }
 
 // TestAsyncPlacementMatchesSyncOutcome is TestOverflowCascadesToNextTier
-// with coalescing on: the three fetches may share an origin read and must
+// through the mover: the three fetches may share an origin read and must
 // land where three single fetches would.
 func TestAsyncPlacementMatchesSyncOutcome(t *testing.T) {
-	r := newRig(t, Config{FetchCoalesce: true}, 200, 1000)
+	r := newRig(t, Config{}, 200, 1000)
 	deliver(r.eng, up(0, 5))
 	deliver(r.eng, up(1, 4))
 	deliver(r.eng, up(2, 3))
@@ -172,7 +172,7 @@ func TestAsyncFailedFetchAfterRunReturnedReconciles(t *testing.T) {
 func TestAsyncSupersededQueuedFetchNeverExecutes(t *testing.T) {
 	// One mover worker per tier and one PFS stream: a gated blocker fetch
 	// occupies the worker so the victim's fetch stays queued.
-	cfg := Config{Workers: 1, MoverConcurrency: []int{1, 1, 1}}
+	cfg := Config{Workers: 1, moverConcurrency: []int{1, 1, 1}}
 	r, gm := gatedRig(t, cfg, 1000)
 
 	blocker := seg.ID{File: "f", Index: 9}
@@ -226,8 +226,7 @@ func TestAsyncSupersededQueuedFetchNeverExecutes(t *testing.T) {
 // resident in two tiers or let the model drift from the stores.
 func TestAsyncSupersessionStressNoDuplicates(t *testing.T) {
 	cfg := Config{
-		FetchCoalesce:    true,
-		MoverConcurrency: []int{2, 2},
+		moverConcurrency: []int{2, 2},
 		UpdateThreshold:  1 << 30, // only explicit flushes trigger passes
 	}
 	r := newRig(t, cfg, 500, 500) // 5 segments per tier, 16 contenders
@@ -293,7 +292,7 @@ func TestAsyncSupersessionStressNoDuplicates(t *testing.T) {
 // tier and one fetch stream, where a failed hop is always reported before
 // the next one of its tier starts.
 func TestAsyncFailurePathsMirrorSync(t *testing.T) {
-	r, fm := flakyRig(t, Config{Workers: 1, MoverConcurrency: []int{1, 1}}, 300, 300)
+	r, fm := flakyRig(t, Config{Workers: 1, moverConcurrency: []int{1, 1}}, 300, 300)
 	for round := 0; round < 20; round++ {
 		if round%3 == 0 {
 			fm.failFetches.Store(1)
@@ -395,7 +394,7 @@ func runEngineStateMachine(t *testing.T, seed int64) (failed, superseded int64) 
 	rng := rand.New(rand.NewSource(seed))
 	faults := seed%2 == 1
 	var fc *faultyClient
-	cfg := Config{FetchCoalesce: seed%3 != 0, MoverConcurrency: []int{2, 1, 1}, UpdateThreshold: 1 << 30}
+	cfg := Config{moverConcurrency: []int{2, 1, 1}, UpdateThreshold: 1 << 30}
 	r := newRigWrapped(t, cfg, func(m Mover) Mover {
 		fc = &faultyClient{Client: m.(*ioclient.Client)}
 		if faults {

@@ -95,19 +95,12 @@ type Config struct {
 	// Workers is the paper §IV's engine threads: the cap on the mover's
 	// concurrent PFS fetch streams. Default 2.
 	Workers int
-	// MoverConcurrency is the mover's per-tier worker count, fastest tier
-	// first. Missing or non-positive entries use the mover default
-	// (max(2, 8>>tier)).
-	MoverConcurrency []int
-	// MoverQueueDepth bounds each per-tier mover queue; a full queue
-	// applies backpressure to the placement pass. Default 256.
-	MoverQueueDepth int
-	// FetchCoalesce lets the mover merge adjacent queued PFS fetches of
-	// one file into a single origin read.
-	FetchCoalesce bool
 	// Telemetry, when non-nil, times placement decisions (the place
 	// pipeline stage) and exports the engine counters.
 	Telemetry *telemetry.Registry
+	// moverConcurrency overrides the mover's per-tier worker count (tests
+	// that pin one worker per tier).
+	moverConcurrency []int
 }
 
 // Stats are cumulative engine counters.
@@ -257,10 +250,8 @@ func New(cfg Config, hier *tiers.Hierarchy, exec Mover, aud *auditor.Auditor) *E
 		})
 	}
 	e.mover = amover.New(amover.Config{
-		Concurrency: cfg.MoverConcurrency,
-		QueueDepth:  cfg.MoverQueueDepth,
+		Concurrency: cfg.moverConcurrency,
 		PFSStreams:  cfg.Workers,
-		Coalesce:    cfg.FetchCoalesce,
 		Telemetry:   cfg.Telemetry,
 	}, hier, exec, e.moveDone)
 	e.mover.Start()

@@ -24,7 +24,7 @@ func daemonTelemetry(t *testing.T) (*Client, *server.Server) {
 	hier := tiers.NewHierarchy(ram, nvme)
 	stats, maps := server.NewLocalMaps("daemon0")
 	reg := telemetry.NewRegistry()
-	reg.EnableLifecycle(0, 1, 0)
+	reg.EnableLifecycle(1)
 	reg.SetTimeSampling(1)
 	srv, err := server.New(server.Config{
 		Node:        "daemon0",

@@ -237,7 +237,7 @@ func TestReadPrefetchedDoesNotAllocate(t *testing.T) {
 		t.Skip("allocation counts are for the production build")
 	}
 	traced := telemetry.NewRegistry()
-	traced.EnableLifecycle(0, 0, 0)
+	traced.EnableLifecycle(0)
 	traced.SetTimeSampling(1)
 	for _, tc := range []struct {
 		name string

@@ -13,12 +13,13 @@ import (
 	"time"
 )
 
-// The upper bounds in this file hold where the kernel timer exists, in a
-// process that does nothing else, on a host that leaves it a processor:
-// go test runs other packages' tests beside this one. So a check that
-// fails is run again, three failures in a row fail the test, and a run
-// during which the rest of the host took more than a fifth of a processor
-// is not counted; if the host never quiets down the test is skipped.
+// The upper bounds timed through attempt, here and in device_test.go,
+// hold where the kernel timer exists, in a process that does nothing
+// else, on a host that leaves it a processor: go test runs other
+// packages' tests beside this one. So a check that fails is run again,
+// three failures in a row fail the test, and a run during which the rest
+// of the host took more than a fifth of a processor is not counted; if
+// the host never quiets down the test is skipped.
 func attempt(t *testing.T, check func() error) {
 	t.Helper()
 	const window = 200 * time.Millisecond // /proc/stat counts in 10 ms ticks

@@ -30,7 +30,7 @@ func TestGatewayGetAllocs(t *testing.T) {
 		t.Skip("allocation counts are for the production build")
 	}
 	traced := telemetry.NewRegistry()
-	traced.EnableLifecycle(0, 0, 0)
+	traced.EnableLifecycle(0)
 	traced.SetTimeSampling(1)
 	for _, tc := range []struct {
 		name string

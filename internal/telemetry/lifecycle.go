@@ -231,13 +231,15 @@ func NewLifecycle(ringSize, every, maxActive int) *Lifecycle {
 	return lc
 }
 
-// EnableLifecycle attaches a lifecycle tracer to the registry and
-// registers its metric families. Nil-safe.
-func (r *Registry) EnableLifecycle(ringSize, every, maxActive int) {
+// EnableLifecycle attaches a lifecycle tracer, of the default ring and
+// in-flight cap, sampling one event-rooted trace in every `every` (<= 0
+// takes the default), to the registry and registers its metric families.
+// Nil-safe.
+func (r *Registry) EnableLifecycle(every int) {
 	if r == nil {
 		return
 	}
-	lc := NewLifecycle(ringSize, every, maxActive)
+	lc := NewLifecycle(0, every, 0)
 	lc.lead = r.Histogram("hfetch_prefetch_lead_nanos",
 		"time a timely prefetch landed ahead of its first read")
 	r.CounterFunc("hfetch_prefetch_timely_total",

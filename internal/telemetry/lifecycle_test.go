@@ -243,7 +243,7 @@ func TestLifecycleNilSafety(t *testing.T) {
 		t.Fatal("nil sub-structures must be nil")
 	}
 	var reg *Registry
-	reg.EnableLifecycle(0, 0, 0)
+	reg.EnableLifecycle(0)
 	if reg.Lifecycle() != nil {
 		t.Fatal("nil registry returned a lifecycle")
 	}
@@ -251,7 +251,7 @@ func TestLifecycleNilSafety(t *testing.T) {
 
 func TestLifecycleRegistryMetrics(t *testing.T) {
 	r := NewRegistry()
-	r.EnableLifecycle(16, 1, 0)
+	r.EnableLifecycle(1)
 	lc := r.Lifecycle()
 	if lc == nil {
 		t.Fatal("EnableLifecycle did not attach")
@@ -285,7 +285,7 @@ func TestLifecycleRegistryMetrics(t *testing.T) {
 
 func TestLifecycleSpanForwarding(t *testing.T) {
 	r := NewRegistry()
-	r.EnableLifecycle(16, 1, 0)
+	r.EnableLifecycle(1)
 	lc := r.Lifecycle()
 	lc.SetGrain(testGrain)
 	id := lc.OnEvent("/f", 0, time.Now())

@@ -334,7 +334,7 @@ func TestTelemetryExpositionGolden(t *testing.T) {
 // joins that trace, which is where hfetchctl spans reads it.
 func TestTelemetrySpanFeedsHistAndTrace(t *testing.T) {
 	r := NewRegistry()
-	r.EnableLifecycle(8, 1, 0)
+	r.EnableLifecycle(1)
 	lc := r.Lifecycle()
 	lc.SetGrain(1)
 	base := time.Now()

@@ -40,12 +40,9 @@ type WatchdogConfig struct {
 	// Start (default Stall/4, floor 10ms).
 	Interval time.Duration
 	// Dir, when non-empty, is where diagnostic bundles are written. The
-	// directory is created on first trip and kept to MaxBundles files,
-	// oldest deleted first.
+	// directory is created on first trip and kept to
+	// DefaultWatchdogBundles files, oldest deleted first.
 	Dir string
-	// MaxBundles bounds the on-disk bundle ring (default
-	// DefaultWatchdogBundles).
-	MaxBundles int
 	// Registry, when non-nil, supplies the metrics snapshot and the
 	// last-N lifecycle traces for bundles, and hosts the
 	// hfetch_watchdog_trips_total{probe} counter family.
@@ -106,9 +103,6 @@ func NewWatchdog(cfg WatchdogConfig) *Watchdog {
 	}
 	if cfg.Interval < 10*time.Millisecond {
 		cfg.Interval = 10 * time.Millisecond
-	}
-	if cfg.MaxBundles <= 0 {
-		cfg.MaxBundles = DefaultWatchdogBundles
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -301,7 +295,7 @@ func (w *Watchdog) writeBundle(probe string, now time.Time, pending, progress in
 	w.pruneBundles()
 }
 
-// pruneBundles keeps the newest MaxBundles bundle files.
+// pruneBundles keeps the newest DefaultWatchdogBundles bundle files.
 func (w *Watchdog) pruneBundles() {
 	ents, err := os.ReadDir(w.cfg.Dir)
 	if err != nil {
@@ -313,11 +307,11 @@ func (w *Watchdog) pruneBundles() {
 			names = append(names, e.Name())
 		}
 	}
-	if len(names) <= w.cfg.MaxBundles {
+	if len(names) <= DefaultWatchdogBundles {
 		return
 	}
 	sort.Strings(names) // zero-padded seq: lexicographic = chronological
-	for _, n := range names[:len(names)-w.cfg.MaxBundles] {
+	for _, n := range names[:len(names)-DefaultWatchdogBundles] {
 		_ = os.Remove(filepath.Join(w.cfg.Dir, n))
 	}
 }

@@ -120,27 +120,28 @@ func TestWatchdogBundleRingPrunes(t *testing.T) {
 	var clk fakeClock
 	var pending, progress atomic.Int64
 	pending.Store(1)
-	wd := NewWatchdog(WatchdogConfig{Stall: time.Second, Dir: dir, MaxBundles: 2, Now: clk.Now})
+	wd := NewWatchdog(WatchdogConfig{Stall: time.Second, Dir: dir, Now: clk.Now})
 	wd.AddProbe(WatchdogProbe{Name: "p", Pending: pending.Load, Progress: progress.Load})
 
-	for i := 0; i < 4; i++ {
+	const trips = DefaultWatchdogBundles + 2
+	for i := 0; i < trips; i++ {
 		wd.Poll() // baseline (or re-arm sample)
 		clk.Advance(2 * time.Second)
 		wd.Poll() // trip
 		progress.Add(1)
 		wd.Poll() // re-arm
 	}
-	if got := wd.Trips(); got != 4 {
-		t.Fatalf("Trips() = %d, want 4", got)
+	if got := wd.Trips(); got != trips {
+		t.Fatalf("Trips() = %d, want %d", got, trips)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ents) != 2 {
-		t.Fatalf("bundle files after prune = %d, want 2 (MaxBundles)", len(ents))
+	if len(ents) != DefaultWatchdogBundles {
+		t.Fatalf("bundle files after prune = %d, want %d", len(ents), DefaultWatchdogBundles)
 	}
-	// Oldest pruned: surviving names carry the two highest sequence numbers.
+	// Oldest pruned: the two lowest sequence numbers are gone.
 	for _, e := range ents {
 		if strings.HasPrefix(e.Name(), "watchdog-00000"+"1") || strings.HasPrefix(e.Name(), "watchdog-000002") {
 			t.Fatalf("old bundle %s survived pruning", e.Name())

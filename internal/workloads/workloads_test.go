@@ -186,11 +186,60 @@ func TestWRFStrongScaling(t *testing.T) {
 		}))
 	}
 	t8, t16 := mk(8), mk(16)
-	// Strong scaling: total I/O roughly constant across scales (each of
-	// the 6 passes covers the whole dataset once).
+	// Strong scaling: total I/O roughly constant across scales. This checks
+	// the byte total only; TestWRFPassCoversInputOnce checks which bytes.
 	ratio := float64(t16) / float64(t8)
 	if ratio < 0.8 || ratio > 1.2 {
 		t.Fatalf("strong scaling violated: 8 procs %d bytes, 16 procs %d bytes", t8, t16)
+	}
+}
+
+// Every pass of every WRF phase reads each Req block of each domain
+// exactly once across the processes: at Figure 6(b)'s scales (8–64
+// processes over 16 MiB in four domains, 64 KiB requests), at process
+// counts that are not a multiple of the domains, and beyond the blocks a
+// domain has.
+func TestWRFPassCoversInputOnce(t *testing.T) {
+	for _, procs := range []int{8, 16, 32, 64, 6, 10, 300} {
+		cfg := WRFConfig{Procs: procs, TotalBytes: 16 << 20, Req: 64 << 10, Steps: 4, Domains: 4}
+		files := WRFFiles(cfg)
+		for _, app := range WRF(cfg) {
+			passes := 1
+			if app.Name == "wrf" {
+				passes = cfg.Steps
+			}
+			reads := make([]map[Access]int, passes)
+			for k := range reads {
+				reads[k] = map[Access]int{}
+			}
+			for p, script := range app.Procs {
+				if len(script)%passes != 0 {
+					t.Fatalf("%d procs, %s: process %d makes %d reads, not %d equal passes", procs, app.Name, p, len(script), passes)
+				}
+				per := len(script) / passes
+				for i, a := range script {
+					if a.Off%cfg.Req != 0 || a.Len != cfg.Req {
+						t.Fatalf("%d procs, %s: process %d reads %+v, not one whole block", procs, app.Name, p, a)
+					}
+					a.Think = 0
+					reads[i/per][a]++
+				}
+			}
+			for k, got := range reads {
+				want := 0
+				for name, size := range files {
+					for off := int64(0); off+cfg.Req <= size; off += cfg.Req {
+						want++
+						if n := got[Access{File: name, Off: off, Len: cfg.Req}]; n != 1 {
+							t.Errorf("%d procs, %s pass %d: block %s@%d read %d times, want once", procs, app.Name, k, name, off, n)
+						}
+					}
+				}
+				if len(got) != want {
+					t.Errorf("%d procs, %s pass %d: %d distinct blocks read, the domains hold %d", procs, app.Name, k, len(got), want)
+				}
+			}
+		}
 	}
 }
 

@@ -32,6 +32,15 @@ type WRFConfig struct {
 // post-processing/visualization application reads the model's domain
 // data once more to render it. Strong scaling: the same total data is
 // divided across more processes.
+//
+// Process p works on domain p mod Domains, and a domain's whole Req blocks
+// are split into contiguous slices, one per process of the domain and as
+// even as division allows: every pass of every phase reads each block of a
+// domain exactly once. With Procs a multiple of Domains and blocks that
+// divide evenly, p's slice is the TotalBytes/Procs bytes at
+// (p/Domains)·TotalBytes/Procs. A domain with more processes than blocks
+// leaves some with nothing to read, and with fewer processes than domains
+// the last domains go unread.
 func WRF(cfg WRFConfig) []App {
 	if cfg.Domains <= 0 {
 		cfg.Domains = 4
@@ -39,21 +48,20 @@ func WRF(cfg WRFConfig) []App {
 	if cfg.Steps <= 0 {
 		cfg.Steps = 4
 	}
-	perProc := cfg.TotalBytes / int64(cfg.Procs)
-	if perProc < cfg.Req {
-		perProc = cfg.Req
-	}
-	domain := func(p int) string { return fmt.Sprintf("wrf/domain-%d", p%cfg.Domains) }
-	domainSize := cfg.TotalBytes / int64(cfg.Domains)
+	blocks := cfg.TotalBytes / int64(cfg.Domains) / cfg.Req
 
 	pre := App{Name: "wps"}
 	model := App{Name: "wrf"}
 	post := App{Name: "post"}
 
 	for p := 0; p < cfg.Procs; p++ {
-		file := domain(p)
-		// Each process owns a slice of its domain file.
-		sliceOff := (int64(p/cfg.Domains) * perProc) % maxInt64(domainSize-perProc, 1)
+		d := p % cfg.Domains
+		file := fmt.Sprintf("wrf/domain-%d", d)
+		// Each process owns a slice of its domain file: the i-th of the
+		// domain's n processes reads blocks [i·blocks/n, (i+1)·blocks/n).
+		i, n := int64(p/cfg.Domains), int64((cfg.Procs-d+cfg.Domains-1)/cfg.Domains)
+		sliceOff := i * blocks / n * cfg.Req
+		perProc := (i+1)*blocks/n*cfg.Req - sliceOff
 
 		// Pre-processing: one sequential pass over the slice.
 		var s1 Script
@@ -98,11 +106,4 @@ func WRFFiles(cfg WRFConfig) map[string]int64 {
 		out[fmt.Sprintf("wrf/domain-%d", i)] = cfg.TotalBytes / int64(cfg.Domains)
 	}
 	return out
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

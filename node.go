@@ -46,8 +46,7 @@ type nodeSpec struct {
 	// a tier without one here is the node's own.
 	shared map[string]*tiers.Store
 	// walPath, when set, logs the hashmaps (see server.NewMaps).
-	walPath  string
-	queueCap int
+	walPath string
 	// watchdog configures the stall watchdog, which runs whenever
 	// telemetry is on; nil turns it off.
 	watchdog *telemetry.WatchdogConfig
@@ -85,9 +84,9 @@ func NewNode(d config.Config) (*Node, error) {
 			return nil, err
 		}
 	}
-	s := nodeSpec{name: d.Node, fs: fs, walPath: d.WALPath, queueCap: d.EventQueueCap}
+	s := nodeSpec{name: d.Node, fs: fs, walPath: d.WALPath}
 	if !d.DisableWatchdog {
-		s.watchdog = &telemetry.WatchdogConfig{Stall: d.WatchdogStall(), Dir: d.WatchdogDir, MaxBundles: d.WatchdogMaxBundles}
+		s.watchdog = &telemetry.WatchdogConfig{Stall: d.WatchdogStall(), Dir: d.WatchdogDir}
 	}
 	if d.Clustered() {
 		s.mux = comm.NewMux()
@@ -96,12 +95,11 @@ func NewNode(d config.Config) (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		hb, suspect, dead := d.ClusterTimings()
 		// The roster starts as this node: the fabric grows it as the seeds
 		// answer and members are heard from.
 		s.roster, s.tcp, s.timeout = []string{d.Node}, tcp, d.PeerRequestTimeout()
 		s.fabric = &cluster.Config{Self: d.Node, Addr: d.PeerListen, Ops: d.Listen, Seeds: d.Seeds,
-			HeartbeatInterval: hb, SuspectAfter: suspect, DeadAfter: dead}
+			HeartbeatInterval: d.Heartbeat()}
 	}
 	n, err := assemble(cfg, s)
 	if err != nil {
@@ -142,7 +140,7 @@ func assemble(cfg Config, s nodeSpec) (*Node, error) {
 			reg.SetTimeSampling(cfg.TimeSampleEvery)
 		}
 		if cfg.EnableLifecycle {
-			reg.EnableLifecycle(cfg.LifecycleRing, cfg.LifecycleSampleEvery, cfg.LifecycleMaxActive)
+			reg.EnableLifecycle(cfg.LifecycleSampleEvery)
 		}
 	}
 
@@ -181,7 +179,6 @@ func assemble(cfg Config, s nodeSpec) (*Node, error) {
 	scfg := cfg.ServerConfig(s.name)
 	scfg.SharedTiers = shared
 	scfg.Telemetry = reg
-	scfg.Monitor.QueueCap = s.queueCap
 	n.srv, err = server.New(scfg, s.fs, tiers.NewHierarchy(stores...), stats, maps)
 	if err != nil {
 		if wal != nil {
