@@ -127,8 +127,9 @@ type Config struct {
 	// Deprecated: ClusterFabric is read by nothing; every cluster of more
 	// than one node runs the fabric.
 	ClusterFabric bool
-	// ClusterHeartbeat is the fabric's heartbeat interval (default 250ms,
-	// the membership's; suspect and dead thresholds scale from it).
+	// ClusterHeartbeat is the fabric's heartbeat interval (default
+	// cluster.DefaultHeartbeat, as a daemon's; suspect and dead
+	// thresholds scale from it).
 	ClusterHeartbeat time.Duration
 	// ClusterTransport selects how the nodes of a cluster of more than one
 	// talk: "" or "inproc" (emulated in-process network) or "tcp" (real

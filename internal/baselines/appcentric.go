@@ -1,13 +1,10 @@
 package baselines
 
 import (
-	"fmt"
 	"sync"
 
-	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
 	"hfetch/internal/pfs"
-	"hfetch/internal/telemetry"
 )
 
 // AppCentricConfig configures the application-centric comparator.
@@ -37,24 +34,14 @@ type AppCentricConfig struct {
 // small for its app's working set (unwanted evictions), and wrong
 // per-app predictions waste origin bandwidth (pollution).
 type AppCentric struct {
-	fs    *pfs.FS
-	segr  *seg.Segmenter
-	cfg   AppCentricConfig
-	stats *telemetry.ReadStats
-
-	queue chan appFetchReq
-	wg    sync.WaitGroup
-	once  sync.Once
+	substrate
+	cfg  AppCentricConfig
+	pool *fetchPool
 
 	mu        sync.Mutex
 	caches    map[string]*lruCache
 	detectors map[string]*strideDetector // key: app|file
 	redundant int64                      // fetches already cached by another app
-}
-
-type appFetchReq struct {
-	app string
-	fetchReq
 }
 
 type strideDetector struct {
@@ -93,9 +80,6 @@ func (d *strideDetector) observe(idx int64, depth int, count int64) []int64 {
 
 // NewAppCentric builds and starts the system.
 func NewAppCentric(fs *pfs.FS, cfg AppCentricConfig) *AppCentric {
-	if cfg.SegmentSize <= 0 {
-		cfg.SegmentSize = seg.DefaultSize
-	}
 	if cfg.Depth <= 0 {
 		cfg.Depth = 4
 	}
@@ -106,32 +90,17 @@ func NewAppCentric(fs *pfs.FS, cfg AppCentricConfig) *AppCentric {
 		cfg.Apps = 4
 	}
 	s := &AppCentric{
-		fs:        fs,
-		segr:      seg.NewSegmenter(cfg.SegmentSize),
+		substrate: newSubstrate("app-centric", fs, cfg.SegmentSize),
 		cfg:       cfg,
-		stats:     telemetry.NewReadStats(),
-		queue:     make(chan appFetchReq, 4096),
 		caches:    make(map[string]*lruCache),
 		detectors: make(map[string]*strideDetector),
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
+	s.pool = newFetchPool(cfg.Workers, 4096, nil, s.landed)
 	return s
 }
 
-// Name implements System.
-func (s *AppCentric) Name() string { return "app-centric" }
-
-// Stats implements System.
-func (s *AppCentric) Stats() *telemetry.ReadStats { return s.stats }
-
 // Stop implements System.
-func (s *AppCentric) Stop() {
-	s.once.Do(func() { close(s.queue) })
-	s.wg.Wait()
-}
+func (s *AppCentric) Stop() { s.pool.stop() }
 
 // cacheFor returns (creating if needed) app's private partition.
 func (s *AppCentric) cacheFor(app string) *lruCache {
@@ -165,78 +134,35 @@ func (s *AppCentric) Redundant() int64 {
 	return s.redundant
 }
 
-func (s *AppCentric) worker() {
-	defer s.wg.Done()
-	for req := range s.queue {
-		cache := s.cacheFor(req.app)
-		if cache.contains(req.id) {
-			continue
-		}
-		done, ok := cache.beginFetch(req.id)
-		if !ok {
-			continue
-		}
-		buf := make([]byte, req.size)
-		n, _, err := s.fs.ReadAt(req.id.File, req.id.Index*s.segr.Size(), buf)
-		if err == nil && n > 0 {
-			cache.put(req.id, buf[:n])
-			// Cross-application redundancy accounting: another app also
-			// paid for this segment, but the app-centric design cannot
-			// share copies across partitions.
-			s.mu.Lock()
-			for app, c := range s.caches {
-				if app != req.app && c.contains(req.id) {
-					s.redundant++
-					break
-				}
-			}
-			s.mu.Unlock()
-		}
-		done()
-	}
-}
-
-func (s *AppCentric) predict(app, file string, idx, size int64) {
-	key := app + "|" + file
+// landed counts a fetch another application had also paid for: the
+// app-centric design cannot share copies across partitions.
+func (s *AppCentric) landed(r fetchReq) {
 	s.mu.Lock()
-	d := s.detectors[key]
-	if d == nil {
-		d = &strideDetector{}
-		s.detectors[key] = d
-	}
-	next := d.observe(idx, s.cfg.Depth, s.segr.Count(size))
-	s.mu.Unlock()
-	for _, n := range next {
-		id := seg.ID{File: file, Index: n}
-		select {
-		case s.queue <- appFetchReq{app: app, fetchReq: fetchReq{id: id, size: s.segr.RangeOf(id, size).Len}}:
-		default:
+	defer s.mu.Unlock()
+	for _, c := range s.caches {
+		if c != r.h.cache && c.contains(r.id) {
+			s.redundant++
+			return
 		}
 	}
 }
 
 // Open implements System.
 func (s *AppCentric) Open(app, file string) (Handle, error) {
-	fi, err := s.fs.Stat(file)
-	if err != nil {
-		return nil, fmt.Errorf("app-centric: %w", err)
+	return s.open(file, s.cacheFor(app), func(h *cachedFile, idx int64) { s.predict(app, h, idx) })
+}
+
+func (s *AppCentric) predict(app string, h *cachedFile, idx int64) {
+	key := app + "|" + h.file
+	s.mu.Lock()
+	d := s.detectors[key]
+	if d == nil {
+		d = &strideDetector{}
+		s.detectors[key] = d
 	}
-	return &appCentricHandle{sys: s, app: app, file: file, size: fi.Size}, nil
+	next := d.observe(idx, s.cfg.Depth, s.segr.Count(h.size))
+	s.mu.Unlock()
+	for _, n := range next {
+		s.pool.want(h, n)
+	}
 }
-
-type appCentricHandle struct {
-	sys  *AppCentric
-	app  string
-	file string
-	size int64
-}
-
-func (h *appCentricHandle) ReadAt(p []byte, off int64) (int, error) {
-	return readViaCache(readCtx{
-		file: h.file, size: h.size, segr: h.sys.segr,
-		cache: h.sys.cacheFor(h.app), fs: h.sys.fs, stats: h.sys.stats,
-		onAccess: func(idx int64) { h.sys.predict(h.app, h.file, idx, h.size) },
-	}, p, off)
-}
-
-func (h *appCentricHandle) Close() error { return nil }

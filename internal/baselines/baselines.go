@@ -9,10 +9,12 @@
 //   - InMemOptimal — per-process private in-memory caches with perfect
 //     (own-stream) readahead (Fig 4b).
 //   - InMemNaive — one shared in-memory cache all processes compete for,
-//     with LRU eviction and uncoordinated readahead (Fig 4b).
-//   - AppCentric — per-application pattern-detecting prefetchers sharing
-//     one cache: the client-pull model whose pollution/redundancy HFetch
-//     removes (Fig 5).
+//     with LRU eviction and uncoordinated readahead (Fig 4b): the
+//     parallel prefetcher with a worker per process.
+//   - AppCentric — per-application pattern-detecting prefetchers, each
+//     filling its own application's private cache partition: the
+//     client-pull model whose pollution/redundancy HFetch removes
+//     (Fig 5).
 //   - Stacker — an online learn-as-you-go prefetcher modeling Subedi et
 //     al. (SC'18): a Markov transition table over segments drives
 //     prefetching, built up during the run (Fig 6).
@@ -22,8 +24,14 @@
 //     charged separately (Fig 6).
 //
 // All systems serve reads through the System/Handle interface the
-// experiment harness drives, and use the same pfs/tiers/devsim
-// substrates as HFetch so comparisons measure policy, not plumbing.
+// experiment harness drives, over the same pfs/devsim substrates as
+// HFetch. The seven prefetching comparators are one engine with seven
+// prediction rules: one handle type (cachedFile) serves reads from a
+// cache and the PFS and hands each served segment to its comparator's
+// rule, and one fetch pool type (fetchPool) brings the predicted
+// segments in (InMemOptimal runs one per process; KnowAc's windowed
+// replay calls the same fetch), so comparisons measure policy, not
+// plumbing.
 package baselines
 
 import (

@@ -9,6 +9,7 @@ import (
 
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/server"
+	"hfetch/internal/devsim"
 	"hfetch/internal/harness/leakcheck"
 	"hfetch/internal/pfs"
 	"hfetch/internal/tiers"
@@ -154,7 +155,6 @@ func TestInMemNaiveIntegrityUnderCompetition(t *testing.T) {
 	sys := NewInMemNaive(fs, InMemConfig{
 		CacheBytes: 8 * testSeg, SegmentSize: testSeg, Depth: 4, Processes: 4,
 	})
-	defer sys.Stop()
 	want := make([]byte, 64*testSeg)
 	fs.ReadAt("f", 0, want)
 	var wg sync.WaitGroup
@@ -175,6 +175,9 @@ func TestInMemNaiveIntegrityUnderCompetition(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	// Stop drains the readahead queue, so every queued prefetch has
+	// landed (and evicted) by the time the count is read.
+	sys.Stop()
 	_, _, evictions := sys.Cache()
 	if evictions == 0 {
 		t.Fatal("competing processes over a tiny cache must cause evictions")
@@ -309,7 +312,7 @@ func TestHFetchAdapter(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.Start()
-	sys := NewHFetch(srv, true)
+	sys := NewHFetch(srv)
 	defer sys.Stop()
 	if sys.Name() != "hfetch" || sys.Server() != srv {
 		t.Fatal("adapter accessors wrong")
@@ -416,31 +419,35 @@ func TestStrideDetector(t *testing.T) {
 // TestStopJoinsEveryWorker starts each baseline that spawns goroutines,
 // drives reads through two applications' handles, and stops it under a
 // leak guard: Stop must return within five seconds, and no goroutine
-// the system started may outlive it.
+// the system started may outlive it, also when a handle is still open.
 func TestStopJoinsEveryWorker(t *testing.T) {
 	const size = 32 * testSeg
 	for _, c := range []struct {
-		name string
-		sys  func(fs *pfs.FS) System
+		name     string
+		sys      func(fs *pfs.FS) System
+		keepOpen bool // leave the second application's handle open
 	}{
 		{"stacker", func(fs *pfs.FS) System {
 			return NewStacker(fs, StackerConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2, MinCount: 1})
-		}},
+		}, false},
 		{"prefetcher", func(fs *pfs.FS) System {
 			return NewPrefetcher(fs, PrefetcherConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2})
-		}},
+		}, false},
 		{"inmem-naive", func(fs *pfs.FS) System {
 			return NewInMemNaive(fs, InMemConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg})
-		}},
+		}, false},
 		{"inmem-optimal", func(fs *pfs.FS) System {
 			return NewInMemOptimal(fs, InMemConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Processes: 2})
-		}},
+		}, false},
 		{"knowac", func(fs *pfs.FS) System {
 			return NewKnowAc(fs, KnowAcConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2})
-		}},
+		}, false},
 		{"app-centric", func(fs *pfs.FS) System {
 			return NewAppCentric(fs, AppCentricConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Workers: 2, Apps: 2})
-		}},
+		}, false},
+		{"inmem-optimal-handle-open", func(fs *pfs.FS) System {
+			return NewInMemOptimal(fs, InMemConfig{CacheBytes: 8 * testSeg, SegmentSize: testSeg, Processes: 2})
+		}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			defer leakcheck.Guard(t)()
@@ -455,7 +462,9 @@ func TestStopJoinsEveryWorker(t *testing.T) {
 					for off := int64(0); off < size; off += testSeg {
 						h.ReadAt(buf, off)
 					}
-					h.Close()
+					if !c.keepOpen || app == "a" {
+						h.Close()
+					}
 				}
 			}
 			if k, ok := sys.(*KnowAc); ok {
@@ -472,5 +481,159 @@ func TestStopJoinsEveryWorker(t *testing.T) {
 				t.Error("Stop did not return within 5s")
 			}
 		})
+	}
+}
+
+// TestPredictionRulesFetchWhatTheyPredict pins each comparator's
+// prediction rule by its origin traffic: a fixed read sequence, then Stop
+// (which lets every queued prefetch land), then the PFS device's operation
+// count. Each sequence is chosen so that no predicted segment is also
+// read, so the count is the reads plus the distinct segments the rule
+// predicted, whatever the scheduling.
+func TestPredictionRulesFetchWhatTheyPredict(t *testing.T) {
+	const segs = 32
+	// read opens f for app, reads the given segments and closes it.
+	read := func(t *testing.T, sys System, app string, idx ...int64) {
+		t.Helper()
+		h, err := sys.Open(app, "f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		buf := make([]byte, testSeg)
+		for _, i := range idx {
+			if n, err := h.ReadAt(buf, i*testSeg); err != nil || n != testSeg {
+				t.Fatalf("read of segment %d = %d, %v", i, n, err)
+			}
+		}
+		h.Close()
+	}
+	for _, c := range []struct {
+		name string
+		sys  func(fs *pfs.FS) System
+		run  func(t *testing.T, sys System)
+		want int64 // origin reads: demand reads + predicted segments
+	}{
+		{"none", func(fs *pfs.FS) System { return NewNone(fs) },
+			func(t *testing.T, sys System) { read(t, sys, "a", 0, 1, 2) }, 3},
+		// Readahead of Depth: 0 → 1,2; 10 → 11,12; 31 is the last segment.
+		{"serial", func(fs *pfs.FS) System {
+			return NewPrefetcher(fs, PrefetcherConfig{CacheBytes: segs * testSeg, SegmentSize: testSeg, Depth: 2, Workers: 1})
+		}, func(t *testing.T, sys System) { read(t, sys, "a", 0, 10, 31) }, 3 + 4},
+		// 0 → 1,2,3; 10 → 11,12,13; 30 → 31 (clipped at the end).
+		{"parallel", func(fs *pfs.FS) System {
+			return NewPrefetcher(fs, PrefetcherConfig{CacheBytes: segs * testSeg, SegmentSize: testSeg, Depth: 3, Workers: 4})
+		}, func(t *testing.T, sys System) { read(t, sys, "a", 0, 10, 30) }, 3 + 7},
+		// One shared readahead cache: each process's accesses predict.
+		{"inmem-naive", func(fs *pfs.FS) System {
+			return NewInMemNaive(fs, InMemConfig{CacheBytes: segs * testSeg, SegmentSize: testSeg, Depth: 2, Processes: 2})
+		}, func(t *testing.T, sys System) {
+			read(t, sys, "a", 0)
+			read(t, sys, "b", 10)
+		}, 2 + 4},
+		// A 3-segment private quota caps Depth 4 at 2: 10 → 11,12, then
+		// the lower index restarts the sweep: 0 → 1,2.
+		{"inmem-optimal", func(fs *pfs.FS) System {
+			return NewInMemOptimal(fs, InMemConfig{CacheBytes: 4 * 3 * testSeg, SegmentSize: testSeg, Depth: 4, Processes: 4})
+		}, func(t *testing.T, sys System) { read(t, sys, "a", 10, 0) }, 2 + 4},
+		// Stride 2 is seen on the second read: 2 → 4,6,8, once per
+		// application's private partition.
+		{"app-centric", func(fs *pfs.FS) System {
+			return NewAppCentric(fs, AppCentricConfig{CacheBytes: 2 * segs * testSeg, SegmentSize: testSeg, Depth: 3, Workers: 4, Apps: 2})
+		}, func(t *testing.T, sys System) {
+			read(t, sys, "a", 0, 2)
+			read(t, sys, "b", 0, 2)
+		}, 4 + 6},
+		// 3→7 and 7→5 reach MinCount on the second round, 5→3 on the
+		// last read, whose successor chain is 7, 5.
+		{"stacker", func(fs *pfs.FS) System {
+			return NewStacker(fs, StackerConfig{CacheBytes: segs * testSeg, SegmentSize: testSeg, Depth: 2, Workers: 2, MinCount: 2})
+		}, func(t *testing.T, sys System) { read(t, sys, "a", 3, 7, 5, 3, 7, 5, 3) }, 7 + 2},
+		// The profile records six accesses; replay streams the first
+		// Window of them before anything is consumed.
+		{"knowac", func(fs *pfs.FS) System {
+			return NewKnowAc(fs, KnowAcConfig{CacheBytes: segs * testSeg, SegmentSize: testSeg, Workers: 2, Window: 4})
+		}, func(t *testing.T, sys System) {
+			k := sys.(*KnowAc)
+			k.StartProfile()
+			read(t, sys, "a", 5, 1, 9, 3, 7, 11)
+			k.FinishProfile()
+		}, 6 + 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fs := pfs.New(devsim.New(devsim.Profile{Name: "pfs"}, 1))
+			fs.Create("f", segs*testSeg)
+			sys := c.sys(fs)
+			c.run(t, sys)
+			sys.Stop()
+			if ops, _, _ := fs.Device().Stats(); ops != c.want {
+				t.Fatalf("origin reads = %d, want %d", ops, c.want)
+			}
+		})
+	}
+}
+
+// TestReadsAfterCloseAndStop: a handle keeps serving correct bytes after
+// it is closed and after its system is stopped; a prediction made then
+// is dropped, never sent to a stopped worker.
+func TestReadsAfterCloseAndStop(t *testing.T) {
+	const size = 32 * testSeg
+	for _, mk := range []func(*pfs.FS) System{
+		func(fs *pfs.FS) System {
+			return NewPrefetcher(fs, PrefetcherConfig{CacheBytes: size, SegmentSize: testSeg, Workers: 1})
+		},
+		func(fs *pfs.FS) System {
+			return NewPrefetcher(fs, PrefetcherConfig{CacheBytes: size, SegmentSize: testSeg, Workers: 2})
+		},
+		func(fs *pfs.FS) System {
+			return NewInMemNaive(fs, InMemConfig{CacheBytes: size, SegmentSize: testSeg, Processes: 2})
+		},
+		func(fs *pfs.FS) System {
+			return NewInMemOptimal(fs, InMemConfig{CacheBytes: size, SegmentSize: testSeg, Processes: 1})
+		},
+		func(fs *pfs.FS) System {
+			return NewAppCentric(fs, AppCentricConfig{CacheBytes: size, SegmentSize: testSeg})
+		},
+		func(fs *pfs.FS) System {
+			return NewStacker(fs, StackerConfig{CacheBytes: size, SegmentSize: testSeg, MinCount: 1})
+		},
+		func(fs *pfs.FS) System {
+			return NewKnowAc(fs, KnowAcConfig{CacheBytes: size, SegmentSize: testSeg})
+		},
+	} {
+		fs := testFS(t, size)
+		sys := mk(fs)
+		t.Run(sys.Name(), func(t *testing.T) {
+			want := make([]byte, size)
+			fs.ReadAt("f", 0, want)
+			h, err := sys.Open("a", "f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Each pass reads b, b+2, b: enough for every rule to predict
+			// (readahead, a stride, a learned transition back and forth).
+			pass := func(b int64) {
+				buf := make([]byte, testSeg)
+				for _, i := range []int64{b, b + 2, b} {
+					off := i * testSeg
+					if n, err := h.ReadAt(buf, off); err != nil || n != testSeg {
+						t.Fatalf("read of segment %d = %d, %v", i, n, err)
+					}
+					if !bytes.Equal(buf, want[off:off+testSeg]) {
+						t.Fatalf("segment %d served wrong bytes", i)
+					}
+				}
+			}
+			if k, ok := sys.(*KnowAc); ok {
+				k.StartProfile()
+				pass(0)
+				k.FinishProfile()
+			}
+			pass(0)
+			h.Close()
+			pass(10)
+			sys.Stop()
+			pass(20)
+		})
+		sys.Stop()
 	}
 }

@@ -11,13 +11,11 @@ import (
 type HFetch struct {
 	srv   *server.Server
 	stats *telemetry.ReadStats
-	owned bool
 }
 
-// NewHFetch wraps a started server. When owned is true, Stop tears the
-// server down too.
-func NewHFetch(srv *server.Server, owned bool) *HFetch {
-	return &HFetch{srv: srv, stats: telemetry.NewReadStats(), owned: owned}
+// NewHFetch wraps a started server; Stop tears the server down too.
+func NewHFetch(srv *server.Server) *HFetch {
+	return &HFetch{srv: srv, stats: telemetry.NewReadStats()}
 }
 
 // Name implements System.
@@ -27,11 +25,7 @@ func (h *HFetch) Name() string { return "hfetch" }
 func (h *HFetch) Stats() *telemetry.ReadStats { return h.stats }
 
 // Stop implements System.
-func (h *HFetch) Stop() {
-	if h.owned {
-		h.srv.Stop()
-	}
-}
+func (h *HFetch) Stop() { h.srv.Stop() }
 
 // Server exposes the wrapped server.
 func (h *HFetch) Server() *server.Server { return h.srv }

@@ -1,7 +1,6 @@
 package baselines
 
 import (
-	"fmt"
 	"sync"
 
 	"hfetch/internal/core/seg"
@@ -33,11 +32,9 @@ type KnowAcConfig struct {
 // exactly what comes next — but the profiling pass is real end-to-end
 // cost the paper charges it for ("profile-cost plus run time").
 type KnowAc struct {
-	fs    *pfs.FS
-	segr  *seg.Segmenter
+	substrate
 	cfg   KnowAcConfig
 	cache *lruCache
-	stats *telemetry.ReadStats
 
 	mu        sync.Mutex
 	profiling bool
@@ -55,9 +52,6 @@ type KnowAc struct {
 // NewKnowAc builds the system; call StartProfile/FinishProfile around a
 // profiling pass before the measured run.
 func NewKnowAc(fs *pfs.FS, cfg KnowAcConfig) *KnowAc {
-	if cfg.SegmentSize <= 0 {
-		cfg.SegmentSize = seg.DefaultSize
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
@@ -65,22 +59,14 @@ func NewKnowAc(fs *pfs.FS, cfg KnowAcConfig) *KnowAc {
 		cfg.Window = 64
 	}
 	return &KnowAc{
-		fs:     fs,
-		segr:   seg.NewSegmenter(cfg.SegmentSize),
-		cfg:    cfg,
-		cache:  newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
-		stats:  telemetry.NewReadStats(),
-		pos:    make(map[seg.ID][]int),
-		stopCh: make(chan struct{}),
-		wakeCh: make(chan struct{}, 1),
+		substrate: newSubstrate("knowac", fs, cfg.SegmentSize),
+		cfg:       cfg,
+		cache:     newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
+		pos:       make(map[seg.ID][]int),
+		stopCh:    make(chan struct{}),
+		wakeCh:    make(chan struct{}, 1),
 	}
 }
-
-// Name implements System.
-func (k *KnowAc) Name() string { return "knowac" }
-
-// Stats implements System.
-func (k *KnowAc) Stats() *telemetry.ReadStats { return k.stats }
 
 // Stop implements System.
 func (k *KnowAc) Stop() {
@@ -159,34 +145,22 @@ func (k *KnowAc) replayWorker(worker int) {
 			}
 		}
 		next += k.cfg.Workers
-		if k.cache.contains(req.id) {
-			continue
-		}
-		done, ok := k.cache.beginFetch(req.id)
-		if !ok {
-			continue
-		}
-		buf := make([]byte, req.size)
-		n, _, err := k.fs.ReadAt(req.id.File, req.id.Index*k.segr.Size(), buf)
-		if err == nil && n > 0 {
-			k.cache.put(req.id, buf[:n])
-		}
-		done()
+		fetch(req)
 	}
 }
 
 // onAccess records (profiling) or advances the consumption cursor
 // (replay).
-func (k *KnowAc) onAccess(file string, idx, size int64) {
-	id := seg.ID{File: file, Index: idx}
+func (k *KnowAc) onAccess(h *cachedFile, idx int64) {
+	r := h.request(idx)
 	k.mu.Lock()
 	if k.profiling {
-		k.history = append(k.history, fetchReq{id: id, size: k.segr.RangeOf(id, size).Len})
+		k.history = append(k.history, r)
 		k.mu.Unlock()
 		return
 	}
 	// Advance the cursor to the first unconsumed occurrence of id.
-	for _, p := range k.pos[id] {
+	for _, p := range k.pos[r.id] {
 		if p > k.consumed {
 			k.consumed = p
 			break
@@ -198,25 +172,5 @@ func (k *KnowAc) onAccess(file string, idx, size int64) {
 
 // Open implements System.
 func (k *KnowAc) Open(app, file string) (Handle, error) {
-	fi, err := k.fs.Stat(file)
-	if err != nil {
-		return nil, fmt.Errorf("knowac: %w", err)
-	}
-	return &knowacHandle{sys: k, file: file, size: fi.Size}, nil
+	return k.open(file, k.cache, k.onAccess)
 }
-
-type knowacHandle struct {
-	sys  *KnowAc
-	file string
-	size int64
-}
-
-func (h *knowacHandle) ReadAt(p []byte, off int64) (int, error) {
-	return readViaCache(readCtx{
-		file: h.file, size: h.size, segr: h.sys.segr,
-		cache: h.sys.cache, fs: h.sys.fs, stats: h.sys.stats,
-		onAccess: func(idx int64) { h.sys.onAccess(h.file, idx, h.size) },
-	}, p, off)
-}
-
-func (h *knowacHandle) Close() error { return nil }

@@ -1,37 +1,24 @@
 package baselines
 
 import (
-	"fmt"
 	"time"
 
 	"hfetch/internal/pfs"
-	"hfetch/internal/telemetry"
 )
 
 // None is the no-prefetching baseline: every read is a PFS read.
-type None struct {
-	fs    *pfs.FS
-	stats *telemetry.ReadStats
-}
+type None struct{ substrate }
 
 // NewNone creates the baseline over the shared PFS.
-func NewNone(fs *pfs.FS) *None {
-	return &None{fs: fs, stats: telemetry.NewReadStats()}
-}
-
-// Name implements System.
-func (n *None) Name() string { return "none" }
-
-// Stats implements System.
-func (n *None) Stats() *telemetry.ReadStats { return n.stats }
+func NewNone(fs *pfs.FS) *None { return &None{newSubstrate("none", fs, 0)} }
 
 // Stop implements System.
 func (n *None) Stop() {}
 
 // Open implements System.
 func (n *None) Open(app, file string) (Handle, error) {
-	if _, err := n.fs.Stat(file); err != nil {
-		return nil, fmt.Errorf("none: %w", err)
+	if _, err := statFile(n.fs, n.name, file); err != nil {
+		return nil, err
 	}
 	return &noneHandle{sys: n, file: file}, nil
 }

@@ -1,13 +1,11 @@
 package baselines
 
 import (
-	"fmt"
 	"sync"
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
 	"hfetch/internal/pfs"
-	"hfetch/internal/telemetry"
 )
 
 // StackerConfig configures the online learned comparator.
@@ -35,15 +33,10 @@ type StackerConfig struct {
 // seen enough times, nothing is prefetched — the paper's "lower hit
 // ratio due to some cache conflicts and unwanted data evictions".
 type Stacker struct {
-	fs    *pfs.FS
-	segr  *seg.Segmenter
+	substrate
 	cfg   StackerConfig
 	cache *lruCache
-	stats *telemetry.ReadStats
-
-	queue chan fetchReq
-	wg    sync.WaitGroup
-	once  sync.Once
+	pool  *fetchPool
 
 	mu    sync.Mutex
 	trans map[seg.ID]map[int64]int // observed successor counts
@@ -52,9 +45,6 @@ type Stacker struct {
 
 // NewStacker builds and starts the system.
 func NewStacker(fs *pfs.FS, cfg StackerConfig) *Stacker {
-	if cfg.SegmentSize <= 0 {
-		cfg.SegmentSize = seg.DefaultSize
-	}
 	if cfg.Depth <= 0 {
 		cfg.Depth = 2
 	}
@@ -64,57 +54,22 @@ func NewStacker(fs *pfs.FS, cfg StackerConfig) *Stacker {
 	if cfg.MinCount <= 0 {
 		cfg.MinCount = 2
 	}
-	s := &Stacker{
-		fs:    fs,
-		segr:  seg.NewSegmenter(cfg.SegmentSize),
-		cfg:   cfg,
-		cache: newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
-		stats: telemetry.NewReadStats(),
-		queue: make(chan fetchReq, 4096),
-		trans: make(map[seg.ID]map[int64]int),
-		last:  make(map[string]int64),
+	return &Stacker{
+		substrate: newSubstrate("stacker", fs, cfg.SegmentSize),
+		cfg:       cfg,
+		cache:     newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
+		pool:      newFetchPool(cfg.Workers, 4096, nil, nil),
+		trans:     make(map[seg.ID]map[int64]int),
+		last:      make(map[string]int64),
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-	return s
 }
-
-// Name implements System.
-func (s *Stacker) Name() string { return "stacker" }
-
-// Stats implements System.
-func (s *Stacker) Stats() *telemetry.ReadStats { return s.stats }
 
 // Stop implements System.
-func (s *Stacker) Stop() {
-	s.once.Do(func() { close(s.queue) })
-	s.wg.Wait()
-}
-
-func (s *Stacker) worker() {
-	defer s.wg.Done()
-	for req := range s.queue {
-		if s.cache.contains(req.id) {
-			continue
-		}
-		done, ok := s.cache.beginFetch(req.id)
-		if !ok {
-			continue
-		}
-		buf := make([]byte, req.size)
-		n, _, err := s.fs.ReadAt(req.id.File, req.id.Index*s.segr.Size(), buf)
-		if err == nil && n > 0 {
-			s.cache.put(req.id, buf[:n])
-		}
-		done()
-	}
-}
+func (s *Stacker) Stop() { s.pool.stop() }
 
 // learnAndPredict records the transition into idx and returns the
 // learned successor chain starting from idx.
-func (s *Stacker) learnAndPredict(file string, idx, size int64) []int64 {
+func (s *Stacker) learnAndPredict(file string, idx int64) []int64 {
 	s.mu.Lock()
 	if prev, ok := s.last[file]; ok && prev != idx {
 		pid := seg.ID{File: file, Index: prev}
@@ -156,36 +111,11 @@ func (s *Stacker) ModelSize() int {
 
 // Open implements System.
 func (s *Stacker) Open(app, file string) (Handle, error) {
-	fi, err := s.fs.Stat(file)
-	if err != nil {
-		return nil, fmt.Errorf("stacker: %w", err)
+	return s.open(file, s.cache, s.predict)
+}
+
+func (s *Stacker) predict(h *cachedFile, idx int64) {
+	for _, next := range s.learnAndPredict(h.file, idx) {
+		s.pool.want(h, next)
 	}
-	return &stackerHandle{sys: s, file: file, size: fi.Size}, nil
 }
-
-type stackerHandle struct {
-	sys  *Stacker
-	file string
-	size int64
-}
-
-func (h *stackerHandle) ReadAt(p []byte, off int64) (int, error) {
-	return readViaCache(readCtx{
-		file: h.file, size: h.size, segr: h.sys.segr,
-		cache: h.sys.cache, fs: h.sys.fs, stats: h.sys.stats,
-		onAccess: func(idx int64) {
-			for _, next := range h.sys.learnAndPredict(h.file, idx, h.size) {
-				id := seg.ID{File: h.file, Index: next}
-				if h.sys.cache.contains(id) {
-					continue
-				}
-				select {
-				case h.sys.queue <- fetchReq{id: id, size: h.sys.segr.RangeOf(id, h.size).Len}:
-				default:
-				}
-			}
-		},
-	}, p, off)
-}
-
-func (h *stackerHandle) Close() error { return nil }

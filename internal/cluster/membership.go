@@ -89,8 +89,9 @@ type MembershipConfig struct {
 	// Static pre-seeds the member table (the emulated cluster boots all
 	// nodes at once and skips discovery churn). Entries are (name, addr).
 	Static map[string]string
-	// HeartbeatInterval is the probe period (default 250ms); a member
-	// silent for 4× it is suspect, for 10× dead.
+	// HeartbeatInterval is the probe period (default
+	// DefaultHeartbeat); a member silent for 4× it is suspect, for 10×
+	// dead.
 	HeartbeatInterval time.Duration
 	// Dial opens a transport connection to a peer address.
 	Dial func(addr string) (comm.Peer, error)
@@ -178,11 +179,16 @@ type hbMsg struct {
 	Members []wireMember
 }
 
+// DefaultHeartbeat is the membership probe period of every cluster, a
+// daemon fabric's and a library one's, unless its configuration sets
+// another.
+const DefaultHeartbeat = 250 * time.Millisecond
+
 // NewMembership builds the agent and registers its heartbeat handler on
 // mux. Call Start to begin probing.
 func NewMembership(cfg MembershipConfig, mux *comm.Mux) *Membership {
 	if cfg.HeartbeatInterval <= 0 {
-		cfg.HeartbeatInterval = 250 * time.Millisecond
+		cfg.HeartbeatInterval = DefaultHeartbeat
 	}
 	m := &Membership{
 		cfg:         cfg,

@@ -12,6 +12,7 @@ import (
 	"os"
 	"time"
 
+	"hfetch/internal/cluster"
 	"hfetch/internal/core/monitor"
 )
 
@@ -55,8 +56,9 @@ type Config struct {
 	// join the cluster (the node also answers joins addressed to it, so
 	// the first member needs no seeds).
 	Seeds []string `json:"seeds,omitempty"`
-	// HeartbeatMS is the membership probe interval (default 500); a
-	// member silent for 4× and 10× it is judged suspect and dead.
+	// HeartbeatMS is the membership probe interval (default 250,
+	// cluster.DefaultHeartbeat); a member silent for 4× and 10× it is
+	// judged suspect and dead.
 	HeartbeatMS int `json:"heartbeat_ms,omitempty"`
 	// PeerRequestTimeoutMS bounds every peer request (default 2000; a
 	// peer that cannot answer within it degrades reads to the PFS).
@@ -262,12 +264,13 @@ func (c Config) Validate() error {
 // Clustered reports whether the daemon joins a multi-node fabric.
 func (c Config) Clustered() bool { return c.PeerListen != "" }
 
-// Heartbeat returns the membership probe interval (default 500ms).
+// Heartbeat returns the membership probe interval (default
+// cluster.DefaultHeartbeat).
 func (c Config) Heartbeat() time.Duration {
 	if c.HeartbeatMS > 0 {
 		return time.Duration(c.HeartbeatMS) * time.Millisecond
 	}
-	return 500 * time.Millisecond
+	return cluster.DefaultHeartbeat
 }
 
 // PeerRequestTimeout bounds peer requests (default 2s).

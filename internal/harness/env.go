@@ -106,7 +106,7 @@ func startHFetch(cfg server.Config, fs *pfs.FS, hier *tiers.Hierarchy) (*baselin
 		return nil, err
 	}
 	srv.Start()
-	return baselines.NewHFetch(srv, true), nil
+	return baselines.NewHFetch(srv), nil
 }
 
 var tierProfiles = map[string]devsim.Profile{
