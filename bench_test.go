@@ -17,8 +17,6 @@ import (
 
 	"hfetch/internal/baselines"
 	"hfetch/internal/core/auditor"
-	"hfetch/internal/core/ioclient"
-	"hfetch/internal/core/placement"
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
@@ -108,54 +106,7 @@ func BenchmarkAblationScoring(b *testing.B) {
 // BenchmarkAblationPlacement compares Algorithm 1 against random and
 // round-robin placement on a skewed update stream, reporting the
 // fraction of the hottest decile resident in the fastest tier.
-func BenchmarkAblationPlacement(b *testing.B) {
-	policies := []struct {
-		name string
-		p    placement.Policy
-	}{
-		{"score", placement.PolicyScore},
-		{"random", placement.PolicyRandom},
-		{"roundrobin", placement.PolicyRoundRobin},
-	}
-	for _, pol := range policies {
-		b.Run(pol.name, func(b *testing.B) {
-			var hotInRAM float64
-			for i := 0; i < b.N; i++ {
-				fs := pfs.New(nil)
-				fs.Create("f", 1<<30)
-				segr := seg.NewSegmenter(1 << 10)
-				ram := tiers.NewStore("ram", 32<<10, nil)
-				nvme := tiers.NewStore("nvme", 96<<10, nil)
-				hier := tiers.NewHierarchy(ram, nvme)
-				stats := dhm.New(dhm.Config{Name: "s", Self: "n0"}, nil)
-				maps := dhm.New(dhm.Config{Name: "m", Self: "n0"}, nil)
-				aud := auditor.New(auditor.Config{Node: "n0", Segmenter: segr}, stats, maps)
-				eng := placement.New(placement.Config{Policy: pol.p, Workers: 4},
-					hier, ioclient.New(fs, segr), aud)
-				rng := rand.New(rand.NewSource(1))
-				// Zipf-ish: segment k gets score 1/(k+1); 256 segments.
-				ups := make([]auditor.Update, 2048)
-				for j := range ups {
-					k := int64(rng.Intn(256))
-					ups[j] = auditor.Update{
-						ID: seg.ID{File: "f", Index: k}, Score: 1 / float64(k+1), Size: 1 << 10,
-					}
-				}
-				eng.ScoreBatch(ups)
-				eng.Flush()
-				hot := 0
-				for k := int64(0); k < 26; k++ { // hottest decile
-					if ram.Has(seg.ID{File: "f", Index: k}) {
-						hot++
-					}
-				}
-				hotInRAM = float64(hot) / 26
-				eng.Stop()
-			}
-			b.ReportMetric(hotInRAM*100, "hot-decile-in-ram%")
-		})
-	}
-}
+func BenchmarkAblationPlacement(b *testing.B) { benchFigure(b, harness.AblationPlacement) }
 
 // BenchmarkAblationSegmentation compares fixed-grain and adaptive
 // segmentation overhead on a mixed request stream.

@@ -217,22 +217,6 @@ func (c *lruCache) put(id seg.ID, payload []byte) {
 	}
 }
 
-// dropFile removes every segment of the named file.
-func (c *lruCache) dropFile(file string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.order.Front(); el != nil; {
-		next := el.Next()
-		ent := el.Value.(*lruEntry)
-		if ent.id.File == file {
-			c.order.Remove(el)
-			delete(c.entries, ent.id)
-			c.used -= int64(len(ent.payload))
-		}
-		el = next
-	}
-}
-
 // residentOf counts resident segments of the named file.
 func (c *lruCache) residentOf(file string) int {
 	c.mu.Lock()

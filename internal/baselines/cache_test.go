@@ -87,18 +87,3 @@ func TestBeginFetchDeduplicates(t *testing.T) {
 		t.Fatal("waitFor with nothing in flight must return false")
 	}
 }
-
-func TestDropFile(t *testing.T) {
-	c := newLRUCache(64, nil)
-	c.put(seg.ID{File: "a", Index: 0}, []byte{1})
-	c.put(seg.ID{File: "a", Index: 1}, []byte{2})
-	c.put(seg.ID{File: "b", Index: 0}, []byte{3})
-	c.dropFile("a")
-	used, n, _ := c.stats()
-	if used != 1 || n != 1 {
-		t.Fatalf("after dropFile: used=%d n=%d", used, n)
-	}
-	if !c.contains(seg.ID{File: "b", Index: 0}) {
-		t.Fatal("other files must survive dropFile")
-	}
-}

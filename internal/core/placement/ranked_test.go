@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hfetch/internal/core/auditor"
+	amover "hfetch/internal/core/mover"
 	"hfetch/internal/core/seg"
 	"hfetch/internal/dhm"
 	"hfetch/internal/invariant"
@@ -17,9 +18,9 @@ import (
 )
 
 // scanEngine is the engine's model as it was before tiers were ranked, kept
-// as the reference the ranked engine is held to: min_score is a walk over
+// as the reference the ranked Model is held to: min_score is a walk over
 // the tier's residents, DemoteSegments collects every colder resident and
-// sorts them. The one thing it takes from the ranked engine is the tie
+// sorts them. The one thing it takes from the ranked Model is the tie
 // rule (colder): the scan's own was map order.
 type scanEngine struct {
 	caps       []int64
@@ -27,7 +28,7 @@ type scanEngine struct {
 	used       []int64
 	minScore   float64
 	hysteresis float64
-	plan       []move
+	plan       []amover.Move
 }
 
 func newScanEngine(hysteresis float64, caps ...int64) *scanEngine {
@@ -66,7 +67,7 @@ func (s *scanEngine) update(u auditor.Update) {
 	}
 	if !(u.Score > s.minScore) {
 		if cur >= 0 {
-			s.plan = append(s.plan, move{id: u.ID, size: u.Size, from: cur, to: -1, trace: u.Trace})
+			s.plan = append(s.plan, amover.Move{ID: u.ID, Size: u.Size, From: cur, To: -1, Trace: u.Trace})
 		}
 		return
 	}
@@ -76,7 +77,7 @@ func (s *scanEngine) update(u auditor.Update) {
 func (s *scanEngine) place(u auditor.Update, cur, ti int) {
 	if ti >= len(s.caps) {
 		if cur >= 0 {
-			s.plan = append(s.plan, move{id: u.ID, size: u.Size, from: cur, to: -1, trace: u.Trace})
+			s.plan = append(s.plan, amover.Move{ID: u.ID, Size: u.Size, From: cur, To: -1, Trace: u.Trace})
 		}
 		return
 	}
@@ -92,7 +93,7 @@ func (s *scanEngine) place(u auditor.Update, cur, ti int) {
 	s.resident[ti][u.ID] = entry{score: u.Score, size: u.Size}
 	s.used[ti] += u.Size
 	if cur != ti {
-		s.plan = append(s.plan, move{id: u.ID, size: u.Size, from: cur, to: ti, trace: u.Trace})
+		s.plan = append(s.plan, amover.Move{ID: u.ID, Size: u.Size, From: cur, To: ti, Trace: u.Trace})
 	}
 }
 
@@ -144,7 +145,7 @@ func (s *scanEngine) dropFile(file string) {
 	}
 }
 
-// reconcile is Engine.reconcile with the store's answer given.
+// reconcile is Model.reconcile.
 func (s *scanEngine) reconcile(id seg.ID, actual int, size int64) {
 	for ti := range s.resident {
 		if ent, ok := s.resident[ti][id]; ok && ti != actual {
@@ -180,74 +181,51 @@ func (o traceOp) String() string {
 	return fmt.Sprintf("update %v score %v size %d", o.u.ID, o.u.Score, o.u.Size)
 }
 
-// rankedPair is the ranked engine and the scan model side by side over the
-// same empty-device hierarchy; step feeds both one op and compares what
-// they planned and what they hold.
+// rankedPair is a bare ranked Model and the scan model side by side over
+// the same tier capacities; step feeds both one op and compares what they
+// planned and what they hold.
 type rankedPair struct {
-	eng  *Engine
-	ref  *scanEngine
-	hier *tiers.Hierarchy
+	m   *Model
+	ref *scanEngine
 }
 
-func newRankedPair(t testing.TB, caps ...int64) *rankedPair {
-	names := []string{"ram", "nvme", "bb"}
-	var stores []*tiers.Store
-	for i, c := range caps {
-		stores = append(stores, tiers.NewStore(names[i], c, nil))
-	}
-	hier := tiers.NewHierarchy(stores...)
-	eng := New(Config{}, hier, noopMover{}, newTestAuditor())
-	t.Cleanup(func() {
-		eng.Stop()
-		for _, s := range stores {
-			s.Clear()
-		}
-	})
-	return &rankedPair{eng: eng, ref: newScanEngine(hysteresis, caps...), hier: hier}
+func newRankedPair(caps ...int64) *rankedPair {
+	return &rankedPair{m: NewModel(caps...), ref: newScanEngine(hysteresis, caps...)}
 }
 
 func (p *rankedPair) step(op traceOp) error {
-	var plan []move
+	var plan []amover.Move
 	p.ref.plan = p.ref.plan[:0]
 	switch {
 	case op.inval != "":
-		p.eng.dropFile(op.inval)
+		p.m.dropFile(op.inval, nil)
 		p.ref.dropFile(op.inval)
 	case op.recon:
-		// reconcile asks the stores: show them what the trace says.
-		p.hier.DeleteFile(op.u.ID.File)
-		if op.actual >= 0 {
-			if err := p.hier.Tier(op.actual).Put(op.u.ID, make([]byte, op.u.Size)); err != nil {
-				return nil // the trace asks for more than the tier holds: skip
-			}
+		if op.actual >= 0 && op.u.Size > p.m.caps[op.actual] {
+			return nil // the trace asks for more than the tier holds: skip
 		}
-		p.eng.reconcile(move{id: op.u.ID})
+		p.m.reconcile(op.u.ID, op.actual, op.u.Size)
 		p.ref.reconcile(op.u.ID, op.actual, op.u.Size)
-		p.hier.DeleteFile(op.u.ID.File)
 	default:
-		p.eng.mu.Lock()
-		p.eng.plan(op.u, &plan)
-		p.eng.checkModelLocked()
-		p.eng.mu.Unlock()
+		p.m.Plan(op.u, &plan)
+		p.m.check()
 		p.ref.update(op.u)
 	}
 	if !slices.Equal(plan, p.ref.plan) {
 		return fmt.Errorf("ranked engine planned %v, the scan %v", plan, p.ref.plan)
 	}
-	p.eng.mu.Lock()
-	defer p.eng.mu.Unlock()
 	for ti := range p.ref.resident {
-		if p.eng.used[ti] != p.ref.used[ti] || len(p.eng.resident[ti]) != len(p.ref.resident[ti]) {
+		if p.m.used[ti] != p.ref.used[ti] || len(p.m.resident[ti]) != len(p.ref.resident[ti]) {
 			return fmt.Errorf("tier %d: ranked engine holds %d segments / %d bytes, the scan %d / %d", ti,
-				len(p.eng.resident[ti]), p.eng.used[ti], len(p.ref.resident[ti]), p.ref.used[ti])
+				len(p.m.resident[ti]), p.m.used[ti], len(p.ref.resident[ti]), p.ref.used[ti])
 		}
 		for id, ent := range p.ref.resident[ti] {
-			if got, ok := p.eng.resident[ti][id]; !ok || got != ent {
+			if got, ok := p.m.resident[ti][id]; !ok || got != ent {
 				return fmt.Errorf("tier %d: %v is %+v in the scan, %+v (%v) in the ranked engine", ti, id, ent, got, ok)
 			}
 		}
-		if n := len(p.eng.rank[ti]); n > 2*len(p.eng.resident[ti]) {
-			return fmt.Errorf("tier %d: index of %d items over %d residents", ti, n, len(p.eng.resident[ti]))
+		if n := len(p.m.rank[ti]); n > 2*len(p.m.resident[ti]) {
+			return fmt.Errorf("tier %d: index of %d items over %d residents", ti, n, len(p.m.resident[ti]))
 		}
 	}
 	return nil
@@ -286,7 +264,7 @@ func randomTrace(rng *rand.Rand, n int) []traceOp {
 	return ops
 }
 
-// The ranked engine emits the plan the scan engine does, update by update,
+// The ranked Model emits the plan the scan engine does, update by update,
 // and ends every step holding what it holds — over fixed traces that pin
 // the tie rule, and over seeded ones.
 func TestRankedPlanMatchesScan(t *testing.T) {
@@ -317,18 +295,18 @@ func TestRankedPlanMatchesScan(t *testing.T) {
 		},
 	}
 	for name, ops := range fixed {
-		p := newRankedPair(t, 300, 300, 300)
+		p := newRankedPair(300, 300, 300)
 		for i, op := range ops {
 			if err := p.step(op); err != nil {
 				t.Fatalf("%s, step %d (%v): %v", name, i, op, err)
 			}
 		}
 	}
-	p := newRankedPair(t, 300, 300, 300)
+	p := newRankedPair(300, 300, 300)
 	for _, op := range fixed["ties go by file then index"][:4] {
 		p.step(op)
 	}
-	if p.eng.Resident(seg.ID{File: "a", Index: 3}) != 1 || p.eng.Resident(seg.ID{File: "a", Index: 7}) != 0 {
+	if p.m.Locate(seg.ID{File: "a", Index: 3}) != 1 || p.m.Locate(seg.ID{File: "a", Index: 7}) != 0 {
 		t.Fatal("of three equal scores the lowest (file, index) is demoted first")
 	}
 
@@ -338,7 +316,7 @@ func TestRankedPlanMatchesScan(t *testing.T) {
 	}
 	for seed := int64(0); seed < seeds; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		p := newRankedPair(t, int64(300+100*rng.Intn(8)), int64(400+100*rng.Intn(8)), int64(500+100*rng.Intn(8)))
+		p := newRankedPair(int64(300+100*rng.Intn(8)), int64(400+100*rng.Intn(8)), int64(500+100*rng.Intn(8)))
 		for i, op := range randomTrace(rng, 400) {
 			if err := p.step(op); err != nil {
 				t.Fatalf("seed %d, step %d (%v): %v", seed, i, op, err)
@@ -348,7 +326,7 @@ func TestRankedPlanMatchesScan(t *testing.T) {
 }
 
 // FuzzRankedPlan decodes its input into an update trace, five bytes an op,
-// and holds the ranked engine to the scan engine over it.
+// and holds the ranked Model to the scan engine over it.
 func FuzzRankedPlan(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 0, 0, 0, 2, 10, 0, 0, 0, 3, 20, 0, 0, 1, 1, 30, 1, 0})
 	f.Add(binary.LittleEndian.AppendUint64(nil, 0x0123456789abcdef))
@@ -358,7 +336,7 @@ func FuzzRankedPlan(f *testing.F) {
 	}
 	f.Add(seed)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := newRankedPair(t, 300, 500, 700)
+		p := newRankedPair(300, 500, 700)
 		for i := 0; i+5 <= len(data) && i < 5*2000; i += 5 {
 			b := data[i : i+5]
 			id := seg.ID{File: string(rune('a' + b[0]%3)), Index: int64(b[1] % 32)}
@@ -383,16 +361,13 @@ func FuzzRankedPlan(f *testing.F) {
 // within twice the residents all the same (compaction is on the push side).
 func TestRankedIndexStaysBoundedWithoutPops(t *testing.T) {
 	const residents = 2048
-	p := newRankedPair(t, 100*residents*2, 1000)
-	e := p.eng
+	m := NewModel(100*residents*2, 1000)
 	rng := rand.New(rand.NewSource(1))
 	score := make([]float64, residents)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var plan []move
+	var plan []amover.Move
 	for i := range score {
 		score[i] = 1 + rng.Float64()
-		e.plan(auditor.Update{ID: seg.ID{File: "f", Index: int64(i)}, Score: score[i], Size: 100}, &plan)
+		m.Plan(auditor.Update{ID: seg.ID{File: "f", Index: int64(i)}, Score: score[i], Size: 100}, &plan)
 	}
 	updates := 1_000_000
 	if testing.Short() {
@@ -401,15 +376,15 @@ func TestRankedIndexStaysBoundedWithoutPops(t *testing.T) {
 	for n := 0; n < updates; n++ {
 		i := rng.Intn(residents)
 		score[i] *= 1 + 0.1*(rng.Float64()-0.5) // inside the hysteresis band
-		e.plan(auditor.Update{ID: seg.ID{File: "f", Index: int64(i)}, Score: score[i], Size: 100}, &plan)
-		if len(e.rank[0]) > 2*residents {
-			t.Fatalf("after %d in-place updates the index holds %d items over %d residents", n+1, len(e.rank[0]), residents)
+		m.Plan(auditor.Update{ID: seg.ID{File: "f", Index: int64(i)}, Score: score[i], Size: 100}, &plan)
+		if len(m.rank[0]) > 2*residents {
+			t.Fatalf("after %d in-place updates the index holds %d items over %d residents", n+1, len(m.rank[0]), residents)
 		}
 	}
-	if len(plan) != residents || len(e.resident[0]) != residents {
-		t.Fatalf("%d moves planned, %d resident; want the %d first placements and nothing else", len(plan), len(e.resident[0]), residents)
+	if len(plan) != residents || len(m.resident[0]) != residents {
+		t.Fatalf("%d moves planned, %d resident; want the %d first placements and nothing else", len(plan), len(m.resident[0]), residents)
 	}
-	e.checkModelLocked()
+	m.check()
 }
 
 // A steady-state pass — 256 updates delivered, planned, merged, ordered,

@@ -7,76 +7,70 @@ import (
 
 	"hfetch/internal/baselines"
 	"hfetch/internal/core/auditor"
-	"hfetch/internal/core/ioclient"
+	amover "hfetch/internal/core/mover"
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
-	"hfetch/internal/dhm"
 	"hfetch/internal/pfs"
-	"hfetch/internal/tiers"
 )
 
 // AblationPlacement compares Algorithm 1 against the random and
 // round-robin placement alternatives §IV-A mentions, on a Zipf-skewed
-// score stream: the metric is how much of the hottest decile lands in
-// the fastest tier, plus the planning cost.
+// score stream fed to a bare placement.Model in the engine's passes (each
+// segment once, hottest first, every 128 updates): the metric is how much
+// of the hottest decile the model holds in the fastest tier, plus the
+// planning cost.
 func AblationPlacement(opts Opts) ([]Row, error) {
 	opts = opts.normalized()
-	policies := []struct {
-		name string
-		p    placement.Policy
-	}{
-		{"score(alg1)", placement.PolicyScore},
-		{"random", placement.PolicyRandom},
-		{"roundrobin", placement.PolicyRoundRobin},
-	}
 	const segSize = 1 << 10
+	var rr uint64 // round-robin's counter, from 0 each repeat
+	rules := []struct {
+		name string
+		rule placeRule
+	}{
+		{"score(alg1)", (*placement.Model).Plan},
+		{"random", flatRule(fnvPick)},
+		{"roundrobin", flatRule(func(seg.ID) uint64 { rr++; return rr - 1 })},
+	}
 	var rows []Row
-	for _, pol := range policies {
+	for _, r := range rules {
 		var hotFrac float64
 		var planSec float64
 		for rep := 0; rep < opts.Repeats; rep++ {
-			fs := pfs.New(nil)
-			fs.Create("f", 1<<30)
-			segr := seg.NewSegmenter(segSize)
-			ram := tiers.NewStore("ram", 32*segSize, nil)
-			nvme := tiers.NewStore("nvme", 96*segSize, nil)
-			hier := tiers.NewHierarchy(ram, nvme)
-			stats := dhm.New(dhm.Config{Name: "s", Self: "n0"}, nil)
-			maps := dhm.New(dhm.Config{Name: "m", Self: "n0"}, nil)
-			aud := auditor.New(auditor.Config{Node: "n0", Segmenter: segr}, stats, maps)
-			eng := placement.New(placement.Config{Policy: pol.p, Workers: 4}, hier,
-				ioclient.New(fs, segr), aud)
+			m := placement.NewModel(32*segSize, 96*segSize) // ram, nvme
+			rr = 0
+			var pending [256]bool // segment k scores 1/(k+1): index order is hottest first
+			var plan []amover.Move
+			flush := func() {
+				for k, due := range pending {
+					if due {
+						r.rule(m, auditor.Update{ID: seg.ID{File: "f", Index: int64(k)}, Score: 1 / float64(k+1), Size: segSize}, &plan)
+					}
+				}
+				pending, plan = [256]bool{}, plan[:0]
+			}
 			rng := rand.New(rand.NewSource(int64(rep)))
 			start := time.Now()
-			var ups []auditor.Update
 			for j := 0; j < 4096; j++ {
-				k := int64(rng.Intn(256))
-				ups = append(ups, auditor.Update{
-					ID: seg.ID{File: "f", Index: k}, Score: 1 / float64(k+1), Size: segSize,
-				})
+				pending[rng.Intn(256)] = true
 				if j%128 == 0 {
-					eng.ScoreBatch(ups)
-					ups = ups[:0]
-					eng.Flush()
+					flush()
 				}
 			}
-			eng.ScoreBatch(ups)
-			eng.Flush()
+			flush()
 			planSec += time.Since(start).Seconds()
 			hot := 0
 			for k := int64(0); k < 26; k++ {
-				if ram.Has(seg.ID{File: "f", Index: k}) {
+				if m.Locate(seg.ID{File: "f", Index: k}) == 0 {
 					hot++
 				}
 			}
 			hotFrac += float64(hot) / 26
-			eng.Stop()
 		}
 		rows = append(rows, Row{
 			Figure:  "abl-place",
 			Config:  "zipf-256seg",
-			System:  pol.name,
+			System:  r.name,
 			Seconds: planSec / float64(opts.Repeats),
 			Extra: map[string]float64{
 				"hot_decile_in_ram_pct": hotFrac / float64(opts.Repeats) * 100,
@@ -84,6 +78,42 @@ func AblationPlacement(opts Opts) ([]Row, error) {
 		})
 	}
 	return rows, nil
+}
+
+// placeRule places one score update in a model, appending its moves.
+type placeRule func(m *placement.Model, u auditor.Update, plan *[]amover.Move)
+
+// flatRule is the "sub-optimal, quicker to calculate" placement of §IV-A
+// over abl-place's two tiers: past the prefix every rule shares, the
+// segment goes in the first tier with room, counting from the one pick
+// names and wrapping, and is evicted when none has room. It ignores scores
+// and never demotes.
+func flatRule(pick func(seg.ID) uint64) placeRule {
+	const tiers = 2
+	return func(m *placement.Model, u auditor.Update, plan *[]amover.Move) {
+		cur, ok := m.Release(u, plan)
+		if !ok {
+			return
+		}
+		start := int(pick(u.ID) % tiers)
+		for i := 0; i < tiers; i++ {
+			if ti := (start + i) % tiers; m.Fits(ti, u.Size) {
+				m.Put(u, cur, ti, plan)
+				return
+			}
+		}
+		m.Put(u, cur, -1, plan)
+	}
+}
+
+// fnvPick is the random rule's tier pick: a hash of the segment, so runs
+// are reproducible.
+func fnvPick(id seg.ID) uint64 {
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(id.File); i++ {
+		h = (h ^ uint64(id.File[i])) * 1099511628211
+	}
+	return h ^ uint64(id.Index)*0x9e3779b97f4a7c15
 }
 
 // AblationScoring sweeps the decay base p of Equation (1) and reports

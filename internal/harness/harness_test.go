@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -225,15 +226,13 @@ func TestAblationPlacementShape(t *testing.T) {
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	byName := map[string]float64{}
+	// The stream and every rule are deterministic, so each row's share of
+	// the hottest decile in RAM is pinned: a change to any rule shows.
+	want := map[string]string{"score(alg1)": "100.0", "random": "11.5", "roundrobin": "15.4"}
 	for _, r := range rows {
-		byName[r.System] = r.Extra["hot_decile_in_ram_pct"]
-	}
-	if byName["score(alg1)"] <= byName["random"] || byName["score(alg1)"] <= byName["roundrobin"] {
-		t.Fatalf("Algorithm 1 must dominate: %v", byName)
-	}
-	if byName["score(alg1)"] < 90 {
-		t.Fatalf("Algorithm 1 hot-decile placement = %.1f%%, want ~100%%", byName["score(alg1)"])
+		if got := fmt.Sprintf("%.1f", r.Extra["hot_decile_in_ram_pct"]); got != want[r.System] {
+			t.Errorf("%s keeps %s%% of the hot decile in RAM, want %s%%", r.System, got, want[r.System])
+		}
 	}
 }
 
