@@ -3,6 +3,7 @@ package baselines
 import (
 	"sync"
 
+	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
 	"hfetch/internal/pfs"
 )
@@ -40,8 +41,31 @@ type AppCentric struct {
 
 	mu        sync.Mutex
 	caches    map[string]*lruCache
+	redundant int64 // fetches already cached by another app
+}
+
+// stride is AppCentric's rule: one stride detector per application and
+// file, each predicting depth strides ahead once a stride repeats.
+type stride struct {
+	depth     int
 	detectors map[string]*strideDetector // key: app|file
-	redundant int64                      // fetches already cached by another app
+}
+
+func newStride(depth int) *stride {
+	return &stride{depth: depth, detectors: make(map[string]*strideDetector)}
+}
+
+func (s *stride) next(dst []seg.ID, app string, id seg.ID, segs int64) []seg.ID {
+	key := app + "|" + id.File
+	d := s.detectors[key]
+	if d == nil {
+		d = &strideDetector{}
+		s.detectors[key] = d
+	}
+	for _, i := range d.observe(id.Index, s.depth, segs) {
+		dst = append(dst, seg.ID{File: id.File, Index: i})
+	}
+	return dst
 }
 
 type strideDetector struct {
@@ -90,12 +114,11 @@ func NewAppCentric(fs *pfs.FS, cfg AppCentricConfig) *AppCentric {
 		cfg.Apps = 4
 	}
 	s := &AppCentric{
-		substrate: newSubstrate("app-centric", fs, cfg.SegmentSize),
+		substrate: newSubstrate("app-centric", fs, cfg.SegmentSize, newStride(cfg.Depth)),
 		cfg:       cfg,
 		caches:    make(map[string]*lruCache),
-		detectors: make(map[string]*strideDetector),
 	}
-	s.pool = newFetchPool(cfg.Workers, 4096, nil, s.landed)
+	s.pool = newFetchPool(&s.substrate, cfg.Workers, 4096, nil, s.landed)
 	return s
 }
 
@@ -140,7 +163,7 @@ func (s *AppCentric) landed(r fetchReq) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, c := range s.caches {
-		if c != r.h.cache && c.contains(r.id) {
+		if c != r.cache && c.contains(r.id) {
 			s.redundant++
 			return
 		}
@@ -149,20 +172,5 @@ func (s *AppCentric) landed(r fetchReq) {
 
 // Open implements System.
 func (s *AppCentric) Open(app, file string) (Handle, error) {
-	return s.open(file, s.cacheFor(app), func(h *cachedFile, idx int64) { s.predict(app, h, idx) })
-}
-
-func (s *AppCentric) predict(app string, h *cachedFile, idx int64) {
-	key := app + "|" + h.file
-	s.mu.Lock()
-	d := s.detectors[key]
-	if d == nil {
-		d = &strideDetector{}
-		s.detectors[key] = d
-	}
-	next := d.observe(idx, s.cfg.Depth, s.segr.Count(h.size))
-	s.mu.Unlock()
-	for _, n := range next {
-		s.pool.want(h, n)
-	}
+	return s.open(app, file, s.cacheFor(app), s.pool)
 }

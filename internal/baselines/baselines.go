@@ -25,13 +25,19 @@
 //
 // All systems serve reads through the System/Handle interface the
 // experiment harness drives, over the same pfs/devsim substrates as
-// HFetch. The seven prefetching comparators are one engine with seven
-// prediction rules: one handle type (cachedFile) serves reads from a
-// cache and the PFS and hands each served segment to its comparator's
-// rule, and one fetch pool type (fetchPool) brings the predicted
-// segments in (InMemOptimal runs one per process; KnowAc's windowed
-// replay calls the same fetch), so comparisons measure policy, not
-// plumbing.
+// HFetch. The seven prefetching comparators are one engine under seven
+// prediction rules. A rule is a value over its own state (readahead's
+// depth, AppCentric's stride detectors, Stacker's transition table,
+// KnowAc's recorded history and replay cursor): told which segment a
+// handle served, it answers the segments it wants next, as seg.IDs,
+// since KnowAc's history crosses files. It holds no lock, reads no clock
+// and starts no goroutine. The engine owns all concurrency: one handle
+// type (cachedFile) serves reads from an LRU cache and the PFS and calls
+// the rule under one mutex, and one fetch pool type (fetchPool) brings
+// the wanted segments in. What differs beyond the rule is an engine hook:
+// InMemOptimal's per-process pools, depth cap and stale-request skip, and
+// AppCentric's per-application partitions and redundancy count. So
+// comparisons measure policy, not plumbing.
 package baselines
 
 import (

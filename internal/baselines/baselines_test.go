@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hfetch/internal/core/placement"
+	"hfetch/internal/core/seg"
 	"hfetch/internal/core/server"
 	"hfetch/internal/devsim"
 	"hfetch/internal/harness/leakcheck"
@@ -636,4 +637,91 @@ func TestReadsAfterCloseAndStop(t *testing.T) {
 		})
 		sys.Stop()
 	}
+}
+
+// TestRuleValuesPredictWithoutAnEngine drives each comparator's rule
+// value directly, with no PFS, cache or goroutine, over the read
+// sequences of TestPredictionRulesFetchWhatTheyPredict, and checks that
+// it predicts the segments that test counts at the origin: per
+// application, since app-centric fetches once per private partition.
+func TestRuleValuesPredictWithoutAnEngine(t *testing.T) {
+	const segs = 32
+	type read struct {
+		app string
+		idx []int64
+	}
+	for _, c := range []struct {
+		name  string
+		rule  rule
+		reads []read
+		want  []string // app/segment, in any order
+	}{
+		{"serial", readahead(2), []read{{"a", []int64{0, 10, 31}}},
+			[]string{"a/1", "a/2", "a/11", "a/12"}},
+		{"parallel", readahead(3), []read{{"a", []int64{0, 10, 30}}},
+			[]string{"a/1", "a/2", "a/3", "a/11", "a/12", "a/13", "a/31"}},
+		{"inmem-naive", readahead(2), []read{{"a", []int64{0}}, {"b", []int64{10}}},
+			[]string{"a/1", "a/2", "b/11", "b/12"}},
+		// Depth 4 capped at 2 by a 3-segment quota (NewInMemOptimal).
+		{"inmem-optimal", readahead(2), []read{{"a", []int64{10, 0}}},
+			[]string{"a/11", "a/12", "a/1", "a/2"}},
+		{"app-centric", newStride(3), []read{{"a", []int64{0, 2}}, {"b", []int64{0, 2}}},
+			[]string{"a/4", "a/6", "a/8", "b/4", "b/6", "b/8"}},
+		{"stacker", newMarkov(2, 2), []read{{"a", []int64{3, 7, 5, 3, 7, 5, 3}}},
+			[]string{"a/7", "a/5"}},
+		// The profile records six accesses; finish wants the first four.
+		{"knowac", &replay{window: 4, profiling: true}, []read{{"a", []int64{5, 1, 9, 3, 7, 11}}},
+			[]string{"/5", "/1", "/9", "/3"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			got := map[string]bool{}
+			add := func(app string, ids []seg.ID) {
+				for _, id := range ids {
+					if id.File != "f" {
+						t.Fatalf("predicted %v, outside the file read", id)
+					}
+					got[fmt.Sprintf("%s/%d", app, id.Index)] = true
+				}
+			}
+			var dst []seg.ID
+			for _, r := range c.reads {
+				for _, i := range r.idx {
+					dst = c.rule.next(dst[:0], r.app, seg.ID{File: "f", Index: i}, segs)
+					add(r.app, dst)
+				}
+			}
+			if rp, ok := c.rule.(*replay); ok {
+				add("", rp.finish(dst[:0]))
+			}
+			if len(got) != len(c.want) {
+				t.Fatalf("predicted %v, want %v", got, c.want)
+			}
+			for _, w := range c.want {
+				if !got[w] {
+					t.Fatalf("predicted %v, want %v", got, c.want)
+				}
+			}
+		})
+	}
+}
+
+// TestKnowAcReplayStartsNoGoroutine: the profile, the replay and its
+// reads run on the fetch pool that NewKnowAc starts; nothing KnowAc does
+// after construction starts a goroutine of its own.
+func TestKnowAcReplayStartsNoGoroutine(t *testing.T) {
+	fs := testFS(t, 32*testSeg)
+	sys := NewKnowAc(fs, KnowAcConfig{CacheBytes: 32 * testSeg, SegmentSize: testSeg, Workers: 2, Window: 8})
+	defer sys.Stop()
+	time.Sleep(10 * time.Millisecond) // let the pool's workers park on its queue
+	check := leakcheck.Guard(t)
+	h, err := sys.Open("a", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.StartProfile()
+	verifyIntegrity(t, fs, h, "f", 32*testSeg)
+	sys.FinishProfile()
+	verifyIntegrity(t, fs, h, "f", 32*testSeg)
+	h.Close()
+	check()
 }

@@ -2,24 +2,10 @@ package baselines
 
 import (
 	"container/list"
-	"math"
 	"sync"
-	"time"
 
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
-)
-
-// EvictionPolicy selects how the prefetching cache chooses victims.
-type EvictionPolicy int
-
-// Cache eviction policies. LRFU (Lee et al. [51], the paper's stated
-// inspiration for segment scoring) subsumes LRU and LFU through a
-// combined recency-frequency value CRF(t) = Σ (1/2)^{λ(t-t_i)}: λ→1
-// behaves like LRU, λ→0 like LFU.
-const (
-	EvictLRU EvictionPolicy = iota
-	EvictLRFU
 )
 
 // lruCache is the in-memory prefetching cache the single-tier baselines
@@ -37,87 +23,22 @@ type lruCache struct {
 	dev      *devsim.Device
 	inflight map[seg.ID]chan struct{}
 
-	policy EvictionPolicy
-	lambda float64 // LRFU decay per second
-
 	evictions int64
 }
 
 type lruEntry struct {
 	id      seg.ID
 	payload []byte
-	crf     float64   // LRFU combined recency-frequency
-	touched time.Time // last CRF fold time
 }
 
 func newLRUCache(capacity int64, dev *devsim.Device) *lruCache {
-	return newCache(capacity, dev, EvictLRU, 0)
-}
-
-// newCache creates a cache with an explicit eviction policy. lambda is
-// the LRFU decay rate per second (default 0.5 when zero).
-func newCache(capacity int64, dev *devsim.Device, policy EvictionPolicy, lambda float64) *lruCache {
-	if lambda <= 0 {
-		lambda = 0.5
-	}
 	return &lruCache{
 		capacity: capacity,
 		entries:  make(map[seg.ID]*list.Element),
 		order:    list.New(),
 		dev:      dev,
 		inflight: make(map[seg.ID]chan struct{}),
-		policy:   policy,
-		lambda:   lambda,
 	}
-}
-
-// touch folds an entry's CRF forward to now and adds one access.
-func (c *lruCache) touch(e *lruEntry) {
-	now := time.Now()
-	if !e.touched.IsZero() {
-		dt := now.Sub(e.touched).Seconds()
-		e.crf *= math.Exp2(-c.lambda * dt)
-	}
-	e.crf++
-	e.touched = now
-}
-
-// evictVictim removes one entry according to the policy and returns its
-// size; 0 when the cache is empty.
-func (c *lruCache) evictVictim() int64 {
-	if c.policy == EvictLRU {
-		back := c.order.Back()
-		if back == nil {
-			return 0
-		}
-		ent := back.Value.(*lruEntry)
-		c.order.Remove(back)
-		delete(c.entries, ent.id)
-		c.evictions++
-		return int64(len(ent.payload))
-	}
-	// LRFU: evict the minimum-CRF entry (folded to a common instant).
-	now := time.Now()
-	var victim *list.Element
-	best := math.Inf(1)
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*lruEntry)
-		crf := e.crf
-		if !e.touched.IsZero() {
-			crf *= math.Exp2(-c.lambda * now.Sub(e.touched).Seconds())
-		}
-		if crf < best {
-			best, victim = crf, el
-		}
-	}
-	if victim == nil {
-		return 0
-	}
-	ent := victim.Value.(*lruEntry)
-	c.order.Remove(victim)
-	delete(c.entries, ent.id)
-	c.evictions++
-	return int64(len(ent.payload))
 }
 
 // beginFetch registers an in-flight fetch for id. ok is false when the
@@ -162,9 +83,7 @@ func (c *lruCache) get(id seg.ID) ([]byte, bool) {
 	var payload []byte
 	if ok {
 		c.order.MoveToFront(el)
-		ent := el.Value.(*lruEntry)
-		c.touch(ent)
-		payload = ent.payload
+		payload = el.Value.(*lruEntry).payload
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -184,7 +103,7 @@ func (c *lruCache) contains(id seg.ID) bool {
 	return ok
 }
 
-// put inserts a payload, evicting LRU entries to fit. Payloads larger
+// put inserts a payload, evicting least recently used entries to fit. Payloads larger
 // than the whole cache are ignored.
 func (c *lruCache) put(id seg.ID, payload []byte) {
 	size := int64(len(payload))
@@ -196,20 +115,16 @@ func (c *lruCache) put(id seg.ID, payload []byte) {
 		old := el.Value.(*lruEntry)
 		c.used += size - int64(len(old.payload))
 		old.payload = payload
-		c.touch(old)
 		c.order.MoveToFront(el)
 	} else {
-		ent := &lruEntry{id: id, payload: payload}
-		c.touch(ent)
-		c.entries[id] = c.order.PushFront(ent)
+		c.entries[id] = c.order.PushFront(&lruEntry{id: id, payload: payload})
 		c.used += size
 	}
 	for c.used > c.capacity {
-		freed := c.evictVictim()
-		if freed == 0 {
-			break
-		}
-		c.used -= freed
+		victim := c.order.Remove(c.order.Back()).(*lruEntry)
+		delete(c.entries, victim.id)
+		c.used -= int64(len(victim.payload))
+		c.evictions++
 	}
 	c.mu.Unlock()
 	if c.dev != nil {

@@ -24,40 +24,6 @@ func TestLRUEvictsOldest(t *testing.T) {
 	}
 }
 
-func TestLRFUKeepsFrequentOverRecent(t *testing.T) {
-	c := newCache(2, nil, EvictLRFU, 0.5)
-	// Entry 0 accessed many times; entry 1 accessed once, more recently.
-	c.put(cid(0), []byte{0})
-	for i := 0; i < 10; i++ {
-		c.get(cid(0))
-	}
-	c.put(cid(1), []byte{1})
-	// Insert 2: LRFU evicts the low-CRF entry 1, not the frequent 0
-	// (plain LRU would evict 0, the least *recently* used).
-	c.put(cid(2), []byte{2})
-	if !c.contains(cid(0)) {
-		t.Fatal("LRFU must keep the frequent entry")
-	}
-	if c.contains(cid(1)) {
-		t.Fatal("LRFU must evict the one-shot entry")
-	}
-}
-
-func TestLRFUDecayForgetsStaleFrequency(t *testing.T) {
-	c := newCache(2, nil, EvictLRFU, 50) // aggressive decay for the test
-	c.put(cid(0), []byte{0})
-	for i := 0; i < 10; i++ {
-		c.get(cid(0))
-	}
-	time.Sleep(120 * time.Millisecond) // CRF of 0 decays hard
-	c.put(cid(1), []byte{1})
-	c.get(cid(1))
-	c.put(cid(2), []byte{2})
-	if c.contains(cid(0)) && !c.contains(cid(1)) {
-		t.Fatal("decayed frequency must not outrank fresh accesses")
-	}
-}
-
 func TestCacheRejectsOversizedPayload(t *testing.T) {
 	c := newLRUCache(4, nil)
 	c.put(cid(0), []byte{1, 2, 3, 4, 5})

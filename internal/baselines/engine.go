@@ -11,20 +11,34 @@ import (
 	"hfetch/internal/telemetry"
 )
 
+// rule is a comparator's prediction rule, a value over its own state:
+// told that a handle of app served segment id of a file of segs
+// segments, it appends to dst the segments it wants fetched next. A
+// rule never blocks, reads no clock and holds no lock; the engine calls
+// it under its substrate's mu.
+type rule interface {
+	next(dst []seg.ID, app string, id seg.ID, segs int64) []seg.ID
+}
+
 // substrate is what every comparator reads through: the PFS, the
-// segment grain and the read statistics its handles record into.
+// segment grain, the read statistics its handles record into and its
+// prediction rule.
 type substrate struct {
 	name  string
 	fs    *pfs.FS
 	segr  *seg.Segmenter
 	stats *telemetry.ReadStats
+
+	mu    sync.Mutex // serialises rule and guards wants
+	rule  rule
+	wants []seg.ID // the rule's last answer, reused
 }
 
-func newSubstrate(name string, fs *pfs.FS, segSize int64) substrate {
+func newSubstrate(name string, fs *pfs.FS, segSize int64, r rule) substrate {
 	if segSize <= 0 {
 		segSize = seg.DefaultSize
 	}
-	return substrate{name: name, fs: fs, segr: seg.NewSegmenter(segSize), stats: telemetry.NewReadStats()}
+	return substrate{name: name, fs: fs, segr: seg.NewSegmenter(segSize), stats: telemetry.NewReadStats(), rule: r}
 }
 
 // Name implements System.
@@ -33,14 +47,14 @@ func (s *substrate) Name() string { return s.name }
 // Stats implements System.
 func (s *substrate) Stats() *telemetry.ReadStats { return s.stats }
 
-// open returns a handle on file that reads through cache and hands each
-// served segment to predict, the comparator's prediction rule.
-func (s *substrate) open(file string, cache *lruCache, predict func(h *cachedFile, idx int64)) (Handle, error) {
+// open returns app's handle on file that reads through cache and sends
+// what the rule predicts after each served segment to pool.
+func (s *substrate) open(app, file string, cache *lruCache, pool *fetchPool) (Handle, error) {
 	size, err := statFile(s.fs, s.name, file)
 	if err != nil {
 		return nil, err
 	}
-	return &cachedFile{substrate: s, file: file, size: size, cache: cache, predict: predict}, nil
+	return &cachedFile{substrate: s, app: app, file: file, size: size, cache: cache, pool: pool}, nil
 }
 
 // statFile returns file's size, or an error naming the system.
@@ -57,10 +71,11 @@ func statFile(fs *pfs.FS, sys, file string) (int64, error) {
 // prediction rule after each segment it serves.
 type cachedFile struct {
 	*substrate
-	file    string
-	size    int64
-	cache   *lruCache
-	predict func(h *cachedFile, idx int64)
+	app   string
+	file  string
+	size  int64
+	cache *lruCache
+	pool  *fetchPool
 
 	// last is the index of the segment served last (InMemOptimal's
 	// stale-request rule reads it).
@@ -112,52 +127,35 @@ func (h *cachedFile) ReadAt(p []byte, off int64) (int, error) {
 			}
 		}
 		h.last.Store(idx)
-		h.predict(h, idx)
+		h.predict(id)
 	}
 	h.stats.ObserveRead(time.Since(start))
 	return int(n), nil
 }
 
+// predict hands served segment id to the rule and wants what it answers.
+func (h *cachedFile) predict(id seg.ID) {
+	h.mu.Lock()
+	h.wants = h.rule.next(h.wants[:0], h.app, id, h.segr.Count(h.size))
+	for _, w := range h.wants {
+		h.pool.want(h.cache, w)
+	}
+	h.mu.Unlock()
+}
+
 // Close implements Handle; a handle holds nothing to release.
 func (h *cachedFile) Close() error { return nil }
 
-// fetchReq asks for segment id of h's file to be brought into h's cache.
+// fetchReq asks for segment id to be brought into cache.
 type fetchReq struct {
-	h    *cachedFile
-	id   seg.ID
-	size int64
-}
-
-// request builds the fetch of segment idx of h's file.
-func (h *cachedFile) request(idx int64) fetchReq {
-	id := seg.ID{File: h.file, Index: idx}
-	return fetchReq{h: h, id: id, size: h.segr.RangeOf(id, h.size).Len}
-}
-
-// fetch reads r's segment from the PFS into its cache unless it is there
-// or already on its way; it reports whether this call landed it.
-func fetch(r fetchReq) bool {
-	c := r.h.cache
-	if c.contains(r.id) {
-		return false
-	}
-	done, ok := c.beginFetch(r.id)
-	if !ok {
-		return false // another worker is already fetching it
-	}
-	defer done()
-	buf := make([]byte, r.size)
-	n, _, err := r.h.fs.ReadAt(r.id.File, r.id.Index*r.h.segr.Size(), buf)
-	if err != nil || n == 0 {
-		return false
-	}
-	c.put(r.id, buf[:n])
-	return true
+	cache *lruCache
+	id    seg.ID
 }
 
 // fetchPool is the comparators' prefetch engine: a bounded queue of
 // predicted segments and the workers that fetch them.
 type fetchPool struct {
+	src   *substrate
 	queue chan fetchReq
 	wg    sync.WaitGroup
 
@@ -172,11 +170,11 @@ type fetchPool struct {
 	landed func(fetchReq)
 }
 
-// newFetchPool starts workers fetching from a queue of queueLen hints; a
-// hint that finds the queue full is dropped, as a client's readahead
-// drops what it cannot keep up with.
-func newFetchPool(workers, queueLen int, skip func(fetchReq) bool, landed func(fetchReq)) *fetchPool {
-	p := &fetchPool{queue: make(chan fetchReq, queueLen), skip: skip, landed: landed}
+// newFetchPool starts workers fetching from s's PFS through a queue of
+// queueLen hints; a hint that finds the queue full is dropped, as a
+// client's readahead drops what it cannot keep up with.
+func newFetchPool(s *substrate, workers, queueLen int, skip func(fetchReq) bool, landed func(fetchReq)) *fetchPool {
+	p := &fetchPool{src: s, queue: make(chan fetchReq, queueLen), skip: skip, landed: landed}
 	p.wg.Add(workers)
 	for range workers {
 		go p.work()
@@ -190,35 +188,48 @@ func (p *fetchPool) work() {
 		if p.skip != nil && p.skip(r) {
 			continue
 		}
-		if fetch(r) && p.landed != nil {
+		if p.fetch(r) && p.landed != nil {
 			p.landed(r)
 		}
 	}
 }
 
-// want queues a prefetch of segment idx of h's file unless it is cached.
-// A full queue, or a stopped pool, drops the hint.
-func (p *fetchPool) want(h *cachedFile, idx int64) {
-	r := h.request(idx)
-	if h.cache.contains(r.id) {
+// fetch reads r's segment from the PFS into its cache unless it is there
+// or already on its way; it reports whether this call landed it.
+func (p *fetchPool) fetch(r fetchReq) bool {
+	c := r.cache
+	if c.contains(r.id) {
+		return false
+	}
+	done, ok := c.beginFetch(r.id)
+	if !ok {
+		return false // another worker is already fetching it
+	}
+	defer done()
+	size := p.src.segr.Size()
+	buf := make([]byte, size)
+	n, _, err := p.src.fs.ReadAt(r.id.File, r.id.Index*size, buf)
+	if err != nil || n == 0 {
+		return false
+	}
+	c.put(r.id, buf[:n])
+	return true
+}
+
+// want queues a prefetch of segment id into cache unless it is cached
+// there. A full queue, or a stopped pool, drops the hint.
+func (p *fetchPool) want(cache *lruCache, id seg.ID) {
+	if cache.contains(id) {
 		return
 	}
 	p.mu.Lock()
 	if !p.stopped {
 		select {
-		case p.queue <- r:
+		case p.queue <- fetchReq{cache: cache, id: id}:
 		default:
 		}
 	}
 	p.mu.Unlock()
-}
-
-// readahead wants the depth segments after idx, up to the file's end.
-func (p *fetchPool) readahead(h *cachedFile, idx int64, depth int) {
-	count := h.segr.Count(h.size)
-	for next := idx + 1; next <= idx+int64(depth) && next < count; next++ {
-		p.want(h, next)
-	}
 }
 
 // stop lets the workers fetch what is queued and waits for them.
@@ -230,4 +241,15 @@ func (p *fetchPool) stop() {
 	}
 	p.mu.Unlock()
 	p.wg.Wait()
+}
+
+// readahead is the readahead prefetchers' rule: the next depth segments
+// of the file, up to its end.
+type readahead int
+
+func (d readahead) next(dst []seg.ID, _ string, id seg.ID, segs int64) []seg.ID {
+	for i := id.Index + 1; i <= id.Index+int64(d) && i < segs; i++ {
+		dst = append(dst, seg.ID{File: id.File, Index: i})
+	}
+	return dst
 }

@@ -50,7 +50,6 @@ type InMemOptimal struct {
 	substrate
 	quota int64
 	dev   *devsim.Device
-	depth int
 
 	mu    sync.Mutex
 	pools []*fetchPool // one per handle
@@ -65,14 +64,14 @@ func NewInMemOptimal(fs *pfs.FS, cfg InMemConfig) *InMemOptimal {
 		cfg.Processes = 1
 	}
 	s := &InMemOptimal{
-		substrate: newSubstrate("inmem-optimal", fs, cfg.SegmentSize),
+		substrate: newSubstrate("inmem-optimal", fs, cfg.SegmentSize, nil),
 		quota:     cfg.CacheBytes / int64(cfg.Processes),
 		dev:       cfg.CacheDevice,
 	}
 	// An optimal per-process prefetcher never reads further ahead than
 	// its own cache can hold: that would evict its not-yet-consumed
 	// prefetches. It always keeps one segment in flight.
-	s.depth = max(min(cfg.Depth, int(s.quota/s.segr.Size())-1), 1)
+	s.rule = readahead(max(min(cfg.Depth, int(s.quota/s.segr.Size())-1), 1))
 	return s
 }
 
@@ -87,18 +86,19 @@ func (s *InMemOptimal) Stop() {
 }
 
 // Open implements System. Every handle is one process with a private
-// cache partition and a private prefetch worker.
+// cache partition and a private prefetch worker, which skips a queued
+// prefetch at or below what its process has read in the current sweep
+// instead of wasting PFS bandwidth (a lower index restarts the sweep:
+// the next time step).
 func (s *InMemOptimal) Open(app, file string) (Handle, error) {
-	pool := newFetchPool(1, 256, stale, nil)
-	h, err := s.open(file, newLRUCache(s.quota, s.dev), func(h *cachedFile, idx int64) {
-		pool.readahead(h, idx, s.depth) // a lower index restarts the sweep (next time step)
-	})
+	hd, err := s.open(app, file, newLRUCache(s.quota, s.dev), nil)
+	if err != nil {
+		return nil, err
+	}
+	h := hd.(*cachedFile)
+	h.pool = newFetchPool(&s.substrate, 1, 256, func(r fetchReq) bool { return r.id.Index <= h.last.Load() }, nil)
 	s.mu.Lock()
-	s.pools = append(s.pools, pool)
+	s.pools = append(s.pools, h.pool)
 	s.mu.Unlock()
-	return h, err
+	return h, nil
 }
-
-// stale reports a queued prefetch at or below what its process has read
-// in the current sweep: it is skipped instead of wasting PFS bandwidth.
-func stale(r fetchReq) bool { return r.id.Index <= r.h.last.Load() }

@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"sync"
-
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
 	"hfetch/internal/pfs"
@@ -33,20 +31,9 @@ type KnowAcConfig struct {
 // cost the paper charges it for ("profile-cost plus run time").
 type KnowAc struct {
 	substrate
-	cfg   KnowAcConfig
-	cache *lruCache
-
-	mu        sync.Mutex
-	profiling bool
-	history   []fetchReq
-	pos       map[seg.ID][]int // id -> positions in history
-	consumed  int              // highest matched history position
-
-	stopCh  chan struct{}
-	wakeCh  chan struct{}
-	wg      sync.WaitGroup
-	started bool
-	once    sync.Once
+	cache  *lruCache
+	pool   *fetchPool
+	replay *replay
 }
 
 // NewKnowAc builds the system; call StartProfile/FinishProfile around a
@@ -58,119 +45,106 @@ func NewKnowAc(fs *pfs.FS, cfg KnowAcConfig) *KnowAc {
 	if cfg.Window <= 0 {
 		cfg.Window = 64
 	}
-	return &KnowAc{
-		substrate: newSubstrate("knowac", fs, cfg.SegmentSize),
-		cfg:       cfg,
+	r := &replay{window: cfg.Window}
+	k := &KnowAc{
+		substrate: newSubstrate("knowac", fs, cfg.SegmentSize, r),
 		cache:     newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
-		pos:       make(map[seg.ID][]int),
-		stopCh:    make(chan struct{}),
-		wakeCh:    make(chan struct{}, 1),
+		replay:    r,
 	}
+	k.pool = newFetchPool(&k.substrate, cfg.Workers, replayQueue, nil, nil)
+	return k
 }
 
+// replayQueue is KnowAc's fetch queue length. A replay must not drop a
+// recorded segment, but when one process runs ahead of the recorded
+// interleaving the cursor jumps, and the rule wants every segment it
+// passed at once: at 32 and 64 processes, Figure 6(a)'s bursts overflow
+// a 4 096-hint queue. 1<<16 hints (2 MiB) hold every history the
+// figures record (14 336 accesses at most).
+const replayQueue = 1 << 16
+
 // Stop implements System.
-func (k *KnowAc) Stop() {
-	k.once.Do(func() { close(k.stopCh) })
-	k.wg.Wait()
-}
+func (k *KnowAc) Stop() { k.pool.stop() }
 
 // StartProfile switches the system into recording mode: reads are served
 // from the PFS (no prefetching) and the access sequence is accumulated.
 func (k *KnowAc) StartProfile() {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	k.profiling = true
-	k.history = nil
+	k.replay.profiling = true
+	k.replay.history = k.replay.history[:0]
 }
 
-// FinishProfile ends recording, indexes the history, resets statistics,
-// and launches the replay prefetcher for the measured run.
+// FinishProfile ends recording, resets statistics, and starts the replay
+// for the measured run: the first Window recorded segments are wanted at
+// once, before anything is consumed.
 func (k *KnowAc) FinishProfile() {
 	k.mu.Lock()
-	k.profiling = false
-	k.pos = make(map[seg.ID][]int, len(k.history))
-	for i, req := range k.history {
-		k.pos[req.id] = append(k.pos[req.id], i)
+	k.wants = k.replay.finish(k.wants[:0])
+	for _, w := range k.wants {
+		k.pool.want(k.cache, w)
 	}
-	k.consumed = -1
-	started := k.started
-	k.started = true
 	k.mu.Unlock()
 	k.stats = telemetry.NewReadStats()
-	if !started {
-		for w := 0; w < k.cfg.Workers; w++ {
-			k.wg.Add(1)
-			go k.replayWorker(w)
-		}
-	}
-	k.wake()
 }
 
 // HistoryLen returns the recorded access count.
 func (k *KnowAc) HistoryLen() int {
 	k.mu.Lock()
 	defer k.mu.Unlock()
-	return len(k.history)
-}
-
-func (k *KnowAc) wake() {
-	select {
-	case k.wakeCh <- struct{}{}:
-	default:
-	}
-}
-
-// replayWorker streams history entries into the cache, staying within
-// Window of the consumption cursor. Workers stripe the history by index.
-func (k *KnowAc) replayWorker(worker int) {
-	defer k.wg.Done()
-	next := worker
-	for {
-		k.mu.Lock()
-		limit := k.consumed + k.cfg.Window
-		hlen := len(k.history)
-		var req fetchReq
-		ready := next < hlen && next <= limit
-		if ready {
-			req = k.history[next]
-		}
-		k.mu.Unlock()
-		if !ready {
-			select {
-			case <-k.stopCh:
-				return
-			case <-k.wakeCh:
-				k.wake() // cascade to sibling workers
-				continue
-			}
-		}
-		next += k.cfg.Workers
-		fetch(req)
-	}
-}
-
-// onAccess records (profiling) or advances the consumption cursor
-// (replay).
-func (k *KnowAc) onAccess(h *cachedFile, idx int64) {
-	r := h.request(idx)
-	k.mu.Lock()
-	if k.profiling {
-		k.history = append(k.history, r)
-		k.mu.Unlock()
-		return
-	}
-	// Advance the cursor to the first unconsumed occurrence of id.
-	for _, p := range k.pos[r.id] {
-		if p > k.consumed {
-			k.consumed = p
-			break
-		}
-	}
-	k.mu.Unlock()
-	k.wake()
+	return len(k.replay.history)
 }
 
 // Open implements System.
 func (k *KnowAc) Open(app, file string) (Handle, error) {
-	return k.open(file, k.cache, k.onAccess)
+	return k.open(app, file, k.cache, k.pool)
+}
+
+// replay is KnowAc's rule. While profiling it records every access in
+// order. After finish, each access moves a consumption cursor to its
+// first occurrence in the record past the cursor, and the rule wants
+// every recorded segment up to window past the cursor, each position
+// once, in recorded order.
+type replay struct {
+	window    int
+	profiling bool
+	history   []seg.ID
+	pos       map[seg.ID][]int // id -> positions in history
+	consumed  int              // highest matched history position
+	issued    int              // positions below this have been wanted
+}
+
+func (r *replay) next(dst []seg.ID, _ string, id seg.ID, _ int64) []seg.ID {
+	if r.profiling {
+		r.history = append(r.history, id)
+		return dst
+	}
+	for _, p := range r.pos[id] {
+		if p > r.consumed {
+			r.consumed = p
+			break
+		}
+	}
+	return r.due(dst)
+}
+
+// finish ends recording, indexes the history and appends the opening
+// window.
+func (r *replay) finish(dst []seg.ID) []seg.ID {
+	r.profiling = false
+	r.pos = make(map[seg.ID][]int, len(r.history))
+	for i, id := range r.history {
+		r.pos[id] = append(r.pos[id], i)
+	}
+	r.consumed, r.issued = -1, 0
+	return r.due(dst)
+}
+
+// due appends the recorded segments not yet wanted that lie within
+// window of the cursor.
+func (r *replay) due(dst []seg.ID) []seg.ID {
+	for end := min(r.consumed+r.window+1, len(r.history)); r.issued < end; r.issued++ {
+		dst = append(dst, r.history[r.issued])
+	}
+	return dst
 }

@@ -10,7 +10,7 @@ import (
 type None struct{ substrate }
 
 // NewNone creates the baseline over the shared PFS.
-func NewNone(fs *pfs.FS) *None { return &None{newSubstrate("none", fs, 0)} }
+func NewNone(fs *pfs.FS) *None { return &None{newSubstrate("none", fs, 0, nil)} }
 
 // Stop implements System.
 func (n *None) Stop() {}

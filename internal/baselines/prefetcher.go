@@ -18,12 +18,6 @@ type PrefetcherConfig struct {
 	// Workers is the number of fetch threads: 1 = the paper's serial
 	// prefetcher, >1 = the parallel prefetcher (default 1).
 	Workers int
-	// Eviction selects the cache replacement policy (default LRU; LRFU
-	// weighs frequency as well, the Lee et al. policy the paper's
-	// segment scoring draws on).
-	Eviction EvictionPolicy
-	// Lambda is the LRFU decay rate per second (default 0.5).
-	Lambda float64
 }
 
 // Prefetcher is the classic single-tier readahead prefetcher: on every
@@ -34,7 +28,6 @@ type Prefetcher struct {
 	substrate
 	cache *lruCache
 	pool  *fetchPool
-	depth int
 }
 
 // NewPrefetcher builds and starts the prefetcher.
@@ -55,12 +48,12 @@ func newPrefetcher(name string, fs *pfs.FS, cfg PrefetcherConfig, queueLen int) 
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	return &Prefetcher{
-		substrate: newSubstrate(name, fs, cfg.SegmentSize),
-		cache:     newCache(cfg.CacheBytes, cfg.CacheDevice, cfg.Eviction, cfg.Lambda),
-		pool:      newFetchPool(cfg.Workers, queueLen, nil, nil),
-		depth:     cfg.Depth,
+	p := &Prefetcher{
+		substrate: newSubstrate(name, fs, cfg.SegmentSize, readahead(cfg.Depth)),
+		cache:     newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
 	}
+	p.pool = newFetchPool(&p.substrate, cfg.Workers, queueLen, nil, nil)
+	return p
 }
 
 // Stop implements System.
@@ -74,7 +67,5 @@ func (p *Prefetcher) ResidentOf(file string) int { return p.cache.residentOf(fil
 
 // Open implements System.
 func (p *Prefetcher) Open(app, file string) (Handle, error) {
-	return p.open(file, p.cache, p.readahead)
+	return p.open(app, file, p.cache, p.pool)
 }
-
-func (p *Prefetcher) readahead(h *cachedFile, idx int64) { p.pool.readahead(h, idx, p.depth) }

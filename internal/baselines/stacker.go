@@ -1,8 +1,6 @@
 package baselines
 
 import (
-	"sync"
-
 	"hfetch/internal/core/seg"
 	"hfetch/internal/devsim"
 	"hfetch/internal/pfs"
@@ -34,13 +32,9 @@ type StackerConfig struct {
 // ratio due to some cache conflicts and unwanted data evictions".
 type Stacker struct {
 	substrate
-	cfg   StackerConfig
 	cache *lruCache
 	pool  *fetchPool
-
-	mu    sync.Mutex
-	trans map[seg.ID]map[int64]int // observed successor counts
-	last  map[string]int64         // file -> last accessed index
+	model *markov
 }
 
 // NewStacker builds and starts the system.
@@ -54,68 +48,72 @@ func NewStacker(fs *pfs.FS, cfg StackerConfig) *Stacker {
 	if cfg.MinCount <= 0 {
 		cfg.MinCount = 2
 	}
-	return &Stacker{
-		substrate: newSubstrate("stacker", fs, cfg.SegmentSize),
-		cfg:       cfg,
+	model := newMarkov(cfg.Depth, cfg.MinCount)
+	s := &Stacker{
+		substrate: newSubstrate("stacker", fs, cfg.SegmentSize, model),
 		cache:     newLRUCache(cfg.CacheBytes, cfg.CacheDevice),
-		pool:      newFetchPool(cfg.Workers, 4096, nil, nil),
-		trans:     make(map[seg.ID]map[int64]int),
-		last:      make(map[string]int64),
+		model:     model,
 	}
+	s.pool = newFetchPool(&s.substrate, cfg.Workers, 4096, nil, nil)
+	return s
 }
 
 // Stop implements System.
 func (s *Stacker) Stop() { s.pool.stop() }
 
-// learnAndPredict records the transition into idx and returns the
-// learned successor chain starting from idx.
-func (s *Stacker) learnAndPredict(file string, idx int64) []int64 {
-	s.mu.Lock()
-	if prev, ok := s.last[file]; ok && prev != idx {
-		pid := seg.ID{File: file, Index: prev}
-		m := s.trans[pid]
-		if m == nil {
-			m = make(map[int64]int)
-			s.trans[pid] = m
-		}
-		m[idx]++
-	}
-	s.last[file] = idx
+// markov is Stacker's rule: a first-order transition table over each
+// file's segments, learned from the accesses it is told of, predicting
+// the chain of most frequent successors that have been seen minCount
+// times, up to depth steps.
+type markov struct {
+	depth, minCount int
+	trans           map[seg.ID]map[int64]int // observed successor counts
+	last            map[string]int64         // file -> last accessed index
+}
 
-	var preds []int64
-	cur := idx
-	for step := 0; step < s.cfg.Depth; step++ {
-		m := s.trans[seg.ID{File: file, Index: cur}]
+func newMarkov(depth, minCount int) *markov {
+	return &markov{depth: depth, minCount: minCount, trans: make(map[seg.ID]map[int64]int), last: make(map[string]int64)}
+}
+
+// next records the transition into id and appends the learned successor
+// chain starting from it.
+func (m *markov) next(dst []seg.ID, _ string, id seg.ID, _ int64) []seg.ID {
+	if prev, ok := m.last[id.File]; ok && prev != id.Index {
+		pid := seg.ID{File: id.File, Index: prev}
+		succ := m.trans[pid]
+		if succ == nil {
+			succ = make(map[int64]int)
+			m.trans[pid] = succ
+		}
+		succ[id.Index]++
+	}
+	m.last[id.File] = id.Index
+
+	cur := id
+	for range m.depth {
 		best, bestN := int64(-1), 0
-		for next, n := range m {
+		for next, n := range m.trans[cur] {
 			if n > bestN {
 				best, bestN = next, n
 			}
 		}
-		if best < 0 || bestN < s.cfg.MinCount {
+		if best < 0 || bestN < m.minCount {
 			break
 		}
-		preds = append(preds, best)
-		cur = best
+		cur.Index = best
+		dst = append(dst, cur)
 	}
-	s.mu.Unlock()
-	return preds
+	return dst
 }
 
 // ModelSize returns the number of segments with learned transitions.
 func (s *Stacker) ModelSize() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.trans)
+	return len(s.model.trans)
 }
 
 // Open implements System.
 func (s *Stacker) Open(app, file string) (Handle, error) {
-	return s.open(file, s.cache, s.predict)
-}
-
-func (s *Stacker) predict(h *cachedFile, idx int64) {
-	for _, next := range s.learnAndPredict(h.file, idx) {
-		s.pool.want(h, next)
-	}
+	return s.open(app, file, s.cache, s.pool)
 }

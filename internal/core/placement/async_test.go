@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +14,21 @@ import (
 	"hfetch/internal/core/seg"
 	"hfetch/internal/tiers"
 )
+
+// resident reports the engine's view of where id lives (-1 = not
+// prefetched), read from its model under its lock.
+func resident(e *Engine, id seg.ID) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.model.Locate(id)
+}
+
+// tierLoad returns the engine model's byte usage per tier.
+func tierLoad(e *Engine) []int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return slices.Clone(e.model.used)
+}
 
 // gatedMover holds every Fetch on a gate so tests can observe the window
 // between run() returning and the move executing, and optionally fails
@@ -121,7 +137,7 @@ func TestAsyncRunReturnsBeforeMovesExecute(t *testing.T) {
 		t.Fatal("run() blocked on a gated fetch: decision is not decoupled from execution")
 	}
 	id := seg.ID{File: "f", Index: 0}
-	if r.eng.Resident(id) != 0 {
+	if resident(r.eng, id) != 0 {
 		t.Fatal("model must commit residency at plan time")
 	}
 	if r.hier.Locate(id) != -1 {
@@ -143,7 +159,7 @@ func TestAsyncFailedFetchAfterRunReturnedReconciles(t *testing.T) {
 	id := seg.ID{File: "f", Index: 0}
 	deliver(r.eng, up(0, 5))
 	r.eng.run() // returns with the fetch still gated
-	if r.eng.Resident(id) != 0 {
+	if resident(r.eng, id) != 0 {
 		t.Fatal("model must commit residency at plan time")
 	}
 	gm.release() // the fetch now executes — and fails — after run returned
@@ -152,7 +168,7 @@ func TestAsyncFailedFetchAfterRunReturnedReconciles(t *testing.T) {
 	if r.hier.Locate(id) != -1 {
 		t.Fatal("failed fetch must leave nothing resident")
 	}
-	if r.eng.Resident(id) != -1 {
+	if resident(r.eng, id) != -1 {
 		t.Fatal("failed fetch must reconcile the residency model")
 	}
 	if st := r.eng.Counters(); st.FailedMoves != 1 {
@@ -186,7 +202,7 @@ func TestAsyncSupersededQueuedFetchNeverExecutes(t *testing.T) {
 	}
 	deliver(r.eng, up(0, 5))
 	r.eng.run() // victim fetch queued behind the gated blocker
-	if r.eng.Resident(victim) != 0 {
+	if resident(r.eng, victim) != 0 {
 		t.Fatal("victim must be modeled resident while its fetch is queued")
 	}
 	// A newer pass drops the victim below the admission floor: the queued
@@ -202,7 +218,7 @@ func TestAsyncSupersededQueuedFetchNeverExecutes(t *testing.T) {
 			t.Fatal("superseded fetch must not reach the executor")
 		}
 	}
-	if r.hier.Locate(victim) != -1 || r.eng.Resident(victim) != -1 {
+	if r.hier.Locate(victim) != -1 || resident(r.eng, victim) != -1 {
 		t.Fatal("victim must not be resident anywhere")
 	}
 	if r.hier.Locate(blocker) != 0 {
@@ -265,7 +281,7 @@ func TestAsyncSupersessionStressNoDuplicates(t *testing.T) {
 	if id, ok := r.hier.ExclusiveOK(); !ok {
 		t.Fatalf("duplicate residency of %v after supersession churn", id)
 	}
-	loads := r.eng.TierLoad()
+	loads := tierLoad(r.eng)
 	for ti, s := range r.hier.Stores() {
 		if loads[ti] != s.Used() {
 			t.Fatalf("tier %d accounting drift: model=%d store=%d", ti, loads[ti], s.Used())
@@ -274,7 +290,7 @@ func TestAsyncSupersessionStressNoDuplicates(t *testing.T) {
 	for i := int64(0); i < 16; i++ {
 		id := seg.ID{File: "f", Index: i}
 		actual := r.hier.Locate(id)
-		if model := r.eng.Resident(id); model != actual {
+		if model := resident(r.eng, id); model != actual {
 			t.Fatalf("segment %d: model says tier %d, stores say %d", i, model, actual)
 		}
 		_, tier, ok := r.aud.Mapping(id)
@@ -305,7 +321,7 @@ func TestAsyncFailurePathsMirrorSync(t *testing.T) {
 		}
 		r.eng.Flush()
 	}
-	loads := r.eng.TierLoad()
+	loads := tierLoad(r.eng)
 	for ti, s := range r.hier.Stores() {
 		if loads[ti] != s.Used() {
 			t.Fatalf("tier %d accounting drift: model=%d store=%d", ti, loads[ti], s.Used())
@@ -434,7 +450,7 @@ func runEngineStateMachine(t *testing.T, seed int64) (failed, superseded int64) 
 	if id, ok := r.hier.ExclusiveOK(); !ok {
 		t.Fatalf("seed %d: %v is resident in two tiers", seed, id)
 	}
-	loads := r.eng.TierLoad()
+	loads := tierLoad(r.eng)
 	for ti, s := range r.hier.Stores() {
 		if loads[ti] != s.Used() {
 			t.Fatalf("seed %d: tier %d accounting drift: model=%d store=%d", seed, ti, loads[ti], s.Used())
@@ -444,7 +460,7 @@ func runEngineStateMachine(t *testing.T, seed int64) (failed, superseded int64) 
 		for i := int64(0); i < perFile; i++ {
 			id := seg.ID{File: file, Index: i}
 			actual := r.hier.Locate(id)
-			if model := r.eng.Resident(id); model != actual {
+			if model := resident(r.eng, id); model != actual {
 				t.Fatalf("seed %d: %v: model says tier %d, stores say %d", seed, id, model, actual)
 			}
 			_, tier, ok := r.aud.Mapping(id)

@@ -122,7 +122,7 @@ func TestRepeatedFailuresNeverCorruptAccounting(t *testing.T) {
 		r.eng.Flush()
 	}
 	// Model usage must equal store usage on both tiers.
-	loads := r.eng.TierLoad()
+	loads := tierLoad(r.eng)
 	for ti, s := range r.hier.Stores() {
 		if loads[ti] != s.Used() {
 			t.Fatalf("tier %d accounting drift: model=%d store=%d", ti, loads[ti], s.Used())

@@ -513,21 +513,6 @@ func (e *Engine) reconcile(id seg.ID) {
 	}
 }
 
-// Resident reports the engine's view of where id lives (-1 = not
-// prefetched).
-func (e *Engine) Resident(id seg.ID) int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.model.Locate(id)
-}
-
-// TierLoad returns the engine's modeled byte usage per tier.
-func (e *Engine) TierLoad() []int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return slices.Clone(e.model.used)
-}
-
 // Counters returns a snapshot of engine statistics.
 func (e *Engine) Counters() Stats {
 	return Stats{

@@ -311,7 +311,7 @@ func TestAheadUpdateKicksThePass(t *testing.T) {
 		t.Fatalf("%d passes after a hint, want 1", runs)
 	}
 	for i := int64(0); i < 4; i++ {
-		if r.eng.Resident(seg.ID{File: "f", Index: i}) != 0 {
+		if resident(r.eng, seg.ID{File: "f", Index: i}) != 0 {
 			t.Fatalf("segment %d was not decided by the kicked pass", i)
 		}
 	}
@@ -336,7 +336,7 @@ func TestHintLiftsResidentAboveTheCut(t *testing.T) {
 	deliver(r.eng, up(2, 0.6))
 	r.eng.Flush()
 	target := seg.ID{File: "f", Index: 2}
-	if got := r.eng.Resident(target); got != 2 {
+	if got := resident(r.eng, target); got != 2 {
 		t.Fatalf("segment 2 resident in tier %d before the reader, want 2", got)
 	}
 	r.aud.StartEpoch("f", 1<<20)
@@ -349,7 +349,7 @@ func TestHintLiftsResidentAboveTheCut(t *testing.T) {
 	}
 	runs := r.eng.Counters().Runs
 	r.eng.Flush()
-	if got, passes := r.eng.Resident(target), r.eng.Counters().Runs-runs; got != 0 || passes != 1 {
+	if got, passes := resident(r.eng, target), r.eng.Counters().Runs-runs; got != 0 || passes != 1 {
 		t.Fatalf("segment 2 in tier %d after %d passes, want tier 0 after 1", got, passes)
 	}
 }
@@ -364,7 +364,7 @@ func TestClimbingUpdateStartsPass(t *testing.T) {
 	r.eng.Start()
 	placedWithin := func(idx int64, d time.Duration) bool {
 		for deadline := time.Now().Add(d); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
-			if r.eng.Resident(seg.ID{File: "f", Index: idx}) == 0 && r.hier.Tier(0).Has(seg.ID{File: "f", Index: idx}) {
+			if resident(r.eng, seg.ID{File: "f", Index: idx}) == 0 && r.hier.Tier(0).Has(seg.ID{File: "f", Index: idx}) {
 				return true
 			}
 		}
@@ -378,7 +378,7 @@ func TestClimbingUpdateStartsPass(t *testing.T) {
 	deliver(r.eng, up(2, 4.5))
 	if !placedWithin(2, 2*time.Second) {
 		t.Fatalf("an update above the tier above's coldest was not placed; segment 2 in tier %d",
-			r.eng.Resident(seg.ID{File: "f", Index: 2}))
+			resident(r.eng, seg.ID{File: "f", Index: 2}))
 	}
 	// Segment 2 leaving ram for good (below the floor) makes room there,
 	// and segment 3's next update climbs into it outranking no one.
@@ -387,7 +387,7 @@ func TestClimbingUpdateStartsPass(t *testing.T) {
 	deliver(r.eng, up(3, 0.7))
 	if !placedWithin(3, 2*time.Second) {
 		t.Fatalf("an update with room in the tier above was not placed; segment 3 in tier %d",
-			r.eng.Resident(seg.ID{File: "f", Index: 3}))
+			resident(r.eng, seg.ID{File: "f", Index: 3}))
 	}
 }
 
@@ -434,7 +434,7 @@ func TestExclusivityInvariantUnderChurn(t *testing.T) {
 		}
 	}
 	// Engine model must agree with the stores.
-	loads := r.eng.TierLoad()
+	loads := tierLoad(r.eng)
 	for ti, s := range r.hier.Stores() {
 		if loads[ti] != s.Used() {
 			t.Fatalf("tier %d: model=%d store=%d", ti, loads[ti], s.Used())
@@ -444,12 +444,12 @@ func TestExclusivityInvariantUnderChurn(t *testing.T) {
 
 func TestResidentView(t *testing.T) {
 	r := newRig(t, Config{}, 1000)
-	if r.eng.Resident(seg.ID{File: "f", Index: 0}) != -1 {
+	if resident(r.eng, seg.ID{File: "f", Index: 0}) != -1 {
 		t.Fatal("unknown segment must report -1")
 	}
 	deliver(r.eng, up(0, 5))
 	r.eng.Flush()
-	if r.eng.Resident(seg.ID{File: "f", Index: 0}) != 0 {
+	if resident(r.eng, seg.ID{File: "f", Index: 0}) != 0 {
 		t.Fatal("placed segment must report tier 0")
 	}
 }

@@ -9,8 +9,9 @@ import "sort"
 // the request boundaries, so the segmentation converges to the natural
 // access granularity of the workload.
 //
-// Adaptive is not safe for concurrent use; the auditor serializes access
-// per file.
+// Adaptive is not safe for concurrent use. The shipped server segments
+// at a fixed grain; the abl-seg ablation runs Adaptive to price the
+// paper's dynamic sizing against it.
 type Adaptive struct {
 	// segs is kept sorted by Off and non-overlapping.
 	segs []Range

@@ -2,16 +2,15 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
-	"hfetch/internal/baselines"
 	"hfetch/internal/core/auditor"
 	amover "hfetch/internal/core/mover"
 	"hfetch/internal/core/placement"
 	"hfetch/internal/core/score"
 	"hfetch/internal/core/seg"
-	"hfetch/internal/pfs"
 )
 
 // AblationPlacement compares Algorithm 1 against the random and
@@ -19,7 +18,7 @@ import (
 // score stream fed to a bare placement.Model in the engine's passes (each
 // segment once, hottest first, every 128 updates): the metric is how much
 // of the hottest decile the model holds in the fastest tier, plus the
-// planning cost.
+// planning cost per 4 096 updates in microseconds (plan_us).
 func AblationPlacement(opts Opts) ([]Row, error) {
 	opts = opts.normalized()
 	const segSize = 1 << 10
@@ -68,12 +67,12 @@ func AblationPlacement(opts Opts) ([]Row, error) {
 			hotFrac += float64(hot) / 26
 		}
 		rows = append(rows, Row{
-			Figure:  "abl-place",
-			Config:  "zipf-256seg",
-			System:  r.name,
-			Seconds: planSec / float64(opts.Repeats),
+			Figure: "abl-place",
+			Config: "zipf-256seg",
+			System: r.name,
 			Extra: map[string]float64{
 				"hot_decile_in_ram_pct": hotFrac / float64(opts.Repeats) * 100,
+				"plan_us":               planSec / float64(opts.Repeats) * 1e6,
 			},
 		})
 	}
@@ -106,14 +105,19 @@ func flatRule(pick func(seg.ID) uint64) placeRule {
 	}
 }
 
-// fnvPick is the random rule's tier pick: a hash of the segment, so runs
-// are reproducible.
+// fnvPick is the random rule's tier pick: an FNV-1a hash of the segment,
+// so runs are reproducible, finished with splitmix64's mixer so that
+// every bit of the pick depends on every bit of the index (the index
+// term alone is odd times the index, whose low bit is the index's).
 func fnvPick(id seg.ID) uint64 {
 	h := uint64(14695981039346656037)
 	for i := 0; i < len(id.File); i++ {
 		h = (h ^ uint64(id.File[i])) * 1099511628211
 	}
-	return h ^ uint64(id.Index)*0x9e3779b97f4a7c15
+	h ^= uint64(id.Index) * 0x9e3779b97f4a7c15
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
 }
 
 // AblationScoring sweeps the decay base p of Equation (1) and reports
@@ -207,76 +211,105 @@ func AblationSegmentation(opts Opts) ([]Row, error) {
 	return rows, nil
 }
 
-// AblationCachePolicy compares LRU and LRFU eviction in the single-tier
-// prefetcher cache on a hot-set-plus-scan workload: a scan floods an LRU
-// cache and evicts the hot set, while LRFU's frequency term protects it.
+// AblationCachePolicy compares LRU and LRFU eviction on a hot set that
+// an iterative kernel reads four times per round, each round ending in a
+// cold scan larger than the cache: the scan floods an LRU cache and
+// evicts the hot set, while LRFU's frequency term protects it. Both run
+// as victim rules over one bare cacheModel, one access per tick, so the
+// metric (how much of the hot set is resident after the last scan) is
+// the same on every host and every repeat.
 func AblationCachePolicy(opts Opts) ([]Row, error) {
-	opts = opts.normalized()
 	const (
-		segSize  = 64 << 10
 		hotSegs  = 8
 		coldSegs = 64
 		rounds   = 6
 	)
-	policies := []struct {
-		name string
-		p    baselines.EvictionPolicy
-	}{
-		{"lru", baselines.EvictLRU},
-		{"lrfu", baselines.EvictLRFU},
-	}
 	var rows []Row
-	for _, pol := range policies {
-		var hitSum float64
-		for rep := 0; rep < opts.Repeats; rep++ {
-			fs := pfs.New(nil)
-			fs.Create("hot", hotSegs*segSize)
-			fs.Create("cold", coldSegs*segSize)
-			sys := baselines.NewPrefetcher(fs, baselines.PrefetcherConfig{
-				CacheBytes:  (hotSegs + coldSegs/4) * segSize,
-				SegmentSize: segSize,
-				Depth:       2,
-				Workers:     2,
-				Eviction:    pol.p,
-				Lambda:      0.05,
-			})
-			hotF, err := sys.Open("a", "hot")
-			if err != nil {
-				return nil, err
-			}
-			coldF, _ := sys.Open("a", "cold")
-			buf := make([]byte, segSize)
-			// Hot reads are paced (compute on each block) so readahead
-			// lands ahead of the reader and the hot set accumulates
-			// cache touches; the cold scan is an unpaced flood.
-			hotPass := func() {
-				for i := int64(0); i < hotSegs; i++ {
-					hotF.ReadAt(buf, i*segSize)
-					time.Sleep(500 * time.Microsecond)
+	for _, pol := range []struct {
+		name   string
+		victim victimRule
+	}{
+		{"lru", lru},
+		{"lrfu", lrfu(0.01)},
+	} {
+		c := newCacheModel(hotSegs+coldSegs/4, pol.victim)
+		for r := 0; r < rounds; r++ {
+			for range 4 {
+				for i := range int64(hotSegs) {
+					c.access(i)
 				}
 			}
-			for r := 0; r < rounds; r++ {
-				hotPass()
-				for i := int64(0); i < coldSegs; i++ {
-					coldF.ReadAt(buf, i*segSize)
-				}
-				time.Sleep(5 * time.Millisecond) // let prefetches land
+			for i := range int64(coldSegs) {
+				c.access(hotSegs + i)
 			}
-			// The metric is hot-set residency after the final cold
-			// flood: how much of the working set survived the scan.
-			hitSum += float64(sys.ResidentOf("hot")) / float64(hotSegs)
-			hotF.Close()
-			coldF.Close()
-			sys.Stop()
+		}
+		hot := 0
+		for i := range int64(hotSegs) {
+			if c.ticks[i] != nil {
+				hot++
+			}
 		}
 		rows = append(rows, Row{
 			Figure: "abl-cache",
 			Config: "hotset-vs-scan",
 			System: pol.name,
-			Extra: map[string]float64{
-				"hot_resident_pct": hitSum / float64(opts.Repeats) * 100,
-			},
+			Extra:  map[string]float64{"hot_resident_pct": float64(hot) / hotSegs * 100},
 		})
 	}
 	return rows, nil
+}
+
+// victimRule values a resident segment from the ticks it was accessed
+// at since it entered the cache; the cache evicts the lowest value.
+type victimRule func(ticks []int, now int) float64
+
+// lru values a segment by its last access.
+func lru(ticks []int, _ int) float64 { return float64(ticks[len(ticks)-1]) }
+
+// lrfu is Lee et al.'s combined recency-frequency, the policy Eq. (1)
+// derives from: CRF(now) = Σ (1/2)^{λ(now−t_i)} over the segment's
+// accesses, λ per tick. λ→1 behaves like LRU, λ→0 like LFU.
+func lrfu(lambda float64) victimRule {
+	return func(ticks []int, now int) float64 {
+		var crf float64
+		for _, t := range ticks {
+			crf += math.Exp2(-lambda * float64(now-t))
+		}
+		return crf
+	}
+}
+
+// cacheModel is abl-cache's cache: a capacity in segments and, for each
+// resident segment, its access ticks on a clock that advances one tick
+// per access. A miss evicts the segment its victim rule values lowest
+// (the lower index on a tie) when the cache is full, then inserts. It has
+// no payloads, locks, clock reads or goroutines.
+type cacheModel struct {
+	capacity int
+	victim   victimRule
+	now      int
+	ticks    map[int64][]int
+}
+
+func newCacheModel(capacity int, victim victimRule) *cacheModel {
+	return &cacheModel{capacity: capacity, victim: victim, ticks: make(map[int64][]int)}
+}
+
+// access reads segment id.
+func (c *cacheModel) access(id int64) {
+	c.now++
+	if t, ok := c.ticks[id]; ok {
+		c.ticks[id] = append(t, c.now)
+		return
+	}
+	if len(c.ticks) >= c.capacity {
+		victim, low := int64(-1), math.Inf(1)
+		for k, t := range c.ticks {
+			if v := c.victim(t, c.now); v < low || v == low && k < victim {
+				victim, low = k, v
+			}
+		}
+		delete(c.ticks, victim)
+	}
+	c.ticks[id] = []int{c.now}
 }

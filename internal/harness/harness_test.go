@@ -8,6 +8,7 @@ import (
 
 	"hfetch/internal/baselines"
 	"hfetch/internal/config"
+	"hfetch/internal/core/seg"
 	"hfetch/internal/workloads"
 )
 
@@ -228,11 +229,36 @@ func TestAblationPlacementShape(t *testing.T) {
 	}
 	// The stream and every rule are deterministic, so each row's share of
 	// the hottest decile in RAM is pinned: a change to any rule shows.
-	want := map[string]string{"score(alg1)": "100.0", "random": "11.5", "roundrobin": "15.4"}
+	want := map[string]string{"score(alg1)": "100.0", "random": "26.9", "roundrobin": "15.4"}
 	for _, r := range rows {
 		if got := fmt.Sprintf("%.1f", r.Extra["hot_decile_in_ram_pct"]); got != want[r.System] {
 			t.Errorf("%s keeps %s%% of the hot decile in RAM, want %s%%", r.System, got, want[r.System])
 		}
+		if r.Extra["plan_us"] <= 0 {
+			t.Errorf("%s reports a planning cost of %v µs, want it above 0", r.System, r.Extra["plan_us"])
+		}
+	}
+}
+
+// TestFNVPickIsNotIndexParity: on one file the random rule's pick over
+// two tiers must depend on more than the index's low bit, and split 256
+// segments roughly evenly.
+func TestFNVPickIsNotIndexParity(t *testing.T) {
+	same, first := 0, 0
+	for i := int64(0); i < 256; i++ {
+		pick := fnvPick(seg.ID{File: "f", Index: i}) % 2
+		if pick == uint64(i&1) {
+			same++
+		}
+		if pick == 0 {
+			first++
+		}
+	}
+	if same == 0 || same == 256 {
+		t.Errorf("the pick over two tiers is the index's parity (%d of 256 picks equal Index&1)", same)
+	}
+	if first < 256*40/100 || first > 256*60/100 {
+		t.Errorf("the first tier gets %d of 256 picks, want 40-60%%", first)
 	}
 }
 
@@ -296,6 +322,46 @@ func TestAblationCachePolicyShape(t *testing.T) {
 	}
 	if lrfu < 50 {
 		t.Fatalf("LRFU hot residency = %.1f%%, want most of the hot set", lrfu)
+	}
+}
+
+func TestLRFUKeepsFrequentOverRecent(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		victim   victimRule
+		evicted0 bool
+	}{{"lru", lru, true}, {"lrfu", lrfu(0.5), false}} {
+		m := newCacheModel(2, c.victim)
+		// Segment 0 is accessed many times, segment 1 once, more
+		// recently; inserting 2 evicts one of them.
+		for range 11 {
+			m.access(0)
+		}
+		m.access(1)
+		m.access(2)
+		if _, kept := m.ticks[0]; kept == c.evicted0 {
+			t.Errorf("%s: segment 0 resident = %v, want %v", c.name, kept, !c.evicted0)
+		}
+		if _, kept := m.ticks[1]; kept != c.evicted0 {
+			t.Errorf("%s: segment 1 resident = %v, want %v", c.name, kept, c.evicted0)
+		}
+	}
+}
+
+func TestLRFUDecayForgetsStaleFrequency(t *testing.T) {
+	m := newCacheModel(2, lrfu(1)) // aggressive decay for the test
+	for range 10 {
+		m.access(0)
+	}
+	for range 6 {
+		m.access(1) // six ticks: 0's ten accesses decay below 1's six
+	}
+	m.access(2)
+	if _, kept := m.ticks[0]; kept {
+		t.Fatal("decayed frequency must not outrank fresh accesses")
+	}
+	if _, kept := m.ticks[1]; !kept {
+		t.Fatal("the freshly accessed segment must stay")
 	}
 }
 
